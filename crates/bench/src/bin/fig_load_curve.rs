@@ -18,7 +18,6 @@
 
 use dysta::cluster::{
     balanced_mixed_serving_mix, ClusterBuilder, ClusterPolicy, DispatchPolicy, SlackLoadShedding,
-    MAX_THREADS,
 };
 use dysta::cluster::{simulate_cluster_stream_with, ClusterConfig, ClusterReport};
 use dysta::core::Policy;
@@ -80,33 +79,12 @@ fn stream_spec(shape: &str, load: f64, scale: Scale, seed: u64) -> StreamSpec {
 }
 
 /// The `fig_admission` pool: 2+2 heterogeneous, FCFS node scheduling,
-/// one node per family at half capacity. `threads` drives the sharded
-/// advance loop (bit-exact at any count).
-fn pool(threads: usize) -> ClusterConfig {
+/// one node per family at half capacity.
+fn pool() -> ClusterConfig {
     ClusterBuilder::heterogeneous(2, 2, Policy::Fcfs)
         .node_capacity(1, 0.5)
         .node_capacity(3, 0.5)
-        .threads(threads)
         .build()
-}
-
-/// Parses `--threads N` from the command line (1 when absent),
-/// rejecting counts outside the `ClusterBuilder` knob's bound.
-fn threads_arg() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|n| (1..=MAX_THREADS).contains(n))
-                .unwrap_or_else(|| {
-                    eprintln!("--threads requires an integer in 1..={MAX_THREADS}");
-                    std::process::exit(2);
-                });
-        }
-    }
-    1
 }
 
 struct Cell {
@@ -117,7 +95,7 @@ struct Cell {
     peak_live: usize,
 }
 
-fn run_cell(shape: &str, load: f64, shed: bool, scale: Scale, threads: usize) -> Cell {
+fn run_cell(shape: &str, load: f64, shed: bool, scale: Scale) -> Cell {
     let mut goodput_rate = 0.0;
     let mut p99_ns = 0u64;
     let mut rejected = 0usize;
@@ -131,7 +109,7 @@ fn run_cell(shape: &str, load: f64, shed: bool, scale: Scale, threads: usize) ->
             policy = policy.with_admission(Box::new(SlackLoadShedding::new()));
         }
         let report: ClusterReport =
-            simulate_cluster_stream_with(spec.source(&store), &mut policy, &pool(threads));
+            simulate_cluster_stream_with(spec.source(&store), &mut policy, &pool());
         goodput_rate += report.goodput_rate();
         p99_ns += report.turnaround_percentile_ns(0.99);
         rejected += report.rejected_total();
@@ -154,10 +132,6 @@ fn main() {
         "goodput and p99 turnaround vs offered load, admit-all vs load shedding",
     );
     let scale = Scale::from_env();
-    let threads = threads_arg();
-    if threads > 1 {
-        println!("sharded advance on {threads} worker threads (bit-exact with 1)\n");
-    }
     for shape in ["flash-crowd", "phase-change"] {
         println!("--- {shape} (EDF dispatch, SLO x{SLO_MULTIPLIER}) ---");
         println!(
@@ -169,8 +143,8 @@ fn main() {
             "", "admit-all", "admit-all", "shed", "shed", "shed", "shed", "live"
         );
         for load in LOAD_FACTORS {
-            let all = run_cell(shape, load, false, scale, threads);
-            let shed = run_cell(shape, load, true, scale, threads);
+            let all = run_cell(shape, load, false, scale);
+            let shed = run_cell(shape, load, true, scale);
             println!(
                 "{:>5}x {:>10.3} {:>12.2} {:>10.3} {:>12.2} {:>9} {:>9} {:>9}",
                 load,

@@ -1,16 +1,13 @@
 //! Fleet-scale sweep: the seed × policy × scenario × SLO grid fanned
-//! over the vendored thread pool, with byte-identical JSON at any
-//! worker count.
+//! over `--threads N` threads (default 1, at most one per cell), with
+//! byte-identical JSON at any thread count.
 //!
-//! `--threads N` (default 1) sets the pool size; `--json <path>`
-//! writes the rows as JSON — the CI sweep-smoke step runs the quick
-//! grid at 1 and 4 threads and diffs the two files. `DYSTA_QUICK=1`
-//! shrinks the grid the same way it shrinks every other experiment
-//! binary.
+//! `--json <path>` writes the rows as JSON — the CI sweep-smoke step
+//! runs the quick grid at 1 and 4 threads and diffs the two files.
+//! `DYSTA_QUICK=1` shrinks the grid the same way it shrinks every other
+//! experiment binary.
 
-use dysta::cluster::{
-    ClusterConfig, DispatchPolicy, SweepGrid, SweepRow, SweepScenario, MAX_THREADS,
-};
+use dysta::cluster::{ClusterConfig, DispatchPolicy, SweepGrid, SweepRow, SweepScenario};
 use dysta::core::Policy;
 use dysta::workload::Scenario;
 use dysta_bench::{banner, Scale};
@@ -23,14 +20,16 @@ fn args() -> (usize, Option<std::path::PathBuf>) {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--threads" => {
-                // Same bound the ClusterBuilder knob validates, so both
-                // entry points reject 0 / oversized counts identically.
+                // Larger counts are fine: `SweepGrid::run` clamps them
+                // to the cell count.
                 threads = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .filter(|n| (1..=MAX_THREADS).contains(n))
+                    .filter(|&n| n >= 1)
                     .unwrap_or_else(|| {
-                        eprintln!("--threads requires an integer in 1..={MAX_THREADS}");
+                        eprintln!(
+                            "--threads requires an integer >= 1; usage: fleet_sweep [--threads N] [--json PATH]"
+                        );
                         std::process::exit(2);
                     })
             }
@@ -73,7 +72,7 @@ fn grid(scale: Scale) -> SweepGrid {
 fn main() {
     banner(
         "Fleet sweep",
-        "seed x policy x scenario grid over the thread pool",
+        "seed x policy x scenario grid over scoped threads",
     );
     let (threads, json_path) = args();
     let scale = Scale::from_env();

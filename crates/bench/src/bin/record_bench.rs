@@ -102,9 +102,11 @@ struct BenchRecord {
     fleet_sweep_ms: Option<f64>,
     /// Wall time of one busy serving run (16-node pool, overdriven
     /// traffic, steal+migrate armed) with the sequential advance loop.
+    /// Kept so older records still load; the sharded advance it was
+    /// compared against is gone, so new records write `None`.
     cluster_par_seq_ms: Option<f64>,
-    /// The same run with the sharded advance on 8 worker threads
-    /// (bit-exact reports; only the wall clock may differ).
+    /// The same run with the (since deleted) sharded advance on 8
+    /// worker threads. `None` in new records.
     cluster_par_ms: Option<f64>,
 }
 
@@ -612,51 +614,6 @@ fn measure_fleet_sweep() -> (f64, f64) {
     (seq * 1e3, par * 1e3)
 }
 
-fn measure_cluster_par() -> (f64, f64) {
-    // The sharded advance loop on one busy serving run: the
-    // `cluster_serving` cell's traffic on a 16-node pool (8+8
-    // heterogeneous, batch + steal + migrate) so several nodes hold
-    // work between front-end events and the parallel advance has
-    // something to shard. Reports are bit-exact at any thread count;
-    // the seq/par pair records what the sharding costs or buys on this
-    // machine.
-    let workload = WorkloadBuilder::new(Scenario::MultiCnn)
-        .arrival_rate(24.0)
-        .num_requests(400)
-        .samples_per_variant(16)
-        .seed(13)
-        .build();
-    let frontend = FrontendConfig {
-        admit_batch: 4,
-        admit_interval_ns: 20_000_000,
-        steal: Some(StealConfig::default()),
-        migration: Some(MigrationConfig::default()),
-        ..FrontendConfig::default()
-    };
-    let run = |threads: usize| {
-        median_secs(3, || {
-            let pool = ClusterBuilder::heterogeneous(8, 8, Policy::Dysta)
-                .frontend(frontend)
-                .threads(threads)
-                .build();
-            std::hint::black_box(simulate_cluster(
-                &workload,
-                DispatchPolicy::SparsityAffinity.build().as_mut(),
-                &pool,
-            ));
-        })
-    };
-    let seq = run(1);
-    let par = run(8);
-    println!(
-        "cluster_par (8+8 nodes, batch+steal+migrate, 400 reqs): seq {:.1} ms, 8 threads {:.1} ms ({:.2}x)",
-        seq * 1e3,
-        par * 1e3,
-        seq / par,
-    );
-    (seq * 1e3, par * 1e3)
-}
-
 fn measure_workload_stream() -> WorkloadStreamCell {
     use dysta::cluster::simulate_cluster_stream;
     use dysta::workload::{ArrivalProcess, PhaseSpec, Popularity, SloModel, StreamSpec};
@@ -855,7 +812,6 @@ fn main() {
     let workload_stream = measure_workload_stream();
     let trace_overhead = measure_trace_overhead();
     let (fleet_sweep_seq_ms, fleet_sweep_ms) = measure_fleet_sweep();
-    let (cluster_par_seq_ms, cluster_par_ms) = measure_cluster_par();
 
     let record = BenchRecord {
         label: label.clone(),
@@ -872,8 +828,8 @@ fn main() {
         workload_stream: Some(workload_stream),
         fleet_sweep_seq_ms: Some(fleet_sweep_seq_ms),
         fleet_sweep_ms: Some(fleet_sweep_ms),
-        cluster_par_seq_ms: Some(cluster_par_seq_ms),
-        cluster_par_ms: Some(cluster_par_ms),
+        cluster_par_seq_ms: None,
+        cluster_par_ms: None,
     };
 
     // A malformed history file must abort, not be silently replaced —

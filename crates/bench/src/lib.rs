@@ -7,6 +7,8 @@
 //! (so policies are compared on identical request streams, as in the
 //! paper), and fixed-width table printing.
 
+#![forbid(unsafe_code)]
+
 use dysta::core::{DystaConfig, ModelInfoLut, MonitoredLayer, Policy, TaskState};
 use dysta::sim::{simulate, EngineConfig, Metrics};
 use dysta::workload::{Scenario, WorkloadBuilder};

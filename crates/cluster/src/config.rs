@@ -483,13 +483,6 @@ pub struct ClusterConfig {
     /// an empty schedule with salvage-and-redispatch enabled — inert
     /// until faults are actually scheduled or reneging is switched on.
     pub faults: crate::faults::FaultConfig,
-    /// Worker threads for the sharded advance phase. `None` (the
-    /// default) consults the `DYSTA_THREADS` environment variable and
-    /// falls back to 1; `Some(1)` forces the sequential loop regardless
-    /// of the environment. Whatever the count, reports are bit-exact
-    /// with the sequential loop — see [`ClusterConfig::resolved_threads`]
-    /// and the README's "Parallel execution" section.
-    pub threads: Option<usize>,
 }
 
 impl ClusterConfig {
@@ -553,36 +546,8 @@ impl ClusterConfig {
         if let Err(msg) = self.faults.validate(self.nodes.len()) {
             panic!("{msg}");
         }
-        if let Some(n) = self.threads {
-            assert!(
-                (1..=MAX_THREADS).contains(&n),
-                "thread count must be in 1..={MAX_THREADS}"
-            );
-        }
-    }
-
-    /// The worker-thread count the engine will actually use: the
-    /// explicit [`ClusterConfig::threads`] knob when set, else the
-    /// `DYSTA_THREADS` environment variable, else 1. Unparseable or
-    /// out-of-range environment values fall back to 1 (the sequential
-    /// loop) rather than panicking, so a stray variable can never make
-    /// a run fail — only make it sequential.
-    pub fn resolved_threads(&self) -> usize {
-        if let Some(n) = self.threads {
-            return n;
-        }
-        std::env::var("DYSTA_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|n| (1..=MAX_THREADS).contains(n))
-            .unwrap_or(1)
     }
 }
-
-/// Upper bound on the explicit thread knob — far above any plausible
-/// machine, just a guard against accidental huge values spawning
-/// thousands of OS threads.
-pub const MAX_THREADS: usize = 1024;
 
 /// Validating builder for [`ClusterConfig`] — the one construction path
 /// for anything beyond a plain default pool.
@@ -611,7 +576,6 @@ pub struct ClusterBuilder {
     frontend: FrontendConfig,
     transfer_cost: TransferCostConfig,
     faults: crate::faults::FaultConfig,
-    threads: Option<usize>,
 }
 
 impl ClusterBuilder {
@@ -648,7 +612,6 @@ impl ClusterBuilder {
             frontend: FrontendConfig::default(),
             transfer_cost: TransferCostConfig::FREE,
             faults: crate::faults::FaultConfig::default(),
-            threads: None,
         }
     }
 
@@ -704,14 +667,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Pins the worker-thread count for the sharded advance phase
-    /// (overriding the `DYSTA_THREADS` environment variable). 1 forces
-    /// the sequential loop; any count produces bit-exact reports.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
     /// Validates every knob and produces the config.
     ///
     /// # Panics
@@ -724,7 +679,6 @@ impl ClusterBuilder {
             frontend: self.frontend,
             transfer_cost: self.transfer_cost,
             faults: self.faults,
-            threads: self.threads,
         };
         config.validate();
         config
@@ -882,26 +836,6 @@ mod tests {
                 schedule: crate::faults::FaultSchedule::new().crash(5, 1_000),
                 ..crate::faults::FaultConfig::default()
             })
-            .build();
-    }
-
-    #[test]
-    fn threads_knob_overrides_environment_and_defaults_to_one() {
-        let default = ClusterConfig::homogeneous(1, AcceleratorKind::Sanger, Policy::Fcfs);
-        assert_eq!(default.threads, None);
-        // Explicit knob wins regardless of DYSTA_THREADS (not set under
-        // `cargo test`, so None also resolves to 1 here).
-        let pinned = ClusterBuilder::homogeneous(1, AcceleratorKind::Sanger, Policy::Fcfs)
-            .threads(4)
-            .build();
-        assert_eq!(pinned.resolved_threads(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count must be in 1..=")]
-    fn zero_thread_count_rejected() {
-        let _ = ClusterBuilder::homogeneous(1, AcceleratorKind::Sanger, Policy::Fcfs)
-            .threads(0)
             .build();
     }
 

@@ -10,8 +10,7 @@
 //! [`crate::TransferCostConfig`] on every applied move. All decision
 //! logic lives behind the policy traits.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use dysta_core::{scale_ns, ModelInfoLut, SparseLatencyPredictor};
 use dysta_models::ModelFamily;
@@ -27,100 +26,6 @@ use crate::policy::{
 };
 use crate::report::{ClusterReport, NodeReport, ServingStats};
 use crate::{ClusterConfig, FrontendConfig};
-use threadpool::ThreadPool;
-
-/// A node engine with a boxed scheduler — the element type of the
-/// cluster's node list, and what [`ClusterTracer::advance_nodes`]
-/// steps.
-pub type ClusterNode<'w, T> = NodeEngine<'w, Box<dyn dysta_core::Scheduler>, T>;
-
-/// Tracer capability for the cluster engine: how the advance phase may
-/// step the live set between two front-end events.
-///
-/// The default is the historical sequential loop, correct for every
-/// tracer. [`NullTracer`] (the untraced path every experiment binary
-/// runs) opts into the *sharded* advance: node stepping is resumable on
-/// a causal per-node clock and touches no shared state, so live nodes
-/// advance concurrently on the pool and the barrier at the end of
-/// [`ThreadPool::scope`] re-serializes before the front-end observes
-/// anything. Completion merging stays where it always was — the
-/// sequential [`Frontend::prune_live`] walk in ascending node order —
-/// so reports are bit-exact with the sequential loop by construction.
-///
-/// By-reference tracers (`&RingTracer`) keep the sequential default:
-/// they are not `Sync`, and sequential advance also preserves the
-/// recorded event order.
-pub trait ClusterTracer: Tracer + Copy {
-    /// True when this tracer permits the sharded (parallel) advance;
-    /// the engine only constructs a pool when this holds.
-    const PARALLEL: bool = false;
-
-    /// Advances every node in `live` (ascending node ids) up to
-    /// sim-time `t`. Implementations must be observationally identical
-    /// to the sequential loop: each node ends at the exact state
-    /// `run_until(t)` produces, and nothing else may be touched.
-    fn advance_nodes<'w>(
-        pool: Option<&ThreadPool>,
-        nodes: &mut [ClusterNode<'w, Self>],
-        live: &[usize],
-        t: u64,
-    ) {
-        let _ = pool;
-        for &id in live {
-            nodes[id].run_until(t);
-        }
-    }
-}
-
-impl ClusterTracer for NullTracer {
-    const PARALLEL: bool = true;
-
-    fn advance_nodes<'w>(
-        pool: Option<&ThreadPool>,
-        nodes: &mut [ClusterNode<'w, Self>],
-        live: &[usize],
-        t: u64,
-    ) {
-        let pool = match pool {
-            // One live node parallelizes nothing; skip the scope.
-            Some(pool) if live.len() >= 2 => pool,
-            _ => {
-                for &id in live {
-                    nodes[id].run_until(t);
-                }
-                return;
-            }
-        };
-        // Split the node slice into disjoint `&mut` references for the
-        // live ids (ascending, so one forward walk suffices).
-        let mut refs: Vec<&mut ClusterNode<'w, Self>> = Vec::with_capacity(live.len());
-        let mut rest = &mut nodes[..];
-        let mut offset = 0;
-        for &id in live {
-            let (_, tail) = rest.split_at_mut(id - offset);
-            let (node, tail) = tail.split_first_mut().expect("live id in range");
-            refs.push(node);
-            rest = tail;
-            offset = id + 1;
-        }
-        pool.scope(|s| {
-            for node in refs {
-                s.spawn(move || node.run_until(t));
-            }
-        });
-    }
-}
-
-// By-reference tracers advance sequentially (see trait docs).
-impl<T: Tracer + ?Sized> ClusterTracer for &T {}
-
-// The sharded advance moves `&mut ClusterNode` across threads; keep the
-// Send-ability of the untraced node engine pinned at compile time so a
-// non-Send field can never silently reach the parallel path.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<ClusterNode<'static, NullTracer>>();
-};
 
 /// Replays `workload` on a cluster of nodes behind `dispatcher` with the
 /// default admission ([`AdmitAll`]), steal, and migration policies,
@@ -242,7 +147,7 @@ pub fn simulate_cluster_with(
 /// assert_eq!(report.completed_total(), 20);
 /// assert!(tracer.validate().is_ok());
 /// ```
-pub fn simulate_cluster_traced<T: ClusterTracer>(
+pub fn simulate_cluster_traced<T: Tracer + Copy>(
     workload: &Workload,
     policy: &mut ClusterPolicy,
     config: &ClusterConfig,
@@ -259,7 +164,7 @@ pub fn simulate_cluster_traced<T: ClusterTracer>(
     )
 }
 
-fn run_cluster<T: ClusterTracer>(
+fn run_cluster<T: Tracer + Copy>(
     workload: &Workload,
     dispatcher: &mut dyn Dispatcher,
     admission_policy: &dyn AdmissionPolicy,
@@ -378,7 +283,7 @@ fn run_cluster_source<'w, S, T>(
 ) -> ClusterReport
 where
     S: RequestSource<'w>,
-    T: ClusterTracer,
+    T: Tracer + Copy,
 {
     assert!(
         source.peek_arrival_ns().is_some(),
@@ -386,14 +291,6 @@ where
     );
     config.validate();
     let len_hint = source.len_hint();
-
-    // The pool exists only when the tracer permits the sharded advance
-    // AND more than one thread is requested; otherwise `pool` is `None`
-    // and every advance takes the sequential loop. `new(1)` would also
-    // be sequential, but skipping construction keeps the 1-thread path
-    // free of pool plumbing entirely.
-    let threads = config.resolved_threads();
-    let pool = (T::PARALLEL && threads >= 2).then(|| ThreadPool::new(threads));
 
     let lut = ModelInfoLut::from_store(source.store());
     let lut_len = lut.len();
@@ -457,7 +354,6 @@ where
         tracer,
         labels: vec![None; lut_len],
         scratch: String::new(),
-        pool,
     };
     frontend.run();
     frontend.into_report()
@@ -478,57 +374,28 @@ const EV_STEAL: u8 = 4;
 /// Number of distinct event kinds (one armed deadline slot each).
 const EV_KINDS: usize = 5;
 
-/// The front-end's pending deadlines as a lazily-invalidated binary
-/// min-heap over `(t, kind, seq)`.
-///
-/// At most one deadline per kind is *armed* at a time; re-arming a
-/// kind at a new instant pushes a fresh entry and orphans the old one
-/// (discarded when it surfaces — its sequence number no longer
-/// matches). Because each kind contributes exactly one valid entry,
-/// the heap minimum over `(t, kind)` is identical to the historical
-/// five-way array minimum — same timestamp, same kind-priority
-/// tie-break — so event order (and therefore every report and trace)
-/// is bit-exact with the scan it replaces. Arming an unchanged
-/// deadline is a no-op, so steady-state iterations touch the heap
-/// only for the kinds whose deadline actually moved.
+/// The front-end's pending deadlines: at most one armed instant per
+/// event kind.
 #[derive(Default)]
 struct EventQueue {
-    heap: BinaryHeap<Reverse<(u64, u8, u64)>>,
-    /// `(t, seq)` of the armed entry per kind; `None` = disarmed.
-    armed: [Option<(u64, u64)>; EV_KINDS],
-    next_seq: u64,
+    /// The armed instant per kind; `None` = disarmed.
+    armed: [Option<u64>; EV_KINDS],
 }
 
 impl EventQueue {
-    /// Arms `kind` at `t` (disarms it when `t` is `None`). Unchanged
-    /// deadlines are no-ops.
+    /// Arms `kind` at `t` (disarms it when `t` is `None`).
     fn arm(&mut self, kind: u8, t: Option<u64>) {
-        let slot = &mut self.armed[kind as usize];
-        match t {
-            None => *slot = None,
-            Some(t) => {
-                if slot.map(|(at, _)| at) == Some(t) {
-                    return;
-                }
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                *slot = Some((t, seq));
-                self.heap.push(Reverse((t, kind, seq)));
-            }
-        }
+        self.armed[kind as usize] = t;
     }
 
     /// Pops the earliest armed `(t, kind)` (kind-priority tie-break at
     /// equal instants), disarming it. `None` when nothing is armed.
     fn pop(&mut self) -> Option<(u64, u8)> {
-        while let Some(&Reverse((t, kind, seq))) = self.heap.peek() {
-            self.heap.pop();
-            if self.armed[kind as usize] == Some((t, seq)) {
-                self.armed[kind as usize] = None;
-                return Some((t, kind));
-            }
-        }
-        None
+        let (t, kind) = (0..EV_KINDS as u8)
+            .filter_map(|kind| self.armed[kind as usize].map(|t| (t, kind)))
+            .min()?;
+        self.armed[kind as usize] = None;
+        Some((t, kind))
     }
 }
 
@@ -728,12 +595,9 @@ struct Frontend<'w, 'c, S, T> {
     labels: Vec<Option<u32>>,
     /// Reusable label-formatting buffer (steady state allocates nothing).
     scratch: String,
-    /// Worker pool for the sharded advance phase; `None` runs every
-    /// advance on the caller thread (sequential, the 1-thread path).
-    pool: Option<ThreadPool>,
 }
 
-impl<'w, S: RequestSource<'w>, T: ClusterTracer> Frontend<'w, '_, S, T> {
+impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     /// The original (pre-degrade) admitted request for a live id.
     /// `Request` is `Copy`, so this hands out an owned value and leaves
     /// `self` free for further mutation.
@@ -924,15 +788,10 @@ impl<'w, S: RequestSource<'w>, T: ClusterTracer> Frontend<'w, '_, S, T> {
     /// (the dispatch seam re-floors a stale idle clock at the decision
     /// instant), so the skip is bit-exact — and observed-drained nodes
     /// are pruned from the live set on the way out.
-    ///
-    /// The advance itself dispatches through
-    /// [`ClusterTracer::advance_nodes`]: sequential by default, sharded
-    /// over the pool for [`NullTracer`] runs with `threads >= 2`. Either
-    /// way the barrier lands here — `prune_live` (the deterministic
-    /// completion merge, ascending node order) runs after every node
-    /// has reached `t`.
     fn sync_nodes(&mut self, t: u64) {
-        T::advance_nodes(self.pool.as_ref(), &mut self.nodes, &self.live, t);
+        for &id in &self.live {
+            self.nodes[id].run_until(t);
+        }
         self.prune_live();
     }
 

@@ -169,7 +169,7 @@ mod sweep;
 pub use config::{
     balanced_mixed_serving_mix, AcceleratorKind, AdmissionConfig, ClusterBuilder, ClusterConfig,
     FrontendConfig, MigrationConfig, NodeConfig, StealConfig, TransferCostConfig,
-    DEFAULT_MISMATCH_SLOWDOWN, MAX_THREADS,
+    DEFAULT_MISMATCH_SLOWDOWN,
 };
 pub use dispatch::{
     DispatchContext, DispatchPolicy, Dispatcher, EarliestDeadlineFirst, JoinShortestQueue,
@@ -177,7 +177,7 @@ pub use dispatch::{
 };
 pub use engine::{
     simulate_cluster, simulate_cluster_stream, simulate_cluster_stream_with,
-    simulate_cluster_traced, simulate_cluster_with, ClusterNode, ClusterTracer,
+    simulate_cluster_traced, simulate_cluster_with,
 };
 pub use faults::{
     FaultConfig, FaultEvent, FaultKind, FaultSchedule, NodeHealth, RecoveryConfig, RecoveryStats,

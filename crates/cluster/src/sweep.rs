@@ -1,20 +1,15 @@
 //! Fleet-scale sweep grids: seed × policy × scenario × SLO cells fanned
-//! over a [`ThreadPool`], results in grid order.
+//! over scoped threads, results in grid order.
 //!
 //! Every experiment figure in the paper reduces to a grid of
 //! independent cluster runs — the same pool replayed across seeds,
 //! dispatch policies, traffic scenarios, and SLO tightness. Each cell
 //! is one [`crate::simulate_cluster_stream`] run sharing nothing with
-//! its neighbours, so the grid is the natural parallel axis: cells run
-//! on pool workers, and [`ThreadPool::map`] collects results by
-//! submission index, so the output `Vec<SweepRow>` — and therefore
+//! its neighbours, so the grid is the natural parallel axis: threads
+//! claim cells from a shared cursor and store each row in the slot of
+//! its cell index, so the output `Vec<SweepRow>` — and therefore
 //! [`SweepGrid::rows_to_json`] — is byte-identical regardless of the
-//! worker count.
-//!
-//! Cells force their *internal* thread knob to 1: with the grid
-//! saturating the pool, a nested per-cell advance pool would only
-//! oversubscribe the machine, and the sequential loop is the bit-exact
-//! reference anyway.
+//! thread count.
 //!
 //! # Examples
 //!
@@ -39,8 +34,10 @@
 //! );
 //! ```
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
-use threadpool::ThreadPool;
 
 use dysta_workload::{Scenario, StreamSpec};
 
@@ -96,15 +93,14 @@ pub struct SweepRow {
 }
 
 /// A seed × policy × scenario × SLO sweep over one cluster
-/// configuration, run cell-per-worker on a [`ThreadPool`].
+/// configuration, one cell per thread at a time.
 ///
 /// Cell order is canonical — seeds outermost, then policies, then
 /// scenarios, then SLO multipliers — and [`SweepGrid::run`] returns
 /// rows in exactly that order whatever the thread count.
 #[derive(Debug, Clone)]
 pub struct SweepGrid {
-    /// The pool every cell replays (its thread knob is overridden to 1
-    /// per cell — the grid is the parallel axis).
+    /// The pool every cell replays.
     pub config: ClusterConfig,
     /// Workload seeds (outermost axis).
     pub seeds: Vec<u64>,
@@ -198,11 +194,8 @@ impl SweepGrid {
             .samples_per_variant(self.samples_per_variant)
             .seed(seed);
         let store = spec.build_store();
-        // The grid owns the parallelism; the cell's own advance loop
-        // stays sequential (also the bit-exact reference path).
-        let mut config = self.config.clone();
-        config.threads = Some(1);
-        let report = simulate_cluster_stream(spec.source(&store), policy.build().as_mut(), &config);
+        let report =
+            simulate_cluster_stream(spec.source(&store), policy.build().as_mut(), &self.config);
         SweepRow {
             scenario: sc.name.to_string(),
             policy: policy.name().to_string(),
@@ -217,23 +210,47 @@ impl SweepGrid {
         }
     }
 
-    /// Runs every cell on a pool of `threads` workers and returns the
-    /// rows in canonical grid order.
+    /// Runs every cell on `threads` executors (the caller plus
+    /// `threads - 1` scoped threads, clamped to `1..=cell_count()`) and
+    /// returns the rows in canonical grid order.
     ///
     /// Each cell is a self-contained run (own trace store, own node
-    /// engines); [`ThreadPool::map`] writes results into
-    /// submission-indexed slots, so the returned rows — values and
-    /// order — are identical for any `threads >= 1`.
+    /// engines); executors claim cells from a shared cursor and write
+    /// each row into the slot of its cell index, so the returned rows —
+    /// values and order — are identical for any thread count. `0` runs
+    /// sequentially, like `1`.
     ///
     /// # Panics
     ///
-    /// Panics if any axis is empty.
+    /// Panics if any axis is empty, or re-raises a panicking cell once
+    /// every executor has stopped.
     pub fn run(&self, threads: usize) -> Vec<SweepRow> {
-        assert!(self.cell_count() > 0, "sweep grid needs non-empty axes");
-        let pool = ThreadPool::new(threads);
-        pool.map(self.cells(), |(seed, policy, scenario, slo)| {
-            self.run_cell(seed, policy, scenario, slo)
-        })
+        let cells = self.cells();
+        assert!(!cells.is_empty(), "sweep grid needs non-empty axes");
+        let slots: Vec<OnceLock<SweepRow>> = cells.iter().map(|_| OnceLock::new()).collect();
+        let cursor = AtomicUsize::new(0);
+        let execute = || loop {
+            // `Relaxed` suffices: the cursor only hands out distinct
+            // indices; rows are published by the `OnceLock`s and the
+            // scope's join.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&(seed, policy, scenario, slo)) = cells.get(i) else {
+                break;
+            };
+            slots[i]
+                .set(self.run_cell(seed, policy, scenario, slo))
+                .expect("each cell index is claimed once");
+        };
+        std::thread::scope(|s| {
+            for _ in 1..threads.clamp(1, cells.len()) {
+                s.spawn(execute);
+            }
+            execute();
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every cell ran"))
+            .collect()
     }
 
     /// Serializes rows to the stable JSON document the CI sweep-smoke
@@ -292,7 +309,8 @@ mod tests {
     fn parallel_rows_are_byte_identical_to_sequential() {
         let grid = quick_grid();
         let seq = grid.run(1);
-        for threads in [2, 4, 8] {
+        // 0 runs sequentially; 9 exceeds the 8 cells and is clamped.
+        for threads in [0, 2, 4, 8, 9] {
             let par = grid.run(threads);
             assert_eq!(
                 SweepGrid::rows_to_json(&seq),
@@ -309,6 +327,16 @@ mod tests {
         let json = SweepGrid::rows_to_json(&rows);
         let back: Vec<SweepRow> = serde_json::from_str(json.trim_end()).expect("parse rows");
         assert_eq!(back, rows);
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatch slowdown must be >= 1")]
+    fn panicking_cell_propagates_out_of_parallel_run() {
+        // Every cell re-validates the config and panics; the run must
+        // re-raise once all executors stop, not hang on a lost row.
+        let mut grid = quick_grid();
+        grid.config.nodes[0].mismatch_slowdown = 0.3;
+        let _ = grid.run(4);
     }
 
     #[test]

@@ -1,117 +1,18 @@
-//! Bit-exactness of the parallel execution stack: the sharded advance
-//! loop and the fanned-out sweep grid must produce reports
-//! byte-identical to the sequential path across pool shapes × all
-//! dispatchers × fault schedules × thread counts {1, 2, 4, 8}.
+//! Bit-exactness of the parallel sweep grid: the rows of a
+//! [`SweepGrid`] run must serialize to byte-identical JSON at any
+//! thread count, across seeds × all dispatchers × SLO tightness.
 //!
-//! Reports are compared as `format!("{:?}")` bytes: `f64` Debug prints
-//! the shortest round-trip decimal, so any bit-level divergence in any
-//! metric surfaces as a string mismatch.
+//! `f64` values serialize as the shortest round-trip decimal, so any
+//! bit-level divergence in any metric surfaces as a string mismatch.
 
 use proptest::prelude::*;
 
-use dysta_cluster::{
-    simulate_cluster_with, AcceleratorKind, ClusterBuilder, ClusterConfig, ClusterPolicy,
-    DispatchPolicy, FaultConfig, FaultSchedule, FrontendConfig, RecoveryConfig, SweepGrid,
-    SweepScenario,
-};
+use dysta_cluster::{ClusterConfig, DispatchPolicy, SweepGrid, SweepScenario};
 use dysta_core::Policy;
-use dysta_workload::{Scenario, Workload, WorkloadBuilder};
-
-/// Thread counts the determinism contract is pinned at.
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-fn workload(rate: f64, slo: f64, n: usize, seed: u64) -> Workload {
-    WorkloadBuilder::new(Scenario::MultiCnn)
-        .arrival_rate(rate)
-        .slo_multiplier(slo)
-        .num_requests(n)
-        .samples_per_variant(4)
-        .seed(seed)
-        .build()
-}
-
-/// The fault-property pool shapes, with an explicit thread knob.
-fn pool(shape: u8, faults: FaultConfig, threads: usize) -> ClusterConfig {
-    match shape {
-        0 => ClusterBuilder::homogeneous(3, AcceleratorKind::EyerissV2, Policy::Dysta),
-        1 => ClusterBuilder::heterogeneous(2, 2, Policy::Dysta),
-        _ => ClusterBuilder::heterogeneous(2, 2, Policy::Dysta)
-            .node_capacity(1, 0.5)
-            .node_capacity(3, 0.5),
-    }
-    .frontend(FrontendConfig::serving())
-    .faults(faults)
-    .threads(threads)
-    .build()
-}
-
-fn num_nodes(shape: u8) -> usize {
-    match shape {
-        0 => 3,
-        _ => 4,
-    }
-}
-
-/// A crash plus a brown-out window inside the span a 60-request
-/// overdriven stream occupies — deep queues when the crash lands, so
-/// salvage and re-dispatch run under the parallel advance too.
-fn schedule(nodes: usize, crash_node: usize, crash_at: u64, transient: bool) -> FaultSchedule {
-    let crash_node = crash_node % nodes;
-    let s = if transient {
-        FaultSchedule::new().transient_crash(crash_node, crash_at, crash_at + 900_000_000)
-    } else {
-        FaultSchedule::new().crash(crash_node, crash_at)
-    };
-    s.brownout(
-        (crash_node + 1) % nodes,
-        crash_at / 2,
-        crash_at + 700_000_000,
-        0.5,
-    )
-}
+use dysta_workload::Scenario;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn sharded_loop_reports_are_byte_identical_across_thread_counts(
-        seed in 0u64..500,
-        shape in 0u8..3,
-        dispatch in prop::sample::select(DispatchPolicy::ALL.to_vec()),
-        faulty in 0u8..2,
-        crash_node in 0usize..4,
-        crash_at in 100_000_000u64..2_000_000_000,
-        transient in 0u8..2,
-    ) {
-        let w = workload(25.0, 2.0, 60, seed);
-        let faults = if faulty == 1 {
-            FaultConfig {
-                schedule: schedule(num_nodes(shape), crash_node, crash_at, transient == 1),
-                recovery: RecoveryConfig { salvage: true, max_retries: 2, reneging: false },
-            }
-        } else {
-            FaultConfig::default()
-        };
-        let mut baseline: Option<String> = None;
-        for threads in THREAD_COUNTS {
-            let mut policy = ClusterPolicy::from_dispatch(dispatch);
-            let report = simulate_cluster_with(
-                &w,
-                &mut policy,
-                &pool(shape, faults.clone(), threads),
-            );
-            let bytes = format!("{report:?}");
-            match &baseline {
-                None => baseline = Some(bytes),
-                Some(expected) => prop_assert_eq!(
-                    expected,
-                    &bytes,
-                    "{}-thread report diverged from sequential",
-                    threads
-                ),
-            }
-        }
-    }
 
     #[test]
     fn parallel_sweep_grid_json_is_byte_identical_across_thread_counts(
@@ -137,42 +38,4 @@ proptest! {
             );
         }
     }
-}
-
-/// The `DYSTA_THREADS` environment path takes the same parallel advance
-/// the explicit builder knob does, and stays bit-exact. The variable is
-/// only ever *read* here — `set_var` would race other test threads'
-/// `env::var` calls (UB on glibc) — so the test runs against whatever
-/// the harness inherited: the CI matrix executes the suite under both
-/// `DYSTA_THREADS=1` and `DYSTA_THREADS=4`, which pins the env path at
-/// both the sequential and the parallel width.
-#[test]
-fn dysta_threads_env_is_bit_exact_with_explicit_knob() {
-    let env_threads = std::env::var("DYSTA_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1);
-    let via_env_config = ClusterBuilder::heterogeneous(2, 2, Policy::Dysta)
-        .frontend(FrontendConfig::serving())
-        .build();
-    assert_eq!(
-        via_env_config.resolved_threads(),
-        env_threads,
-        "config without an explicit knob must resolve to the environment"
-    );
-
-    let w = workload(25.0, 2.0, 50, 7);
-    let run = |config: &ClusterConfig| {
-        let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::LeastLoaded);
-        format!("{:?}", simulate_cluster_with(&w, &mut policy, config))
-    };
-    let sequential = run(&pool(1, FaultConfig::default(), 1));
-    let knobbed = run(&pool(1, FaultConfig::default(), env_threads.max(2)));
-    let via_env = run(&via_env_config);
-
-    assert_eq!(sequential, knobbed, "explicit multi-thread knob diverged");
-    assert_eq!(
-        sequential, via_env,
-        "DYSTA_THREADS={env_threads} run diverged"
-    );
 }

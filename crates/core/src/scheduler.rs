@@ -216,12 +216,7 @@ impl<'a> TaskQueue<'a> {
 /// let sched = Fcfs::new();
 /// assert_eq!(sched.name(), "fcfs");
 /// ```
-///
-/// The `Send` supertrait lets the cluster engine advance node engines
-/// (each owning a `Box<dyn Scheduler>`) on pool worker threads during
-/// its sharded advance phase; schedulers are node-local state, never
-/// shared, so plain `Send` (no `Sync`) suffices.
-pub trait Scheduler: Send {
+pub trait Scheduler {
     /// Stable lower-case policy name (used in experiment tables).
     fn name(&self) -> &str;
 

@@ -7,14 +7,10 @@
 //! Pass `--trace <path>` to replay the heterogeneous-pool scenario
 //! under a [`dysta::obs::RingTracer`] and write a Perfetto/Chrome
 //! trace JSON viewable at <https://ui.perfetto.dev>.
-//!
-//! Pass `--threads N` (default 1) to run the untraced simulations with
-//! the sharded advance loop on N worker threads — results are
-//! bit-exact with the sequential default.
 
 use dysta::cluster::{
     balanced_mixed_serving_mix, simulate_cluster, simulate_cluster_traced, AcceleratorKind,
-    ClusterBuilder, ClusterPolicy, DispatchPolicy, MAX_THREADS,
+    ClusterConfig, ClusterPolicy, DispatchPolicy,
 };
 use dysta::core::Policy;
 use dysta::obs::RingTracer;
@@ -35,30 +31,7 @@ fn trace_path() -> Option<std::path::PathBuf> {
     None
 }
 
-/// Parses `--threads N` from the command line (1 when absent),
-/// rejecting counts outside the `ClusterBuilder` knob's bound.
-fn threads_arg() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|n| (1..=MAX_THREADS).contains(n))
-                .unwrap_or_else(|| {
-                    eprintln!("--threads requires an integer in 1..={MAX_THREADS}");
-                    std::process::exit(2);
-                });
-        }
-    }
-    1
-}
-
 fn main() {
-    let threads = threads_arg();
-    if threads > 1 {
-        println!("sharded advance on {threads} worker threads (bit-exact with 1)\n");
-    }
     // One shared traffic stream: the paper's multi-CNN perception mix at
     // a rate a single Eyeriss-V2 cannot sustain (the single-node default
     // is 3 samples/s; we offer 4x that).
@@ -79,9 +52,7 @@ fn main() {
         "nodes", "dispatch", "ANTT", "viol %", "thr inf/s", "util", "imbalance"
     );
     for nodes in [1usize, 2, 4, 8] {
-        let pool = ClusterBuilder::homogeneous(nodes, AcceleratorKind::EyerissV2, Policy::Dysta)
-            .threads(threads)
-            .build();
+        let pool = ClusterConfig::homogeneous(nodes, AcceleratorKind::EyerissV2, Policy::Dysta);
         for dispatch in DispatchPolicy::ALL {
             let report = simulate_cluster(&workload, dispatch.build().as_mut(), &pool);
             let util = report.per_node_utilization();
@@ -112,9 +83,7 @@ fn main() {
         .seed(42)
         .build();
     println!("heterogeneous pool (2x Eyeriss-V2 + 2x Sanger), mixed CNN+AttNN traffic:");
-    let pool = ClusterBuilder::heterogeneous(2, 2, Policy::Dysta)
-        .threads(threads)
-        .build();
+    let pool = ClusterConfig::heterogeneous(2, 2, Policy::Dysta);
     for dispatch in DispatchPolicy::ALL {
         let report = simulate_cluster(&mixed, dispatch.build().as_mut(), &pool);
         println!(
