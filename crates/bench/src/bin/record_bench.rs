@@ -17,7 +17,7 @@ use dysta::cluster::{
     simulate_cluster, AcceleratorKind, ClusterBuilder, ClusterConfig, DispatchPolicy,
     FrontendConfig, MigrationConfig, StealConfig, TransferCostConfig,
 };
-use dysta::core::{ModelInfoLut, Policy, QueuePositions, TaskQueue, TaskState};
+use dysta::core::{ModelInfoLut, Policy, TaskQueue, TaskState};
 use dysta::sim::{simulate, EngineConfig};
 use dysta::workload::{Scenario, Workload, WorkloadBuilder};
 use dysta_bench::mid_execution_tasks;
@@ -70,13 +70,10 @@ struct BenchRecord {
     /// (must compile away), and under a recording `RingTracer`. `None`
     /// in records from before the observability layer existed.
     trace_overhead: Option<TraceOverheadCell>,
-    /// Wall time of 20 000 indexed (hooked-queue) Dysta picks at
-    /// q=256 — the sub-linear pick path the schedulers take when
-    /// served by a node engine that maintains position hooks. The
-    /// dense fold equivalent is the `picks` cell (dysta, queue_len
-    /// 256): `ns_per_pick * 20_000 / 1e6` ms against this number is
-    /// the recorded speedup. `None` in records from before the
-    /// indexed pick structures existed.
+    /// Wall time of 20 000 Dysta picks at q=256 served from the (since
+    /// deleted) indexed pick heaps. Kept so older records still load;
+    /// every scheduler now picks by its fold (the `picks` cell), so new
+    /// records write `None`.
     pick_indexed_ms: Option<f64>,
     /// Wall time of the serving cell's workload (200 requests,
     /// batching + steal + migration armed) on a 1000-node pool where
@@ -297,79 +294,6 @@ fn time_picks(policy: Policy, tasks: &[TaskState], lut: &ModelInfoLut) -> f64 {
         }
         iters *= 4;
     }
-}
-
-/// Mean ns per indexed (hooked-queue) `pick_next`, plus the recorded
-/// wall-ms cell for 20 000 such picks. The hooked view is what a node
-/// engine that maintains `QueuePositions` in lockstep serves — the
-/// schedulers' sub-linear heap paths activate only on it, so this is
-/// the indexed counterpart of `time_picks`'s dense-fold number.
-fn measure_picks_indexed() -> f64 {
-    let queue_len = 256usize;
-    let (tasks, lut) = mid_execution_tasks(queue_len);
-    let active: Vec<usize> = (0..tasks.len()).collect();
-    let mut positions = QueuePositions::default();
-    for (pos, t) in tasks.iter().enumerate() {
-        positions.insert(t.id, pos);
-    }
-    // Pick at a clock past every arrival: the engine's clock is
-    // monotone across hooks, and the clock-dependent index structures
-    // (feasibility lapse migration) rely on that — picking at a
-    // regressed clock would measure their rebuild-on-regression
-    // fallback instead of the steady-state path. The dense `picks`
-    // cell's cost is clock-independent, so the two stay comparable.
-    let now_ns = tasks
-        .iter()
-        .map(|t| t.arrival_ns)
-        .max()
-        .unwrap_or(0)
-        .max(1_000_000);
-    let mut dysta_ns = 0.0;
-    for policy in [
-        Policy::Fcfs,
-        Policy::Sjf,
-        Policy::Prema,
-        Policy::Planaria,
-        Policy::Sdrm3,
-        Policy::Dysta,
-        Policy::Oracle,
-    ] {
-        let mut sched = policy.build();
-        for t in &tasks {
-            sched.on_arrival(t, &lut, t.arrival_ns);
-        }
-        for _ in 0..1_000 {
-            std::hint::black_box(sched.pick_next(
-                std::hint::black_box(TaskQueue::hooked(&tasks, &active, &positions)),
-                &lut,
-                now_ns,
-            ));
-        }
-        let mut iters = 1_000u64;
-        let ns = loop {
-            let t = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(sched.pick_next(
-                    std::hint::black_box(TaskQueue::hooked(&tasks, &active, &positions)),
-                    &lut,
-                    now_ns,
-                ));
-            }
-            let elapsed = t.elapsed();
-            if elapsed.as_millis() >= 50 {
-                break elapsed.as_nanos() as f64 / iters as f64;
-            }
-            iters *= 4;
-        };
-        if policy == Policy::Dysta {
-            dysta_ns = ns;
-        }
-        println!(
-            "pick-indexed q={queue_len:<4} {:<13} {ns:>10.1} ns",
-            policy.name()
-        );
-    }
-    dysta_ns * 20_000.0 / 1e6
 }
 
 fn measure_cluster_eventq() -> f64 {
@@ -802,7 +726,6 @@ fn main() {
     let mut picks = Vec::new();
     measure_engine(&mut engine);
     measure_picks(&mut picks);
-    let pick_indexed_ms = measure_picks_indexed();
     let cluster_sweep_ms = measure_cluster_sweep();
     let cluster_serving_ms = measure_cluster_serving();
     let cluster_edf_ms = measure_cluster_edf();
@@ -823,7 +746,7 @@ fn main() {
         cluster_admission_ms: Some(cluster_admission_ms),
         cluster_faults_ms: Some(cluster_faults_ms),
         trace_overhead: Some(trace_overhead),
-        pick_indexed_ms: Some(pick_indexed_ms),
+        pick_indexed_ms: None,
         cluster_eventq_ms: Some(cluster_eventq_ms),
         workload_stream: Some(workload_stream),
         fleet_sweep_seq_ms: Some(fleet_sweep_seq_ms),

@@ -1,15 +1,11 @@
 //! First-Come First-Served.
 
-use crate::indexed::FcfsPick;
 use crate::scheduler::{Scheduler, TaskQueue};
-use crate::{ModelInfoLut, TaskState};
+use crate::ModelInfoLut;
 
 /// Non-preemptive-in-spirit FCFS: always runs the earliest-arrived active
 /// request to completion (a later arrival never overtakes, because the
 /// earliest arrival stays the minimum until it finishes).
-///
-/// On a hooked queue the pick is served from an arrival-keyed heap
-/// (O(log n)); unhooked queues take the reference scan.
 ///
 /// # Examples
 ///
@@ -17,24 +13,13 @@ use crate::{ModelInfoLut, TaskState};
 /// use dysta_core::{Fcfs, Scheduler};
 /// assert_eq!(Fcfs::new().name(), "fcfs");
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Fcfs {
-    index: FcfsPick,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fcfs;
 
 impl Fcfs {
     /// Creates an FCFS scheduler.
     pub fn new() -> Self {
-        Fcfs::default()
-    }
-
-    fn fold_pick(queue: TaskQueue<'_>) -> usize {
-        queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| (t.arrival_ns, t.id))
-            .map(|(i, _)| i)
-            .expect("engine never passes an empty queue")
+        Fcfs
     }
 }
 
@@ -43,30 +28,13 @@ impl Scheduler for Fcfs {
         "fcfs"
     }
 
-    fn on_arrival(&mut self, task: &TaskState, _lut: &ModelInfoLut, _now_ns: u64) {
-        self.index.on_arrival(task);
-    }
-
-    fn on_task_complete(&mut self, task: &TaskState, _now_ns: u64) {
-        self.index.on_remove(task.id);
-    }
-
-    fn on_task_removed(&mut self, task: &TaskState, _now_ns: u64) {
-        self.index.on_remove(task.id);
-    }
-
     fn pick_next(&mut self, queue: TaskQueue<'_>, _lut: &ModelInfoLut, _now_ns: u64) -> usize {
-        if queue.is_hooked() {
-            if let Some(pos) = self.index.pick(&queue) {
-                debug_assert_eq!(
-                    pos,
-                    Fcfs::fold_pick(queue),
-                    "indexed FCFS diverged from fold"
-                );
-                return pos;
-            }
-        }
-        Fcfs::fold_pick(queue)
+        queue
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, t)| (t.arrival_ns, t.id))
+            .map(|(i, _)| i)
+            .expect("engine never passes an empty queue")
     }
 }
 

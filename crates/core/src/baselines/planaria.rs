@@ -1,9 +1,8 @@
 //! Planaria's task scheduler (Ghodrati et al., MICRO 2020), specialised
 //! to time-shared execution.
 
-use crate::indexed::DeadlinePick;
 use crate::scheduler::{lut_remaining_ns, Scheduler, TaskQueue};
-use crate::{ModelInfoLut, TaskState};
+use crate::ModelInfoLut;
 
 /// Planaria schedules by deadline urgency: its dispatcher sorts tasks by
 /// slack, *checks feasibility* (can the task still meet its deadline with
@@ -15,28 +14,28 @@ use crate::{ModelInfoLut, TaskState};
 /// best-effort behind them, mirroring Planaria's admission behaviour) —
 /// strongly SLO-optimized, weak on ANTT, exactly its Table 5 profile.
 ///
-/// On a hooked queue the pick is served from feasible/infeasible
-/// deadline heaps with lapse-on-surface migration (O(log n)); unhooked
-/// queues take the reference fold.
-///
 /// # Examples
 ///
 /// ```
 /// use dysta_core::{Planaria, Scheduler};
 /// assert_eq!(Planaria::new().name(), "planaria");
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Planaria {
-    index: DeadlinePick,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Planaria;
 
 impl Planaria {
     /// Creates a Planaria scheduler.
     pub fn new() -> Self {
-        Planaria::default()
+        Planaria
+    }
+}
+
+impl Scheduler for Planaria {
+    fn name(&self) -> &str {
+        "planaria"
     }
 
-    fn fold_pick(queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
+    fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
         // Single pass; each task's LUT estimate (the only non-trivial
         // term) is computed exactly once and reused for both the
         // feasibility flag and the remaining-time tie-break.
@@ -60,47 +59,6 @@ impl Planaria {
             }
         }
         best.expect("engine never passes an empty queue").1
-    }
-}
-
-impl Scheduler for Planaria {
-    fn name(&self) -> &str {
-        "planaria"
-    }
-
-    fn on_arrival(&mut self, task: &TaskState, lut: &ModelInfoLut, now_ns: u64) {
-        self.index
-            .set_key(task, lut_remaining_ns(task, lut), now_ns);
-    }
-
-    fn on_layer_complete(&mut self, task: &TaskState, lut: &ModelInfoLut, now_ns: u64) {
-        self.index
-            .set_key(task, lut_remaining_ns(task, lut), now_ns);
-    }
-
-    fn on_task_complete(&mut self, task: &TaskState, _now_ns: u64) {
-        self.index.on_remove(task.id);
-    }
-
-    fn on_task_removed(&mut self, task: &TaskState, _now_ns: u64) {
-        self.index.on_remove(task.id);
-    }
-
-    fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
-        if queue.is_hooked() {
-            if let Some(pos) = self
-                .index
-                .pick(&queue, now_ns, |t| lut_remaining_ns(t, lut))
-            {
-                debug_assert_eq!(
-                    pos,
-                    Planaria::fold_pick(queue, lut, now_ns),
-                    "indexed Planaria diverged from fold"
-                );
-                return pos;
-            }
-        }
-        Planaria::fold_pick(queue, lut, now_ns)
     }
 }
 

@@ -18,11 +18,6 @@ use crate::{ModelInfoLut, TaskState};
 /// tasks share one priority class, and when no task reaches the threshold
 /// the whole queue is eligible (pure SJF until aging kicks in).
 ///
-/// PREMA keeps the reference fold even on hooked queues: `age_tokens`
-/// mutates every waiting task's token state at each pick (the aging *is*
-/// the algorithm), so there is no per-task key that stays valid between
-/// picks for an indexed structure to exploit.
-///
 /// # Examples
 ///
 /// ```

@@ -18,11 +18,6 @@ use crate::{ModelInfoLut, TaskState};
 /// why SDRM3 lands on the poor-ANTT side of the paper's Table 5 in a
 /// purely time-shared setting.
 ///
-/// SDRM3 keeps the reference fold even on hooked queues: the urgency
-/// term `remaining / slack` is hyperbolic in the pick clock, so task
-/// order genuinely changes between picks with no affine decomposition
-/// for a now-independent heap key to index.
-///
 /// # Examples
 ///
 /// ```

@@ -1,17 +1,12 @@
 //! Shortest-Job First (shortest-remaining-time variant).
 
-use crate::indexed::ScorePick;
 use crate::scheduler::{lut_remaining_ns, pick_min_score, Scheduler, TaskQueue};
-use crate::{ModelInfoLut, TaskState};
+use crate::ModelInfoLut;
 
 /// Preemptive shortest-job-first using the *sparsity-unaware* LUT
 /// estimate of remaining time — the paper's traditional heuristic
 /// baseline (its Figure 5 shows exactly this scheduler making a wrong
 /// preemption call for lack of sparsity information).
-///
-/// On a hooked queue the pick is served from a remaining-time heap
-/// re-keyed per layer completion (O(log n)); unhooked queues take the
-/// reference fold.
 ///
 /// # Examples
 ///
@@ -19,15 +14,13 @@ use crate::{ModelInfoLut, TaskState};
 /// use dysta_core::{Scheduler, Sjf};
 /// assert_eq!(Sjf::new().name(), "sjf");
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Sjf {
-    index: ScorePick,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sjf;
 
 impl Sjf {
     /// Creates an SJF scheduler.
     pub fn new() -> Self {
-        Sjf::default()
+        Sjf
     }
 }
 
@@ -36,33 +29,7 @@ impl Scheduler for Sjf {
         "sjf"
     }
 
-    fn on_arrival(&mut self, task: &TaskState, lut: &ModelInfoLut, _now_ns: u64) {
-        self.index.set_score(task.id, lut_remaining_ns(task, lut));
-    }
-
-    fn on_layer_complete(&mut self, task: &TaskState, lut: &ModelInfoLut, _now_ns: u64) {
-        self.index.set_score(task.id, lut_remaining_ns(task, lut));
-    }
-
-    fn on_task_complete(&mut self, task: &TaskState, _now_ns: u64) {
-        self.index.on_remove(task.id);
-    }
-
-    fn on_task_removed(&mut self, task: &TaskState, _now_ns: u64) {
-        self.index.on_remove(task.id);
-    }
-
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, _now_ns: u64) -> usize {
-        if queue.is_hooked() {
-            if let Some(pos) = self.index.pick(&queue) {
-                debug_assert_eq!(
-                    pos,
-                    pick_min_score(queue, |t| lut_remaining_ns(t, lut)),
-                    "indexed SJF diverged from fold"
-                );
-                return pos;
-            }
-        }
         pick_min_score(queue, |t| lut_remaining_ns(t, lut))
     }
 }

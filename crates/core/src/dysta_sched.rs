@@ -1,7 +1,6 @@
 //! The Dysta bi-level scheduler (Algorithms 1 and 2) plus its ablation
 //! and the Oracle reference.
 
-use crate::indexed::{AffinePick, ScorePick};
 use crate::scheduler::{lut_isolated_ns, pick_min_score, Scheduler, TaskQueue};
 use crate::{ModelInfoLut, SparseLatencyPredictor, TaskState};
 
@@ -116,11 +115,6 @@ impl DystaConfig {
 /// The full Dysta scheduler: software static level + hardware dynamic
 /// level with the sparse latency predictor.
 ///
-/// On a hooked queue the dynamic pick is served from the affine-keyed
-/// heaps of [`AffinePick`] — the predictor runs once per layer
-/// completion instead of once per task per pick; unhooked queues take
-/// the reference fold.
-///
 /// # Examples
 ///
 /// ```
@@ -132,7 +126,6 @@ pub struct DystaScheduler {
     config: DystaConfig,
     predictor: SparseLatencyPredictor,
     static_scores: ScoreMap,
-    index: AffinePick,
 }
 
 impl DystaScheduler {
@@ -142,7 +135,6 @@ impl DystaScheduler {
             config,
             predictor,
             static_scores: ScoreMap::default(),
-            index: AffinePick::default(),
         }
     }
 
@@ -167,51 +159,17 @@ impl Scheduler for DystaScheduler {
         let lat = lut_isolated_ns(task, lut);
         self.static_scores
             .insert(task.id, self.config.static_score_ms(lat, task.slo_ns));
-        let remain = self.predictor.remaining_ns(task, lut.info(task.variant));
-        self.index.on_arrival(task.id, remain);
-    }
-
-    fn on_layer_complete(&mut self, task: &TaskState, lut: &ModelInfoLut, now_ns: u64) {
-        // The predictor is a pure function of task state, which only
-        // changes at this hook — one evaluation here replaces one per
-        // pick in the fold, and the cached value is bit-identical.
-        let remain = self.predictor.remaining_ns(task, lut.info(task.variant));
-        self.index
-            .on_layer_complete(task, remain, self.config.eta, now_ns);
     }
 
     fn on_task_complete(&mut self, task: &TaskState, _now_ns: u64) {
         self.static_scores.remove(task.id);
-        self.index.on_remove(task.id);
     }
 
     fn on_task_removed(&mut self, task: &TaskState, _now_ns: u64) {
         self.static_scores.remove(task.id);
-        self.index.on_remove(task.id);
     }
 
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
-        if queue.is_hooked() {
-            if let Some(pos) = self.index.pick(&queue, &self.config, now_ns) {
-                #[cfg(debug_assertions)]
-                {
-                    let queue_len = queue.len();
-                    let fold = pick_min_score(queue, |t| {
-                        let info = lut.info(t.variant);
-                        let remain = self.predictor.remaining_ns(t, info);
-                        self.config.dynamic_score_ms(
-                            remain,
-                            t.deadline_ns(),
-                            t.waiting_ns(now_ns),
-                            queue_len,
-                            now_ns,
-                        )
-                    });
-                    debug_assert_eq!(pos, fold, "indexed Dysta diverged from fold");
-                }
-                return pos;
-            }
-        }
         // Algorithm 2 lines 7-13: refresh every score with the sparse
         // latency predictor — once per task — and dispatch the minimum.
         let queue_len = queue.len();
@@ -236,7 +194,6 @@ impl Scheduler for DystaScheduler {
 pub struct DystaStaticScheduler {
     config: DystaConfig,
     static_scores: ScoreMap,
-    index: ScorePick,
 }
 
 impl DystaStaticScheduler {
@@ -245,7 +202,6 @@ impl DystaStaticScheduler {
         DystaStaticScheduler {
             config,
             static_scores: ScoreMap::default(),
-            index: ScorePick::default(),
         }
     }
 }
@@ -257,34 +213,19 @@ impl Scheduler for DystaStaticScheduler {
 
     fn on_arrival(&mut self, task: &TaskState, lut: &ModelInfoLut, _now_ns: u64) {
         let lat = lut_isolated_ns(task, lut);
-        let score = self.config.static_score_ms(lat, task.slo_ns);
-        self.static_scores.insert(task.id, score);
-        self.index.set_score(task.id, score);
+        self.static_scores
+            .insert(task.id, self.config.static_score_ms(lat, task.slo_ns));
     }
 
     fn on_task_complete(&mut self, task: &TaskState, _now_ns: u64) {
         self.static_scores.remove(task.id);
-        self.index.on_remove(task.id);
     }
 
     fn on_task_removed(&mut self, task: &TaskState, _now_ns: u64) {
         self.static_scores.remove(task.id);
-        self.index.on_remove(task.id);
     }
 
     fn pick_next(&mut self, queue: TaskQueue<'_>, _lut: &ModelInfoLut, _now_ns: u64) -> usize {
-        // Scores are frozen at arrival, so the heap never re-keys: on a
-        // hooked queue the pick is a peek.
-        if queue.is_hooked() {
-            if let Some(pos) = self.index.pick(&queue) {
-                debug_assert_eq!(
-                    pos,
-                    pick_min_score(queue, |t| self.static_scores.get(t.id).unwrap_or(f64::MAX)),
-                    "indexed Dysta-static diverged from fold"
-                );
-                return pos;
-            }
-        }
         pick_min_score(queue, |t| self.static_scores.get(t.id).unwrap_or(f64::MAX))
     }
 }
@@ -295,16 +236,12 @@ impl Scheduler for DystaStaticScheduler {
 #[derive(Debug, Clone, Default)]
 pub struct OracleScheduler {
     config: DystaConfig,
-    index: AffinePick,
 }
 
 impl OracleScheduler {
     /// Creates the oracle with the same scoring hyperparameters as Dysta.
     pub fn new(config: DystaConfig) -> Self {
-        OracleScheduler {
-            config,
-            index: AffinePick::default(),
-        }
+        OracleScheduler { config }
     }
 }
 
@@ -313,44 +250,7 @@ impl Scheduler for OracleScheduler {
         "oracle"
     }
 
-    fn on_arrival(&mut self, task: &TaskState, _lut: &ModelInfoLut, _now_ns: u64) {
-        self.index
-            .on_arrival(task.id, task.true_remaining_ns as f64);
-    }
-
-    fn on_layer_complete(&mut self, task: &TaskState, _lut: &ModelInfoLut, now_ns: u64) {
-        self.index
-            .on_layer_complete(task, task.true_remaining_ns as f64, self.config.eta, now_ns);
-    }
-
-    fn on_task_complete(&mut self, task: &TaskState, _now_ns: u64) {
-        self.index.on_remove(task.id);
-    }
-
-    fn on_task_removed(&mut self, task: &TaskState, _now_ns: u64) {
-        self.index.on_remove(task.id);
-    }
-
     fn pick_next(&mut self, queue: TaskQueue<'_>, _lut: &ModelInfoLut, now_ns: u64) -> usize {
-        if queue.is_hooked() {
-            if let Some(pos) = self.index.pick(&queue, &self.config, now_ns) {
-                #[cfg(debug_assertions)]
-                {
-                    let queue_len = queue.len();
-                    let fold = pick_min_score(queue, |t| {
-                        self.config.dynamic_score_ms(
-                            t.true_remaining_ns as f64,
-                            t.deadline_ns(),
-                            t.waiting_ns(now_ns),
-                            queue_len,
-                            now_ns,
-                        )
-                    });
-                    debug_assert_eq!(pos, fold, "indexed Oracle diverged from fold");
-                }
-                return pos;
-            }
-        }
         let queue_len = queue.len();
         pick_min_score(queue, |t| {
             self.config.dynamic_score_ms(

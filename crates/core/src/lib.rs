@@ -37,7 +37,6 @@
 
 mod baselines;
 mod dysta_sched;
-mod indexed;
 mod lut;
 mod policy;
 mod predictor;
@@ -51,7 +50,7 @@ pub use lut::{ModelInfo, ModelInfoLut};
 pub use policy::Policy;
 pub use predictor::{CoeffStrategy, SparseLatencyPredictor};
 pub use rounding::{round_ns, scale_ns};
-pub use scheduler::{pick_max_score, pick_min_score, QueuePositions, Scheduler, TaskQueue};
+pub use scheduler::{pick_max_score, pick_min_score, Scheduler, TaskQueue};
 pub use task::{MonitoredLayer, SparsitySummary, TaskState};
 
 // The interned variant handle travels with `TaskState`, so re-export it

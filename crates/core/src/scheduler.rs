@@ -4,76 +4,6 @@ use std::cmp::Ordering;
 
 use crate::{ModelInfoLut, TaskState};
 
-/// An id→queue-position map a hook-disciplined engine maintains in
-/// lockstep with its live-index list, so schedulers that keep indexed
-/// score structures can resolve a winning task *id* back to the queue
-/// *position* [`Scheduler::pick_next`] must return in O(log n) instead
-/// of scanning the queue.
-///
-/// Stored as a sorted `Vec` (cache-friendly binary-search probes, no
-/// hashing, inserts only at admission).
-#[derive(Debug, Clone, Default)]
-pub struct QueuePositions {
-    by_id: Vec<(u64, usize)>,
-}
-
-impl QueuePositions {
-    /// An empty map.
-    pub fn new() -> Self {
-        QueuePositions::default()
-    }
-
-    /// Records `id` at queue position `pos`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is already present (queue ids are unique).
-    pub fn insert(&mut self, id: u64, pos: usize) {
-        match self.by_id.binary_search_by_key(&id, |&(k, _)| k) {
-            Ok(_) => panic!("task {id} already queued"),
-            Err(i) => self.by_id.insert(i, (id, pos)),
-        }
-    }
-
-    /// Moves `id` to queue position `pos` (after a `swap_remove` filled
-    /// its old slot with the queue's last entry).
-    pub fn set(&mut self, id: u64, pos: usize) {
-        if let Ok(i) = self.by_id.binary_search_by_key(&id, |&(k, _)| k) {
-            self.by_id[i].1 = pos;
-        }
-    }
-
-    /// Drops `id` from the map (no-op when absent).
-    pub fn remove(&mut self, id: u64) {
-        if let Ok(i) = self.by_id.binary_search_by_key(&id, |&(k, _)| k) {
-            self.by_id.remove(i);
-        }
-    }
-
-    /// The queue position of `id`, if queued.
-    pub fn get(&self, id: u64) -> Option<usize> {
-        self.by_id
-            .binary_search_by_key(&id, |&(k, _)| k)
-            .ok()
-            .map(|i| self.by_id[i].1)
-    }
-
-    /// Number of queued ids.
-    pub fn len(&self) -> usize {
-        self.by_id.len()
-    }
-
-    /// True when no id is queued.
-    pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
-    }
-
-    /// Forgets every id (the queue was drained wholesale).
-    pub fn clear(&mut self) {
-        self.by_id.clear();
-    }
-}
-
 /// A borrowed view of the runnable queue at one scheduling point.
 ///
 /// Either a dense slice of tasks ([`TaskQueue::dense`], what tests and
@@ -82,18 +12,11 @@ impl QueuePositions {
 /// existing storage straight to the scheduler instead of materialising a
 /// fresh `Vec<&TaskState>` every quantum. Positions (`0..len()`) are
 /// what [`Scheduler::pick_next`] returns.
-///
-/// A *hooked* queue ([`TaskQueue::hooked`]) additionally carries the
-/// engine's [`QueuePositions`] map and certifies the hook contract (see
-/// that constructor), unlocking the schedulers' sub-linear indexed pick
-/// paths; `dense`/`indexed` queues always take the reference fold.
 #[derive(Debug, Clone, Copy)]
 pub struct TaskQueue<'a> {
     tasks: &'a [TaskState],
     /// Live positions into `tasks`; `None` means every task is live.
     active: Option<&'a [usize]>,
-    /// Present only on hooked queues: the id→position map.
-    positions: Option<&'a QueuePositions>,
 }
 
 impl<'a> TaskQueue<'a> {
@@ -102,7 +25,6 @@ impl<'a> TaskQueue<'a> {
         TaskQueue {
             tasks,
             active: None,
-            positions: None,
         }
     }
 
@@ -117,53 +39,7 @@ impl<'a> TaskQueue<'a> {
         TaskQueue {
             tasks,
             active: Some(active),
-            positions: None,
         }
-    }
-
-    /// An indexed queue that additionally certifies the *hook
-    /// contract*: the caller has reported every queued task's lifecycle
-    /// to the scheduler through the [`Scheduler`] hooks (`on_arrival`
-    /// once per queued task, `on_layer_complete` after each executed
-    /// layer block, `on_task_complete`/`on_task_removed` on exit), and
-    /// `positions` maps exactly the queued ids to their `active`
-    /// positions. Schedulers may then serve the pick from internal
-    /// indexed structures instead of folding the queue. Constructing a
-    /// hooked queue without honouring the contract yields unspecified
-    /// (but memory-safe) picks.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts index bounds and that `positions` agrees with
-    /// `active`.
-    pub fn hooked(
-        tasks: &'a [TaskState],
-        active: &'a [usize],
-        positions: &'a QueuePositions,
-    ) -> Self {
-        debug_assert!(active.iter().all(|&i| i < tasks.len()));
-        debug_assert_eq!(positions.len(), active.len());
-        debug_assert!(active
-            .iter()
-            .enumerate()
-            .all(|(pos, &i)| positions.get(tasks[i].id) == Some(pos)));
-        TaskQueue {
-            tasks,
-            active: Some(active),
-            positions: Some(positions),
-        }
-    }
-
-    /// True when this queue certifies the hook contract (see
-    /// [`TaskQueue::hooked`]).
-    pub fn is_hooked(&self) -> bool {
-        self.positions.is_some()
-    }
-
-    /// Resolves a task id to its queue position via the hooked
-    /// [`QueuePositions`] map; always `None` on unhooked queues.
-    pub fn position_of(&self, id: u64) -> Option<usize> {
-        self.positions.and_then(|p| p.get(id))
     }
 
     /// Number of runnable tasks.

@@ -20,9 +20,7 @@
 
 use std::collections::VecDeque;
 
-use dysta_core::{
-    scale_ns, ModelInfoLut, MonitoredLayer, QueuePositions, Scheduler, TaskQueue, TaskState,
-};
+use dysta_core::{scale_ns, ModelInfoLut, MonitoredLayer, Scheduler, TaskQueue, TaskState};
 use dysta_obs::{EventKind, NullTracer, Phase, TraceEvent, Tracer};
 use dysta_trace::SampleTrace;
 use dysta_workload::Request;
@@ -129,10 +127,6 @@ pub struct NodeEngine<'w, S = Box<dyn Scheduler>, T = NullTracer> {
     /// arbitrary (completion removal is `swap_remove`); schedulers must
     /// not read meaning into queue positions, only into task fields.
     active: Vec<usize>,
-    /// id → position in `active`, maintained in lockstep so the
-    /// scheduler's indexed pick path can resolve a winning id without a
-    /// scan ([`TaskQueue::hooked`]), and so withdrawals are O(log n).
-    positions: QueuePositions,
     /// Bumped on every externally observable mutation (clock movement,
     /// queue change, executed work); a cluster front-end caches its
     /// per-node dispatch views against this.
@@ -185,7 +179,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             traces: Vec::new(),
             scales: Vec::new(),
             active: Vec::new(),
-            positions: QueuePositions::new(),
             mutation_epoch: 0,
             now_ns: 0,
             last_ran: None,
@@ -297,15 +290,14 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     /// the scheduler is notified via
     /// [`dysta_core::Scheduler::on_task_removed`].
     pub fn take_unstarted(&mut self, id: u64) -> Option<TransferableTask<'w>> {
-        let pos = self.positions.get(id)?;
+        let pos = self.active.iter().position(|&i| self.tasks[i].id == id)?;
         let idx = self.active[pos];
-        debug_assert_eq!(self.tasks[idx].id, id, "positions out of sync");
         if self.tasks[idx].started() {
             return None;
         }
         // The arena slot stays behind (like completed tasks); only the
         // live index is dropped, so `swap_remove` keeps removal O(1).
-        self.remove_active(pos);
+        self.active.swap_remove(pos);
         self.mutation_epoch += 1;
         let task = self.tasks[idx].clone();
         self.scheduler.on_task_removed(&task, self.now_ns);
@@ -313,16 +305,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             task,
             trace: self.traces[idx],
         })
-    }
-
-    /// Drops `active[pos]`, keeping the id → position map in lockstep
-    /// with the `swap_remove` (the old last entry moves into `pos`).
-    fn remove_active(&mut self, pos: usize) {
-        let idx = self.active.swap_remove(pos);
-        self.positions.remove(self.tasks[idx].id);
-        if pos < self.active.len() {
-            self.positions.set(self.tasks[self.active[pos]].id, pos);
-        }
     }
 
     /// Admits a request withdrawn from a peer node at transfer time
@@ -358,7 +340,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         self.busy_ns += fetch_ns;
         self.mutation_epoch += 1;
         self.scheduler.on_arrival(&task, &self.lut, self.now_ns);
-        self.positions.insert(task.id, self.active.len());
         self.tasks.push(task);
         self.traces.push(trace);
         self.scales.push(scale);
@@ -383,7 +364,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         self.mutation_epoch += 1;
         let mut salvaged: Vec<(TransferableTask<'w>, u64)> = Vec::new();
         let active = std::mem::take(&mut self.active);
-        self.positions.clear();
         for idx in active {
             let task = self.tasks[idx].clone();
             let lost_ns = task.executed_ns;
@@ -513,7 +493,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             }
             let PendingTask { task, trace, scale } = self.pending.pop_front().expect("non-empty");
             self.scheduler.on_arrival(&task, &self.lut, task.arrival_ns);
-            self.positions.insert(task.id, self.active.len());
             self.tasks.push(task);
             self.traces.push(trace);
             self.scales.push(scale);
@@ -579,11 +558,8 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     fn execute_quantum(&mut self) {
         // The scheduler reads the task arena through the live indices
         // directly — no per-quantum `Vec<&TaskState>` materialisation.
-        // The hooked constructor certifies that every queued task's
-        // lifecycle has gone through the scheduler hooks (this engine's
-        // invariant), unlocking the sub-linear indexed pick paths.
         self.mutation_epoch += 1;
-        let queue = TaskQueue::hooked(&self.tasks, &self.active, &self.positions);
+        let queue = TaskQueue::indexed(&self.tasks, &self.active);
         debug_assert!(!queue.is_empty(), "execute_quantum needs a runnable task");
         self.invocations += 1;
         let profiling = self.tracer.profiling();
@@ -714,7 +690,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             // scheduler decides from task fields with id tie-breaks, so
             // decisions are order-independent (pinned by the determinism
             // regression tests in `engine.rs`).
-            self.remove_active(pick);
+            self.active.swap_remove(pick);
         }
     }
 

@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 
-use dysta::workload::{load_scenario, RequestSource};
+use dysta::workload::{load_scenario, parse_scenario, RequestSource, ScenarioError};
 
 fn shipped_scenarios() -> Vec<PathBuf> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios");
@@ -67,4 +67,15 @@ fn shipped_scenarios_reload_identically() {
         );
         first.validate().expect("shipped scenario validates");
     }
+}
+
+#[test]
+fn pathologically_nested_scenario_is_malformed_not_a_crash() {
+    // Deep nesting must come back as a parse error; recursing once per
+    // level would overflow the stack and abort the whole process.
+    let err = parse_scenario(&"[".repeat(100_000)).unwrap_err();
+    assert!(
+        matches!(&err, ScenarioError::Malformed(msg) if msg.contains("recursion limit")),
+        "{err}"
+    );
 }
