@@ -26,10 +26,13 @@ use crate::{AcceleratorKind, TransferCostConfig};
 /// What a cluster policy can observe about one node at a scheduling
 /// point.
 ///
-/// Snapshots are plain data, computed eagerly for every node at every
-/// arrival so dispatchers stay pure functions over them; if dispatch
-/// cost ever matters at much larger pool sizes, the backlog estimates
-/// are the fields to make lazy.
+/// Snapshots are plain data, so dispatchers stay pure functions over
+/// them. The engine caches them per node and rebuilds a node's view
+/// only when that node's state changed since the last build (its
+/// mutation epoch moved). Per-node policy code reads these fields and
+/// scales; it must not resolve a request's spec against the LUT, which
+/// formats and binary-searches a key — look the estimate up once per
+/// decision ([`DispatchContext::request_estimate_ns`]).
 ///
 /// The two backlog figures mirror the information tiers the paper's
 /// schedulers work with: `lut_backlog_ns` is the static, profiled
@@ -145,6 +148,17 @@ impl DispatchContext<'_> {
     /// and migration thresholds are expressed against.
     pub fn mean_lut_backlog_ns(&self) -> f64 {
         self.nodes.iter().map(|n| n.lut_backlog_ns).sum::<f64>() / self.nodes.len() as f64
+    }
+
+    /// The request's own unscaled LUT latency estimate (0 for an
+    /// unprofiled variant). Resolving a spec formats and binary-searches
+    /// its key, so every decision looks it up once here and then scales
+    /// it per node ([`EarliestDeadlineFirst::projected_slack_ns`]).
+    pub fn request_estimate_ns(&self, request: &Request) -> f64 {
+        self.lut
+            .variant_id(&request.spec)
+            .map(|v| self.lut.info(v).avg_latency_ns())
+            .unwrap_or(0.0)
     }
 
     /// The estimated re-fetch cost of moving `request` between any two
@@ -376,24 +390,22 @@ impl EarliestDeadlineFirst {
     }
 
     /// The request's projected slack if routed to `node` now: deadline
-    /// minus projected completion under the node's effective scale. For
-    /// a migration re-offer evaluated against its own source node
+    /// minus projected completion, charging the request's unscaled
+    /// estimate `est_ns` ([`DispatchContext::request_estimate_ns`])
+    /// under the node's effective scale. For a migration re-offer
+    /// evaluated against its own source node
     /// ([`DispatchContext::reoffer_src`]), the node's backlog already
     /// contains the request, so its service is not charged again.
     pub fn projected_slack_ns(
         request: &Request,
+        est_ns: f64,
         node: &NodeView,
         ctx: &DispatchContext<'_>,
     ) -> i64 {
         let own = if ctx.reoffer_src == Some(node.id) {
             0.0
         } else {
-            let est = ctx
-                .lut
-                .variant_id(&request.spec)
-                .map(|v| ctx.lut.info(v).avg_latency_ns())
-                .unwrap_or(0.0);
-            est * node.service_scale(request.spec.model.family())
+            est_ns * node.service_scale(request.spec.model.family())
         };
         let start = node.now_ns.max(ctx.now_ns);
         // The queue ahead is estimated with the sparsity predictor, the
@@ -412,9 +424,10 @@ impl Dispatcher for EarliestDeadlineFirst {
     fn peek(&self, request: &Request, ctx: &DispatchContext<'_>) -> usize {
         let family = request.spec.model.family();
         let live = |n: &&NodeView| n.health.accepts_work();
+        let est_ns = ctx.request_estimate_ns(request);
         let feasible = |n: &&NodeView| {
             n.health.accepts_work()
-                && EarliestDeadlineFirst::projected_slack_ns(request, n, ctx) >= 0
+                && EarliestDeadlineFirst::projected_slack_ns(request, est_ns, n, ctx) >= 0
         };
         // Stage 1: live, feasible native nodes, balanced exactly like
         // SparsityAffinity balances.
@@ -690,6 +703,72 @@ mod tests {
             EarliestDeadlineFirst::new().dispatch(&doomed, &ctx2),
             SparsityAffinity::new().dispatch(&doomed, &ctx2)
         );
+    }
+
+    /// A LUT profiled from a real trace store, holding `spec`, and
+    /// `spec`'s unscaled estimate in it.
+    fn profiled_lut(spec: &SparseModelSpec) -> (ModelInfoLut, f64) {
+        let mut store = dysta_trace::TraceStore::new();
+        store.insert(dysta_trace::TraceGenerator::default().generate(spec, 4, 0));
+        let lut = ModelInfoLut::from_store(&store);
+        let est = lut.get(spec).expect("profiled").avg_latency_ns();
+        assert!(est > 0.0);
+        (lut, est)
+    }
+
+    #[test]
+    fn edf_scales_the_requests_own_estimate_per_node() {
+        let req = cnn_request();
+        let (lut, est) = profiled_lut(&req.spec);
+        // SLO of two estimates. Node 0 is native with half an estimate
+        // queued: it finishes the request at 1.5 estimates. Nodes 1
+        // (browned out to 0.4 capacity) and 2 (mismatched Sanger, 2.5x)
+        // are empty but take 2.5 estimates to serve it.
+        let req = Request {
+            slo_ns: (2.0 * est).round() as u64,
+            ..req
+        };
+        let mut browned = view(1, AcceleratorKind::EyerissV2, 0.0, 0.0);
+        browned.health = crate::NodeHealth::Degraded { capacity: 0.4 };
+        let views = [
+            view(0, AcceleratorKind::EyerissV2, 0.5 * est, 0.5 * est),
+            browned,
+            view(2, AcceleratorKind::Sanger, 0.0, 0.0),
+        ];
+        let ctx = ctx(&views, &lut);
+        let est_ns = ctx.request_estimate_ns(&req);
+        assert_eq!(est_ns, est);
+        let slack = |n: &NodeView| EarliestDeadlineFirst::projected_slack_ns(&req, est_ns, n, &ctx);
+        assert_eq!(
+            slack(&views[0]),
+            req.slack_ns(0, dysta_core::round_ns(0.5 * est + est))
+        );
+        assert!(slack(&views[0]) >= 0, "native node holds the deadline");
+        assert!(slack(&views[1]) < 0, "browned-out node misses it");
+        assert!(slack(&views[2]) < 0, "mismatched node misses it");
+        // Only the native node is feasible, although the browned-out
+        // native node has the shorter queue.
+        assert_eq!(EarliestDeadlineFirst::new().peek(&req, &ctx), 0);
+        // With an empty LUT the request's own estimate is 0 and the
+        // emptier browned-out node wins instead.
+        let empty = ModelInfoLut::default();
+        let blind = DispatchContext { lut: &empty, ..ctx };
+        assert_eq!(blind.request_estimate_ns(&req), 0.0);
+        assert_eq!(EarliestDeadlineFirst::new().peek(&req, &blind), 1);
+
+        // Re-offered from node 1: its backlog already holds the
+        // request, so the estimate is not charged there a second time
+        // and the emptier node 1 holds the deadline again.
+        let reoffer = DispatchContext {
+            reoffer_src: Some(1),
+            ..ctx
+        };
+        assert_eq!(
+            EarliestDeadlineFirst::projected_slack_ns(&req, est_ns, &views[1], &reoffer),
+            req.slack_ns(0, 0)
+        );
+        assert!(EarliestDeadlineFirst::projected_slack_ns(&req, est_ns, &views[2], &reoffer) < 0);
+        assert_eq!(EarliestDeadlineFirst::new().peek(&req, &reoffer), 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use dysta_core::{scale_ns, ModelInfoLut, SparseLatencyPredictor};
+use dysta_core::{scale_ns, ModelInfoLut, SparseLatencyPredictor, VariantId};
 use dysta_models::ModelFamily;
 use dysta_obs::{EventKind, NullTracer, Phase, TraceEvent, Tracer, NODE_FRONTEND, REQ_NONE};
 use dysta_sim::NodeEngine;
@@ -1462,13 +1462,14 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             cursor = Some(src);
             // Candidates in arrival order, frozen before any removal;
             // the queued task's SLO is carried along so a degraded
-            // admission is judged against its relaxed class.
-            let mut candidates: Vec<(u64, u64, u64)> = self.nodes[src]
+            // admission is judged against its relaxed class, and its
+            // interned variant so the estimate needs no spec lookup.
+            let mut candidates: Vec<(u64, u64, u64, VariantId)> = self.nodes[src]
                 .unstarted_tasks()
-                .map(|(task, _)| (task.arrival_ns, task.id, task.slo_ns))
+                .map(|(task, _)| (task.arrival_ns, task.id, task.slo_ns, task.variant))
                 .collect();
             candidates.sort_unstable();
-            for (arrival_ns, id, slo_ns) in candidates {
+            for (arrival_ns, id, slo_ns, variant) in candidates {
                 let mut request = self.live_request(id);
                 request.slo_ns = slo_ns;
                 let ctx = DispatchContext {
@@ -1478,10 +1479,12 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                     transfer_cost: &self.config.transfer_cost,
                     reoffer_src: Some(src),
                 };
-                if !InfeasibleEverywhere::infeasible_everywhere(&request, &ctx) {
+                let est_ns = self.lut.info(variant).avg_latency_ns();
+                if !InfeasibleEverywhere::infeasible_everywhere(&request, est_ns, &ctx) {
                     continue;
                 }
-                let slack = EarliestDeadlineFirst::projected_slack_ns(&request, &views[src], &ctx);
+                let slack =
+                    EarliestDeadlineFirst::projected_slack_ns(&request, est_ns, &views[src], &ctx);
                 self.nodes[src]
                     .take_unstarted(id)
                     .expect("candidate is queued and unstarted");

@@ -109,17 +109,18 @@ impl StealPolicy for BacklogGainSteal {
             return None;
         }
         // Most-backlogged peer holding stealable work; smaller id on
-        // ties.
-        let victim = ctx
-            .nodes
+        // ties. One pass over the candidates: only a node that holds one
+        // can be the victim.
+        let victim = candidates
             .iter()
-            .filter(|n| n.id != thief && candidates.iter().any(|c| c.victim == n.id))
-            .max_by(|a, b| {
-                a.lut_backlog_ns
-                    .total_cmp(&b.lut_backlog_ns)
-                    .then(b.id.cmp(&a.id))
-            })?
-            .id;
+            .map(|c| c.victim)
+            .filter(|&v| v != thief)
+            .max_by(|&a, &b| {
+                ctx.nodes[a]
+                    .lut_backlog_ns
+                    .total_cmp(&ctx.nodes[b].lut_backlog_ns)
+                    .then(b.cmp(&a))
+            })?;
         let victim_backlog = ctx.nodes[victim].lut_backlog_ns;
         if victim_backlog < cfg.min_imbalance * mean {
             return None;
@@ -321,14 +322,20 @@ impl InfeasibleEverywhere {
     }
 
     /// True when no *live* node in the snapshot can hold the request's
-    /// deadline under the projected-slack estimate (a down node cannot
-    /// save a deadline; with the whole pool down, everything is
-    /// infeasible).
-    pub fn infeasible_everywhere(request: &Request, ctx: &DispatchContext<'_>) -> bool {
+    /// deadline under the projected-slack estimate, charging the
+    /// request's unscaled estimate `est_ns`
+    /// ([`DispatchContext::request_estimate_ns`]) on each node (a down
+    /// node cannot save a deadline; with the whole pool down,
+    /// everything is infeasible).
+    pub fn infeasible_everywhere(
+        request: &Request,
+        est_ns: f64,
+        ctx: &DispatchContext<'_>,
+    ) -> bool {
         ctx.nodes
             .iter()
             .filter(|n| n.health.accepts_work())
-            .all(|n| crate::EarliestDeadlineFirst::projected_slack_ns(request, n, ctx) < 0)
+            .all(|n| crate::EarliestDeadlineFirst::projected_slack_ns(request, est_ns, n, ctx) < 0)
     }
 }
 
@@ -343,7 +350,8 @@ impl AdmissionPolicy for InfeasibleEverywhere {
         ctx: &DispatchContext<'_>,
         _cfg: &crate::AdmissionConfig,
     ) -> AdmissionDecision {
-        if InfeasibleEverywhere::infeasible_everywhere(request, ctx) {
+        let est_ns = ctx.request_estimate_ns(request);
+        if InfeasibleEverywhere::infeasible_everywhere(request, est_ns, ctx) {
             AdmissionDecision::Reject
         } else {
             AdmissionDecision::Admit
@@ -381,11 +389,12 @@ impl AdmissionPolicy for SlackLoadShedding {
         ctx: &DispatchContext<'_>,
         cfg: &crate::AdmissionConfig,
     ) -> AdmissionDecision {
+        let est_ns = ctx.request_estimate_ns(request);
         let Some(best) = ctx
             .nodes
             .iter()
             .filter(|n| n.health.accepts_work())
-            .map(|n| crate::EarliestDeadlineFirst::projected_slack_ns(request, n, ctx))
+            .map(|n| crate::EarliestDeadlineFirst::projected_slack_ns(request, est_ns, n, ctx))
             .max()
         else {
             // The whole pool is down: nothing can be served.
@@ -528,6 +537,76 @@ mod tests {
             ..cfg
         };
         assert_eq!(policy.choose(0, &candidates, &ctx, &strict), None);
+    }
+
+    fn steal_ctx<'a>(views: &'a [NodeView], lut: &'a ModelInfoLut) -> DispatchContext<'a> {
+        DispatchContext {
+            now_ns: 0,
+            nodes: views,
+            lut,
+            transfer_cost: &TransferCostConfig::FREE,
+            reoffer_src: None,
+        }
+    }
+
+    #[test]
+    fn steal_victim_ties_go_to_the_smaller_id() {
+        let lut = ModelInfoLut::default();
+        let views = [view(0, 0.0), view(1, 100.0), view(2, 100.0)];
+        let ctx = steal_ctx(&views, &lut);
+        let cfg = StealConfig {
+            min_imbalance: 1.0,
+            ..StealConfig::default()
+        };
+        // Victim 2's candidate comes first and is the better steal on
+        // its own, but victims tie on backlog and node 1 has the
+        // smaller id.
+        let candidates = [candidate(2, 20, 50.0, 0), candidate(1, 10, 5.0, 0)];
+        let pick = BacklogGainSteal::new()
+            .choose(0, &candidates, &ctx, &cfg)
+            .unwrap();
+        assert_eq!(candidates[pick].victim, 1);
+    }
+
+    #[test]
+    fn steal_victim_is_never_the_thief() {
+        let lut = ModelInfoLut::default();
+        // The thief (2) is the most backlogged node and a candidate
+        // names it as the victim; the policy must look past it.
+        let views = [view(0, 0.0), view(1, 100.0), view(2, 300.0)];
+        let ctx = steal_ctx(&views, &lut);
+        let cfg = StealConfig {
+            min_imbalance: 0.5,
+            ..StealConfig::default()
+        };
+        let candidates = [candidate(2, 20, 5.0, 0), candidate(1, 10, 5.0, 0)];
+        let pick = BacklogGainSteal::new()
+            .choose(2, &candidates, &ctx, &cfg)
+            .unwrap();
+        assert_eq!(candidates[pick].victim, 1);
+        // With only its own work on offer the thief steals nothing.
+        assert_eq!(
+            BacklogGainSteal::new().choose(2, &candidates[..1], &ctx, &cfg),
+            None
+        );
+    }
+
+    #[test]
+    fn steal_victim_must_hold_a_candidate() {
+        let lut = ModelInfoLut::default();
+        // Node 2 is far more backlogged but has nothing stealable.
+        let views = [view(0, 0.0), view(1, 50.0), view(2, 500.0)];
+        let ctx = steal_ctx(&views, &lut);
+        let cfg = StealConfig {
+            min_imbalance: 0.1,
+            ..StealConfig::default()
+        };
+        let candidates = [candidate(1, 10, 5.0, 0)];
+        let pick = BacklogGainSteal::new()
+            .choose(0, &candidates, &ctx, &cfg)
+            .unwrap();
+        assert_eq!(candidates[pick].victim, 1);
+        assert_eq!(BacklogGainSteal::new().choose(0, &[], &ctx, &cfg), None);
     }
 
     #[test]
@@ -689,6 +768,90 @@ mod tests {
     }
 
     #[test]
+    fn admission_scales_the_requests_own_estimate_per_node() {
+        let req = admission_request(0, 0);
+        let mut store = dysta_trace::TraceStore::new();
+        store.insert(dysta_trace::TraceGenerator::default().generate(&req.spec, 4, 0));
+        let lut = ModelInfoLut::from_store(&store);
+        let est = lut.get(&req.spec).expect("profiled").avg_latency_ns();
+        assert!(est > 0.0);
+        // SLO of two estimates. Node 0 (mismatched Sanger, 2.5x) and
+        // node 1 (browned out to 0.4 capacity) are empty but take 2.5
+        // estimates to serve the request; native node 2 holds
+        // `native_backlog` ahead of it.
+        let req = admission_request(0, (2.0 * est).round() as u64);
+        let pool = |native_backlog: f64| {
+            let mut views = [view(0, 0.0), view(1, 0.0), view(2, native_backlog)];
+            views[0].accelerator = AcceleratorKind::Sanger;
+            views[1].health = crate::NodeHealth::Degraded { capacity: 0.4 };
+            views
+        };
+        let cfg = crate::AdmissionConfig {
+            min_slack_fraction: 0.25,
+            degrade_slo_multiplier: 4.0,
+        };
+        let shed = SlackLoadShedding::new();
+        let doomed = InfeasibleEverywhere::new();
+
+        // Native node overcommitted: nobody holds the deadline.
+        let hopeless = pool(1.5 * est);
+        let ctx = DispatchContext {
+            now_ns: 0,
+            nodes: &hopeless,
+            lut: &lut,
+            transfer_cost: &TransferCostConfig::FREE,
+            reoffer_src: None,
+        };
+        assert!(InfeasibleEverywhere::infeasible_everywhere(&req, est, &ctx));
+        assert_eq!(doomed.decide(&req, &ctx, &cfg), AdmissionDecision::Reject);
+        assert_eq!(shed.decide(&req, &ctx, &cfg), AdmissionDecision::Reject);
+        // An empty LUT charges no own estimate, so the empty mismatched
+        // and browned-out nodes look feasible: the lookup decides.
+        let empty = ModelInfoLut::default();
+        let blind = DispatchContext { lut: &empty, ..ctx };
+        assert_eq!(doomed.decide(&req, &blind, &cfg), AdmissionDecision::Admit);
+        assert_eq!(shed.decide(&req, &blind, &cfg), AdmissionDecision::Admit);
+
+        // Native node empty: one estimate of slack (half the SLO).
+        let open = pool(0.0);
+        let ctx_open = DispatchContext {
+            nodes: &open,
+            ..ctx
+        };
+        assert_eq!(
+            doomed.decide(&req, &ctx_open, &cfg),
+            AdmissionDecision::Admit
+        );
+        assert_eq!(shed.decide(&req, &ctx_open, &cfg), AdmissionDecision::Admit);
+        // Native node 0.8 estimates behind: slack 0.2 estimates, under
+        // a quarter of the SLO.
+        let thin = pool(0.8 * est);
+        let ctx_thin = DispatchContext {
+            nodes: &thin,
+            ..ctx
+        };
+        assert_eq!(
+            shed.decide(&req, &ctx_thin, &cfg),
+            AdmissionDecision::Degrade
+        );
+
+        // Re-offered from the browned-out node: its backlog already
+        // holds the request, so it is not charged the estimate again
+        // and holds the deadline.
+        let reoffer = DispatchContext {
+            reoffer_src: Some(1),
+            ..ctx
+        };
+        assert!(!InfeasibleEverywhere::infeasible_everywhere(
+            &req, est, &reoffer
+        ));
+        assert_eq!(
+            doomed.decide(&req, &reoffer, &cfg),
+            AdmissionDecision::Admit
+        );
+    }
+
+    #[test]
     fn health_gates_every_policy_kind() {
         let lut = ModelInfoLut::default();
         let cfg = crate::AdmissionConfig::default();
@@ -719,7 +882,9 @@ mod tests {
         // Admission ignores the down node's (empty) headroom: with only
         // the overcommitted node alive, a tight deadline is infeasible.
         let tight = admission_request(0, 50);
-        assert!(InfeasibleEverywhere::infeasible_everywhere(&tight, &ctx));
+        assert!(InfeasibleEverywhere::infeasible_everywhere(
+            &tight, 0.0, &ctx
+        ));
         assert_eq!(
             SlackLoadShedding::new().decide(&tight, &ctx, &cfg),
             AdmissionDecision::Reject
@@ -732,7 +897,9 @@ mod tests {
             nodes: &all_down,
             ..ctx
         };
-        assert!(InfeasibleEverywhere::infeasible_everywhere(&req, &ctx_down));
+        assert!(InfeasibleEverywhere::infeasible_everywhere(
+            &req, 0.0, &ctx_down
+        ));
         assert_eq!(
             SlackLoadShedding::new().decide(&req, &ctx_down, &cfg),
             AdmissionDecision::Reject

@@ -190,7 +190,10 @@ impl ModelInfoLut {
     }
 
     /// Resolves a spec to its interned id (binary search on a
-    /// stack-formatted key; done once per request at enqueue).
+    /// stack-formatted key). The node engine does it once per request
+    /// at enqueue and keeps the id on the task; code that has no task
+    /// yet resolves a spec at most once per decision and reuses the
+    /// result, never once per node or per candidate.
     pub fn variant_id(&self, spec: &SparseModelSpec) -> Option<VariantId> {
         let probe = spec.spec_key();
         self.keys
