@@ -60,15 +60,6 @@
 //! range invariant once per [`simulate_cluster`] call, so hand-mutated
 //! configs cannot reach the engine unvalidated.
 //!
-//! **Migration note** (pre-`ClusterBuilder` API): the former mutators
-//! moved onto the builder —
-//! `ClusterConfig::with_engine(e)` → builder `.engine(e)`,
-//! `with_mismatch_slowdown(s)` → `.mismatch_slowdown(s)`,
-//! `with_frontend(f)` → `.frontend(f)`; finish with `.build()`. The
-//! plain constructors ([`ClusterConfig::homogeneous`] /
-//! [`ClusterConfig::heterogeneous`] / [`ClusterConfig::from_nodes`])
-//! are unchanged.
-//!
 //! # Fault injection & recovery
 //!
 //! [`ClusterConfig`] also carries a [`FaultConfig`]: a deterministic,

@@ -1,7 +1,7 @@
 //! The event loop.
 
 use dysta_core::{ModelInfoLut, Scheduler};
-use dysta_obs::{EventKind, TraceEvent, Tracer, NODE_FRONTEND};
+use dysta_obs::{EventKind, NullTracer, TraceEvent, Tracer, NODE_FRONTEND};
 use dysta_trace::SparseModelSpec;
 use dysta_workload::Workload;
 
@@ -16,10 +16,6 @@ pub struct EngineConfig {
     /// off-chip boundary). The paper's penalty term exists to bound how
     /// often this is paid.
     pub preemption_overhead_ns: u64,
-    /// Record the execution timeline (maximal contiguous service
-    /// segments) in the report. Off by default: large workloads produce
-    /// many segments.
-    pub record_timeline: bool,
     /// Scheduling granularity: how many consecutive layers of the chosen
     /// request execute before the scheduler is consulted again. The
     /// paper's execution model is "per-layer or per-layer-block"
@@ -32,7 +28,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             preemption_overhead_ns: 20_000,
-            record_timeline: false,
             layers_per_block: 1,
         }
     }
@@ -40,9 +35,9 @@ impl Default for EngineConfig {
 
 /// Replays `workload` under `scheduler` and returns the completion record.
 ///
-/// A thin wrapper over [`NodeEngine`]: every request is enqueued up
-/// front on one node, which then runs to completion. Deterministic:
-/// identical inputs produce identical reports.
+/// [`simulate_traced`] with the [`NullTracer`], which compiles every
+/// observability hook away. Deterministic: identical inputs produce
+/// identical reports.
 ///
 /// # Panics
 ///
@@ -52,25 +47,17 @@ pub fn simulate(
     scheduler: &mut dyn Scheduler,
     config: &EngineConfig,
 ) -> SimReport {
-    let requests = workload.requests();
-    assert!(!requests.is_empty(), "workload must contain requests");
-    let lut = ModelInfoLut::from_store(workload.store());
-    let mut node: NodeEngine<'_, &mut dyn Scheduler> = NodeEngine::new(0, scheduler, *config, lut);
-    for req in requests {
-        node.enqueue(req, workload.trace_for(req));
-    }
-    node.run_to_completion();
-    node.into_report()
+    simulate_traced(workload, scheduler, config, NullTracer)
 }
 
-/// [`simulate`] with observability: the single node reports to
-/// `tracer` (pass `&RingTracer` to record), emitting an arrival and a
-/// dispatch event per request up front plus execution segments,
-/// preemptions, and completions as the run unfolds.
+/// Replays `workload` under `scheduler` on one [`NodeEngine`]: every
+/// request is enqueued up front, and the node runs to completion. The
+/// node reports to `tracer` (pass `&RingTracer` to record), emitting an
+/// arrival and a dispatch event per request up front plus execution
+/// segments, preemptions, and completions as the run unfolds.
 ///
-/// With the same workload, scheduler, and config, the returned report
-/// is identical to [`simulate`]'s — tracing observes the run without
-/// perturbing it (pinned by tests).
+/// The returned report does not depend on the tracer — tracing
+/// observes the run without perturbing it (pinned by tests).
 ///
 /// # Panics
 ///
@@ -89,14 +76,16 @@ pub fn simulate_traced<T: Tracer>(
     // reuses ids (and one scratch string) instead of re-formatting.
     // Keyed by spec equality (a linear scan over a handful of variants)
     // rather than `variant_id` — enqueue already pays that binary
-    // search, and a disabled tracer skips this block outright, so the
-    // NullTracer path does exactly the work `simulate` does.
+    // search, and a disabled tracer skips this block outright.
     let mut labels: Vec<(SparseModelSpec, u32)> = Vec::new();
     let mut scratch = String::new();
     let mut node: NodeEngine<'_, &mut dyn Scheduler, &T> =
         NodeEngine::with_tracer(0, scheduler, *config, lut, &tracer);
     for req in requests {
         if tracer.enabled() {
+            // A deadline-free request (`slo_ns == u64::MAX`) saturates
+            // to `i64::MAX`, the cluster front end's encoding.
+            let slo_ns = req.slo_ns.min(i64::MAX as u64) as i64;
             let label = match labels.iter().find(|(spec, _)| *spec == req.spec) {
                 Some(&(_, id)) => id,
                 None => {
@@ -114,7 +103,7 @@ pub fn simulate_traced<T: Tracer>(
                 node: NODE_FRONTEND,
                 kind: EventKind::Arrival,
                 a: u64::from(label),
-                b: req.slo_ns as i64,
+                b: slo_ns,
             });
             // Single-node serving has no front-end: requests land on
             // the node the instant they arrive.
@@ -124,7 +113,7 @@ pub fn simulate_traced<T: Tracer>(
                 node: 0,
                 kind: EventKind::Dispatch,
                 a: 0,
-                b: req.slo_ns as i64,
+                b: slo_ns,
             });
         }
         node.enqueue(req, workload.trace_for(req));
@@ -138,6 +127,7 @@ mod tests {
     use super::*;
     use crate::report::CompletedRequest;
     use dysta_core::Policy;
+    use dysta_obs::RingTracer;
     use dysta_workload::{Scenario, WorkloadBuilder};
 
     fn tiny_workload(seed: u64) -> Workload {
@@ -224,28 +214,36 @@ mod tests {
 
     #[test]
     fn timeline_is_ordered_disjoint_and_covers_all_work() {
+        // The execution timeline is the traced run's `Segment` events:
+        // `t_ns` = start, `a` = end, one per maximal same-task run.
         let w = tiny_workload(8);
-        let config = EngineConfig {
-            record_timeline: true,
-            ..EngineConfig::default()
-        };
         for policy in [Policy::Fcfs, Policy::Dysta] {
-            let r = simulate(&w, policy.build().as_mut(), &config);
-            let timeline = r.timeline();
+            let tracer = RingTracer::new(1 << 14);
+            simulate_traced(
+                &w,
+                policy.build().as_mut(),
+                &EngineConfig::default(),
+                &tracer,
+            );
+            assert_eq!(tracer.dropped(), 0, "{policy}");
+            let timeline: Vec<TraceEvent> = tracer
+                .events()
+                .into_iter()
+                .filter(|e| e.kind == EventKind::Segment)
+                .collect();
             assert!(!timeline.is_empty(), "{policy}");
-            for pair in timeline.windows(2) {
-                assert!(pair[0].end_ns <= pair[1].start_ns, "{policy}: overlap");
+            for seg in &timeline {
+                assert!(seg.t_ns <= seg.a, "{policy}: negative segment");
             }
-            // Total service equals the sum of isolated latencies.
-            let served: u64 = timeline.iter().map(|s| s.duration_ns()).sum();
-            let total: u64 = w.requests().iter().map(|r| w.isolated_ns(r)).sum();
-            assert_eq!(served, total, "{policy}");
+            for pair in timeline.windows(2) {
+                assert!(pair[0].a <= pair[1].t_ns, "{policy}: overlap");
+            }
             // Per-task service matches each request's isolated latency.
             for req in w.requests() {
                 let per_task: u64 = timeline
                     .iter()
-                    .filter(|s| s.task_id == req.id)
-                    .map(|s| s.duration_ns())
+                    .filter(|s| s.request == req.id)
+                    .map(|s| s.a - s.t_ns)
                     .sum();
                 assert_eq!(per_task, w.isolated_ns(req), "{policy}: task {}", req.id);
             }
@@ -286,13 +284,6 @@ mod tests {
             ..EngineConfig::default()
         };
         let _ = simulate(&w, Policy::Fcfs.build().as_mut(), &config);
-    }
-
-    #[test]
-    fn timeline_off_by_default() {
-        let w = tiny_workload(9);
-        let r = simulate(&w, Policy::Fcfs.build().as_mut(), &EngineConfig::default());
-        assert!(r.timeline().is_empty());
     }
 
     #[test]

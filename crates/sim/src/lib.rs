@@ -40,6 +40,4 @@ mod report;
 
 pub use engine::{simulate, simulate_traced, EngineConfig};
 pub use node::{NodeEngine, TransferableTask};
-pub use report::{
-    percentile_ns, percentile_ns_sorted, CompletedRequest, Metrics, SimReport, TimelineSegment,
-};
+pub use report::{percentile_ns, percentile_ns_sorted, CompletedRequest, Metrics, SimReport};

@@ -25,7 +25,7 @@ use dysta_obs::{EventKind, NullTracer, Phase, TraceEvent, Tracer};
 use dysta_trace::SampleTrace;
 use dysta_workload::Request;
 
-use crate::report::{CompletedRequest, SimReport, TimelineSegment};
+use crate::report::{CompletedRequest, SimReport};
 use crate::EngineConfig;
 
 /// A request queued on a node but not yet visible to the scheduler
@@ -136,7 +136,6 @@ pub struct NodeEngine<'w, S = Box<dyn Scheduler>, T = NullTracer> {
     preemptions: u64,
     invocations: u64,
     busy_ns: u64,
-    timeline: Vec<TimelineSegment>,
     completed: Vec<CompletedRequest>,
 }
 
@@ -185,7 +184,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             preemptions: 0,
             invocations: 0,
             busy_ns: 0,
-            timeline: Vec::new(),
             completed: Vec::new(),
         }
     }
@@ -261,15 +259,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             .iter()
             .map(|&i| (&self.tasks[i], self.scales[i]))
             .chain(self.pending.iter().map(|p| (&p.task, p.scale)))
-    }
-
-    /// Sums `estimator` over every unfinished request, weighting each
-    /// estimate by the node-local service-time scale. Dispatchers use
-    /// this with a LUT or predictor estimate of remaining work.
-    pub fn estimated_backlog_ns(&self, estimator: impl Fn(&TaskState) -> f64) -> f64 {
-        self.queued_tasks()
-            .map(|(task, scale)| estimator(task) * scale)
-            .sum()
     }
 
     /// Iterates the *admitted but never started* requests — the only
@@ -620,22 +609,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             }
             let layer = trace.layers()[self.tasks[task_idx].next_layer];
             let latency_ns = scale_ns(layer.latency_ns, scale);
-            if self.config.record_timeline {
-                let start = self.now_ns;
-                let end = self.now_ns + latency_ns;
-                // Extend the previous segment when the same task
-                // continues back-to-back.
-                match self.timeline.last_mut() {
-                    Some(seg) if seg.task_id == self.tasks[task_idx].id && seg.end_ns == start => {
-                        seg.end_ns = end;
-                    }
-                    _ => self.timeline.push(TimelineSegment {
-                        task_id: self.tasks[task_idx].id,
-                        start_ns: start,
-                        end_ns: end,
-                    }),
-                }
-            }
             self.now_ns += latency_ns;
             self.busy_ns += latency_ns;
             let task = &mut self.tasks[task_idx];
@@ -666,14 +639,19 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
                 // so its completion event never precedes its last work.
                 self.flush_segment();
                 let task = &self.tasks[task_idx];
-                let deadline_ns = task.arrival_ns + task.slo_ns;
+                let deadline_ns = task.deadline_ns();
+                let slack_ns = if deadline_ns == u64::MAX {
+                    i64::MAX // no deadline
+                } else {
+                    deadline_ns as i64 - self.now_ns as i64
+                };
                 self.tracer.record(TraceEvent {
                     t_ns: self.now_ns,
                     request: task.id,
                     node: self.id as u32,
                     kind: EventKind::Completion,
                     a: u64::from(self.now_ns > deadline_ns),
-                    b: deadline_ns as i64 - self.now_ns as i64,
+                    b: slack_ns,
                 });
             }
             let task = &self.tasks[task_idx];
@@ -737,7 +715,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         self.flush_segment();
         let mut completed = self.completed;
         completed.sort_by_key(|c| c.id);
-        SimReport::with_timeline(completed, self.preemptions, self.invocations, self.timeline)
+        SimReport::new(completed, self.preemptions, self.invocations)
     }
 }
 
@@ -812,13 +790,18 @@ mod tests {
         let w = tiny(4);
         let lut = ModelInfoLut::from_store(w.store());
         let mut node = engine_for(&w, Policy::Sjf);
-        let full =
-            node.estimated_backlog_ns(|t| lut.info(t.variant).avg_remaining_ns(t.next_layer));
+        let backlog = |node: &NodeEngine<'_>| -> f64 {
+            node.queued_tasks()
+                .map(|(t, scale)| lut.info(t.variant).avg_remaining_ns(t.next_layer) * scale)
+                .sum()
+        };
+        let full = backlog(&node);
         assert!(full > 0.0);
+        node.run_until(w.requests()[15].arrival_ns);
+        let half = backlog(&node);
+        assert!(half < full, "backlog {half} should shrink below {full}");
         node.run_to_completion();
-        let empty =
-            node.estimated_backlog_ns(|t| lut.info(t.variant).avg_remaining_ns(t.next_layer));
-        assert_eq!(empty, 0.0);
+        assert_eq!(backlog(&node), 0.0);
         assert!(node.is_drained());
         assert!(node.busy_ns() > 0);
     }

@@ -49,24 +49,6 @@ pub struct Metrics {
     pub throughput_inf_s: f64,
 }
 
-/// One contiguous stretch of accelerator time given to one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TimelineSegment {
-    /// Request id being served.
-    pub task_id: u64,
-    /// Segment start (ns).
-    pub start_ns: u64,
-    /// Segment end (ns, exclusive).
-    pub end_ns: u64,
-}
-
-impl TimelineSegment {
-    /// Segment duration in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns - self.start_ns
-    }
-}
-
 /// Nearest-rank percentile of a set of nanosecond samples: the smallest
 /// sample such that at least `p` percent of the set is `<=` it. Defined
 /// as 0 for an empty set (mirroring the other neutral empty-report
@@ -118,7 +100,6 @@ pub struct SimReport {
     completed: Vec<CompletedRequest>,
     preemptions: u64,
     scheduler_invocations: u64,
-    timeline: Vec<TimelineSegment>,
 }
 
 impl SimReport {
@@ -129,28 +110,11 @@ impl SimReport {
         preemptions: u64,
         scheduler_invocations: u64,
     ) -> Self {
-        SimReport::with_timeline(completed, preemptions, scheduler_invocations, Vec::new())
-    }
-
-    /// Assembles a report including the execution timeline.
-    pub fn with_timeline(
-        completed: Vec<CompletedRequest>,
-        preemptions: u64,
-        scheduler_invocations: u64,
-        timeline: Vec<TimelineSegment>,
-    ) -> Self {
         SimReport {
             completed,
             preemptions,
             scheduler_invocations,
-            timeline,
         }
-    }
-
-    /// The execution timeline: maximal contiguous service segments in
-    /// time order (empty unless the engine was asked to record it).
-    pub fn timeline(&self) -> &[TimelineSegment] {
-        &self.timeline
     }
 
     /// All completed requests, sorted by id.

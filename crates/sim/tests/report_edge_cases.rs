@@ -2,7 +2,7 @@
 //! must handle without dividing by zero or inventing violations.
 
 use dysta_models::ModelId;
-use dysta_sim::{percentile_ns, CompletedRequest, SimReport, TimelineSegment};
+use dysta_sim::{percentile_ns, CompletedRequest, SimReport};
 use dysta_sparsity::SparsityPattern;
 use dysta_trace::SparseModelSpec;
 
@@ -15,15 +15,6 @@ fn req(id: u64, arrival: u64, completion: u64, isolated: u64, slo: u64) -> Compl
         isolated_ns: isolated,
         slo_ns: slo,
     }
-}
-
-#[test]
-fn timeline_defaults_to_empty_and_survives_aggregation() {
-    let r = SimReport::new(vec![req(0, 0, 10, 10, 100)], 0, 1);
-    assert!(r.timeline().is_empty());
-    // Metrics are computable with no timeline recorded.
-    let m = r.metrics();
-    assert!(m.antt >= 1.0);
 }
 
 #[test]
@@ -151,17 +142,4 @@ fn report_turnaround_percentiles() {
     let single = SimReport::new(vec![req(0, 100, 130, 30, 100)], 0, 1);
     assert_eq!(single.turnaround_percentile_ns(50.0), 30);
     assert_eq!(single.turnaround_percentile_ns(99.0), 30);
-}
-
-#[test]
-fn timeline_segment_durations() {
-    let seg = TimelineSegment {
-        task_id: 3,
-        start_ns: 10,
-        end_ns: 25,
-    };
-    assert_eq!(seg.duration_ns(), 15);
-    let r = SimReport::with_timeline(vec![req(3, 0, 25, 15, 100)], 0, 1, vec![seg]);
-    assert_eq!(r.timeline().len(), 1);
-    assert_eq!(r.timeline()[0].duration_ns(), 15);
 }

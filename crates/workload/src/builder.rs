@@ -1,17 +1,14 @@
 //! Workload construction: traces + Poisson arrivals + SLOs.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use dysta_trace::{ModelTraces, SampleTrace, SparseModelSpec, TraceStore};
 
-use dysta_sparsity::distributions::exponential;
-use dysta_trace::{ModelTraces, SampleTrace, SparseModelSpec, TraceGenerator, TraceStore};
-
-use crate::{Request, Scenario};
+use crate::{ArrivalProcess, PhaseSpec, Request, Scenario, SloModel, StreamSpec};
 
 /// Default number of Phase-1 input samples per sparse-model variant.
 const DEFAULT_SAMPLES_PER_VARIANT: u64 = 64;
 
-/// Builder for [`Workload`]s.
+/// Builder for [`Workload`]s: a steady-Poisson [`StreamSpec`] with one
+/// phase, materialized by [`WorkloadBuilder::build`].
 ///
 /// # Examples
 ///
@@ -28,30 +25,13 @@ const DEFAULT_SAMPLES_PER_VARIANT: u64 = 64;
 /// ```
 #[derive(Debug, Clone)]
 pub struct WorkloadBuilder {
-    mix: Vec<(SparseModelSpec, f64)>,
-    arrival_rate: f64,
-    slo_multiplier: f64,
-    /// Per-request multiplier range; overrides `slo_multiplier` when set.
-    slo_multiplier_range: Option<(f64, f64)>,
-    num_requests: usize,
-    samples_per_variant: u64,
-    seed: u64,
-    generator: TraceGenerator,
+    spec: StreamSpec,
 }
 
 impl WorkloadBuilder {
     /// Starts a builder from a scenario preset.
     pub fn new(scenario: Scenario) -> Self {
-        WorkloadBuilder {
-            mix: scenario.mix(),
-            arrival_rate: scenario.default_arrival_rate(),
-            slo_multiplier: 10.0,
-            slo_multiplier_range: None,
-            num_requests: 1000,
-            samples_per_variant: DEFAULT_SAMPLES_PER_VARIANT,
-            seed: 0,
-            generator: TraceGenerator::default(),
-        }
+        WorkloadBuilder::steady(scenario.default_arrival_rate(), scenario.mix())
     }
 
     /// Starts a builder from an explicit weighted model mix.
@@ -65,15 +45,17 @@ impl WorkloadBuilder {
             mix.iter().all(|&(_, w)| w > 0.0),
             "weights must be positive"
         );
+        WorkloadBuilder::steady(1.0, mix)
+    }
+
+    fn steady(rate: f64, mix: Vec<(SparseModelSpec, f64)>) -> Self {
         WorkloadBuilder {
-            mix,
-            arrival_rate: 1.0,
-            slo_multiplier: 10.0,
-            slo_multiplier_range: None,
-            num_requests: 1000,
-            samples_per_variant: DEFAULT_SAMPLES_PER_VARIANT,
-            seed: 0,
-            generator: TraceGenerator::default(),
+            spec: StreamSpec {
+                phases: vec![PhaseSpec::steady(0, rate, mix, SloModel::Fixed(10.0))],
+                num_requests: 1000,
+                samples_per_variant: DEFAULT_SAMPLES_PER_VARIANT,
+                seed: 0,
+            },
         }
     }
 
@@ -87,18 +69,20 @@ impl WorkloadBuilder {
             per_sec > 0.0 && per_sec.is_finite(),
             "rate must be positive"
         );
-        self.arrival_rate = per_sec;
+        self.spec.phases[0].process = ArrivalProcess::Poisson { rate: per_sec };
         self
     }
 
-    /// Latency SLO multiplier `M_slo` (SLO = `T_isol × M_slo`).
+    /// Latency SLO multiplier `M_slo` (SLO = `T_isol × M_slo`) for every
+    /// request. Replaces an earlier [`WorkloadBuilder::slo_multiplier_range`]
+    /// (the last SLO setter wins).
     ///
     /// # Panics
     ///
     /// Panics unless the multiplier is at least 1.
     pub fn slo_multiplier(mut self, m: f64) -> Self {
         assert!(m >= 1.0 && m.is_finite(), "multiplier must be >= 1");
-        self.slo_multiplier = m;
+        self.spec.phases[0].slo = SloModel::Fixed(m);
         self
     }
 
@@ -106,6 +90,8 @@ impl WorkloadBuilder {
     /// instead of using one fixed multiplier — models tenants with
     /// heterogeneous latency objectives (interactive vs batch), which is
     /// where deadline-aware scoring genuinely differentiates requests.
+    /// Replaces an earlier [`WorkloadBuilder::slo_multiplier`] (the last
+    /// SLO setter wins).
     ///
     /// # Panics
     ///
@@ -115,7 +101,7 @@ impl WorkloadBuilder {
             lo >= 1.0 && hi >= lo && hi.is_finite(),
             "need 1 <= lo <= hi"
         );
-        self.slo_multiplier_range = Some((lo, hi));
+        self.spec.phases[0].slo = SloModel::Range { lo, hi };
         self
     }
 
@@ -125,8 +111,7 @@ impl WorkloadBuilder {
     ///
     /// Panics if zero.
     pub fn num_requests(mut self, n: usize) -> Self {
-        assert!(n > 0, "need at least one request");
-        self.num_requests = n;
+        self.spec = self.spec.num_requests(n as u64);
         self
     }
 
@@ -136,78 +121,19 @@ impl WorkloadBuilder {
     ///
     /// Panics if zero.
     pub fn samples_per_variant(mut self, n: u64) -> Self {
-        assert!(n > 0, "need at least one sample");
-        self.samples_per_variant = n;
+        self.spec = self.spec.samples_per_variant(n);
         self
     }
 
     /// Random seed controlling arrivals, model sampling and traces.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the Phase-1 trace generator (custom accelerator configs).
-    pub fn trace_generator(mut self, generator: TraceGenerator) -> Self {
-        self.generator = generator;
+        self.spec = self.spec.seed(seed);
         self
     }
 
     /// Generates traces and the request stream.
     pub fn build(&self) -> Workload {
-        let mut store = TraceStore::new();
-        for (spec, _) in &self.mix {
-            // Trace seeds are independent of the arrival seed so that
-            // changing the arrival pattern keeps the trace library fixed,
-            // mirroring the paper's two-phase methodology.
-            store.insert(self.generator.generate(
-                spec,
-                self.samples_per_variant,
-                self.seed ^ 0xD15A,
-            ));
-        }
-
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let total_weight: f64 = self.mix.iter().map(|&(_, w)| w).sum();
-        let mut now_ns = 0u64;
-        let mut requests = Vec::with_capacity(self.num_requests);
-        for id in 0..self.num_requests as u64 {
-            let gap_s = exponential(&mut rng, self.arrival_rate);
-            now_ns += (gap_s * 1e9).round() as u64;
-            let spec = self.pick_spec(&mut rng, total_weight);
-            let sample_index = rng.gen_range(0..self.samples_per_variant);
-            // The SLO follows PREMA's convention, `T_isol × M_slo`, with
-            // `T_isol` taken from offline profiling (the variant's average
-            // isolated latency): the per-sample execution time is unknown
-            // at request time, so the deadline must not leak it.
-            let isolated = store
-                .get(&spec)
-                .expect("trace generated above")
-                .avg_latency_ns();
-            let multiplier = match self.slo_multiplier_range {
-                Some((lo, hi)) => rng.gen_range(lo..=hi),
-                None => self.slo_multiplier,
-            };
-            requests.push(Request {
-                id,
-                spec,
-                sample_index,
-                arrival_ns: now_ns,
-                slo_ns: (isolated * multiplier).round() as u64,
-            });
-        }
-        Workload { requests, store }
-    }
-
-    fn pick_spec(&self, rng: &mut StdRng, total_weight: f64) -> SparseModelSpec {
-        let mut target = rng.gen::<f64>() * total_weight;
-        for &(spec, w) in &self.mix {
-            if target < w {
-                return spec;
-            }
-            target -= w;
-        }
-        self.mix[self.mix.len() - 1].0
+        self.spec.materialize()
     }
 }
 

@@ -52,8 +52,7 @@ pub trait RequestSource<'w> {
 
 /// A [`RequestSource`] over a fully-materialized [`Workload`]: a
 /// cursor walking the request slice. This is the adapter behind the
-/// historical `simulate_cluster*` entry points, and the reference the
-/// streaming generator is pinned bit-exact against.
+/// `simulate_cluster*` entry points that take a materialized workload.
 #[derive(Debug, Clone)]
 pub struct WorkloadSource<'w> {
     workload: &'w Workload,

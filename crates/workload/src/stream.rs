@@ -9,13 +9,12 @@
 //! with a deterministic per-phase RNG, so a 10M-request run holds only
 //! the live lookahead, never the materialized trace.
 //!
-//! **Bit-exactness contract:** a single steady-Poisson phase with
-//! [`Popularity::Weighted`] draws its RNG in exactly the order
-//! [`crate::WorkloadBuilder::build`] does (gap → spec walk → sample →
-//! multiplier, seeded identically), so [`StreamSpec::materialize`]
-//! reproduces the builder's requests byte-identically — that
-//! equivalence is the golden-fixture regression gate for the whole
-//! streaming path (property-pinned in `tests/stream_equivalence.rs`).
+//! This is the workspace's only request generator:
+//! [`crate::WorkloadBuilder::build`] is [`StreamSpec::materialize`] over
+//! one steady-Poisson phase. Each request draws its RNG in a fixed
+//! order (gap → spec walk → sample → SLO multiplier), and the golden
+//! fixtures, all built through the builder, pin that order byte for
+//! byte.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,7 +31,7 @@ use crate::{Request, Scenario, Workload};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Steady Poisson arrivals (exponential gaps) — the builder's
-    /// historical process, bit-exact with it.
+    /// process.
     Poisson {
         /// Mean arrival rate (req/s).
         rate: f64,
@@ -83,8 +82,7 @@ impl ArrivalProcess {
     /// Non-decreasing in `now_ns` (gaps can round to zero).
     fn next_arrival_ns(&self, rng: &mut StdRng, now_ns: u64, phase_start_ns: u64) -> u64 {
         match *self {
-            // Bit-exact with `WorkloadBuilder::build`: one exponential
-            // draw, the gap rounded to nanoseconds.
+            // One exponential draw, the gap rounded to nanoseconds.
             ArrivalProcess::Poisson { rate } => {
                 let gap_s = exponential(rng, rate);
                 now_ns + (gap_s * 1e9).round() as u64
@@ -204,11 +202,11 @@ impl Popularity {
 /// isolated latency (`SLO = T_isol × M_slo`, the PREMA convention).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SloModel {
-    /// One multiplier for every request (no RNG draw — bit-exact with
-    /// the builder's fixed-multiplier path).
+    /// One multiplier for every request (no RNG draw); set by
+    /// [`crate::WorkloadBuilder::slo_multiplier`].
     Fixed(f64),
-    /// Per-request multiplier drawn uniformly from `[lo, hi]`
-    /// (bit-exact with [`crate::WorkloadBuilder::slo_multiplier_range`]).
+    /// Per-request multiplier drawn uniformly from `[lo, hi]`; set by
+    /// [`crate::WorkloadBuilder::slo_multiplier_range`].
     Range {
         /// Lower multiplier bound (≥ 1).
         lo: f64,
@@ -267,22 +265,22 @@ pub struct StreamSpec {
     /// Phase-1 input samples traced per variant.
     pub samples_per_variant: u64,
     /// Seed for arrivals, popularity, and SLO draws. Traces use
-    /// `seed ^ 0xD15A` exactly like the builder, so changing the
-    /// arrival pattern keeps the trace library fixed.
+    /// `seed ^ 0xD15A`, so changing the arrival pattern keeps the trace
+    /// library fixed, mirroring the paper's two-phase methodology.
     pub seed: u64,
 }
 
-/// Per-phase RNG seed: phase 0 uses the stream seed verbatim (the
-/// bit-exactness anchor with [`crate::WorkloadBuilder`]); later phases
+/// Per-phase RNG seed: phase 0 uses the stream seed verbatim (so a
+/// [`crate::WorkloadBuilder`] seed is its arrival seed); later phases
 /// decorrelate via a golden-ratio hash of their index.
 fn phase_seed(seed: u64, phase: usize) -> u64 {
     seed ^ (phase as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 impl StreamSpec {
-    /// A single steady-Poisson phase over a scenario preset — the
-    /// streaming equivalent of `WorkloadBuilder::new(scenario)` with
-    /// the same defaults (1000 requests, 64 samples, seed 0).
+    /// A single steady-Poisson phase over a scenario preset — what
+    /// `WorkloadBuilder::new(scenario)` builds, with the same defaults
+    /// (1000 requests, 64 samples, seed 0).
     pub fn steady_poisson(scenario: Scenario, rate: f64, slo_multiplier: f64) -> Self {
         StreamSpec {
             phases: vec![PhaseSpec::steady(
@@ -327,8 +325,7 @@ impl StreamSpec {
 
     /// Generates the Phase-1 trace library backing every phase's mix:
     /// one [`dysta_trace::ModelTraces`] per distinct variant, seeded
-    /// `seed ^ 0xD15A` exactly like the builder (so a steady stream
-    /// and its builder twin share traces byte-for-byte).
+    /// `seed ^ 0xD15A` (independent of the arrival draws).
     pub fn build_store(&self) -> TraceStore {
         let generator = TraceGenerator::default();
         let mut store = TraceStore::new();
@@ -403,9 +400,8 @@ impl StreamSpec {
         }
     }
 
-    /// Drains the stream into a fully-materialized [`Workload`] — the
-    /// adapter the bit-exactness gate compares against
-    /// [`crate::WorkloadBuilder::build`].
+    /// Drains the stream into a fully-materialized [`Workload`] (what
+    /// [`crate::WorkloadBuilder::build`] returns).
     pub fn materialize(&self) -> Workload {
         let store = self.build_store();
         let mut requests = Vec::with_capacity(self.num_requests.min(1 << 24) as usize);
@@ -482,7 +478,7 @@ impl<'w> ArrivalSource<'w> {
             }
             self.now_ns = candidate;
             let phase = &self.phases[self.phase_idx];
-            // Same draw order as the builder: spec walk, sample, SLO.
+            // Fixed draw order after the gap: spec walk, sample, SLO.
             let mut target = self.rng.gen::<f64>() * phase.total_weight;
             let mut chosen = phase.specs.len() - 1;
             for (i, &w) in phase.weights.iter().enumerate() {
@@ -497,6 +493,11 @@ impl<'w> ArrivalSource<'w> {
                 SloModel::Fixed(m) => m,
                 SloModel::Range { lo, hi } => self.rng.gen_range(lo..=hi),
             };
+            // The SLO follows PREMA's convention, `T_isol × M_slo`, with
+            // `T_isol` taken from offline profiling (the variant's
+            // average isolated latency): the per-sample execution time
+            // is unknown at request time, so the deadline must not
+            // leak it.
             let slo_ns = (phase.isolated_ns[chosen] * multiplier).round() as u64;
             let id = self.next_id;
             self.next_id += 1;
@@ -557,24 +558,6 @@ impl Iterator for ArrivalSource<'_> {
 mod tests {
     use super::*;
     use crate::WorkloadBuilder;
-
-    #[test]
-    fn steady_poisson_matches_builder_bit_exactly() {
-        let built = WorkloadBuilder::new(Scenario::MultiCnn)
-            .arrival_rate(5.0)
-            .slo_multiplier(10.0)
-            .num_requests(120)
-            .samples_per_variant(8)
-            .seed(11)
-            .build();
-        let streamed = StreamSpec::steady_poisson(Scenario::MultiCnn, 5.0, 10.0)
-            .num_requests(120)
-            .samples_per_variant(8)
-            .seed(11)
-            .materialize();
-        assert_eq!(built.requests(), streamed.requests());
-        assert_eq!(built.store(), streamed.store());
-    }
 
     #[test]
     fn slo_range_matches_builder_bit_exactly() {

@@ -1,30 +1,13 @@
-//! Streaming-generator equivalence (proptest): the open-loop
-//! [`ArrivalSource`] must reproduce the materializing
-//! [`WorkloadBuilder`] bit-exactly for steady Poisson traffic — same
-//! requests, same trace store, across arbitrary seeds, scenarios,
-//! rates, SLO models, and trace resolutions. This is the gate that
-//! lets the cluster front-end consume streams without a golden-fixture
-//! re-pin: any draw-order drift between the two generators fails here
-//! with a minimized counterexample.
-//!
-//! Phase-change sequences have no builder counterpart, so they are
-//! pinned against themselves: two runs of the same spec must agree
+//! Phase-change streams (proptest): a multi-phase [`StreamSpec`] is
+//! pinned against itself — two runs of the same spec must agree
 //! request-for-request, arrivals must be monotone and land inside
-//! their phase's half-open window, and ids must stay dense.
+//! their phase's half-open window, and ids must stay dense. (Single
+//! steady phases are what `WorkloadBuilder` builds; the golden
+//! fixtures pin those byte for byte.)
 
 use proptest::prelude::*;
 
-use dysta::workload::{
-    ArrivalProcess, PhaseSpec, Popularity, Scenario, SloModel, StreamSpec, WorkloadBuilder,
-};
-
-const SCENARIOS: [Scenario; 5] = [
-    Scenario::MultiAttNn,
-    Scenario::MultiCnn,
-    Scenario::MobileAssistant,
-    Scenario::ArVrWearable,
-    Scenario::DataCenter,
-];
+use dysta::workload::{ArrivalProcess, PhaseSpec, Popularity, Scenario, SloModel, StreamSpec};
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -33,44 +16,6 @@ proptest! {
             .and_then(|v| v.parse().ok())
             .unwrap_or(32),
     })]
-
-    /// Steady Poisson: streaming == materialized builder, bit for bit.
-    #[test]
-    fn steady_poisson_stream_matches_builder(
-        seed in 0u64..1_000_000,
-        scenario_idx in 0usize..SCENARIOS.len(),
-        rate_centi in 1u64..5_000,       // 0.01 .. 50 requests/s
-        num_requests in 1u64..200,
-        samples in 1u64..8,
-        // < 100 selects the [2, 12] SLO range; otherwise M_slo = value/100.
-        slo_fixed_centi in 0u64..2_000,
-    ) {
-        let scenario = SCENARIOS[scenario_idx];
-        let rate = rate_centi as f64 / 100.0;
-
-        let mut builder = WorkloadBuilder::new(scenario)
-            .arrival_rate(rate)
-            .num_requests(num_requests as usize)
-            .samples_per_variant(samples)
-            .seed(seed);
-        let mut spec = StreamSpec::steady_poisson(scenario, rate, 0.0)
-            .num_requests(num_requests)
-            .samples_per_variant(samples)
-            .seed(seed);
-        if slo_fixed_centi < 100 {
-            builder = builder.slo_multiplier_range(2.0, 12.0);
-            spec.phases[0].slo = SloModel::Range { lo: 2.0, hi: 12.0 };
-        } else {
-            let m = slo_fixed_centi as f64 / 100.0;
-            builder = builder.slo_multiplier(m);
-            spec.phases[0].slo = SloModel::Fixed(m);
-        }
-
-        let expected = builder.build();
-        let actual = spec.materialize();
-        prop_assert_eq!(actual.requests(), expected.requests());
-        prop_assert_eq!(actual.store(), expected.store());
-    }
 
     /// Phase-change sequences: deterministic across runs, monotone
     /// arrivals, dense ids, and every arrival inside its phase window.
