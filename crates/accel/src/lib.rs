@@ -11,8 +11,7 @@
 //! sparsity) to latency*, so this crate models each accelerator
 //! analytically: a compute roofline (effective MACs over sparse-adjusted
 //! PE throughput), a memory roofline (compressed tensor traffic over DRAM
-//! bandwidth), and a fixed per-layer dispatch overhead. See `DESIGN.md`
-//! §1 for the substitution argument.
+//! bandwidth), and a fixed per-layer dispatch overhead.
 //!
 //! # Examples
 //!

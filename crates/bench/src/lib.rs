@@ -1,66 +1,17 @@
 //! Shared experiment-harness support for the figure/table binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` §4 for the index and `EXPERIMENTS.md` for the
-//! recorded outcomes). The helpers here keep the binaries small: seeded
+//! Each `figNN_*` / `tableNN_*` binary in `src/bin/` regenerates the
+//! paper figure or table it is named after (`EXPERIMENTS.md` records the
+//! outcomes). The helpers here keep the binaries small: seeded
 //! multi-replication runs that reuse each workload across all policies
 //! (so policies are compared on identical request streams, as in the
 //! paper), and fixed-width table printing.
 
 #![forbid(unsafe_code)]
 
-use dysta::core::{DystaConfig, ModelInfoLut, MonitoredLayer, Policy, TaskState};
+use dysta::core::{DystaConfig, Policy};
 use dysta::sim::{simulate, EngineConfig, Metrics};
 use dysta::workload::{Scenario, WorkloadBuilder};
-
-/// Builds a realistic scheduling point for decision-cost measurements:
-/// `n` in-flight requests with partially executed layers and populated
-/// monitored-sparsity streams (shared by the criterion benches and the
-/// `record_bench` perf recorder).
-pub fn mid_execution_tasks(n: usize) -> (Vec<TaskState>, ModelInfoLut) {
-    let w = WorkloadBuilder::new(Scenario::MultiAttNn)
-        .num_requests(n)
-        .samples_per_variant(8)
-        .seed(0)
-        .build();
-    let lut = ModelInfoLut::from_store(w.store());
-    let tasks: Vec<TaskState> = w
-        .requests()
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let trace = w.trace_for(r);
-            let progress = (i * 7) % trace.num_layers();
-            let variant = lut.variant_id(&r.spec).expect("workload variant profiled");
-            let mut task = TaskState {
-                next_layer: progress,
-                executed_ns: trace.layers()[..progress]
-                    .iter()
-                    .map(|l| l.latency_ns)
-                    .sum(),
-                monitored: trace.layers()[..progress]
-                    .iter()
-                    .map(|l| MonitoredLayer {
-                        sparsity: l.sparsity,
-                        latency_ns: l.latency_ns,
-                    })
-                    .collect(),
-                true_remaining_ns: trace.remaining_ns(progress),
-                ..TaskState::arrived(
-                    r.id,
-                    r.spec,
-                    variant,
-                    r.arrival_ns,
-                    r.slo_ns,
-                    trace.num_layers(),
-                )
-            };
-            task.rebuild_sparsity_summary(lut.info(variant));
-            task
-        })
-        .collect();
-    (tasks, lut)
-}
 
 /// Experiment scale: the paper uses 1000 requests and 5 seeds. The
 /// environment variable `DYSTA_QUICK=1` drops to a fast smoke-test scale

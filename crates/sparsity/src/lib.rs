@@ -9,7 +9,7 @@
 //! * **Sparsity dynamicity** — input-dependent activation and attention
 //!   sparsity that varies per sample. Modelled by per-dataset statistical
 //!   profiles in [`dynamicity`] (the substitution for the real ImageNet /
-//!   ExDark / DarkFace / SQuAD / GLUE datasets; see `DESIGN.md` §1).
+//!   ExDark / DarkFace / SQuAD / GLUE datasets).
 //!
 //! The [`stats`] module provides the estimators the paper's profiling
 //! figures use (Pearson correlation, relative range, histograms), and

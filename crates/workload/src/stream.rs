@@ -79,13 +79,15 @@ pub enum ArrivalProcess {
 impl ArrivalProcess {
     /// The next candidate arrival instant after `now_ns`, drawing from
     /// `rng`. Process profiles are anchored at `phase_start_ns`.
-    /// Non-decreasing in `now_ns` (gaps can round to zero).
+    /// Non-decreasing in `now_ns` (gaps can round to zero). An instant
+    /// past the end of the `u64` clock saturates to `u64::MAX`, which
+    /// the source reads as the end of the stream.
     fn next_arrival_ns(&self, rng: &mut StdRng, now_ns: u64, phase_start_ns: u64) -> u64 {
         match *self {
             // One exponential draw, the gap rounded to nanoseconds.
             ArrivalProcess::Poisson { rate } => {
                 let gap_s = exponential(rng, rate);
-                now_ns + (gap_s * 1e9).round() as u64
+                now_ns.saturating_add((gap_s * 1e9).round() as u64)
             }
             ArrivalProcess::OnOff {
                 on_rate,
@@ -103,7 +105,7 @@ impl ArrivalProcess {
                         (off_rate, t + (period - pos))
                     }
                 });
-                phase_start_ns + (t_s * 1e9).round() as u64
+                phase_start_ns.saturating_add((t_s * 1e9).round() as u64)
             }
             ArrivalProcess::Diurnal {
                 base_rate,
@@ -120,7 +122,7 @@ impl ArrivalProcess {
                         break;
                     }
                 }
-                phase_start_ns + (t_s * 1e9).round() as u64
+                phase_start_ns.saturating_add((t_s * 1e9).round() as u64)
             }
             ArrivalProcess::FlashCrowd {
                 base_rate,
@@ -139,7 +141,7 @@ impl ArrivalProcess {
                         (base_rate, f64::INFINITY)
                     }
                 });
-                phase_start_ns + (t_s * 1e9).round() as u64
+                phase_start_ns.saturating_add((t_s * 1e9).round() as u64)
             }
         }
     }
@@ -454,7 +456,8 @@ pub struct ArrivalSource<'w> {
 }
 
 impl<'w> ArrivalSource<'w> {
-    /// Generates the next request, or `None` when the budget is spent.
+    /// Generates the next request, or `None` when the budget is spent
+    /// or the next arrival would fall past the end of the clock.
     fn generate(&mut self) -> Option<Request> {
         if self.remaining == 0 {
             return None;
@@ -475,6 +478,12 @@ impl<'w> ArrivalSource<'w> {
                     self.rng = StdRng::seed_from_u64(phase_seed(self.seed, self.phase_idx));
                     continue;
                 }
+            }
+            if candidate == u64::MAX {
+                // The last phase's next arrival lies past the end of the
+                // clock: the stream is over, budget or not.
+                self.remaining = 0;
+                return None;
             }
             self.now_ns = candidate;
             let phase = &self.phases[self.phase_idx];
@@ -720,6 +729,70 @@ mod tests {
             crest > 2 * trough,
             "crest {crest} should dominate trough {trough}"
         );
+    }
+
+    #[test]
+    fn vanishing_rates_end_the_stream_instead_of_overflowing_the_clock() {
+        // Each spec is accepted by `validate`, yet its next gap is
+        // ~1e300 s: past `u64::MAX` ns, so the arrival saturates and the
+        // stream ends early rather than panicking (debug) or wrapping
+        // to a non-monotone arrival (release).
+        let tiny = 1e-300;
+        let poisson = ArrivalProcess::Poisson { rate: tiny };
+        let steady = ArrivalProcess::Poisson { rate: 8.0 };
+        let diurnal = ArrivalProcess::Diurnal {
+            base_rate: tiny,
+            amplitude: 0.5,
+            period_s: 10.0,
+        };
+        let crowd = ArrivalProcess::FlashCrowd {
+            base_rate: tiny,
+            peak_rate: tiny,
+            start_s: 1.0,
+            duration_s: 1.0,
+        };
+        let cases = [
+            ("poisson, only phase", vec![poisson]),
+            ("poisson, later phase", vec![steady, poisson]),
+            ("diurnal, later phase", vec![steady, diurnal]),
+            ("flash crowd, later phase", vec![steady, crowd]),
+        ];
+        for (name, processes) in cases {
+            // Phase `i` starts at `i` seconds.
+            let phases = (0u64..)
+                .zip(processes)
+                .map(|(i, process)| PhaseSpec {
+                    start_ns: i * 1_000_000_000,
+                    process,
+                    mix: Scenario::MultiCnn.mix(),
+                    popularity: Popularity::Weighted,
+                    slo: SloModel::Fixed(10.0),
+                })
+                .collect();
+            let spec = StreamSpec {
+                phases,
+                num_requests: 50,
+                samples_per_variant: 2,
+                seed: 1,
+            };
+            spec.validate()
+                .unwrap_or_else(|e| panic!("{name}: spec must validate: {e}"));
+            let store = spec.build_store();
+            let mut source = spec.source(&store);
+            let arrivals: Vec<u64> = source.by_ref().map(|r| r.arrival_ns).collect();
+            assert!(
+                arrivals.windows(2).all(|w| w[0] <= w[1]),
+                "{name}: arrivals must be monotone: {arrivals:?}"
+            );
+            // Only the steady first phase (if any) yields, all before
+            // the tiny-rate phase begins at 1 s.
+            assert!(arrivals.len() < 50, "{name}: {} requests", arrivals.len());
+            assert!(
+                arrivals.iter().all(|&t| t < 1_000_000_000),
+                "{name}: {arrivals:?}"
+            );
+            assert_eq!(source.next_request(), None, "{name}: the end is final");
+        }
     }
 
     #[test]

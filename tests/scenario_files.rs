@@ -79,3 +79,30 @@ fn pathologically_nested_scenario_is_malformed_not_a_crash() {
         "{err}"
     );
 }
+
+#[test]
+fn vanishing_rate_scenario_ends_instead_of_overflowing() {
+    // A Poisson rate of 1e-300 req/s passes validation, but its first
+    // gap (~1e300 s) lies past the end of the nanosecond clock: the
+    // source must end the stream, not overflow `now + gap`.
+    let spec = parse_scenario(
+        r#"{
+          "seed": 1,
+          "num_requests": 100,
+          "samples_per_variant": 2,
+          "phases": [
+            {
+              "start_s": 0.0,
+              "mix": "multi-cnn",
+              "process": {"model": "poisson", "rate": 1e-300},
+              "slo_multiplier": 10.0
+            }
+          ]
+        }"#,
+    )
+    .expect("a tiny positive rate is accepted input");
+    let store = spec.build_store();
+    let mut source = spec.source(&store);
+    assert_eq!(source.peek_arrival_ns(), None);
+    assert_eq!(source.next_request(), None);
+}
