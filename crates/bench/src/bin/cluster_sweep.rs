@@ -17,13 +17,12 @@
 //! die with the node.
 
 use dysta::cluster::{
-    balanced_mixed_serving_mix, simulate_cluster, simulate_cluster_with, AcceleratorKind,
-    AdmissionPolicy, AdmitAll, ClusterBuilder, ClusterConfig, ClusterPolicy, DispatchPolicy,
-    FaultConfig, FaultSchedule, FrontendConfig, InfeasibleEverywhere, MigrationConfig,
-    RecoveryConfig, SlackLoadShedding, StealConfig, TransferCostConfig,
+    balanced_mixed_serving_mix, simulate_cluster, AcceleratorKind, ClusterBuilder, ClusterConfig,
+    DispatchPolicy, FrontendConfig, MigrationConfig, StealConfig, TransferCostConfig,
 };
 use dysta::core::Policy;
 use dysta::workload::{Scenario, WorkloadBuilder};
+use dysta_bench::serving::{admission_cells, fault_cells};
 use dysta_bench::{banner, Scale};
 
 struct Cell {
@@ -105,11 +104,11 @@ fn main() {
                     throughput: 0.0,
                     imbalance: 0.0,
                 };
-                for seed in 0..scale.seeds {
+                for seed in scale.cluster_seeds() {
                     let workload = workload_builder(scenario, per_node_rate * nodes as f64)
                         .num_requests(scale.requests)
                         .samples_per_variant(scale.samples_per_variant)
-                        .seed(seed * 7919 + 13)
+                        .seed(seed)
                         .build();
                     let config = pool_config(pool, nodes);
                     let report = simulate_cluster(&workload, dispatch.build().as_mut(), &config);
@@ -231,12 +230,12 @@ fn serving_frontend_sweep(scale: &Scale) {
         let mut steals = 0u64;
         let mut migrations = 0u64;
         let mut fetch_ms = 0.0;
-        for seed in 0..scale.seeds {
+        for seed in scale.cluster_seeds() {
             let workload = WorkloadBuilder::new(Scenario::MultiCnn)
                 .arrival_rate(12.0)
                 .num_requests(scale.requests)
                 .samples_per_variant(scale.samples_per_variant)
-                .seed(seed * 7919 + 13)
+                .seed(seed)
                 .build();
             let pool = ClusterBuilder::heterogeneous(2, 2, Policy::Dysta)
                 .frontend(frontend)
@@ -292,82 +291,21 @@ fn faults_sweep(scale: &Scale) {
         "retries",
         "lost ms"
     );
-    let schedule = FaultSchedule::new()
-        .transient_crash(0, 1_500_000_000, 2_500_000_000)
-        .brownout(2, 800_000_000, 2_000_000_000, 0.5);
-    let recoveries: [(&str, RecoveryConfig); 2] = [
-        (
-            "salvage+renege",
-            RecoveryConfig {
-                salvage: true,
-                max_retries: 2,
-                reneging: true,
-            },
-        ),
-        (
-            "none",
-            RecoveryConfig {
-                salvage: false,
-                max_retries: 0,
-                reneging: false,
-            },
-        ),
-    ];
-    for dispatch in [
-        DispatchPolicy::SparsityAffinity,
-        DispatchPolicy::EarliestDeadlineFirst,
-    ] {
-        for (name, recovery) in &recoveries {
-            let mut antt = 0.0;
-            let mut viol = 0.0;
-            let mut goodput = 0usize;
-            let mut failed = 0usize;
-            let mut reneged = 0usize;
-            let mut salvaged = 0u64;
-            let mut retries = 0u64;
-            let mut lost_ms = 0.0;
-            for seed in 0..scale.seeds {
-                let workload = WorkloadBuilder::from_mix(balanced_mixed_serving_mix())
-                    .arrival_rate(45.0)
-                    .slo_multiplier(2.0)
-                    .num_requests(scale.requests)
-                    .samples_per_variant(scale.samples_per_variant)
-                    .seed(seed * 7919 + 13)
-                    .build();
-                let pool = ClusterBuilder::heterogeneous(2, 2, Policy::Fcfs)
-                    .node_capacity(1, 0.5)
-                    .node_capacity(3, 0.5)
-                    .frontend(FrontendConfig::serving())
-                    .faults(FaultConfig {
-                        schedule: schedule.clone(),
-                        recovery: *recovery,
-                    })
-                    .build();
-                let report = simulate_cluster(&workload, dispatch.build().as_mut(), &pool);
-                antt += report.antt();
-                viol += report.violation_rate();
-                goodput += report.goodput();
-                failed += report.failed_total();
-                reneged += report.reneged_total();
-                salvaged += report.recovery().salvaged;
-                retries += report.recovery().retries;
-                lost_ms += report.recovery().lost_busy_ns as f64 / 1e6;
-            }
-            let n = scale.seeds as f64;
-            println!(
-                "{:<10} {:<16} {:>8.3} {:>8.1}% {:>9.1} {:>8.1} {:>8.1} {:>9.1} {:>9.1} {:>11.1}",
-                dispatch.name(),
-                name,
-                antt / n,
-                viol / n * 100.0,
-                goodput as f64 / n,
-                failed as f64 / n,
-                reneged as f64 / n,
-                salvaged as f64 / n,
-                retries as f64 / n,
-                lost_ms / n,
-            );
-        }
+    for cell in fault_cells(*scale) {
+        let n = scale.seeds as f64;
+        println!(
+            "{:<10} {:<16} {:>8.3} {:>8.1}% {:>9.1} {:>8.1} {:>8.1} {:>9.1} {:>9.1} {:>11.1}",
+            cell.dispatch,
+            cell.recovery,
+            cell.antt,
+            cell.violation_rate * 100.0,
+            cell.goodput as f64 / n,
+            cell.failed as f64 / n,
+            cell.reneged as f64 / n,
+            cell.salvaged as f64 / n,
+            cell.retries as f64 / n,
+            cell.lost_busy_ms / n,
+        );
     }
 }
 
@@ -387,58 +325,18 @@ fn admission_sweep(scale: &Scale) {
         "{:<10} {:<22} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "dispatch", "admission", "ANTT", "viol %", "goodput", "rejected", "degraded", "good %"
     );
-    type AdmissionBuilder = fn() -> Box<dyn AdmissionPolicy>;
-    let builders: [(&str, AdmissionBuilder); 3] = [
-        ("admit-all", || Box::new(AdmitAll::new())),
-        ("infeasible-everywhere", || {
-            Box::new(InfeasibleEverywhere::new())
-        }),
-        ("slack-load-shed", || Box::new(SlackLoadShedding::new())),
-    ];
-    for dispatch in [
-        DispatchPolicy::SparsityAffinity,
-        DispatchPolicy::EarliestDeadlineFirst,
-    ] {
-        for (name, admission) in &builders {
-            let mut antt = 0.0;
-            let mut viol = 0.0;
-            let mut goodput = 0usize;
-            let mut rejected = 0usize;
-            let mut degraded = 0usize;
-            let mut good_rate = 0.0;
-            for seed in 0..scale.seeds {
-                let workload = WorkloadBuilder::from_mix(balanced_mixed_serving_mix())
-                    .arrival_rate(45.0)
-                    .slo_multiplier(2.0)
-                    .num_requests(scale.requests)
-                    .samples_per_variant(scale.samples_per_variant)
-                    .seed(seed * 7919 + 13)
-                    .build();
-                let pool = ClusterBuilder::heterogeneous(2, 2, Policy::Fcfs)
-                    .node_capacity(1, 0.5)
-                    .node_capacity(3, 0.5)
-                    .build();
-                let mut policy = ClusterPolicy::from_dispatch(dispatch).with_admission(admission());
-                let report = simulate_cluster_with(&workload, &mut policy, &pool);
-                antt += report.antt();
-                viol += report.violation_rate();
-                goodput += report.goodput();
-                rejected += report.rejected_total();
-                degraded += report.degraded_total();
-                good_rate += report.goodput_rate();
-            }
-            let n = scale.seeds as f64;
-            println!(
-                "{:<10} {:<22} {:>8.3} {:>8.1}% {:>9.1} {:>9.1} {:>9.1} {:>8.1}%",
-                dispatch.name(),
-                name,
-                antt / n,
-                viol / n * 100.0,
-                goodput as f64 / n,
-                rejected as f64 / n,
-                degraded as f64 / n,
-                good_rate / n * 100.0,
-            );
-        }
+    for cell in admission_cells(*scale) {
+        let n = scale.seeds as f64;
+        println!(
+            "{:<10} {:<22} {:>8.3} {:>8.1}% {:>9.1} {:>9.1} {:>9.1} {:>8.1}%",
+            cell.dispatch,
+            cell.admission,
+            cell.antt,
+            cell.violation_rate * 100.0,
+            cell.goodput as f64 / n,
+            cell.rejected as f64 / n,
+            cell.degraded as f64 / n,
+            cell.goodput_rate * 100.0,
+        );
     }
 }

@@ -4,52 +4,42 @@
 //! The paper shows Dysta in the lower-left (Pareto) corner of every
 //! plane.
 
-use dysta::core::{DystaConfig, Policy};
-use dysta::workload::Scenario;
-use dysta_bench::{banner, compare_policies, Scale};
+use dysta::core::Policy;
+use dysta_bench::paper::{fig12_rows, title, FIG12_POINTS};
+use dysta_bench::{banner, Scale};
 
 fn main() {
     banner("Figure 12", "SLO violation rate vs ANTT trade-off");
-    let scale = Scale::from_env();
-    for (title, scenario, rates) in [
-        ("Multi-AttNNs", Scenario::MultiAttNn, [30.0, 40.0]),
-        ("Multi-CNNs", Scenario::MultiCnn, [3.0, 4.0]),
-    ] {
-        for rate in rates {
-            println!("--- {title} @ {rate} samples/s (SLO x10) ---");
-            println!("{:<14} {:>10} {:>8}", "policy", "viol [%]", "ANTT");
-            let rows = compare_policies(
-                scenario,
-                rate,
-                10.0,
-                scale,
-                &Policy::TABLE5,
-                DystaConfig::default(),
+    let rows = fig12_rows(Scale::from_env());
+    for (key, scenario, rate) in FIG12_POINTS {
+        println!("--- {} @ {rate} samples/s (SLO x10) ---", title(scenario));
+        println!("{:<14} {:>10} {:>8}", "policy", "viol [%]", "ANTT");
+        let plane: Vec<_> = rows
+            .iter()
+            .filter(|r| r.scenario == key && r.rate == rate)
+            .collect();
+        let dysta = plane
+            .iter()
+            .find(|r| r.policy == Policy::Dysta.name())
+            .expect("dysta in set");
+        for row in &plane {
+            let pareto =
+                row.violation_rate >= dysta.violation_rate - 1e-9 && row.antt >= dysta.antt - 1e-9;
+            println!(
+                "{:<14} {:>9.1}% {:>8.2}{}",
+                row.policy,
+                row.violation_rate * 100.0,
+                row.antt,
+                if row.policy == Policy::Dysta.name() {
+                    "   <- Dysta"
+                } else if pareto {
+                    "   (dominated by Dysta)"
+                } else {
+                    ""
+                }
             );
-            let dysta = rows
-                .iter()
-                .find(|r| r.policy == Policy::Dysta)
-                .expect("dysta in set")
-                .metrics;
-            for row in &rows {
-                let pareto = row.metrics.violation_rate >= dysta.violation_rate - 1e-9
-                    && row.metrics.antt >= dysta.antt - 1e-9;
-                println!(
-                    "{:<14} {:>9.1}% {:>8.2}{}",
-                    row.policy.name(),
-                    row.metrics.violation_rate * 100.0,
-                    row.metrics.antt,
-                    if row.policy == Policy::Dysta {
-                        "   <- Dysta"
-                    } else if pareto {
-                        "   (dominated by Dysta)"
-                    } else {
-                        ""
-                    }
-                );
-            }
-            println!();
         }
+        println!();
     }
     println!("shape to preserve: Dysta sits at the lower-left corner of the");
     println!("violation-rate/ANTT plane at every arrival rate");

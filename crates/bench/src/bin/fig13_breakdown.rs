@@ -5,34 +5,28 @@
 //! sparsity-aware level mainly improves ANTT (violations are governed by
 //! the SLO looseness, as the paper notes).
 
-use dysta::core::{DystaConfig, Policy};
-use dysta::workload::Scenario;
-use dysta_bench::{banner, compare_policies, Scale};
+use dysta_bench::paper::{fig13_rows, title, OPERATING_POINTS};
+use dysta_bench::{banner, Scale};
 
 fn main() {
     banner(
         "Figure 13",
         "optimization breakdown (PREMA -> +static -> +dynamic)",
     );
-    let scale = Scale::from_env();
-    let set = [Policy::Prema, Policy::DystaStatic, Policy::Dysta];
-    for (title, scenario, rate) in [
-        ("Multi-AttNNs @ 30 samples/s", Scenario::MultiAttNn, 30.0),
-        ("Multi-CNNs @ 3 samples/s", Scenario::MultiCnn, 3.0),
-    ] {
-        println!("--- {title} (SLO x10) ---");
+    let rows = fig13_rows(Scale::from_env());
+    for (key, scenario, rate) in OPERATING_POINTS {
+        println!("--- {} @ {rate} samples/s (SLO x10) ---", title(scenario));
         println!("{:<14} {:>10} {:>8}", "variant", "viol [%]", "ANTT");
-        let rows = compare_policies(scenario, rate, 10.0, scale, &set, DystaConfig::default());
-        for row in &rows {
+        let plane: Vec<_> = rows.iter().filter(|r| r.scenario == key).collect();
+        for row in &plane {
             println!(
                 "{:<14} {:>9.1}% {:>8.2}",
-                row.policy.name(),
-                row.metrics.violation_rate * 100.0,
-                row.metrics.antt
+                row.policy,
+                row.violation_rate * 100.0,
+                row.antt
             );
         }
-        let prema = rows[0].metrics;
-        let full = rows[2].metrics;
+        let (prema, full) = (plane[0], plane[2]);
         println!(
             "total gain vs PREMA: viol {:+.1} pp, ANTT {:.2}x\n",
             (full.violation_rate - prema.violation_rate) * 100.0,

@@ -4,22 +4,10 @@
 //! jsq/affinity across *tight* SLO multipliers on a
 //! capacity-heterogeneous pool.
 
-use dysta::cluster::{
-    balanced_mixed_serving_mix, simulate_cluster, ClusterBuilder, DispatchPolicy,
-};
-use dysta::core::{DystaConfig, Policy};
-use dysta::workload::{Scenario, WorkloadBuilder};
-use dysta_bench::{banner, compare_policies, Scale};
-
-const POLICIES: [Policy; 7] = [
-    Policy::Fcfs,
-    Policy::Sjf,
-    Policy::Prema,
-    Policy::Planaria,
-    Policy::Sdrm3,
-    Policy::Oracle,
-    Policy::Dysta,
-];
+use dysta::workload::Scenario;
+use dysta_bench::paper::{fig14_rows, title, SWEEP_POLICIES};
+use dysta_bench::serving::{edf_cells, EDF_DISPATCHERS};
+use dysta_bench::{banner, Scale};
 
 fn main() {
     banner(
@@ -28,48 +16,32 @@ fn main() {
     );
     let scale = Scale::from_env();
     let multipliers = [10.0, 25.0, 50.0, 100.0, 150.0];
-    for (title, scenario, rates) in [
-        ("Multi-AttNNs", Scenario::MultiAttNn, [30.0, 40.0]),
-        ("Multi-CNNs", Scenario::MultiCnn, [3.0, 4.0]),
+    for (key, scenario, rates) in [
+        ("multi_attnn", Scenario::MultiAttNn, [30.0, 40.0]),
+        ("multi_cnn", Scenario::MultiCnn, [3.0, 4.0]),
     ] {
         for rate in rates {
-            println!("--- {title} @ {rate} samples/s ---");
-            println!("SLO violation rate [%]:");
-            print!("{:<14}", "policy");
-            for m in multipliers {
-                print!("{:>9}", format!("x{m:.0}"));
-            }
-            println!();
-            let mut all_rows = Vec::new();
-            for m in multipliers {
-                all_rows.push(compare_policies(
-                    scenario,
-                    rate,
-                    m,
-                    scale,
-                    &POLICIES,
-                    DystaConfig::default(),
-                ));
-            }
-            for (i, policy) in POLICIES.iter().enumerate() {
-                print!("{:<14}", policy.name());
-                for row in &all_rows {
-                    print!("{:>8.1}%", row[i].metrics.violation_rate * 100.0);
+            println!("--- {} @ {rate} samples/s ---", title(scenario));
+            let rows = fig14_rows(&[(key, scenario, rate)], &multipliers, scale);
+            let per_multiplier: Vec<_> = rows.chunks(SWEEP_POLICIES.len()).collect();
+            for metric in ["SLO violation rate [%]", "ANTT"] {
+                println!("{metric}:");
+                print!("{:<14}", "policy");
+                for m in multipliers {
+                    print!("{:>9}", format!("x{m:.0}"));
                 }
                 println!();
-            }
-            println!("ANTT:");
-            print!("{:<14}", "policy");
-            for m in multipliers {
-                print!("{:>9}", format!("x{m:.0}"));
-            }
-            println!();
-            for (i, policy) in POLICIES.iter().enumerate() {
-                print!("{:<14}", policy.name());
-                for row in &all_rows {
-                    print!("{:>9.2}", row[i].metrics.antt);
+                for (i, policy) in SWEEP_POLICIES.iter().enumerate() {
+                    print!("{:<14}", policy.name());
+                    for plane in &per_multiplier {
+                        if metric == "ANTT" {
+                            print!("{:>9.2}", plane[i].antt);
+                        } else {
+                            print!("{:>8.1}%", plane[i].violation_rate * 100.0);
+                        }
+                    }
+                    println!();
                 }
-                println!();
             }
             println!();
         }
@@ -91,45 +63,11 @@ fn cluster_edf_sweep(scale: Scale) {
         "Figure 14 (cluster)",
         "EDF vs jsq/affinity across tight SLO multipliers, capacity-heterogeneous pool",
     );
-    const DISPATCHERS: [DispatchPolicy; 3] = [
-        DispatchPolicy::JoinShortestQueue,
-        DispatchPolicy::SparsityAffinity,
-        DispatchPolicy::EarliestDeadlineFirst,
-    ];
     let multipliers = [3.0, 5.0, 10.0];
     println!("mixed CNN+AttNN traffic at 30 samples/s, 2x Eyeriss + 2x Sanger,");
     println!("one node per family at 0.5 capacity\n");
     // One pass over the grid; both tables print from the stored cells.
-    let cells: Vec<Vec<(f64, f64)>> = DISPATCHERS
-        .iter()
-        .map(|dispatch| {
-            multipliers
-                .iter()
-                .map(|&m| {
-                    let mut antt = 0.0;
-                    let mut viol = 0.0;
-                    for seed in 0..scale.seeds {
-                        let w = WorkloadBuilder::from_mix(balanced_mixed_serving_mix())
-                            .arrival_rate(30.0)
-                            .slo_multiplier(m)
-                            .num_requests(scale.requests)
-                            .samples_per_variant(scale.samples_per_variant)
-                            .seed(seed * 7919 + 13)
-                            .build();
-                        let pool = ClusterBuilder::heterogeneous(2, 2, Policy::Dysta)
-                            .node_capacity(1, 0.5)
-                            .node_capacity(3, 0.5)
-                            .build();
-                        let r = simulate_cluster(&w, dispatch.build().as_mut(), &pool);
-                        antt += r.antt();
-                        viol += r.violation_rate();
-                    }
-                    let n = scale.seeds as f64;
-                    (antt / n, viol / n)
-                })
-                .collect()
-        })
-        .collect();
+    let cells = edf_cells(&multipliers, scale);
     for metric in ["SLO violation rate [%]", "ANTT"] {
         println!("{metric}:");
         print!("{:<14}", "dispatch");
@@ -137,13 +75,13 @@ fn cluster_edf_sweep(scale: Scale) {
             print!("{:>9}", format!("x{m:.0}"));
         }
         println!();
-        for (dispatch, row) in DISPATCHERS.iter().zip(&cells) {
+        for dispatch in EDF_DISPATCHERS {
             print!("{:<14}", dispatch.name());
-            for (antt, viol) in row {
-                if metric.starts_with("SLO") {
-                    print!("{:>8.1}%", viol * 100.0);
+            for cell in cells.iter().filter(|c| c.dispatch == dispatch.name()) {
+                if metric == "ANTT" {
+                    print!("{:>9.2}", cell.antt);
                 } else {
-                    print!("{:>9.2}", antt);
+                    print!("{:>8.1}%", cell.violation_rate * 100.0);
                 }
             }
             println!();

@@ -1,52 +1,29 @@
 //! Figure 15: robustness across arrival rates (violation rate, system
 //! throughput and ANTT), at SLO multiplier 10.
 
-use dysta::core::{DystaConfig, Policy};
 use dysta::workload::Scenario;
-use dysta_bench::{banner, compare_policies, Scale};
+use dysta_bench::paper::{fig15_rows, title, SWEEP_POLICIES};
+use dysta_bench::{banner, Scale};
 
-const POLICIES: [Policy; 7] = [
-    Policy::Fcfs,
-    Policy::Sjf,
-    Policy::Prema,
-    Policy::Planaria,
-    Policy::Sdrm3,
-    Policy::Oracle,
-    Policy::Dysta,
-];
-
-fn sweep(title: &str, scenario: Scenario, rates: &[f64], scale: Scale) {
-    println!("--- {title} (SLO x10) ---");
-    let mut results = Vec::new();
-    for &rate in rates {
-        results.push(compare_policies(
-            scenario,
-            rate,
-            10.0,
-            scale,
-            &POLICIES,
-            DystaConfig::default(),
-        ));
-    }
-    for (metric, get) in [
-        ("SLO violation rate [%]", 0usize),
-        ("throughput [inf/s]", 1),
-        ("ANTT", 2),
-    ] {
+fn sweep(key: &'static str, scenario: Scenario, rates: [f64; 5], scale: Scale) {
+    println!("--- {} (SLO x10) ---", title(scenario));
+    let rows = fig15_rows(&rates.map(|rate| (key, scenario, rate)), scale);
+    let per_rate: Vec<_> = rows.chunks(SWEEP_POLICIES.len()).collect();
+    for metric in ["SLO violation rate [%]", "throughput [inf/s]", "ANTT"] {
         println!("{metric}:");
         print!("{:<14}", "policy");
-        for &rate in rates {
+        for rate in rates {
             print!("{rate:>8}");
         }
         println!();
-        for (i, policy) in POLICIES.iter().enumerate() {
+        for (i, policy) in SWEEP_POLICIES.iter().enumerate() {
             print!("{:<14}", policy.name());
-            for row in &results {
-                let m = row[i].metrics;
-                let v = match get {
-                    0 => m.violation_rate * 100.0,
-                    1 => m.throughput_inf_s,
-                    _ => m.antt,
+            for plane in &per_rate {
+                let r = &plane[i];
+                let v = match metric {
+                    "ANTT" => r.antt,
+                    "throughput [inf/s]" => r.throughput_inf_s,
+                    _ => r.violation_rate * 100.0,
                 };
                 print!("{v:>8.2}");
             }
@@ -63,15 +40,15 @@ fn main() {
     );
     let scale = Scale::from_env();
     sweep(
-        "Multi-AttNNs",
+        "multi_attnn",
         Scenario::MultiAttNn,
-        &[10.0, 20.0, 30.0, 35.0, 40.0],
+        [10.0, 20.0, 30.0, 35.0, 40.0],
         scale,
     );
     sweep(
-        "Multi-CNNs",
+        "multi_cnn",
         Scenario::MultiCnn,
-        &[2.0, 3.0, 4.0, 5.0, 6.0],
+        [2.0, 3.0, 4.0, 5.0, 6.0],
         scale,
     );
     println!("shape to preserve: all metrics rise with the arrival rate;");

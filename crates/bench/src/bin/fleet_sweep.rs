@@ -58,7 +58,7 @@ fn args() -> (usize, Option<std::path::PathBuf>) {
 /// scenarios at their operating points, one seed per scale seed.
 fn grid(scale: Scale) -> SweepGrid {
     SweepGrid::new(ClusterConfig::heterogeneous(2, 2, Policy::Dysta))
-        .seeds((0..scale.seeds).map(|s| s * 7919 + 13).collect())
+        .seeds(scale.cluster_seeds().collect())
         .policies(DispatchPolicy::ALL.to_vec())
         .scenarios(vec![
             SweepScenario::new("multi_attnn", Scenario::MultiAttNn, 30.0),

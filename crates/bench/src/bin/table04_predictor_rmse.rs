@@ -5,68 +5,19 @@
 //! the remaining latency; RMSE is computed against the trace ground truth
 //! in seconds (the paper's reported magnitudes are in the 1e-4 range).
 
-use dysta::core::{CoeffStrategy, ModelInfoLut, MonitoredLayer, SparseLatencyPredictor, TaskState};
-use dysta::models::ModelId;
-use dysta::sparsity::SparsityPattern;
-use dysta::trace::{SparseModelSpec, TraceGenerator, TraceStore};
+use dysta_bench::paper::table04_rows;
 use dysta_bench::{banner, Scale};
-
-fn rmse_for(model: ModelId, strategy: CoeffStrategy, samples: u64) -> f64 {
-    let spec = SparseModelSpec::new(model, SparsityPattern::Dense, 0.0);
-    let traces = TraceGenerator::default().generate(&spec, samples, 7);
-    let mut store = TraceStore::new();
-    store.insert(traces.clone());
-    let lut = ModelInfoLut::from_store(&store);
-    let info = lut.expect(&spec);
-    let predictor = SparseLatencyPredictor::new(strategy, 1.0);
-
-    let variant = lut.variant_id(&spec).expect("spec profiled");
-    let mut sq_err = 0.0;
-    let mut count = 0u64;
-    for idx in 0..traces.num_samples() as u64 {
-        let trace = traces.sample(idx);
-        let mut task = TaskState {
-            true_remaining_ns: trace.isolated_latency_ns(),
-            ..TaskState::arrived(idx, spec, variant, 0, u64::MAX / 2, trace.num_layers())
-        };
-        for (j, layer) in trace.layers().iter().enumerate() {
-            task.next_layer = j + 1;
-            // Feed the monitor stream the way the engine does, keeping
-            // the incremental sparsity summary in lockstep.
-            task.record_layer(
-                MonitoredLayer {
-                    sparsity: layer.sparsity,
-                    latency_ns: layer.latency_ns,
-                },
-                info,
-            );
-            let predicted_s = predictor.remaining_ns(&task, info) / 1e9;
-            let truth_s = trace.remaining_ns(j + 1) as f64 / 1e9;
-            sq_err += (predicted_s - truth_s).powi(2);
-            count += 1;
-        }
-    }
-    (sq_err / count as f64).sqrt()
-}
 
 fn main() {
     banner("Table 4", "RMSE of the sparse latency predictor [seconds]");
-    let scale = Scale::from_env();
-    let samples = (scale.samples_per_variant * 4).max(128);
     println!(
         "{:<8} {:>14} {:>14} {:>14}",
         "model", "average-all", "last-3", "last-one"
     );
-    for model in [ModelId::Bert, ModelId::Gpt2] {
-        let all = rmse_for(model, CoeffStrategy::AverageAll, samples);
-        let last_n = rmse_for(model, CoeffStrategy::LastN(3), samples);
-        let last_one = rmse_for(model, CoeffStrategy::LastOne, samples);
+    for row in table04_rows(Scale::from_env()) {
         println!(
             "{:<8} {:>14.6} {:>14.6} {:>14.6}",
-            model.to_string(),
-            all,
-            last_n,
-            last_one
+            row.model, row.average_all, row.last_3, row.last_one
         );
     }
     println!();

@@ -2,9 +2,8 @@
 //! approaches on the multi-AttNN (30 samples/s) and multi-CNN
 //! (3 samples/s) workloads at SLO multiplier 10.
 
-use dysta::core::{DystaConfig, Policy};
-use dysta::workload::Scenario;
-use dysta_bench::{banner, compare_policies, Scale};
+use dysta_bench::paper::{table05_rows, title, OPERATING_POINTS};
+use dysta_bench::{banner, Scale};
 
 fn main() {
     banner("Table 5", "comparison of scheduling approaches");
@@ -26,46 +25,30 @@ fn main() {
         ("planaria", 4.2, 2.1),
         ("dysta", 2.5, 2.0),
     ];
-    for (title, scenario, rate, paper) in [
-        (
-            "Multi-AttNNs @ 30 samples/s",
-            Scenario::MultiAttNn,
-            30.0,
-            &paper_attnn,
-        ),
-        (
-            "Multi-CNNs @ 3 samples/s",
-            Scenario::MultiCnn,
-            3.0,
-            &paper_cnn,
-        ),
-    ] {
+    let rows = table05_rows(scale);
+    for ((key, scenario, rate), paper) in
+        OPERATING_POINTS.into_iter().zip([&paper_attnn, &paper_cnn])
+    {
         println!(
-            "--- {title} (SLO x10, {} reqs, {} seeds) ---",
-            scale.requests, scale.seeds
+            "--- {} @ {rate} samples/s (SLO x10, {} reqs, {} seeds) ---",
+            title(scenario),
+            scale.requests,
+            scale.seeds
         );
         println!(
             "{:<14} {:>8} {:>10} | {:>10} {:>12}",
             "policy", "ANTT", "viol [%]", "paper ANTT", "paper viol"
         );
-        let rows = compare_policies(
-            scenario,
-            rate,
-            10.0,
-            scale,
-            &Policy::TABLE5,
-            DystaConfig::default(),
-        );
-        for row in rows {
-            let reference = paper.iter().find(|(name, _, _)| *name == row.policy.name());
+        for row in rows.iter().filter(|r| r.scenario == key) {
+            let reference = paper.iter().find(|(name, _, _)| *name == row.policy);
             let (pa, pv) = reference
                 .map(|&(_, a, v)| (a, v))
                 .unwrap_or((f64::NAN, f64::NAN));
             println!(
                 "{:<14} {:>8.2} {:>9.1}% | {:>10.1} {:>11.1}%",
-                row.policy.name(),
-                row.metrics.antt,
-                row.metrics.violation_rate * 100.0,
+                row.policy,
+                row.antt,
+                row.violation_rate * 100.0,
                 pa,
                 pv
             );

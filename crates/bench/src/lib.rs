@@ -6,8 +6,16 @@
 //! multi-replication runs that reuse each workload across all policies
 //! (so policies are compared on identical request streams, as in the
 //! paper), and fixed-width table printing.
+//!
+//! The experiments the golden suite pins are defined once, in
+//! [`paper`] (single accelerator) and [`serving`] (cluster): grid, policy
+//! list, cell function and row type. The binaries print those rows and
+//! `tests/golden_reports.rs` serializes the same rows at quick scale.
 
 #![forbid(unsafe_code)]
+
+pub mod paper;
+pub mod serving;
 
 use dysta::core::{DystaConfig, Policy};
 use dysta::sim::{simulate, EngineConfig, Metrics};
@@ -55,6 +63,14 @@ impl Scale {
         } else {
             Scale::paper()
         }
+    }
+
+    /// The workload seeds the cluster experiments replicate over:
+    /// replication `s` draws seed `s * 7919 + 13`, so no cluster cell
+    /// shares a stream with the single-node experiments' seeds
+    /// `0..seeds`.
+    pub fn cluster_seeds(self) -> impl Iterator<Item = u64> {
+        (0..self.seeds).map(|s| s * 7919 + 13)
     }
 }
 

@@ -1,6 +1,17 @@
-//! Golden-report regression suite: the quick-mode `table05_end2end` and
-//! `cluster_sweep` experiment configurations, run in-process and pinned
-//! byte-for-byte against recorded JSON fixtures under `tests/golden/`.
+//! Golden-report regression suite: the experiments behind Table 5,
+//! Figs. 12–15 and the serving extensions, run in-process at quick scale
+//! and pinned byte-for-byte against recorded JSON fixtures under
+//! `tests/golden/`.
+//!
+//! Eight fixtures pin the figure binaries' own cells: each test calls
+//! the `dysta_bench::paper` or `dysta_bench::serving` function its binary
+//! prints from, and keeps only the grid points it pins, the claims it
+//! asserts and the fixture check (`table05_end2end`, `fig12_tradeoff`,
+//! `fig13_breakdown`, `fig14_slo_sweep`, `fig15_rate_sweep`,
+//! `fig_admission`, `fig_faults`, `fig_load_curve`). Two pin
+//! configurations that only this suite runs: `cluster_sweep` (a small
+//! dispatch and serving front-end grid) and `trace_export` (the Perfetto
+//! export of a small traced serving run).
 //!
 //! Every run of the simulator is a pure function of its seed, so *exact*
 //! equality is meaningful: any scheduling, dispatch, or front-end change
@@ -13,16 +24,16 @@
 //!
 //! and review the diff like any other code change.
 
-use serde::{Deserialize, Serialize};
-
 use dysta::cluster::{
-    simulate_cluster, simulate_cluster_with, ClusterBuilder, ClusterConfig, ClusterPolicy,
-    DispatchPolicy, FrontendConfig, InfeasibleEverywhere, MigrationConfig, SlackLoadShedding,
-    StealConfig,
+    simulate_cluster, ClusterBuilder, ClusterConfig, ClusterPolicy, DispatchPolicy, FrontendConfig,
+    MigrationConfig, StealConfig,
 };
-use dysta::core::{DystaConfig, Policy};
+use dysta::core::Policy;
 use dysta::workload::{Scenario, WorkloadBuilder};
-use dysta_bench::{compare_policies, Scale};
+use dysta_bench::paper::{self, OPERATING_POINTS, SWEEP_POLICIES};
+use dysta_bench::serving;
+use dysta_bench::Scale;
+use serde::{Deserialize, Serialize};
 
 fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -60,97 +71,26 @@ fn check_golden(name: &str, current: &str) {
 
 // --- table05_end2end (quick mode) ----------------------------------------
 
-#[derive(Debug, Serialize, Deserialize, PartialEq)]
-struct PolicyRow {
-    scenario: String,
-    policy: String,
-    antt: f64,
-    violation_rate: f64,
-    throughput_inf_s: f64,
-}
-
 #[test]
 fn golden_table05_end2end_quick() {
-    let scale = Scale::quick();
-    let mut rows = Vec::new();
-    for (name, scenario, rate) in [
-        ("multi_attnn", Scenario::MultiAttNn, 30.0),
-        ("multi_cnn", Scenario::MultiCnn, 3.0),
-    ] {
-        for row in compare_policies(
-            scenario,
-            rate,
-            10.0,
-            scale,
-            &Policy::TABLE5,
-            DystaConfig::default(),
-        ) {
-            rows.push(PolicyRow {
-                scenario: name.to_string(),
-                policy: row.policy.name().to_string(),
-                antt: row.metrics.antt,
-                violation_rate: row.metrics.violation_rate,
-                throughput_inf_s: row.metrics.throughput_inf_s,
-            });
-        }
-    }
+    let rows = paper::table05_rows(Scale::quick());
     let json = serde_json::to_string(&rows).expect("rows serialize");
     check_golden("table05_end2end.json", &json);
 }
 
 // --- fig12_tradeoff (quick mode) ------------------------------------------
 
-/// One point of the fig12 ANTT / SLO-violation trade-off plane.
-#[derive(Debug, Serialize, Deserialize, PartialEq)]
-struct TradeoffRow {
-    scenario: String,
-    rate: f64,
-    policy: String,
-    antt: f64,
-    violation_rate: f64,
-}
-
 /// The `fig12_tradeoff` binary's experiment grid (both scenarios at
 /// both arrival rates, full Table 5 policy set, SLO ×10) pinned at
-/// quick scale. Regenerate with
-/// `UPDATE_GOLDEN=1 cargo test --test golden_reports`.
+/// quick scale.
 #[test]
 fn golden_fig12_tradeoff_quick() {
-    let scale = Scale::quick();
-    let mut rows = Vec::new();
-    for (name, scenario, rates) in [
-        ("multi_attnn", Scenario::MultiAttNn, [30.0, 40.0]),
-        ("multi_cnn", Scenario::MultiCnn, [3.0, 4.0]),
-    ] {
-        for rate in rates {
-            for row in compare_policies(
-                scenario,
-                rate,
-                10.0,
-                scale,
-                &Policy::TABLE5,
-                DystaConfig::default(),
-            ) {
-                rows.push(TradeoffRow {
-                    scenario: name.to_string(),
-                    rate,
-                    policy: row.policy.name().to_string(),
-                    antt: row.metrics.antt,
-                    violation_rate: row.metrics.violation_rate,
-                });
-            }
-        }
-    }
+    let rows = paper::fig12_rows(Scale::quick());
 
     // Acceptance: the binary's headline — Dysta sits on the Pareto
     // frontier of every plane (no policy beats it on both axes).
-    for (scenario, rate) in [
-        ("multi_attnn", 30.0),
-        ("multi_attnn", 40.0),
-        ("multi_cnn", 3.0),
-        ("multi_cnn", 4.0),
-    ] {
-        let plane: Vec<&TradeoffRow> = rows
+    for (scenario, _, rate) in paper::FIG12_POINTS {
+        let plane: Vec<_> = rows
             .iter()
             .filter(|r| r.scenario == scenario && r.rate == rate)
             .collect();
@@ -173,45 +113,22 @@ fn golden_fig12_tradeoff_quick() {
 
 // --- fig13_breakdown (quick mode) -----------------------------------------
 
-/// One variant of the fig13 optimization breakdown.
-#[derive(Debug, Serialize, Deserialize, PartialEq)]
-struct BreakdownRow {
-    scenario: String,
-    policy: String,
-    antt: f64,
-    violation_rate: f64,
-}
-
 /// The `fig13_breakdown` binary's experiment (PREMA vs static-only
 /// Dysta vs full Dysta at the paper's operating points, SLO ×10)
-/// pinned at quick scale. Regenerate with
-/// `UPDATE_GOLDEN=1 cargo test --test golden_reports`.
+/// pinned at quick scale.
 #[test]
 fn golden_fig13_breakdown_quick() {
-    let scale = Scale::quick();
-    let set = [Policy::Prema, Policy::DystaStatic, Policy::Dysta];
-    let mut rows = Vec::new();
-    for (name, scenario, rate) in [
-        ("multi_attnn", Scenario::MultiAttNn, 30.0),
-        ("multi_cnn", Scenario::MultiCnn, 3.0),
-    ] {
-        let plane = compare_policies(scenario, rate, 10.0, scale, &set, DystaConfig::default());
-        // Acceptance: the binary's headline — full Dysta improves ANTT
-        // over PREMA (the breakdown's total gain is positive).
+    let rows = paper::fig13_rows(Scale::quick());
+    // Acceptance: the binary's headline — full Dysta improves ANTT over
+    // PREMA (the breakdown's total gain is positive).
+    for (name, _, _) in OPERATING_POINTS {
+        let plane: Vec<_> = rows.iter().filter(|r| r.scenario == name).collect();
         assert!(
-            plane[2].metrics.antt <= plane[0].metrics.antt,
+            plane[2].antt <= plane[0].antt,
             "{name}: full Dysta ANTT {} worse than PREMA {}",
-            plane[2].metrics.antt,
-            plane[0].metrics.antt
+            plane[2].antt,
+            plane[0].antt
         );
-        for row in plane {
-            rows.push(BreakdownRow {
-                scenario: name.to_string(),
-                policy: row.policy.name().to_string(),
-                antt: row.metrics.antt,
-                violation_rate: row.metrics.violation_rate,
-            });
-        }
     }
     let json = serde_json::to_string(&rows).expect("rows serialize");
     check_golden("fig13_breakdown.json", &json);
@@ -388,91 +305,16 @@ fn golden_trace_export() {
 
 // --- fig_admission (quick mode) -------------------------------------------
 
-#[derive(Debug, Serialize, Deserialize, PartialEq)]
-struct AdmissionCell {
-    dispatch: String,
-    admission: String,
-    antt: f64,
-    violation_rate: f64,
-    /// Completions meeting the *original* SLO, summed over the seeds.
-    goodput: usize,
-    goodput_rate: f64,
-    completed: usize,
-    rejected: usize,
-    degraded: usize,
-}
-
 /// Pins the admission-control configuration and its acceptance
 /// criterion: on the fig14 2+2 capacity-heterogeneous pool at tight
 /// SLOs (FCFS node scheduling, where doomed head-of-queue work really
 /// blocks feasible work), `InfeasibleEverywhere` strictly reduces the
 /// violation rate among admitted requests with goodput no worse than
 /// admit-all, and `SlackLoadShedding` cuts violations further by
-/// re-classing thin-headroom admissions. Regenerate intentionally
-/// changed fixtures with `UPDATE_GOLDEN=1 cargo test --test
-/// golden_reports`.
+/// re-classing thin-headroom admissions.
 #[test]
 fn golden_fig_admission_quick() {
-    use dysta::cluster::balanced_mixed_serving_mix;
-
-    let scale = Scale::quick();
-    let admissions: [&str; 3] = ["admit-all", "infeasible-everywhere", "slack-load-shed"];
-    let mut cells = Vec::new();
-    for dispatch in [
-        DispatchPolicy::SparsityAffinity,
-        DispatchPolicy::EarliestDeadlineFirst,
-    ] {
-        for admission in admissions {
-            let mut antt = 0.0;
-            let mut viol = 0.0;
-            let mut goodput = 0usize;
-            let mut completed = 0usize;
-            let mut rejected = 0usize;
-            let mut degraded = 0usize;
-            let mut goodput_rate = 0.0;
-            for seed in 0..scale.seeds {
-                let w = dysta::workload::WorkloadBuilder::from_mix(balanced_mixed_serving_mix())
-                    .arrival_rate(45.0)
-                    .slo_multiplier(2.0)
-                    .num_requests(scale.requests)
-                    .samples_per_variant(scale.samples_per_variant)
-                    .seed(seed * 7919 + 13)
-                    .build();
-                let pool = ClusterBuilder::heterogeneous(2, 2, Policy::Fcfs)
-                    .node_capacity(1, 0.5)
-                    .node_capacity(3, 0.5)
-                    .build();
-                let mut policy = ClusterPolicy::from_dispatch(dispatch);
-                policy = match admission {
-                    "infeasible-everywhere" => {
-                        policy.with_admission(Box::new(InfeasibleEverywhere::new()))
-                    }
-                    "slack-load-shed" => policy.with_admission(Box::new(SlackLoadShedding::new())),
-                    _ => policy,
-                };
-                let report = simulate_cluster_with(&w, &mut policy, &pool);
-                antt += report.antt();
-                viol += report.violation_rate();
-                goodput += report.goodput();
-                goodput_rate += report.goodput_rate();
-                completed += report.completed_total();
-                rejected += report.rejected_total();
-                degraded += report.degraded_total();
-            }
-            let n = scale.seeds as f64;
-            cells.push(AdmissionCell {
-                dispatch: dispatch.name().to_string(),
-                admission: admission.to_string(),
-                antt: antt / n,
-                violation_rate: viol / n,
-                goodput,
-                goodput_rate: goodput_rate / n,
-                completed,
-                rejected,
-                degraded,
-            });
-        }
-    }
+    let cells = serving::admission_cells(Scale::quick());
 
     // Acceptance: for both dispatchers, rejecting doomed work strictly
     // reduces the violation rate among admitted requests with goodput
@@ -530,130 +372,17 @@ fn golden_fig_admission_quick() {
 
 // --- fig_faults (quick mode) ----------------------------------------------
 
-#[derive(Debug, Serialize, Deserialize, PartialEq)]
-struct FaultCell {
-    dispatch: String,
-    recovery: String,
-    antt: f64,
-    violation_rate: f64,
-    /// Completions meeting the *original* SLO, summed over the seeds.
-    goodput: usize,
-    goodput_rate: f64,
-    completed: usize,
-    failed: usize,
-    reneged: usize,
-    salvaged: usize,
-    retries: usize,
-    lost_busy_ms: f64,
-}
-
 /// Pins the fault-injection configuration and its acceptance criterion:
 /// on the fig_admission pool (2+2 capacity-heterogeneous, FCFS node
 /// scheduling) under the serving front-end, with one mid-stream
 /// transient crash and one brown-out window, salvage-and-redispatch
 /// plus reneging strictly improves goodput and loses strictly fewer
 /// requests than a recovery-disabled pool facing the same schedule.
-/// Regenerate intentionally changed fixtures with `UPDATE_GOLDEN=1
-/// cargo test --test golden_reports`.
+/// Every run must also conserve requests (`fault_cells` asserts it per
+/// seed).
 #[test]
 fn golden_fig_faults_quick() {
-    use dysta::cluster::{balanced_mixed_serving_mix, FaultConfig, FaultSchedule, RecoveryConfig};
-
-    let scale = Scale::quick();
-    // The arrival stream spans ~2.2 s at rate 45 and overdrives the
-    // pool, so queues deepen over the run: crashing the full-speed
-    // Eyeriss node at 1.5 s strands a real backlog (healing after
-    // the stream ends), and the brown-out halves the full-speed Sanger
-    // node over the back half of the stream.
-    let schedule = FaultSchedule::new()
-        .transient_crash(0, 1_500_000_000, 2_500_000_000)
-        .brownout(2, 800_000_000, 2_000_000_000, 0.5);
-    let recoveries: [(&str, RecoveryConfig); 2] = [
-        (
-            "salvage+renege",
-            RecoveryConfig {
-                salvage: true,
-                max_retries: 2,
-                reneging: true,
-            },
-        ),
-        (
-            "none",
-            RecoveryConfig {
-                salvage: false,
-                max_retries: 0,
-                reneging: false,
-            },
-        ),
-    ];
-    let mut cells = Vec::new();
-    for dispatch in [
-        DispatchPolicy::SparsityAffinity,
-        DispatchPolicy::EarliestDeadlineFirst,
-    ] {
-        for (recovery_name, recovery) in recoveries {
-            let mut antt = 0.0;
-            let mut viol = 0.0;
-            let mut goodput = 0usize;
-            let mut goodput_rate = 0.0;
-            let mut completed = 0usize;
-            let mut failed = 0usize;
-            let mut reneged = 0usize;
-            let mut salvaged = 0usize;
-            let mut retries = 0usize;
-            let mut lost_busy_ns = 0u64;
-            for seed in 0..scale.seeds {
-                let w = dysta::workload::WorkloadBuilder::from_mix(balanced_mixed_serving_mix())
-                    .arrival_rate(45.0)
-                    .slo_multiplier(2.0)
-                    .num_requests(scale.requests)
-                    .samples_per_variant(scale.samples_per_variant)
-                    .seed(seed * 7919 + 13)
-                    .build();
-                let pool = ClusterBuilder::heterogeneous(2, 2, Policy::Fcfs)
-                    .node_capacity(1, 0.5)
-                    .node_capacity(3, 0.5)
-                    .frontend(FrontendConfig::serving())
-                    .faults(FaultConfig {
-                        schedule: schedule.clone(),
-                        recovery,
-                    })
-                    .build();
-                let mut policy = ClusterPolicy::from_dispatch(dispatch);
-                let report = simulate_cluster_with(&w, &mut policy, &pool);
-                assert_eq!(
-                    report.admitted_total(),
-                    report.completed_total() + report.failed_total() + report.reneged_total(),
-                    "conservation must close under faults"
-                );
-                antt += report.antt();
-                viol += report.violation_rate();
-                goodput += report.goodput();
-                goodput_rate += report.goodput_rate();
-                completed += report.completed_total();
-                failed += report.failed_total();
-                reneged += report.reneged_total();
-                salvaged += report.recovery().salvaged as usize;
-                retries += report.recovery().retries as usize;
-                lost_busy_ns += report.recovery().lost_busy_ns;
-            }
-            let n = scale.seeds as f64;
-            cells.push(FaultCell {
-                dispatch: dispatch.name().to_string(),
-                recovery: recovery_name.to_string(),
-                antt: antt / n,
-                violation_rate: viol / n,
-                goodput,
-                goodput_rate: goodput_rate / n,
-                completed,
-                failed,
-                reneged,
-                salvaged,
-                retries,
-                lost_busy_ms: lost_busy_ns as f64 / 1e6,
-            });
-        }
-    }
+    let cells = serving::fault_cells(Scale::quick());
 
     // Acceptance: for both dispatchers, recovery strictly improves
     // goodput over letting the crash take its queue down, and the
@@ -695,28 +424,11 @@ fn golden_fig_faults_quick() {
 
 // --- fig14_slo_sweep (quick mode) -----------------------------------------
 
-#[derive(Debug, Serialize, Deserialize, PartialEq)]
-struct SloRow {
-    scenario: String,
-    rate: f64,
-    slo_multiplier: f64,
-    policy: String,
-    antt: f64,
-    violation_rate: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize, PartialEq)]
-struct EdfClusterCell {
-    dispatch: String,
-    slo_multiplier: f64,
-    antt: f64,
-    violation_rate: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize, PartialEq)]
+/// The fig14 fixture: both sections of the binary in one file.
+#[derive(Serialize)]
 struct Fig14Golden {
-    single_node: Vec<SloRow>,
-    cluster_edf: Vec<EdfClusterCell>,
+    single_node: Vec<paper::SloRow>,
+    cluster_edf: Vec<serving::EdfClusterCell>,
 }
 
 /// Pins the deadline-flavored `fig14_slo_sweep` configuration: the
@@ -724,87 +436,12 @@ struct Fig14Golden {
 /// plus the cluster EDF section (the first client of the
 /// `ClusterPolicy` redesign) at its two tightest multipliers. The
 /// acceptance criterion for deadline-aware dispatch rides on the same
-/// cells; regenerate intentionally changed fixtures with
-/// `UPDATE_GOLDEN=1 cargo test --test golden_reports`.
+/// cells.
 #[test]
 fn golden_fig14_slo_sweep_quick() {
-    use dysta::cluster::balanced_mixed_serving_mix;
-
     let scale = Scale::quick();
-
-    // The binary's policy list (fig14 includes the Oracle).
-    const FIG14_POLICIES: [Policy; 7] = [
-        Policy::Fcfs,
-        Policy::Sjf,
-        Policy::Prema,
-        Policy::Planaria,
-        Policy::Sdrm3,
-        Policy::Oracle,
-        Policy::Dysta,
-    ];
-
-    let mut single_node = Vec::new();
-    for (name, scenario, rate) in [
-        ("multi_attnn", Scenario::MultiAttNn, 30.0),
-        ("multi_cnn", Scenario::MultiCnn, 3.0),
-    ] {
-        for m in [10.0, 150.0] {
-            for row in compare_policies(
-                scenario,
-                rate,
-                m,
-                scale,
-                &FIG14_POLICIES,
-                DystaConfig::default(),
-            ) {
-                single_node.push(SloRow {
-                    scenario: name.to_string(),
-                    rate,
-                    slo_multiplier: m,
-                    policy: row.policy.name().to_string(),
-                    antt: row.metrics.antt,
-                    violation_rate: row.metrics.violation_rate,
-                });
-            }
-        }
-    }
-
-    // The cluster section: mixed traffic on a capacity-heterogeneous
-    // 2+2 pool (one node per family at 0.5 capacity), tight SLOs.
-    let mut cluster_edf = Vec::new();
-    for m in [3.0, 5.0] {
-        for dispatch in [
-            DispatchPolicy::JoinShortestQueue,
-            DispatchPolicy::SparsityAffinity,
-            DispatchPolicy::EarliestDeadlineFirst,
-        ] {
-            let mut antt = 0.0;
-            let mut viol = 0.0;
-            for seed in 0..scale.seeds {
-                let w = dysta::workload::WorkloadBuilder::from_mix(balanced_mixed_serving_mix())
-                    .arrival_rate(30.0)
-                    .slo_multiplier(m)
-                    .num_requests(scale.requests)
-                    .samples_per_variant(scale.samples_per_variant)
-                    .seed(seed * 7919 + 13)
-                    .build();
-                let pool = ClusterBuilder::heterogeneous(2, 2, Policy::Dysta)
-                    .node_capacity(1, 0.5)
-                    .node_capacity(3, 0.5)
-                    .build();
-                let report = simulate_cluster(&w, dispatch.build().as_mut(), &pool);
-                antt += report.antt();
-                viol += report.violation_rate();
-            }
-            let n = scale.seeds as f64;
-            cluster_edf.push(EdfClusterCell {
-                dispatch: dispatch.name().to_string(),
-                slo_multiplier: m,
-                antt: antt / n,
-                violation_rate: viol / n,
-            });
-        }
-    }
+    let single_node = paper::fig14_rows(&OPERATING_POINTS, &[10.0, 150.0], scale);
+    let cluster_edf = serving::edf_cells(&[3.0, 5.0], scale);
 
     // Acceptance: at the tight multiplier deadline-aware dispatch
     // strictly reduces the violation rate vs both jsq and affinity with
@@ -851,67 +488,27 @@ fn golden_fig14_slo_sweep_quick() {
 
 // --- fig15_rate_sweep (quick mode) ----------------------------------------
 
-#[derive(Debug, Serialize, Deserialize, PartialEq)]
-struct RateRow {
-    scenario: String,
-    rate: f64,
-    policy: String,
-    antt: f64,
-    violation_rate: f64,
-    throughput_inf_s: f64,
-}
-
 /// Pins the `fig15_rate_sweep` configuration at the ends of each
 /// scenario's rate range (the cells that anchor the figure's "metrics
 /// rise with the arrival rate" shape), with the binary's full policy
-/// list. Regenerate intentionally changed fixtures with
-/// `UPDATE_GOLDEN=1 cargo test --test golden_reports`.
+/// list.
 #[test]
 fn golden_fig15_rate_sweep_quick() {
-    let scale = Scale::quick();
-
-    // The binary's policy list (fig15 includes the Oracle).
-    const FIG15_POLICIES: [Policy; 7] = [
-        Policy::Fcfs,
-        Policy::Sjf,
-        Policy::Prema,
-        Policy::Planaria,
-        Policy::Sdrm3,
-        Policy::Oracle,
-        Policy::Dysta,
-    ];
-
-    let mut rows = Vec::new();
-    for (name, scenario, rates) in [
-        ("multi_attnn", Scenario::MultiAttNn, [10.0, 40.0]),
-        ("multi_cnn", Scenario::MultiCnn, [2.0, 6.0]),
-    ] {
-        for rate in rates {
-            for row in compare_policies(
-                scenario,
-                rate,
-                10.0,
-                scale,
-                &FIG15_POLICIES,
-                DystaConfig::default(),
-            ) {
-                rows.push(RateRow {
-                    scenario: name.to_string(),
-                    rate,
-                    policy: row.policy.name().to_string(),
-                    antt: row.metrics.antt,
-                    violation_rate: row.metrics.violation_rate,
-                    throughput_inf_s: row.metrics.throughput_inf_s,
-                });
-            }
-        }
-    }
+    let rows = paper::fig15_rows(
+        &[
+            ("multi_attnn", Scenario::MultiAttNn, 10.0),
+            ("multi_attnn", Scenario::MultiAttNn, 40.0),
+            ("multi_cnn", Scenario::MultiCnn, 2.0),
+            ("multi_cnn", Scenario::MultiCnn, 6.0),
+        ],
+        Scale::quick(),
+    );
 
     // Acceptance: heavier traffic never helps — for every scenario and
     // policy, ANTT and the violation rate are no better at the heavy
     // end of the rate range than at the light end.
     for (scenario, light, heavy) in [("multi_attnn", 10.0, 40.0), ("multi_cnn", 2.0, 6.0)] {
-        for policy in FIG15_POLICIES {
+        for policy in SWEEP_POLICIES {
             let at = |rate: f64| {
                 rows.iter()
                     .find(|r| r.scenario == scenario && r.rate == rate && r.policy == policy.name())
@@ -941,122 +538,21 @@ fn golden_fig15_rate_sweep_quick() {
 
 // --- fig_load_curve (quick mode) ------------------------------------------
 
-#[derive(Debug, Serialize, Deserialize, PartialEq)]
-struct LoadCurveCell {
-    shape: String,
-    load: f64,
-    admission: String,
-    goodput_rate: f64,
-    p99_ms: f64,
-    /// Summed over the seeds (exact counts, like `fig_admission`).
-    rejected: usize,
-    degraded: usize,
-    /// Max over the seeds: the front-end's in-flight high-water mark.
-    peak_live: usize,
-}
-
 /// Pins the `fig_load_curve` configuration: open-loop flash-crowd and
 /// phase-change streams at 1x..4x the steady operating point
 /// (45 req/s, the `fig_admission` pool, SLO x2, EDF dispatch), served
-/// with and without slack load shedding. The acceptance criterion is
-/// the issue's: at >= 3x the operating point under the flash crowd,
-/// shedding engages and goodput degrades gracefully — no worse than
-/// admit-all's. This is also the first fixture running entirely
-/// through `simulate_cluster_stream_with` (no materialized workload).
-/// Regenerate intentionally changed fixtures with `UPDATE_GOLDEN=1
-/// cargo test --test golden_reports`.
+/// with and without slack load shedding. The acceptance criterion: at
+/// 3x and 4x the operating point, shedding engages and goodput degrades
+/// gracefully — no worse than admit-all's. This is also the fixture
+/// that runs entirely through `simulate_cluster_stream_with` (no
+/// materialized workload).
 #[test]
 fn golden_fig_load_curve_quick() {
-    use dysta::cluster::{balanced_mixed_serving_mix, simulate_cluster_stream_with};
-    use dysta::workload::{ArrivalProcess, PhaseSpec, Popularity, SloModel, StreamSpec};
+    let cells = serving::load_curve_cells(Scale::quick());
 
-    const BASE_RATE: f64 = 45.0;
-    let scale = Scale::quick();
-
-    let stream_spec = |shape: &str, load: f64, seed: u64| {
-        let mix = balanced_mixed_serving_mix();
-        let phases = match shape {
-            "flash-crowd" => vec![PhaseSpec {
-                start_ns: 0,
-                process: ArrivalProcess::FlashCrowd {
-                    base_rate: BASE_RATE,
-                    peak_rate: BASE_RATE * load,
-                    start_s: 0.5,
-                    duration_s: 60.0,
-                },
-                mix,
-                popularity: Popularity::Weighted,
-                slo: SloModel::Fixed(2.0),
-            }],
-            _ => vec![
-                PhaseSpec::steady(0, BASE_RATE, mix.clone(), SloModel::Fixed(2.0)),
-                PhaseSpec {
-                    start_ns: 500_000_000,
-                    process: ArrivalProcess::Poisson {
-                        rate: BASE_RATE * load,
-                    },
-                    mix,
-                    popularity: Popularity::Zipfian { exponent: 1.0 },
-                    slo: SloModel::Fixed(2.0),
-                },
-            ],
-        };
-        StreamSpec {
-            phases,
-            num_requests: scale.requests as u64,
-            samples_per_variant: scale.samples_per_variant,
-            seed,
-        }
-    };
-
-    let mut cells = Vec::new();
-    for shape in ["flash-crowd", "phase-change"] {
-        for load in [1.0, 2.0, 3.0, 4.0] {
-            for admission in ["admit-all", "slack-load-shed"] {
-                let mut goodput_rate = 0.0;
-                let mut p99_ns = 0u64;
-                let mut rejected = 0usize;
-                let mut degraded = 0usize;
-                let mut peak_live = 0usize;
-                for seed in 0..scale.seeds {
-                    let spec = stream_spec(shape, load, seed * 7919 + 13);
-                    let store = spec.build_store();
-                    let pool = ClusterBuilder::heterogeneous(2, 2, Policy::Fcfs)
-                        .node_capacity(1, 0.5)
-                        .node_capacity(3, 0.5)
-                        .build();
-                    let mut policy =
-                        ClusterPolicy::from_dispatch(DispatchPolicy::EarliestDeadlineFirst);
-                    if admission == "slack-load-shed" {
-                        policy = policy.with_admission(Box::new(SlackLoadShedding::new()));
-                    }
-                    let report =
-                        simulate_cluster_stream_with(spec.source(&store), &mut policy, &pool);
-                    goodput_rate += report.goodput_rate();
-                    p99_ns += report.turnaround_percentile_ns(0.99);
-                    rejected += report.rejected_total();
-                    degraded += report.degraded_total();
-                    peak_live = peak_live.max(report.serving().peak_live_requests);
-                }
-                let n = scale.seeds as f64;
-                cells.push(LoadCurveCell {
-                    shape: shape.to_string(),
-                    load,
-                    admission: admission.to_string(),
-                    goodput_rate: goodput_rate / n,
-                    p99_ms: p99_ns as f64 / n / 1e6,
-                    rejected,
-                    degraded,
-                    peak_live,
-                });
-            }
-        }
-    }
-
-    // Acceptance (the issue's criterion): under the flash crowd at
-    // >= 3x the steady operating point, shedding must have engaged and
-    // goodput must degrade gracefully — at or above admit-all's at the
-    // same load, and declining (not collapsing) as the load doubles.
+    // Acceptance: on both shapes at >= 3x the steady operating point,
+    // shedding must have engaged and goodput must degrade gracefully —
+    // at or above admit-all's at the same load.
     let cell = |shape: &str, load: f64, admission: &str| {
         cells
             .iter()
