@@ -13,9 +13,9 @@
 //!   `L x 45` req/s with Zipfian popularity at the phase boundary.
 //!
 //! Shape to preserve: goodput degrades *gracefully* under overload —
-//! by `L = 3` the shedding front-end rejects or degrades work and its
-//! goodput stays at or above admit-all's, while admit-all's p99
-//! turnaround blows up with the queue.
+//! by `L = 3` the shedding front-end rejects or degrades work, its
+//! goodput stays at or above admit-all's and its p99 turnaround below
+//! admit-all's, which grows with the queue.
 
 use dysta_bench::serving::{load_curve_cells, LOAD_FACTORS, SHAPES, TIGHT_SLO};
 use dysta_bench::{banner, Scale};

@@ -57,7 +57,7 @@ fn main() {
             capped.phases.len(),
             capped.num_requests,
             first_arrival as f64 / 1e9,
-            report.turnaround_percentile_ns(0.99) as f64 / 1e6,
+            report.turnaround_percentile_ns(99.0) as f64 / 1e6,
             report.serving().peak_live_requests,
         );
     }

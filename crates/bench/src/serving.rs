@@ -395,7 +395,7 @@ pub fn load_curve_cells(scale: Scale) -> Vec<LoadCurveCell> {
                     let report =
                         simulate_cluster_stream_with(spec.source(&store), &mut policy, &pool);
                     goodput_rate += report.goodput_rate();
-                    p99_ns += report.turnaround_percentile_ns(0.99);
+                    p99_ns += report.turnaround_percentile_ns(99.0);
                     rejected += report.rejected_total();
                     degraded += report.degraded_total();
                     peak_live = peak_live.max(report.serving().peak_live_requests);

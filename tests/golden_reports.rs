@@ -551,8 +551,9 @@ fn golden_fig_load_curve_quick() {
     let cells = serving::load_curve_cells(Scale::quick());
 
     // Acceptance: on both shapes at >= 3x the steady operating point,
-    // shedding must have engaged and goodput must degrade gracefully —
-    // at or above admit-all's at the same load.
+    // shedding must have engaged, goodput must degrade gracefully — at
+    // or above admit-all's at the same load — and shedding must cut the
+    // p99 turnaround below admit-all's, whose p99 grows with the load.
     let cell = |shape: &str, load: f64, admission: &str| {
         cells
             .iter()
@@ -575,6 +576,26 @@ fn golden_fig_load_curve_quick() {
                 "{shape} at {load}x: shed goodput {} vs admit-all {}",
                 shed.goodput_rate,
                 all.goodput_rate
+            );
+            assert!(
+                shed.p99_ms < all.p99_ms,
+                "{shape} at {load}x: shed p99 {} ms vs admit-all {} ms",
+                shed.p99_ms,
+                all.p99_ms
+            );
+        }
+        for pair in serving::LOAD_FACTORS.windows(2) {
+            let (lighter, heavier) = (
+                cell(shape, pair[0], "admit-all"),
+                cell(shape, pair[1], "admit-all"),
+            );
+            assert!(
+                heavier.p99_ms >= lighter.p99_ms,
+                "{shape}: admit-all p99 fell from {} ms at {}x to {} ms at {}x",
+                lighter.p99_ms,
+                pair[0],
+                heavier.p99_ms,
+                pair[1]
             );
         }
     }
