@@ -1,14 +1,15 @@
-//! Golden-report regression suite: the experiments behind Table 5,
+//! Golden-report regression suite: the experiments behind Tables 4–5,
 //! Figs. 12–15 and the serving extensions, run in-process at quick scale
 //! and pinned byte-for-byte against recorded JSON fixtures under
 //! `tests/golden/`.
 //!
-//! Eight fixtures pin the figure binaries' own cells: each test calls
+//! Nine fixtures pin the figure binaries' own cells: each test calls
 //! the `dysta_bench::paper` or `dysta_bench::serving` function its binary
 //! prints from, and keeps only the grid points it pins, the claims it
-//! asserts and the fixture check (`table05_end2end`, `fig12_tradeoff`,
-//! `fig13_breakdown`, `fig14_slo_sweep`, `fig15_rate_sweep`,
-//! `fig_admission`, `fig_faults`, `fig_load_curve`). Two pin
+//! asserts and the fixture check (`table04_predictor_rmse`,
+//! `table05_end2end`, `fig12_tradeoff`, `fig13_breakdown`,
+//! `fig14_slo_sweep`, `fig15_rate_sweep`, `fig_admission`, `fig_faults`,
+//! `fig_load_curve`). Two pin
 //! configurations that only this suite runs: `cluster_sweep` (a small
 //! dispatch and serving front-end grid) and `trace_export` (the Perfetto
 //! export of a small traced serving run).
@@ -67,6 +68,28 @@ fn check_golden(name: &str, current: &str) {
          intentional, regenerate with `UPDATE_GOLDEN=1 cargo test --test \
          golden_reports` and commit the diff."
     );
+}
+
+// --- table04_predictor_rmse (quick mode) ---------------------------------
+
+/// Pins the `table04_predictor_rmse` binary's rows and the paper's claim
+/// behind them: the cheap last-one coefficient predicts about as well as
+/// averaging over every executed layer. On BERT and GPT-2, last-one's
+/// RMSE stays within 5% of average-all's.
+#[test]
+fn golden_table04_predictor_rmse_quick() {
+    let rows = paper::table04_rows(Scale::quick());
+    for row in &rows {
+        assert!(
+            (row.last_one - row.average_all).abs() <= 0.05 * row.average_all,
+            "{}: last-one RMSE {} vs average-all {}",
+            row.model,
+            row.last_one,
+            row.average_all
+        );
+    }
+    let json = serde_json::to_string(&rows).expect("rows serialize");
+    check_golden("table04_predictor_rmse.json", &json);
 }
 
 // --- table05_end2end (quick mode) ----------------------------------------
