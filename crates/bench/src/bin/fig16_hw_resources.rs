@@ -2,35 +2,29 @@
 //! the two optimizations (reconfigurable shared compute unit, FP16), at
 //! request FIFO depths 512 and 64.
 
-use dysta::hw::resources::DesignPoint;
 use dysta_bench::banner;
+use dysta_bench::paper::{fig16_rows, FIG16_DEPTHS};
 
 fn main() {
     banner("Figure 16", "resource usage with different optimizations");
-    for depth in [512u32, 64] {
+    let rows = fig16_rows();
+    for depth in FIG16_DEPTHS {
         println!("--- request depth {depth} (normalized to Non_Opt_FP32) ---");
-        let base = DesignPoint::non_opt_fp32(depth).usage();
         println!(
             "{:<14} {:>8} {:>8} {:>8} | {:>7} {:>7} {:>7} {:>9}",
             "design", "LUT", "FF", "DSP", "LUTs", "FFs", "DSPs", "RAM [KB]"
         );
-        for design in [
-            DesignPoint::non_opt_fp32(depth),
-            DesignPoint::opt_fp32(depth),
-            DesignPoint::opt_fp16(depth),
-        ] {
-            let u = design.usage();
-            let (l, f, d) = u.normalized_to(base);
+        for row in rows.iter().filter(|r| r.depth == depth) {
             println!(
                 "{:<14} {:>8.2} {:>8.2} {:>8.2} | {:>7} {:>7} {:>7} {:>9.2}",
-                design.label(),
-                l,
-                f,
-                d,
-                u.luts,
-                u.ffs,
-                u.dsps,
-                u.ram_kb
+                row.design,
+                row.lut_norm,
+                row.ff_norm,
+                row.dsp_norm,
+                row.luts,
+                row.ffs,
+                row.dsps,
+                row.ram_kb
             );
         }
         println!();

@@ -4,7 +4,9 @@
 //! that validates but generates garbage (or a loader/generator drift)
 //! fails the pipeline instead of the first user who tries the example.
 //!
-//! Usage: `scenario_smoke [scenarios-dir]` (default `scenarios/`).
+//! Usage: `scenario_smoke [scenarios-dir]` (default `scenarios/`). An
+//! unreadable directory or an invalid file prints one line naming the
+//! path and exits with status 1.
 
 use dysta::cluster::{simulate_cluster_stream, ClusterConfig, DispatchPolicy};
 use dysta::core::Policy;
@@ -15,20 +17,31 @@ use dysta::workload::{load_scenario, RequestSource, StreamSpec};
 /// files' full million-request-scale runs.
 const MAX_REQUESTS: u64 = 1_000;
 
+fn fail(msg: &str) -> ! {
+    eprintln!("scenario_smoke: {msg}");
+    std::process::exit(1);
+}
+
 fn main() {
     let dir = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "scenarios".to_string());
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("cannot read scenario dir {dir}: {e}"))
-        .map(|entry| entry.expect("readable directory entry").path())
+    let entries = std::fs::read_dir(&dir)
+        .and_then(|entries| entries.collect::<Result<Vec<_>, _>>())
+        .unwrap_or_else(|e| fail(&format!("cannot read scenario dir {dir}: {e}")));
+    let mut files: Vec<_> = entries
+        .into_iter()
+        .map(|entry| entry.path())
         .filter(|p| p.extension().is_some_and(|e| e == "json"))
         .collect();
     files.sort();
-    assert!(!files.is_empty(), "no scenario files found under {dir}");
+    if files.is_empty() {
+        fail(&format!("no scenario files found under {dir}"));
+    }
 
     for path in &files {
-        let spec = load_scenario(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let spec =
+            load_scenario(path).unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
         // Serve a bounded prefix: same phases, mix, and trace
         // resolution, capped request count.
         let capped = StreamSpec {

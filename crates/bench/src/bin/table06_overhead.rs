@@ -1,32 +1,25 @@
 //! Table 6: resource overhead of the Dysta hardware scheduler relative
 //! to the Eyeriss-V2 accelerator (FIFO depth 64, Opt_FP16).
 
-use dysta::hw::resources::{eyeriss_v2_baseline, overhead_percent, DesignPoint};
 use dysta_bench::banner;
+use dysta_bench::paper::table06;
 
 fn main() {
     banner("Table 6", "resource overhead of the Dysta scheduler");
-    let eyeriss = eyeriss_v2_baseline();
-    let sched = DesignPoint::opt_fp16(64).usage();
-    let combined = eyeriss.plus(sched);
+    let table = table06();
     println!(
         "{:<18} {:>8} {:>6} {:>14}",
         "module", "LUTs", "DSPs", "On-chip RAM"
     );
-    for (name, u) in [
-        ("Eyeriss-V2", eyeriss),
-        ("Scheduler", sched),
-        ("Dysta-Eyeriss-V2", combined),
-    ] {
+    for row in &table.modules {
         println!(
             "{:<18} {:>8} {:>6} {:>11.2} KB",
-            name, u.luts, u.dsps, u.ram_kb
+            row.module, row.luts, row.dsps, row.ram_kb
         );
     }
-    let (lut, dsp, ram) = overhead_percent(sched, eyeriss);
     println!(
         "{:<18} {:>7.2}% {:>5.1}% {:>12.2}%",
-        "Total Overhead", lut, dsp, ram
+        "Total Overhead", table.lut_pct, table.dsp_pct, table.ram_pct
     );
     println!();
     println!("paper reports: scheduler 553 LUTs / 3 DSPs / 0.5 KB;");

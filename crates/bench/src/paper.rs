@@ -1,7 +1,8 @@
-//! The single-accelerator experiments: Table 4 (predictor RMSE), Table 5
-//! and Figs. 12–15. Each is defined here once, as its grid, its policy
-//! list and its row type. The figure binaries print these rows and the
-//! golden suite pins them at quick scale.
+//! The single-accelerator experiments: Table 4 (predictor RMSE), Table 5,
+//! Figs. 12–15, and the hardware scheduler's cost (Fig. 16, Table 6).
+//! Each is defined here once, as its grid, its policy list and its row
+//! type. The figure binaries print these rows and the golden suite pins
+//! them at quick scale.
 
 use serde::Serialize;
 
@@ -9,6 +10,7 @@ use dysta::core::{
     CoeffStrategy, DystaConfig, ModelInfoLut, MonitoredLayer, Policy, SparseLatencyPredictor,
     TaskState,
 };
+use dysta::hw::resources::{eyeriss_v2_baseline, overhead_percent, DesignPoint, ResourceUsage};
 use dysta::models::ModelId;
 use dysta::sparsity::SparsityPattern;
 use dysta::trace::{SparseModelSpec, TraceGenerator, TraceStore};
@@ -297,4 +299,94 @@ pub fn table04_rows(scale: Scale) -> Vec<RmseRow> {
             last_one: rmse_for(model, CoeffStrategy::LastOne, samples),
         })
         .collect()
+}
+
+/// Fig. 16's request FIFO depths.
+pub const FIG16_DEPTHS: [u32; 2] = [512, 64];
+
+/// One Fig. 16 bar: a scheduler design's resources at one FIFO depth,
+/// absolute and normalized to `Non_Opt_FP32` at the same depth.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct HwResourceRow {
+    pub depth: u32,
+    pub design: String,
+    pub luts: u32,
+    pub ffs: u32,
+    pub dsps: u32,
+    pub ram_kb: f64,
+    pub lut_norm: f64,
+    pub ff_norm: f64,
+    pub dsp_norm: f64,
+}
+
+/// Fig. 16: `Non_Opt_FP32`, `Opt_FP32` and `Opt_FP16` at each of
+/// [`FIG16_DEPTHS`], in that order.
+pub fn fig16_rows() -> Vec<HwResourceRow> {
+    let mut rows = Vec::new();
+    for depth in FIG16_DEPTHS {
+        let base = DesignPoint::non_opt_fp32(depth).usage();
+        for design in [
+            DesignPoint::non_opt_fp32(depth),
+            DesignPoint::opt_fp32(depth),
+            DesignPoint::opt_fp16(depth),
+        ] {
+            let u = design.usage();
+            let (lut_norm, ff_norm, dsp_norm) = u.normalized_to(base);
+            rows.push(HwResourceRow {
+                depth,
+                design: design.label().to_string(),
+                luts: u.luts,
+                ffs: u.ffs,
+                dsps: u.dsps,
+                ram_kb: u.ram_kb,
+                lut_norm,
+                ff_norm,
+                dsp_norm,
+            });
+        }
+    }
+    rows
+}
+
+/// One Table 6 module row.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct ModuleRow {
+    pub module: String,
+    pub luts: u32,
+    pub dsps: u32,
+    pub ram_kb: f64,
+}
+
+/// Table 6: the modules and the scheduler's overhead on Eyeriss-V2 in
+/// percent.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct OverheadTable {
+    pub modules: Vec<ModuleRow>,
+    pub lut_pct: f64,
+    pub dsp_pct: f64,
+    pub ram_pct: f64,
+}
+
+/// Table 6: Eyeriss-V2, the deployed scheduler (`Opt_FP16` at FIFO
+/// depth 64) and their sum.
+pub fn table06() -> OverheadTable {
+    let eyeriss = eyeriss_v2_baseline();
+    let sched = DesignPoint::opt_fp16(64).usage();
+    let module = |name: &str, u: ResourceUsage| ModuleRow {
+        module: name.to_string(),
+        luts: u.luts,
+        dsps: u.dsps,
+        ram_kb: u.ram_kb,
+    };
+    let (lut_pct, dsp_pct, ram_pct) = overhead_percent(sched, eyeriss);
+    OverheadTable {
+        modules: vec![
+            module("Eyeriss-V2", eyeriss),
+            module("Scheduler", sched),
+            module("Dysta-Eyeriss-V2", eyeriss.plus(sched)),
+        ],
+        lut_pct,
+        dsp_pct,
+        ram_pct,
+    }
 }

@@ -461,18 +461,6 @@ impl ClusterPolicy {
         self.admission = admission;
         self
     }
-
-    /// Replaces the steal policy.
-    pub fn with_steal(mut self, steal: Box<dyn StealPolicy>) -> Self {
-        self.steal = steal;
-        self
-    }
-
-    /// Replaces the migration policy.
-    pub fn with_migration(mut self, migration: Box<dyn MigrationPolicy>) -> Self {
-        self.migration = migration;
-        self
-    }
 }
 
 #[cfg(test)]

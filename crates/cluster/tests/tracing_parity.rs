@@ -107,19 +107,12 @@ fn trace_counters_match_report_counters() {
         }
     }
 
-    // Admission waits in the trace mirror the report's samples.
-    let snap = tracer.snapshot();
-    let wait = snap
-        .histograms
-        .iter()
-        .find(|(name, _)| name.as_str() == "admission_wait_ns")
-        .map(|(_, h)| h.clone())
-        .expect("admission wait histogram");
-    // Population note: the histogram samples admitted requests only
-    // (rejects never dispatch), mirroring ServingStats.
+    // Admission waits in the trace mirror the report's samples: one
+    // wait per admitted request (rejects never dispatch), as in
+    // ServingStats.
     assert_eq!(
-        wait.count as usize,
-        report.serving().admission_wait_ns.len()
+        tracer.kind_count(EventKind::Admit) + tracer.kind_count(EventKind::AdmitDegrade),
+        report.serving().admission_wait_ns.len() as u64
     );
 }
 

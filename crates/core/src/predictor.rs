@@ -108,11 +108,6 @@ impl SparseLatencyPredictor {
     pub fn remaining_ns(&self, task: &TaskState, info: &ModelInfo) -> f64 {
         self.alpha * self.coefficient(task, info) * info.avg_remaining_ns(task.next_layer)
     }
-
-    /// Predicted total isolated latency of `task` in nanoseconds.
-    pub fn total_ns(&self, task: &TaskState, info: &ModelInfo) -> f64 {
-        self.alpha * self.coefficient(task, info) * info.avg_latency_ns()
-    }
 }
 
 /// Mean density ratio over the last `n` executed dynamic layers, or

@@ -16,8 +16,8 @@
 //! * [`cluster`] — multi-accelerator pools behind pluggable dispatch
 //!   policies.
 //! * [`hw`] — hardware scheduler model and FPGA resource costs.
-//! * [`obs`] — sim-time tracing ([`obs::RingTracer`]), Perfetto export,
-//!   and live metrics for the engine stack.
+//! * [`obs`] — sim-time tracing ([`obs::RingTracer`]) and Perfetto
+//!   export for the engine stack.
 //!
 //! # Examples
 //!

@@ -156,16 +156,6 @@ impl EventKind {
             EventKind::Failed => "failed",
         }
     }
-
-    /// True for kinds that represent the request actually executing on
-    /// an accelerator (used by well-formedness validation: rejected
-    /// requests must have none of these).
-    pub fn is_execution(self) -> bool {
-        matches!(
-            self,
-            EventKind::Segment | EventKind::Preemption | EventKind::Completion
-        )
-    }
 }
 
 /// One structured, sim-time-stamped observation.
@@ -214,21 +204,4 @@ pub enum Phase {
     /// Cluster front-end work (admission, dispatch, steal/migration
     /// passes).
     Frontend = 2,
-}
-
-impl Phase {
-    /// Number of phases (size for accumulator arrays).
-    pub const COUNT: usize = 3;
-
-    /// Every phase, in discriminant order.
-    pub const ALL: [Phase; Phase::COUNT] = [Phase::Pick, Phase::Execute, Phase::Frontend];
-
-    /// Stable lower-snake name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Pick => "pick",
-            Phase::Execute => "execute",
-            Phase::Frontend => "frontend",
-        }
-    }
 }

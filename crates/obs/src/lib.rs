@@ -5,19 +5,17 @@
 //! violations, goodput); this crate records *why* — the per-request
 //! event sequence (arrival → admission → dispatch → execution segments
 //! → completion, with preemptions, steals, and migrations in between)
-//! plus live counters a serving daemon could poll mid-run.
+//! plus per-kind event counts.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! - [`Tracer`]: the sink trait engines are generic over. The default
 //!   [`NullTracer`] is a zero-sized no-op, so untraced simulations
 //!   monomorphize to exactly the pre-observability hot path (pinned by
 //!   counting-allocator and golden-fixture tests). [`RingTracer`]
 //!   records [`TraceEvent`]s into a bounded ring — fixed-size `Copy`
-//!   records, interned labels, no per-event allocation.
-//! - [`MetricsRegistry`]: named counters / per-node gauge families /
-//!   log-bucketed histograms, snapshot-able mid-run
-//!   ([`MetricsSnapshot`]).
+//!   records, interned labels, no per-event allocation — and counts
+//!   them by kind ([`RingTracer::kind_count`]).
 //! - Exporters: [`perfetto_json`] renders a run as a Chrome trace
 //!   loadable in [ui.perfetto.dev](https://ui.perfetto.dev) (one track
 //!   per node, one flow per request); [`timelines`] folds the stream
@@ -51,10 +49,8 @@
 
 mod event;
 mod export;
-mod metrics;
 mod tracer;
 
 pub use event::{EventKind, Phase, TraceEvent, NODE_FRONTEND, REQ_NONE};
 pub use export::{perfetto_json, timelines, validate, RequestTimeline};
-pub use metrics::{HistogramSnapshot, LogHistogram, MetricsRegistry, MetricsSnapshot};
 pub use tracer::{NullTracer, RingTracer, Tracer};

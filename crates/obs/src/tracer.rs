@@ -4,7 +4,7 @@
 //! default type parameter, so the untraced build monomorphizes every
 //! hook to a no-op — zero cost, verified by the alloc-count and golden
 //! tests. [`RingTracer`] is the recording implementation: a bounded
-//! ring of `Copy` events plus a [`MetricsRegistry`], all behind `&self`
+//! ring of `Copy` events plus per-kind counters, all behind `&self`
 //! (interior mutability) so one tracer can be shared by every node of a
 //! co-simulated cluster.
 
@@ -12,7 +12,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
 use crate::event::{EventKind, Phase, TraceEvent};
-use crate::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
 
 /// Observability sink threaded through the engines.
 ///
@@ -112,13 +111,10 @@ struct Interner {
 }
 
 /// A recording tracer: bounded ring buffer of [`TraceEvent`]s (oldest
-/// overwritten on overflow), per-kind event counters, a
-/// [`MetricsRegistry`] fed from selected event kinds, optional
-/// wall-clock phase accumulators, and the label/node-name tables the
-/// exporters need.
+/// overwritten on overflow), per-kind event counters, and the
+/// label/node-name tables the exporters need.
 ///
-/// Recording an event is branch-free ring arithmetic on `Cell`s plus —
-/// for the infrequent kinds — a warm map lookup in the registry; the
+/// Recording an event is branch-free ring arithmetic on `Cell`s; the
 /// steady state allocates nothing (pinned by the counting-allocator
 /// tests).
 #[derive(Debug)]
@@ -131,72 +127,27 @@ pub struct RingTracer {
     /// Events overwritten after the ring filled.
     dropped: Cell<u64>,
     kind_counts: [Cell<u64>; EventKind::COUNT],
-    phase_ns: [Cell<u64>; Phase::COUNT],
-    profiling: bool,
     interner: RefCell<Interner>,
     node_names: RefCell<BTreeMap<u32, String>>,
-    metrics: MetricsRegistry,
-    /// Handles to the instruments [`Tracer::record`] feeds, resolved
-    /// once at construction so the per-event path never looks a name
-    /// up.
-    instruments: Instruments,
-}
-
-/// Pre-resolved ids for the instruments fed from the event stream.
-#[derive(Debug)]
-struct Instruments {
-    admission_wait_ns: HistogramId,
-    slack_at_dispatch_ns: HistogramId,
-    transfer_fetch_ns: HistogramId,
-    queue_depth: GaugeId,
-    backlog_ns: GaugeId,
-    slo_violations: CounterId,
-}
-
-impl Instruments {
-    fn register(metrics: &MetricsRegistry) -> Self {
-        Instruments {
-            admission_wait_ns: metrics.histogram_id("admission_wait_ns"),
-            slack_at_dispatch_ns: metrics.histogram_id("slack_at_dispatch_ns"),
-            transfer_fetch_ns: metrics.histogram_id("transfer_fetch_ns"),
-            queue_depth: metrics.gauge_id("queue_depth"),
-            backlog_ns: metrics.gauge_id("backlog_ns"),
-            slo_violations: metrics.counter_id("slo_violations"),
-        }
-    }
 }
 
 impl RingTracer {
     /// Creates a tracer holding up to `capacity` events (oldest are
-    /// overwritten beyond that), without phase profiling.
+    /// overwritten beyond that).
     ///
     /// # Panics
     ///
     /// Panics on zero capacity.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring needs room for at least one event");
-        let metrics = MetricsRegistry::new();
-        let instruments = Instruments::register(&metrics);
         RingTracer {
             ring: vec![Cell::new(TraceEvent::EMPTY); capacity].into_boxed_slice(),
             head: Cell::new(0),
             len: Cell::new(0),
             dropped: Cell::new(0),
             kind_counts: std::array::from_fn(|_| Cell::new(0)),
-            phase_ns: std::array::from_fn(|_| Cell::new(0)),
-            profiling: false,
             interner: RefCell::new(Interner::default()),
             node_names: RefCell::new(BTreeMap::new()),
-            metrics,
-            instruments,
-        }
-    }
-
-    /// Like [`RingTracer::new`] with wall-clock phase profiling on.
-    pub fn with_profiling(capacity: usize) -> Self {
-        RingTracer {
-            profiling: true,
-            ..RingTracer::new(capacity)
         }
     }
 
@@ -224,38 +175,6 @@ impl RingTracer {
     /// Total times `kind` was recorded, including dropped events.
     pub fn kind_count(&self, kind: EventKind) -> u64 {
         self.kind_counts[kind as usize].get()
-    }
-
-    /// Wall-clock nanoseconds attributed to `phase` so far.
-    pub fn phase_total_ns(&self, phase: Phase) -> u64 {
-        self.phase_ns[phase as usize].get()
-    }
-
-    /// The live metrics registry (snapshot-able mid-run).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Freezes metrics plus per-kind event counts and phase totals into
-    /// one serializable snapshot (`events.<kind>` counters,
-    /// `phase_ns.<phase>` counters).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        for kind in EventKind::ALL {
-            let n = self.kind_count(kind);
-            if n > 0 {
-                snap.counters.insert(format!("events.{}", kind.name()), n);
-            }
-        }
-        if self.profiling {
-            for phase in Phase::ALL {
-                snap.counters.insert(
-                    format!("phase_ns.{}", phase.name()),
-                    self.phase_total_ns(phase),
-                );
-            }
-        }
-        snap
     }
 
     /// The held events, oldest first. Copies out of the ring; intended
@@ -288,9 +207,8 @@ impl RingTracer {
     }
 
     /// Drops all recorded events and resets the overflow counter, but
-    /// keeps interned labels, node names, metrics, per-kind counts, and
-    /// phase totals (so a warm tracer can be reused across runs without
-    /// re-interning — the overhead benchmark depends on this).
+    /// keeps interned labels, node names and per-kind counts (so a warm
+    /// tracer can be reused across runs without re-interning).
     pub fn clear(&self) {
         self.head.set(0);
         self.len.set(0);
@@ -302,11 +220,6 @@ impl Tracer for RingTracer {
     #[inline]
     fn enabled(&self) -> bool {
         true
-    }
-
-    #[inline]
-    fn profiling(&self) -> bool {
-        self.profiling
     }
 
     // Deliberately NOT `#[inline]`: record runs per *event* (rare),
@@ -328,52 +241,6 @@ impl Tracer for RingTracer {
         }
         let count = &self.kind_counts[event.kind as usize];
         count.set(count.get() + 1);
-
-        // Live instruments for the infrequent control-plane kinds. Kept
-        // off the per-quantum kinds (Segment/Preemption have dedicated
-        // counters above) so the map lookups stay off the densest path.
-        match event.kind {
-            EventKind::Admit | EventKind::AdmitDegrade => {
-                self.metrics
-                    .observe_id(self.instruments.admission_wait_ns, event.a);
-            }
-            EventKind::Dispatch => {
-                self.metrics
-                    .observe_id(self.instruments.slack_at_dispatch_ns, event.b.max(0) as u64);
-                self.metrics.set_gauge_id(
-                    self.instruments.queue_depth,
-                    event.node as usize,
-                    event.a as f64,
-                );
-            }
-            EventKind::Steal | EventKind::MigrationAccept => {
-                self.metrics
-                    .observe_id(self.instruments.transfer_fetch_ns, event.b.max(0) as u64);
-            }
-            EventKind::SlackProjection => {
-                self.metrics.set_gauge_id(
-                    self.instruments.queue_depth,
-                    event.node as usize,
-                    event.a as f64,
-                );
-                self.metrics.set_gauge_id(
-                    self.instruments.backlog_ns,
-                    event.node as usize,
-                    event.b as f64,
-                );
-            }
-            EventKind::Completion => {
-                self.metrics
-                    .add_id(self.instruments.slo_violations, event.a);
-            }
-            _ => {}
-        }
-    }
-
-    #[inline]
-    fn phase_ns(&self, phase: Phase, wall_ns: u64) {
-        let cell = &self.phase_ns[phase as usize];
-        cell.set(cell.get() + wall_ns);
     }
 
     fn intern(&self, label: &str) -> u32 {
@@ -497,34 +364,7 @@ mod tests {
         let shared: &RingTracer = &t;
         assert!(Tracer::enabled(&shared));
         Tracer::record(&shared, ev(7, EventKind::Dispatch));
-        Tracer::phase_ns(&shared, Phase::Frontend, 50);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.phase_total_ns(Phase::Frontend), 50);
-    }
-
-    #[test]
-    fn record_feeds_metrics_for_control_plane_kinds() {
-        let t = RingTracer::new(16);
-        t.record(TraceEvent {
-            t_ns: 5,
-            request: 1,
-            node: 2,
-            kind: EventKind::Dispatch,
-            a: 4,
-            b: 1_000,
-        });
-        t.record(TraceEvent {
-            t_ns: 9,
-            request: 1,
-            node: 2,
-            kind: EventKind::Completion,
-            a: 1,
-            b: -50,
-        });
-        assert_eq!(t.metrics().counter("slo_violations"), 1);
-        assert_eq!(t.metrics().gauge("queue_depth", 2), Some(4.0));
-        let snap = t.snapshot();
-        assert_eq!(snap.counters["events.dispatch"], 1);
-        assert_eq!(snap.histograms["slack_at_dispatch_ns"].count, 1);
+        assert_eq!(t.kind_count(EventKind::Dispatch), 1);
     }
 }

@@ -9,7 +9,7 @@
 //! are replayed from the Phase-1 traces, so all schedulers see identical
 //! work and differ only in ordering decisions.
 //!
-//! [`metrics`] computes the paper's three evaluation metrics: average
+//! [`SimReport::metrics`] computes the paper's three evaluation metrics: average
 //! normalized turnaround time (ANTT), latency-SLO violation rate, and
 //! system throughput (STP).
 //!
@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 mod engine;
-pub mod metrics;
 mod node;
 mod report;
 

@@ -12,7 +12,7 @@
 //! [`dysta_sparsity`], producing [`ModelTraces`] (one per sparse-model
 //! variant, the in-memory equivalent of the paper's CSV files) with the
 //! derived statistics the Dysta LUTs need (average latency, average
-//! per-layer sparsity). [`TraceStore`] persists the whole set with serde.
+//! per-layer sparsity). [`TraceStore`] persists the whole set as JSON.
 //!
 //! # Examples
 //!
@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csv;
 mod generate;
 mod record;
 mod store;

@@ -34,12 +34,6 @@ impl SparseModelSpec {
         }
     }
 
-    /// Replaces the dataset profile.
-    pub fn with_profile(mut self, profile: DatasetProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Stable string key (used by the trace store and LUTs).
     pub fn key(&self) -> String {
         self.spec_key().as_str().to_owned()

@@ -1,14 +1,15 @@
-//! Golden-report regression suite: the experiments behind Tables 4–5,
-//! Figs. 12–15 and the serving extensions, run in-process at quick scale
+//! Golden-report regression suite: the experiments behind Tables 4–6,
+//! Figs. 12–16 and the serving extensions, run in-process at quick scale
 //! and pinned byte-for-byte against recorded JSON fixtures under
 //! `tests/golden/`.
 //!
-//! Nine fixtures pin the figure binaries' own cells: each test calls
+//! Eleven fixtures pin the figure binaries' own cells: each test calls
 //! the `dysta_bench::paper` or `dysta_bench::serving` function its binary
 //! prints from, and keeps only the grid points it pins, the claims it
 //! asserts and the fixture check (`table04_predictor_rmse`,
-//! `table05_end2end`, `fig12_tradeoff`, `fig13_breakdown`,
-//! `fig14_slo_sweep`, `fig15_rate_sweep`, `fig_admission`, `fig_faults`,
+//! `table05_end2end`, `table06_overhead`, `fig12_tradeoff`,
+//! `fig13_breakdown`, `fig14_slo_sweep`, `fig15_rate_sweep`,
+//! `fig16_hw_resources`, `fig_admission`, `fig_faults`,
 //! `fig_load_curve`). Two pin
 //! configurations that only this suite runs: `cluster_sweep` (a small
 //! dispatch and serving front-end grid) and `trace_export` (the Perfetto
@@ -90,6 +91,54 @@ fn golden_table04_predictor_rmse_quick() {
     }
     let json = serde_json::to_string(&rows).expect("rows serialize");
     check_golden("table04_predictor_rmse.json", &json);
+}
+
+// --- fig16_hw_resources ---------------------------------------------------
+
+/// Pins the `fig16_hw_resources` binary's rows and the paper's claim:
+/// at both request depths, each optimization cuts LUTs, FFs and DSPs,
+/// so `Opt_FP16` < `Opt_FP32` < `Non_Opt_FP32` on all three.
+#[test]
+fn golden_fig16_hw_resources() {
+    let rows = paper::fig16_rows();
+    for depth in paper::FIG16_DEPTHS {
+        let [non, opt32, opt16] = ["Non_Opt_FP32", "Opt_FP32", "Opt_FP16"].map(|label| {
+            let r = rows
+                .iter()
+                .find(|r| r.depth == depth && r.design == label)
+                .unwrap_or_else(|| panic!("no {label} row at depth {depth}"));
+            [r.luts, r.ffs, r.dsps]
+        });
+        for (i, name) in ["LUTs", "FFs", "DSPs"].into_iter().enumerate() {
+            assert!(
+                opt16[i] < opt32[i] && opt32[i] < non[i],
+                "depth {depth} {name}: Opt_FP16 {} / Opt_FP32 {} / Non_Opt_FP32 {}",
+                opt16[i],
+                opt32[i],
+                non[i]
+            );
+        }
+    }
+    let json = serde_json::to_string(&rows).expect("rows serialize");
+    check_golden("fig16_hw_resources.json", &json);
+}
+
+// --- table06_overhead ----------------------------------------------------
+
+/// Pins the `table06_overhead` binary's table and the paper's claim: the
+/// scheduler adds under 2% to Eyeriss-V2's LUTs, DSPs and on-chip RAM.
+#[test]
+fn golden_table06_overhead() {
+    let table = paper::table06();
+    for (name, pct) in [
+        ("LUT", table.lut_pct),
+        ("DSP", table.dsp_pct),
+        ("RAM", table.ram_pct),
+    ] {
+        assert!(pct < 2.0, "{name} overhead {pct}% is not below 2%");
+    }
+    let json = serde_json::to_string(&table).expect("table serializes");
+    check_golden("table06_overhead.json", &json);
 }
 
 // --- table05_end2end (quick mode) ----------------------------------------

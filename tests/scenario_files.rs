@@ -106,3 +106,49 @@ fn vanishing_rate_scenario_ends_instead_of_overflowing() {
     assert_eq!(source.peek_arrival_ns(), None);
     assert_eq!(source.next_request(), None);
 }
+
+#[test]
+fn parser_never_panics_on_truncated_or_mutated_shipped_files() {
+    // Deterministic fuzzing of `parse_scenario` around the shipped
+    // files: every byte-prefix, and every single-byte substitution
+    // from the characters JSON numbers and structure are made of. A
+    // panic (or abort) fails the test; any `Ok` or `Err` passes.
+    const ALPHABET: &[u8] = b"0123456789-e.[]{}\",:";
+    let mut cases = 0usize;
+    for path in shipped_scenarios() {
+        let text = std::fs::read_to_string(&path).expect("shipped scenario is readable");
+        assert!(text.is_ascii(), "{} is not ASCII", path.display());
+        for end in 0..=text.len() {
+            let _ = parse_scenario(&text[..end]);
+            cases += 1;
+        }
+        let mut bytes = text.clone().into_bytes();
+        for i in 0..bytes.len() {
+            let original = bytes[i];
+            for &b in ALPHABET.iter().filter(|&&b| b != original) {
+                bytes[i] = b;
+                let mutated = std::str::from_utf8(&bytes).expect("ASCII stays UTF-8");
+                let _ = parse_scenario(mutated);
+                cases += 1;
+            }
+            bytes[i] = original;
+        }
+    }
+    assert!(cases > 10_000, "only {cases} cases ran");
+}
+
+#[test]
+fn parser_never_panics_on_nesting_around_the_depth_limit() {
+    for depth in [127, 128, 129, 100_000] {
+        for (open, close) in [("[", "]"), (r#"{"a":"#, "}")] {
+            let unclosed = open.repeat(depth);
+            let closed = format!("{unclosed}0{}", close.repeat(depth));
+            for text in [&unclosed, &closed] {
+                assert!(
+                    parse_scenario(text).is_err(),
+                    "depth {depth} of {open} is not a scenario"
+                );
+            }
+        }
+    }
+}
