@@ -10,10 +10,11 @@
 //! `table05_end2end`, `table06_overhead`, `fig12_tradeoff`,
 //! `fig13_breakdown`, `fig14_slo_sweep`, `fig15_rate_sweep`,
 //! `fig16_hw_resources`, `fig_admission`, `fig_faults`,
-//! `fig_load_curve`). Two pin
+//! `fig_load_curve`). Three pin
 //! configurations that only this suite runs: `cluster_sweep` (a small
-//! dispatch and serving front-end grid) and `trace_export` (the Perfetto
-//! export of a small traced serving run).
+//! dispatch and serving front-end grid), `trace_export` (the Perfetto
+//! export of a small traced serving run) and `steal_classes` (costed
+//! steals onto thieves of different capacity and fault state).
 //!
 //! Every run of the simulator is a pure function of its seed, so *exact*
 //! equality is meaningful: any scheduling, dispatch, or front-end change
@@ -373,6 +374,139 @@ fn golden_trace_export() {
     // and the CI smoke check will do to it).
     serde_json::from_str::<serde::Value>(&json).expect("export parses");
     check_golden("trace_export.json", &json);
+}
+
+// --- steal_classes ----------------------------------------------------------
+
+/// One applied steal, as the traced run records it.
+#[derive(Serialize)]
+struct StealRow {
+    t_ns: u64,
+    request: u64,
+    thief: u32,
+    victim: u64,
+    fetch_ns: i64,
+}
+
+/// One node's transfer accounting at the end of the run.
+#[derive(Serialize)]
+struct TransferRow {
+    node: usize,
+    transferred_in: usize,
+    transferred_out: usize,
+    transfer_fetch_ns: u64,
+}
+
+#[derive(Serialize)]
+struct StealClassesGolden {
+    steals: Vec<StealRow>,
+    nodes: Vec<TransferRow>,
+}
+
+/// Pins costed steals onto thieves that differ in what a steal price
+/// reads from the thief: capacity, an open brown-out and an open
+/// transfer stall. On a 3+3 pool whose first node of each family runs
+/// at half capacity, an overdriven CNN stream under affinity dispatch
+/// leaves the Sanger nodes idle, so they steal from the Eyeriss side.
+/// Node 3 browns out to half while it steals. Node 4 browns out to
+/// 0.1% and then stalls its transfers ×10⁴, so it declines candidates
+/// that node 5 takes; the two share a thief class only while node 4's
+/// windows are closed. Every steal
+/// (time, request, thief, victim, fetch cost) and every node's transfer
+/// accounting is pinned.
+#[test]
+fn golden_steal_classes() {
+    use dysta::cluster::{simulate_cluster_traced, FaultConfig, FaultSchedule, TransferCostConfig};
+    use dysta::obs::{EventKind, RingTracer};
+
+    // (node, from, until, factor) fault windows.
+    const BROWNOUTS: [(usize, u64, u64, f64); 2] = [
+        (3, 500_000_000, 3_000_000_000, 0.5),
+        (4, 200_000_000, 1_000_000_000, 0.001),
+    ];
+    const STALLS: [(usize, u64, u64, f64); 1] = [(4, 1_000_000_000, 3_000_000_000, 10_000.0)];
+
+    let w = WorkloadBuilder::new(Scenario::MultiCnn)
+        .arrival_rate(60.0)
+        .num_requests(160)
+        .samples_per_variant(8)
+        .seed(31)
+        .build();
+    let mut schedule = FaultSchedule::new();
+    for (node, from, until, factor) in BROWNOUTS {
+        schedule = schedule.brownout(node, from, until, factor);
+    }
+    for (node, from, until, factor) in STALLS {
+        schedule = schedule.transfer_stall(node, from, until, factor);
+    }
+    let pool = ClusterBuilder::heterogeneous(3, 3, Policy::Dysta)
+        .node_capacity(0, 0.5)
+        .node_capacity(3, 0.5)
+        .frontend(FrontendConfig::serving_costed())
+        .transfer_cost(TransferCostConfig::default_costed())
+        .faults(FaultConfig {
+            schedule,
+            ..FaultConfig::default()
+        })
+        .build();
+    let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity);
+    let tracer = RingTracer::new(1 << 16);
+    let report = simulate_cluster_traced(&w, &mut policy, &pool, &tracer);
+    assert_eq!(tracer.dropped(), 0, "fixture scenario must fit the ring");
+
+    let steals: Vec<StealRow> = tracer
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == EventKind::Steal)
+        .map(|e| StealRow {
+            t_ns: e.t_ns,
+            request: e.request,
+            thief: e.node,
+            victim: e.a,
+            fetch_ns: e.b,
+        })
+        .collect();
+    assert_eq!(steals.len() as u64, report.serving().steals);
+
+    // The fixture must exercise distinct thief classes, including one
+    // priced under an open fault window on the thief.
+    let open = |windows: &[(usize, u64, u64, f64)], thief: usize, t: u64| {
+        windows
+            .iter()
+            .find(|&&(node, from, until, _)| node == thief && (from..until).contains(&t))
+            .map(|w| w.3.to_bits())
+    };
+    let classes: std::collections::BTreeSet<_> = steals
+        .iter()
+        .map(|s| {
+            let (thief, nc) = (s.thief as usize, &pool.nodes[s.thief as usize]);
+            (
+                nc.accelerator.name(),
+                nc.capacity.to_bits(),
+                open(&BROWNOUTS, thief, s.t_ns),
+                open(&STALLS, thief, s.t_ns),
+            )
+        })
+        .collect();
+    assert!(classes.len() >= 3, "steals reach only {classes:?}");
+    assert!(
+        classes.iter().any(|c| c.2.is_some() || c.3.is_some()),
+        "no steal lands under an open fault window: {classes:?}"
+    );
+
+    let nodes = report
+        .nodes()
+        .iter()
+        .map(|n| TransferRow {
+            node: n.node_id,
+            transferred_in: n.transferred_in,
+            transferred_out: n.transferred_out,
+            transfer_fetch_ns: n.transfer_fetch_ns,
+        })
+        .collect();
+    let json =
+        serde_json::to_string(&StealClassesGolden { steals, nodes }).expect("steal rows serialize");
+    check_golden("steal_classes.json", &json);
 }
 
 // --- fig_admission (quick mode) -------------------------------------------
