@@ -25,7 +25,7 @@ use crate::policy::{
     ClusterPolicy, InfeasibleEverywhere, MigrationPolicy, StealCandidate, StealPolicy,
 };
 use crate::report::{ClusterReport, NodeReport, ServingStats};
-use crate::{ClusterConfig, FrontendConfig};
+use crate::{AcceleratorKind, ClusterConfig, FrontendConfig};
 
 /// Replays `workload` on a cluster of nodes behind `dispatcher` with the
 /// default admission ([`AdmitAll`]), steal, and migration policies,
@@ -510,6 +510,11 @@ impl HealthState {
         }
     }
 }
+
+/// A thief's steal-pricing class (see [`Frontend::steal_class`]):
+/// accelerator, mismatch-slowdown and capacity bits, and the bits of any
+/// open brown-out and transfer-stall factor.
+type StealClass = (AcceleratorKind, u64, u64, Option<u64>, Option<u64>);
 
 /// One admitted request's front-end bookkeeping, kept only while the
 /// request is in flight (inserted at admission, removed when its
@@ -1518,16 +1523,32 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             .collect()
     }
 
-    /// Every queued, never-started request on the given peers of
-    /// `thief`, priced for that thief (service estimates on both sides
-    /// plus the transfer cost). `victims` is ascending, so candidate
-    /// order matches the historical all-nodes scan.
+    /// What a steal price reads from the thief: its accelerator,
+    /// mismatch slowdown and capacity (through
+    /// [`Frontend::dispatch_scale`]) and its open brown-out and
+    /// transfer-stall factors (through [`Frontend::stalled_fetch`]).
+    /// Thieves with equal classes get bit-identical candidate lists.
+    fn steal_class(&self, thief: usize) -> StealClass {
+        let nc = &self.config.nodes[thief];
+        let health = &self.health[thief];
+        (
+            nc.accelerator,
+            nc.mismatch_slowdown.to_bits(),
+            nc.capacity.to_bits(),
+            health.brownout.map(|(factor, _)| factor.to_bits()),
+            health.stall.map(|(factor, _)| factor.to_bits()),
+        )
+    }
+
+    /// Every queued, never-started request on `victims`, priced for
+    /// `thief`'s [class](Frontend::steal_class) (service estimates on
+    /// both sides plus the transfer cost). `victims` is ascending, so
+    /// candidate order matches the historical all-nodes scan. A drained
+    /// thief holds no unstarted work, so it is never among them.
     fn steal_candidates(&self, thief: usize, victims: &[usize]) -> Vec<StealCandidate> {
         let mut candidates = Vec::new();
         for &victim in victims {
-            if victim == thief {
-                continue;
-            }
+            debug_assert_ne!(victim, thief, "a drained thief is never a victim");
             let node = &self.nodes[victim];
             for (task, victim_scale) in node.unstarted_tasks() {
                 let info = self.lut.info(task.variant);
@@ -1565,16 +1586,18 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         // No stealable work anywhere means no thief can act: skip the
         // whole pass. ([`StealPolicy::choose`] is a read-only `&self`
         // call, so not consulting it over an empty candidate list is
-        // unobservable.) With work present, each candidate scan walks
-        // only the victim list instead of every node — this is what
-        // turns the historical drained-thieves × all-victims O(N²)
-        // sweep into O(thieves × stealable).
+        // unobservable.) With work present, candidates are priced once
+        // per thief class over the victim list only, and every thief of
+        // that class is handed the same list — this is what turns the
+        // historical drained-thieves × all-victims O(N²) sweep into
+        // O(classes × stealable).
         let mut victims = self.stealable_victims();
         if victims.is_empty() {
             return;
         }
-        // Snapshots stay valid across thieves that steal nothing; only
-        // an applied transfer invalidates them.
+        // Snapshots and priced lists stay valid across thieves that
+        // steal nothing; only an applied transfer invalidates them.
+        let mut priced: Vec<(StealClass, Vec<StealCandidate>)> = Vec::new();
         for thief in 0..n {
             // A down node is drained (salvage emptied it) and would
             // otherwise look like the perfect thief: skip it at the
@@ -1582,7 +1605,15 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             if self.health[thief].down || !self.nodes[thief].is_drained() {
                 continue;
             }
-            let candidates = self.steal_candidates(thief, &victims);
+            let class = self.steal_class(thief);
+            let slot = match priced.iter().position(|(c, _)| *c == class) {
+                Some(slot) => slot,
+                None => {
+                    priced.push((class, self.steal_candidates(thief, &victims)));
+                    priced.len() - 1
+                }
+            };
+            let candidates = &priced[slot].1;
             let ctx = DispatchContext {
                 now_ns: t,
                 nodes: views,
@@ -1590,7 +1621,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                 transfer_cost: &self.config.transfer_cost,
                 reoffer_src: None,
             };
-            let Some(pick) = self.steal_policy.choose(thief, &candidates, &ctx, &cfg) else {
+            let Some(pick) = self.steal_policy.choose(thief, candidates, &ctx, &cfg) else {
                 continue;
             };
             assert!(
@@ -1622,6 +1653,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             }
             self.refresh_views(views);
             victims = self.stealable_victims();
+            priced.clear();
         }
     }
 

@@ -18,9 +18,12 @@ use dysta_workload::Request;
 use crate::dispatch::{DispatchContext, Dispatcher};
 use crate::{DispatchPolicy, MigrationConfig, StealConfig};
 
-/// One stealable request on a victim node, pre-priced for a specific
-/// thief: the engine enumerates these (every queued, never-started
-/// request on every peer) and the [`StealPolicy`] ranks them.
+/// One stealable request on a victim node, pre-priced for the thief's
+/// class: the engine enumerates these (every queued, never-started
+/// request on every peer) and the [`StealPolicy`] ranks them. Thieves
+/// that agree on accelerator, mismatch slowdown, capacity and their open
+/// brown-out and transfer-stall factors get identical prices, so one
+/// list serves them all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StealCandidate {
     /// Node currently holding the request.
@@ -51,8 +54,11 @@ pub trait StealPolicy {
     /// Picks the candidate the idle `thief` should pull, as an index
     /// into `candidates`, or `None` to steal nothing this tick.
     /// `candidates` covers every queued, never-started request on every
-    /// peer; implementations must be pure functions of their arguments
-    /// (the engine may re-consult them at any tick).
+    /// peer; the thief is drained, so its own work never appears. The
+    /// engine may hand the same slice to every drained thief of one
+    /// class (see [`StealCandidate`]) until a steal is applied.
+    /// Implementations must be pure functions of their arguments (the
+    /// engine may re-consult them at any tick).
     fn choose(
         &self,
         thief: usize,
