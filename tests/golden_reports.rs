@@ -411,9 +411,8 @@ struct StealClassesGolden {
 /// Node 3 browns out to half while it steals. Node 4 browns out to
 /// 0.1% and then stalls its transfers ×10⁴, so it declines candidates
 /// that node 5 takes; the two share a thief class only while node 4's
-/// windows are closed. Every steal
-/// (time, request, thief, victim, fetch cost) and every node's transfer
-/// accounting is pinned.
+/// windows are closed. Every steal (time, request, thief, victim, fetch
+/// cost) and every node's transfer accounting is pinned.
 #[test]
 fn golden_steal_classes() {
     use dysta::cluster::{simulate_cluster_traced, FaultConfig, FaultSchedule, TransferCostConfig};
