@@ -236,3 +236,102 @@ proptest! {
         prop_assert_eq!(baseline, with_faults);
     }
 }
+
+const MS: u64 = 1_000_000;
+
+/// Runs a traced 2-node round-robin serving pool (steals and migrations
+/// on) over 80 MultiCnn requests at 20/s — arrivals span ~4 s, past
+/// every fault edge the tests below schedule.
+fn traced_two_node_run(schedule: FaultSchedule) -> RingTracer {
+    let w = workload(20.0, 5.0, 80, 1);
+    let faults = FaultConfig {
+        schedule,
+        recovery: RecoveryConfig::default(),
+    };
+    let config = ClusterBuilder::homogeneous(2, AcceleratorKind::EyerissV2, Policy::Dysta)
+        .frontend(FrontendConfig::serving())
+        .faults(faults)
+        .build();
+    let tracer = RingTracer::new(1 << 16);
+    let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::RoundRobin);
+    let report = simulate_cluster_traced(&w, &mut policy, &config, &tracer);
+    assert!(tracer.validate().is_ok(), "{:?}", tracer.validate());
+    assert_eq!(
+        report.admitted_total(),
+        report.completed_total() + report.failed_total() + report.reneged_total()
+    );
+    tracer
+}
+
+/// `(t_ns, factor_ppm, until_ns)` of every window edge on `node`.
+fn window_edges(tracer: &RingTracer, node: u32) -> Vec<(u64, u64, i64)> {
+    tracer
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::Brownout && e.node == node)
+        .map(|e| (e.t_ns, e.a, e.b))
+        .collect()
+}
+
+/// Work landing on `node` at or after `from_ns`: dispatches, steals
+/// and retries onto it, and migrations accepted towards it.
+fn work_onto(tracer: &RingTracer, node: u32, from_ns: u64) -> Vec<(u64, EventKind)> {
+    tracer
+        .events()
+        .iter()
+        .filter(|e| e.t_ns >= from_ns)
+        .filter(|e| match e.kind {
+            EventKind::Dispatch | EventKind::Steal | EventKind::Retry => e.node == node,
+            EventKind::MigrationAccept => e.a == u64::from(node),
+            _ => false,
+        })
+        .map(|e| (e.t_ns, e.kind))
+        .collect()
+}
+
+#[test]
+fn touching_windows_listed_in_reverse_hand_over_without_a_closing_edge() {
+    // Brown-outs on node 0 and transfer stalls on node 1, each pair
+    // touching at 500 ms and listed later window first. At 500 ms the
+    // later window's opening edge applies before the earlier window's
+    // closing edge, and that closing edge no longer matches the open
+    // window: exactly one edge, carrying the second window's factor.
+    let schedule = FaultSchedule::new()
+        .brownout(0, 500 * MS, 1000 * MS, 0.25)
+        .brownout(0, 100 * MS, 500 * MS, 0.5)
+        .transfer_stall(1, 500 * MS, 1000 * MS, 4.0)
+        .transfer_stall(1, 100 * MS, 500 * MS, 2.0);
+    let tracer = traced_two_node_run(schedule);
+    assert_eq!(
+        window_edges(&tracer, 0),
+        vec![
+            (100 * MS, 500_000, (500 * MS) as i64),
+            (500 * MS, 250_000, (1000 * MS) as i64),
+            (1000 * MS, 1_000_000, 0),
+        ]
+    );
+    assert_eq!(
+        window_edges(&tracer, 1),
+        vec![
+            (100 * MS, 2_000_000, (500 * MS) as i64),
+            (500 * MS, 4_000_000, (1000 * MS) as i64),
+            (1000 * MS, 1_000_000, 0),
+        ]
+    );
+}
+
+#[test]
+fn permanent_crash_inside_a_transient_outage_keeps_the_node_down() {
+    let schedule = FaultSchedule::new()
+        .transient_crash(0, 100 * MS, 2000 * MS)
+        .crash(0, 500 * MS);
+    let tracer = traced_two_node_run(schedule);
+    let ups = tracer
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::NodeUp && e.node == 0)
+        .count();
+    assert_eq!(ups, 0, "a permanently crashed node came back");
+    assert_eq!(work_onto(&tracer, 0, 100 * MS), vec![]);
+    assert!(!work_onto(&tracer, 1, 100 * MS).is_empty());
+}
