@@ -966,8 +966,15 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     /// *failed* — never silently dropped.
     fn crash_node(&mut self, t: u64, crashed: usize, until_ns: Option<u64>) {
         let hs = &mut self.health[crashed];
+        // A crash landing on a node that is already down keeps the later
+        // recovery; a permanent crash (`None`) dominates either way.
+        hs.down_until_ns = if hs.down {
+            hs.down_until_ns.zip(until_ns).map(|(a, b)| a.max(b))
+        } else {
+            until_ns
+        };
         hs.down = true;
-        hs.down_until_ns = until_ns;
+        let until_ns = hs.down_until_ns;
         self.recovery.crashes += 1;
         let salvaged = self.nodes[crashed].crash_salvage();
         self.recovery.lost_busy_ns += salvaged.iter().map(|&(_, lost)| lost).sum::<u64>();

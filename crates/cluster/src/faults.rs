@@ -46,7 +46,10 @@ impl NodeHealth {
 pub enum FaultKind {
     /// The node goes down and never recovers.
     Crash,
-    /// The node goes down and comes back at `down_until_ns`.
+    /// The node goes down and comes back at `down_until_ns`. Crashes
+    /// on a node that is already down extend its outage and never
+    /// shorten it: the node comes back at the later of the two recovery
+    /// times, and never if either crash is permanent.
     TransientCrash {
         /// Sim time at which the node recovers (must be after the
         /// fault's `at_ns`).

@@ -335,3 +335,26 @@ fn permanent_crash_inside_a_transient_outage_keeps_the_node_down() {
     assert_eq!(work_onto(&tracer, 0, 100 * MS), vec![]);
     assert!(!work_onto(&tracer, 1, 100 * MS).is_empty());
 }
+
+#[test]
+fn nested_shorter_transient_crash_does_not_revive_the_node_early() {
+    // A 200–300 ms transient crash inside a 100–2000 ms one: the node
+    // stays down until the later recovery.
+    let schedule = FaultSchedule::new()
+        .transient_crash(0, 100 * MS, 2000 * MS)
+        .transient_crash(0, 200 * MS, 300 * MS);
+    let tracer = traced_two_node_run(schedule);
+    let ups: Vec<u64> = tracer
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::NodeUp && e.node == 0)
+        .map(|e| e.t_ns)
+        .collect();
+    assert_eq!(ups, vec![2000 * MS]);
+    let early: Vec<_> = work_onto(&tracer, 0, 100 * MS)
+        .into_iter()
+        .filter(|&(t, _)| t < 2000 * MS)
+        .collect();
+    assert_eq!(early, vec![], "work landed on node 0 during its outage");
+    assert!(!work_onto(&tracer, 0, 2000 * MS).is_empty());
+}
