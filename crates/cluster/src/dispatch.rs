@@ -423,7 +423,6 @@ impl Dispatcher for EarliestDeadlineFirst {
 
     fn peek(&self, request: &Request, ctx: &DispatchContext<'_>) -> usize {
         let family = request.spec.model.family();
-        let live = |n: &&NodeView| n.health.accepts_work();
         let est_ns = ctx.request_estimate_ns(request);
         let feasible = |n: &&NodeView| {
             n.health.accepts_work()
@@ -452,20 +451,7 @@ impl Dispatcher for EarliestDeadlineFirst {
         }
         // Stage 3: the deadline is lost everywhere — affinity's pick
         // among whatever is still alive.
-        ctx.nodes
-            .iter()
-            .filter(|n| n.accelerator.serves(family))
-            .filter(live)
-            .min_by(|a, b| by_predicted_backlog(a, b))
-            .or_else(|| {
-                ctx.nodes
-                    .iter()
-                    .filter(live)
-                    .min_by(|a, b| by_predicted_backlog(a, b))
-            })
-            .or_else(|| ctx.nodes.iter().min_by(|a, b| by_predicted_backlog(a, b)))
-            .map(|n| n.id)
-            .expect("cluster engine never passes an empty pool")
+        SparsityAffinity.peek(request, ctx)
     }
 }
 

@@ -1,13 +1,18 @@
 //! The cluster event loop: N node engines behind one [`ClusterPolicy`],
 //! fed by the serving front-end (admission batching, work stealing,
-//! request migration).
+//! request migration, fault injection).
 //!
-//! The loop only *sequences*: it advances nodes causally, snapshots the
-//! pool into a [`DispatchContext`], consults the policy family
-//! (dispatcher for routing, [`crate::StealPolicy`] for victim choice,
+//! The loop only *sequences*: it pops the earliest pending deadline
+//! (arrival, fault edge, admission flush, migrate tick, steal tick),
+//! advances nodes causally, snapshots the pool into a
+//! [`DispatchContext`], consults the policy family (dispatcher for
+//! routing, [`crate::StealPolicy`] for victim choice,
 //! [`crate::MigrationPolicy`] for rebalance acceptance), and applies
-//! whatever they decide — charging the pool's
-//! [`crate::TransferCostConfig`] on every applied move. All decision
+//! whatever they decide. Crash salvage, migration and stealing all move
+//! a request through one path, which charges the pool's
+//! [`crate::TransferCostConfig`] on the receiving node. Per-node counts
+//! and fault state live in one ledger entry per node; run-wide counts
+//! fill the report's [`ServingStats`] as the run goes. All decision
 //! logic lives behind the policy traits.
 
 use std::collections::{HashMap, VecDeque};
@@ -15,11 +20,11 @@ use std::collections::{HashMap, VecDeque};
 use dysta_core::{scale_ns, ModelInfoLut, SparseLatencyPredictor, VariantId};
 use dysta_models::ModelFamily;
 use dysta_obs::{EventKind, NullTracer, Phase, TraceEvent, Tracer, NODE_FRONTEND, REQ_NONE};
-use dysta_sim::NodeEngine;
+use dysta_sim::{NodeEngine, TransferableTask};
 use dysta_workload::{Request, RequestSource, Workload, WorkloadSource};
 
 use crate::dispatch::{DispatchContext, Dispatcher, EarliestDeadlineFirst, NodeView};
-use crate::faults::{FaultKind, FaultSchedule, NodeHealth, RecoveryStats};
+use crate::faults::{FaultEvent, FaultKind, FaultSchedule, NodeHealth};
 use crate::policy::{
     AdmissionDecision, AdmissionPolicy, AdmitAll, BacklogGainSteal, BacklogThresholdMigration,
     ClusterPolicy, InfeasibleEverywhere, MigrationPolicy, StealCandidate, StealPolicy,
@@ -174,11 +179,6 @@ fn run_cluster<T: Tracer + Copy>(
     tracer: T,
 ) -> ClusterReport {
     let requests = workload.requests();
-    assert!(!requests.is_empty(), "workload must contain requests");
-    // Every range invariant — node knobs, front-end, transfer cost — is
-    // checked once here, so hand-assembled configs cannot reach the
-    // engine unvalidated.
-    config.validate();
     // A streaming source owns its id minting (the RequestSource
     // contract), but a hand-assembled workload slice does not — reject
     // non-dense ids here so a workload built with gaps or duplicates
@@ -289,6 +289,9 @@ where
         source.peek_arrival_ns().is_some(),
         "workload must contain requests"
     );
+    // Every range invariant — node knobs, front-end, transfer cost — is
+    // checked once here, so hand-assembled configs cannot reach the
+    // engine unvalidated.
     config.validate();
     let len_hint = source.len_hint();
 
@@ -326,28 +329,15 @@ where
         lut,
         predictor,
         nodes,
-        routed: vec![0; config.nodes.len()],
-        rejected: vec![0; config.nodes.len()],
-        degraded: vec![0; config.nodes.len()],
-        transferred_in: vec![0; config.nodes.len()],
-        transferred_out: vec![0; config.nodes.len()],
-        transfer_fetch_ns: vec![0; config.nodes.len()],
-        admission_wait_ns: Vec::with_capacity(len_hint),
-        rejected_ids: Vec::new(),
-        degraded_slo_ns: Vec::new(),
+        ledger: vec![Ledger::default(); config.nodes.len()],
+        serving: ServingStats {
+            admission_wait_ns: Vec::with_capacity(len_hint),
+            ..ServingStats::default()
+        },
         live_requests: HashMap::new(),
-        peak_live: 0,
-        max_migrations: 0,
         last_arrival_ns: 0,
-        completed_seen: vec![0; config.nodes.len()],
-        steals: 0,
-        migrations: 0,
-        health: vec![HealthState::default(); config.nodes.len()],
-        fault_timeline: expand_schedule(&config.faults.schedule),
+        fault_timeline: fault_timeline(&config.faults.schedule),
         next_fault: 0,
-        failed: vec![0; config.nodes.len()],
-        reneged: vec![0; config.nodes.len()],
-        recovery: RecoveryStats::default(),
         live: Vec::new(),
         view_cache: Vec::new(),
         view_epoch: vec![u64::MAX; config.nodes.len()],
@@ -360,7 +350,7 @@ where
 }
 
 /// Event kinds, in processing priority at equal timestamps: arrivals
-/// join the admission queue before the queue flushes, fault actions
+/// join the admission queue before the queue flushes, fault edges
 /// land before the queue flushes (a batch dispatched at crash time must
 /// see the post-crash pool), dispatch happens before rebalancing, and
 /// migration (which needs backlogged *and* underloaded nodes) runs
@@ -399,90 +389,30 @@ impl EventQueue {
     }
 }
 
-/// One applied-at-`t` fault action. A [`FaultSchedule`] entry expands
-/// into explicit start/end actions so window closings and transient
-/// recoveries replay through the event loop like any other deadline.
-#[derive(Debug, Clone, Copy)]
-enum FaultAction {
-    Down {
-        node: usize,
-        until_ns: Option<u64>,
-    },
-    Up {
-        node: usize,
-    },
-    BrownoutStart {
-        node: usize,
-        factor: f64,
-        until_ns: u64,
-    },
-    BrownoutEnd {
-        node: usize,
-    },
-    StallStart {
-        node: usize,
-        factor: f64,
-        until_ns: u64,
-    },
-    StallEnd {
-        node: usize,
-    },
-}
-
-/// Expands a validated schedule into a time-sorted action timeline.
-/// The sort is stable, so same-instant actions apply in schedule-entry
-/// order.
-fn expand_schedule(schedule: &FaultSchedule) -> Vec<(u64, FaultAction)> {
-    let mut timeline = Vec::new();
-    for ev in &schedule.events {
-        let node = ev.node;
-        match ev.kind {
-            FaultKind::Crash => timeline.push((
-                ev.at_ns,
-                FaultAction::Down {
-                    node,
-                    until_ns: None,
-                },
-            )),
-            FaultKind::TransientCrash { down_until_ns } => {
-                let until_ns = Some(down_until_ns);
-                timeline.push((ev.at_ns, FaultAction::Down { node, until_ns }));
-                timeline.push((down_until_ns, FaultAction::Up { node }));
-            }
-            FaultKind::Brownout {
-                until_ns,
-                capacity_factor,
-            } => {
-                let factor = capacity_factor;
-                timeline.push((
-                    ev.at_ns,
-                    FaultAction::BrownoutStart {
-                        node,
-                        factor,
-                        until_ns,
-                    },
-                ));
-                timeline.push((until_ns, FaultAction::BrownoutEnd { node }));
-            }
-            FaultKind::TransferStall { until_ns, factor } => {
-                timeline.push((
-                    ev.at_ns,
-                    FaultAction::StallStart {
-                        node,
-                        factor,
-                        until_ns,
-                    },
-                ));
-                timeline.push((until_ns, FaultAction::StallEnd { node }));
-            }
-        }
-    }
-    timeline.sort_by_key(|&(t, _)| t);
+/// Expands a validated schedule into its time-sorted edges: every
+/// entry opens at `at_ns`, and a transient crash or a window also has a
+/// closing edge (`true`) at its recovery or window end. The sort is
+/// stable, so same-instant edges apply in schedule-entry order.
+fn fault_timeline(schedule: &FaultSchedule) -> Vec<(u64, FaultEvent, bool)> {
+    let mut timeline: Vec<_> = schedule
+        .events
+        .iter()
+        .flat_map(|&ev| {
+            let end = match ev.kind {
+                FaultKind::Crash => None,
+                FaultKind::TransientCrash { down_until_ns } => Some(down_until_ns),
+                FaultKind::Brownout { until_ns, .. }
+                | FaultKind::TransferStall { until_ns, .. } => Some(until_ns),
+            };
+            std::iter::once((ev.at_ns, ev, false)).chain(end.map(|t| (t, ev, true)))
+        })
+        .collect();
+    timeline.sort_by_key(|&(t, ..)| t);
     timeline
 }
 
 /// The front-end's live fault state for one node. Window ends carry
-/// the closing instant so an end action from an *earlier* overlapping
+/// the closing instant so a closing edge from an *earlier* touching
 /// window cannot clear a later one (and an expired transient recovery
 /// cannot revive a node a permanent crash took down in the meantime).
 #[derive(Debug, Clone, Copy, Default)]
@@ -509,6 +439,25 @@ impl HealthState {
             NodeHealth::Up
         }
     }
+}
+
+/// One node's front-end accounting: the [`NodeReport`] counters and the
+/// node's live fault state.
+#[derive(Debug, Clone, Default)]
+struct Ledger {
+    routed: usize,
+    rejected: usize,
+    degraded: usize,
+    transferred_in: usize,
+    transferred_out: usize,
+    transfer_fetch_ns: u64,
+    failed: usize,
+    reneged: usize,
+    /// Cursor into [`NodeEngine::completed_since`]: completions already
+    /// evicted from the live-request table.
+    completed_seen: usize,
+    /// Updated by [`Frontend::fault_tick`].
+    health: HealthState,
 }
 
 /// A thief's steal-pricing class (see [`Frontend::steal_class`]):
@@ -542,47 +491,25 @@ struct Frontend<'w, 'c, S, T> {
     lut: ModelInfoLut,
     predictor: SparseLatencyPredictor,
     nodes: Vec<NodeEngine<'w, Box<dyn dysta_core::Scheduler>, T>>,
-    routed: Vec<usize>,
-    rejected: Vec<usize>,
-    degraded: Vec<usize>,
-    transferred_in: Vec<usize>,
-    transferred_out: Vec<usize>,
-    transfer_fetch_ns: Vec<u64>,
-    admission_wait_ns: Vec<u64>,
-    rejected_ids: Vec<u64>,
-    degraded_slo_ns: Vec<(u64, u64)>,
+    /// One entry per node, indexed like `nodes`.
+    ledger: Vec<Ledger>,
+    /// The run-wide statistics the report carries, filled as the run
+    /// goes; `transfer_cost_ns` is summed from the ledger at the end.
+    serving: ServingStats,
     /// In-flight requests keyed by id: admitted but not yet observed
     /// complete. This is the only per-request state the front-end holds,
     /// so memory tracks the pool's backlog, not the trace length.
     live_requests: HashMap<u64, LiveEntry>,
-    /// High-water mark of `live_requests` ([`ServingStats::peak_live_requests`]).
-    peak_live: usize,
-    /// Running max of per-request migration counts
-    /// ([`ServingStats::max_migrations_single_request`]).
-    max_migrations: u32,
     /// Newest arrival timestamp handed out by the source; once the
     /// stream is exhausted this is the tail-flush deadline.
     last_arrival_ns: u64,
-    /// Per-node cursor into [`NodeEngine::completed_since`]: completions
-    /// already evicted from `live_requests`.
-    completed_seen: Vec<usize>,
-    steals: u64,
-    migrations: u64,
-    /// Live fault state per node, updated by [`Frontend::fault_tick`].
-    health: Vec<HealthState>,
-    /// The expanded, time-sorted fault action timeline.
-    fault_timeline: Vec<(u64, FaultAction)>,
-    /// Cursor into `fault_timeline`: the first unapplied action.
+    /// The schedule's time-sorted fault edges (see [`fault_timeline`]).
+    fault_timeline: Vec<(u64, FaultEvent, bool)>,
+    /// Cursor into `fault_timeline`: the first unapplied edge.
     next_fault: usize,
-    /// Per-node crash-failure counters ([`NodeReport::failed`]).
-    failed: Vec<usize>,
-    /// Per-node renege counters ([`NodeReport::reneged`]).
-    reneged: Vec<usize>,
-    /// The run's recovery accounting ([`ServingStats::recovery`]).
-    recovery: RecoveryStats,
     /// Ids of nodes not known to be drained, ascending. A conservative
     /// superset of the truly-busy nodes: entries join when the
-    /// front-end hands a node work and leave when [`Frontend::sync_nodes`]
+    /// front-end hands a node work and leave when [`Frontend::prune_live`]
     /// observes them drained. Every per-tick pass walks this set
     /// instead of all N nodes — a drained node's `run_until` is a
     /// no-op and a drained node holds nothing to migrate or steal, so
@@ -661,12 +588,15 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         let mut next_steal = fe.steal.map(|s| s.period_ns);
         let mut events = EventQueue::default();
 
-        // Phase 1: drain the arrival stream through the admission queue,
-        // interleaving steal/migration ticks at their configured cadence.
         loop {
             let arrival = self.source.peek_arrival_ns();
-            if arrival.is_none() && queue.is_empty() {
-                break;
+            let feeding = arrival.is_some() || !queue.is_empty();
+            if !feeding {
+                // Every request is placed: drop the nodes a crash, renege
+                // or steal left drained, so the ticks stop once the pool
+                // has. (While feeding the ticks stay armed anyway, and
+                // every handler that advances a node prunes after it.)
+                self.prune_live();
             }
             let deadline = if queue.is_empty() {
                 None
@@ -677,15 +607,20 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             } else {
                 timer_deadline
             };
-
+            // Once every request is placed, ticks keep firing only while
+            // a node holds work (an idle node may still steal the tail of
+            // a backlogged peer's queue); fault edges that outlive the
+            // stream still replay, so crashes salvage, windows close and
+            // transient nodes recover.
+            let ticking = feeding || !self.live.is_empty();
             events.arm(EV_ARRIVAL, arrival);
             events.arm(EV_FAULT, self.next_fault_deadline());
             events.arm(EV_DISPATCH, deadline);
-            events.arm(EV_MIGRATE, next_migration);
-            events.arm(EV_STEAL, next_steal);
-            let (t, kind) = events
-                .pop()
-                .expect("an arrival or a flush deadline always exists");
+            events.arm(EV_MIGRATE, next_migration.filter(|_| ticking));
+            events.arm(EV_STEAL, next_steal.filter(|_| ticking));
+            let Some((t, kind)) = events.pop() else {
+                break;
+            };
 
             match kind {
                 EV_ARRIVAL => {
@@ -723,34 +658,6 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                     self.dispatch_batch(&mut queue, t);
                     timer_deadline = None;
                 }
-                EV_MIGRATE => next_migration = Some(self.rebalance_tick(EV_MIGRATE, t)),
-                EV_STEAL => next_steal = Some(self.rebalance_tick(EV_STEAL, t)),
-                _ => unreachable!(),
-            }
-        }
-
-        // Phase 2: every request is placed; keep rebalancing at the tick
-        // cadence until the pool drains (idle nodes may still steal the
-        // tail of a backlogged peer's queue), and replay any fault
-        // actions that outlive the arrival stream — crashes still
-        // salvage, windows still close, transient nodes still recover.
-        events.arm(EV_ARRIVAL, None);
-        events.arm(EV_DISPATCH, None);
-        loop {
-            self.prune_live();
-            let ticking = (fe.steal.is_some() || fe.migration.is_some()) && !self.live.is_empty();
-            let fault = self.next_fault_deadline();
-            if fault.is_none() && !ticking {
-                break;
-            }
-            events.arm(EV_FAULT, fault);
-            events.arm(EV_MIGRATE, if ticking { next_migration } else { None });
-            events.arm(EV_STEAL, if ticking { next_steal } else { None });
-            let (t, kind) = events
-                .pop()
-                .expect("a pending fault action or an armed tick exists");
-            match kind {
-                EV_FAULT => self.fault_tick(t),
                 EV_MIGRATE => next_migration = Some(self.rebalance_tick(EV_MIGRATE, t)),
                 EV_STEAL => next_steal = Some(self.rebalance_tick(EV_STEAL, t)),
                 _ => unreachable!(),
@@ -810,16 +717,35 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     fn prune_live(&mut self) {
         for &node_id in &self.live {
             let node = &self.nodes[node_id];
-            let seen = self.completed_seen[node_id];
-            if node.completed_count() > seen {
-                for completed in node.completed_since(seen) {
+            let seen = &mut self.ledger[node_id].completed_seen;
+            if node.completed_count() > *seen {
+                for completed in node.completed_since(*seen) {
                     self.live_requests.remove(&completed.id);
                 }
-                self.completed_seen[node_id] = node.completed_count();
+                *seen = node.completed_count();
             }
         }
         let nodes = &self.nodes;
         self.live.retain(|&id| !nodes[id].is_drained());
+    }
+
+    /// Lands `transfer`, withdrawn from `src`, on `dst` at sim-time `t`
+    /// under service `scale`, paying `fetch_ns` of transfer cost there —
+    /// the one move path crash salvage, migration and stealing share.
+    fn move_task(
+        &mut self,
+        src: usize,
+        dst: usize,
+        transfer: TransferableTask<'w>,
+        scale: f64,
+        t: u64,
+        fetch_ns: u64,
+    ) {
+        self.nodes[dst].accept_transfer(transfer, scale, t, fetch_ns);
+        self.mark_live(dst);
+        self.ledger[src].transferred_out += 1;
+        self.ledger[dst].transferred_in += 1;
+        self.ledger[dst].transfer_fetch_ns += fetch_ns;
     }
 
     /// Marks `node` as holding work (idempotent; keeps `live` sorted).
@@ -846,25 +772,25 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         self.live.get(i).copied()
     }
 
-    /// The instant of the first unapplied fault action (`None` once the
+    /// The instant of the first unapplied fault edge (`None` once the
     /// schedule — empty or not — is fully replayed).
     fn next_fault_deadline(&self) -> Option<u64> {
-        self.fault_timeline.get(self.next_fault).map(|&(t, _)| t)
+        self.fault_timeline.get(self.next_fault).map(|&(t, ..)| t)
     }
 
-    /// Applies every fault action scheduled at sim-time `t`: crashes
+    /// Applies every fault edge scheduled at sim-time `t`: crashes
     /// (with salvage-and-redispatch), transient recoveries, and
     /// brown-out / transfer-stall window edges. Nodes are synced first
     /// so a crash sees exactly the queue a real failure would strand.
     fn fault_tick(&mut self, t: u64) {
         self.sync_nodes(t);
         let t0 = self.tracer.profiling().then(std::time::Instant::now);
-        while let Some(&(at, action)) = self.fault_timeline.get(self.next_fault) {
+        while let Some(&(at, event, closing)) = self.fault_timeline.get(self.next_fault) {
             if at != t {
                 break;
             }
             self.next_fault += 1;
-            self.apply_fault_action(t, action);
+            self.apply_fault_edge(t, event, closing);
         }
         if let Some(t0) = t0 {
             self.tracer
@@ -872,31 +798,29 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         }
     }
 
-    fn apply_fault_action(&mut self, t: u64, action: FaultAction) {
+    /// Applies one edge of `event`: its opening edge, or with `closing`
+    /// its transient recovery or window end.
+    fn apply_fault_edge(&mut self, t: u64, event: FaultEvent, closing: bool) {
+        let node = event.node;
         // Health lives on the front-end, outside the node engine's
         // mutation epoch: force the touched node's cached view stale
         // so the next refresh re-reads its health (even for the
-        // conditional window-end edges — a spurious recompute is
+        // conditional closing edges — a spurious recompute is
         // value-identical, a missed one is not).
-        let touched = match action {
-            FaultAction::Down { node, .. }
-            | FaultAction::Up { node }
-            | FaultAction::BrownoutStart { node, .. }
-            | FaultAction::BrownoutEnd { node }
-            | FaultAction::StallStart { node, .. }
-            | FaultAction::StallEnd { node } => node,
-        };
-        self.view_epoch[touched] = u64::MAX;
-        match action {
-            FaultAction::Down { node, until_ns } => self.crash_node(t, node, until_ns),
-            FaultAction::Up { node } => {
+        self.view_epoch[node] = u64::MAX;
+        let health = &mut self.ledger[node].health;
+        match (event.kind, closing) {
+            (FaultKind::Crash, _) => self.crash_node(t, node, None),
+            (FaultKind::TransientCrash { down_until_ns }, false) => {
+                self.crash_node(t, node, Some(down_until_ns));
+            }
+            (FaultKind::TransientCrash { .. }, true) => {
                 // Only the recovery matching the *current* down window
                 // may revive the node: a permanent crash (or a longer
                 // transient one) taken in the meantime wins.
-                let hs = &mut self.health[node];
-                if hs.down && hs.down_until_ns == Some(t) {
-                    hs.down = false;
-                    hs.down_until_ns = None;
+                if health.down && health.down_until_ns == Some(t) {
+                    health.down = false;
+                    health.down_until_ns = None;
                     if self.tracer.enabled() {
                         self.tracer.record(TraceEvent {
                             t_ns: t,
@@ -909,31 +833,24 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                     }
                 }
             }
-            FaultAction::BrownoutStart {
-                node,
-                factor,
-                until_ns,
-            } => {
-                self.health[node].brownout = Some((factor, until_ns));
-                self.record_window_edge(t, node, factor, until_ns);
-            }
-            FaultAction::BrownoutEnd { node } => {
-                if self.health[node].brownout.map(|(_, u)| u) == Some(t) {
-                    self.health[node].brownout = None;
-                    self.record_window_edge(t, node, 1.0, 0);
+            (
+                FaultKind::Brownout {
+                    until_ns,
+                    capacity_factor: factor,
                 }
-            }
-            FaultAction::StallStart {
-                node,
-                factor,
-                until_ns,
-            } => {
-                self.health[node].stall = Some((factor, until_ns));
-                self.record_window_edge(t, node, factor, until_ns);
-            }
-            FaultAction::StallEnd { node } => {
-                if self.health[node].stall.map(|(_, u)| u) == Some(t) {
-                    self.health[node].stall = None;
+                | FaultKind::TransferStall { until_ns, factor },
+                _,
+            ) => {
+                let window = if matches!(event.kind, FaultKind::Brownout { .. }) {
+                    &mut health.brownout
+                } else {
+                    &mut health.stall
+                };
+                if !closing {
+                    *window = Some((factor, until_ns));
+                    self.record_window_edge(t, node, factor, until_ns);
+                } else if window.map(|(_, u)| u) == Some(t) {
+                    *window = None;
                     self.record_window_edge(t, node, 1.0, 0);
                 }
             }
@@ -965,7 +882,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     /// salvage disabled, or with no live node left) is recorded as
     /// *failed* — never silently dropped.
     fn crash_node(&mut self, t: u64, crashed: usize, until_ns: Option<u64>) {
-        let hs = &mut self.health[crashed];
+        let hs = &mut self.ledger[crashed].health;
         // A crash landing on a node that is already down keeps the later
         // recovery; a permanent crash (`None`) dominates either way.
         hs.down_until_ns = if hs.down {
@@ -975,9 +892,9 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         };
         hs.down = true;
         let until_ns = hs.down_until_ns;
-        self.recovery.crashes += 1;
+        self.serving.recovery.crashes += 1;
         let salvaged = self.nodes[crashed].crash_salvage();
-        self.recovery.lost_busy_ns += salvaged.iter().map(|&(_, lost)| lost).sum::<u64>();
+        self.serving.recovery.lost_busy_ns += salvaged.iter().map(|&(_, lost)| lost).sum::<u64>();
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent {
                 t_ns: t,
@@ -992,7 +909,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         let mut views = std::mem::take(&mut self.view_cache);
         for (transfer, lost_ns) in salvaged {
             let id = transfer.task().id;
-            self.recovery.salvaged += 1;
+            self.serving.recovery.salvaged += 1;
             if self.tracer.enabled() {
                 self.tracer.record(TraceEvent {
                     t_ns: t,
@@ -1030,16 +947,12 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             let fetch_ns =
                 self.stalled_fetch(crashed, target, ctx.request_transfer_cost_ns(&request));
             let scale = self.dispatch_scale(target, request.spec.model.family());
-            self.nodes[target].accept_transfer(transfer, scale, t, fetch_ns);
-            self.mark_live(target);
-            self.transferred_out[crashed] += 1;
-            self.transferred_in[target] += 1;
-            self.transfer_fetch_ns[target] += fetch_ns;
+            self.move_task(crashed, target, transfer, scale, t, fetch_ns);
             self.live_requests
                 .get_mut(&id)
                 .expect("request is live")
                 .retries += 1;
-            self.recovery.retries += 1;
+            self.serving.recovery.retries += 1;
             if self.tracer.enabled() {
                 self.tracer.record(TraceEvent {
                     t_ns: t,
@@ -1059,9 +972,9 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     /// so conservation closes through [`NodeReport::failed`].
     fn fail_request(&mut self, t: u64, id: u64, node: usize) {
         let entry = self.live_requests.remove(&id);
-        self.failed[node] += 1;
-        self.recovery.failed += 1;
-        self.recovery.failed_ids.push(id);
+        self.ledger[node].failed += 1;
+        self.serving.recovery.failed += 1;
+        self.serving.recovery.failed_ids.push(id);
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent {
                 t_ns: t,
@@ -1082,7 +995,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     /// dispatches made during the window, it does not re-time the queue.
     fn dispatch_scale(&self, target: usize, family: ModelFamily) -> f64 {
         let nc = &self.config.nodes[target];
-        match self.health[target].brownout {
+        match self.ledger[target].health.brownout {
             Some((factor, _)) => crate::config::effective_scale(
                 nc.accelerator.serves(family),
                 nc.mismatch_slowdown,
@@ -1096,7 +1009,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     /// endpoint — the slower side bounds the transfer, so overlapping
     /// stalls take the larger factor. Identity when no window is open.
     fn stalled_fetch(&self, src: usize, dst: usize, fetch_ns: u64) -> u64 {
-        let factor = |i: usize| self.health[i].stall.map(|(f, _)| f);
+        let factor = |i: usize| self.ledger[i].health.stall.map(|(f, _)| f);
         match (factor(src), factor(dst)) {
             (None, None) => fetch_ns,
             (a, b) => scale_ns(fetch_ns, a.unwrap_or(1.0).max(b.unwrap_or(1.0))),
@@ -1157,7 +1070,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             total_slack_ns,
             transfer_cost_ns,
             busy_ns: node.busy_ns(),
-            health: self.health[i].as_node_health(nc.capacity),
+            health: self.ledger[i].health.as_node_health(nc.capacity),
         }
     }
 
@@ -1237,8 +1150,8 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             if decision == AdmissionDecision::Reject {
                 let would_serve = self.dispatcher.peek(&original, &ctx);
                 self.check_target(would_serve);
-                self.rejected[would_serve] += 1;
-                self.rejected_ids.push(id);
+                self.ledger[would_serve].rejected += 1;
+                self.serving.rejected_ids.push(id);
                 if self.tracer.enabled() {
                     self.tracer.record(TraceEvent {
                         t_ns: t,
@@ -1265,9 +1178,12 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                 },
             );
             debug_assert!(prev.is_none(), "request id admitted twice");
-            self.peak_live = self.peak_live.max(self.live_requests.len());
+            self.serving.peak_live_requests = self
+                .serving
+                .peak_live_requests
+                .max(self.live_requests.len());
             let request = if decision == AdmissionDecision::Degrade {
-                self.degraded_slo_ns.push((id, original.slo_ns));
+                self.serving.degraded_slo_ns.push((id, original.slo_ns));
                 original.relax_slo(admission_cfg.degrade_slo_multiplier)
             } else {
                 original
@@ -1293,15 +1209,15 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             let target = self.dispatcher.dispatch(&request, &ctx);
             self.check_target(target);
             if decision == AdmissionDecision::Degrade {
-                self.degraded[target] += 1;
+                self.ledger[target].degraded += 1;
             }
             if !views[target].health.accepts_work() {
                 // Dispatchers only pick a down node when the whole pool
                 // is down: the request is admitted (it counts against
                 // `routed`) but has nowhere to run — fail it at the
                 // door instead of queueing on a dead engine.
-                self.routed[target] += 1;
-                self.admission_wait_ns.push(t - request.arrival_ns);
+                self.ledger[target].routed += 1;
+                self.serving.admission_wait_ns.push(t - request.arrival_ns);
                 self.fail_request(t, id, target);
                 continue;
             }
@@ -1309,8 +1225,8 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             let trace = self.source.trace_for(&request);
             self.nodes[target].enqueue_scaled_at(&request, trace, scale, t);
             self.mark_live(target);
-            self.routed[target] += 1;
-            self.admission_wait_ns.push(t - request.arrival_ns);
+            self.ledger[target].routed += 1;
+            self.serving.admission_wait_ns.push(t - request.arrival_ns);
             if self.tracer.enabled() {
                 let deadline = request.arrival_ns.saturating_add(request.slo_ns);
                 let slack = if deadline == u64::MAX {
@@ -1431,18 +1347,13 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                 let transfer = self.nodes[src]
                     .take_unstarted(id)
                     .expect("candidate is queued and unstarted");
-                self.nodes[target].accept_transfer(transfer, dst_scale, t, fetch_ns);
-                self.mark_live(target);
-                self.transferred_out[src] += 1;
-                self.transferred_in[target] += 1;
-                self.transfer_fetch_ns[target] += fetch_ns;
-                let m = {
-                    let entry = self.live_requests.get_mut(&id).expect("request is live");
-                    entry.migrations += 1;
-                    entry.migrations
-                };
-                self.max_migrations = self.max_migrations.max(m);
-                self.migrations += 1;
+                self.move_task(src, target, transfer, dst_scale, t, fetch_ns);
+                let entry = self.live_requests.get_mut(&id).expect("request is live");
+                entry.migrations += 1;
+                let stats = &mut self.serving;
+                stats.max_migrations_single_request =
+                    stats.max_migrations_single_request.max(entry.migrations);
+                stats.migrations += 1;
                 if self.tracer.enabled() {
                     self.tracer.record(TraceEvent {
                         t_ns: t,
@@ -1501,9 +1412,9 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                     .take_unstarted(id)
                     .expect("candidate is queued and unstarted");
                 self.live_requests.remove(&id);
-                self.reneged[src] += 1;
-                self.recovery.reneged += 1;
-                self.recovery.reneged_ids.push(id);
+                self.ledger[src].reneged += 1;
+                self.serving.recovery.reneged += 1;
+                self.serving.recovery.reneged_ids.push(id);
                 if self.tracer.enabled() {
                     self.tracer.record(TraceEvent {
                         t_ns: t,
@@ -1537,7 +1448,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     /// Thieves with equal classes get bit-identical candidate lists.
     fn steal_class(&self, thief: usize) -> StealClass {
         let nc = &self.config.nodes[thief];
-        let health = &self.health[thief];
+        let health = &self.ledger[thief].health;
         (
             nc.accelerator,
             nc.mismatch_slowdown.to_bits(),
@@ -1609,7 +1520,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             // A down node is drained (salvage emptied it) and would
             // otherwise look like the perfect thief: skip it at the
             // engine level too, whatever the policy says.
-            if self.health[thief].down || !self.nodes[thief].is_drained() {
+            if self.ledger[thief].health.down || !self.nodes[thief].is_drained() {
                 continue;
             }
             let class = self.steal_class(thief);
@@ -1642,12 +1553,15 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             let transfer = self.nodes[chosen.victim]
                 .take_unstarted(chosen.task_id)
                 .expect("chosen candidate is queued and unstarted");
-            self.nodes[thief].accept_transfer(transfer, scale, t, chosen.transfer_cost_ns);
-            self.mark_live(thief);
-            self.transferred_out[chosen.victim] += 1;
-            self.transferred_in[thief] += 1;
-            self.transfer_fetch_ns[thief] += chosen.transfer_cost_ns;
-            self.steals += 1;
+            self.move_task(
+                chosen.victim,
+                thief,
+                transfer,
+                scale,
+                t,
+                chosen.transfer_cost_ns,
+            );
+            self.serving.steals += 1;
             if self.tracer.enabled() {
                 self.tracer.record(TraceEvent {
                     t_ns: t,
@@ -1671,51 +1585,27 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         let Frontend {
             nodes,
             config,
-            routed,
-            rejected,
-            degraded,
-            transferred_in,
-            transferred_out,
-            transfer_fetch_ns,
-            admission_wait_ns,
-            rejected_ids,
-            degraded_slo_ns,
-            max_migrations,
-            peak_live,
-            steals,
-            migrations,
-            failed,
-            reneged,
-            recovery,
+            ledger,
+            mut serving,
             ..
         } = self;
-        let serving = ServingStats {
-            steals,
-            migrations,
-            max_migrations_single_request: max_migrations,
-            transfer_cost_ns: transfer_fetch_ns.iter().sum(),
-            admission_wait_ns,
-            rejected_ids,
-            degraded_slo_ns,
-            recovery,
-            peak_live_requests: peak_live,
-        };
+        serving.transfer_cost_ns = ledger.iter().map(|l| l.transfer_fetch_ns).sum();
         ClusterReport::with_serving(
             nodes
                 .into_iter()
                 .zip(&config.nodes)
-                .enumerate()
-                .map(|(i, (node, nc))| NodeReport {
+                .zip(ledger)
+                .map(|((node, nc), l)| NodeReport {
                     node_id: node.id(),
                     accelerator: nc.accelerator,
-                    routed: routed[i],
-                    rejected: rejected[i],
-                    degraded: degraded[i],
-                    transferred_in: transferred_in[i],
-                    transferred_out: transferred_out[i],
-                    transfer_fetch_ns: transfer_fetch_ns[i],
-                    failed: failed[i],
-                    reneged: reneged[i],
+                    routed: l.routed,
+                    rejected: l.rejected,
+                    degraded: l.degraded,
+                    transferred_in: l.transferred_in,
+                    transferred_out: l.transferred_out,
+                    transfer_fetch_ns: l.transfer_fetch_ns,
+                    failed: l.failed,
+                    reneged: l.reneged,
                     busy_ns: node.busy_ns(),
                     report: node.into_report(),
                 })
