@@ -443,7 +443,7 @@ impl HealthState {
 
 /// One node's front-end accounting: the [`NodeReport`] counters and the
 /// node's live fault state.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 struct Ledger {
     routed: usize,
     rejected: usize,

@@ -88,9 +88,9 @@ pub struct FaultEvent {
 
 /// A deterministic, sim-clock-keyed fault schedule.
 ///
-/// Built with the chainable helpers; replayed in `(at_ns, node)` order
-/// by the cluster event loop. The default (empty) schedule injects
-/// nothing.
+/// Built with the chainable helpers; replayed in time order by the
+/// cluster event loop, with edges at the same instant applied in entry
+/// order. The default (empty) schedule injects nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
     /// The scheduled faults, in any order (the engine sorts).
