@@ -1,0 +1,111 @@
+//! Pins that a streamed cluster run's heap follows live work, not the
+//! number of requests served.
+//!
+//! A thread-local counting allocator tracks live heap bytes and their
+//! high-water mark over one `simulate_cluster_stream` call (trace
+//! store included). The same steady stream runs at two lengths; since
+//! peak concurrency is the same, the peak heap may grow only by what
+//! the report keeps per request: a 56 B `CompletedRequest` plus 8 B of
+//! `admission_wait_ns`, with slack for `Vec` doubling. A node arena
+//! that kept finished tasks (~128 B each plus a per-layer monitor
+//! buffer) measures ~886 B per request here.
+//!
+//! Counting bytes rather than reading RSS keeps the check exact and
+//! immune to the host: the numbers are deterministic, and each test
+//! thread counts only its own allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use dysta_cluster::{simulate_cluster_stream, AcceleratorKind, ClusterConfig, DispatchPolicy};
+use dysta_core::Policy;
+use dysta_workload::{Scenario, StreamSpec};
+
+struct CountingAllocator;
+
+thread_local! {
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+fn grow(bytes: usize) {
+    let live = LIVE_BYTES.with(|c| {
+        c.set(c.get() + bytes as i64);
+        c.get()
+    });
+    PEAK_BYTES.with(|p| p.set(p.get().max(live)));
+}
+
+fn shrink(bytes: usize) {
+    LIVE_BYTES.with(|c| c.set(c.get() - bytes as i64));
+}
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Old and new blocks can coexist while the contents move.
+        grow(new_size);
+        shrink(layout.size());
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Streams `n` requests through an 8-node Eyeriss-V2 Dysta pool under
+/// JSQ and returns the run's peak heap above its starting point, in
+/// bytes, with the run's peak live-request count.
+fn stream_peak_heap(n: u64) -> (i64, usize) {
+    let spec = StreamSpec::steady_poisson(Scenario::MultiCnn, 20.0, 10.0)
+        .num_requests(n)
+        .samples_per_variant(4)
+        .seed(1);
+    let pool = ClusterConfig::homogeneous(8, AcceleratorKind::EyerissV2, Policy::Dysta);
+    let mut dispatcher = DispatchPolicy::JoinShortestQueue.build();
+    let base = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|p| p.set(base));
+    let peak_live = {
+        let store = spec.build_store();
+        let report = simulate_cluster_stream(spec.source(&store), dispatcher.as_mut(), &pool);
+        assert_eq!(
+            report.completed_total() as u64,
+            n,
+            "every request completes"
+        );
+        report.serving().peak_live_requests
+    };
+    (PEAK_BYTES.with(Cell::get) - base, peak_live)
+}
+
+#[test]
+fn streamed_heap_grows_only_by_the_per_request_report() {
+    let (small_n, large_n) = (1_000u64, 10_000u64);
+    let (small_peak, small_live) = stream_peak_heap(small_n);
+    let (large_peak, large_live) = stream_peak_heap(large_n);
+    assert_eq!(
+        small_live, large_live,
+        "both lengths must reach the same peak concurrency for the slope to mean anything"
+    );
+    let per_request = (large_peak - small_peak) as f64 / (large_n - small_n) as f64;
+    assert!(
+        per_request <= 160.0,
+        "peak heap grew {per_request:.1} B per extra request \
+         ({small_peak} B at {small_n}, {large_peak} B at {large_n}); \
+         only the per-request report (64 B) should scale with the stream"
+    );
+}

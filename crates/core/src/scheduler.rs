@@ -30,6 +30,14 @@ impl<'a> TaskQueue<'a> {
 
     /// A queue over `active` positions into a task arena.
     ///
+    /// The arena may reuse the slot of a task that left for the next
+    /// one admitted, so a slot number says nothing about a task's
+    /// identity or history. Queue position `i` is `active[i]`, whatever
+    /// slot that is; a scheduler keys any per-task state it keeps by
+    /// [`TaskState::id`] (PREMA's token map, for example), never by
+    /// position or slot. With `active` listing the same tasks in the
+    /// same order, every pick is the same whichever slots they occupy.
+    ///
     /// # Panics
     ///
     /// Debug-asserts every index is in range; release builds surface

@@ -70,8 +70,11 @@ impl TransferableTask<'_> {
 /// which the running segment absorbs — the node is busy fetching then,
 /// not idle.
 struct OpenSegment {
-    /// Index into the task arena (stable: completions `swap_remove`
-    /// from `active`, never from `tasks`).
+    /// Index into the task arena. Stable while the segment is open:
+    /// a slot is freed only after its task's segment was flushed
+    /// (completion and [`NodeEngine::crash_salvage`] flush first, and
+    /// [`NodeEngine::take_unstarted`] only takes tasks that never ran,
+    /// so never the open segment's).
     task_idx: usize,
     start_ns: u64,
     /// The task's `next_layer` when the segment opened.
@@ -118,14 +121,31 @@ pub struct NodeEngine<'w, S = Box<dyn Scheduler>, T = NullTracer> {
     open_seg: Option<OpenSegment>,
     /// Enqueued-but-not-admitted requests, in arrival order.
     pending: VecDeque<PendingTask<'w>>,
-    /// All admitted tasks (completed ones stay in place; `active` holds
-    /// the live indices).
+    /// The task arena: one slot per admitted, unfinished task, plus
+    /// freed slots awaiting reuse (listed in `free`). A task leaves its
+    /// slot when it completes, is withdrawn by
+    /// [`NodeEngine::take_unstarted`] or is salvaged by
+    /// [`NodeEngine::crash_salvage`], so the arena's length is the
+    /// high-water mark of `active.len()`, not the number of requests
+    /// served. `traces` and `scales` are parallel to it.
     tasks: Vec<TaskState>,
     traces: Vec<&'w SampleTrace>,
     scales: Vec<f64>,
+    /// Freed arena slots, reused last-in first-out by the next admission.
+    free: Vec<usize>,
     /// Indices into `tasks` of admitted, unfinished tasks. Order is
     /// arbitrary (completion removal is `swap_remove`); schedulers must
     /// not read meaning into queue positions, only into task fields.
+    ///
+    /// Slot reuse keeps every run bit-exact: it changes which slot
+    /// numbers `active` holds, never which tasks it lists or in what
+    /// order (admission still pushes, removal still `swap_remove`s).
+    /// Schedulers see tasks only as positions in a
+    /// [`TaskQueue::indexed`] over `active` and key any per-task state
+    /// by task id (PREMA's token map, for example); `queued_tasks` and
+    /// `unstarted_tasks` walk `active`, so dispatch views sum in the
+    /// same order; and an [`OpenSegment`] is flushed before its slot
+    /// is freed.
     active: Vec<usize>,
     /// Bumped on every externally observable mutation (clock movement,
     /// queue change, executed work); a cluster front-end caches its
@@ -177,6 +197,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             tasks: Vec::new(),
             traces: Vec::new(),
             scales: Vec::new(),
+            free: Vec::new(),
             active: Vec::new(),
             mutation_epoch: 0,
             now_ns: 0,
@@ -284,11 +305,11 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         if self.tasks[idx].started() {
             return None;
         }
-        // The arena slot stays behind (like completed tasks); only the
-        // live index is dropped, so `swap_remove` keeps removal O(1).
+        // `swap_remove` keeps removal O(1); the task moves out of its
+        // slot whole, pre-sized `monitored` buffer included.
         self.active.swap_remove(pos);
         self.mutation_epoch += 1;
-        let task = self.tasks[idx].clone();
+        let task = self.vacate(idx);
         self.scheduler.on_task_removed(&task, self.now_ns);
         Some(TransferableTask {
             task,
@@ -329,10 +350,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         self.busy_ns += fetch_ns;
         self.mutation_epoch += 1;
         self.scheduler.on_arrival(&task, &self.lut, self.now_ns);
-        self.tasks.push(task);
-        self.traces.push(trace);
-        self.scales.push(scale);
-        self.active.push(self.tasks.len() - 1);
+        self.occupy(task, trace, scale);
     }
 
     /// Crashes the node: every unfinished request — queued, pending,
@@ -354,7 +372,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         let mut salvaged: Vec<(TransferableTask<'w>, u64)> = Vec::new();
         let active = std::mem::take(&mut self.active);
         for idx in active {
-            let task = self.tasks[idx].clone();
+            let task = self.vacate(idx);
             let lost_ns = task.executed_ns;
             self.scheduler.on_task_removed(&task, self.now_ns);
             let task = if task.started() {
@@ -482,11 +500,44 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             }
             let PendingTask { task, trace, scale } = self.pending.pop_front().expect("non-empty");
             self.scheduler.on_arrival(&task, &self.lut, task.arrival_ns);
-            self.tasks.push(task);
-            self.traces.push(trace);
-            self.scales.push(scale);
-            self.active.push(self.tasks.len() - 1);
+            self.occupy(task, trace, scale);
         }
+    }
+
+    /// Places an admitted task in a free arena slot (the most recently
+    /// freed one), appending a slot only when none is free, and lists
+    /// it as live.
+    fn occupy(&mut self, task: TaskState, trace: &'w SampleTrace, scale: f64) {
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.tasks[idx] = task;
+                self.traces[idx] = trace;
+                self.scales[idx] = scale;
+                idx
+            }
+            None => {
+                self.tasks.push(task);
+                self.traces.push(trace);
+                self.scales.push(scale);
+                self.tasks.len() - 1
+            }
+        };
+        self.active.push(idx);
+    }
+
+    /// Moves the task out of arena slot `idx` and frees the slot. The
+    /// caller has already dropped `idx` from `active`. The slot keeps
+    /// an allocation-free stand-in until [`NodeEngine::occupy`]
+    /// overwrites it; its trace and scale entries stay behind, unread.
+    fn vacate(&mut self, idx: usize) -> TaskState {
+        debug_assert!(
+            self.open_seg.as_ref().is_none_or(|s| s.task_idx != idx),
+            "a slot is freed only after its segment is flushed"
+        );
+        let t = &self.tasks[idx];
+        let stand_in = TaskState::arrived(t.id, t.spec, t.variant, t.arrival_ns, t.slo_ns, 0);
+        self.free.push(idx);
+        std::mem::replace(&mut self.tasks[idx], stand_in)
     }
 
     /// Runs one engine step: admit due arrivals, then either execute one
@@ -667,8 +718,10 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             // so scheduler-visible queue *order* changes — every shipped
             // scheduler decides from task fields with id tie-breaks, so
             // decisions are order-independent (pinned by the determinism
-            // regression tests in `engine.rs`).
+            // regression tests in `engine.rs`). The segment was flushed
+            // above, so the slot can go back to the free list.
             self.active.swap_remove(pick);
+            self.vacate(task_idx);
         }
     }
 
@@ -1036,6 +1089,109 @@ mod tests {
             NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), lut);
         let req = w.requests().last().unwrap();
         node.enqueue_scaled_at(req, w.trace_for(req), 1.0, req.arrival_ns - 1);
+    }
+
+    /// Arena invariants, checked after every operation on one node.
+    #[derive(Default)]
+    struct ArenaCheck {
+        /// Most tasks ever live on the node at once.
+        high_water: usize,
+    }
+
+    impl ArenaCheck {
+        fn check(&mut self, node: &NodeEngine<'_>) {
+            self.high_water = self.high_water.max(node.active.len());
+            assert_eq!(
+                node.tasks.len(),
+                self.high_water,
+                "a slot is appended only when none is free"
+            );
+            assert_eq!(node.traces.len(), node.tasks.len());
+            assert_eq!(node.scales.len(), node.tasks.len());
+            let mut slots: Vec<usize> = node.active.iter().chain(&node.free).copied().collect();
+            slots.sort_unstable();
+            assert!(
+                slots.iter().copied().eq(0..node.tasks.len()),
+                "live and free slots partition the arena"
+            );
+            // The queue the next pick folds over: a reused slot must show
+            // only its new task's own progress.
+            for task in TaskQueue::indexed(&node.tasks, &node.active).iter() {
+                assert!(!task.finished(), "request {} already finished", task.id);
+                assert_eq!(
+                    task.monitored.len(),
+                    task.next_layer,
+                    "request {} sees stale monitor records",
+                    task.id
+                );
+                if !task.started() {
+                    assert_eq!(task.executed_ns, 0);
+                    assert_eq!(task.sparsity, dysta_core::SparsitySummary::default());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn arena_slots_track_concurrency_and_reuse_cleanly() {
+        // One loaded FCFS source and one Dysta destination (preemptive,
+        // so many tasks there hold partial progress at once), driven
+        // through every way a task enters or leaves an arena.
+        let w = tiny(16);
+        let lut = ModelInfoLut::from_store(w.store());
+        let mut src = engine_for(&w, Policy::Fcfs);
+        let mut dst: NodeEngine =
+            NodeEngine::new(1, Policy::Dysta.build(), EngineConfig::default(), lut);
+        let (mut src_check, mut dst_check) = (ArenaCheck::default(), ArenaCheck::default());
+
+        // Admissions and completions.
+        let barrier = w.requests()[20].arrival_ns;
+        while src.now_ns() < barrier && src.step() {
+            src_check.check(&src);
+        }
+        assert!(src.completed_count() > 0, "completions freed slots");
+
+        // Withdrawals land on the destination.
+        for _ in 0..3 {
+            let victim = src
+                .unstarted_tasks()
+                .map(|(t, _)| t.id)
+                .min()
+                .expect("unstarted work exists");
+            let transfer = src.take_unstarted(victim).expect("victim is unstarted");
+            src_check.check(&src);
+            dst.accept_transfer(transfer, 1.0, src.now_ns(), 0);
+            dst_check.check(&dst);
+        }
+        for _ in 0..40 {
+            src.step();
+            src_check.check(&src);
+            dst.step();
+            dst_check.check(&dst);
+        }
+
+        // A crash frees every slot; the salvage reuses the destination's.
+        let salvaged = src.crash_salvage();
+        src_check.check(&src);
+        assert_eq!(
+            src.free.len(),
+            src.tasks.len(),
+            "a crashed node holds no task"
+        );
+        for (transfer, _) in salvaged {
+            dst.accept_transfer(transfer, 1.0, src.now_ns(), 0);
+            dst_check.check(&dst);
+        }
+        while dst.step() {
+            dst_check.check(&dst);
+        }
+
+        let served = src.completed_count() + dst.completed_count();
+        assert_eq!(served, 30, "every request completes exactly once");
+        assert!(
+            src.tasks.len() + dst.tasks.len() < served,
+            "slots were reused rather than one kept per request"
+        );
     }
 
     #[test]

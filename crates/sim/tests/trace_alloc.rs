@@ -2,6 +2,8 @@
 //! path: recording into a [`NullTracer`] is free, recording into a
 //! [`RingTracer`] is allocation-free even across ring wraparound, and a
 //! fully traced engine run allocates exactly as much as an untraced one.
+//! Also pins that a task moved between nodes executes its layers
+//! without allocating, like one admitted in place.
 //!
 //! Same counting-global-allocator pattern as `crates/core/tests/
 //! alloc_free.rs`: a thread-local counter measures the exact region
@@ -148,4 +150,78 @@ fn traced_engine_run_allocates_exactly_like_untraced() {
         tracer.kind_count(EventKind::Completion) > 0,
         "the traced run must actually record"
     );
+}
+
+/// Heap allocations performed while `node` executes all but the last
+/// layer of its one queued task (the last layer's completion record may
+/// grow the report, which is not layer execution).
+fn layer_execution_allocs(node: &mut NodeEngine<'_>, num_layers: usize) -> u64 {
+    allocations_in(|| {
+        for _ in 1..num_layers {
+            assert!(node.step());
+        }
+    })
+}
+
+#[test]
+fn moved_tasks_keep_their_presized_monitor_buffer() {
+    // A transfer moves the task out of its arena slot whole, so the
+    // monitored buffer `TaskState::arrived` pre-sized to the layer count
+    // arrives intact and recording the layers never reallocates. Both
+    // ways out of a node are covered: a steal/migration withdrawal and
+    // a crash salvage of never-started work.
+    let w = alloc_workload();
+    let lut = ModelInfoLut::from_store(w.store());
+    // Every request is dispatched at the last arrival, so one quantum
+    // admits them all and starts just one.
+    let mut src: NodeEngine<'_> = NodeEngine::new(
+        0,
+        Policy::Fcfs.build(),
+        EngineConfig::default(),
+        lut.clone(),
+    );
+    let dispatch_ns = w.requests().last().expect("non-empty").arrival_ns;
+    for req in w.requests() {
+        src.enqueue_scaled_at(req, w.trace_for(req), 1.0, dispatch_ns);
+    }
+    assert!(src.step());
+    let moved_at_ns = src.now_ns();
+    let victim = src
+        .unstarted_tasks()
+        .map(|(t, _)| t.id)
+        .min()
+        .expect("unstarted work exists");
+    let stolen = src.take_unstarted(victim).expect("victim is unstarted");
+    // An admitted task the crash moves out as is (pending arrivals
+    // never held an arena slot, started ones are rebuilt).
+    let queued = src
+        .unstarted_tasks()
+        .map(|(t, _)| t.id)
+        .min()
+        .expect("more unstarted work exists");
+    let salvaged = src
+        .crash_salvage()
+        .into_iter()
+        .map(|(t, _)| t)
+        .find(|t| t.task().id == queued)
+        .expect("the crash salvages every unfinished task");
+
+    for transfer in [stolen, salvaged] {
+        let num_layers = transfer.task().num_layers;
+        assert!(num_layers > 1);
+        let mut dst: NodeEngine<'_> = NodeEngine::new(
+            1,
+            Policy::Dysta.build(),
+            EngineConfig::default(),
+            lut.clone(),
+        );
+        dst.accept_transfer(transfer, 1.0, moved_at_ns, 0);
+        assert_eq!(
+            layer_execution_allocs(&mut dst, num_layers),
+            0,
+            "executing a moved task's layers must not allocate"
+        );
+        dst.run_to_completion();
+        assert_eq!(dst.into_report().completed().len(), 1);
+    }
 }
