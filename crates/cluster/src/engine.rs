@@ -201,9 +201,14 @@ fn run_cluster<T: Tracer + Copy>(
 /// [`simulate_cluster`] over any [`RequestSource`]: the workload
 /// arrives as a stream instead of a materialized slice, so an
 /// open-loop [`dysta_workload::ArrivalSource`] can drive
-/// million-request runs while the front-end holds only live state
-/// (admission queue + in-flight bookkeeping — see
-/// [`ServingStats::peak_live_requests`]).
+/// million-request runs. Scheduling state is live state only: the
+/// front-end's admission queue and in-flight bookkeeping (see
+/// [`ServingStats::peak_live_requests`]), and each node's task arena,
+/// whose slots are reused as requests leave. What still grows with the
+/// stream is the report: a 56 B [`dysta_sim::CompletedRequest`] per
+/// completion plus 8 B of [`ServingStats::admission_wait_ns`] per
+/// admitted request, kept because turnaround and wait percentiles are
+/// computed from them.
 ///
 /// Over a [`WorkloadSource`] this is exactly [`simulate_cluster`]
 /// (bit-pinned by the golden fixtures, which now run through this

@@ -115,8 +115,11 @@ pub struct ServingStats {
     /// High-water mark of the front-end's live-request table: requests
     /// admitted but not yet observed retired (completed, failed, or
     /// reneged). Bounded by the pool's in-flight backlog — not by the
-    /// trace length — which is what lets a streaming source drive
-    /// million-request runs in O(pool) memory.
+    /// trace length — and so are the scheduling state behind it (this
+    /// table and every node's task arena). A streamed run's memory is
+    /// therefore this live state plus the per-request report floor:
+    /// 56 B of [`CompletedRequest`] per completion and 8 B of
+    /// [`ServingStats::admission_wait_ns`] per admitted request.
     pub peak_live_requests: usize,
 }
 
