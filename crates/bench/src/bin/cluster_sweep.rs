@@ -248,7 +248,7 @@ fn serving_frontend_sweep(scale: &Scale) {
             imbalance += report.load_imbalance();
             steals += report.serving().steals;
             migrations += report.serving().migrations;
-            fetch_ms += report.serving().transfer_cost_ns as f64 / 1e6;
+            fetch_ms += report.total_transfer_cost_ns() as f64 / 1e6;
         }
         // Counters are seed-averaged like every other column, so a row
         // reads as "one run at this operating point".

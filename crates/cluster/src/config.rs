@@ -1,15 +1,14 @@
 //! Cluster topology configuration and the validating [`ClusterBuilder`].
 //!
-//! Every knob of the pool — node list, per-node capacity and mismatch
-//! penalty, serving front-end, transfer cost model — is plain data on
+//! Every knob of the pool — node list, per-node policy and capacity,
+//! serving front-end, transfer cost model, faults — is plain data on
 //! [`ClusterConfig`]; range validation is centralized in
 //! [`ClusterConfig::validate`], which [`ClusterBuilder::build`] and
 //! [`crate::simulate_cluster`] both call, so a hand-mutated config can
 //! never reach the engine unchecked.
 
-use dysta_core::{DystaConfig, Policy};
+use dysta_core::Policy;
 use dysta_models::ModelFamily;
-use dysta_sim::EngineConfig;
 use dysta_trace::SparseModelSpec;
 use dysta_workload::Scenario;
 
@@ -46,74 +45,45 @@ impl AcceleratorKind {
     }
 }
 
-/// One node of the cluster: an accelerator plus the scheduler and engine
-/// parameters it runs.
+/// One node of the cluster: an accelerator, the scheduling policy it
+/// runs, and its speed. Every node runs the default
+/// [`dysta_sim::EngineConfig`] and Dysta hyperparameters, and pays
+/// [`MISMATCH_SLOWDOWN`] for a foreign-family request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeConfig {
     /// Installed accelerator.
     pub accelerator: AcceleratorKind,
     /// Node-local scheduling policy.
     pub policy: Policy,
-    /// Dysta hyperparameters (used by Dysta-family policies).
-    pub dysta: DystaConfig,
-    /// Node-local engine parameters.
-    pub engine: EngineConfig,
-    /// Service-time multiplier paid by requests whose model family does
-    /// not match the accelerator (weights and dataflow mapped onto
-    /// hardware that cannot exploit their sparsity structure). Must be
-    /// at least 1.
-    pub mismatch_slowdown: f64,
     /// Node speed factor in `(0, 1]` relative to the profiled baseline
     /// (DVFS state, binned silicon, an older accelerator revision): a
     /// `0.5` node executes every layer in twice its profiled latency.
     /// The capacity divides into the service-time scale, so the
-    /// effective scale a request pays is `scale_for(family) / capacity`
-    /// — always at least the mismatch scale. Traces are profiled at full
-    /// speed, so capacities above 1 are rejected.
+    /// effective scale a request pays is the mismatch penalty over
+    /// `capacity`. Traces are profiled at full speed, so capacities
+    /// above 1 are rejected.
     pub capacity: f64,
 }
 
 impl NodeConfig {
-    /// A full-speed node with default engine parameters and the
-    /// workspace's default mismatch penalty.
+    /// A full-speed node.
     pub fn new(accelerator: AcceleratorKind, policy: Policy) -> Self {
         NodeConfig {
             accelerator,
             policy,
-            dysta: DystaConfig::default(),
-            engine: EngineConfig::default(),
-            mismatch_slowdown: DEFAULT_MISMATCH_SLOWDOWN,
             capacity: 1.0,
         }
     }
 
-    /// The family-mismatch component of the service-time scale (1 when
-    /// the accelerator natively serves `family`).
-    pub fn scale_for(&self, family: ModelFamily) -> f64 {
-        if self.accelerator.serves(family) {
-            1.0
-        } else {
-            self.mismatch_slowdown
-        }
-    }
-
     /// The full service-time scale a request of `family` pays on this
-    /// node: the mismatch penalty divided by the node's capacity. At
-    /// capacity 1 this is bit-identical to [`NodeConfig::scale_for`].
+    /// node: the mismatch penalty (1 on the native family) divided by
+    /// the node's capacity.
     pub fn effective_scale(&self, family: ModelFamily) -> f64 {
-        effective_scale(
-            self.accelerator.serves(family),
-            self.mismatch_slowdown,
-            self.capacity,
-        )
+        effective_scale(self.accelerator.serves(family), self.capacity)
     }
 
-    /// Panics when any per-node knob is out of range.
+    /// Panics when the capacity is out of range.
     fn validate(&self, id: usize) {
-        assert!(
-            self.mismatch_slowdown >= 1.0 && self.mismatch_slowdown.is_finite(),
-            "node {id}: mismatch slowdown must be >= 1"
-        );
         assert!(
             self.capacity > 0.0 && self.capacity <= 1.0,
             "node {id}: capacity must be in (0, 1]"
@@ -121,18 +91,18 @@ impl NodeConfig {
     }
 }
 
-/// Default mismatch penalty: a sparse model on the wrong accelerator
-/// falls back to dense-equivalent execution of its dynamic layers,
-/// which the Phase-1 traces put at roughly 2–3× the native latency.
-pub const DEFAULT_MISMATCH_SLOWDOWN: f64 = 2.5;
+/// The mismatch penalty: a sparse model on the wrong accelerator falls
+/// back to dense-equivalent execution of its dynamic layers, which the
+/// Phase-1 traces put at roughly 2–3× the native latency.
+pub const MISMATCH_SLOWDOWN: f64 = 2.5;
 
 /// The one definition of the service-time scale: the family-mismatch
 /// penalty over the node capacity. [`NodeConfig::effective_scale`]
 /// (what the engine charges) and [`crate::NodeView::service_scale`]
 /// (what policies price with) both resolve through here, so the two
 /// can never drift apart.
-pub(crate) fn effective_scale(native: bool, mismatch_slowdown: f64, capacity: f64) -> f64 {
-    let mismatch = if native { 1.0 } else { mismatch_slowdown };
+pub(crate) fn effective_scale(native: bool, capacity: f64) -> f64 {
+    let mismatch = if native { 1.0 } else { MISMATCH_SLOWDOWN };
     mismatch / capacity
 }
 
@@ -449,10 +419,9 @@ impl FrontendConfig {
 ///
 /// Construct simple pools with [`ClusterConfig::homogeneous`] /
 /// [`ClusterConfig::heterogeneous`]; anything configured beyond the
-/// defaults goes through the validating [`ClusterBuilder`] (the former
-/// `with_*` mutators are gone — see the crate docs for the migration
-/// map). Fields stay public for inspection; whatever route a config
-/// takes, [`crate::simulate_cluster`] re-validates it once up front.
+/// defaults goes through the validating [`ClusterBuilder`]. Fields stay
+/// public for inspection; whatever route a config takes,
+/// [`crate::simulate_cluster`] re-validates it once up front.
 ///
 /// # Examples
 ///
@@ -507,15 +476,6 @@ impl ClusterConfig {
         ClusterBuilder::heterogeneous(eyeriss, sanger, policy).build()
     }
 
-    /// A cluster from explicit node configs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is empty or any node knob is out of range.
-    pub fn from_nodes(nodes: Vec<NodeConfig>) -> Self {
-        ClusterBuilder::from_nodes(nodes).build()
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -528,10 +488,11 @@ impl ClusterConfig {
     }
 
     /// Checks every range invariant of the pool in one place: node list
-    /// non-empty, per-node mismatch/capacity in range, front-end knobs
-    /// valid, transfer-cost model finite. [`ClusterBuilder::build`] and
-    /// [`crate::simulate_cluster`] both call this, so a hand-assembled
-    /// or field-mutated config cannot reach the engine unvalidated.
+    /// non-empty, per-node capacity in range, front-end knobs valid,
+    /// transfer-cost model finite, fault schedule in range.
+    /// [`ClusterBuilder::build`] and [`crate::simulate_cluster`] both
+    /// call this, so a hand-assembled or field-mutated config cannot
+    /// reach the engine unvalidated.
     ///
     /// # Panics
     ///
@@ -597,12 +558,10 @@ impl ClusterBuilder {
     /// Panics if both counts are zero.
     pub fn heterogeneous(eyeriss: usize, sanger: usize, policy: Policy) -> Self {
         assert!(eyeriss + sanger > 0, "cluster needs at least one node");
-        let mut nodes = vec![NodeConfig::new(AcceleratorKind::EyerissV2, policy); eyeriss];
-        nodes.extend(vec![
-            NodeConfig::new(AcceleratorKind::Sanger, policy);
-            sanger
-        ]);
-        ClusterBuilder::from_nodes(nodes)
+        let eyeriss =
+            std::iter::repeat_n(NodeConfig::new(AcceleratorKind::EyerissV2, policy), eyeriss);
+        let sanger = std::iter::repeat_n(NodeConfig::new(AcceleratorKind::Sanger, policy), sanger);
+        ClusterBuilder::from_nodes(eyeriss.chain(sanger).collect())
     }
 
     /// Starts from explicit node configs.
@@ -613,30 +572,6 @@ impl ClusterBuilder {
             transfer_cost: TransferCostConfig::FREE,
             faults: crate::faults::FaultConfig::default(),
         }
-    }
-
-    /// Applies one engine configuration to every node.
-    pub fn engine(mut self, engine: EngineConfig) -> Self {
-        for node in &mut self.nodes {
-            node.engine = engine;
-        }
-        self
-    }
-
-    /// Applies one mismatch penalty to every node.
-    pub fn mismatch_slowdown(mut self, slowdown: f64) -> Self {
-        for node in &mut self.nodes {
-            node.mismatch_slowdown = slowdown;
-        }
-        self
-    }
-
-    /// Applies one capacity (speed factor in `(0, 1]`) to every node.
-    pub fn capacity(mut self, capacity: f64) -> Self {
-        for node in &mut self.nodes {
-            node.capacity = capacity;
-        }
-        self
     }
 
     /// Sets one node's capacity (heterogeneous speeds / DVFS states).
@@ -699,8 +634,8 @@ mod tests {
     #[test]
     fn mismatch_scale_applies_to_foreign_family_only() {
         let node = NodeConfig::new(AcceleratorKind::Sanger, Policy::Fcfs);
-        assert_eq!(node.scale_for(ModelFamily::AttNn), 1.0);
-        assert_eq!(node.scale_for(ModelFamily::Cnn), DEFAULT_MISMATCH_SLOWDOWN);
+        assert_eq!(node.effective_scale(ModelFamily::AttNn), 1.0);
+        assert_eq!(node.effective_scale(ModelFamily::Cnn), MISMATCH_SLOWDOWN);
     }
 
     #[test]
@@ -708,14 +643,14 @@ mod tests {
         let mut node = NodeConfig::new(AcceleratorKind::EyerissV2, Policy::Fcfs);
         // Bit-exact with the mismatch-only scale at capacity 1.
         assert_eq!(
-            node.effective_scale(ModelFamily::Cnn).to_bits(),
-            node.scale_for(ModelFamily::Cnn).to_bits()
+            node.effective_scale(ModelFamily::AttNn).to_bits(),
+            MISMATCH_SLOWDOWN.to_bits()
         );
         node.capacity = 0.5;
         assert_eq!(node.effective_scale(ModelFamily::Cnn), 2.0);
         assert_eq!(
             node.effective_scale(ModelFamily::AttNn),
-            DEFAULT_MISMATCH_SLOWDOWN * 2.0
+            MISMATCH_SLOWDOWN * 2.0
         );
     }
 
@@ -840,12 +775,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mismatch slowdown must be >= 1")]
+    #[should_panic(expected = "node 0: capacity must be in (0, 1]")]
     fn hand_assembled_config_is_still_validated() {
         // The builder is the normal path, but a field-mutated config must
         // not sneak past: validate() is the single choke point.
         let mut config = ClusterConfig::homogeneous(2, AcceleratorKind::EyerissV2, Policy::Fcfs);
-        config.nodes[0].mismatch_slowdown = 0.3;
+        config.nodes[0].capacity = 0.0;
         config.validate();
     }
 }

@@ -51,9 +51,6 @@ pub struct NodeView {
     pub accelerator: AcceleratorKind,
     /// Node speed factor in `(0, 1]` ([`crate::NodeConfig::capacity`]).
     pub capacity: f64,
-    /// Service-time multiplier for family-mismatched requests
-    /// ([`crate::NodeConfig::mismatch_slowdown`]).
-    pub mismatch_slowdown: f64,
     /// Node-local clock.
     pub now_ns: u64,
     /// Unfinished requests on the node (admitted + queued).
@@ -110,11 +107,7 @@ impl NodeView {
             crate::NodeHealth::Degraded { capacity } => capacity,
             _ => self.capacity,
         };
-        crate::config::effective_scale(
-            self.accelerator.serves(family),
-            self.mismatch_slowdown,
-            capacity,
-        )
+        crate::config::effective_scale(self.accelerator.serves(family), capacity)
     }
 }
 
@@ -538,7 +531,6 @@ mod tests {
             id,
             accelerator,
             capacity: 1.0,
-            mismatch_slowdown: 2.5,
             now_ns: 0,
             queue_len: 0,
             lut_backlog_ns: lut,

@@ -20,7 +20,7 @@ use std::collections::{HashMap, VecDeque};
 use dysta_core::{scale_ns, ModelInfoLut, SparseLatencyPredictor, VariantId};
 use dysta_models::ModelFamily;
 use dysta_obs::{EventKind, NullTracer, Phase, TraceEvent, Tracer, NODE_FRONTEND, REQ_NONE};
-use dysta_sim::{NodeEngine, TransferableTask};
+use dysta_sim::{EngineConfig, NodeEngine, TransferableTask};
 use dysta_workload::{Request, RequestSource, Workload, WorkloadSource};
 
 use crate::dispatch::{DispatchContext, Dispatcher, EarliestDeadlineFirst, NodeView};
@@ -316,8 +316,8 @@ where
             }
             NodeEngine::with_tracer(
                 id,
-                nc.policy.build_with(nc.dysta),
-                nc.engine,
+                nc.policy.build(),
+                EngineConfig::default(),
                 lut.clone(),
                 tracer,
             )
@@ -466,9 +466,9 @@ struct Ledger {
 }
 
 /// A thief's steal-pricing class (see [`Frontend::steal_class`]):
-/// accelerator, mismatch-slowdown and capacity bits, and the bits of any
-/// open brown-out and transfer-stall factor.
-type StealClass = (AcceleratorKind, u64, u64, Option<u64>, Option<u64>);
+/// accelerator and capacity bits, and the bits of any open brown-out and
+/// transfer-stall factor.
+type StealClass = (AcceleratorKind, u64, Option<u64>, Option<u64>);
 
 /// One admitted request's front-end bookkeeping, kept only while the
 /// request is in flight (inserted at admission, removed when its
@@ -499,7 +499,7 @@ struct Frontend<'w, 'c, S, T> {
     /// One entry per node, indexed like `nodes`.
     ledger: Vec<Ledger>,
     /// The run-wide statistics the report carries, filled as the run
-    /// goes; `transfer_cost_ns` is summed from the ledger at the end.
+    /// goes.
     serving: ServingStats,
     /// In-flight requests keyed by id: admitted but not yet observed
     /// complete. This is the only per-request state the front-end holds,
@@ -846,25 +846,26 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                 | FaultKind::TransferStall { until_ns, factor },
                 _,
             ) => {
-                let window = if matches!(event.kind, FaultKind::Brownout { .. }) {
-                    &mut health.brownout
+                let (window, kind) = if matches!(event.kind, FaultKind::Brownout { .. }) {
+                    (&mut health.brownout, EventKind::Brownout)
                 } else {
-                    &mut health.stall
+                    (&mut health.stall, EventKind::TransferStall)
                 };
                 if !closing {
                     *window = Some((factor, until_ns));
-                    self.record_window_edge(t, node, factor, until_ns);
+                    self.record_window_edge(t, node, kind, factor, until_ns);
                 } else if window.map(|(_, u)| u) == Some(t) {
                     *window = None;
-                    self.record_window_edge(t, node, 1.0, 0);
+                    self.record_window_edge(t, node, kind, 1.0, 0);
                 }
             }
         }
     }
 
-    /// One [`EventKind::Brownout`] edge: factor in parts-per-million
-    /// (1 000 000 = nominal, also the closing edge), window end in `b`.
-    fn record_window_edge(&self, t: u64, node: usize, factor: f64, until_ns: u64) {
+    /// One [`EventKind::Brownout`] or [`EventKind::TransferStall`] edge:
+    /// factor in parts-per-million (1 000 000 = nominal, also the closing
+    /// edge), window end in `b`.
+    fn record_window_edge(&self, t: u64, node: usize, kind: EventKind, factor: f64, until_ns: u64) {
         if !self.tracer.enabled() {
             return;
         }
@@ -872,7 +873,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             t_ns: t,
             request: REQ_NONE,
             node: node as u32,
-            kind: EventKind::Brownout,
+            kind,
             a: (factor * 1e6).round() as u64,
             b: until_ns as i64,
         });
@@ -978,7 +979,6 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     fn fail_request(&mut self, t: u64, id: u64, node: usize) {
         let entry = self.live_requests.remove(&id);
         self.ledger[node].failed += 1;
-        self.serving.recovery.failed += 1;
         self.serving.recovery.failed_ids.push(id);
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent {
@@ -1001,11 +1001,9 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     fn dispatch_scale(&self, target: usize, family: ModelFamily) -> f64 {
         let nc = &self.config.nodes[target];
         match self.ledger[target].health.brownout {
-            Some((factor, _)) => crate::config::effective_scale(
-                nc.accelerator.serves(family),
-                nc.mismatch_slowdown,
-                nc.capacity * factor,
-            ),
+            Some((factor, _)) => {
+                crate::config::effective_scale(nc.accelerator.serves(family), nc.capacity * factor)
+            }
             None => nc.effective_scale(family),
         }
     }
@@ -1066,7 +1064,6 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             id: node.id(),
             accelerator: nc.accelerator,
             capacity: nc.capacity,
-            mismatch_slowdown: nc.mismatch_slowdown,
             now_ns: node.now_ns(),
             queue_len: node.queue_len(),
             lut_backlog_ns,
@@ -1418,7 +1415,6 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                     .expect("candidate is queued and unstarted");
                 self.live_requests.remove(&id);
                 self.ledger[src].reneged += 1;
-                self.serving.recovery.reneged += 1;
                 self.serving.recovery.reneged_ids.push(id);
                 if self.tracer.enabled() {
                     self.tracer.record(TraceEvent {
@@ -1446,8 +1442,8 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             .collect()
     }
 
-    /// What a steal price reads from the thief: its accelerator,
-    /// mismatch slowdown and capacity (through
+    /// What a steal price reads from the thief: its accelerator and
+    /// capacity (through
     /// [`Frontend::dispatch_scale`]) and its open brown-out and
     /// transfer-stall factors (through [`Frontend::stalled_fetch`]).
     /// Thieves with equal classes get bit-identical candidate lists.
@@ -1456,7 +1452,6 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         let health = &self.ledger[thief].health;
         (
             nc.accelerator,
-            nc.mismatch_slowdown.to_bits(),
             nc.capacity.to_bits(),
             health.brownout.map(|(factor, _)| factor.to_bits()),
             health.stall.map(|(factor, _)| factor.to_bits()),
@@ -1591,10 +1586,9 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             nodes,
             config,
             ledger,
-            mut serving,
+            serving,
             ..
         } = self;
-        serving.transfer_cost_ns = ledger.iter().map(|l| l.transfer_fetch_ns).sum();
         ClusterReport::with_serving(
             nodes
                 .into_iter()

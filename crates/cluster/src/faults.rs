@@ -302,12 +302,6 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// True when no faults are scheduled and reneging is off — the
-    /// engine takes no fault path at all.
-    pub fn is_inert(&self) -> bool {
-        self.schedule.is_empty() && !self.recovery.reneging
-    }
-
     /// Range-checks the schedule against a pool of `num_nodes` nodes.
     ///
     /// # Errors
@@ -329,19 +323,16 @@ pub struct RecoveryStats {
     pub salvaged: u64,
     /// Successful re-dispatches of salvaged requests.
     pub retries: u64,
-    /// Requests dropped from a queue because their projected slack
-    /// went negative before they started.
-    pub reneged: u64,
-    /// Requests recorded as permanently failed (out of retry budget,
-    /// salvage disabled, or no live node to take them).
-    pub failed: u64,
     /// Executed work destroyed by crashes, in ns (the dead node's busy
     /// time keeps it; this reports how much of that busy time produced
     /// nothing).
     pub lost_busy_ns: u64,
-    /// Ids of permanently failed requests, in failure order.
+    /// Ids of the requests recorded as permanently failed (out of retry
+    /// budget, salvage disabled, or no live node to take them), in
+    /// failure order.
     pub failed_ids: Vec<u64>,
-    /// Ids of reneged requests, in drop order.
+    /// Ids of the requests dropped from a queue because their projected
+    /// slack went negative before they started, in drop order.
     pub reneged_ids: Vec<u64>,
 }
 
@@ -352,7 +343,6 @@ mod tests {
     #[test]
     fn default_config_is_inert() {
         let cfg = FaultConfig::default();
-        assert!(cfg.is_inert());
         assert!(cfg.schedule.is_empty());
         assert!(cfg.recovery.salvage);
         assert_eq!(cfg.recovery.max_retries, 2);

@@ -47,13 +47,16 @@
 //!
 //! # Configuration
 //!
-//! [`ClusterConfig`] describes the pool: per-node engine parameters, a
-//! (possibly heterogeneous) accelerator mix, per-node `capacity` speed
-//! factors (DVFS / binned silicon — a 0.5 node runs everything twice as
+//! [`ClusterConfig`] describes the pool: a (possibly heterogeneous)
+//! accelerator mix, each node's scheduling policy and `capacity` speed
+//! factor (DVFS / binned silicon — a 0.5 node runs everything twice as
 //! slow), the serving front-end ([`FrontendConfig`]: admission
 //! batching, work stealing, request migration), and the transfer-cost
 //! model ([`TransferCostConfig`]: the weight/activation re-fetch price
-//! charged on the receiving node per steal or migration).
+//! charged on the receiving node per steal or migration). Every node
+//! runs the default [`dysta_sim::EngineConfig`] and Dysta
+//! hyperparameters, and a request of the foreign model family pays the
+//! fixed [`MISMATCH_SLOWDOWN`] (2.5×).
 //!
 //! Anything beyond a plain default pool goes through the validating
 //! [`ClusterBuilder`]; [`ClusterConfig::validate`] re-checks every
@@ -79,9 +82,8 @@
 //!
 //! [`ClusterReport`] aggregates per-node [`dysta_sim::SimReport`]s into
 //! cluster-wide ANTT / SLO-violation / throughput plus per-node
-//! utilization, violations and completion slack, transfer-cost
-//! accounting, load imbalance, turnaround percentiles
-//! ([`LatencyPercentiles`]: p50/p90/p99), and the front-end's
+//! utilization, transfer-cost accounting, load imbalance, turnaround
+//! percentiles ([`LatencyPercentiles`]: p50/p90/p99), and the front-end's
 //! steal/migration/admission statistics ([`ServingStats`]).
 //!
 //! A cluster of one node behind any dispatcher — with the default
@@ -142,7 +144,7 @@
 //! assert_eq!(report.completed_total(), 60);
 //! assert_eq!(
 //!     report.total_transfer_cost_ns(),
-//!     report.serving().transfer_cost_ns
+//!     report.nodes().iter().map(|n| n.transfer_fetch_ns).sum::<u64>()
 //! );
 //! ```
 
@@ -160,7 +162,7 @@ mod sweep;
 pub use config::{
     balanced_mixed_serving_mix, AcceleratorKind, AdmissionConfig, ClusterBuilder, ClusterConfig,
     FrontendConfig, MigrationConfig, NodeConfig, StealConfig, TransferCostConfig,
-    DEFAULT_MISMATCH_SLOWDOWN,
+    MISMATCH_SLOWDOWN,
 };
 pub use dispatch::{
     DispatchContext, DispatchPolicy, Dispatcher, EarliestDeadlineFirst, JoinShortestQueue,

@@ -481,7 +481,6 @@ mod tests {
             id,
             accelerator: AcceleratorKind::EyerissV2,
             capacity: 1.0,
-            mismatch_slowdown: 2.5,
             now_ns: 0,
             queue_len: 0,
             lut_backlog_ns: backlog,

@@ -53,32 +53,6 @@ pub struct NodeReport {
     pub report: SimReport,
 }
 
-impl NodeReport {
-    /// Requests this node completed past their deadline.
-    pub fn violations(&self) -> usize {
-        self.report
-            .completed()
-            .iter()
-            .filter(|c| c.violated())
-            .count()
-    }
-
-    /// Mean completion slack of the node's requests in nanoseconds:
-    /// `deadline − completion`, negative when the average request
-    /// finished late (0 for an idle node).
-    pub fn mean_completion_slack_ns(&self) -> f64 {
-        let completed = self.report.completed();
-        if completed.is_empty() {
-            return 0.0;
-        }
-        completed
-            .iter()
-            .map(|c| c.arrival_ns.saturating_add(c.slo_ns) as f64 - c.completion_ns as f64)
-            .sum::<f64>()
-            / completed.len() as f64
-    }
-}
-
 /// What the serving front-end did during one cluster run: admission
 /// queueing, work stealing, and request migration, summarized.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -90,9 +64,6 @@ pub struct ServingStats {
     /// The largest migration count any single request accumulated
     /// (bounded by [`crate::MigrationConfig::max_per_request`]).
     pub max_migrations_single_request: u32,
-    /// Total weight/activation re-fetch time charged across all steals
-    /// and migrations (ns) — zero under free transfers.
-    pub transfer_cost_ns: u64,
     /// Time each *admitted* request spent in the cluster admission
     /// queue before dispatch, in dispatch order (all zeros under
     /// immediate dispatch; empty when a report is assembled without a
@@ -139,18 +110,6 @@ impl ServingStats {
             return 0.0;
         }
         self.admission_wait_ns.iter().sum::<u64>() as f64 / self.admission_wait_ns.len() as f64
-    }
-
-    /// Nearest-rank percentile of the admission-queue wait.
-    ///
-    /// **Population: admitted requests only** — same caveat as
-    /// [`ServingStats::mean_admission_wait_ns`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn admission_wait_percentile_ns(&self, p: f64) -> u64 {
-        percentile_ns(&self.admission_wait_ns, p)
     }
 }
 
@@ -323,8 +282,8 @@ impl ClusterReport {
     /// degraded) plus rejected. This is the denominator population for
     /// offered-stream rates such as [`ClusterReport::goodput_rate`];
     /// the latency summaries ([`ClusterReport::turnaround_percentile_ns`],
-    /// [`ServingStats::admission_wait_percentile_ns`]) cover only the
-    /// admitted subset.
+    /// [`ServingStats::mean_admission_wait_ns`]) cover only the admitted
+    /// subset.
     pub fn offered_total(&self) -> usize {
         self.admitted_total() + self.rejected_total()
     }
@@ -428,25 +387,10 @@ impl ClusterReport {
             .collect()
     }
 
-    /// Per-node SLO-violation counts, in node-id order.
-    pub fn per_node_violations(&self) -> Vec<usize> {
-        self.nodes.iter().map(NodeReport::violations).collect()
-    }
-
-    /// Per-node mean completion slack (`deadline − completion`, ns), in
-    /// node-id order — negative entries mark nodes that ran their queue
-    /// late on average.
-    pub fn per_node_mean_slack_ns(&self) -> Vec<f64> {
-        self.nodes
-            .iter()
-            .map(NodeReport::mean_completion_slack_ns)
-            .collect()
-    }
-
     /// Total weight/activation re-fetch time the pool paid for steals
-    /// and migrations (ns). Always equals the sum of the per-node
-    /// [`NodeReport::transfer_fetch_ns`] entries and the serving
-    /// stats' total.
+    /// and migrations (ns): the sum of the per-node
+    /// [`NodeReport::transfer_fetch_ns`] entries, zero under free
+    /// transfers.
     pub fn total_transfer_cost_ns(&self) -> u64 {
         self.nodes.iter().map(|n| n.transfer_fetch_ns).sum()
     }
@@ -646,51 +590,31 @@ mod tests {
         assert_eq!(r.serving().steals, 0);
         assert_eq!(r.serving().migrations, 0);
         assert_eq!(r.serving().mean_admission_wait_ns(), 0.0);
-        assert_eq!(r.serving().admission_wait_percentile_ns(99.0), 0);
     }
 
     #[test]
     fn admission_wait_summary_edges_are_total() {
-        // Empty sample set (a run that admitted nothing): mean and every
-        // percentile — including the p = 0 edge — are 0, never NaN or a
-        // panic.
+        // Empty sample set (a run that admitted nothing): the mean is 0,
+        // never NaN.
         let empty = ServingStats::default();
         assert_eq!(empty.mean_admission_wait_ns(), 0.0);
         assert!(empty.mean_admission_wait_ns().is_finite());
-        assert_eq!(empty.admission_wait_percentile_ns(0.0), 0);
-        assert_eq!(empty.admission_wait_percentile_ns(50.0), 0);
-        assert_eq!(empty.admission_wait_percentile_ns(100.0), 0);
-        // Non-empty: p = 0 is the minimum (nearest-rank convention),
-        // not an out-of-bounds index.
         let some = ServingStats {
             admission_wait_ns: vec![30, 10, 20],
             ..ServingStats::default()
         };
-        assert_eq!(some.admission_wait_percentile_ns(0.0), 10);
-        assert_eq!(some.admission_wait_percentile_ns(100.0), 30);
         assert!((some.mean_admission_wait_ns() - 20.0).abs() < 1e-12);
     }
 
     #[test]
-    fn per_node_slack_violation_and_transfer_cost_accounting() {
-        // Node 0 finishes its request with 5 ns to spare; node 1 blows
-        // its deadline by 10 ns and paid 7 ns of fetch cost.
-        let on_time = CompletedRequest {
-            slo_ns: 25,
-            ..completion(0, 0, 20, 10)
-        };
-        let late = CompletedRequest {
-            slo_ns: 30,
-            ..completion(1, 0, 40, 10)
-        };
-        let mut n1 = node(1, vec![late], 17);
+    fn transfer_cost_total_sums_the_per_node_fetches() {
+        // Node 0 paid 5 ns of fetch cost and node 1 paid 7 ns.
+        let mut n0 = node(0, vec![completion(0, 0, 20, 10)], 10);
+        n0.transfer_fetch_ns = 5;
+        let mut n1 = node(1, vec![completion(1, 0, 40, 10)], 17);
         n1.transfer_fetch_ns = 7;
-        let r = ClusterReport::new(vec![node(0, vec![on_time], 10), n1]);
-        assert_eq!(r.per_node_violations(), vec![0, 1]);
-        let slack = r.per_node_mean_slack_ns();
-        assert!((slack[0] - 5.0).abs() < 1e-12);
-        assert!((slack[1] + 10.0).abs() < 1e-12);
-        assert_eq!(r.total_transfer_cost_ns(), 7);
+        let r = ClusterReport::new(vec![n0, n1]);
+        assert_eq!(r.total_transfer_cost_ns(), 12);
     }
 
     #[test]
@@ -706,8 +630,6 @@ mod tests {
             recovery: crate::RecoveryStats {
                 crashes: 1,
                 salvaged: 1,
-                failed: 1,
-                reneged: 1,
                 lost_busy_ns: 42,
                 failed_ids: vec![1],
                 reneged_ids: vec![2],
@@ -736,14 +658,11 @@ mod tests {
             steals: 3,
             migrations: 1,
             max_migrations_single_request: 1,
-            transfer_cost_ns: 0,
             admission_wait_ns: vec![0, 10, 20, 30],
             ..ServingStats::default()
         };
         let r =
             ClusterReport::with_serving(vec![node(0, vec![completion(0, 0, 10, 5)], 10)], serving);
         assert!((r.serving().mean_admission_wait_ns() - 15.0).abs() < 1e-12);
-        assert_eq!(r.serving().admission_wait_percentile_ns(50.0), 10);
-        assert_eq!(r.serving().admission_wait_percentile_ns(100.0), 30);
     }
 }

@@ -330,12 +330,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mismatch slowdown must be >= 1")]
+    #[should_panic(expected = "capacity must be in (0, 1]")]
     fn panicking_cell_propagates_out_of_parallel_run() {
         // Every cell re-validates the config and panics; the run must
         // re-raise once all executors stop, not hang on a lost row.
         let mut grid = quick_grid();
-        grid.config.nodes[0].mismatch_slowdown = 0.3;
+        grid.config.nodes[0].capacity = 1.5;
         let _ = grid.run(4);
     }
 

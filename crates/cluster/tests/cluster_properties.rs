@@ -154,11 +154,7 @@ fn costed_transfers_throttle_movement_but_keep_the_pool_balanced() {
             .transfer_cost(TransferCostConfig::default_costed())
             .build(),
     );
-    assert_eq!(
-        free.serving().transfer_cost_ns,
-        0,
-        "free moves cost nothing"
-    );
+    assert_eq!(free.total_transfer_cost_ns(), 0, "free moves cost nothing");
     assert!(
         costed.serving().steals > 0,
         "imbalance must still trigger steals"
@@ -181,13 +177,9 @@ fn costed_transfers_throttle_movement_but_keep_the_pool_balanced() {
         costed.load_imbalance(),
         baseline.load_imbalance()
     );
-    // Fetch accounting: the serving total matches the per-node sum, and
-    // only nodes that received transfers paid anything.
-    assert!(costed.serving().transfer_cost_ns > 0);
-    assert_eq!(
-        costed.total_transfer_cost_ns(),
-        costed.serving().transfer_cost_ns
-    );
+    // Fetch accounting: only nodes that received transfers paid
+    // anything.
+    assert!(costed.total_transfer_cost_ns() > 0);
     for node in costed.nodes() {
         if node.transferred_in == 0 {
             assert_eq!(node.transfer_fetch_ns, 0, "node {}", node.node_id);

@@ -127,8 +127,6 @@ proptest! {
         // The serving-level recovery ledger agrees with the per-node
         // counters, and the three outcome id sets partition the stream.
         let recovery = report.recovery();
-        prop_assert_eq!(recovery.failed as usize, report.failed_total());
-        prop_assert_eq!(recovery.reneged as usize, report.reneged_total());
         prop_assert_eq!(recovery.failed_ids.len(), report.failed_total());
         prop_assert_eq!(recovery.reneged_ids.len(), report.reneged_total());
         prop_assert!(recovery.retries <= recovery.salvaged);
@@ -263,12 +261,13 @@ fn traced_two_node_run(schedule: FaultSchedule) -> RingTracer {
     tracer
 }
 
-/// `(t_ns, factor_ppm, until_ns)` of every window edge on `node`.
-fn window_edges(tracer: &RingTracer, node: u32) -> Vec<(u64, u64, i64)> {
+/// `(t_ns, factor_ppm, until_ns)` of every `kind` window edge on
+/// `node`.
+fn window_edges(tracer: &RingTracer, kind: EventKind, node: u32) -> Vec<(u64, u64, i64)> {
     tracer
         .events()
         .iter()
-        .filter(|e| e.kind == EventKind::Brownout && e.node == node)
+        .filter(|e| e.kind == kind && e.node == node)
         .map(|e| (e.t_ns, e.a, e.b))
         .collect()
 }
@@ -303,7 +302,7 @@ fn touching_windows_listed_in_reverse_hand_over_without_a_closing_edge() {
         .transfer_stall(1, 100 * MS, 500 * MS, 2.0);
     let tracer = traced_two_node_run(schedule);
     assert_eq!(
-        window_edges(&tracer, 0),
+        window_edges(&tracer, EventKind::Brownout, 0),
         vec![
             (100 * MS, 500_000, (500 * MS) as i64),
             (500 * MS, 250_000, (1000 * MS) as i64),
@@ -311,13 +310,41 @@ fn touching_windows_listed_in_reverse_hand_over_without_a_closing_edge() {
         ]
     );
     assert_eq!(
-        window_edges(&tracer, 1),
+        window_edges(&tracer, EventKind::TransferStall, 1),
         vec![
             (100 * MS, 2_000_000, (500 * MS) as i64),
             (500 * MS, 4_000_000, (1000 * MS) as i64),
             (1000 * MS, 1_000_000, 0),
         ]
     );
+}
+
+#[test]
+fn overlapping_brownout_and_stall_on_one_node_trace_as_distinct_kinds() {
+    // A stall [200, 600) ms nested in a brown-out [100, 800) ms on node
+    // 0. The stall's closing edge must not read as a brown-out ending
+    // while the brown-out is still open: each kind lists only its own
+    // edges.
+    let schedule = FaultSchedule::new()
+        .brownout(0, 100 * MS, 800 * MS, 0.5)
+        .transfer_stall(0, 200 * MS, 600 * MS, 3.0);
+    let tracer = traced_two_node_run(schedule);
+    assert_eq!(
+        window_edges(&tracer, EventKind::Brownout, 0),
+        vec![
+            (100 * MS, 500_000, (800 * MS) as i64),
+            (800 * MS, 1_000_000, 0),
+        ]
+    );
+    assert_eq!(
+        window_edges(&tracer, EventKind::TransferStall, 0),
+        vec![
+            (200 * MS, 3_000_000, (600 * MS) as i64),
+            (600 * MS, 1_000_000, 0),
+        ]
+    );
+    assert!(window_edges(&tracer, EventKind::Brownout, 1).is_empty());
+    assert!(window_edges(&tracer, EventKind::TransferStall, 1).is_empty());
 }
 
 #[test]

@@ -77,11 +77,10 @@ pub enum EventKind {
     /// A transiently-crashed node came back up. `node` = the
     /// recovered node, `request` = [`REQ_NONE`].
     NodeUp = 14,
-    /// A brown-out or transfer-stall window toggled on a node.
-    /// `request` = [`REQ_NONE`], `a` = the effective factor in parts
-    /// per million (capacity multiplier for brown-outs, fetch-cost
-    /// multiplier for stalls; 1_000_000 = back to nominal), `b` = the
-    /// window end in ns (0 when the window is closing).
+    /// A brown-out window toggled on a node. `request` = [`REQ_NONE`],
+    /// `a` = the capacity multiplier in parts per million (1_000_000 =
+    /// back to nominal), `b` = the window end in ns (0 when the window
+    /// is closing).
     Brownout = 15,
     /// A request was pulled off a crashed node for re-dispatch.
     /// `node` = the crashed node, `a` = the request's retry count so
@@ -101,11 +100,16 @@ pub enum EventKind {
     /// [`NODE_FRONTEND`] when it never landed anywhere), `a` = its
     /// retry count.
     Failed = 19,
+    /// A transfer-stall window toggled on a node. `request` =
+    /// [`REQ_NONE`], `a` = the fetch-cost multiplier in parts per
+    /// million (1_000_000 = back to nominal), `b` = the window end in ns
+    /// (0 when the window is closing).
+    TransferStall = 20,
 }
 
 impl EventKind {
     /// Number of kinds (size for per-kind counter arrays).
-    pub const COUNT: usize = 20;
+    pub const COUNT: usize = 21;
 
     /// Every kind, in discriminant order.
     pub const ALL: [EventKind; EventKind::COUNT] = [
@@ -129,6 +133,7 @@ impl EventKind {
         EventKind::Retry,
         EventKind::Renege,
         EventKind::Failed,
+        EventKind::TransferStall,
     ];
 
     /// Stable lower-snake name (used in exports and metric keys).
@@ -154,6 +159,7 @@ impl EventKind {
             EventKind::Retry => "retry",
             EventKind::Renege => "renege",
             EventKind::Failed => "failed",
+            EventKind::TransferStall => "transfer_stall",
         }
     }
 }

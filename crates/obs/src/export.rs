@@ -125,7 +125,10 @@ pub fn timelines(events: &[TraceEvent]) -> Vec<RequestTimeline> {
             }
             // Node-scoped fault events carry REQ_NONE and never reach
             // here; the arms exist for exhaustiveness.
-            EventKind::NodeDown | EventKind::NodeUp | EventKind::Brownout => {}
+            EventKind::NodeDown
+            | EventKind::NodeUp
+            | EventKind::Brownout
+            | EventKind::TransferStall => {}
             EventKind::Salvage => t.salvages += 1,
             EventKind::Retry => {
                 t.retries += 1;
@@ -509,10 +512,10 @@ pub fn perfetto_json(
                     vec![],
                 ));
             }
-            EventKind::Brownout => {
+            EventKind::Brownout | EventKind::TransferStall => {
                 out.push(instant_colored(
                     e,
-                    format!("brownout n{}", e.node),
+                    format!("{} n{}", e.kind.name(), e.node),
                     "bad",
                     vec![
                         ("factor_ppm", Value::UInt(e.a)),

@@ -262,16 +262,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         self.active.is_empty() && self.pending.is_empty()
     }
 
-    /// The node's LUT (profiled per-variant statistics).
-    pub fn lut(&self) -> &ModelInfoLut {
-        &self.lut
-    }
-
-    /// The node's tracer.
-    pub fn tracer(&self) -> &T {
-        &self.tracer
-    }
-
     /// Iterates over every unfinished request on the node — admitted
     /// tasks first, then not-yet-admitted arrivals — paired with the
     /// node-local service-time scale each would execute under.
@@ -423,13 +413,15 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         self.enqueue_scaled(request, trace, 1.0);
     }
 
-    /// Queues `request` like [`NodeEngine::enqueue_scaled`], flooring
-    /// execution at the front-end dispatch instant `at_ns`. The request
-    /// keeps its original arrival time (turnaround metrics keep charging
-    /// the admission wait), but the node cannot start it before `at_ns`:
-    /// an idle node's clock is pulled forward to the dispatch instant,
-    /// the same causality guard [`NodeEngine::accept_transfer`] applies
-    /// to transfers.
+    /// Queues `request` like [`NodeEngine::enqueue`], but with a
+    /// service-time multiplier `scale` (≥ 1, modelling execution on an
+    /// accelerator the model was not profiled on), flooring execution at
+    /// the front-end dispatch instant `at_ns`. The request keeps its
+    /// original arrival time (turnaround metrics keep charging the
+    /// admission wait), but the node cannot start it before `at_ns`: an
+    /// idle node's clock is pulled forward to the dispatch instant, the
+    /// same causality guard [`NodeEngine::accept_transfer`] applies to
+    /// transfers.
     ///
     /// # Panics
     ///
@@ -457,7 +449,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     /// # Panics
     ///
     /// Panics if `scale < 1` or arrivals are enqueued out of order.
-    pub fn enqueue_scaled(&mut self, request: &Request, trace: &'w SampleTrace, scale: f64) {
+    fn enqueue_scaled(&mut self, request: &Request, trace: &'w SampleTrace, scale: f64) {
         assert!(
             scale >= 1.0 && scale.is_finite(),
             "service-time scale must be >= 1"
@@ -493,7 +485,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
 
     /// Admits every queued arrival whose time has come, in arrival
     /// order, notifying the scheduler.
-    pub fn admit_due(&mut self) {
+    fn admit_due(&mut self) {
         while let Some(front) = self.pending.front() {
             if front.task.arrival_ns > self.now_ns {
                 break;
