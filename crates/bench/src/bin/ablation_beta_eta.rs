@@ -13,7 +13,7 @@
 use dysta::core::{DystaConfig, DystaStaticScheduler, Policy};
 use dysta::sim::{simulate, EngineConfig};
 use dysta::workload::{Scenario, WorkloadBuilder};
-use dysta_bench::{banner, compare_policies, Scale};
+use dysta_bench::{banner, compare_policies, replicate, Scale};
 
 fn main() {
     banner("Ablation", "beta / eta trade-off curves");
@@ -36,24 +36,23 @@ fn main() {
         }
         println!("--- {title}: static-level beta (Dysta-w/o-sparse, SLO x5..x50) ---");
         println!("{:<8} {:>8} {:>10}", "beta", "ANTT", "viol [%]");
-        for beta in [0.0, 0.1, 0.25, 0.5, 1.0] {
-            let mut antt = 0.0;
-            let mut viol = 0.0;
-            for seed in 0..scale.seeds {
-                let w = WorkloadBuilder::new(scenario)
-                    .arrival_rate(rate)
-                    .slo_multiplier_range(5.0, 50.0)
-                    .num_requests(scale.requests)
-                    .samples_per_variant(scale.samples_per_variant)
-                    .seed(seed)
-                    .build();
+        let betas = [0.0, 0.1, 0.25, 0.5, 1.0];
+        let builder = WorkloadBuilder::new(scenario)
+            .arrival_rate(rate)
+            .slo_multiplier_range(5.0, 50.0);
+        let sums = replicate(
+            0..scale.seeds,
+            |seed| scale.workload(&builder, seed),
+            &betas,
+            |&beta, w| {
                 let mut sched = DystaStaticScheduler::new(DystaConfig { beta, eta: 0.03 });
-                let m = simulate(&w, &mut sched, &EngineConfig::default()).metrics();
-                antt += m.antt;
-                viol += m.violation_rate;
-            }
-            let n = scale.seeds as f64;
-            println!("{:<8} {:>8.2} {:>9.1}%", beta, antt / n, viol / n * 100.0);
+                let m = simulate(w, &mut sched, &EngineConfig::default()).metrics();
+                [m.antt, m.violation_rate]
+            },
+        );
+        for (beta, s) in betas.iter().zip(sums) {
+            let [antt, viol] = s.mean();
+            println!("{:<8} {:>8.2} {:>9.1}%", beta, antt, viol * 100.0);
         }
         println!();
     }

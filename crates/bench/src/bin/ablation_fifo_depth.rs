@@ -9,7 +9,7 @@ use dysta::hw::resources::DesignPoint;
 use dysta::hw::HardwareDystaScheduler;
 use dysta::sim::{simulate, EngineConfig};
 use dysta::workload::{Scenario, WorkloadBuilder};
-use dysta_bench::{banner, Scale};
+use dysta_bench::{banner, replicate, Scale};
 
 fn main() {
     banner("Ablation", "hardware FIFO depth: quality vs cost");
@@ -18,31 +18,27 @@ fn main() {
         "{:<8} {:>8} {:>10} {:>8} {:>10}",
         "depth", "ANTT", "viol [%]", "LUTs", "RAM [KB]"
     );
-    for depth in [2usize, 4, 8, 16, 64, 512] {
-        let mut antt = 0.0;
-        let mut viol = 0.0;
-        for seed in 0..scale.seeds {
-            let w = WorkloadBuilder::new(Scenario::MultiAttNn)
-                .arrival_rate(30.0)
-                .slo_multiplier(10.0)
-                .num_requests(scale.requests)
-                .samples_per_variant(scale.samples_per_variant)
-                .seed(seed)
-                .build();
+    let depths = [2usize, 4, 8, 16, 64, 512];
+    let builder = WorkloadBuilder::new(Scenario::MultiAttNn)
+        .arrival_rate(30.0)
+        .slo_multiplier(10.0);
+    let sums = replicate(
+        0..scale.seeds,
+        |seed| scale.workload(&builder, seed),
+        &depths,
+        |&depth, w| {
             let mut sched = HardwareDystaScheduler::new(DystaConfig::default(), depth);
-            let m = simulate(&w, &mut sched, &EngineConfig::default()).metrics();
-            antt += m.antt;
-            viol += m.violation_rate;
-        }
-        let n = scale.seeds as f64;
+            let m = simulate(w, &mut sched, &EngineConfig::default()).metrics();
+            [m.antt, m.violation_rate]
+        },
+    );
+    for (&depth, s) in depths.iter().zip(sums) {
+        let [antt, viol] = s.mean();
         let usage = DesignPoint::opt_fp16(depth as u32).usage();
+        let (luts, ram_kb) = (usage.luts, usage.ram_kb);
         println!(
-            "{:<8} {:>8.2} {:>9.1}% {:>8} {:>10.2}",
-            depth,
-            antt / n,
-            viol / n * 100.0,
-            usage.luts,
-            usage.ram_kb
+            "{depth:<8} {antt:>8.2} {:>9.1}% {luts:>8} {ram_kb:>10.2}",
+            viol * 100.0
         );
     }
     println!();

@@ -8,7 +8,7 @@
 use dysta::core::Policy;
 use dysta::sim::{simulate, EngineConfig};
 use dysta::workload::{Scenario, WorkloadBuilder};
-use dysta_bench::{banner, Scale};
+use dysta_bench::{banner, replicate, Scale};
 
 fn main() {
     banner("Ablation", "scheduling granularity (layers per block)");
@@ -22,35 +22,34 @@ fn main() {
             "{:<8} {:>8} {:>10} {:>14}",
             "block", "ANTT", "viol [%]", "decisions/req"
         );
-        for block in [1usize, 2, 4, 8, 16, 32] {
-            let config = EngineConfig {
-                layers_per_block: block,
-                ..EngineConfig::default()
-            };
-            let mut antt = 0.0;
-            let mut viol = 0.0;
-            let mut decisions = 0u64;
-            for seed in 0..scale.seeds {
-                let w = WorkloadBuilder::new(scenario)
-                    .arrival_rate(rate)
-                    .slo_multiplier(10.0)
-                    .num_requests(scale.requests)
-                    .samples_per_variant(scale.samples_per_variant)
-                    .seed(seed)
-                    .build();
-                let report = simulate(&w, Policy::Dysta.build().as_mut(), &config);
+        let blocks = [1usize, 2, 4, 8, 16, 32];
+        let builder = WorkloadBuilder::new(scenario)
+            .arrival_rate(rate)
+            .slo_multiplier(10.0);
+        let sums = replicate(
+            0..scale.seeds,
+            |seed| scale.workload(&builder, seed),
+            &blocks,
+            |&block, w| {
+                let config = EngineConfig {
+                    layers_per_block: block,
+                    ..EngineConfig::default()
+                };
+                let report = simulate(w, Policy::Dysta.build().as_mut(), &config);
                 let m = report.metrics();
-                antt += m.antt;
-                viol += m.violation_rate;
-                decisions += report.scheduler_invocations();
-            }
-            let n = scale.seeds as f64;
+                [
+                    m.antt,
+                    m.violation_rate,
+                    report.scheduler_invocations() as f64,
+                ]
+            },
+        );
+        for (block, s) in blocks.iter().zip(sums) {
+            let [antt, viol, decisions] = s.mean();
+            let per_request = decisions / scale.requests as f64;
             println!(
-                "{:<8} {:>8.2} {:>9.1}% {:>14.1}",
-                block,
-                antt / n,
-                viol / n * 100.0,
-                decisions as f64 / n / scale.requests as f64
+                "{block:<8} {antt:>8.2} {:>9.1}% {per_request:>14.1}",
+                viol * 100.0
             );
         }
         println!();

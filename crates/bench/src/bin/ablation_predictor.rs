@@ -1,10 +1,12 @@
 //! Ablation: end-to-end effect of the sparse-latency-predictor strategy
 //! (extends Table 4's offline RMSE comparison into full scheduling).
 
-use dysta::core::{CoeffStrategy, DystaConfig, DystaScheduler, Policy, SparseLatencyPredictor};
+use dysta::core::{
+    CoeffStrategy, DystaConfig, DystaScheduler, Policy, Scheduler, SparseLatencyPredictor,
+};
 use dysta::sim::{simulate, EngineConfig};
 use dysta::workload::{Scenario, WorkloadBuilder};
-use dysta_bench::{banner, Scale};
+use dysta_bench::{banner, replicate, Scale};
 
 fn main() {
     banner(
@@ -12,11 +14,12 @@ fn main() {
         "predictor strategy inside full Dysta scheduling",
     );
     let scale = Scale::from_env();
-    let strategies: [(&str, CoeffStrategy); 4] = [
-        ("disabled (γ=1)", CoeffStrategy::Disabled),
-        ("average-all", CoeffStrategy::AverageAll),
-        ("last-3", CoeffStrategy::LastN(3)),
-        ("last-one", CoeffStrategy::LastOne),
+    let strategies: [(&str, Option<CoeffStrategy>); 5] = [
+        ("disabled (γ=1)", Some(CoeffStrategy::Disabled)),
+        ("average-all", Some(CoeffStrategy::AverageAll)),
+        ("last-3", Some(CoeffStrategy::LastN(3))),
+        ("last-one", Some(CoeffStrategy::LastOne)),
+        ("oracle (exact)", None),
     ];
     for (title, scenario, rate) in [
         ("Multi-AttNNs @ 30/s", Scenario::MultiAttNn, 30.0),
@@ -24,55 +27,30 @@ fn main() {
     ] {
         println!("--- {title} (SLO x10) ---");
         println!("{:<16} {:>8} {:>10}", "strategy", "ANTT", "viol [%]");
-        for (name, strategy) in strategies {
-            let mut antt = 0.0;
-            let mut viol = 0.0;
-            for seed in 0..scale.seeds {
-                let w = WorkloadBuilder::new(scenario)
-                    .arrival_rate(rate)
-                    .slo_multiplier(10.0)
-                    .num_requests(scale.requests)
-                    .samples_per_variant(scale.samples_per_variant)
-                    .seed(seed)
-                    .build();
-                let mut sched = DystaScheduler::new(
-                    DystaConfig::default(),
-                    SparseLatencyPredictor::new(strategy, 1.0),
-                );
-                let m = simulate(&w, &mut sched, &EngineConfig::default()).metrics();
-                antt += m.antt;
-                viol += m.violation_rate;
-            }
-            let n = scale.seeds as f64;
-            println!("{:<16} {:>8.2} {:>9.1}%", name, antt / n, viol / n * 100.0);
-        }
-        // Oracle reference.
-        let mut antt = 0.0;
-        let mut viol = 0.0;
-        for seed in 0..scale.seeds {
-            let w = WorkloadBuilder::new(scenario)
-                .arrival_rate(rate)
-                .slo_multiplier(10.0)
-                .num_requests(scale.requests)
-                .samples_per_variant(scale.samples_per_variant)
-                .seed(seed)
-                .build();
-            let m = simulate(
-                &w,
-                Policy::Oracle.build().as_mut(),
-                &EngineConfig::default(),
-            )
-            .metrics();
-            antt += m.antt;
-            viol += m.violation_rate;
-        }
-        let n = scale.seeds as f64;
-        println!(
-            "{:<16} {:>8.2} {:>9.1}%",
-            "oracle (exact)",
-            antt / n,
-            viol / n * 100.0
+        let builder = WorkloadBuilder::new(scenario)
+            .arrival_rate(rate)
+            .slo_multiplier(10.0);
+        let sums = replicate(
+            0..scale.seeds,
+            |seed| scale.workload(&builder, seed),
+            &strategies,
+            |&(_, strategy), w| {
+                // No strategy: the Oracle reference.
+                let mut sched: Box<dyn Scheduler> = match strategy {
+                    Some(strategy) => Box::new(DystaScheduler::new(
+                        DystaConfig::default(),
+                        SparseLatencyPredictor::new(strategy, 1.0),
+                    )),
+                    None => Policy::Oracle.build(),
+                };
+                let m = simulate(w, sched.as_mut(), &EngineConfig::default()).metrics();
+                [m.antt, m.violation_rate]
+            },
         );
+        for ((name, _), s) in strategies.iter().zip(sums) {
+            let [antt, viol] = s.mean();
+            println!("{:<16} {:>8.2} {:>9.1}%", name, antt, viol * 100.0);
+        }
         println!();
     }
     println!("expectation: any monitoring strategy beats γ=1; last-one");

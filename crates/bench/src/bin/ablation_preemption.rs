@@ -7,7 +7,7 @@
 use dysta::core::Policy;
 use dysta::sim::{simulate, EngineConfig};
 use dysta::workload::{Scenario, WorkloadBuilder};
-use dysta_bench::{banner, Scale};
+use dysta_bench::{banner, replicate, Scale};
 
 fn main() {
     banner("Ablation", "context-switch overhead sensitivity");
@@ -21,39 +21,36 @@ fn main() {
             "{:<12} {:<10} {:>8} {:>10} {:>12}",
             "overhead", "policy", "ANTT", "viol [%]", "switches"
         );
-        for overhead_us in [0u64, 20, 100, 500] {
-            let config = EngineConfig {
-                preemption_overhead_ns: overhead_us * 1000,
-                ..EngineConfig::default()
-            };
-            for policy in [Policy::Fcfs, Policy::Sjf, Policy::Dysta] {
-                let mut antt = 0.0;
-                let mut viol = 0.0;
-                let mut switches = 0u64;
-                for seed in 0..scale.seeds {
-                    let w = WorkloadBuilder::new(scenario)
-                        .arrival_rate(rate)
-                        .slo_multiplier(10.0)
-                        .num_requests(scale.requests)
-                        .samples_per_variant(scale.samples_per_variant)
-                        .seed(seed)
-                        .build();
-                    let report = simulate(&w, policy.build().as_mut(), &config);
-                    let m = report.metrics();
-                    antt += m.antt;
-                    viol += m.violation_rate;
-                    switches += report.preemptions();
-                }
-                let n = scale.seeds as f64;
-                println!(
-                    "{:<12} {:<10} {:>8.2} {:>9.1}% {:>12}",
-                    format!("{overhead_us} us"),
-                    policy.name(),
-                    antt / n,
-                    viol / n * 100.0,
-                    (switches as f64 / n).round() as u64
-                );
-            }
+        let configs: Vec<_> = [0u64, 20, 100, 500]
+            .into_iter()
+            .flat_map(|us| [Policy::Fcfs, Policy::Sjf, Policy::Dysta].map(|p| (us, p)))
+            .collect();
+        let builder = WorkloadBuilder::new(scenario)
+            .arrival_rate(rate)
+            .slo_multiplier(10.0);
+        let sums = replicate(
+            0..scale.seeds,
+            |seed| scale.workload(&builder, seed),
+            &configs,
+            |&(overhead_us, policy), w| {
+                let config = EngineConfig {
+                    preemption_overhead_ns: overhead_us * 1000,
+                    ..EngineConfig::default()
+                };
+                let report = simulate(w, policy.build().as_mut(), &config);
+                let m = report.metrics();
+                [m.antt, m.violation_rate, report.preemptions() as f64]
+            },
+        );
+        for ((overhead_us, policy), s) in configs.iter().zip(sums) {
+            let [antt, viol, switches] = s.mean();
+            println!(
+                "{:<12} {:<10} {antt:>8.2} {:>9.1}% {:>12}",
+                format!("{overhead_us} us"),
+                policy.name(),
+                viol * 100.0,
+                switches.round() as u64
+            );
         }
         println!();
     }

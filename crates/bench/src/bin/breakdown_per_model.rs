@@ -17,13 +17,10 @@ fn main() {
         ("Multi-CNNs @ 3/s", Scenario::MultiCnn, 3.0),
     ] {
         println!("--- {title} (SLO x10, seed 0, {} reqs) ---", scale.requests);
-        let workload = WorkloadBuilder::new(scenario)
+        let builder = WorkloadBuilder::new(scenario)
             .arrival_rate(rate)
-            .slo_multiplier(10.0)
-            .num_requests(scale.requests)
-            .samples_per_variant(scale.samples_per_variant)
-            .seed(0)
-            .build();
+            .slo_multiplier(10.0);
+        let workload = scale.workload(&builder, 0);
         for policy in [Policy::Fcfs, Policy::Sjf, Policy::Planaria, Policy::Dysta] {
             let report = simulate(&workload, policy.build().as_mut(), &EngineConfig::default());
             println!("{}:", policy.name());

@@ -23,43 +23,10 @@ use dysta::cluster::{
 use dysta::core::Policy;
 use dysta::workload::{Scenario, WorkloadBuilder};
 use dysta_bench::serving::{admission_cells, fault_cells};
-use dysta_bench::{banner, Scale};
+use dysta_bench::{banner, replicate, Scale};
 
-struct Cell {
-    antt: f64,
-    violation: f64,
-    throughput: f64,
-    imbalance: f64,
-}
-
-/// One pool shape of the sweep.
-enum Pool {
-    Homogeneous(AcceleratorKind),
-    /// Half Eyeriss-V2, half Sanger (odd remainders go to Sanger).
-    Mixed,
-}
-
-fn pool_config(pool: &Pool, nodes: usize) -> ClusterConfig {
-    match pool {
-        Pool::Homogeneous(kind) => ClusterConfig::homogeneous(nodes, *kind, Policy::Dysta),
-        Pool::Mixed => ClusterConfig::heterogeneous(nodes / 2, nodes - nodes / 2, Policy::Dysta),
-    }
-}
-
-fn workload_builder(scenario: &SweepScenario, rate: f64) -> WorkloadBuilder {
-    match scenario {
-        SweepScenario::Preset(s) => WorkloadBuilder::new(*s).arrival_rate(rate),
-        SweepScenario::MixedTraffic => {
-            WorkloadBuilder::from_mix(balanced_mixed_serving_mix()).arrival_rate(rate)
-        }
-    }
-}
-
-enum SweepScenario {
-    Preset(Scenario),
-    /// CNN + AttNN traffic blended onto one pool.
-    MixedTraffic,
-}
+/// A pool shape: `nodes` Dysta nodes.
+type Pool = fn(usize) -> ClusterConfig;
 
 fn main() {
     let scale = Scale::from_env();
@@ -68,95 +35,83 @@ fn main() {
         "node count x dispatch policy x scenario (seed-averaged)",
     );
 
-    let sweeps: [(&str, SweepScenario, Pool, f64); 3] = [
+    let sweeps: [(&str, WorkloadBuilder, Pool, f64); 3] = [
         (
             "multi-cnn / eyeriss pool",
-            SweepScenario::Preset(Scenario::MultiCnn),
-            Pool::Homogeneous(AcceleratorKind::EyerissV2),
+            WorkloadBuilder::new(Scenario::MultiCnn),
+            |n| ClusterConfig::homogeneous(n, AcceleratorKind::EyerissV2, Policy::Dysta),
             3.0,
         ),
         (
             "multi-attnn / sanger pool",
-            SweepScenario::Preset(Scenario::MultiAttNn),
-            Pool::Homogeneous(AcceleratorKind::Sanger),
+            WorkloadBuilder::new(Scenario::MultiAttNn),
+            |n| ClusterConfig::homogeneous(n, AcceleratorKind::Sanger, Policy::Dysta),
             30.0,
         ),
         (
+            // CNN + AttNN traffic blended onto half Eyeriss-V2, half
+            // Sanger (odd remainders go to Sanger).
             "mixed traffic / eyeriss+sanger pool",
-            SweepScenario::MixedTraffic,
-            Pool::Mixed,
+            WorkloadBuilder::from_mix(balanced_mixed_serving_mix()),
+            |n| ClusterConfig::heterogeneous(n / 2, n - n / 2, Policy::Dysta),
             10.0,
         ),
     ];
 
-    for (title, scenario, pool, per_node_rate) in &sweeps {
+    for (title, traffic, pool, per_node_rate) in &sweeps {
         println!("\n=== {title} (rate {per_node_rate}/s per node) ===");
         println!(
             "{:<6} {:<14} {:>8} {:>9} {:>12} {:>10}",
             "nodes", "dispatch", "ANTT", "viol %", "thr inf/s", "imbalance"
         );
         for nodes in [2usize, 4, 8] {
-            let mut rows: Vec<(DispatchPolicy, Cell)> = Vec::new();
-            for dispatch in DispatchPolicy::ALL {
-                let mut cell = Cell {
-                    antt: 0.0,
-                    violation: 0.0,
-                    throughput: 0.0,
-                    imbalance: 0.0,
-                };
-                for seed in scale.cluster_seeds() {
-                    let workload = workload_builder(scenario, per_node_rate * nodes as f64)
-                        .num_requests(scale.requests)
-                        .samples_per_variant(scale.samples_per_variant)
-                        .seed(seed)
-                        .build();
-                    let config = pool_config(pool, nodes);
-                    let report = simulate_cluster(&workload, dispatch.build().as_mut(), &config);
-                    cell.antt += report.antt();
-                    cell.violation += report.violation_rate();
-                    cell.throughput += report.throughput_inf_s();
-                    cell.imbalance += report.load_imbalance();
-                }
-                let n = scale.seeds as f64;
-                cell.antt /= n;
-                cell.violation /= n;
-                cell.throughput /= n;
-                cell.imbalance /= n;
-                rows.push((dispatch, cell));
-            }
-            for (dispatch, cell) in &rows {
+            let builder = traffic.clone().arrival_rate(per_node_rate * nodes as f64);
+            let config = pool(nodes);
+            let sums = replicate(
+                scale.cluster_seeds(),
+                |seed| scale.workload(&builder, seed),
+                &DispatchPolicy::ALL,
+                |dispatch, w| {
+                    let report = simulate_cluster(w, dispatch.build().as_mut(), &config);
+                    [
+                        report.antt(),
+                        report.violation_rate(),
+                        report.throughput_inf_s(),
+                        report.load_imbalance(),
+                    ]
+                },
+            );
+            let rows: Vec<_> = DispatchPolicy::ALL
+                .into_iter()
+                .zip(sums.iter().map(|s| s.mean()))
+                .collect();
+            for (dispatch, [antt, violation, throughput, imbalance]) in &rows {
                 println!(
-                    "{:<6} {:<14} {:>8.3} {:>8.1}% {:>12.1} {:>10.2}",
-                    nodes,
+                    "{nodes:<6} {:<14} {antt:>8.3} {:>8.1}% {throughput:>12.1} {imbalance:>10.2}",
                     dispatch.name(),
-                    cell.antt,
-                    cell.violation * 100.0,
-                    cell.throughput,
-                    cell.imbalance,
+                    violation * 100.0,
                 );
             }
-            let rr = rows
-                .iter()
-                .find(|(d, _)| *d == DispatchPolicy::RoundRobin)
-                .expect("round-robin is in ALL");
+            let antt = |policy| {
+                rows.iter()
+                    .find(|(d, _)| *d == policy)
+                    .expect("policy is in ALL")
+                    .1[0]
+            };
+            let rr = antt(DispatchPolicy::RoundRobin);
             for informed in [
                 DispatchPolicy::JoinShortestQueue,
                 DispatchPolicy::SparsityAffinity,
             ] {
-                let row = rows
-                    .iter()
-                    .find(|(d, _)| *d == informed)
-                    .expect("policy is in ALL");
+                let informed_antt = antt(informed);
+                let verdict = if informed_antt < rr {
+                    "better"
+                } else {
+                    "worse"
+                };
                 println!(
-                    "       -> {} vs round-robin ANTT: {:.3} vs {:.3} ({})",
+                    "       -> {} vs round-robin ANTT: {informed_antt:.3} vs {rr:.3} ({verdict})",
                     informed.name(),
-                    row.1.antt,
-                    rr.1.antt,
-                    if row.1.antt < rr.1.antt {
-                        "better"
-                    } else {
-                        "worse"
-                    },
                 );
             }
             println!();
@@ -222,47 +177,36 @@ fn serving_frontend_sweep(scale: &Scale) {
             DispatchPolicy::EarliestDeadlineFirst,
         ),
     ];
-    for (name, frontend, transfer_cost, dispatch) in rows {
-        let mut antt = 0.0;
-        let mut viol = 0.0;
-        let mut p99 = 0.0;
-        let mut imbalance = 0.0;
-        let mut steals = 0u64;
-        let mut migrations = 0u64;
-        let mut fetch_ms = 0.0;
-        for seed in scale.cluster_seeds() {
-            let workload = WorkloadBuilder::new(Scenario::MultiCnn)
-                .arrival_rate(12.0)
-                .num_requests(scale.requests)
-                .samples_per_variant(scale.samples_per_variant)
-                .seed(seed)
-                .build();
+    let builder = WorkloadBuilder::new(Scenario::MultiCnn).arrival_rate(12.0);
+    let sums = replicate(
+        scale.cluster_seeds(),
+        |seed| scale.workload(&builder, seed),
+        &rows,
+        |&(_, frontend, transfer_cost, dispatch), w| {
             let pool = ClusterBuilder::heterogeneous(2, 2, Policy::Dysta)
                 .frontend(frontend)
                 .transfer_cost(transfer_cost)
                 .build();
-            let report = simulate_cluster(&workload, dispatch.build().as_mut(), &pool);
-            antt += report.antt();
-            viol += report.violation_rate();
-            p99 += report.turnaround_percentile_ns(99.0) as f64 / 1e6;
-            imbalance += report.load_imbalance();
-            steals += report.serving().steals;
-            migrations += report.serving().migrations;
-            fetch_ms += report.total_transfer_cost_ns() as f64 / 1e6;
-        }
-        // Counters are seed-averaged like every other column, so a row
-        // reads as "one run at this operating point".
-        let n = scale.seeds as f64;
+            let report = simulate_cluster(w, dispatch.build().as_mut(), &pool);
+            let serving = report.serving();
+            [
+                report.antt(),
+                report.violation_rate(),
+                report.turnaround_percentile_ns(99.0) as f64 / 1e6,
+                report.load_imbalance(),
+                serving.steals as f64,
+                serving.migrations as f64,
+                report.total_transfer_cost_ns() as f64 / 1e6,
+            ]
+        },
+    );
+    // Counters are seed-averaged like every other column, so a row
+    // reads as "one run at this operating point".
+    for ((name, ..), s) in rows.iter().zip(sums) {
+        let [antt, viol, p99, imbalance, steals, migrations, fetch_ms] = s.mean();
         println!(
-            "{:<22} {:>8.3} {:>8.1}% {:>10.1} {:>10.2} {:>7.1} {:>9.1} {:>9.1}",
-            name,
-            antt / n,
-            viol / n * 100.0,
-            p99 / n,
-            imbalance / n,
-            steals as f64 / n,
-            migrations as f64 / n,
-            fetch_ms / n,
+            "{name:<22} {antt:>8.3} {:>8.1}% {p99:>10.1} {imbalance:>10.2} {steals:>7.1} {migrations:>9.1} {fetch_ms:>9.1}",
+            viol * 100.0,
         );
     }
 }
@@ -291,8 +235,8 @@ fn faults_sweep(scale: &Scale) {
         "retries",
         "lost ms"
     );
+    let n = scale.cluster_seeds().count() as f64;
     for cell in fault_cells(*scale) {
-        let n = scale.seeds as f64;
         println!(
             "{:<10} {:<16} {:>8.3} {:>8.1}% {:>9.1} {:>8.1} {:>8.1} {:>9.1} {:>9.1} {:>11.1}",
             cell.dispatch,
@@ -325,8 +269,8 @@ fn admission_sweep(scale: &Scale) {
         "{:<10} {:<22} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "dispatch", "admission", "ANTT", "viol %", "goodput", "rejected", "degraded", "good %"
     );
+    let n = scale.cluster_seeds().count() as f64;
     for cell in admission_cells(*scale) {
-        let n = scale.seeds as f64;
         println!(
             "{:<10} {:<22} {:>8.3} {:>8.1}% {:>9.1} {:>9.1} {:>9.1} {:>8.1}%",
             cell.dispatch,

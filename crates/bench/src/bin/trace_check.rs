@@ -5,7 +5,9 @@
 //! reason) on any malformation, so a broken exporter fails the build
 //! rather than shipping an unopenable trace.
 //!
-//! Usage: `trace_check [output.json]` (default `target/trace_check.json`).
+//! Usage: `trace_check [--trace PATH]` (default
+//! `target/trace_check.json`); any other argument prints a usage line
+//! and exits with status 2.
 
 use dysta::cluster::{
     simulate_cluster_traced, ClusterBuilder, ClusterPolicy, DispatchPolicy, FrontendConfig,
@@ -14,6 +16,7 @@ use dysta::cluster::{
 use dysta::core::Policy;
 use dysta::obs::RingTracer;
 use dysta::workload::{Scenario, WorkloadBuilder};
+use dysta_bench::trace_arg;
 
 fn fail(msg: &str) -> ! {
     eprintln!("trace_check: {msg}");
@@ -21,9 +24,7 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let out = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "target/trace_check.json".to_string());
+    let out = trace_arg("trace_check").unwrap_or_else(|| "target/trace_check.json".into());
 
     // Small but eventful: a heterogeneous pool with the full serving
     // front-end (batching, stealing, migration, costed transfers), so
@@ -72,7 +73,8 @@ fn main() {
 
     // Export must round-trip through a JSON parser.
     let json = tracer.perfetto_json();
-    std::fs::write(&out, &json).unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
+    std::fs::write(&out, &json)
+        .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", out.display())));
     let raw =
         std::fs::read_to_string(&out).unwrap_or_else(|e| fail(&format!("cannot re-read: {e}")));
     let parsed: serde::Value = serde_json::from_str(&raw)
@@ -95,9 +97,10 @@ fn main() {
     }
 
     println!(
-        "trace_check: OK — {} events ({} requests, {} completed) exported to {out} and re-parsed",
+        "trace_check: OK — {} events ({} requests, {} completed) exported to {} and re-parsed",
         events.len(),
         timelines.len(),
         completed,
+        out.display(),
     );
 }

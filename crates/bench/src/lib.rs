@@ -2,10 +2,14 @@
 //!
 //! Each `figNN_*` / `tableNN_*` binary in `src/bin/` regenerates the
 //! paper figure or table it is named after (`EXPERIMENTS.md` records the
-//! outcomes). The helpers here keep the binaries small: seeded
-//! multi-replication runs that reuse each workload across all policies
-//! (so policies are compared on identical request streams, as in the
-//! paper), and fixed-width table printing.
+//! outcomes). Every seeded experiment replicates through one loop,
+//! [`replicate`]: it builds each seed's workload once (sized by
+//! [`Scale::workload`]), runs every configuration of the cell on it, so
+//! policies are compared on identical request streams as in the paper,
+//! and returns per-configuration [`SeedSums`] the rows take their means
+//! and totals from. The rest is fixed-width table printing and the
+//! `--trace PATH` reader and Perfetto export the trace-writing programs
+//! share ([`trace_arg`], [`export_trace`]).
 //!
 //! The experiments the golden suite pins are defined once, in
 //! [`paper`] (single accelerator) and [`serving`] (cluster): grid, policy
@@ -17,9 +21,13 @@
 pub mod paper;
 pub mod serving;
 
+use std::path::{Path, PathBuf};
+
+use dysta::cluster::{simulate_cluster_traced, ClusterConfig, ClusterPolicy, DispatchPolicy};
 use dysta::core::{DystaConfig, Policy};
+use dysta::obs::RingTracer;
 use dysta::sim::{simulate, EngineConfig, Metrics};
-use dysta::workload::{Scenario, WorkloadBuilder};
+use dysta::workload::{Scenario, Workload, WorkloadBuilder};
 
 /// Experiment scale: the paper uses 1000 requests and 5 seeds. The
 /// environment variable `DYSTA_QUICK=1` drops to a fast smoke-test scale
@@ -72,6 +80,68 @@ impl Scale {
     pub fn cluster_seeds(self) -> impl Iterator<Item = u64> {
         (0..self.seeds).map(|s| s * 7919 + 13)
     }
+
+    /// `builder`'s workload at this scale's request count and trace
+    /// resolution, drawn from `seed`.
+    pub fn workload(self, builder: &WorkloadBuilder, seed: u64) -> Workload {
+        builder
+            .clone()
+            .num_requests(self.requests)
+            .samples_per_variant(self.samples_per_variant)
+            .seed(seed)
+            .build()
+    }
+}
+
+/// One run configuration's columns summed over a seed set, as
+/// [`replicate`] returns them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeedSums<const K: usize> {
+    /// Each column summed over the seeds, in seed order.
+    pub sum: [f64; K],
+    /// Each column's largest value over the seeds (0 if none is
+    /// positive).
+    pub max: [f64; K],
+    seeds: usize,
+}
+
+impl<const K: usize> SeedSums<K> {
+    /// Each column's mean over the seeds.
+    pub fn mean(&self) -> [f64; K] {
+        self.sum.map(|s| s / self.seeds as f64)
+    }
+}
+
+/// The one replication loop under every experiment: for each seed in
+/// `seeds` (`0..scale.seeds` on one node, [`Scale::cluster_seeds`] on a
+/// pool) it builds that seed's input once with `input`, runs every one
+/// of `configs` on it, and sums the `K` columns each run returns. The
+/// result holds one [`SeedSums`] per configuration, in `configs` order,
+/// so every configuration is compared on identical request streams.
+/// Count columns sum exactly (as integers below 2^53).
+pub fn replicate<W, C, const K: usize>(
+    seeds: impl IntoIterator<Item = u64>,
+    input: impl Fn(u64) -> W,
+    configs: &[C],
+    mut run: impl FnMut(&C, &W) -> [f64; K],
+) -> Vec<SeedSums<K>> {
+    let empty = SeedSums {
+        sum: [0.0; K],
+        max: [0.0; K],
+        seeds: 0,
+    };
+    let mut sums = vec![empty; configs.len()];
+    for seed in seeds {
+        let input = input(seed);
+        for (config, sums) in configs.iter().zip(&mut sums) {
+            for (j, v) in run(config, &input).into_iter().enumerate() {
+                sums.sum[j] += v;
+                sums.max[j] = sums.max[j].max(v);
+            }
+            sums.seeds += 1;
+        }
+    }
+    sums
 }
 
 /// One experiment cell: a policy's averaged metrics.
@@ -93,41 +163,32 @@ pub fn compare_policies(
     policies: &[Policy],
     config: DystaConfig,
 ) -> Vec<PolicyMetrics> {
-    let mut acc = vec![
-        Metrics {
-            antt: 0.0,
-            violation_rate: 0.0,
-            throughput_inf_s: 0.0
-        };
-        policies.len()
-    ];
-    for seed in 0..scale.seeds {
-        let workload = WorkloadBuilder::new(scenario)
-            .arrival_rate(arrival_rate)
-            .slo_multiplier(slo_multiplier)
-            .num_requests(scale.requests)
-            .samples_per_variant(scale.samples_per_variant)
-            .seed(seed)
-            .build();
-        for (i, policy) in policies.iter().enumerate() {
+    let builder = WorkloadBuilder::new(scenario)
+        .arrival_rate(arrival_rate)
+        .slo_multiplier(slo_multiplier);
+    let sums = replicate(
+        0..scale.seeds,
+        |seed| scale.workload(&builder, seed),
+        policies,
+        |policy, w| {
             let mut sched = policy.build_with(config);
-            let m = simulate(&workload, sched.as_mut(), &EngineConfig::default()).metrics();
-            acc[i].antt += m.antt;
-            acc[i].violation_rate += m.violation_rate;
-            acc[i].throughput_inf_s += m.throughput_inf_s;
-        }
-    }
-    let n = scale.seeds as f64;
+            let m = simulate(w, sched.as_mut(), &EngineConfig::default()).metrics();
+            [m.antt, m.violation_rate, m.throughput_inf_s]
+        },
+    );
     policies
         .iter()
-        .zip(acc)
-        .map(|(&policy, m)| PolicyMetrics {
-            policy,
-            metrics: Metrics {
-                antt: m.antt / n,
-                violation_rate: m.violation_rate / n,
-                throughput_inf_s: m.throughput_inf_s / n,
-            },
+        .zip(sums)
+        .map(|(&policy, s)| {
+            let [antt, violation_rate, throughput_inf_s] = s.mean();
+            PolicyMetrics {
+                policy,
+                metrics: Metrics {
+                    antt,
+                    violation_rate,
+                    throughput_inf_s,
+                },
+            }
         })
         .collect()
 }
@@ -149,9 +210,57 @@ pub fn print_histogram(label: &str, centers: &[f64], density: &[f64]) {
     }
 }
 
+/// Reads the command line of a program whose one option is `--trace
+/// PATH`: the path, or `None` when no argument is given. Anything else
+/// (an unknown flag, a stray argument, `--trace` without a path) prints
+/// one usage line to stderr and exits with status 2.
+pub fn trace_arg(program: &str) -> Option<PathBuf> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => None,
+        [flag, path] if flag == "--trace" && !path.starts_with('-') => Some(path.into()),
+        _ => {
+            eprintln!(
+                "{program}: cannot read arguments `{}`; usage: {program} [--trace PATH]",
+                args.join(" ")
+            );
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Replays `workload` on `pool` under `dispatch` through a
+/// [`RingTracer`], checks the recorded event stream (a malformed one
+/// only warns), writes its Perfetto/Chrome JSON to `path` and prints
+/// where it went. Exits with status 1 if the file cannot be written.
+pub fn export_trace(
+    path: &Path,
+    workload: &Workload,
+    dispatch: DispatchPolicy,
+    pool: &ClusterConfig,
+) {
+    let tracer = RingTracer::new(1 << 20);
+    let mut policy = ClusterPolicy::from_dispatch(dispatch);
+    simulate_cluster_traced(workload, &mut policy, pool, &tracer);
+    if let Err(e) = tracer.validate() {
+        eprintln!("warning: trace validation failed: {e}");
+    }
+    std::fs::write(path, tracer.perfetto_json()).unwrap_or_else(|e| {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    });
+    println!(
+        "\nwrote {} trace events ({} dropped) to {} — open at https://ui.perfetto.dev",
+        tracer.len(),
+        tracer.dropped(),
+        path.display()
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dysta::cluster::{balanced_mixed_serving_mix, simulate_cluster};
 
     #[test]
     fn quick_scale_is_smaller() {
@@ -159,6 +268,12 @@ mod tests {
         let p = Scale::paper();
         assert!(q.requests < p.requests && q.seeds < p.seeds);
     }
+
+    const TINY: Scale = Scale {
+        requests: 20,
+        seeds: 2,
+        samples_per_variant: 4,
+    };
 
     #[test]
     fn compare_policies_returns_one_row_per_policy() {
@@ -176,5 +291,67 @@ mod tests {
         );
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.metrics.antt >= 1.0));
+    }
+
+    #[test]
+    fn compare_policies_rows_equal_each_policy_run_alone() {
+        let policies = [Policy::Fcfs, Policy::Sjf, Policy::Dysta];
+        let config = DystaConfig::default();
+        let compare =
+            |p: &[Policy]| compare_policies(Scenario::MultiAttNn, 30.0, 10.0, TINY, p, config);
+        for (row, &policy) in compare(&policies).iter().zip(&policies) {
+            assert_eq!(*row, compare(&[policy])[0], "{policy}");
+        }
+    }
+
+    /// Asserts `replicate`'s means equal, bit for bit, those of the seed
+    /// loop written out by hand: sums in seed order, then one divide.
+    fn assert_hand_loop_means<C, const K: usize>(
+        seeds: Vec<u64>,
+        builder: &WorkloadBuilder,
+        configs: &[C],
+        run: impl Fn(&C, &Workload) -> [f64; K],
+    ) {
+        let sums = replicate(seeds.clone(), |s| TINY.workload(builder, s), configs, &run);
+        for (config, sums) in configs.iter().zip(sums) {
+            let mut total = [0.0; K];
+            for &s in &seeds {
+                let w = TINY.workload(builder, s);
+                for (acc, v) in total.iter_mut().zip(run(config, &w)) {
+                    *acc += v;
+                }
+            }
+            let by_hand = total.map(|t| (t / seeds.len() as f64).to_bits());
+            assert_eq!(sums.mean().map(f64::to_bits), by_hand);
+        }
+    }
+
+    #[test]
+    fn replicate_means_equal_a_hand_written_seed_loop() {
+        let single = WorkloadBuilder::new(Scenario::MultiCnn).arrival_rate(3.0);
+        let policies = [Policy::Fcfs, Policy::Dysta];
+        assert_hand_loop_means(
+            (0..TINY.seeds).collect(),
+            &single,
+            &policies,
+            |policy, w| {
+                let report = simulate(w, policy.build().as_mut(), &EngineConfig::default());
+                let m = report.metrics();
+                [m.antt, m.violation_rate, report.preemptions() as f64]
+            },
+        );
+        let mixed = WorkloadBuilder::from_mix(balanced_mixed_serving_mix()).arrival_rate(20.0);
+        let pool = ClusterConfig::heterogeneous(1, 1, Policy::Dysta);
+        let dispatchers = [DispatchPolicy::RoundRobin, DispatchPolicy::SparsityAffinity];
+        assert_hand_loop_means(
+            TINY.cluster_seeds().collect(),
+            &mixed,
+            &dispatchers,
+            |d, w| {
+                let report = simulate_cluster(w, d.build().as_mut(), &pool);
+                let m = report.metrics();
+                [m.antt, m.violation_rate, report.goodput() as f64]
+            },
+        );
     }
 }

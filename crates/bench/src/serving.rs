@@ -16,7 +16,7 @@ use dysta::workload::{
     ArrivalProcess, PhaseSpec, Popularity, SloModel, StreamSpec, Workload, WorkloadBuilder,
 };
 
-use crate::Scale;
+use crate::{replicate, Scale};
 
 /// The steady operating point of the admission, fault and load-curve
 /// experiments, in requests/s.
@@ -38,13 +38,10 @@ pub fn capacity_het_pool(node_policy: Policy) -> ClusterBuilder {
 /// The balanced mixed serving mix at `rate` requests/s and SLO
 /// multiplier `slo_multiplier`, sized by `scale`.
 fn mixed_workload(rate: f64, slo_multiplier: f64, scale: Scale, seed: u64) -> Workload {
-    WorkloadBuilder::from_mix(balanced_mixed_serving_mix())
+    let mix = WorkloadBuilder::from_mix(balanced_mixed_serving_mix())
         .arrival_rate(rate)
-        .slo_multiplier(slo_multiplier)
-        .num_requests(scale.requests)
-        .samples_per_variant(scale.samples_per_variant)
-        .seed(seed)
-        .build()
+        .slo_multiplier(slo_multiplier);
+    scale.workload(&mix, seed)
 }
 
 /// `dispatch` behind the named admission policy (one of
@@ -83,23 +80,24 @@ pub struct EdfClusterCell {
 pub fn edf_cells(multipliers: &[f64], scale: Scale) -> Vec<EdfClusterCell> {
     let mut cells = Vec::new();
     for &m in multipliers {
-        for dispatch in EDF_DISPATCHERS {
-            let mut antt = 0.0;
-            let mut viol = 0.0;
-            for seed in scale.cluster_seeds() {
-                let w = mixed_workload(30.0, m, scale, seed);
+        let sums = replicate(
+            scale.cluster_seeds(),
+            |seed| mixed_workload(30.0, m, scale, seed),
+            &EDF_DISPATCHERS,
+            |&dispatch, w| {
                 let pool = capacity_het_pool(Policy::Dysta).build();
                 let report =
-                    simulate_cluster_with(&w, &mut ClusterPolicy::from_dispatch(dispatch), &pool);
-                antt += report.antt();
-                viol += report.violation_rate();
-            }
-            let n = scale.seeds as f64;
+                    simulate_cluster_with(w, &mut ClusterPolicy::from_dispatch(dispatch), &pool);
+                [report.antt(), report.violation_rate()]
+            },
+        );
+        for (dispatch, s) in EDF_DISPATCHERS.iter().zip(sums) {
+            let [antt, violation_rate] = s.mean();
             cells.push(EdfClusterCell {
                 dispatch: dispatch.name().to_string(),
                 slo_multiplier: m,
-                antt: antt / n,
-                violation_rate: viol / n,
+                antt,
+                violation_rate,
             });
         }
     }
@@ -138,44 +136,48 @@ pub struct AdmissionCell {
 /// [`TIGHT_SLO`] on the capacity-heterogeneous pool of FCFS nodes,
 /// where doomed head-of-queue work really blocks feasible work.
 pub fn admission_cells(scale: Scale) -> Vec<AdmissionCell> {
-    let mut cells = Vec::new();
-    for dispatch in SERVING_DISPATCHERS {
-        for admission in ADMISSIONS {
-            let mut antt = 0.0;
-            let mut viol = 0.0;
-            let mut goodput = 0usize;
-            let mut completed = 0usize;
-            let mut rejected = 0usize;
-            let mut degraded = 0usize;
-            let mut goodput_rate = 0.0;
-            for seed in scale.cluster_seeds() {
-                let w = mixed_workload(BASE_RATE, TIGHT_SLO, scale, seed);
-                let pool = capacity_het_pool(Policy::Fcfs).build();
-                let mut policy = cluster_policy(dispatch, admission);
-                let report = simulate_cluster_with(&w, &mut policy, &pool);
-                antt += report.antt();
-                viol += report.violation_rate();
-                goodput += report.goodput();
-                goodput_rate += report.goodput_rate();
-                completed += report.completed_total();
-                rejected += report.rejected_total();
-                degraded += report.degraded_total();
-            }
-            let n = scale.seeds as f64;
-            cells.push(AdmissionCell {
+    let configs: Vec<_> = SERVING_DISPATCHERS
+        .iter()
+        .flat_map(|&d| ADMISSIONS.map(|a| (d, a)))
+        .collect();
+    let sums = replicate(
+        scale.cluster_seeds(),
+        |seed| mixed_workload(BASE_RATE, TIGHT_SLO, scale, seed),
+        &configs,
+        |&(dispatch, admission), w| {
+            let pool = capacity_het_pool(Policy::Fcfs).build();
+            let mut policy = cluster_policy(dispatch, admission);
+            let report = simulate_cluster_with(w, &mut policy, &pool);
+            [
+                report.antt(),
+                report.violation_rate(),
+                report.goodput_rate(),
+                report.goodput() as f64,
+                report.completed_total() as f64,
+                report.rejected_total() as f64,
+                report.degraded_total() as f64,
+            ]
+        },
+    );
+    configs
+        .iter()
+        .zip(sums)
+        .map(|(&(dispatch, admission), s)| {
+            let [antt, violation_rate, goodput_rate, ..] = s.mean();
+            let [.., goodput, completed, rejected, degraded] = s.sum;
+            AdmissionCell {
                 dispatch: dispatch.name().to_string(),
                 admission: admission.to_string(),
-                antt: antt / n,
-                violation_rate: viol / n,
-                goodput,
-                goodput_rate: goodput_rate / n,
-                completed,
-                rejected,
-                degraded,
-            });
-        }
-    }
-    cells
+                antt,
+                violation_rate,
+                goodput: goodput as usize,
+                goodput_rate,
+                completed: completed as usize,
+                rejected: rejected as usize,
+                degraded: degraded as usize,
+            }
+        })
+        .collect()
 }
 
 // --- Fault injection ---------------------------------------------------------
@@ -239,64 +241,66 @@ pub struct FaultCell {
 /// Panics if a run does not conserve requests: every admitted request
 /// must complete, fail or renege.
 pub fn fault_cells(scale: Scale) -> Vec<FaultCell> {
-    let mut cells = Vec::new();
-    for dispatch in SERVING_DISPATCHERS {
-        for (recovery_name, recovery) in RECOVERIES {
-            let mut antt = 0.0;
-            let mut viol = 0.0;
-            let mut goodput = 0usize;
-            let mut goodput_rate = 0.0;
-            let mut completed = 0usize;
-            let mut failed = 0usize;
-            let mut reneged = 0usize;
-            let mut salvaged = 0usize;
-            let mut retries = 0usize;
-            let mut lost_busy_ns = 0u64;
-            for seed in scale.cluster_seeds() {
-                let w = mixed_workload(BASE_RATE, TIGHT_SLO, scale, seed);
-                let pool = capacity_het_pool(Policy::Fcfs)
-                    .frontend(FrontendConfig::serving())
-                    .faults(FaultConfig {
-                        schedule: fault_schedule(),
-                        recovery,
-                    })
-                    .build();
-                let mut policy = ClusterPolicy::from_dispatch(dispatch);
-                let report = simulate_cluster_with(&w, &mut policy, &pool);
-                assert_eq!(
-                    report.admitted_total(),
-                    report.completed_total() + report.failed_total() + report.reneged_total(),
-                    "conservation must close under faults"
-                );
-                antt += report.antt();
-                viol += report.violation_rate();
-                goodput += report.goodput();
-                goodput_rate += report.goodput_rate();
-                completed += report.completed_total();
-                failed += report.failed_total();
-                reneged += report.reneged_total();
-                salvaged += report.recovery().salvaged as usize;
-                retries += report.recovery().retries as usize;
-                lost_busy_ns += report.recovery().lost_busy_ns;
-            }
-            let n = scale.seeds as f64;
-            cells.push(FaultCell {
+    let configs: Vec<_> = SERVING_DISPATCHERS
+        .iter()
+        .flat_map(|&d| RECOVERIES.map(|r| (d, r)))
+        .collect();
+    let sums = replicate(
+        scale.cluster_seeds(),
+        |seed| mixed_workload(BASE_RATE, TIGHT_SLO, scale, seed),
+        &configs,
+        |&(dispatch, (_, recovery)), w| {
+            let pool = capacity_het_pool(Policy::Fcfs)
+                .frontend(FrontendConfig::serving())
+                .faults(FaultConfig {
+                    schedule: fault_schedule(),
+                    recovery,
+                })
+                .build();
+            let mut policy = ClusterPolicy::from_dispatch(dispatch);
+            let report = simulate_cluster_with(w, &mut policy, &pool);
+            assert_eq!(
+                report.admitted_total(),
+                report.completed_total() + report.failed_total() + report.reneged_total(),
+                "conservation must close under faults"
+            );
+            let recovery = report.recovery();
+            [
+                report.antt(),
+                report.violation_rate(),
+                report.goodput_rate(),
+                report.goodput() as f64,
+                report.completed_total() as f64,
+                report.failed_total() as f64,
+                report.reneged_total() as f64,
+                recovery.salvaged as f64,
+                recovery.retries as f64,
+                recovery.lost_busy_ns as f64,
+            ]
+        },
+    );
+    configs
+        .iter()
+        .zip(sums)
+        .map(|(&(dispatch, (recovery, _)), s)| {
+            let [antt, violation_rate, goodput_rate, ..] = s.mean();
+            let [.., goodput, completed, failed, reneged, salvaged, retries, lost_busy_ns] = s.sum;
+            FaultCell {
                 dispatch: dispatch.name().to_string(),
-                recovery: recovery_name.to_string(),
-                antt: antt / n,
-                violation_rate: viol / n,
-                goodput,
-                goodput_rate: goodput_rate / n,
-                completed,
-                failed,
-                reneged,
-                salvaged,
-                retries,
-                lost_busy_ms: lost_busy_ns as f64 / 1e6,
-            });
-        }
-    }
-    cells
+                recovery: recovery.to_string(),
+                antt,
+                violation_rate,
+                goodput: goodput as usize,
+                goodput_rate,
+                completed: completed as usize,
+                failed: failed as usize,
+                reneged: reneged as usize,
+                salvaged: salvaged as usize,
+                retries: retries as usize,
+                lost_busy_ms: lost_busy_ns / 1e6,
+            }
+        })
+        .collect()
 }
 
 // --- Load curve --------------------------------------------------------------
@@ -380,36 +384,42 @@ pub fn load_curve_cells(scale: Scale) -> Vec<LoadCurveCell> {
     let mut cells = Vec::new();
     for shape in SHAPES {
         for load in LOAD_FACTORS {
-            for admission in LOAD_ADMISSIONS {
-                let mut goodput_rate = 0.0;
-                let mut p99_ns = 0u64;
-                let mut rejected = 0usize;
-                let mut degraded = 0usize;
-                let mut peak_live = 0usize;
-                for seed in scale.cluster_seeds() {
+            let sums = replicate(
+                scale.cluster_seeds(),
+                |seed| {
                     let spec = stream_spec(shape, load, scale, seed);
                     let store = spec.build_store();
+                    (spec, store)
+                },
+                &LOAD_ADMISSIONS,
+                |&admission, (spec, store)| {
                     let pool = capacity_het_pool(Policy::Fcfs).build();
                     let mut policy =
                         cluster_policy(DispatchPolicy::EarliestDeadlineFirst, admission);
                     let report =
-                        simulate_cluster_stream_with(spec.source(&store), &mut policy, &pool);
-                    goodput_rate += report.goodput_rate();
-                    p99_ns += report.turnaround_percentile_ns(99.0);
-                    rejected += report.rejected_total();
-                    degraded += report.degraded_total();
-                    peak_live = peak_live.max(report.serving().peak_live_requests);
-                }
-                let n = scale.seeds as f64;
+                        simulate_cluster_stream_with(spec.source(store), &mut policy, &pool);
+                    [
+                        report.goodput_rate(),
+                        report.turnaround_percentile_ns(99.0) as f64,
+                        report.rejected_total() as f64,
+                        report.degraded_total() as f64,
+                        report.serving().peak_live_requests as f64,
+                    ]
+                },
+            );
+            for (admission, s) in LOAD_ADMISSIONS.iter().zip(sums) {
+                let [goodput_rate, p99_ns, ..] = s.mean();
+                let [.., rejected, degraded, _] = s.sum;
+                let [.., peak_live] = s.max;
                 cells.push(LoadCurveCell {
                     shape: shape.to_string(),
                     load,
                     admission: admission.to_string(),
-                    goodput_rate: goodput_rate / n,
-                    p99_ms: p99_ns as f64 / n / 1e6,
-                    rejected,
-                    degraded,
-                    peak_live,
+                    goodput_rate,
+                    p99_ms: p99_ns / 1e6,
+                    rejected: rejected as usize,
+                    degraded: degraded as usize,
+                    peak_live: peak_live as usize,
                 });
             }
         }

@@ -1,6 +1,6 @@
 //! Cluster-wide aggregation of per-node simulation results.
 
-use dysta_sim::{percentile_ns, percentile_ns_sorted, CompletedRequest, Metrics, SimReport};
+use dysta_sim::{summarize, CompletedRequest, Metrics, SimReport};
 
 use crate::AcceleratorKind;
 
@@ -181,28 +181,20 @@ impl ClusterReport {
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn turnaround_percentile_ns(&self, p: f64) -> u64 {
-        let turnarounds: Vec<u64> = self
-            .completed()
-            .map(CompletedRequest::turnaround_ns)
-            .collect();
-        percentile_ns(&turnarounds, p)
+        summarize(self.completed(), [p]).turnaround_ns[0]
     }
 
-    /// The p50/p90/p99 turnaround triple (one collection + sort for all
-    /// three ranks).
+    /// The p50/p90/p99 turnaround triple.
     ///
     /// **Population: completed requests only** — same caveat as
     /// [`ClusterReport::turnaround_percentile_ns`].
     pub fn latency_percentiles(&self) -> LatencyPercentiles {
-        let mut turnarounds: Vec<u64> = self
-            .completed()
-            .map(CompletedRequest::turnaround_ns)
-            .collect();
-        turnarounds.sort_unstable();
+        let [p50_ns, p90_ns, p99_ns] =
+            summarize(self.completed(), [50.0, 90.0, 99.0]).turnaround_ns;
         LatencyPercentiles {
-            p50_ns: percentile_ns_sorted(&turnarounds, 50.0),
-            p90_ns: percentile_ns_sorted(&turnarounds, 90.0),
-            p99_ns: percentile_ns_sorted(&turnarounds, 99.0),
+            p50_ns,
+            p90_ns,
+            p99_ns,
         }
     }
 
@@ -291,14 +283,7 @@ impl ClusterReport {
     /// Cluster ANTT: the mean normalized turnaround over every request
     /// served anywhere in the pool (0 when nothing completed).
     pub fn antt(&self) -> f64 {
-        let total = self.completed_total();
-        if total == 0 {
-            return 0.0;
-        }
-        self.completed()
-            .map(CompletedRequest::normalized_turnaround)
-            .sum::<f64>()
-            / total as f64
+        self.metrics().antt
     }
 
     /// Cluster SLO violation rate in `[0, 1]`, over the requests the
@@ -307,11 +292,7 @@ impl ClusterReport {
     /// the original-SLO view), and a rejected request is no violation
     /// because it was never served (0 when nothing completed).
     pub fn violation_rate(&self) -> f64 {
-        let total = self.completed_total();
-        if total == 0 {
-            return 0.0;
-        }
-        self.completed().filter(|c| c.violated()).count() as f64 / total as f64
+        self.metrics().violation_rate
     }
 
     /// Goodput: completions that met their *original* SLO. For a
@@ -344,43 +325,23 @@ impl ClusterReport {
         self.goodput() as f64 / offered as f64
     }
 
-    /// The cluster observation window: first arrival to last completion
-    /// across all nodes, in nanoseconds.
-    pub fn span_ns(&self) -> u64 {
-        let first = self.completed().map(|c| c.arrival_ns).min().unwrap_or(0);
-        let last = self
-            .completed()
-            .map(|c| c.completion_ns)
-            .max()
-            .unwrap_or(first);
-        last.saturating_sub(first)
-    }
-
     /// Cluster throughput: completions per second of the observation
-    /// window.
+    /// window, first arrival to last completion across all nodes.
     pub fn throughput_inf_s(&self) -> f64 {
-        let span_s = self.span_ns() as f64 / 1e9;
-        if span_s <= 0.0 {
-            0.0
-        } else {
-            self.completed_total() as f64 / span_s
-        }
+        self.metrics().throughput_inf_s
     }
 
-    /// The evaluation triple, cluster-wide.
+    /// The evaluation triple, cluster-wide, summed over the nodes in
+    /// order and each node's completions in order.
     pub fn metrics(&self) -> Metrics {
-        Metrics {
-            antt: self.antt(),
-            violation_rate: self.violation_rate(),
-            throughput_inf_s: self.throughput_inf_s(),
-        }
+        summarize(self.completed(), []).metrics
     }
 
     /// Per-node utilization: each node's busy time over the shared
     /// observation window, in `[0, 1]` (a node can idle-wait while the
     /// window runs, never exceed it).
     pub fn per_node_utilization(&self) -> Vec<f64> {
-        let span = self.span_ns().max(1) as f64;
+        let span = summarize(self.completed(), []).span_ns.max(1) as f64;
         self.nodes
             .iter()
             .map(|n| (n.busy_ns as f64 / span).min(1.0))
@@ -493,7 +454,7 @@ mod tests {
             node(0, vec![completion(0, 5, 5, 10)], 0),
             node(1, vec![completion(1, 5, 5, 10)], 0),
         ]);
-        assert_eq!(r.span_ns(), 0);
+        assert_eq!(summarize(r.completed(), []).span_ns, 0);
         assert_eq!(r.completed_total(), 2);
         assert_eq!(r.throughput_inf_s(), 0.0);
         assert!(r.throughput_inf_s().is_finite());

@@ -54,6 +54,15 @@ fn one_node_cluster_reproduces_single_node_simulate_exactly() {
                     node.report.scheduler_invocations(),
                     single.scheduler_invocations()
                 );
+                // Both reports summarize the same records through one
+                // fold, so their metrics agree bit for bit.
+                assert_eq!(cluster.metrics(), single.metrics());
+                for p in [50.0, 99.0] {
+                    assert_eq!(
+                        cluster.turnaround_percentile_ns(p),
+                        single.turnaround_percentile_ns(p)
+                    );
+                }
             }
         }
     }

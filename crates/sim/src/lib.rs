@@ -39,4 +39,6 @@ mod report;
 
 pub use engine::{simulate, simulate_traced, EngineConfig};
 pub use node::{NodeEngine, TransferableTask};
-pub use report::{percentile_ns, percentile_ns_sorted, CompletedRequest, Metrics, SimReport};
+pub use report::{
+    percentile_ns, summarize, CompletedRequest, CompletionSummary, Metrics, SimReport,
+};

@@ -69,29 +69,70 @@ pub struct Metrics {
 /// assert_eq!(percentile_ns(&[], 99.0), 0);
 /// ```
 pub fn percentile_ns(values: &[u64], p: f64) -> u64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_unstable();
-    percentile_ns_sorted(&sorted, p)
-}
-
-/// [`percentile_ns`] over an already-sorted sample set — for callers
-/// that read several percentiles from one set and want to sort once.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 100]`. Debug-asserts the input is
-/// sorted.
-pub fn percentile_ns_sorted(sorted: &[u64], p: f64) -> u64 {
     assert!(
         (0.0..=100.0).contains(&p),
         "percentile must be in [0, 100], got {p}"
     );
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input not sorted");
-    if sorted.is_empty() {
+    if values.is_empty() {
         return 0;
     }
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
     let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// What [`summarize`] reads off a set of completion records.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CompletionSummary<const N: usize> {
+    /// ANTT, violation rate and throughput (each 0 for no records).
+    pub metrics: Metrics,
+    /// First arrival to last completion (ns; 0 for no records).
+    pub span_ns: u64,
+    /// Nearest-rank turnaround at each requested percentile (ns).
+    pub turnaround_ns: [u64; N],
+}
+
+/// Summarizes completion records in one pass: the evaluation triple over
+/// the observation window, and the nearest-rank turnaround
+/// ([`percentile_ns`]) at each of `percentiles` (turnarounds are
+/// collected only when `N > 0`). Sums run in iteration order.
+///
+/// # Panics
+///
+/// Panics if a percentile is outside `[0, 100]`.
+pub fn summarize<'a, const N: usize>(
+    completed: impl IntoIterator<Item = &'a CompletedRequest>,
+    percentiles: [f64; N],
+) -> CompletionSummary<N> {
+    let (mut count, mut ntt_sum, mut violations) = (0usize, 0.0, 0usize);
+    let (mut first, mut last) = (u64::MAX, 0);
+    let mut turnarounds = Vec::new();
+    for c in completed {
+        count += 1;
+        ntt_sum += c.normalized_turnaround();
+        violations += usize::from(c.violated());
+        first = first.min(c.arrival_ns);
+        last = last.max(c.completion_ns);
+        if N > 0 {
+            turnarounds.push(c.turnaround_ns());
+        }
+    }
+    let span_ns = last.saturating_sub(first);
+    let n = count.max(1) as f64;
+    CompletionSummary {
+        metrics: Metrics {
+            antt: ntt_sum / n,
+            violation_rate: violations as f64 / n,
+            throughput_inf_s: if span_ns == 0 {
+                0.0
+            } else {
+                count as f64 / (span_ns as f64 / 1e9)
+            },
+        },
+        span_ns,
+        turnaround_ns: percentiles.map(|p| percentile_ns(&turnarounds, p)),
+    }
 }
 
 /// The full outcome of one simulation.
@@ -134,45 +175,18 @@ impl SimReport {
 
     /// Average normalized turnaround time (0 for an empty report).
     pub fn antt(&self) -> f64 {
-        if self.completed.is_empty() {
-            return 0.0;
-        }
-        self.completed
-            .iter()
-            .map(CompletedRequest::normalized_turnaround)
-            .sum::<f64>()
-            / self.completed.len() as f64
+        self.metrics().antt
     }
 
     /// SLO violation rate in `[0, 1]` (0 for an empty report).
     pub fn violation_rate(&self) -> f64 {
-        if self.completed.is_empty() {
-            return 0.0;
-        }
-        self.completed.iter().filter(|c| c.violated()).count() as f64 / self.completed.len() as f64
+        self.metrics().violation_rate
     }
 
     /// System throughput: completions per second of wall-clock span
     /// (first arrival to last completion).
     pub fn throughput_inf_s(&self) -> f64 {
-        let first = self
-            .completed
-            .iter()
-            .map(|c| c.arrival_ns)
-            .min()
-            .unwrap_or(0);
-        let last = self
-            .completed
-            .iter()
-            .map(|c| c.completion_ns)
-            .max()
-            .unwrap_or(1);
-        let span_s = (last.saturating_sub(first)) as f64 / 1e9;
-        if span_s <= 0.0 {
-            0.0
-        } else {
-            self.completed.len() as f64 / span_s
-        }
+        self.metrics().throughput_inf_s
     }
 
     /// Nearest-rank percentile of per-request turnaround time — the
@@ -183,39 +197,27 @@ impl SimReport {
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn turnaround_percentile_ns(&self, p: f64) -> u64 {
-        let turnarounds: Vec<u64> = self
-            .completed
-            .iter()
-            .map(CompletedRequest::turnaround_ns)
-            .collect();
-        percentile_ns(&turnarounds, p)
+        summarize(&self.completed, [p]).turnaround_ns[0]
     }
 
     /// The three paper metrics as one value.
     pub fn metrics(&self) -> Metrics {
-        Metrics {
-            antt: self.antt(),
-            violation_rate: self.violation_rate(),
-            throughput_inf_s: self.throughput_inf_s(),
-        }
+        summarize(&self.completed, []).metrics
     }
 
     /// Per-model breakdown: `(model, request count, ANTT, violation
     /// rate)`, sorted by model id. Shows *which* tenants a scheduler
     /// sacrifices (FCFS hurts short models, EDF hurts long ones).
     pub fn per_model(&self) -> Vec<(dysta_models::ModelId, usize, f64, f64)> {
-        let mut by_model: std::collections::BTreeMap<dysta_models::ModelId, (usize, f64, usize)> =
-            std::collections::BTreeMap::new();
+        let mut by_model = std::collections::BTreeMap::<_, Vec<_>>::new();
         for c in &self.completed {
-            let entry = by_model.entry(c.spec.model).or_insert((0, 0.0, 0));
-            entry.0 += 1;
-            entry.1 += c.normalized_turnaround();
-            entry.2 += usize::from(c.violated());
+            by_model.entry(c.spec.model).or_default().push(c);
         }
         by_model
             .into_iter()
-            .map(|(model, (n, ntt_sum, viols))| {
-                (model, n, ntt_sum / n as f64, viols as f64 / n as f64)
+            .map(|(model, records)| {
+                let m = summarize(records.iter().copied(), []).metrics;
+                (model, records.len(), m.antt, m.violation_rate)
             })
             .collect()
     }

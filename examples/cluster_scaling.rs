@@ -9,29 +9,15 @@
 //! trace JSON viewable at <https://ui.perfetto.dev>.
 
 use dysta::cluster::{
-    balanced_mixed_serving_mix, simulate_cluster, simulate_cluster_traced, AcceleratorKind,
-    ClusterConfig, ClusterPolicy, DispatchPolicy,
+    balanced_mixed_serving_mix, simulate_cluster, AcceleratorKind, ClusterConfig, DispatchPolicy,
 };
 use dysta::core::Policy;
-use dysta::obs::RingTracer;
 use dysta::workload::{Scenario, WorkloadBuilder};
-
-/// Parses `--trace <path>` from the command line (None when absent).
-fn trace_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--trace" {
-            let path = args.next().unwrap_or_else(|| {
-                eprintln!("--trace requires a path argument");
-                std::process::exit(2);
-            });
-            return Some(path.into());
-        }
-    }
-    None
-}
+use dysta_bench::{export_trace, trace_arg};
 
 fn main() {
+    let trace = trace_arg("cluster_scaling");
+
     // One shared traffic stream: the paper's multi-CNN perception mix at
     // a rate a single Eyeriss-V2 cannot sustain (the single-node default
     // is 3 samples/s; we offer 4x that).
@@ -96,24 +82,9 @@ fn main() {
         );
     }
 
-    if let Some(path) = trace_path() {
+    if let Some(path) = trace {
         // Trace the affinity run on the heterogeneous pool — the one
         // whose per-node tracks tell the clearest routing story.
-        let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity);
-        let tracer = RingTracer::new(1 << 20);
-        simulate_cluster_traced(&mixed, &mut policy, &pool, &tracer);
-        if let Err(e) = tracer.validate() {
-            eprintln!("warning: trace validation failed: {e}");
-        }
-        std::fs::write(&path, tracer.perfetto_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        println!(
-            "\nwrote {} trace events ({} dropped) to {} — open at https://ui.perfetto.dev",
-            tracer.len(),
-            tracer.dropped(),
-            path.display()
-        );
+        export_trace(&path, &mixed, DispatchPolicy::SparsityAffinity, &pool);
     }
 }

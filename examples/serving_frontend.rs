@@ -17,29 +17,16 @@
 //! counters.
 
 use dysta::cluster::{
-    simulate_cluster, simulate_cluster_traced, ClusterBuilder, ClusterPolicy, DispatchPolicy,
-    FrontendConfig, StealConfig, TransferCostConfig,
+    simulate_cluster, ClusterBuilder, DispatchPolicy, FrontendConfig, StealConfig,
+    TransferCostConfig,
 };
 use dysta::core::Policy;
-use dysta::obs::RingTracer;
 use dysta::workload::{Scenario, WorkloadBuilder};
-
-/// Parses `--trace <path>` from the command line (None when absent).
-fn trace_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--trace" {
-            let path = args.next().unwrap_or_else(|| {
-                eprintln!("--trace requires a path argument");
-                std::process::exit(2);
-            });
-            return Some(path.into());
-        }
-    }
-    None
-}
+use dysta_bench::{export_trace, trace_arg};
 
 fn main() {
+    let trace = trace_arg("serving_frontend");
+
     let workload = WorkloadBuilder::new(Scenario::MultiCnn)
         .arrival_rate(12.0)
         .slo_multiplier(10.0)
@@ -139,28 +126,13 @@ fn main() {
          rate most windows hold one request, so the mean sits near the cap)."
     );
 
-    if let Some(path) = trace_path() {
+    if let Some(path) = trace {
         // Re-run the full serving configuration under a tracer and dump
         // the Perfetto view of it.
         let pool = ClusterBuilder::heterogeneous(2, 2, Policy::Dysta)
             .frontend(FrontendConfig::serving_costed())
             .transfer_cost(TransferCostConfig::default_costed())
             .build();
-        let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity);
-        let tracer = RingTracer::new(1 << 20);
-        simulate_cluster_traced(&workload, &mut policy, &pool, &tracer);
-        if let Err(e) = tracer.validate() {
-            eprintln!("warning: trace validation failed: {e}");
-        }
-        std::fs::write(&path, tracer.perfetto_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        println!(
-            "\nwrote {} trace events ({} dropped) to {} — open at https://ui.perfetto.dev",
-            tracer.len(),
-            tracer.dropped(),
-            path.display()
-        );
+        export_trace(&path, &workload, DispatchPolicy::SparsityAffinity, &pool);
     }
 }
