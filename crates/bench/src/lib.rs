@@ -229,18 +229,14 @@ pub fn trace_arg(program: &str) -> Option<PathBuf> {
     }
 }
 
-/// Replays `workload` on `pool` under `dispatch` through a
-/// [`RingTracer`], checks the recorded event stream (a malformed one
-/// only warns), writes its Perfetto/Chrome JSON to `path` and prints
-/// where it went. Exits with status 1 if the file cannot be written.
-pub fn export_trace(
-    path: &Path,
-    workload: &Workload,
-    dispatch: DispatchPolicy,
-    pool: &ClusterConfig,
-) {
+/// Replays `workload` on `pool` under sparsity-affinity dispatch
+/// through a [`RingTracer`], checks the recorded event stream (a
+/// malformed one only warns), writes its Perfetto/Chrome JSON to `path`
+/// and prints where it went. Exits with status 1 if the file cannot be
+/// written.
+pub fn export_trace(path: &Path, workload: &Workload, pool: &ClusterConfig) {
     let tracer = RingTracer::new(1 << 20);
-    let mut policy = ClusterPolicy::from_dispatch(dispatch);
+    let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity);
     simulate_cluster_traced(workload, &mut policy, pool, &tracer);
     if let Err(e) = tracer.validate() {
         eprintln!("warning: trace validation failed: {e}");

@@ -85,6 +85,6 @@ fn main() {
     if let Some(path) = trace {
         // Trace the affinity run on the heterogeneous pool — the one
         // whose per-node tracks tell the clearest routing story.
-        export_trace(&path, &mixed, DispatchPolicy::SparsityAffinity, &pool);
+        export_trace(&path, &mixed, &pool);
     }
 }

@@ -133,6 +133,6 @@ fn main() {
             .frontend(FrontendConfig::serving_costed())
             .transfer_cost(TransferCostConfig::default_costed())
             .build();
-        export_trace(&path, &workload, DispatchPolicy::SparsityAffinity, &pool);
+        export_trace(&path, &workload, &pool);
     }
 }
