@@ -35,10 +35,11 @@ fn main() {
     for (&depth, s) in depths.iter().zip(sums) {
         let [antt, viol] = s.mean();
         let usage = DesignPoint::opt_fp16(depth as u32).usage();
-        let (luts, ram_kb) = (usage.luts, usage.ram_kb);
         println!(
-            "{depth:<8} {antt:>8.2} {:>9.1}% {luts:>8} {ram_kb:>10.2}",
-            viol * 100.0
+            "{depth:<8} {antt:>8.2} {:>9.1}% {:>8} {:>10.2}",
+            viol * 100.0,
+            usage.luts,
+            usage.ram_kb
         );
     }
     println!();
