@@ -12,6 +12,14 @@ use dysta::core::Policy;
 use dysta::workload::Scenario;
 use dysta_bench::{banner, Scale};
 
+const USAGE: &str = "usage: fleet_sweep [--threads N] [--json PATH]";
+
+/// Prints `msg` and the usage on one stderr line and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}; {USAGE}");
+    std::process::exit(2);
+}
+
 /// Parses `--threads N` / `--json <path>` from the command line.
 fn args() -> (usize, Option<std::path::PathBuf>) {
     let mut threads = 1usize;
@@ -26,29 +34,19 @@ fn args() -> (usize, Option<std::path::PathBuf>) {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!(
-                            "--threads requires an integer >= 1; usage: fleet_sweep [--threads N] [--json PATH]"
-                        );
-                        std::process::exit(2);
-                    })
+                    .unwrap_or_else(|| usage_error("--threads requires an integer >= 1"))
             }
             "--json" => {
+                // A value that looks like a flag is a missing path, not
+                // a file to create.
                 json = Some(
                     args.next()
+                        .filter(|v| !v.starts_with('-'))
                         .map(std::path::PathBuf::from)
-                        .unwrap_or_else(|| {
-                            eprintln!("--json requires a path argument");
-                            std::process::exit(2);
-                        }),
+                        .unwrap_or_else(|| usage_error("--json requires a path argument")),
                 )
             }
-            other => {
-                eprintln!(
-                    "unknown argument {other}; usage: fleet_sweep [--threads N] [--json PATH]"
-                );
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other}")),
         }
     }
     (threads, json)
@@ -70,11 +68,11 @@ fn grid(scale: Scale) -> SweepGrid {
 }
 
 fn main() {
+    let (threads, json_path) = args();
     banner(
         "Fleet sweep",
         "seed x policy x scenario grid over scoped threads",
     );
-    let (threads, json_path) = args();
     let scale = Scale::from_env();
     let grid = grid(scale);
     println!(

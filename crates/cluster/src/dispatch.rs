@@ -143,31 +143,28 @@ impl DispatchContext<'_> {
         self.nodes.iter().map(|n| n.lut_backlog_ns).sum::<f64>() / self.nodes.len() as f64
     }
 
-    /// The request's own unscaled LUT latency estimate (0 for an
-    /// unprofiled variant). Resolving a spec formats and binary-searches
-    /// its key, so every decision looks it up once here and then scales
-    /// it per node ([`EarliestDeadlineFirst::projected_slack_ns`]).
+    /// The request's own unscaled LUT latency estimate, indexed by its
+    /// [`Request::variant`] (0 for an id with no LUT entry). Every
+    /// decision looks it up once here and then scales it per node
+    /// ([`EarliestDeadlineFirst::projected_slack_ns`]).
     pub fn request_estimate_ns(&self, request: &Request) -> f64 {
         self.lut
-            .variant_id(&request.spec)
-            .map(|v| self.lut.info(v).avg_latency_ns())
-            .unwrap_or(0.0)
+            .try_info(request.variant)
+            .map_or(0.0, |info| info.avg_latency_ns())
     }
 
     /// The estimated re-fetch cost of moving `request` between any two
-    /// nodes. An unprofiled variant (no LUT entry to size the variable
-    /// part from) still pays the flat `base_ns`.
+    /// nodes. An id with no LUT entry (nothing to size the variable part
+    /// from) still pays the flat `base_ns`.
     pub fn request_transfer_cost_ns(&self, request: &Request) -> u64 {
         if self.transfer_cost.is_free() {
             return 0;
         }
         self.lut
-            .variant_id(&request.spec)
-            .map(|v| {
-                self.transfer_cost
-                    .estimate_ns(self.lut.info(v).avg_latency_ns())
+            .try_info(request.variant)
+            .map_or(self.transfer_cost.base_ns, |info| {
+                self.transfer_cost.estimate_ns(info.avg_latency_ns())
             })
-            .unwrap_or(self.transfer_cost.base_ns)
     }
 }
 
@@ -524,7 +521,7 @@ mod tests {
     use super::*;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::SparseModelSpec;
+    use dysta_trace::{SparseModelSpec, VariantId};
 
     fn view(id: usize, accelerator: AcceleratorKind, lut: f64, predicted: f64) -> NodeView {
         NodeView {
@@ -557,6 +554,9 @@ mod tests {
         Request {
             id: 0,
             spec: SparseModelSpec::new(ModelId::ResNet50, SparsityPattern::RandomPointwise, 0.8),
+            // Id 0: the spec's id in a one-variant store built from it
+            // (`profiled_lut`); no entry in an empty LUT.
+            variant: VariantId::default(),
             sample_index: 0,
             arrival_ns: 0,
             slo_ns: 1_000_000_000,

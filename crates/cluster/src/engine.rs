@@ -548,10 +548,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     /// Interns (once per variant) and returns the label id for a
     /// request's model variant.
     fn label_for(&mut self, request: &Request) -> u32 {
-        let variant = self
-            .lut
-            .variant_id(&request.spec)
-            .expect("request uses a profiled variant");
+        let variant = request.variant;
         match self.labels[variant.index()] {
             Some(id) => id,
             None => {
@@ -637,6 +634,9 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                         request.arrival_ns >= self.last_arrival_ns,
                         "request sources must yield monotone arrivals"
                     );
+                    // Every later path indexes by the request's variant
+                    // id: check once, here, that it names the spec.
+                    request.assert_variant_in(self.source.store());
                     if queue.is_empty() && fe.admit_interval_ns > 0 {
                         timer_deadline = Some(t + fe.admit_interval_ns);
                     }

@@ -634,6 +634,9 @@ mod tests {
         dysta_workload::Request {
             id: 0,
             spec: SparseModelSpec::new(ModelId::ResNet50, SparsityPattern::Dense, 0.0),
+            // Id 0: the spec's id in a one-variant store built from it;
+            // no entry in an empty LUT.
+            variant: dysta_trace::VariantId::default(),
             sample_index: 0,
             arrival_ns,
             slo_ns,
@@ -925,6 +928,8 @@ mod tests {
         let req = Request {
             id: 0,
             spec: SparseModelSpec::new(ModelId::ResNet50, SparsityPattern::Dense, 0.0),
+            // No entry in the empty LUT: the variant is unprofiled.
+            variant: dysta_trace::VariantId::default(),
             sample_index: 0,
             arrival_ns: 0,
             slo_ns: u64::MAX,

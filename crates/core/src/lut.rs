@@ -184,16 +184,22 @@ impl ModelInfoLut {
     /// built from).
     #[inline]
     pub fn info(&self, id: VariantId) -> &ModelInfo {
-        self.entries
-            .get(id.index())
+        self.try_info(id)
             .unwrap_or_else(|| panic!("no LUT entry for variant {}", id.index()))
     }
 
+    /// The entry for an interned variant, `None` if the id is out of
+    /// range for this LUT (an unprofiled variant).
+    #[inline]
+    pub fn try_info(&self, id: VariantId) -> Option<&ModelInfo> {
+        self.entries.get(id.index())
+    }
+
     /// Resolves a spec to its interned id (binary search on a
-    /// stack-formatted key). The node engine does it once per request
-    /// at enqueue and keeps the id on the task; code that has no task
-    /// yet resolves a spec at most once per decision and reuses the
-    /// result, never once per node or per candidate.
+    /// stack-formatted key). Only construction code calls it — building
+    /// stores, LUTs, request sources and workloads. Requests carry their
+    /// id from the source that minted them and tasks keep it, so no
+    /// per-request or per-decision path resolves a spec.
     pub fn variant_id(&self, spec: &SparseModelSpec) -> Option<VariantId> {
         let probe = spec.spec_key();
         self.keys

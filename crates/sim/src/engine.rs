@@ -2,7 +2,6 @@
 
 use dysta_core::{ModelInfoLut, Scheduler};
 use dysta_obs::{EventKind, NullTracer, TraceEvent, Tracer, NODE_FRONTEND};
-use dysta_trace::SparseModelSpec;
 use dysta_workload::Workload;
 
 use crate::node::NodeEngine;
@@ -72,28 +71,29 @@ pub fn simulate_traced<T: Tracer>(
     assert!(!requests.is_empty(), "workload must contain requests");
     let lut = ModelInfoLut::from_store(workload.store());
     tracer.name_node(0, "node0");
-    // Intern one label per model variant; the per-request loop then
-    // reuses ids (and one scratch string) instead of re-formatting.
-    // Keyed by spec equality (a linear scan over a handful of variants)
-    // rather than `variant_id` — enqueue already pays that binary
-    // search, and a disabled tracer skips this block outright.
-    let mut labels: Vec<(SparseModelSpec, u32)> = Vec::new();
+    // Intern one label per model variant (indexed by the request's
+    // variant id); the per-request loop then reuses ids (and one
+    // scratch string) instead of re-formatting.
+    let mut labels: Vec<Option<u32>> = vec![None; lut.len()];
     let mut scratch = String::new();
     let mut node: NodeEngine<'_, &mut dyn Scheduler, &T> =
         NodeEngine::with_tracer(0, scheduler, *config, lut, &tracer);
     for req in requests {
+        // The node and every lookup below index by the variant id:
+        // check once, here, that it names the request's spec.
+        req.assert_variant_in(workload.store());
         if tracer.enabled() {
             // A deadline-free request (`slo_ns == u64::MAX`) saturates
             // to `i64::MAX`, the cluster front end's encoding.
             let slo_ns = req.slo_ns.min(i64::MAX as u64) as i64;
-            let label = match labels.iter().find(|(spec, _)| *spec == req.spec) {
-                Some(&(_, id)) => id,
+            let label = match labels[req.variant.index()] {
+                Some(id) => id,
                 None => {
                     use std::fmt::Write as _;
                     scratch.clear();
                     write!(scratch, "{}", req.spec).expect("write to String");
                     let id = tracer.intern(&scratch);
-                    labels.push((req.spec, id));
+                    labels[req.variant.index()] = Some(id);
                     id
                 }
             };

@@ -406,6 +406,11 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
 
     /// Queues `request` on the node at its native service time.
     ///
+    /// The node trusts [`Request::variant`] to name the request's spec
+    /// in the store its LUT was built from; the run entry points
+    /// (`simulate_traced`, the cluster engine) check that once per
+    /// request with [`Request::assert_variant_in`].
+    ///
     /// # Panics
     ///
     /// Panics if arrivals are enqueued out of order.
@@ -460,20 +465,12 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
                 "requests must be enqueued in arrival order"
             );
         }
-        // Intern the variant once per request; every per-decision LUT
-        // access from here on is a dense array index.
-        let variant = self.lut.variant_id(&request.spec).unwrap_or_else(|| {
-            panic!(
-                "request {} uses unprofiled variant {}",
-                request.id, request.spec
-            )
-        });
         let task = TaskState {
             true_remaining_ns: scale_ns(trace.isolated_latency_ns(), scale),
             ..TaskState::arrived(
                 request.id,
                 request.spec,
-                variant,
+                request.variant,
                 request.arrival_ns,
                 request.slo_ns,
                 trace.num_layers(),

@@ -54,8 +54,10 @@ impl SparseModelSpec {
 }
 
 /// A spec key held in a fixed-capacity stack buffer, so lookups never
-/// heap-allocate (the `format!`-per-probe cost this replaces showed up
-/// in every scheduler LUT access).
+/// heap-allocate. Formatting one still costs a few hundred nanoseconds,
+/// so only construction code (stores, LUTs, sources, workloads) builds
+/// keys; per-request paths index by the [`VariantId`] the request
+/// carries.
 #[derive(Debug, Clone, Copy)]
 pub struct SpecKey {
     buf: [u8; SpecKey::CAPACITY],
@@ -100,10 +102,13 @@ impl fmt::Write for SpecKey {
 /// Assigned by sorted-key rank when a [`crate::TraceStore`] (and the
 /// `ModelInfoLut` built from it) is constructed, so schedulers index the
 /// LUT with a plain array offset instead of hashing a formatted string
-/// key on every decision. Resolved once per request at enqueue time; the
-/// string-keyed lookups survive as slow-path conveniences for store
-/// construction and serde.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+/// key on every decision. Resolved once per variant where requests are
+/// minted (a request source or a workload) and carried on every request
+/// from there; the string-keyed lookups survive as slow-path
+/// conveniences for building stores, LUTs, sources and workloads.
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
+)]
 pub struct VariantId(u32);
 
 impl VariantId {

@@ -146,25 +146,25 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Assembles a workload from pre-built parts.
+    /// Assembles a workload from pre-built parts, setting every
+    /// request's [`Request::variant`] from its spec in `store` (whatever
+    /// id it arrived with), so later lookups index by id.
     ///
     /// # Panics
     ///
     /// Panics if requests are not sorted by arrival time or reference a
     /// variant missing from the store.
-    pub fn from_parts(requests: Vec<Request>, store: TraceStore) -> Self {
+    pub fn from_parts(mut requests: Vec<Request>, store: TraceStore) -> Self {
         assert!(
             requests
                 .windows(2)
                 .all(|p| p[0].arrival_ns <= p[1].arrival_ns),
             "requests must be sorted by arrival"
         );
-        for r in &requests {
-            assert!(
-                store.get(&r.spec).is_some(),
-                "missing traces for {}",
-                r.spec
-            );
+        for r in &mut requests {
+            r.variant = store
+                .variant_id(&r.spec)
+                .unwrap_or_else(|| panic!("missing traces for {}", r.spec));
         }
         Workload { requests, store }
     }
@@ -179,15 +179,15 @@ impl Workload {
         &self.store
     }
 
-    /// Traces of the variant a request uses.
+    /// Traces of the variant a request uses, indexed by its
+    /// [`Request::variant`].
     ///
     /// # Panics
     ///
-    /// Panics if the variant is missing (impossible for built workloads).
+    /// Panics if the id is out of range for the store (impossible for
+    /// this workload's own requests).
     pub fn traces_for(&self, request: &Request) -> &ModelTraces {
-        self.store
-            .get(&request.spec)
-            .expect("workload invariant: traces exist for every request")
+        self.store.by_id(request.variant)
     }
 
     /// The specific input-sample trace a request carries.

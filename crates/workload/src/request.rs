@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dysta_trace::SparseModelSpec;
+use dysta_trace::{SparseModelSpec, TraceStore, VariantId};
 
 /// One inference request of a multi-DNN workload — the paper's
 /// `Reqst_n = ⟨Model_n, Pattn_n, input_n, SLO_n⟩` tuple (Algorithm 1).
@@ -12,6 +12,13 @@ pub struct Request {
     pub id: u64,
     /// The sparse-model variant (model + pattern + rate + profile).
     pub spec: SparseModelSpec,
+    /// `spec`'s interned id in the trace store of the source that minted
+    /// the request (and in every `ModelInfoLut` built from that store).
+    /// The source resolves each spec once and stamps the id here, so
+    /// per-request paths — trace lookup, enqueue, dispatch estimates —
+    /// index by it and never format a spec key. Run entry points check
+    /// it against `spec` once per request ([`Request::assert_variant_in`]).
+    pub variant: VariantId,
     /// Which Phase-1 input sample this request carries.
     pub sample_index: u64,
     /// Arrival time in nanoseconds since workload start.
@@ -34,6 +41,30 @@ impl Request {
     pub fn slack_ns(&self, now_ns: u64, est_remaining_ns: u64) -> i64 {
         let slack = self.deadline_ns() as i128 - now_ns as i128 - est_remaining_ns as i128;
         slack.clamp(i64::MIN as i128, i64::MAX as i128) as i64
+    }
+
+    /// Checks that `variant` names this request's `spec` in `store`, in
+    /// O(1): the stored spec is compared by value, falling back to key
+    /// equality only when the values differ (specs whose rates agree to
+    /// the key's precision share one variant). Run entry points apply it
+    /// to every request before trusting the id — in release builds too.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the request and its spec if `variant` is out of
+    /// range for `store` or names another variant.
+    pub fn assert_variant_in(&self, store: &TraceStore) {
+        let named = (self.variant.index() < store.len()).then(|| store.by_id(self.variant).spec());
+        let matches = named.is_some_and(|s| {
+            *s == self.spec || s.spec_key().as_str() == self.spec.spec_key().as_str()
+        });
+        assert!(
+            matches,
+            "request {} carries variant {}, which does not name its spec {} in the trace store",
+            self.id,
+            self.variant.index(),
+            self.spec
+        );
     }
 
     /// The same request demoted to a relaxed SLO class: its SLO
@@ -74,6 +105,7 @@ mod tests {
         let r = Request {
             id: 0,
             spec: SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0),
+            variant: VariantId::default(),
             sample_index: 0,
             arrival_ns: 100,
             slo_ns: 50,
@@ -86,6 +118,7 @@ mod tests {
         let r = Request {
             id: 0,
             spec: SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0),
+            variant: VariantId::default(),
             sample_index: 0,
             arrival_ns: 100,
             slo_ns: 1_000,
@@ -107,6 +140,7 @@ mod tests {
         let r = Request {
             id: 0,
             spec: SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0),
+            variant: VariantId::default(),
             sample_index: 0,
             arrival_ns: 100,
             slo_ns: 1_000,
@@ -130,6 +164,7 @@ mod tests {
         let r = Request {
             id: 0,
             spec: SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0),
+            variant: VariantId::default(),
             sample_index: 0,
             arrival_ns: 0,
             slo_ns: 1_000,
@@ -137,11 +172,68 @@ mod tests {
         let _ = r.relax_slo(0.5);
     }
 
+    /// A one-variant store profiling `spec`, and a request for it.
+    fn profiled(spec: SparseModelSpec) -> (TraceStore, Request) {
+        let mut store = TraceStore::new();
+        store.insert(dysta_trace::TraceGenerator::default().generate(&spec, 2, 0));
+        let request = Request {
+            id: 7,
+            spec,
+            variant: store.variant_id(&spec).expect("profiled"),
+            sample_index: 0,
+            arrival_ns: 0,
+            slo_ns: 1_000,
+        };
+        (store, request)
+    }
+
+    #[test]
+    fn variant_check_accepts_the_specs_own_id() {
+        let spec = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::RandomPointwise, 0.7);
+        let (store, r) = profiled(spec);
+        r.assert_variant_in(&store);
+        // A rate that differs only past the key's precision names the
+        // same variant: the check falls back to key equality.
+        let close = Request {
+            spec: SparseModelSpec {
+                weight_rate: 0.700_000_01,
+                ..spec
+            },
+            ..r
+        };
+        close.assert_variant_in(&store);
+    }
+
+    #[test]
+    #[should_panic(expected = "request 7 carries variant 1, which does not name its spec")]
+    fn variant_check_rejects_an_out_of_range_id() {
+        let spec = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0);
+        let (store, r) = profiled(spec);
+        Request {
+            variant: VariantId::from_index(1),
+            ..r
+        }
+        .assert_variant_in(&store);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not name its spec")]
+    fn variant_check_rejects_another_spec() {
+        let spec = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0);
+        let (store, r) = profiled(spec);
+        Request {
+            spec: SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0),
+            ..r
+        }
+        .assert_variant_in(&store);
+    }
+
     #[test]
     fn deadline_saturates() {
         let r = Request {
             id: 0,
             spec: SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0),
+            variant: VariantId::default(),
             sample_index: 0,
             arrival_ns: u64::MAX,
             slo_ns: 50,

@@ -21,9 +21,13 @@ use crate::{Request, Workload};
 /// Implementations must yield requests in non-decreasing `arrival_ns`
 /// order with unique ids (the stream — not its consumer — owns id
 /// minting), and every yielded request's `spec` must resolve in
-/// [`RequestSource::store`]. [`RequestSource::peek_arrival_ns`] must
-/// agree with the next [`RequestSource::next_request`] without
-/// consuming it.
+/// [`RequestSource::store`]. The stream mints the variant ids too: each
+/// request's [`Request::variant`] must be its spec's id in this
+/// source's own `store()` (`store().variant_id(&spec)`, resolved once
+/// per spec, not per request). The cluster engine checks every arrival
+/// against it and panics on a mismatch.
+/// [`RequestSource::peek_arrival_ns`] must agree with the next
+/// [`RequestSource::next_request`] without consuming it.
 ///
 /// The lifetime `'w` is the trace library's: returned trace references
 /// outlive the source value itself, which lets a cluster engine hold
@@ -36,7 +40,8 @@ pub trait RequestSource<'w> {
     /// Produces the next request, advancing the stream.
     fn next_request(&mut self) -> Option<Request>;
 
-    /// The input-sample trace `request` carries.
+    /// The input-sample trace `request` carries, looked up by its
+    /// [`Request::variant`].
     ///
     /// # Panics
     ///

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dysta_sparsity::distributions::exponential;
-use dysta_trace::{SampleTrace, SparseModelSpec, TraceGenerator, TraceStore};
+use dysta_trace::{SampleTrace, SparseModelSpec, TraceGenerator, TraceStore, VariantId};
 
 use crate::source::RequestSource;
 use crate::{Request, Scenario, Workload};
@@ -158,6 +158,14 @@ fn piecewise_next(rng: &mut StdRng, start_s: f64, segment: impl Fn(f64) -> (f64,
     let mut t_s = start_s;
     loop {
         let (rate, seg_end) = segment(t_s);
+        // Rounding can leave `t_s` a hair short of a boundary, so the
+        // segment's end rounds back onto `t_s` itself: step to the next
+        // representable instant so the walk always advances.
+        let seg_end = if seg_end > t_s {
+            seg_end
+        } else {
+            t_s.next_up()
+        };
         if rate <= 0.0 {
             t_s = seg_end;
             continue;
@@ -367,20 +375,26 @@ impl StreamSpec {
             .map(|(i, phase)| {
                 let weights = phase.popularity.effective_weights(&phase.mix);
                 let specs: Vec<SparseModelSpec> = phase.mix.iter().map(|&(s, _)| s).collect();
-                let isolated_ns: Vec<f64> = specs
+                // Each spec is resolved once here; every request drawn
+                // from the phase carries its id from then on.
+                let variants: Vec<VariantId> = specs
                     .iter()
                     .map(|s| {
                         store
-                            .get(s)
+                            .variant_id(s)
                             .unwrap_or_else(|| panic!("store is missing traces for {s}"))
-                            .avg_latency_ns()
                     })
+                    .collect();
+                let isolated_ns: Vec<f64> = variants
+                    .iter()
+                    .map(|&v| store.by_id(v).avg_latency_ns())
                     .collect();
                 RuntimePhase {
                     start_ns: phase.start_ns,
                     end_ns: self.phases.get(i + 1).map(|p| p.start_ns),
                     process: phase.process,
                     specs,
+                    variants,
                     total_weight: weights.iter().sum(),
                     weights,
                     slo: phase.slo,
@@ -425,6 +439,8 @@ struct RuntimePhase {
     end_ns: Option<u64>,
     process: ArrivalProcess,
     specs: Vec<SparseModelSpec>,
+    /// Each spec's id in the source's store, in spec order.
+    variants: Vec<VariantId>,
     weights: Vec<f64>,
     total_weight: f64,
     slo: SloModel,
@@ -514,6 +530,7 @@ impl<'w> ArrivalSource<'w> {
             return Some(Request {
                 id,
                 spec: phase.specs[chosen],
+                variant: phase.variants[chosen],
                 sample_index,
                 arrival_ns: candidate,
                 slo_ns,
@@ -539,8 +556,7 @@ impl<'w> RequestSource<'w> for ArrivalSource<'w> {
 
     fn trace_for(&self, request: &Request) -> &'w SampleTrace {
         self.store
-            .get(&request.spec)
-            .expect("stream invariant: traces exist for every yielded request")
+            .by_id(request.variant)
             .sample(request.sample_index)
     }
 
@@ -583,6 +599,24 @@ mod tests {
             .seed(3);
         spec.phases[0].slo = SloModel::Range { lo: 5.0, hi: 50.0 };
         assert_eq!(built.requests(), spec.materialize().requests());
+    }
+
+    #[test]
+    fn on_off_walk_advances_past_a_rounded_boundary() {
+        // The second burst ends at 0.7 s, but `0.7 % 0.5` rounds a hair
+        // below 0.2: the walk sees a burst whose remaining length is
+        // below the precision of t.
+        let process = ArrivalProcess::OnOff {
+            on_rate: 50.0,
+            off_rate: 4.0,
+            on_s: 0.2,
+            off_s: 0.3,
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..100 {
+            let next = process.next_arrival_ns(&mut rng, 700_000_000, 0);
+            assert!(next >= 700_000_000);
+        }
     }
 
     fn phase_change_spec() -> StreamSpec {
