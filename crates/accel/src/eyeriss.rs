@@ -1,114 +1,64 @@
 //! Eyeriss-V2 performance model (sparse CNN accelerator).
+//!
+//! The calibration follows the FPGA deployment the paper evaluates
+//! against (a third-party Eyeriss-V2 on a Zynq ZU7EV at 200 MHz, smaller
+//! than the 192-PE ASIC design) with mobile-class DRAM, so the multi-CNN
+//! mix saturates near the paper's 3–6 samples/s operating range. The
+//! utilization factors capture how well each weight pattern maps onto
+//! the row-stationary dataflow with zero-skipping: the paper's Section
+//! 2.3.2 observes that pattern/hardware affinity — not just the sparsity
+//! ratio — determines delivered performance.
+//!
+//! Latency per layer = `max(compute roofline, memory roofline) + overhead`
+//! where the compute roofline counts only *effective* MACs (weight and
+//! activation zeros are skipped, per the accelerator's sparse dataflow).
 
-use serde::{Deserialize, Serialize};
-
-use dysta_models::Layer;
+use dysta_models::{Layer, LayerKind};
 use dysta_sparsity::SparsityPattern;
 
-use crate::{Accelerator, EffectiveWork, SparseContext};
+use crate::{EffectiveWork, SparseContext};
 
-/// Configuration of the Eyeriss-V2 model.
-///
-/// Defaults follow the FPGA deployment the paper evaluates against (a
-/// third-party Eyeriss-V2 on a Zynq ZU7EV at 200 MHz, smaller than the
-/// 192-PE ASIC design) with mobile-class DRAM, calibrated so the
-/// multi-CNN mix saturates near the paper's 3–6 samples/s operating
-/// range. Utilization factors capture how well each weight pattern maps
-/// onto the row-stationary dataflow with zero-skipping: the paper's
-/// Section 2.3.2 observes that pattern/hardware affinity — not just the
-/// sparsity ratio — determines delivered performance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EyerissV2Config {
-    /// Number of processing elements.
-    pub pes: u32,
-    /// Clock frequency in hertz.
-    pub clock_hz: f64,
-    /// Off-chip bandwidth in bytes per second.
-    pub dram_bytes_per_sec: f64,
-    /// PE utilization on dense layers.
-    pub util_dense: f64,
-    /// PE utilization under random point-wise sparsity (irregular).
-    pub util_random: f64,
-    /// PE utilization under N:M block sparsity.
-    pub util_block_nm: f64,
-    /// PE utilization under channel-wise sparsity (regular).
-    pub util_channel: f64,
-    /// Utilization penalty multiplier for depthwise convolutions (low
-    /// reuse on a row-stationary array).
-    pub depthwise_penalty: f64,
-    /// Fixed per-layer dispatch/configuration overhead in nanoseconds.
-    pub layer_overhead_ns: f64,
+/// Number of processing elements.
+const PES: u32 = 136;
+/// Clock frequency in hertz.
+const CLOCK_HZ: f64 = 200e6;
+/// Off-chip bandwidth in bytes per second.
+const DRAM_BYTES_PER_SEC: f64 = 1.2e9;
+/// PE utilization on dense layers.
+const UTIL_DENSE: f64 = 0.75;
+/// PE utilization under random point-wise sparsity (irregular).
+const UTIL_RANDOM: f64 = 0.30;
+/// PE utilization under N:M block sparsity.
+const UTIL_BLOCK_NM: f64 = 0.55;
+/// PE utilization under channel-wise sparsity (regular).
+const UTIL_CHANNEL: f64 = 0.68;
+/// Utilization penalty multiplier for depthwise convolutions (low reuse
+/// on a row-stationary array).
+const DEPTHWISE_PENALTY: f64 = 0.35;
+/// Fixed per-layer dispatch/configuration overhead in nanoseconds.
+const LAYER_OVERHEAD_NS: f64 = 50_000.0;
+
+fn utilization(layer: &Layer, ctx: &SparseContext) -> f64 {
+    let base = match ctx.pattern {
+        SparsityPattern::Dense => UTIL_DENSE,
+        SparsityPattern::RandomPointwise => UTIL_RANDOM,
+        SparsityPattern::BlockNm { .. } => UTIL_BLOCK_NM,
+        SparsityPattern::ChannelWise => UTIL_CHANNEL,
+    };
+    let depthwise = match layer.kind() {
+        LayerKind::Conv2d(c) if c.is_depthwise() => DEPTHWISE_PENALTY,
+        _ => 1.0,
+    };
+    base * depthwise
 }
 
-impl Default for EyerissV2Config {
-    fn default() -> Self {
-        EyerissV2Config {
-            pes: 136,
-            clock_hz: 200e6,
-            dram_bytes_per_sec: 1.2e9,
-            util_dense: 0.75,
-            util_random: 0.30,
-            util_block_nm: 0.55,
-            util_channel: 0.68,
-            depthwise_penalty: 0.35,
-            layer_overhead_ns: 50_000.0,
-        }
-    }
-}
-
-/// The Eyeriss-V2 analytic performance model.
-///
-/// Latency per layer = `max(compute roofline, memory roofline) + overhead`
-/// where the compute roofline counts only *effective* MACs (weight and
-/// activation zeros are skipped, per the accelerator's sparse dataflow).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EyerissV2 {
-    config: EyerissV2Config,
-}
-
-impl EyerissV2 {
-    /// Creates a model with the given configuration.
-    pub fn new(config: EyerissV2Config) -> Self {
-        EyerissV2 { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &EyerissV2Config {
-        &self.config
-    }
-
-    fn utilization(&self, layer: &Layer, ctx: &SparseContext) -> f64 {
-        let base = match ctx.pattern {
-            SparsityPattern::Dense => self.config.util_dense,
-            SparsityPattern::RandomPointwise => self.config.util_random,
-            SparsityPattern::BlockNm { .. } => self.config.util_block_nm,
-            SparsityPattern::ChannelWise => self.config.util_channel,
-        };
-        let depthwise = match layer.kind() {
-            dysta_models::LayerKind::Conv2d(c) if c.is_depthwise() => self.config.depthwise_penalty,
-            _ => 1.0,
-        };
-        base * depthwise
-    }
-}
-
-impl Accelerator for EyerissV2 {
-    fn name(&self) -> &str {
-        "eyeriss-v2"
-    }
-
-    fn clock_hz(&self) -> f64 {
-        self.config.clock_hz
-    }
-
-    fn layer_latency_ns(&self, layer: &Layer, ctx: &SparseContext) -> f64 {
-        let work = EffectiveWork::compute(layer, ctx);
-        let throughput =
-            self.config.pes as f64 * self.config.clock_hz * self.utilization(layer, ctx);
-        let compute_ns = work.effective_macs / throughput * 1e9;
-        let memory_ns = work.bytes_moved / self.config.dram_bytes_per_sec * 1e9;
-        compute_ns.max(memory_ns) + self.config.layer_overhead_ns
-    }
+/// Latency of `layer` under `ctx` on Eyeriss-V2, in nanoseconds.
+pub(crate) fn layer_latency_ns(layer: &Layer, ctx: &SparseContext) -> f64 {
+    let work = EffectiveWork::compute(layer, ctx);
+    let throughput = PES as f64 * CLOCK_HZ * utilization(layer, ctx);
+    let compute_ns = work.effective_macs / throughput * 1e9;
+    let memory_ns = work.bytes_moved / DRAM_BYTES_PER_SEC * 1e9;
+    compute_ns.max(memory_ns) + LAYER_OVERHEAD_NS
 }
 
 #[cfg(test)]
@@ -117,15 +67,13 @@ mod tests {
     use dysta_models::zoo;
 
     fn model_latency_ms(model: &dysta_models::ModelGraph, ctx: &SparseContext) -> f64 {
-        let accel = EyerissV2::default();
         model
             .layers()
             .iter()
-            .map(|l| accel.layer_latency_ns(l, ctx))
+            .map(|l| layer_latency_ns(l, ctx))
             .sum::<f64>()
             / 1e6
     }
-
     fn typical_ctx() -> SparseContext {
         SparseContext {
             pattern: SparsityPattern::RandomPointwise,
@@ -187,16 +135,15 @@ mod tests {
 
     #[test]
     fn overhead_floors_tiny_layers() {
-        let accel = EyerissV2::default();
-        let tiny = dysta_models::Layer::new(
+        let tiny = Layer::new(
             "t",
-            dysta_models::LayerKind::Linear(dysta_models::Linear {
+            LayerKind::Linear(dysta_models::Linear {
                 in_features: 8,
                 out_features: 8,
                 tokens: 1,
             }),
         );
-        let ns = accel.layer_latency_ns(&tiny, &SparseContext::dense());
-        assert!(ns >= accel.config().layer_overhead_ns);
+        let ns = layer_latency_ns(&tiny, &SparseContext::dense());
+        assert!(ns >= LAYER_OVERHEAD_NS);
     }
 }

@@ -11,16 +11,17 @@
 //! sparsity) to latency*, so this crate models each accelerator
 //! analytically: a compute roofline (effective MACs over sparse-adjusted
 //! PE throughput), a memory roofline (compressed tensor traffic over DRAM
-//! bandwidth), and a fixed per-layer dispatch overhead.
+//! bandwidth), and a fixed per-layer dispatch overhead. Each model's
+//! calibration is a set of constants fixed to the paper's operating
+//! points; [`AcceleratorKind`] names the two models and dispatches to them.
 //!
 //! # Examples
 //!
 //! ```
-//! use dysta_accel::{Accelerator, EyerissV2, SparseContext};
+//! use dysta_accel::{AcceleratorKind, SparseContext};
 //! use dysta_models::zoo;
 //! use dysta_sparsity::SparsityPattern;
 //!
-//! let accel = EyerissV2::default();
 //! let model = zoo::mobilenet();
 //! let ctx = SparseContext {
 //!     pattern: SparsityPattern::RandomPointwise,
@@ -29,7 +30,11 @@
 //!     layer_sparsity: 0.4,
 //!     seq_scale: 1.0,
 //! };
-//! let ns: f64 = model.layers().iter().map(|l| accel.layer_latency_ns(l, &ctx)).sum();
+//! let ns: f64 = model
+//!     .layers()
+//!     .iter()
+//!     .map(|l| AcceleratorKind::EyerissV2.layer_latency_ns(l, &ctx))
+//!     .sum();
 //! assert!(ns > 0.0);
 //! ```
 
@@ -41,74 +46,71 @@ mod sanger;
 pub mod storage;
 mod work;
 
-pub use eyeriss::{EyerissV2, EyerissV2Config};
-pub use sanger::{Sanger, SangerConfig};
 pub use work::{EffectiveWork, SparseContext};
 
 use dysta_models::{Layer, ModelFamily};
 
-/// A hardware performance model mapping one layer plus its sparsity
-/// context to latency.
-pub trait Accelerator {
-    /// Human-readable accelerator name.
-    fn name(&self) -> &str;
-
-    /// Core clock frequency in hertz.
-    fn clock_hz(&self) -> f64;
-
-    /// Latency of executing `layer` under `ctx`, in nanoseconds.
-    fn layer_latency_ns(&self, layer: &Layer, ctx: &SparseContext) -> f64;
-}
-
-/// Either of the paper's two accelerators, as a concrete dispatchable type.
+/// One of the paper's two target accelerators.
 ///
 /// # Examples
 ///
 /// ```
-/// use dysta_accel::{Accelerator, AnyAccelerator};
+/// use dysta_accel::AcceleratorKind;
 /// use dysta_models::ModelFamily;
 ///
-/// let a = AnyAccelerator::default_for(ModelFamily::AttNn);
+/// let a = AcceleratorKind::for_family(ModelFamily::AttNn);
+/// assert_eq!(a, AcceleratorKind::Sanger);
 /// assert_eq!(a.name(), "sanger");
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnyAccelerator {
-    /// Eyeriss-V2 CNN accelerator model.
-    Eyeriss(EyerissV2),
-    /// Sanger sparse-attention accelerator model.
-    Sanger(Sanger),
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AcceleratorKind {
+    /// Eyeriss-V2: sparse CNN accelerator.
+    EyerissV2,
+    /// Sanger: sparse-attention accelerator.
+    Sanger,
 }
 
-impl AnyAccelerator {
-    /// The accelerator the paper pairs with each model family
-    /// (Eyeriss-V2 for CNNs, Sanger for AttNNs).
-    pub fn default_for(family: ModelFamily) -> Self {
+impl AcceleratorKind {
+    /// The accelerator the paper pairs with (and profiles) each model
+    /// family: Eyeriss-V2 for CNNs, Sanger for AttNNs.
+    #[inline]
+    pub fn for_family(family: ModelFamily) -> Self {
         match family {
-            ModelFamily::Cnn => AnyAccelerator::Eyeriss(EyerissV2::default()),
-            ModelFamily::AttNn => AnyAccelerator::Sanger(Sanger::default()),
-        }
-    }
-}
-
-impl Accelerator for AnyAccelerator {
-    fn name(&self) -> &str {
-        match self {
-            AnyAccelerator::Eyeriss(a) => a.name(),
-            AnyAccelerator::Sanger(a) => a.name(),
+            ModelFamily::Cnn => AcceleratorKind::EyerissV2,
+            ModelFamily::AttNn => AcceleratorKind::Sanger,
         }
     }
 
-    fn clock_hz(&self) -> f64 {
+    /// The model family this accelerator was designed for; the inverse
+    /// of [`AcceleratorKind::for_family`].
+    #[inline]
+    pub fn native_family(self) -> ModelFamily {
         match self {
-            AnyAccelerator::Eyeriss(a) => a.clock_hz(),
-            AnyAccelerator::Sanger(a) => a.clock_hz(),
+            AcceleratorKind::EyerissV2 => ModelFamily::Cnn,
+            AcceleratorKind::Sanger => ModelFamily::AttNn,
         }
     }
 
-    fn layer_latency_ns(&self, layer: &Layer, ctx: &SparseContext) -> f64 {
+    /// True when `family` runs at its profiled (native) speed here.
+    #[inline]
+    pub fn serves(self, family: ModelFamily) -> bool {
+        self.native_family() == family
+    }
+
+    /// Stable lower-case name.
+    #[inline]
+    pub fn name(self) -> &'static str {
         match self {
-            AnyAccelerator::Eyeriss(a) => a.layer_latency_ns(layer, ctx),
-            AnyAccelerator::Sanger(a) => a.layer_latency_ns(layer, ctx),
+            AcceleratorKind::EyerissV2 => "eyeriss-v2",
+            AcceleratorKind::Sanger => "sanger",
+        }
+    }
+
+    /// Latency of executing `layer` under `ctx`, in nanoseconds.
+    pub fn layer_latency_ns(self, layer: &Layer, ctx: &SparseContext) -> f64 {
+        match self {
+            AcceleratorKind::EyerissV2 => eyeriss::layer_latency_ns(layer, ctx),
+            AcceleratorKind::Sanger => sanger::layer_latency_ns(layer, ctx),
         }
     }
 }
@@ -119,13 +121,16 @@ mod tests {
 
     #[test]
     fn default_pairing() {
-        assert!(matches!(
-            AnyAccelerator::default_for(ModelFamily::Cnn),
-            AnyAccelerator::Eyeriss(_)
-        ));
-        assert!(matches!(
-            AnyAccelerator::default_for(ModelFamily::AttNn),
-            AnyAccelerator::Sanger(_)
-        ));
+        assert_eq!(
+            AcceleratorKind::for_family(ModelFamily::Cnn),
+            AcceleratorKind::EyerissV2
+        );
+        assert_eq!(
+            AcceleratorKind::for_family(ModelFamily::AttNn),
+            AcceleratorKind::Sanger
+        );
+        for family in [ModelFamily::Cnn, ModelFamily::AttNn] {
+            assert_eq!(AcceleratorKind::for_family(family).native_family(), family);
+        }
     }
 }

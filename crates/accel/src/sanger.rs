@@ -1,107 +1,57 @@
 //! Sanger performance model (sparse attention accelerator).
-
-use serde::{Deserialize, Serialize};
+//!
+//! Sanger (Lu et al., MICRO 2021) predicts the attention mask with a
+//! low-precision pass, then packs the surviving attention scores onto a
+//! reconfigurable systolic array using load-balanced split-and-pack, so
+//! attention latency scales close to linearly with attention *density*.
+//! Projection/FFN matmuls execute densely on the same array. The
+//! calibration uses a datacenter-class deployment (2048 MACs at 1 GHz,
+//! HBM-class bandwidth) sized so the multi-AttNN workload saturates
+//! around the paper's 40 samples/s operating point.
 
 use dysta_models::{Layer, LayerKind};
 
-use crate::{Accelerator, EffectiveWork, SparseContext};
+use crate::{EffectiveWork, SparseContext};
 
-/// Configuration of the Sanger model.
-///
-/// Sanger (Lu et al., MICRO 2021) predicts the attention mask with a
-/// low-precision pass, then packs the surviving attention scores onto a
-/// reconfigurable systolic array using load-balanced split-and-pack, so
-/// attention latency scales close to linearly with attention *density*.
-/// Projection/FFN matmuls execute densely on the same array. Defaults use
-/// a datacenter-class deployment (2048 MACs at 1 GHz, HBM-class
-/// bandwidth) sized so the multi-AttNN workload saturates around the
-/// paper's 40 samples/s operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SangerConfig {
-    /// Number of MAC units in the reconfigurable array.
-    pub macs: u32,
-    /// Clock frequency in hertz.
-    pub clock_hz: f64,
-    /// Off-chip bandwidth in bytes per second.
-    pub dram_bytes_per_sec: f64,
-    /// Array utilization on dense matmuls (projections, FFNs).
-    pub util_dense: f64,
-    /// Array utilization on load-balanced sparse attention; Sanger's
-    /// split-and-pack keeps this high even for irregular masks.
-    pub util_sparse_attention: f64,
-    /// Overhead of the mask-prediction pre-pass, as a fraction of the
-    /// dense attention-score time.
-    pub mask_predict_overhead: f64,
-    /// Fixed per-layer dispatch overhead in nanoseconds.
-    pub layer_overhead_ns: f64,
-}
+/// Number of MAC units in the reconfigurable array.
+const MACS: u32 = 2048;
+/// Clock frequency in hertz.
+const CLOCK_HZ: f64 = 1.0e9;
+/// Off-chip bandwidth in bytes per second.
+const DRAM_BYTES_PER_SEC: f64 = 25.0e9;
+/// Array utilization on dense matmuls (projections, FFNs).
+const UTIL_DENSE: f64 = 0.49;
+/// Array utilization on load-balanced sparse attention; Sanger's
+/// split-and-pack keeps this high even for irregular masks.
+const UTIL_SPARSE_ATTENTION: f64 = 0.82;
+/// Overhead of the mask-prediction pre-pass, as a fraction of the dense
+/// attention-score time.
+const MASK_PREDICT_OVERHEAD: f64 = 0.08;
+/// Fixed per-layer dispatch overhead in nanoseconds.
+const LAYER_OVERHEAD_NS: f64 = 10_000.0;
 
-impl Default for SangerConfig {
-    fn default() -> Self {
-        SangerConfig {
-            macs: 2048,
-            clock_hz: 1.0e9,
-            dram_bytes_per_sec: 25.0e9,
-            util_dense: 0.49,
-            util_sparse_attention: 0.82,
-            mask_predict_overhead: 0.08,
-            layer_overhead_ns: 10_000.0,
+/// Latency of `layer` under `ctx` on Sanger, in nanoseconds.
+pub(crate) fn layer_latency_ns(layer: &Layer, ctx: &SparseContext) -> f64 {
+    let work = EffectiveWork::compute(layer, ctx);
+    let peak = MACS as f64 * CLOCK_HZ;
+    let compute_ns = match layer.kind() {
+        LayerKind::AttentionScore(_) | LayerKind::AttentionContext(_) => {
+            let balanced = peak * UTIL_SPARSE_ATTENTION;
+            let sparse_ns = work.effective_macs / balanced * 1e9;
+            // The low-precision mask predictor runs over the dense
+            // score matrix regardless of the final density.
+            let predict_ns = if matches!(layer.kind(), LayerKind::AttentionScore(_)) {
+                work.dense_macs * MASK_PREDICT_OVERHEAD / (peak * UTIL_DENSE) * 1e9
+            } else {
+                0.0
+            };
+            sparse_ns + predict_ns
         }
-    }
+        _ => work.effective_macs / (peak * UTIL_DENSE) * 1e9,
+    };
+    let memory_ns = work.bytes_moved / DRAM_BYTES_PER_SEC * 1e9;
+    compute_ns.max(memory_ns) + LAYER_OVERHEAD_NS
 }
-
-/// The Sanger analytic performance model.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Sanger {
-    config: SangerConfig,
-}
-
-impl Sanger {
-    /// Creates a model with the given configuration.
-    pub fn new(config: SangerConfig) -> Self {
-        Sanger { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SangerConfig {
-        &self.config
-    }
-}
-
-impl Accelerator for Sanger {
-    fn name(&self) -> &str {
-        "sanger"
-    }
-
-    fn clock_hz(&self) -> f64 {
-        self.config.clock_hz
-    }
-
-    fn layer_latency_ns(&self, layer: &Layer, ctx: &SparseContext) -> f64 {
-        let work = EffectiveWork::compute(layer, ctx);
-        let peak = self.config.macs as f64 * self.config.clock_hz;
-        let compute_ns = match layer.kind() {
-            LayerKind::AttentionScore(_) | LayerKind::AttentionContext(_) => {
-                let balanced = peak * self.config.util_sparse_attention;
-                let sparse_ns = work.effective_macs / balanced * 1e9;
-                // The low-precision mask predictor runs over the dense
-                // score matrix regardless of the final density.
-                let predict_ns = if matches!(layer.kind(), LayerKind::AttentionScore(_)) {
-                    work.dense_macs * self.config.mask_predict_overhead
-                        / (peak * self.config.util_dense)
-                        * 1e9
-                } else {
-                    0.0
-                };
-                sparse_ns + predict_ns
-            }
-            _ => work.effective_macs / (peak * self.config.util_dense) * 1e9,
-        };
-        let memory_ns = work.bytes_moved / self.config.dram_bytes_per_sec * 1e9;
-        compute_ns.max(memory_ns) + self.config.layer_overhead_ns
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +69,6 @@ mod tests {
     }
 
     fn model_latency_ms(model: &dysta_models::ModelGraph, ctx: &SparseContext) -> f64 {
-        let accel = Sanger::default();
         model
             .layers()
             .iter()
@@ -128,7 +77,7 @@ mod tests {
                 if !l.is_dynamic_attention() {
                     c.layer_sparsity = 0.0;
                 }
-                accel.layer_latency_ns(l, &c)
+                layer_latency_ns(l, &c)
             })
             .sum::<f64>()
             / 1e6
@@ -164,15 +113,14 @@ mod tests {
 
     #[test]
     fn attention_sparsity_reduces_attention_latency() {
-        let accel = Sanger::default();
         let score = zoo::bert(384)
             .layers()
             .iter()
             .find(|l| l.is_dynamic_attention())
             .cloned()
             .unwrap();
-        let dense = accel.layer_latency_ns(&score, &nlp_ctx(0.0, 1.0));
-        let sparse = accel.layer_latency_ns(&score, &nlp_ctx(0.9, 1.0));
+        let dense = layer_latency_ns(&score, &nlp_ctx(0.0, 1.0));
+        let sparse = layer_latency_ns(&score, &nlp_ctx(0.9, 1.0));
         assert!(sparse < dense);
     }
 
@@ -180,14 +128,13 @@ mod tests {
     fn mask_predictor_pays_fixed_cost() {
         // Even at extreme sparsity the score layer retains the predictor
         // pre-pass cost, so latency never collapses to the overhead floor.
-        let accel = Sanger::default();
         let score = zoo::bert(384)
             .layers()
             .iter()
             .find(|l| matches!(l.kind(), LayerKind::AttentionScore(_)))
             .cloned()
             .unwrap();
-        let ns = accel.layer_latency_ns(&score, &nlp_ctx(0.995, 1.0));
-        assert!(ns > accel.config().layer_overhead_ns * 1.5);
+        let ns = layer_latency_ns(&score, &nlp_ctx(0.995, 1.0));
+        assert!(ns > LAYER_OVERHEAD_NS * 1.5);
     }
 }

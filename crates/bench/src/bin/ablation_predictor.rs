@@ -39,7 +39,7 @@ fn main() {
                 let mut sched: Box<dyn Scheduler> = match strategy {
                     Some(strategy) => Box::new(DystaScheduler::new(
                         DystaConfig::default(),
-                        SparseLatencyPredictor::new(strategy, 1.0),
+                        SparseLatencyPredictor::new(strategy),
                     )),
                     None => Policy::Oracle.build(),
                 };

@@ -6,12 +6,11 @@
 
 use dysta::models::ModelId;
 use dysta::sparsity::SparsityPattern;
-use dysta::trace::{SparseModelSpec, TraceGenerator};
+use dysta::trace::{ModelTraces, SparseModelSpec};
 use dysta_bench::banner;
 
 fn main() {
     banner("Figure 1", "sparsity pattern and dynamicity examples");
-    let generator = TraceGenerator::default();
 
     println!("(b) sparsity pattern at identical 83% rate (ResNet-50):");
     for pattern in [
@@ -19,7 +18,7 @@ fn main() {
         SparsityPattern::ChannelWise,
     ] {
         let spec = SparseModelSpec::new(ModelId::ResNet50, pattern, 0.83);
-        let traces = generator.generate(&spec, 32, 0);
+        let traces = ModelTraces::generate(&spec, 32, 0);
         println!(
             "    {:<10} pattern, rate 83% -> isolated latency {:6.1} ms",
             pattern,
@@ -30,7 +29,7 @@ fn main() {
 
     println!("(c) sparsity dynamicity (GPT-2 under dynamic attention pruning):");
     let spec = SparseModelSpec::new(ModelId::Gpt2, SparsityPattern::Dense, 0.0);
-    let traces = generator.generate(&spec, 256, 0);
+    let traces = ModelTraces::generate(&spec, 256, 0);
     let simple = (0..traces.num_samples() as u64)
         .min_by_key(|&i| traces.sample(i).isolated_latency_ns())
         .unwrap();

@@ -8,7 +8,7 @@
 use dysta::models::ModelId;
 use dysta::sparsity::stats::{mean, Histogram};
 use dysta::sparsity::SparsityPattern;
-use dysta::trace::{SparseModelSpec, TraceGenerator};
+use dysta::trace::{ModelTraces, SparseModelSpec};
 use dysta_bench::{banner, print_histogram, Scale};
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     let scale = Scale::from_env();
     let samples = (scale.samples_per_variant * 16).max(512);
     let spec = SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0);
-    let traces = TraceGenerator::default().generate(&spec, samples, 0);
+    let traces = ModelTraces::generate(&spec, samples, 0);
 
     let n = traces.num_layers();
     for (label, layer) in [("second-last layer", n - 2), ("last layer", n - 1)] {

@@ -7,7 +7,8 @@
 //! Usage: `scenario_smoke [scenarios-dir]` (default `scenarios/`). An
 //! unreadable directory, an invalid file, or a valid file whose stream
 //! yields no requests prints one line naming the path and exits with
-//! status 1.
+//! status 1. A flag or a second argument prints one usage line and
+//! exits with status 2.
 
 use dysta::cluster::{simulate_cluster_stream, ClusterConfig, DispatchPolicy};
 use dysta::core::Policy;
@@ -24,9 +25,18 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let dir = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "scenarios".to_string());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let dir = match args.as_slice() {
+        [] => "scenarios".to_string(),
+        [dir] if !dir.starts_with('-') => dir.clone(),
+        _ => {
+            eprintln!(
+                "scenario_smoke: cannot read arguments `{}`; usage: scenario_smoke [SCENARIOS_DIR]",
+                args.join(" ")
+            );
+            std::process::exit(2);
+        }
+    };
     let entries = std::fs::read_dir(&dir)
         .and_then(|entries| entries.collect::<Result<Vec<_>, _>>())
         .unwrap_or_else(|e| fail(&format!("cannot read scenario dir {dir}: {e}")));

@@ -3,7 +3,7 @@
 
 use dysta::models::{zoo, ModelFamily, ModelId};
 use dysta::sparsity::SparsityPattern;
-use dysta::trace::{SparseModelSpec, TraceGenerator};
+use dysta::trace::{ModelTraces, SparseModelSpec};
 use dysta_bench::banner;
 
 fn scenario_of(model: ModelId) -> (&'static str, &'static str) {
@@ -23,7 +23,6 @@ fn main() {
         "{:<12} {:<6} {:>7} {:>10} {:>10} {:>12} {:<22}",
         "model", "family", "layers", "GMACs", "Mparams", "isolated", "scenario"
     );
-    let generator = TraceGenerator::default();
     for id in ModelId::ALL {
         let graph = zoo::build(id);
         let spec = SparseModelSpec::new(
@@ -39,7 +38,7 @@ fn main() {
                 0.0
             },
         );
-        let traces = generator.generate(&spec, 16, 0);
+        let traces = ModelTraces::generate(&spec, 16, 0);
         let (scenario, task) = scenario_of(id);
         println!(
             "{:<12} {:<6} {:>7} {:>10.2} {:>10.1} {:>9.1} ms {:<22}",

@@ -13,7 +13,7 @@ use dysta::core::{
 use dysta::hw::resources::{eyeriss_v2_baseline, overhead_percent, DesignPoint, ResourceUsage};
 use dysta::models::ModelId;
 use dysta::sparsity::SparsityPattern;
-use dysta::trace::{SparseModelSpec, TraceGenerator, TraceStore};
+use dysta::trace::{ModelTraces, SparseModelSpec, TraceStore};
 use dysta::workload::Scenario;
 
 use crate::{compare_policies, PolicyMetrics, Scale};
@@ -250,12 +250,12 @@ pub struct RmseRow {
 /// the trace ground truth.
 fn rmse_for(model: ModelId, strategy: CoeffStrategy, samples: u64) -> f64 {
     let spec = SparseModelSpec::new(model, SparsityPattern::Dense, 0.0);
-    let traces = TraceGenerator::default().generate(&spec, samples, 7);
+    let traces = ModelTraces::generate(&spec, samples, 7);
     let mut store = TraceStore::new();
     store.insert(traces.clone());
     let lut = ModelInfoLut::from_store(&store);
     let info = lut.expect(&spec);
-    let predictor = SparseLatencyPredictor::new(strategy, 1.0);
+    let predictor = SparseLatencyPredictor::new(strategy);
 
     let variant = lut.variant_id(&spec).expect("spec profiled");
     let mut sq_err = 0.0;

@@ -7,43 +7,11 @@
 //! [`crate::simulate_cluster`] both call, so a hand-mutated config can
 //! never reach the engine unchecked.
 
+pub use dysta_accel::AcceleratorKind;
 use dysta_core::Policy;
 use dysta_models::ModelFamily;
 use dysta_trace::SparseModelSpec;
 use dysta_workload::Scenario;
-
-/// The accelerator installed in a node — one of the paper's two targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AcceleratorKind {
-    /// Eyeriss-V2: sparse CNN accelerator.
-    EyerissV2,
-    /// Sanger: sparse-attention accelerator.
-    Sanger,
-}
-
-impl AcceleratorKind {
-    /// The model family this accelerator was designed for (the paper's
-    /// pairing: Eyeriss-V2 for CNNs, Sanger for AttNNs).
-    pub fn native_family(self) -> ModelFamily {
-        match self {
-            AcceleratorKind::EyerissV2 => ModelFamily::Cnn,
-            AcceleratorKind::Sanger => ModelFamily::AttNn,
-        }
-    }
-
-    /// True when `family` runs at its profiled (native) speed here.
-    pub fn serves(self, family: ModelFamily) -> bool {
-        self.native_family() == family
-    }
-
-    /// Stable lower-case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            AcceleratorKind::EyerissV2 => "eyeriss-v2",
-            AcceleratorKind::Sanger => "sanger",
-        }
-    }
-}
 
 /// One node of the cluster: an accelerator, the scheduling policy it
 /// runs, and its speed. Every node runs the default

@@ -687,7 +687,7 @@ mod tests {
     /// `spec`'s unscaled estimate in it.
     fn profiled_lut(spec: &SparseModelSpec) -> (ModelInfoLut, f64) {
         let mut store = dysta_trace::TraceStore::new();
-        store.insert(dysta_trace::TraceGenerator::default().generate(spec, 4, 0));
+        store.insert(dysta_trace::ModelTraces::generate(spec, 4, 0));
         let lut = ModelInfoLut::from_store(&store);
         let est = lut.get(spec).expect("profiled").avg_latency_ns();
         assert!(est > 0.0);

@@ -767,7 +767,7 @@ mod tests {
     fn admission_scales_the_requests_own_estimate_per_node() {
         let req = admission_request(0, 0);
         let mut store = dysta_trace::TraceStore::new();
-        store.insert(dysta_trace::TraceGenerator::default().generate(&req.spec, 4, 0));
+        store.insert(dysta_trace::ModelTraces::generate(&req.spec, 4, 0));
         let lut = ModelInfoLut::from_store(&store);
         let est = lut.get(&req.spec).expect("profiled").avg_latency_ns();
         assert!(est > 0.0);

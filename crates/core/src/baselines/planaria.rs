@@ -68,12 +68,12 @@ mod tests {
     use crate::TaskState;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::{SparseModelSpec, TraceGenerator, TraceStore};
+    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
 
     fn setup() -> (SparseModelSpec, ModelInfoLut) {
         let spec = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0);
         let mut store = TraceStore::new();
-        store.insert(TraceGenerator::default().generate(&spec, 2, 0));
+        store.insert(ModelTraces::generate(&spec, 2, 0));
         (spec, ModelInfoLut::from_store(&store))
     }
 

@@ -8,14 +8,15 @@ use crate::{ModelInfoLut, TaskState};
 
 /// PREMA combines token-based aging with shortest-estimated-job
 /// dispatch: every waiting task accumulates tokens proportional to its
-/// normalized waiting time (`priority × wait / T_isol`); tasks whose
-/// tokens reach the threshold become *candidates*, and the candidate with
-/// the shortest estimated time runs next.
+/// normalized waiting time (`wait / T_isol`); tasks whose tokens reach
+/// the threshold of 1 become *candidates*, and the candidate with the
+/// shortest estimated time runs next.
 ///
 /// Following the paper's evaluation setup, the candidate condition uses
 /// `Token ≥ Threshold` (their modification of PREMA's line 9, which fixes
 /// the cold-start where all tokens are zero and no task qualifies), all
-/// tasks share one priority class, and when no task reaches the threshold
+/// tasks share one priority class (so no per-model weight enters the
+/// token), and when no task reaches the threshold
 /// the whole queue is eligible (pure SJF until aging kicks in).
 ///
 /// # Examples
@@ -24,13 +25,14 @@ use crate::{ModelInfoLut, TaskState};
 /// use dysta_core::{Prema, Scheduler};
 /// assert_eq!(Prema::default().name(), "prema");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Prema {
-    threshold: f64,
-    priorities: HashMap<dysta_models::ModelId, f64>,
     tokens: HashMap<u64, TokenState>,
     current: Option<u64>,
 }
+
+/// Token level at which a waiting task becomes a candidate.
+const THRESHOLD: f64 = 1.0;
 
 #[derive(Debug, Clone, Copy)]
 struct TokenState {
@@ -38,62 +40,9 @@ struct TokenState {
     last_update_ns: u64,
 }
 
-impl Default for Prema {
-    fn default() -> Self {
-        Prema::new(1.0)
-    }
-}
-
 impl Prema {
-    /// Creates a PREMA scheduler with the given token threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the threshold is negative or not finite.
-    pub fn new(threshold: f64) -> Self {
-        assert!(
-            threshold >= 0.0 && threshold.is_finite(),
-            "threshold must be non-negative"
-        );
-        Prema {
-            threshold,
-            priorities: HashMap::new(),
-            tokens: HashMap::new(),
-            current: None,
-        }
-    }
-
-    /// Assigns PREMA's static per-model priority classes (the original
-    /// design uses e.g. 1 / 4 / 9 for low / mid / high). Tokens of a
-    /// model with priority `p` accumulate `p×` faster, so its requests
-    /// reach the candidate threshold sooner. Models not listed default
-    /// to priority 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any priority is not strictly positive.
-    pub fn with_priorities(
-        mut self,
-        priorities: impl IntoIterator<Item = (dysta_models::ModelId, f64)>,
-    ) -> Self {
-        self.priorities = priorities.into_iter().collect();
-        assert!(
-            self.priorities.values().all(|&p| p > 0.0 && p.is_finite()),
-            "priorities must be positive"
-        );
-        self
-    }
-
-    fn priority(&self, task: &TaskState) -> f64 {
-        self.priorities
-            .get(&task.spec.model)
-            .copied()
-            .unwrap_or(1.0)
-    }
-
     fn age_tokens(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) {
         for task in queue.iter() {
-            let priority = self.priority(task);
             let entry = self.tokens.entry(task.id).or_insert(TokenState {
                 token: 0.0,
                 last_update_ns: task.arrival_ns,
@@ -103,7 +52,7 @@ impl Prema {
             // The running task is receiving service, not waiting.
             if self.current != Some(task.id) {
                 let isolated = lut_isolated_ns(task, lut).max(1.0);
-                entry.token += priority * waited / isolated;
+                entry.token += waited / isolated;
             }
         }
     }
@@ -147,7 +96,7 @@ impl Scheduler for Prema {
             if better(&best_any) {
                 best_any = Some((remaining, t.id, pos));
             }
-            if self.tokens[&t.id].token >= self.threshold && better(&best_candidate) {
+            if self.tokens[&t.id].token >= THRESHOLD && better(&best_candidate) {
                 best_candidate = Some((remaining, t.id, pos));
             }
         }
@@ -165,15 +114,14 @@ mod tests {
     use super::*;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::{SparseModelSpec, TraceGenerator, TraceStore};
+    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
 
     fn setup() -> (SparseModelSpec, SparseModelSpec, ModelInfoLut) {
         let small = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0);
         let big = SparseModelSpec::new(ModelId::Vgg16, SparsityPattern::Dense, 0.0);
         let mut store = TraceStore::new();
-        let g = TraceGenerator::default();
-        store.insert(g.generate(&small, 2, 0));
-        store.insert(g.generate(&big, 2, 0));
+        store.insert(ModelTraces::generate(&small, 2, 0));
+        store.insert(ModelTraces::generate(&big, 2, 0));
         (small, big, ModelInfoLut::from_store(&store))
     }
 
@@ -219,41 +167,5 @@ mod tests {
         p.on_task_complete(&t, 100);
         assert!(p.tokens.is_empty());
         assert_eq!(p.current, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold must be non-negative")]
-    fn rejects_negative_threshold() {
-        let _ = Prema::new(-1.0);
-    }
-
-    #[test]
-    fn higher_priority_models_age_faster() {
-        let (small, big, lut) = setup();
-        // The big model gets the high-priority class: after equal waiting
-        // it must reach candidacy and beat the (otherwise preferred)
-        // short job.
-        let boost = 50.0;
-        let mut p = Prema::new(1.0).with_priorities([(dysta_models::ModelId::Vgg16, boost)]);
-        let long_task = mk(0, big, &lut, 0);
-        let short_task = mk(1, small, &lut, 0);
-        // Wait long enough that only the boosted task crosses threshold:
-        // boost * w / iso_big >= 1  while  w / iso_small < 1.
-        let iso_big = lut.expect(&big).avg_latency_ns();
-        let iso_small = lut.expect(&small).avg_latency_ns();
-        let wait = (iso_big / boost * 1.5) as u64;
-        assert!(
-            (wait as f64) < iso_small,
-            "test premise: small stays below threshold"
-        );
-        let queue = [long_task, short_task];
-        let idx = p.pick_next(TaskQueue::dense(&queue), &lut, wait);
-        assert_eq!(idx, 0, "high-priority long job must preempt");
-    }
-
-    #[test]
-    #[should_panic(expected = "priorities must be positive")]
-    fn rejects_non_positive_priority() {
-        let _ = Prema::default().with_priorities([(dysta_models::ModelId::Bert, 0.0)]);
     }
 }

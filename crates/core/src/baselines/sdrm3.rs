@@ -6,7 +6,7 @@ use crate::{ModelInfoLut, TaskState};
 /// SDRM3 scores every (task, accelerator) mapping and dispatches the
 /// highest score. Following the paper's setup: `Pref = 1` (single
 /// accelerator), so `MapScore = α·Urgency + (1−α)·Fairness` with `α`
-/// tuned per SDRM3's own methodology.
+/// tuned per SDRM3's own methodology to `α = 0.5`.
 ///
 /// * **Urgency** — how close the task is to missing its deadline:
 ///   `est_remaining / max(slack, ε)`, saturating once slack is exhausted.
@@ -22,28 +22,18 @@ use crate::{ModelInfoLut, TaskState};
 ///
 /// ```
 /// use dysta_core::{Scheduler, Sdrm3};
-/// assert_eq!(Sdrm3::default().name(), "sdrm3");
+/// assert_eq!(Sdrm3::new().name(), "sdrm3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sdrm3 {
-    alpha: f64,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sdrm3;
 
-impl Default for Sdrm3 {
-    fn default() -> Self {
-        Sdrm3::new(0.5)
-    }
-}
+/// Urgency weight `α` of the MapScore; fairness gets `1 − α`.
+const ALPHA: f64 = 0.5;
 
 impl Sdrm3 {
-    /// Creates an SDRM3 scheduler with urgency weight `alpha ∈ [0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `[0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
-        Sdrm3 { alpha }
+    /// Creates an SDRM3 scheduler.
+    pub fn new() -> Self {
+        Sdrm3
     }
 
     fn map_score(&self, task: &TaskState, lut: &ModelInfoLut, now_ns: u64) -> f64 {
@@ -59,7 +49,7 @@ impl Sdrm3 {
         };
         let turnaround = (now_ns.saturating_sub(task.arrival_ns)) as f64 + remaining;
         let fairness = turnaround / isolated;
-        self.alpha * urgency + (1.0 - self.alpha) * fairness
+        ALPHA * urgency + (1.0 - ALPHA) * fairness
     }
 }
 
@@ -78,12 +68,12 @@ mod tests {
     use super::*;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::{SparseModelSpec, TraceGenerator, TraceStore};
+    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
 
     fn lut() -> (SparseModelSpec, ModelInfoLut) {
         let spec = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0);
         let mut store = TraceStore::new();
-        store.insert(TraceGenerator::default().generate(&spec, 2, 0));
+        store.insert(ModelTraces::generate(&spec, 2, 0));
         (spec, ModelInfoLut::from_store(&store))
     }
 
@@ -100,7 +90,7 @@ mod tests {
             mk(1, spec, &lut, 0, 1_000),
         ];
         assert_eq!(
-            Sdrm3::default().pick_next(TaskQueue::dense(&queue), &lut, 500),
+            Sdrm3::new().pick_next(TaskQueue::dense(&queue), &lut, 500),
             1
         );
     }
@@ -112,16 +102,12 @@ mod tests {
             mk(0, spec, &lut, 0, u64::MAX / 2),
             mk(1, spec, &lut, 900_000_000, u64::MAX / 2),
         ];
+        // Urgency is ~0 against these far-off deadlines, so fairness
+        // decides.
         assert_eq!(
-            Sdrm3::new(0.0).pick_next(TaskQueue::dense(&queue), &lut, 1_000_000_000),
+            Sdrm3::new().pick_next(TaskQueue::dense(&queue), &lut, 1_000_000_000),
             0,
-            "pure fairness favours the older task"
+            "fairness favours the older task"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in [0, 1]")]
-    fn rejects_bad_alpha() {
-        let _ = Sdrm3::new(1.5);
     }
 }

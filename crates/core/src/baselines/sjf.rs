@@ -40,16 +40,15 @@ mod tests {
     use crate::TaskState;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::{SparseModelSpec, TraceGenerator, TraceStore};
+    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
 
     #[test]
     fn prefers_shorter_model() {
         let small = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0);
         let big = SparseModelSpec::new(ModelId::Vgg16, SparsityPattern::Dense, 0.0);
         let mut store = TraceStore::new();
-        let g = TraceGenerator::default();
-        store.insert(g.generate(&small, 2, 0));
-        store.insert(g.generate(&big, 2, 0));
+        store.insert(ModelTraces::generate(&small, 2, 0));
+        store.insert(ModelTraces::generate(&big, 2, 0));
         let lut = ModelInfoLut::from_store(&store);
 
         let mk = |id, spec: SparseModelSpec, layers| {

@@ -270,12 +270,12 @@ mod tests {
     use crate::MonitoredLayer;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::{SparseModelSpec, TraceGenerator, TraceStore};
+    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
 
     fn setup() -> (SparseModelSpec, ModelInfoLut) {
         let spec = SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0);
         let mut store = TraceStore::new();
-        store.insert(TraceGenerator::default().generate(&spec, 16, 21));
+        store.insert(ModelTraces::generate(&spec, 16, 21));
         (spec, ModelInfoLut::from_store(&store))
     }
 

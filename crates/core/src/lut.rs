@@ -146,13 +146,13 @@ fn fit_gamma_exponent(traces: &ModelTraces, avg_layer_sparsity: &[f64]) -> f64 {
 ///
 /// ```
 /// use dysta_core::ModelInfoLut;
-/// use dysta_trace::{SparseModelSpec, TraceGenerator, TraceStore};
+/// use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
 /// use dysta_models::ModelId;
 /// use dysta_sparsity::SparsityPattern;
 ///
 /// let spec = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0);
 /// let mut store = TraceStore::new();
-/// store.insert(TraceGenerator::default().generate(&spec, 4, 0));
+/// store.insert(ModelTraces::generate(&spec, 4, 0));
 /// let lut = ModelInfoLut::from_store(&store);
 /// let id = lut.variant_id(&spec).unwrap();
 /// assert_eq!(lut.get(&spec), Some(lut.info(id)));
@@ -241,12 +241,12 @@ mod tests {
     use super::*;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::TraceGenerator;
+    use dysta_trace::ModelTraces;
 
     fn lut_for(model: ModelId) -> (SparseModelSpec, ModelInfoLut) {
         let spec = SparseModelSpec::new(model, SparsityPattern::Dense, 0.0);
         let mut store = TraceStore::new();
-        store.insert(TraceGenerator::default().generate(&spec, 8, 3));
+        store.insert(ModelTraces::generate(&spec, 8, 3));
         (spec, ModelInfoLut::from_store(&store))
     }
 

@@ -82,7 +82,7 @@ impl Policy {
             Policy::Sjf => Box::new(Sjf::new()),
             Policy::Prema => Box::new(Prema::default()),
             Policy::Planaria => Box::new(Planaria::new()),
-            Policy::Sdrm3 => Box::new(Sdrm3::default()),
+            Policy::Sdrm3 => Box::new(Sdrm3::new()),
             Policy::DystaStatic => Box::new(DystaStaticScheduler::new(config)),
             Policy::Dysta => Box::new(DystaScheduler::new(
                 config,

@@ -4,7 +4,9 @@
 //! and finds the layers strongly linearly correlated, motivating a linear
 //! predictor: monitor the sparsity of executed layers, form a *sparsity
 //! coefficient* `γ` against the LUT averages, and scale the LUT remaining
-//! latency: `Lat_sparse = α · γ · Lat_avg`.
+//! latency: `Lat_sparse = α · γ · Lat_avg`. The target accelerators
+//! exploit both weight and activation sparsity, so `α = 1` (the paper's
+//! setting) and the predictor scales by `γ` alone.
 //!
 //! Because accelerator latency scales with surviving (non-zero) work, `γ`
 //! is computed as a ratio of *densities*: `(1 − S_monitor)/(1 − S_avg)`.
@@ -36,20 +38,18 @@ pub enum CoeffStrategy {
 /// ```
 /// use dysta_core::{CoeffStrategy, SparseLatencyPredictor};
 ///
-/// let p = SparseLatencyPredictor::new(CoeffStrategy::LastOne, 1.0);
+/// let p = SparseLatencyPredictor::new(CoeffStrategy::LastOne);
 /// assert_eq!(p.strategy(), CoeffStrategy::LastOne);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseLatencyPredictor {
     strategy: CoeffStrategy,
-    alpha: f64,
 }
 
 impl Default for SparseLatencyPredictor {
-    /// The paper's configuration: last-one strategy, `α = 1` (the target
-    /// accelerators exploit both weight and activation sparsity).
+    /// The paper's configuration: the last-one strategy.
     fn default() -> Self {
-        SparseLatencyPredictor::new(CoeffStrategy::LastOne, 1.0)
+        SparseLatencyPredictor::new(CoeffStrategy::LastOne)
     }
 }
 
@@ -58,23 +58,17 @@ impl SparseLatencyPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `alpha` is not positive or `LastN(0)` is requested.
-    pub fn new(strategy: CoeffStrategy, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha.is_finite(), "alpha must be positive");
+    /// Panics if `LastN(0)` is requested.
+    pub fn new(strategy: CoeffStrategy) -> Self {
         if let CoeffStrategy::LastN(n) = strategy {
             assert!(n > 0, "last-N window must be non-empty");
         }
-        SparseLatencyPredictor { strategy, alpha }
+        SparseLatencyPredictor { strategy }
     }
 
     /// The configured aggregation strategy.
     pub fn strategy(&self) -> CoeffStrategy {
         self.strategy
-    }
-
-    /// The hardware-effectiveness factor `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// The sparsity coefficient `γ` for `task` (Algorithm 3, line 6).
@@ -103,10 +97,10 @@ impl SparseLatencyPredictor {
     }
 
     /// Predicted remaining latency of `task` in nanoseconds
-    /// (`α · γ · Lat_avg_remaining`, Algorithm 3 line 7 applied to the
-    /// remaining-layer suffix).
+    /// (`γ · Lat_avg_remaining`, Algorithm 3 line 7 with `α = 1` applied
+    /// to the remaining-layer suffix).
     pub fn remaining_ns(&self, task: &TaskState, info: &ModelInfo) -> f64 {
-        self.alpha * self.coefficient(task, info) * info.avg_remaining_ns(task.next_layer)
+        self.coefficient(task, info) * info.avg_remaining_ns(task.next_layer)
     }
 }
 
@@ -144,11 +138,11 @@ mod tests {
     use crate::{ModelInfoLut, MonitoredLayer};
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::{SparseModelSpec, TraceGenerator, TraceStore};
+    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
 
     fn bert_setup() -> (SparseModelSpec, ModelInfoLut, dysta_trace::ModelTraces) {
         let spec = SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0);
-        let traces = TraceGenerator::default().generate(&spec, 32, 11);
+        let traces = ModelTraces::generate(&spec, 32, 11);
         let mut store = TraceStore::new();
         store.insert(traces.clone());
         (spec, ModelInfoLut::from_store(&store), traces)
@@ -233,10 +227,9 @@ mod tests {
             .position(|l| l.sparsity > 0.0)
             .unwrap();
         let t = task_with_monitored(spec, &lut, trace, first_dyn + 1);
-        let g_all =
-            SparseLatencyPredictor::new(CoeffStrategy::AverageAll, 1.0).coefficient(&t, info);
-        let g_n = SparseLatencyPredictor::new(CoeffStrategy::LastN(3), 1.0).coefficient(&t, info);
-        let g_one = SparseLatencyPredictor::new(CoeffStrategy::LastOne, 1.0).coefficient(&t, info);
+        let g_all = SparseLatencyPredictor::new(CoeffStrategy::AverageAll).coefficient(&t, info);
+        let g_n = SparseLatencyPredictor::new(CoeffStrategy::LastN(3)).coefficient(&t, info);
+        let g_one = SparseLatencyPredictor::new(CoeffStrategy::LastOne).coefficient(&t, info);
         assert!((g_all - g_one).abs() < 1e-12);
         assert!((g_n - g_one).abs() < 1e-12);
     }
@@ -247,31 +240,14 @@ mod tests {
         let info = lut.expect(&spec);
         let trace = traces.sample(3);
         let t = task_with_monitored(spec, &lut, trace, trace.num_layers() / 2);
-        let p = SparseLatencyPredictor::new(CoeffStrategy::Disabled, 1.0);
+        let p = SparseLatencyPredictor::new(CoeffStrategy::Disabled);
         assert_eq!(p.coefficient(&t, info), 1.0);
         assert!((p.remaining_ns(&t, info) - info.avg_remaining_ns(t.next_layer)).abs() < 1e-9);
     }
 
     #[test]
-    fn alpha_scales_linearly() {
-        let (spec, lut, traces) = bert_setup();
-        let info = lut.expect(&spec);
-        let trace = traces.sample(2);
-        let t = task_with_monitored(spec, &lut, trace, trace.num_layers() / 2);
-        let p1 = SparseLatencyPredictor::new(CoeffStrategy::LastOne, 1.0);
-        let p2 = SparseLatencyPredictor::new(CoeffStrategy::LastOne, 2.0);
-        assert!((2.0 * p1.remaining_ns(&t, info) - p2.remaining_ns(&t, info)).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be positive")]
-    fn rejects_non_positive_alpha() {
-        let _ = SparseLatencyPredictor::new(CoeffStrategy::LastOne, 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "last-N window")]
     fn rejects_empty_window() {
-        let _ = SparseLatencyPredictor::new(CoeffStrategy::LastN(0), 1.0);
+        let _ = SparseLatencyPredictor::new(CoeffStrategy::LastN(0));
     }
 }

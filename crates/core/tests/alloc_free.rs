@@ -16,7 +16,7 @@ use dysta_core::{
 };
 use dysta_models::ModelId;
 use dysta_sparsity::SparsityPattern;
-use dysta_trace::{SparseModelSpec, TraceGenerator, TraceStore};
+use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
 
 struct CountingAllocator;
 
@@ -66,9 +66,8 @@ fn mid_execution_queue(n: usize) -> (Vec<TaskState>, ModelInfoLut) {
         SparseModelSpec::new(ModelId::ResNet50, SparsityPattern::ChannelWise, 0.6),
     ];
     let mut store = TraceStore::new();
-    let generator = TraceGenerator::default();
     for s in &specs {
-        store.insert(generator.generate(s, 4, 9));
+        store.insert(ModelTraces::generate(s, 4, 9));
     }
     let lut = ModelInfoLut::from_store(&store);
 
@@ -141,7 +140,7 @@ fn predictor_coefficient_never_allocates() {
         CoeffStrategy::LastOne,
         CoeffStrategy::Disabled,
     ] {
-        let predictor = SparseLatencyPredictor::new(strategy, 1.0);
+        let predictor = SparseLatencyPredictor::new(strategy);
         let allocs = allocations_in(|| {
             for t in &tasks {
                 let info = lut.info(t.variant);

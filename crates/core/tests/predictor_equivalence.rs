@@ -14,7 +14,7 @@ use dysta_core::{
 };
 use dysta_models::ModelId;
 use dysta_sparsity::SparsityPattern;
-use dysta_trace::{SparseModelSpec, TraceGenerator, TraceStore};
+use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
 
 /// The pre-refactor batch computation: collect every dynamic layer's
 /// density ratio, window it, average, exponentiate.
@@ -50,7 +50,7 @@ fn batch_coefficient(strategy: CoeffStrategy, task: &TaskState, info: &ModelInfo
 fn lut_for(model: ModelId) -> (SparseModelSpec, ModelInfoLut) {
     let spec = SparseModelSpec::new(model, SparsityPattern::Dense, 0.0);
     let mut store = TraceStore::new();
-    store.insert(TraceGenerator::default().generate(&spec, 8, 17));
+    store.insert(ModelTraces::generate(&spec, 8, 17));
     (spec, ModelInfoLut::from_store(&store))
 }
 
@@ -92,7 +92,7 @@ proptest! {
                 info,
             );
             for strategy in strategies {
-                let predictor = SparseLatencyPredictor::new(strategy, 1.0);
+                let predictor = SparseLatencyPredictor::new(strategy);
                 let incremental = predictor.coefficient(&task, info);
                 let batch = batch_coefficient(strategy, &task, info);
                 prop_assert!(

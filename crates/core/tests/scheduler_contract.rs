@@ -10,7 +10,7 @@ use dysta_core::{
 };
 use dysta_models::ModelId;
 use dysta_sparsity::SparsityPattern;
-use dysta_trace::{SparseModelSpec, TraceGenerator, TraceStore};
+use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
 
 fn build_lut() -> (Vec<SparseModelSpec>, ModelInfoLut) {
     let specs = vec![
@@ -20,7 +20,7 @@ fn build_lut() -> (Vec<SparseModelSpec>, ModelInfoLut) {
     ];
     let mut store = TraceStore::new();
     for s in &specs {
-        store.insert(TraceGenerator::default().generate(s, 4, 0));
+        store.insert(ModelTraces::generate(s, 4, 0));
     }
     (specs.clone(), ModelInfoLut::from_store(&store))
 }

@@ -1,110 +1,95 @@
 //! Phase-1 trace generation: drive the accelerator models over sampled
 //! inputs.
 
-use dysta_accel::{Accelerator, AnyAccelerator, EyerissV2, Sanger, SparseContext};
+use dysta_accel::{AcceleratorKind, SparseContext};
 use dysta_models::{zoo, ModelGraph};
 use dysta_sparsity::{SampleSparsityGenerator, SparsityPattern};
 
 use crate::{LayerRecord, ModelTraces, SampleTrace, SparseModelSpec};
 
-/// Generates [`ModelTraces`] by iterating a sparse model over sampled
-/// inputs on its target accelerator — the paper's "insert hardware
-/// simulator via layer hooks and iterate through the dataset" step.
-///
-/// # Examples
-///
-/// ```
-/// use dysta_trace::{SparseModelSpec, TraceGenerator};
-/// use dysta_models::ModelId;
-/// use dysta_sparsity::SparsityPattern;
-///
-/// let spec = SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0);
-/// let traces = TraceGenerator::default().generate(&spec, 8, 1);
-/// assert_eq!(traces.num_layers(), dysta_models::zoo::bert(384).num_layers());
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TraceGenerator {
-    eyeriss: EyerissV2,
-    sanger: Sanger,
-}
-
-impl TraceGenerator {
-    /// Creates a generator with customized accelerator models.
-    pub fn new(eyeriss: EyerissV2, sanger: Sanger) -> Self {
-        TraceGenerator { eyeriss, sanger }
-    }
-
+impl ModelTraces {
     /// Generates `count` sample traces for `spec`, deterministically from
-    /// `seed`.
+    /// `seed`, by iterating the sparse model over sampled inputs on the
+    /// accelerator the paper pairs with its family — the paper's "insert
+    /// hardware simulator via layer hooks and iterate through the
+    /// dataset" step.
     ///
     /// # Panics
     ///
     /// Panics if `count` is zero.
-    pub fn generate(&self, spec: &SparseModelSpec, count: u64, seed: u64) -> ModelTraces {
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dysta_trace::{ModelTraces, SparseModelSpec};
+    /// use dysta_models::ModelId;
+    /// use dysta_sparsity::SparsityPattern;
+    ///
+    /// let spec = SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0);
+    /// let traces = ModelTraces::generate(&spec, 8, 1);
+    /// assert_eq!(traces.num_layers(), dysta_models::zoo::bert(384).num_layers());
+    /// ```
+    pub fn generate(spec: &SparseModelSpec, count: u64, seed: u64) -> ModelTraces {
         assert!(count > 0, "need at least one sample");
         let model = zoo::build(spec.model);
-        let accel = match AnyAccelerator::default_for(spec.model.family()) {
-            AnyAccelerator::Eyeriss(_) => AnyAccelerator::Eyeriss(self.eyeriss.clone()),
-            AnyAccelerator::Sanger(_) => AnyAccelerator::Sanger(self.sanger.clone()),
-        };
+        let accel = AcceleratorKind::for_family(spec.model.family());
         let sparsity_gen = SampleSparsityGenerator::new(&model, spec.profile, seed);
         let samples = (0..count)
-            .map(|i| self.trace_one(&model, spec, &accel, &sparsity_gen, i))
+            .map(|i| trace_one(&model, spec, accel, &sparsity_gen, i))
             .collect();
         ModelTraces::new(*spec, samples)
     }
+}
 
-    fn trace_one(
-        &self,
-        model: &ModelGraph,
-        spec: &SparseModelSpec,
-        accel: &AnyAccelerator,
-        sparsity_gen: &SampleSparsityGenerator,
-        index: u64,
-    ) -> SampleTrace {
-        let sample = sparsity_gen.sample(index);
-        let weight_rate = match spec.pattern {
-            SparsityPattern::Dense => 0.0,
-            SparsityPattern::BlockNm { n, m } => 1.0 - n as f64 / m as f64,
-            _ => spec.weight_rate,
-        };
-        let mut prev_out_sparsity = 0.0;
-        let layers = model
-            .iter()
-            .map(|(i, layer)| {
-                let own = sample.layer(i);
-                let ctx = SparseContext {
-                    pattern: spec.pattern,
-                    weight_rate,
-                    input_activation_sparsity: prev_out_sparsity,
-                    layer_sparsity: own,
-                    seq_scale: sample.seq_scale(),
-                };
-                let latency_ns = accel.layer_latency_ns(layer, &ctx).round().max(1.0) as u64;
-                // Attention-matrix sparsity does not propagate as input
-                // activation sparsity; ReLU output sparsity does.
-                prev_out_sparsity = if layer.relu() { own } else { 0.0 };
-                // The hardware monitor counts zeros over the *nominal*
-                // layer shape, so for attention layers the recorded
-                // sparsity folds in the sample's sequence length: a short
-                // prompt leaves most of the nominal attention matrix
-                // empty. This is exactly the signal that makes the
-                // monitored value predictive of remaining latency.
-                let recorded = if layer.is_dynamic_attention() {
-                    let nominal_density =
-                        ((1.0 - own) * sample.seq_scale() * sample.seq_scale()).min(1.0);
-                    1.0 - nominal_density
-                } else {
-                    own
-                };
-                LayerRecord {
-                    latency_ns,
-                    sparsity: recorded,
-                }
-            })
-            .collect();
-        SampleTrace::new(layers, sample.seq_scale())
-    }
+fn trace_one(
+    model: &ModelGraph,
+    spec: &SparseModelSpec,
+    accel: AcceleratorKind,
+    sparsity_gen: &SampleSparsityGenerator,
+    index: u64,
+) -> SampleTrace {
+    let sample = sparsity_gen.sample(index);
+    let weight_rate = match spec.pattern {
+        SparsityPattern::Dense => 0.0,
+        SparsityPattern::BlockNm { n, m } => 1.0 - n as f64 / m as f64,
+        _ => spec.weight_rate,
+    };
+    let mut prev_out_sparsity = 0.0;
+    let layers = model
+        .iter()
+        .map(|(i, layer)| {
+            let own = sample.layer(i);
+            let ctx = SparseContext {
+                pattern: spec.pattern,
+                weight_rate,
+                input_activation_sparsity: prev_out_sparsity,
+                layer_sparsity: own,
+                seq_scale: sample.seq_scale(),
+            };
+            let latency_ns = accel.layer_latency_ns(layer, &ctx).round().max(1.0) as u64;
+            // Attention-matrix sparsity does not propagate as input
+            // activation sparsity; ReLU output sparsity does.
+            prev_out_sparsity = if layer.relu() { own } else { 0.0 };
+            // The hardware monitor counts zeros over the *nominal*
+            // layer shape, so for attention layers the recorded
+            // sparsity folds in the sample's sequence length: a short
+            // prompt leaves most of the nominal attention matrix
+            // empty. This is exactly the signal that makes the
+            // monitored value predictive of remaining latency.
+            let recorded = if layer.is_dynamic_attention() {
+                let nominal_density =
+                    ((1.0 - own) * sample.seq_scale() * sample.seq_scale()).min(1.0);
+                1.0 - nominal_density
+            } else {
+                own
+            };
+            LayerRecord {
+                latency_ns,
+                sparsity: recorded,
+            }
+        })
+        .collect();
+    SampleTrace::new(layers, sample.seq_scale())
 }
 
 #[cfg(test)]
@@ -116,14 +101,16 @@ mod tests {
     #[test]
     fn deterministic_generation() {
         let spec = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::RandomPointwise, 0.8);
-        let g = TraceGenerator::default();
-        assert_eq!(g.generate(&spec, 4, 9), g.generate(&spec, 4, 9));
+        assert_eq!(
+            ModelTraces::generate(&spec, 4, 9),
+            ModelTraces::generate(&spec, 4, 9)
+        );
     }
 
     #[test]
     fn latency_varies_across_samples_for_language_models() {
         let spec = SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0);
-        let traces = TraceGenerator::default().generate(&spec, 64, 2);
+        let traces = ModelTraces::generate(&spec, 64, 2);
         let lats: Vec<f64> = traces
             .samples()
             .iter()
@@ -141,7 +128,7 @@ mod tests {
     #[test]
     fn cnn_latency_varies_mildly_across_samples() {
         let spec = SparseModelSpec::new(ModelId::ResNet50, SparsityPattern::RandomPointwise, 0.8);
-        let traces = TraceGenerator::default().generate(&spec, 64, 3);
+        let traces = ModelTraces::generate(&spec, 64, 3);
         let lats: Vec<f64> = traces
             .samples()
             .iter()
@@ -153,13 +140,12 @@ mod tests {
 
     #[test]
     fn sparser_variant_is_faster() {
-        let g = TraceGenerator::default();
-        let dense = g.generate(
+        let dense = ModelTraces::generate(
             &SparseModelSpec::new(ModelId::Vgg16, SparsityPattern::Dense, 0.0),
             8,
             4,
         );
-        let sparse = g.generate(
+        let sparse = ModelTraces::generate(
             &SparseModelSpec::new(ModelId::Vgg16, SparsityPattern::RandomPointwise, 0.9),
             8,
             4,
@@ -170,7 +156,7 @@ mod tests {
     #[test]
     fn attention_layers_record_their_sparsity() {
         let spec = SparseModelSpec::new(ModelId::Gpt2, SparsityPattern::Dense, 0.0);
-        let traces = TraceGenerator::default().generate(&spec, 4, 5);
+        let traces = ModelTraces::generate(&spec, 4, 5);
         let model = zoo::gpt2(256);
         let attn = model.attention_layer_indices();
         let t = traces.sample(0);

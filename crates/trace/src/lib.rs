@@ -7,22 +7,22 @@
 //! *Phase 2: Scheduling Evaluation*, the scheduler engine replays this
 //! runtime information to simulate multi-tenant execution.
 //!
-//! This crate is Phase 1: [`TraceGenerator`] drives the
+//! This crate is Phase 1: [`ModelTraces::generate`] drives the
 //! [`dysta_accel`] performance models over per-sample sparsity draws from
-//! [`dysta_sparsity`], producing [`ModelTraces`] (one per sparse-model
-//! variant, the in-memory equivalent of the paper's CSV files) with the
+//! [`dysta_sparsity`], producing one [`ModelTraces`] per sparse-model
+//! variant (the in-memory equivalent of the paper's CSV files) with the
 //! derived statistics the Dysta LUTs need (average latency, average
 //! per-layer sparsity). [`TraceStore`] persists the whole set as JSON.
 //!
 //! # Examples
 //!
 //! ```
-//! use dysta_trace::{SparseModelSpec, TraceGenerator};
+//! use dysta_trace::{ModelTraces, SparseModelSpec};
 //! use dysta_models::ModelId;
 //! use dysta_sparsity::SparsityPattern;
 //!
 //! let spec = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::RandomPointwise, 0.8);
-//! let traces = TraceGenerator::default().generate(&spec, 16, 42);
+//! let traces = ModelTraces::generate(&spec, 16, 42);
 //! assert_eq!(traces.num_samples(), 16);
 //! assert!(traces.avg_latency_ns() > 0.0);
 //! ```
@@ -34,6 +34,5 @@ mod generate;
 mod record;
 mod store;
 
-pub use generate::TraceGenerator;
 pub use record::{LayerRecord, ModelTraces, SampleTrace, SparseModelSpec, SpecKey, VariantId};
 pub use store::{TraceStore, TraceStoreError};

@@ -20,13 +20,13 @@ use crate::{ModelTraces, SparseModelSpec, VariantId};
 /// # Examples
 ///
 /// ```
-/// use dysta_trace::{SparseModelSpec, TraceGenerator, TraceStore};
+/// use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
 /// use dysta_models::ModelId;
 /// use dysta_sparsity::SparsityPattern;
 ///
 /// let mut store = TraceStore::new();
 /// let spec = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0);
-/// store.insert(TraceGenerator::default().generate(&spec, 4, 1));
+/// store.insert(ModelTraces::generate(&spec, 4, 1));
 /// assert!(store.get(&spec).is_some());
 /// assert_eq!(store.variant_id(&spec).unwrap().index(), 0);
 /// ```
@@ -186,7 +186,7 @@ impl std::error::Error for TraceStoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceGenerator;
+    use crate::ModelTraces;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
 
@@ -194,7 +194,7 @@ mod tests {
     fn insert_and_get() {
         let mut store = TraceStore::new();
         let spec = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0);
-        let t = TraceGenerator::default().generate(&spec, 2, 1);
+        let t = ModelTraces::generate(&spec, 2, 1);
         assert!(store.insert(t.clone()).is_none());
         assert_eq!(store.get(&spec), Some(&t));
         assert_eq!(store.len(), 1);
@@ -223,7 +223,7 @@ mod tests {
         .map(|(m, p, r)| SparseModelSpec::new(m, p, r))
         .collect();
         for s in &specs {
-            store.insert(TraceGenerator::default().generate(s, 2, 0));
+            store.insert(ModelTraces::generate(s, 2, 0));
         }
         // Ids cover 0..len and agree with iteration order.
         let mut seen = vec![false; store.len()];
@@ -250,7 +250,7 @@ mod tests {
             (ModelId::Bert, SparsityPattern::Dense),
         ] {
             let spec = SparseModelSpec::new(model, pattern, 0.5);
-            store.insert(TraceGenerator::default().generate(&spec, 3, 7));
+            store.insert(ModelTraces::generate(&spec, 3, 7));
         }
         let dir = std::env::temp_dir().join("dysta-trace-test");
         std::fs::create_dir_all(&dir).unwrap();

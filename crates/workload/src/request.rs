@@ -175,7 +175,7 @@ mod tests {
     /// A one-variant store profiling `spec`, and a request for it.
     fn profiled(spec: SparseModelSpec) -> (TraceStore, Request) {
         let mut store = TraceStore::new();
-        store.insert(dysta_trace::TraceGenerator::default().generate(&spec, 2, 0));
+        store.insert(dysta_trace::ModelTraces::generate(&spec, 2, 0));
         let request = Request {
             id: 7,
             spec,

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dysta_sparsity::distributions::exponential;
-use dysta_trace::{SampleTrace, SparseModelSpec, TraceGenerator, TraceStore, VariantId};
+use dysta_trace::{ModelTraces, SampleTrace, SparseModelSpec, TraceStore, VariantId};
 
 use crate::source::RequestSource;
 use crate::{Request, Scenario, Workload};
@@ -97,7 +97,17 @@ impl ArrivalProcess {
             } => {
                 let period = on_s + off_s;
                 let rel_s = (now_ns - phase_start_ns) as f64 / 1e9;
-                let t_s = piecewise_next(rng, rel_s, |t| {
+                // Bound the hazard the walk can collect before the clock
+                // ends: every whole period left plus two, counted twice
+                // (a rounding stub may split a window), with each window
+                // padded by two ulps of the clock's last instant. Once a
+                // period is below a few ulps the padding alone exceeds
+                // `max(rate) × span`, which bounds any walk.
+                let span_s = (u64::MAX - phase_start_ns) as f64 / 1e9 - rel_s;
+                let pad_s = 2.0 * f64::EPSILON * (span_s + rel_s);
+                let per_period = on_rate * (on_s + pad_s) + off_rate * (off_s + pad_s);
+                let hazard_left = 2.0 * per_period * ((span_s / period).ceil() + 2.0);
+                let t_s = piecewise_next(rng, rel_s, hazard_left, |t| {
                     let pos = t % period;
                     if pos < on_s {
                         (on_rate, t + (on_s - pos))
@@ -132,7 +142,7 @@ impl ArrivalProcess {
             } => {
                 let end_s = start_s + duration_s;
                 let rel_s = (now_ns - phase_start_ns) as f64 / 1e9;
-                let t_s = piecewise_next(rng, rel_s, |t| {
+                let t_s = piecewise_next(rng, rel_s, f64::INFINITY, |t| {
                     if t < start_s {
                         (base_rate, start_s)
                     } else if t < end_s {
@@ -153,8 +163,22 @@ impl ArrivalProcess {
 /// returns the rate covering `t` and the instant that segment ends
 /// (`f64::INFINITY` for an unbounded tail). Zero-rate segments are
 /// skipped without consuming hazard.
-fn piecewise_next(rng: &mut StdRng, start_s: f64, segment: impl Fn(f64) -> (f64, f64)) -> f64 {
+///
+/// `hazard_left` bounds from above the hazard the walk can collect
+/// before the end of the `u64` clock. A draw that needs more can only
+/// land past the clock, so the walk is skipped and `f64::INFINITY`
+/// (which saturates to the end of the stream) returned at once; a draw
+/// that lands inside the clock never takes this branch.
+fn piecewise_next(
+    rng: &mut StdRng,
+    start_s: f64,
+    hazard_left: f64,
+    segment: impl Fn(f64) -> (f64, f64),
+) -> f64 {
     let mut need = exponential(rng, 1.0);
+    if need > hazard_left {
+        return f64::INFINITY;
+    }
     let mut t_s = start_s;
     loop {
         let (rate, seg_end) = segment(t_s);
@@ -337,7 +361,6 @@ impl StreamSpec {
     /// one [`dysta_trace::ModelTraces`] per distinct variant, seeded
     /// `seed ^ 0xD15A` (independent of the arrival draws).
     pub fn build_store(&self) -> TraceStore {
-        let generator = TraceGenerator::default();
         let mut store = TraceStore::new();
         let mut seen: Vec<String> = Vec::new();
         for phase in &self.phases {
@@ -347,7 +370,7 @@ impl StreamSpec {
                     continue;
                 }
                 seen.push(key);
-                store.insert(generator.generate(
+                store.insert(ModelTraces::generate(
                     spec,
                     self.samples_per_variant,
                     self.seed ^ 0xD15A,
@@ -616,6 +639,23 @@ mod tests {
         for _ in 0..100 {
             let next = process.next_arrival_ns(&mut rng, 700_000_000, 0);
             assert!(next >= 700_000_000);
+        }
+    }
+
+    #[test]
+    fn on_off_stream_with_vanishing_hazard_ends() {
+        // Each on-window adds ~1e-300 of hazard, so a walk over periods
+        // would need ~1e300 of them; the draw can only land past the
+        // clock, which ends the stream.
+        let process = ArrivalProcess::OnOff {
+            on_rate: 1e-300,
+            off_rate: 0.0,
+            on_s: 1.0,
+            off_s: 1.0,
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+        for now_ns in [0, 5_000_000_000, u64::MAX / 2] {
+            assert_eq!(process.next_arrival_ns(&mut rng, now_ns, 0), u64::MAX);
         }
     }
 

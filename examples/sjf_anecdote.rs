@@ -11,15 +11,14 @@
 use dysta::core::{ModelInfoLut, Policy};
 use dysta::models::ModelId;
 use dysta::sparsity::SparsityPattern;
-use dysta::trace::{SparseModelSpec, TraceGenerator, TraceStore};
+use dysta::trace::{ModelTraces, SparseModelSpec, TraceStore};
 
 fn main() {
     let resnet = SparseModelSpec::new(ModelId::ResNet50, SparsityPattern::RandomPointwise, 0.8);
     let mobilenet = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::RandomPointwise, 0.7);
-    let generator = TraceGenerator::default();
     let mut store = TraceStore::new();
-    store.insert(generator.generate(&resnet, 64, 0));
-    store.insert(generator.generate(&mobilenet, 64, 0));
+    store.insert(ModelTraces::generate(&resnet, 64, 0));
+    store.insert(ModelTraces::generate(&mobilenet, 64, 0));
     let lut = ModelInfoLut::from_store(&store);
 
     // Pick the *sparsest* (fastest) MobileNet sample: the case where the

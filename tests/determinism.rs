@@ -5,7 +5,7 @@ use dysta::models::ModelId;
 use dysta::obs::RingTracer;
 use dysta::sim::{simulate, simulate_traced, EngineConfig};
 use dysta::sparsity::SparsityPattern;
-use dysta::trace::{SparseModelSpec, TraceGenerator};
+use dysta::trace::{ModelTraces, SparseModelSpec};
 use dysta::workload::{Scenario, WorkloadBuilder};
 
 #[test]
@@ -71,10 +71,9 @@ fn traced_runs_match_untraced_and_export_byte_identically() {
 #[test]
 fn traces_depend_on_seed_but_not_generation_order() {
     let spec = SparseModelSpec::new(ModelId::Gpt2, SparsityPattern::Dense, 0.0);
-    let g = TraceGenerator::default();
-    let full = g.generate(&spec, 8, 3);
+    let full = ModelTraces::generate(&spec, 8, 3);
     // Regenerating fewer samples yields a prefix (per-index determinism).
-    let prefix = g.generate(&spec, 4, 3);
+    let prefix = ModelTraces::generate(&spec, 4, 3);
     for i in 0..4 {
         assert_eq!(full.sample(i), prefix.sample(i));
     }

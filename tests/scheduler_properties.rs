@@ -6,7 +6,7 @@ use dysta::core::Policy;
 use dysta::models::ModelId;
 use dysta::sim::{simulate, EngineConfig};
 use dysta::sparsity::SparsityPattern;
-use dysta::trace::{SparseModelSpec, TraceGenerator};
+use dysta::trace::{ModelTraces, SparseModelSpec};
 use dysta::workload::{Scenario, WorkloadBuilder};
 
 fn policy_strategy() -> impl Strategy<Value = Policy> {
@@ -89,7 +89,7 @@ proptest! {
         count in 1u64..16,
     ) {
         let spec = SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0);
-        let traces = TraceGenerator::default().generate(&spec, count, seed);
+        let traces = ModelTraces::generate(&spec, count, seed);
         prop_assert_eq!(traces.num_samples() as u64, count);
         for i in 0..count {
             let t = traces.sample(i);

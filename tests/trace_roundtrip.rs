@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use dysta::core::ModelInfoLut;
 use dysta::models::ModelId;
 use dysta::sparsity::SparsityPattern;
-use dysta::trace::{SparseModelSpec, TraceGenerator, TraceStore};
+use dysta::trace::{ModelTraces, SparseModelSpec, TraceStore};
 
 fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("dysta-integration");
@@ -16,7 +16,6 @@ fn temp_path(name: &str) -> PathBuf {
 
 #[test]
 fn full_store_roundtrip_preserves_luts() {
-    let generator = TraceGenerator::default();
     let mut store = TraceStore::new();
     let specs = [
         SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0),
@@ -29,7 +28,7 @@ fn full_store_roundtrip_preserves_luts() {
         ),
     ];
     for spec in &specs {
-        store.insert(generator.generate(spec, 6, 0));
+        store.insert(ModelTraces::generate(spec, 6, 0));
     }
     let path = temp_path("roundtrip.json");
     store.save(&path).expect("save");
@@ -48,13 +47,12 @@ fn full_store_roundtrip_preserves_luts() {
 fn pattern_variants_have_distinct_latencies() {
     // The pattern-aware LUT is the static scheduler's edge: the same
     // model under different patterns must profile differently.
-    let generator = TraceGenerator::default();
-    let random = generator.generate(
+    let random = ModelTraces::generate(
         &SparseModelSpec::new(ModelId::ResNet50, SparsityPattern::RandomPointwise, 0.8),
         8,
         0,
     );
-    let channel = generator.generate(
+    let channel = ModelTraces::generate(
         &SparseModelSpec::new(ModelId::ResNet50, SparsityPattern::ChannelWise, 0.8),
         8,
         0,
