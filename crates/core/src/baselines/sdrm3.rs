@@ -24,7 +24,7 @@ use crate::{ModelInfoLut, TaskState};
 /// use dysta_core::{Scheduler, Sdrm3};
 /// assert_eq!(Sdrm3::new().name(), "sdrm3");
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Sdrm3;
 
 /// Urgency weight `α` of the MapScore; fairness gets `1 − α`.
