@@ -211,3 +211,16 @@ pub enum Phase {
     /// passes).
     Frontend = 2,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kind_names_are_unique() {
+        let mut names: Vec<&str> = EventKind::ALL.iter().map(|k| k.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EventKind::COUNT);
+    }
+}

@@ -10,11 +10,13 @@
 //! `table05_end2end`, `table06_overhead`, `fig12_tradeoff`,
 //! `fig13_breakdown`, `fig14_slo_sweep`, `fig15_rate_sweep`,
 //! `fig16_hw_resources`, `fig_admission`, `fig_faults`,
-//! `fig_load_curve`). Three pin
+//! `fig_load_curve`). Four pin
 //! configurations that only this suite runs: `cluster_sweep` (a small
 //! dispatch and serving front-end grid), `trace_export` (the Perfetto
-//! export of a small traced serving run) and `steal_classes` (costed
-//! steals onto thieves of different capacity and fault state).
+//! export of a small traced serving run), `trace_every_kind` (the
+//! Perfetto export of a hand-built stream holding every event kind) and
+//! `steal_classes` (costed steals onto thieves of different capacity
+//! and fault state).
 //!
 //! Every run of the simulator is a pure function of its seed, so *exact*
 //! equality is meaningful: any scheduling, dispatch, or front-end change
@@ -374,6 +376,91 @@ fn golden_trace_export() {
     // and the CI smoke check will do to it).
     serde_json::from_str::<serde::Value>(&json).expect("export parses");
     check_golden("trace_export.json", &json);
+}
+
+// --- trace_every_kind -----------------------------------------------------
+
+/// Pins how the Perfetto export draws every event kind, on a hand-built
+/// stream no simulated run has to produce: each of the 21 kinds at
+/// least once, a labelled arrival → dispatch → completion chain (flows
+/// and slice labels), an arrival whose label id is unknown, a violated
+/// completion, negative slack, node-scoped fault windows opening and
+/// closing, and events on the front-end track and on an unnamed node.
+#[test]
+fn golden_trace_every_kind() {
+    use dysta::obs::{perfetto_json, EventKind as K, TraceEvent, NODE_FRONTEND, REQ_NONE};
+
+    const FE: u32 = NODE_FRONTEND;
+    const NONE: u64 = REQ_NONE;
+    let e = |t_ns, request, node, kind, a, b| TraceEvent {
+        t_ns,
+        request,
+        node,
+        kind,
+        a,
+        b,
+    };
+    let events = vec![
+        e(0, 1, FE, K::Arrival, 0, 5_000_000),
+        e(50, 2, FE, K::Arrival, 1, 3_000_000),
+        e(60, 3, FE, K::Arrival, 99, 1_000),
+        e(70, 4, FE, K::Arrival, 0, 8_000_000),
+        e(80, 5, FE, K::Arrival, 1, 2_000_000),
+        e(90, 6, FE, K::Arrival, 1, 9_000_000),
+        e(100, 1, FE, K::Admit, 100, 0),
+        e(100, 1, 0, K::Dispatch, 1, 4_999_900),
+        e(120, 2, FE, K::AdmitDegrade, 70, 6_000_000),
+        e(120, 2, 0, K::Dispatch, 2, 5_999_880),
+        e(150, NONE, 0, K::SlackProjection, 2, 2_500_000),
+        e(150, NONE, 1, K::SlackProjection, 0, 0),
+        e(160, 3, FE, K::AdmitReject, 100, 0),
+        e(170, 4, FE, K::Admit, 100, 0),
+        e(170, 4, 1, K::Dispatch, 1, 7_999_830),
+        e(180, 5, FE, K::Admit, 100, 0),
+        e(180, 5, 2, K::Dispatch, 1, 1_999_820),
+        e(190, 6, FE, K::Admit, 100, 0),
+        e(190, 6, 2, K::Dispatch, 2, -10),
+        e(200, 1, 0, K::Segment, 700, 3),
+        e(300, 2, 0, K::MigrationOffer, 0, 0),
+        e(300, 2, 0, K::MigrationReject, 0, 0),
+        e(400, 4, 1, K::MigrationOffer, 1, 0),
+        e(400, 4, 1, K::MigrationAccept, 0, 25_000),
+        e(450, 5, 2, K::Renege, 270, -50),
+        e(500, NONE, 1, K::NodeDown, 1, 900),
+        e(500, 4, 1, K::Salvage, 0, 1_000),
+        e(500, 4, 0, K::Retry, 1, 30_000),
+        e(550, NONE, 0, K::Brownout, 500_000, 2_000),
+        e(560, NONE, 2, K::TransferStall, 4_000_000, 3_000),
+        e(700, 2, 0, K::Preemption, 1, 20),
+        e(720, 2, 0, K::Segment, 900, 2),
+        e(900, NONE, 1, K::NodeUp, 0, 0),
+        e(900, 1, 0, K::Segment, 1_000, 1),
+        e(950, 2, 1, K::Steal, 0, 15_000),
+        e(1_000, 1, 0, K::Completion, 0, 4_000_000),
+        e(1_000, 2, 1, K::Segment, 1_200, 1),
+        e(1_200, 2, 1, K::Completion, 1, -200),
+        e(2_000, NONE, 0, K::Brownout, 1_000_000, 0),
+        e(2_600, NONE, 2, K::NodeDown, 0, -1),
+        e(2_600, 6, 2, K::Salvage, 1, 0),
+        e(2_600, 6, FE, K::Failed, 1, 0),
+        e(3_000, NONE, 2, K::TransferStall, 1_000_000, 0),
+    ];
+    for kind in K::ALL {
+        assert!(
+            events.iter().any(|ev| ev.kind == kind),
+            "{} missing from the stream",
+            kind.name()
+        );
+    }
+    let labels = ["resnet50@eyeriss".to_string(), "bert@sanger".to_string()];
+    let nodes = [
+        (0, "node0 EyerissV2".to_string()),
+        (1, "node1 Sanger".to_string()),
+    ];
+
+    let json = perfetto_json(&events, &labels, &nodes);
+    serde_json::from_str::<serde::Value>(&json).expect("export parses");
+    check_golden("trace_every_kind.json", &json);
 }
 
 // --- steal_classes ----------------------------------------------------------
