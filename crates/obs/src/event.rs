@@ -138,31 +138,84 @@ impl EventKind {
 
     /// Stable lower-snake name (used in exports and metric keys).
     pub fn name(self) -> &'static str {
-        match self {
-            EventKind::Arrival => "arrival",
-            EventKind::Admit => "admit",
-            EventKind::AdmitReject => "admit_reject",
-            EventKind::AdmitDegrade => "admit_degrade",
-            EventKind::Dispatch => "dispatch",
-            EventKind::Segment => "segment",
-            EventKind::Preemption => "preemption",
-            EventKind::Steal => "steal",
-            EventKind::MigrationOffer => "migration_offer",
-            EventKind::MigrationAccept => "migration_accept",
-            EventKind::MigrationReject => "migration_reject",
-            EventKind::SlackProjection => "slack_projection",
-            EventKind::Completion => "completion",
-            EventKind::NodeDown => "node_down",
-            EventKind::NodeUp => "node_up",
-            EventKind::Brownout => "brownout",
-            EventKind::Salvage => "salvage",
-            EventKind::Retry => "retry",
-            EventKind::Renege => "renege",
-            EventKind::Failed => "failed",
-            EventKind::TransferStall => "transfer_stall",
-        }
+        self.row().name
+    }
+
+    /// This kind's row of the event table.
+    pub(crate) fn row(self) -> &'static KindRow {
+        &KINDS[self as usize]
     }
 }
+
+/// How one [`EventKind`] is named and drawn: its row of [`KINDS`].
+pub(crate) struct KindRow {
+    /// Stable lower-snake name.
+    pub name: &'static str,
+    /// Title prefix of the kind's Perfetto instant.
+    pub title: &'static str,
+    /// Argument name the unsigned payload `a` is exported under.
+    pub a: Option<&'static str>,
+    /// Argument name the signed payload `b` is exported under.
+    pub b: Option<&'static str>,
+    /// Chrome-trace colour (`cname`) of the kind's instant.
+    pub cname: Option<&'static str>,
+}
+
+/// A [`KindRow`] from its table cells; an empty cell means the title is
+/// the name, the payload word is not exported, or the instant takes the
+/// track's colour.
+const fn row(
+    name: &'static str,
+    title: &'static str,
+    a: &'static str,
+    b: &'static str,
+    cname: &'static str,
+) -> KindRow {
+    const fn cell(s: &'static str) -> Option<&'static str> {
+        if s.is_empty() {
+            None
+        } else {
+            Some(s)
+        }
+    }
+    KindRow {
+        name,
+        title: if title.is_empty() { name } else { title },
+        a: cell(a),
+        b: cell(b),
+        cname: cell(cname),
+    }
+}
+
+/// Every kind's name, Perfetto title, exported argument names and
+/// colour, in discriminant order. The meaning of `a` and `b` is on the
+/// [`EventKind`] variants. Crashes and permanent failures are red
+/// ("terrible"), degradation yellow ("bad"), recoveries green ("good").
+#[rustfmt::skip]
+static KINDS: [KindRow; EventKind::COUNT] = [
+    //   name                title       a              b                 colour
+    row("arrival",          "",         "",            "slo_ns",         ""),
+    row("admit",            "",         "wait_ns",     "",               ""),
+    row("admit_reject",     "reject",   "wait_ns",     "",               ""),
+    row("admit_degrade",    "degrade",  "wait_ns",     "relaxed_slo_ns", ""),
+    row("dispatch",         "",         "queue_depth", "slack_ns",       ""),
+    row("segment",          "",         "",            "layers",         ""),
+    row("preemption",       "preempt",  "",            "overhead_ns",    ""),
+    row("steal",            "",         "victim_node", "fetch_ns",       ""),
+    row("migration_offer",  "offer",    "slack_ns",    "",               ""),
+    row("migration_accept", "migrate",  "to_node",     "fetch_ns",       ""),
+    row("migration_reject", "keep",     "",            "",               ""),
+    row("slack_projection", "",         "",            "",               ""),
+    row("completion",       "complete", "violated",    "slack_ns",       ""),
+    row("node_down",        "",         "salvaged",    "down_until_ns",  "terrible"),
+    row("node_up",          "",         "",            "",               "good"),
+    row("brownout",         "",         "factor_ppm",  "until_ns",       "bad"),
+    row("salvage",          "",         "retry_count", "lost_exec_ns",   "bad"),
+    row("retry",            "",         "from_node",   "fetch_ns",       "good"),
+    row("renege",           "",         "queued_ns",   "slack_ns",       "bad"),
+    row("failed",           "",         "retry_count", "",               "terrible"),
+    row("transfer_stall",   "",         "factor_ppm",  "until_ns",       "bad"),
+];
 
 /// One structured, sim-time-stamped observation.
 ///

@@ -279,8 +279,11 @@ fn us(t_ns: u64) -> Value {
     Value::Float(t_ns as f64 / 1000.0)
 }
 
-fn event_base(e: &TraceEvent, name: String) -> Vec<(&'static str, Value)> {
+/// The fields every per-event record starts with: phase, track,
+/// timestamp and name.
+fn event_base(ph: &str, e: &TraceEvent, name: String) -> Vec<(&'static str, Value)> {
     vec![
+        ("ph", Value::Str(ph.into())),
         ("pid", Value::UInt(1)),
         ("tid", Value::UInt(tid(e.node))),
         ("ts", us(e.t_ns)),
@@ -288,37 +291,52 @@ fn event_base(e: &TraceEvent, name: String) -> Vec<(&'static str, Value)> {
     ]
 }
 
-fn instant(e: &TraceEvent, name: String, args: Vec<(&str, Value)>) -> Value {
-    let mut fields = vec![("ph", Value::Str("i".into()))];
-    fields.extend(event_base(e, name));
+/// `e`'s payload words under its kind's argument names (a completion's
+/// `a` as a bool).
+fn args(e: &TraceEvent) -> Vec<(&'static str, Value)> {
+    let row = e.kind.row();
+    let a = match e.kind {
+        EventKind::Completion => Value::Bool(e.a == 1),
+        _ => Value::UInt(e.a),
+    };
+    [(row.a, a), (row.b, Value::Int(e.b))]
+        .into_iter()
+        .filter_map(|(key, value)| Some((key?, value)))
+        .collect()
+}
+
+/// The instant that draws `e`, in its kind's colour.
+fn instant(e: &TraceEvent, title: String) -> Value {
+    let mut fields = event_base("i", e, title);
     fields.push(("s", Value::Str("t".into())));
+    if let Some(cname) = e.kind.row().cname {
+        fields.push(("cname", Value::Str(cname.into())));
+    }
+    let args = args(e);
     if !args.is_empty() {
         fields.push(("args", obj(args)));
     }
     obj(fields)
 }
 
-/// An instant with an explicit Chrome-trace color (`cname`), used to
-/// make fault/recovery events pop on the track: crashes and permanent
-/// failures red ("terrible"), degradation yellow ("bad"), recoveries
-/// green ("good").
-fn instant_colored(e: &TraceEvent, name: String, cname: &str, args: Vec<(&str, Value)>) -> Value {
-    let mut fields = vec![("ph", Value::Str("i".into()))];
-    fields.extend(event_base(e, name));
-    fields.push(("s", Value::Str("t".into())));
-    fields.push(("cname", Value::Str(cname.into())));
-    if !args.is_empty() {
-        fields.push(("args", obj(args)));
-    }
-    obj(fields)
+/// One sample of the per-node counter track `{name} node{node}`.
+fn counter(e: &TraceEvent, name: &str, key: &str, value: Value) -> Value {
+    obj(vec![
+        ("ph", Value::Str("C".into())),
+        ("pid", Value::UInt(1)),
+        ("ts", us(e.t_ns)),
+        ("name", Value::Str(format!("{name} node{}", e.node))),
+        ("args", obj(vec![(key, value)])),
+    ])
 }
 
 /// Renders `events` as a Perfetto-loadable Chrome trace: one track
 /// (thread) per node plus a front-end track, one `X` slice per
-/// execution segment, instants for control-plane events, one flow
-/// (`s`/`f`) per completed request connecting dispatch to completion,
-/// and counter tracks for queue depth / backlog. Deterministic:
-/// identical inputs produce identical bytes.
+/// execution segment, one instant per control-plane event (drawn from
+/// its kind's row of the event table), one flow (`s`/`f`) per
+/// completed request connecting dispatch to completion, and counter
+/// tracks for queue depth / backlog. Deterministic: identical inputs
+/// produce identical bytes.
 ///
 /// `labels` is the interned label table (arrival `a` payloads index
 /// it); `node_names` maps node ids to display names.
@@ -341,229 +359,61 @@ pub fn perfetto_json(
         None => format!("r{req}"),
     };
 
-    let mut out: Vec<Value> = Vec::new();
     // Track metadata first: the front-end, then every named node.
-    out.push(obj(vec![
-        ("ph", Value::Str("M".into())),
-        ("pid", Value::UInt(1)),
-        ("tid", Value::UInt(0)),
-        ("name", Value::Str("thread_name".into())),
-        ("args", obj(vec![("name", Value::Str("frontend".into()))])),
-    ]));
-    for (node, name) in node_names {
-        out.push(obj(vec![
-            ("ph", Value::Str("M".into())),
-            ("pid", Value::UInt(1)),
-            ("tid", Value::UInt(tid(*node))),
-            ("name", Value::Str("thread_name".into())),
-            ("args", obj(vec![("name", Value::Str(name.clone()))])),
-        ]));
-    }
+    let mut out: Vec<Value> = std::iter::once((NODE_FRONTEND, "frontend"))
+        .chain(node_names.iter().map(|(node, name)| (*node, name.as_str())))
+        .map(|(node, name)| {
+            obj(vec![
+                ("ph", Value::Str("M".into())),
+                ("pid", Value::UInt(1)),
+                ("tid", Value::UInt(tid(node))),
+                ("name", Value::Str("thread_name".into())),
+                ("args", obj(vec![("name", Value::Str(name.into()))])),
+            ])
+        })
+        .collect();
 
     for e in events {
-        match e.kind {
-            EventKind::Arrival => {
-                out.push(instant(
-                    e,
-                    format!("arrival {}", slice_name(e.request)),
-                    vec![("slo_ns", Value::Int(e.b))],
-                ));
-            }
-            EventKind::Admit => {
-                out.push(instant(
-                    e,
-                    format!("admit r{}", e.request),
-                    vec![("wait_ns", Value::UInt(e.a))],
-                ));
-            }
-            EventKind::AdmitReject => {
-                out.push(instant(
-                    e,
-                    format!("reject r{}", e.request),
-                    vec![("wait_ns", Value::UInt(e.a))],
-                ));
-            }
-            EventKind::AdmitDegrade => {
-                out.push(instant(
-                    e,
-                    format!("degrade r{}", e.request),
-                    vec![
-                        ("wait_ns", Value::UInt(e.a)),
-                        ("relaxed_slo_ns", Value::Int(e.b)),
-                    ],
-                ));
-            }
-            EventKind::Dispatch => {
-                out.push(instant(
-                    e,
-                    format!("dispatch r{}", e.request),
-                    vec![
-                        ("queue_depth", Value::UInt(e.a)),
-                        ("slack_ns", Value::Int(e.b)),
-                    ],
-                ));
-                // Flow start: dispatch → completion arrow.
-                let mut fields = vec![("ph", Value::Str("s".into()))];
-                fields.extend(event_base(e, slice_name(e.request)));
-                fields.push(("cat", Value::Str("request".into())));
-                fields.push(("id", Value::UInt(e.request)));
-                out.push(obj(fields));
-                out.push(obj(vec![
-                    ("ph", Value::Str("C".into())),
-                    ("pid", Value::UInt(1)),
-                    ("ts", us(e.t_ns)),
-                    ("name", Value::Str(format!("queue_depth node{}", e.node))),
-                    ("args", obj(vec![("depth", Value::UInt(e.a))])),
-                ]));
-            }
+        let row = e.kind.row();
+        let title = match e.kind {
             EventKind::Segment => {
-                let mut fields = vec![("ph", Value::Str("X".into()))];
-                fields.extend(event_base(e, slice_name(e.request)));
-                fields.push((
-                    "dur",
-                    Value::Float(e.a.saturating_sub(e.t_ns) as f64 / 1000.0),
-                ));
-                fields.push(("args", obj(vec![("layers", Value::Int(e.b))])));
+                let mut fields = event_base("X", e, slice_name(e.request));
+                let dur = e.a.saturating_sub(e.t_ns) as f64 / 1000.0;
+                fields.push(("dur", Value::Float(dur)));
+                fields.push(("args", obj(args(e))));
                 out.push(obj(fields));
-            }
-            EventKind::Preemption => {
-                out.push(instant(
-                    e,
-                    format!("preempt r{} -> r{}", e.a, e.request),
-                    vec![("overhead_ns", Value::Int(e.b))],
-                ));
-            }
-            EventKind::Steal => {
-                out.push(instant(
-                    e,
-                    format!("steal r{}", e.request),
-                    vec![
-                        ("victim_node", Value::UInt(e.a)),
-                        ("fetch_ns", Value::Int(e.b)),
-                    ],
-                ));
-            }
-            EventKind::MigrationOffer => {
-                out.push(instant(
-                    e,
-                    format!("offer r{}", e.request),
-                    vec![("slack_ns", Value::UInt(e.a))],
-                ));
-            }
-            EventKind::MigrationAccept => {
-                out.push(instant(
-                    e,
-                    format!("migrate r{}", e.request),
-                    vec![("to_node", Value::UInt(e.a)), ("fetch_ns", Value::Int(e.b))],
-                ));
-            }
-            EventKind::MigrationReject => {
-                out.push(instant(e, format!("keep r{}", e.request), vec![]));
+                continue;
             }
             EventKind::SlackProjection => {
-                out.push(obj(vec![
-                    ("ph", Value::Str("C".into())),
-                    ("pid", Value::UInt(1)),
-                    ("ts", us(e.t_ns)),
-                    ("name", Value::Str(format!("queue_depth node{}", e.node))),
-                    ("args", obj(vec![("depth", Value::UInt(e.a))])),
-                ]));
-                out.push(obj(vec![
-                    ("ph", Value::Str("C".into())),
-                    ("pid", Value::UInt(1)),
-                    ("ts", us(e.t_ns)),
-                    ("name", Value::Str(format!("backlog_ms node{}", e.node))),
-                    ("args", obj(vec![("ms", Value::Float(e.b as f64 / 1e6))])),
-                ]));
+                out.push(counter(e, "queue_depth", "depth", Value::UInt(e.a)));
+                let ms = Value::Float(e.b as f64 / 1e6);
+                out.push(counter(e, "backlog_ms", "ms", ms));
+                continue;
+            }
+            EventKind::Arrival => format!("{} {}", row.title, slice_name(e.request)),
+            EventKind::Preemption => format!("{} r{} -> r{}", row.title, e.a, e.request),
+            _ if e.request == REQ_NONE => format!("{} n{}", row.title, e.node),
+            _ => format!("{} r{}", row.title, e.request),
+        };
+        out.push(instant(e, title));
+        // Flows: dispatch → completion arrow, one per request.
+        let flow = |ph| {
+            let mut fields = event_base(ph, e, slice_name(e.request));
+            fields.push(("cat", Value::Str("request".into())));
+            fields.push(("id", Value::UInt(e.request)));
+            fields
+        };
+        match e.kind {
+            EventKind::Dispatch => {
+                out.push(obj(flow("s")));
+                out.push(counter(e, "queue_depth", "depth", Value::UInt(e.a)));
             }
             EventKind::Completion => {
-                out.push(instant(
-                    e,
-                    format!("complete r{}", e.request),
-                    vec![
-                        ("violated", Value::Bool(e.a == 1)),
-                        ("slack_ns", Value::Int(e.b)),
-                    ],
-                ));
-                // Flow finish.
-                let mut fields = vec![("ph", Value::Str("f".into()))];
-                fields.extend(event_base(e, slice_name(e.request)));
-                fields.push(("cat", Value::Str("request".into())));
-                fields.push(("id", Value::UInt(e.request)));
+                let mut fields = flow("f");
                 fields.push(("bp", Value::Str("e".into())));
                 out.push(obj(fields));
             }
-            EventKind::NodeDown => {
-                out.push(instant_colored(
-                    e,
-                    format!("node_down n{}", e.node),
-                    "terrible",
-                    vec![
-                        ("salvaged", Value::UInt(e.a)),
-                        ("down_until_ns", Value::Int(e.b)),
-                    ],
-                ));
-            }
-            EventKind::NodeUp => {
-                out.push(instant_colored(
-                    e,
-                    format!("node_up n{}", e.node),
-                    "good",
-                    vec![],
-                ));
-            }
-            EventKind::Brownout | EventKind::TransferStall => {
-                out.push(instant_colored(
-                    e,
-                    format!("{} n{}", e.kind.name(), e.node),
-                    "bad",
-                    vec![
-                        ("factor_ppm", Value::UInt(e.a)),
-                        ("until_ns", Value::Int(e.b)),
-                    ],
-                ));
-            }
-            EventKind::Salvage => {
-                out.push(instant_colored(
-                    e,
-                    format!("salvage r{}", e.request),
-                    "bad",
-                    vec![
-                        ("retry_count", Value::UInt(e.a)),
-                        ("lost_exec_ns", Value::Int(e.b)),
-                    ],
-                ));
-            }
-            EventKind::Retry => {
-                out.push(instant_colored(
-                    e,
-                    format!("retry r{}", e.request),
-                    "good",
-                    vec![
-                        ("from_node", Value::UInt(e.a)),
-                        ("fetch_ns", Value::Int(e.b)),
-                    ],
-                ));
-            }
-            EventKind::Renege => {
-                out.push(instant_colored(
-                    e,
-                    format!("renege r{}", e.request),
-                    "bad",
-                    vec![
-                        ("queued_ns", Value::UInt(e.a)),
-                        ("slack_ns", Value::Int(e.b)),
-                    ],
-                ));
-            }
-            EventKind::Failed => {
-                out.push(instant_colored(
-                    e,
-                    format!("failed r{}", e.request),
-                    "terrible",
-                    vec![("retry_count", Value::UInt(e.a))],
-                ));
-            }
+            _ => {}
         }
     }
 
