@@ -202,7 +202,7 @@ static KINDS: [KindRow; EventKind::COUNT] = [
     row("segment",          "",         "",            "layers",         ""),
     row("preemption",       "preempt",  "",            "overhead_ns",    ""),
     row("steal",            "",         "victim_node", "fetch_ns",       ""),
-    row("migration_offer",  "offer",    "slack_ns",    "",               ""),
+    row("migration_offer",  "offer",    "migrations",  "",               ""),
     row("migration_accept", "migrate",  "to_node",     "fetch_ns",       ""),
     row("migration_reject", "keep",     "",            "",               ""),
     row("slack_projection", "",         "",            "",               ""),
