@@ -1,21 +1,24 @@
 //! CI smoke check for the tracing layer: runs a small traced serving
-//! scenario, validates the event stream, writes the Perfetto export to
-//! a file, reads it back, and asserts the JSON parses with well-formed
-//! per-request event sequences. Exits non-zero (with a human-readable
-//! reason) on any malformation, so a broken exporter fails the build
-//! rather than shipping an unopenable trace.
+//! scenario that fires every event kind, validates the event stream,
+//! writes the Perfetto export to a file, reads it back, and asserts the
+//! JSON parses with well-formed per-request event sequences. Exits
+//! non-zero (with a human-readable reason) on any malformation or on a
+//! kind the scenario never fired, so a broken exporter or a dropped
+//! emit site fails the build rather than shipping an unopenable trace.
 //!
 //! Usage: `trace_check [--trace PATH]` (default
 //! `target/trace_check.json`); any other argument prints a usage line
 //! and exits with status 2.
 
 use dysta::cluster::{
-    simulate_cluster_traced, ClusterBuilder, ClusterPolicy, DispatchPolicy, FrontendConfig,
+    balanced_mixed_serving_mix, simulate_cluster_traced, ClusterPolicy, DispatchPolicy,
+    FaultConfig, FaultSchedule, FrontendConfig, RecoveryConfig, SlackLoadShedding,
     TransferCostConfig,
 };
 use dysta::core::Policy;
-use dysta::obs::RingTracer;
-use dysta::workload::{Scenario, WorkloadBuilder};
+use dysta::obs::{EventKind, RingTracer};
+use dysta::workload::WorkloadBuilder;
+use dysta_bench::serving::capacity_het_pool;
 use dysta_bench::trace_arg;
 
 fn fail(msg: &str) -> ! {
@@ -26,21 +29,39 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let out = trace_arg("trace_check").unwrap_or_else(|| "target/trace_check.json".into());
 
-    // Small but eventful: a heterogeneous pool with the full serving
-    // front-end (batching, stealing, migration, costed transfers), so
-    // the trace exercises every event kind the exporters handle.
-    let workload = WorkloadBuilder::new(Scenario::MultiCnn)
+    // Small but eventful: mixed traffic at a tight SLO on the 2+2
+    // capacity-heterogeneous pool behind the costed serving front-end
+    // (batching, load shedding, stealing, migration), with crashes,
+    // a brown-out and a transfer stall, so every event kind fires.
+    let ms = 1_000_000;
+    let workload = WorkloadBuilder::from_mix(balanced_mixed_serving_mix())
         .arrival_rate(9.0)
-        .slo_multiplier(10.0)
-        .num_requests(60)
+        .slo_multiplier(4.0)
+        .num_requests(120)
         .samples_per_variant(8)
         .seed(7)
         .build();
-    let pool = ClusterBuilder::heterogeneous(1, 1, Policy::Dysta)
+    let schedule = FaultSchedule::new()
+        .transient_crash(0, 1_000 * ms, 1_600 * ms)
+        .transient_crash(0, 3_000 * ms, 3_500 * ms)
+        .crash(1, 2_000 * ms)
+        .crash(2, 2_600 * ms)
+        .brownout(2, 800 * ms, 2_000 * ms, 0.5)
+        .transfer_stall(3, 500 * ms, 3_000 * ms, 4.0);
+    let pool = capacity_het_pool(Policy::Dysta)
         .frontend(FrontendConfig::serving_costed())
         .transfer_cost(TransferCostConfig::default_costed())
+        .faults(FaultConfig {
+            schedule,
+            recovery: RecoveryConfig {
+                salvage: true,
+                max_retries: 1,
+                reneging: true,
+            },
+        })
         .build();
-    let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity);
+    let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::EarliestDeadlineFirst)
+        .with_admission(Box::new(SlackLoadShedding::new()));
     let tracer = RingTracer::new(1 << 16);
     let report = simulate_cluster_traced(&workload, &mut policy, &pool, &tracer);
 
@@ -49,6 +70,15 @@ fn main() {
     }
     if let Err(e) = tracer.validate() {
         fail(&format!("event stream malformed: {e}"));
+    }
+
+    let silent: Vec<&str> = EventKind::ALL
+        .into_iter()
+        .filter(|&kind| tracer.kind_count(kind) == 0)
+        .map(EventKind::name)
+        .collect();
+    if !silent.is_empty() {
+        fail(&format!("no {} event fired", silent.join(", no ")));
     }
 
     // Per-request timelines must be consistent with the report.
@@ -97,10 +127,12 @@ fn main() {
     }
 
     println!(
-        "trace_check: OK — {} events ({} requests, {} completed) exported to {} and re-parsed",
+        "trace_check: OK — {} events ({} requests, {} completed, all {} kinds) exported to {} \
+         and re-parsed",
         events.len(),
         timelines.len(),
         completed,
+        EventKind::COUNT,
         out.display(),
     );
 }
