@@ -2,8 +2,20 @@
 //! approaches on the multi-AttNN (30 samples/s) and multi-CNN
 //! (3 samples/s) workloads at SLO multiplier 10.
 
-use dysta_bench::paper::{table05_rows, title, OPERATING_POINTS};
+use dysta_bench::paper::{table05_rows, title, PolicyRow, OPERATING_POINTS};
 use dysta_bench::{banner, Scale};
+
+/// The policies (comma-separated, ties included) with the lowest
+/// `metric` among `rows`.
+fn lowest(rows: &[&PolicyRow], metric: fn(&PolicyRow) -> f64) -> String {
+    let min = rows.iter().map(|r| metric(r)).fold(f64::INFINITY, f64::min);
+    let best: Vec<&str> = rows
+        .iter()
+        .filter(|r| metric(r) == min)
+        .map(|r| r.policy.as_str())
+        .collect();
+    best.join(", ")
+}
 
 fn main() {
     banner("Table 5", "comparison of scheduling approaches");
@@ -39,7 +51,8 @@ fn main() {
             "{:<14} {:>8} {:>10} | {:>10} {:>12}",
             "policy", "ANTT", "viol [%]", "paper ANTT", "paper viol"
         );
-        for row in rows.iter().filter(|r| r.scenario == key) {
+        let here: Vec<&PolicyRow> = rows.iter().filter(|r| r.scenario == key).collect();
+        for row in &here {
             let reference = paper.iter().find(|(name, _, _)| *name == row.policy);
             let (pa, pv) = reference
                 .map(|&(_, a, v)| (a, v))
@@ -53,9 +66,11 @@ fn main() {
                 pv
             );
         }
+        println!("lowest ANTT: {}", lowest(&here, |r| r.antt));
+        println!(
+            "lowest violation rate: {}",
+            lowest(&here, |r| r.violation_rate)
+        );
         println!();
     }
-    println!("shape to preserve: Dysta best (or tied best) on BOTH metrics;");
-    println!("FCFS/SDRM3 far worse on both; SJF/PREMA ANTT-leaning; Planaria");
-    println!("violation-leaning with weak ANTT");
 }
