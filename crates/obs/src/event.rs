@@ -162,8 +162,8 @@ pub(crate) struct KindRow {
 }
 
 /// A [`KindRow`] from its table cells; an empty cell means the title is
-/// the name, the payload word is not exported, or the instant takes the
-/// track's colour.
+/// the name, the payload word is not exported, or the instant keeps the
+/// viewer's default colour.
 const fn row(
     name: &'static str,
     title: &'static str,

@@ -23,6 +23,17 @@
 //!   [`validate`] checks their well-formedness (used by tests and the
 //!   CI trace smoke check).
 //!
+//! # Adding an event kind
+//!
+//! A new kind touches: its [`EventKind`] variant (which documents what
+//! `a` and `b` mean), `COUNT` and `ALL`, its row in the event table in
+//! `event.rs` (name, Perfetto title, argument names, colour), its arm
+//! in [`timelines`], and its emit site. The Perfetto export draws it as
+//! a plain instant from its row; only a kind drawn as something else
+//! (a slice, a counter, a flow end) needs code in [`perfetto_json`].
+//! The `trace_every_kind` golden and the `trace_check` smoke binary
+//! both fail until the new kind is in their streams.
+//!
 //! # Examples
 //!
 //! ```
