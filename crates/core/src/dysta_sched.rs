@@ -2,47 +2,7 @@
 //! and the Oracle reference.
 
 use crate::scheduler::{lut_isolated_ns, pick_min_score, Scheduler, TaskQueue};
-use crate::{ModelInfoLut, SparseLatencyPredictor, TaskState};
-
-/// A flat ordered id→score map: sorted `Vec` + binary search instead of
-/// a `HashMap<u64, f64>`, so the lookup the static schedulers do per
-/// task per pick is a cache-friendly probe with no hashing, and the
-/// per-pick path never allocates (inserts happen at arrival only).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ScoreMap {
-    entries: Vec<(u64, f64)>,
-}
-
-impl ScoreMap {
-    /// Inserts or replaces the score for `id`.
-    pub fn insert(&mut self, id: u64, score: f64) {
-        match self.entries.binary_search_by_key(&id, |&(k, _)| k) {
-            Ok(i) => self.entries[i].1 = score,
-            Err(i) => self.entries.insert(i, (id, score)),
-        }
-    }
-
-    /// The score recorded for `id`, if any.
-    pub fn get(&self, id: u64) -> Option<f64> {
-        self.entries
-            .binary_search_by_key(&id, |&(k, _)| k)
-            .ok()
-            .map(|i| self.entries[i].1)
-    }
-
-    /// Removes the score for `id`, if present.
-    pub fn remove(&mut self, id: u64) {
-        if let Ok(i) = self.entries.binary_search_by_key(&id, |&(k, _)| k) {
-            self.entries.remove(i);
-        }
-    }
-
-    /// Number of recorded scores.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
+use crate::{ModelInfoLut, SparseLatencyPredictor};
 
 /// Hyperparameters of the Dysta scoring functions.
 ///
@@ -112,8 +72,14 @@ impl DystaConfig {
     }
 }
 
-/// The full Dysta scheduler: software static level + hardware dynamic
-/// level with the sparse latency predictor.
+/// The full Dysta scheduler: the dynamic level (Algorithm 2) with the
+/// sparse latency predictor.
+///
+/// In the paper, Algorithm 1's static score orders the software queue
+/// that feeds a bounded hardware FIFO. Here every queued task is visible
+/// to the dynamic level (FIFO depth is modelled by
+/// `dysta_hw::HardwareDystaScheduler`), so a static order would decide
+/// nothing and none is kept.
 ///
 /// # Examples
 ///
@@ -125,48 +91,23 @@ impl DystaConfig {
 pub struct DystaScheduler {
     config: DystaConfig,
     predictor: SparseLatencyPredictor,
-    static_scores: ScoreMap,
 }
 
 impl DystaScheduler {
     /// Creates the scheduler with explicit hyperparameters and predictor.
     pub fn new(config: DystaConfig, predictor: SparseLatencyPredictor) -> Self {
-        DystaScheduler {
-            config,
-            predictor,
-            static_scores: ScoreMap::default(),
-        }
+        DystaScheduler { config, predictor }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &DystaConfig {
         &self.config
     }
-
-    /// The static score assigned at arrival, if the task has arrived.
-    pub fn static_score(&self, task_id: u64) -> Option<f64> {
-        self.static_scores.get(task_id)
-    }
 }
 
 impl Scheduler for DystaScheduler {
     fn name(&self) -> &str {
         "dysta"
-    }
-
-    fn on_arrival(&mut self, task: &TaskState, lut: &ModelInfoLut, _now_ns: u64) {
-        // Algorithm 1: LUT lookup, pattern-aware latency estimate, score.
-        let lat = lut_isolated_ns(task, lut);
-        self.static_scores
-            .insert(task.id, self.config.static_score_ms(lat, task.slo_ns));
-    }
-
-    fn on_task_complete(&mut self, task: &TaskState, _now_ns: u64) {
-        self.static_scores.remove(task.id);
-    }
-
-    fn on_task_removed(&mut self, task: &TaskState, _now_ns: u64) {
-        self.static_scores.remove(task.id);
     }
 
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
@@ -193,16 +134,12 @@ impl Scheduler for DystaScheduler {
 #[derive(Debug, Clone, Default)]
 pub struct DystaStaticScheduler {
     config: DystaConfig,
-    static_scores: ScoreMap,
 }
 
 impl DystaStaticScheduler {
     /// Creates the ablated scheduler.
     pub fn new(config: DystaConfig) -> Self {
-        DystaStaticScheduler {
-            config,
-            static_scores: ScoreMap::default(),
-        }
+        DystaStaticScheduler { config }
     }
 }
 
@@ -211,22 +148,13 @@ impl Scheduler for DystaStaticScheduler {
         "dysta-static"
     }
 
-    fn on_arrival(&mut self, task: &TaskState, lut: &ModelInfoLut, _now_ns: u64) {
-        let lat = lut_isolated_ns(task, lut);
-        self.static_scores
-            .insert(task.id, self.config.static_score_ms(lat, task.slo_ns));
-    }
-
-    fn on_task_complete(&mut self, task: &TaskState, _now_ns: u64) {
-        self.static_scores.remove(task.id);
-    }
-
-    fn on_task_removed(&mut self, task: &TaskState, _now_ns: u64) {
-        self.static_scores.remove(task.id);
-    }
-
-    fn pick_next(&mut self, queue: TaskQueue<'_>, _lut: &ModelInfoLut, _now_ns: u64) -> usize {
-        pick_min_score(queue, |t| self.static_scores.get(t.id).unwrap_or(f64::MAX))
+    fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, _now_ns: u64) -> usize {
+        // Algorithm 1: the LUT's average latency and the SLO, both fixed
+        // at arrival, so the score needs no per-task state.
+        pick_min_score(queue, |t| {
+            self.config
+                .static_score_ms(lut_isolated_ns(t, lut), t.slo_ns)
+        })
     }
 }
 
@@ -267,7 +195,7 @@ impl Scheduler for OracleScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MonitoredLayer;
+    use crate::{MonitoredLayer, TaskState};
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
     use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
@@ -285,24 +213,6 @@ mod tests {
             true_remaining_ns: 30_000_000,
             ..TaskState::arrived(id, spec, variant, arrival, slo, 109)
         }
-    }
-
-    #[test]
-    fn score_map_inserts_replaces_and_removes() {
-        let mut m = ScoreMap::default();
-        assert_eq!(m.len(), 0);
-        for id in [5u64, 1, 9, 3] {
-            m.insert(id, id as f64);
-        }
-        assert_eq!(m.get(9), Some(9.0));
-        assert_eq!(m.get(2), None);
-        m.insert(9, -1.0);
-        assert_eq!(m.get(9), Some(-1.0));
-        assert_eq!(m.len(), 4, "replacement must not duplicate");
-        m.remove(9);
-        m.remove(42); // absent: no-op
-        assert_eq!(m.get(9), None);
-        assert_eq!(m.len(), 3);
     }
 
     #[test]
@@ -331,17 +241,6 @@ mod tests {
         let tight = cfg.dynamic_score_ms(10e6, 20_000_000, 0, 2, 0);
         let loose = cfg.dynamic_score_ms(10e6, 500_000_000, 0, 2, 0);
         assert!(tight < loose);
-    }
-
-    #[test]
-    fn arrival_registers_static_score() {
-        let (spec, lut) = setup();
-        let mut sched = DystaScheduler::default();
-        let t = mk(0, spec, &lut, 0, 400_000_000);
-        sched.on_arrival(&t, &lut, 0);
-        assert!(sched.static_score(0).is_some());
-        sched.on_task_complete(&t, 100);
-        assert!(sched.static_score(0).is_none());
     }
 
     #[test]
@@ -401,8 +300,6 @@ mod tests {
         let mut sched = DystaStaticScheduler::default();
         let a = mk(0, spec, &lut, 0, 200_000_000);
         let b = mk(1, spec, &lut, 0, 800_000_000);
-        sched.on_arrival(&a, &lut, 0);
-        sched.on_arrival(&b, &lut, 0);
         let queue = [a, b];
         // Tighter SLO -> smaller slack -> smaller static score -> first.
         assert_eq!(sched.pick_next(TaskQueue::dense(&queue), &lut, 0), 0);

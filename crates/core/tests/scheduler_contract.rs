@@ -110,6 +110,12 @@ proptest! {
             // the same task (no hidden nondeterminism).
             let b = sched.pick_next(queue, &lut, now);
             prop_assert_eq!(a, b, "{} unstable", policy);
+            // The Dysta family keeps no per-task state: a scheduler never
+            // shown an arrival picks what one shown every arrival picks.
+            if matches!(policy, Policy::Dysta | Policy::DystaStatic | Policy::Oracle) {
+                let c = policy.build().pick_next(queue, &lut, now);
+                prop_assert_eq!(a, c, "{} depends on on_arrival", policy);
+            }
         }
     }
 
