@@ -15,7 +15,10 @@
 //! The same context type feeds the steal and migration sides of the
 //! [`crate::ClusterPolicy`] family (see the `policy` module), so every
 //! cluster-level decision — routing, victim choice, migration acceptance
-//! — reads one coherent view of the pool.
+//! — reads one coherent view of the pool. A [`NodeView`] holds only what
+//! some shipped policy reads; a policy that needs another per-node
+//! summary adds the field together with its fold in the engine's view
+//! builder, which rebuilds a node's view whenever that node changed.
 
 use dysta_core::ModelInfoLut;
 use dysta_models::ModelFamily;
@@ -39,10 +42,11 @@ use crate::{AcceleratorKind, TransferCostConfig};
 /// estimate any dispatcher could precompute, while
 /// `predicted_backlog_ns` folds in the runtime sparsity monitor via the
 /// [`dysta_core::SparseLatencyPredictor`] — the cluster-level use of the
-/// paper's Algorithm 3. The deadline summaries
-/// (`earliest_deadline_ns` / `total_slack_ns`) expose the SLO pressure
-/// of the node's queue to deadline-aware policies such as
-/// [`EarliestDeadlineFirst`].
+/// paper's Algorithm 3. Deadline-aware policies such as
+/// [`EarliestDeadlineFirst`] project a request's slack from the
+/// backlog; steal and migration policies price individual moves
+/// ([`crate::StealCandidate::transfer_cost_ns`],
+/// [`DispatchContext::request_transfer_cost_ns`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeView {
     /// Node id (index into the cluster's node list).
@@ -62,31 +66,6 @@ pub struct NodeView {
     /// Remaining queued work estimated by the sparse latency predictor
     /// from each in-flight request's monitored sparsity stream.
     pub predicted_backlog_ns: f64,
-    /// Earliest absolute deadline among the node's unfinished
-    /// *deadlined* requests (`u64::MAX` when the node is drained or
-    /// holds only deadline-free requests). A request whose saturated
-    /// deadline equals `u64::MAX` means "no deadline" and is excluded
-    /// from both SLO-pressure summaries — consumers must treat the
-    /// sentinel as "no pressure", never do arithmetic on it.
-    pub earliest_deadline_ns: u64,
-    /// Sum over unfinished *deadlined* requests of
-    /// `deadline − now − est_remaining` (LUT estimate, node-scaled):
-    /// how much SLO headroom the queue has in aggregate. Negative when
-    /// the queue is already overcommitted. Deadline-free requests
-    /// contribute nothing (folding their `u64::MAX` sentinel in would
-    /// swamp every real deadline with ~1.8e19 of phantom headroom).
-    pub total_slack_ns: f64,
-    /// Estimated weight/activation re-fetch cost of moving this node's
-    /// average queued request to a peer (0 when the queue is empty or
-    /// transfers are free) — the per-node aggregate price signal of the
-    /// pool's [`TransferCostConfig`], for custom policies that weigh
-    /// rebalance pressure at dispatch time. The shipped steal/migration
-    /// policies price individual moves instead, via
-    /// [`crate::StealCandidate::transfer_cost_ns`] and
-    /// [`DispatchContext::request_transfer_cost_ns`].
-    pub transfer_cost_ns: u64,
-    /// Service time the node has executed so far.
-    pub busy_ns: u64,
     /// Liveness as injected by the pool's [`crate::FaultSchedule`]:
     /// `Up` in a fault-free run, `Down` while crashed (accepts no
     /// work), `Degraded` during a brown-out window (carrying the
@@ -532,10 +511,6 @@ mod tests {
             queue_len: 0,
             lut_backlog_ns: lut,
             predicted_backlog_ns: predicted,
-            earliest_deadline_ns: u64::MAX,
-            total_slack_ns: 0.0,
-            transfer_cost_ns: 0,
-            busy_ns: 0,
             health: crate::NodeHealth::Up,
         }
     }

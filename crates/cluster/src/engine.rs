@@ -1024,42 +1024,15 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     /// node's queue, so estimates are bit-stable), reading nothing but
     /// this node's state, its config, and its front-end health.
     fn view_of(&self, i: usize) -> NodeView {
-        let free_transfers = self.config.transfer_cost.is_free();
         let node = &self.nodes[i];
         let nc = &self.config.nodes[i];
         let mut lut_backlog_ns = 0.0;
         let mut predicted_backlog_ns = 0.0;
-        let mut earliest_deadline_ns = u64::MAX;
-        let mut total_slack_ns = 0.0;
-        let mut cost_sum_ns = 0.0;
-        let mut movable = 0usize;
         for (task, scale) in node.queued_tasks() {
             let info = self.lut.info(task.variant);
-            let lut_remaining = info.avg_remaining_ns(task.next_layer) * scale;
-            lut_backlog_ns += lut_remaining;
+            lut_backlog_ns += info.avg_remaining_ns(task.next_layer) * scale;
             predicted_backlog_ns += self.predictor.remaining_ns(task, info) * scale;
-            // A saturated deadline means "no deadline": such a
-            // request must not enter the SLO-pressure summaries
-            // — folding the u64::MAX sentinel into the slack
-            // sum would swamp every real deadline with ~1.8e19
-            // of phantom headroom.
-            let deadline = task.arrival_ns.saturating_add(task.slo_ns);
-            if deadline < u64::MAX {
-                earliest_deadline_ns = earliest_deadline_ns.min(deadline);
-                total_slack_ns += deadline as f64 - node.now_ns() as f64 - lut_remaining;
-            }
-            // Only unstarted requests can ever move, so only
-            // they enter the node's price signal.
-            if !free_transfers && !task.started() {
-                cost_sum_ns += self.config.transfer_cost.estimate_ns(info.avg_latency_ns()) as f64;
-                movable += 1;
-            }
         }
-        let transfer_cost_ns = if movable == 0 {
-            0
-        } else {
-            (cost_sum_ns / movable as f64).round() as u64
-        };
         NodeView {
             id: node.id(),
             accelerator: nc.accelerator,
@@ -1068,10 +1041,6 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             queue_len: node.queue_len(),
             lut_backlog_ns,
             predicted_backlog_ns,
-            earliest_deadline_ns,
-            total_slack_ns,
-            transfer_cost_ns,
-            busy_ns: node.busy_ns(),
             health: self.ledger[i].health.as_node_health(nc.capacity),
         }
     }
@@ -1099,6 +1068,19 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                 *view = self.view_of(i);
                 self.view_epoch[i] = epoch;
             }
+        }
+        // A mutation that skips its epoch bump leaves a stale view that
+        // the goldens may not exercise; debug builds catch it here.
+        #[cfg(debug_assertions)]
+        for (i, view) in views.iter().enumerate() {
+            let fresh = self.view_of(i);
+            let bits = |v: &NodeView| {
+                [v.capacity, v.lut_backlog_ns, v.predicted_backlog_ns].map(f64::to_bits)
+            };
+            assert!(
+                *view == fresh && bits(view) == bits(&fresh),
+                "stale cached view of node {i}: cached {view:?}, rebuilt {fresh:?}"
+            );
         }
     }
 

@@ -485,10 +485,6 @@ mod tests {
             queue_len: 0,
             lut_backlog_ns: backlog,
             predicted_backlog_ns: backlog,
-            earliest_deadline_ns: u64::MAX,
-            total_slack_ns: 0.0,
-            transfer_cost_ns: 0,
-            busy_ns: 0,
             health: crate::NodeHealth::Up,
         }
     }
