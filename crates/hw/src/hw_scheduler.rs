@@ -1,5 +1,5 @@
 //! The hardware Dysta scheduler: Algorithm 2 executed through the FP16
-//! datapath and bounded FIFOs.
+//! datapath, behind a FIFO modelled by its depth.
 
 use dysta_core::{DystaConfig, ModelInfoLut, Scheduler, TaskQueue, TaskState};
 

@@ -9,13 +9,14 @@
 //!
 //! * [`fp16`] — IEEE 754 binary16 software emulation with round-to-nearest,
 //!   used to verify that FP16 arithmetic preserves scheduling decisions.
-//! * [`Fifo`] — the bounded tag/score queues (configurable depth, the
-//!   paper evaluates 64 and 512).
 //! * [`ComputeUnit`] — the shared reconfigurable datapath with its two
 //!   configurations (coefficient / score) and cycle accounting.
 //! * [`HardwareDystaScheduler`] — a [`dysta_core::Scheduler`] that runs
-//!   Dysta's dynamic level through the FP16 datapath and bounded FIFOs,
-//!   demonstrating functional equivalence with the software scheduler.
+//!   Dysta's dynamic level through the FP16 datapath, demonstrating
+//!   functional equivalence with the software scheduler. The request
+//!   FIFO's depth (the paper evaluates 64 and 512) is modelled as its
+//!   visibility window: each pick scores only the `fifo_depth` earliest
+//!   arrivals.
 //! * [`resources`] — component-level LUT/FF/DSP/BRAM costs for the three
 //!   design points of Figure 16 (`Non_Opt_FP32`, `Opt_FP32`, `Opt_FP16`)
 //!   and the Table 6 overhead comparison against Eyeriss-V2.
@@ -36,12 +37,10 @@
 #![warn(missing_docs)]
 
 mod compute_unit;
-mod fifo;
 pub mod fp16;
 mod hw_scheduler;
 pub mod resources;
 
 pub use compute_unit::{ComputeUnit, UnitMode};
-pub use fifo::{Fifo, FifoError};
 pub use fp16::F16;
 pub use hw_scheduler::HardwareDystaScheduler;

@@ -1,8 +1,8 @@
-//! Property-based tests on the FP16 emulation and hardware structures.
+//! Property-based tests on the FP16 emulation.
 
 use proptest::prelude::*;
 
-use dysta_hw::{fp16::EPSILON_REL, Fifo, F16};
+use dysta_hw::{fp16::EPSILON_REL, F16};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -46,40 +46,5 @@ proptest! {
     fn multiplication_by_one_is_identity(a in -60000.0f64..60000.0) {
         let x = F16::from_f64(a);
         prop_assert_eq!(x * F16::ONE, x);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The bounded FIFO behaves exactly like a capacity-checked VecDeque.
-    #[test]
-    fn fifo_matches_reference_model(
-        depth in 1usize..16,
-        ops in prop::collection::vec(0u8..3, 0..64),
-    ) {
-        let mut fifo: Fifo<u8> = Fifo::new(depth);
-        let mut reference: std::collections::VecDeque<u8> =
-            std::collections::VecDeque::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                0 => {
-                    let item = i as u8;
-                    let ok = fifo.push(item).is_ok();
-                    if reference.len() < depth {
-                        reference.push_back(item);
-                        prop_assert!(ok);
-                    } else {
-                        prop_assert!(!ok);
-                    }
-                }
-                1 => prop_assert_eq!(fifo.pop(), reference.pop_front()),
-                _ => {
-                    prop_assert_eq!(fifo.len(), reference.len());
-                    prop_assert_eq!(fifo.is_empty(), reference.is_empty());
-                    prop_assert_eq!(fifo.is_full(), reference.len() == depth);
-                }
-            }
-        }
     }
 }
