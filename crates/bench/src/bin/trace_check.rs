@@ -1,7 +1,8 @@
 //! CI smoke check for the tracing layer: runs a small traced serving
 //! scenario that fires every event kind, validates the event stream,
 //! writes the Perfetto export to a file, reads it back, and asserts the
-//! JSON parses with well-formed per-request event sequences. Exits
+//! JSON parses with well-formed per-request event sequences and a
+//! closed dispatch flow for every request. Exits
 //! non-zero (with a human-readable reason) on any malformation or on a
 //! kind the scenario never fired, so a broken exporter or a dropped
 //! emit site fails the build rather than shipping an unopenable trace.
@@ -119,11 +120,21 @@ fn main() {
     if events.is_empty() {
         fail("export holds no events");
     }
-    // Every Chrome-trace record needs a phase and a pid.
+    // Every Chrome-trace record needs a phase and a pid, and every
+    // request's dispatch flow must end (completion, renege or failure).
+    let (mut starts, mut ends) = (0usize, 0usize);
     for e in events {
-        if e.field("ph").is_err() || e.field("pid").is_err() {
-            fail("trace event missing required ph/pid fields");
+        match (e.field("ph"), e.field("pid")) {
+            (Ok(serde::Value::Str(ph)), Ok(_)) if ph == "s" => starts += 1,
+            (Ok(serde::Value::Str(ph)), Ok(_)) if ph == "f" => ends += 1,
+            (Ok(_), Ok(_)) => {}
+            _ => fail("trace event missing required ph/pid fields"),
         }
+    }
+    if starts != ends {
+        fail(&format!(
+            "{starts} flow starts but {ends} flow ends: a request's flow dangles"
+        ));
     }
 
     println!(

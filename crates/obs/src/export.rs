@@ -6,7 +6,7 @@
 //! optional: identical runs must serialize byte-identically (pinned by
 //! the golden fixture and the determinism test).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::Value;
 
@@ -334,7 +334,8 @@ fn counter(e: &TraceEvent, name: &str, key: &str, value: Value) -> Value {
 /// (thread) per node plus a front-end track, one `X` slice per
 /// execution segment, one instant per control-plane event (drawn from
 /// its kind's row of the event table), one flow (`s`/`f`) per
-/// completed request connecting dispatch to completion, and counter
+/// dispatched request connecting dispatch to its completion, renege or
+/// failure, and counter
 /// tracks for queue depth / backlog. Deterministic: identical inputs
 /// produce identical bytes.
 ///
@@ -373,6 +374,8 @@ pub fn perfetto_json(
         })
         .collect();
 
+    // Requests whose dispatch → end flow is still open.
+    let mut open_flows: BTreeSet<u64> = BTreeSet::new();
     for e in events {
         let row = e.kind.row();
         let title = match e.kind {
@@ -396,7 +399,7 @@ pub fn perfetto_json(
             _ => format!("{} r{}", row.title, e.request),
         };
         out.push(instant(e, title));
-        // Flows: dispatch → completion arrow, one per request.
+        // Flows: one arrow per request, from dispatch to its end.
         let flow = |ph| {
             let mut fields = event_base(ph, e, slice_name(e.request));
             fields.push(("cat", Value::Str("request".into())));
@@ -405,10 +408,16 @@ pub fn perfetto_json(
         };
         match e.kind {
             EventKind::Dispatch => {
+                open_flows.insert(e.request);
                 out.push(obj(flow("s")));
                 out.push(counter(e, "queue_depth", "depth", Value::UInt(e.a)));
             }
-            EventKind::Completion => {
+            // A completion always ends its flow; a renege or a failure
+            // ends one only if the request was dispatched (a request
+            // failed at the door never was).
+            EventKind::Completion | EventKind::Renege | EventKind::Failed
+                if open_flows.remove(&e.request) || e.kind == EventKind::Completion =>
+            {
                 let mut fields = flow("f");
                 fields.push(("bp", Value::Str("e".into())));
                 out.push(obj(fields));

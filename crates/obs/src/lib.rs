@@ -18,7 +18,8 @@
 //!   them by kind ([`RingTracer::kind_count`]).
 //! - Exporters: [`perfetto_json`] renders a run as a Chrome trace
 //!   loadable in [ui.perfetto.dev](https://ui.perfetto.dev) (one track
-//!   per node, one flow per request); [`timelines`] folds the stream
+//!   per node, one flow per dispatched request, ended by its
+//!   completion, renege or failure); [`timelines`] folds the stream
 //!   into compact per-request [`RequestTimeline`] summaries and
 //!   [`validate`] checks their well-formedness (used by tests and the
 //!   CI trace smoke check).
