@@ -335,9 +335,8 @@ fn counter(e: &TraceEvent, name: &str, key: &str, value: Value) -> Value {
 /// execution segment, one instant per control-plane event (drawn from
 /// its kind's row of the event table), one flow (`s`/`f`) per
 /// dispatched request connecting dispatch to its completion, renege or
-/// failure, and counter
-/// tracks for queue depth / backlog. Deterministic: identical inputs
-/// produce identical bytes.
+/// failure, and counter tracks for queue depth / backlog.
+/// Deterministic: identical inputs produce identical bytes.
 ///
 /// `labels` is the interned label table (arrival `a` payloads index
 /// it); `node_names` maps node ids to display names.
