@@ -28,6 +28,10 @@ impl Scheduler for Fcfs {
         "fcfs"
     }
 
+    fn pick_is_pure(&self) -> bool {
+        true
+    }
+
     fn pick_next(&mut self, queue: TaskQueue<'_>, _lut: &ModelInfoLut, _now_ns: u64) -> usize {
         queue
             .iter()

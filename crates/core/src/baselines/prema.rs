@@ -19,6 +19,11 @@ use crate::{ModelInfoLut, TaskState};
 /// token), and when no task reaches the threshold
 /// the whole queue is eligible (pure SJF until aging kicks in).
 ///
+/// Aging happens inside [`Scheduler::pick_next`], which also records the
+/// running task, so a skipped pick would change later tokens: PREMA
+/// keeps the default [`Scheduler::pick_is_pure`] (`false`) and is asked
+/// even when one task is runnable.
+///
 /// # Examples
 ///
 /// ```

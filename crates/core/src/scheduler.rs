@@ -81,11 +81,15 @@ impl<'a> TaskQueue<'a> {
 
 /// A multi-DNN scheduling policy.
 ///
-/// The engine invokes the scheduler at every scheduling point — request
-/// arrival while idle, and each layer(-block) completion — exactly the
-/// preemptive layer-granularity model of the paper's Algorithm 2. The
-/// engine owns task state; schedulers keep whatever per-task bookkeeping
-/// they need internally (keyed by `TaskState::id`).
+/// The engine takes a scheduling decision at every scheduling point —
+/// request arrival while idle, and each layer(-block) completion —
+/// exactly the preemptive layer-granularity model of the paper's
+/// Algorithm 2. It asks the scheduler whenever two or more tasks are
+/// runnable; with one runnable task it skips [`Scheduler::pick_next`]
+/// and takes position 0 if the scheduler declares
+/// [`Scheduler::pick_is_pure`], and asks as usual otherwise. The
+/// engine owns task state; schedulers keep whatever per-task
+/// bookkeeping they need internally (keyed by `TaskState::id`).
 ///
 /// Implementations must keep the steady-state `pick_next` path
 /// allocation-free and evaluate each task's score exactly once per
@@ -136,6 +140,21 @@ pub trait Scheduler {
     /// Implementations may panic if `queue` is empty; the engine never
     /// calls with an empty queue.
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize;
+
+    /// True when [`Scheduler::pick_next`] is side-effect free: a call
+    /// leaves no observable state in `self`, so skipping one changes no
+    /// later decision and nothing the scheduler reports. The answer must
+    /// be constant for the scheduler's lifetime (the engine reads it
+    /// once, at construction).
+    ///
+    /// A pure scheduler is not asked to pick from a single runnable
+    /// task: the engine takes position 0 without calling it. The default
+    /// is `false`, which is always safe; a scheduler whose pick ages,
+    /// caches or counts anything (PREMA's tokens, a hardware model's
+    /// cycle counter) must keep it.
+    fn pick_is_pure(&self) -> bool {
+        false
+    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for &mut S {
@@ -162,6 +181,10 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
         (**self).pick_next(queue, lut, now_ns)
     }
+
+    fn pick_is_pure(&self) -> bool {
+        (**self).pick_is_pure()
+    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
@@ -187,6 +210,10 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
         (**self).pick_next(queue, lut, now_ns)
+    }
+
+    fn pick_is_pure(&self) -> bool {
+        (**self).pick_is_pure()
     }
 }
 

@@ -6,7 +6,8 @@ use std::cell::Cell;
 use proptest::prelude::*;
 
 use dysta_core::{
-    pick_max_score, pick_min_score, ModelInfoLut, MonitoredLayer, Policy, TaskQueue, TaskState,
+    pick_max_score, pick_min_score, ModelInfoLut, MonitoredLayer, Policy, Scheduler, TaskQueue,
+    TaskState,
 };
 use dysta_models::ModelId;
 use dysta_sparsity::SparsityPattern;
@@ -158,6 +159,101 @@ proptest! {
             let via_dense = sched_b.pick_next(TaskQueue::dense(&subset), &lut, now);
             prop_assert_eq!(via_index, via_dense, "{} disagrees across representations", policy);
         }
+    }
+}
+
+/// One decision of a purity run: how far the clock moves before it, the
+/// sub-queue it picks from, and the sub-queues of the extra picks made
+/// on the way (as bit masks over the task list; see [`sub_queue`]).
+type Step = (u64, (u64, u64), Vec<(u64, u64)>);
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let sub = || (0u64..3, 0u64..4096);
+    (0u64..20_000_000, sub(), prop::collection::vec(sub(), 0..3))
+}
+
+/// The task positions a `(kind, mask)` pair selects from `n` tasks:
+/// kind 0 is the singleton `mask % n`, any other kind the tasks whose
+/// bit is set in `mask` (the singleton again if none is).
+fn sub_queue((kind, mask): (u64, u64), n: usize) -> Vec<usize> {
+    let single = vec![(mask % n as u64) as usize];
+    if kind == 0 {
+        return single;
+    }
+    let set: Vec<usize> = (0..n).filter(|&i| mask >> i & 1 == 1).collect();
+    if set.is_empty() {
+        single
+    } else {
+        set
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A scheduler that declares its pick pure may be skipped: extra
+    /// `pick_next` calls between decisions, on any sub-queue (single
+    /// tasks included, which is what the engine skips), never change a
+    /// later decision compared with a twin that made none.
+    #[test]
+    fn pure_picks_leave_no_state_behind(
+        params in prop::collection::vec(task_strategy(), 1..12),
+        steps in prop::collection::vec(step_strategy(), 1..16),
+    ) {
+        // Arrivals within 50 ms of the first decision and steps of at
+        // most 20 ms, against isolated latencies of 17-74 ms: PREMA's
+        // tokens then cross their threshold during the run, where an
+        // impure pick shows. (With arrivals spread over 1 s every token
+        // is past the threshold at the first decision, and PREMA's
+        // extra picks go unseen.)
+        const WINDOW_NS: u64 = 50_000_000;
+        let params: Vec<TaskParams> = params
+            .iter()
+            .map(|p| TaskParams { arrival_ns: p.arrival_ns % WINDOW_NS, ..p.clone() })
+            .collect();
+        let (specs, lut) = build_lut();
+        let tasks = materialize(&params, &specs, &lut);
+        for policy in Policy::ALL {
+            let mut probed = policy.build();
+            if !probed.pick_is_pure() {
+                continue;
+            }
+            let mut twin = policy.build();
+            for t in &tasks {
+                probed.on_arrival(t, &lut, t.arrival_ns);
+                twin.on_arrival(t, &lut, t.arrival_ns);
+            }
+            let mut now = WINDOW_NS;
+            for (dt, decide, extras) in &steps {
+                for (k, extra) in extras.iter().enumerate() {
+                    let active = sub_queue(*extra, tasks.len());
+                    let t = now + dt * (k as u64 + 1) / (extras.len() as u64 + 1);
+                    probed.pick_next(TaskQueue::indexed(&tasks, &active), &lut, t);
+                }
+                now += dt;
+                let active = sub_queue(*decide, tasks.len());
+                let queue = TaskQueue::indexed(&tasks, &active);
+                let a = probed.pick_next(queue, &lut, now);
+                let b = twin.pick_next(queue, &lut, now);
+                prop_assert_eq!(a, b, "{}: extra picks changed a decision", policy);
+            }
+        }
+    }
+}
+
+/// Exactly the policies whose pick keeps no state opt in to the forced
+/// pick, and both forwarding impls (`&mut S`, `Box<S>`) pass the flag
+/// through; PREMA, whose pick ages tokens, stays out.
+#[test]
+fn pure_pick_opt_ins_are_pinned() {
+    fn via<S: Scheduler>(sched: S) -> bool {
+        sched.pick_is_pure()
+    }
+    for policy in Policy::ALL {
+        let mut sched = policy.build();
+        let expect = policy != Policy::Prema;
+        assert_eq!(via(&mut sched), expect, "{policy} through &mut");
+        assert_eq!(via(sched), expect, "{policy} through Box");
     }
 }
 

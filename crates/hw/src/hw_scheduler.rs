@@ -30,6 +30,12 @@ const SLACK_CLAMP_MS: f64 = 60_000.0;
 /// preserves scheduling quality: on the benchmark workloads its decisions
 /// track the f64 software scheduler's.
 ///
+/// Every pick advances the datapath's cycle counter, which
+/// [`HardwareDystaScheduler::compute_cycles`] reports for the overhead
+/// analysis. A skipped pick would change that count, so this scheduler
+/// keeps the default [`Scheduler::pick_is_pure`] (`false`) and is asked
+/// even when one task is runnable, as the hardware would be.
+///
 /// # Examples
 ///
 /// ```
@@ -249,5 +255,15 @@ mod tests {
         assert!(after_one > 0);
         hw.pick_next(TaskQueue::dense(&queue), &lut, 200);
         assert!(hw.compute_cycles() > after_one);
+    }
+
+    #[test]
+    fn single_task_picks_cost_cycles_so_the_pick_is_not_pure() {
+        let (spec, lut) = setup();
+        let queue = [mk(0, spec, &lut, 0)];
+        let mut hw = HardwareDystaScheduler::new(DystaConfig::default(), 64);
+        assert!(!hw.pick_is_pure(), "a skipped pick would lose its cycles");
+        assert_eq!(hw.pick_next(TaskQueue::dense(&queue), &lut, 100), 0);
+        assert!(hw.compute_cycles() > 0);
     }
 }

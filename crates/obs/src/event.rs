@@ -256,7 +256,9 @@ impl TraceEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Scheduler `pick_next` calls.
+    /// Scheduler `pick_next` calls. A forced decision (one runnable
+    /// task, a side-effect-free scheduler) makes no call and is not
+    /// timed.
     Pick = 0,
     /// Quantum execution (layer replay + bookkeeping).
     Execute = 1,

@@ -4,8 +4,11 @@
 //! The engine models the paper's execution substrate: a single
 //! time-shared accelerator (NPU) that executes one layer(-block) at a
 //! time. At every layer completion — and at arrival when idle — the
-//! scheduler is consulted for the next request to run, which is exactly
-//! the preemption granularity of the paper's Algorithm 2. Layer latencies
+//! engine decides which request runs next, which is exactly the
+//! preemption granularity of the paper's Algorithm 2. The scheduler
+//! makes that decision whenever two or more requests are runnable; with
+//! one, a scheduler whose pick is side-effect free
+//! ([`dysta_core::Scheduler::pick_is_pure`]) is not asked. Layer latencies
 //! are replayed from the Phase-1 traces, so all schedulers see identical
 //! work and differ only in ordering decisions.
 //!

@@ -155,6 +155,9 @@ pub struct NodeEngine<'w, S = Box<dyn Scheduler>, T = NullTracer> {
     last_ran: Option<u64>,
     preemptions: u64,
     invocations: u64,
+    /// The scheduler's [`Scheduler::pick_is_pure`], read once: a pure
+    /// scheduler is not asked to pick from a single runnable task.
+    pure_pick: bool,
     busy_ns: u64,
     completed: Vec<CompletedRequest>,
 }
@@ -186,6 +189,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         tracer: T,
     ) -> Self {
         assert!(config.layers_per_block > 0, "block must contain layers");
+        let pure_pick = scheduler.pick_is_pure();
         NodeEngine {
             id,
             scheduler,
@@ -204,6 +208,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             last_ran: None,
             preemptions: 0,
             invocations: 0,
+            pure_pick,
             busy_ns: 0,
             completed: Vec::new(),
         }
@@ -575,29 +580,45 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         while self.step() {}
     }
 
-    /// One scheduling quantum: consult the scheduler, pay the context
+    /// One scheduling quantum: decide which task runs, pay the context
     /// switch if execution moves between requests, execute up to
     /// `layers_per_block` consecutive layers of the choice, and retire
     /// it when it finishes.
+    ///
+    /// The decision is forced when one task is runnable and the
+    /// scheduler's pick is pure ([`Scheduler::pick_is_pure`]): the
+    /// engine takes position 0 without calling
+    /// [`Scheduler::pick_next`]. Otherwise the scheduler is asked. Both
+    /// count as one scheduler invocation; [`Phase::Pick`] times only the
+    /// calls.
     ///
     /// # Panics
     ///
     /// Panics if no task is runnable (callers admit first) or the
     /// scheduler returns an out-of-range index.
     fn execute_quantum(&mut self) {
-        // The scheduler reads the task arena through the live indices
-        // directly — no per-quantum `Vec<&TaskState>` materialisation.
         self.mutation_epoch += 1;
-        let queue = TaskQueue::indexed(&self.tasks, &self.active);
-        debug_assert!(!queue.is_empty(), "execute_quantum needs a runnable task");
+        debug_assert!(
+            !self.active.is_empty(),
+            "execute_quantum needs a runnable task"
+        );
         self.invocations += 1;
         let profiling = self.tracer.profiling();
-        let pick_t0 = profiling.then(std::time::Instant::now);
-        let pick = self.scheduler.pick_next(queue, &self.lut, self.now_ns);
-        if let Some(t0) = pick_t0 {
-            self.tracer
-                .phase_ns(Phase::Pick, t0.elapsed().as_nanos() as u64);
-        }
+        let pick = if self.active.len() == 1 && self.pure_pick {
+            0
+        } else {
+            // The scheduler reads the task arena through the live
+            // indices directly — no per-quantum `Vec<&TaskState>`
+            // materialisation.
+            let queue = TaskQueue::indexed(&self.tasks, &self.active);
+            let pick_t0 = profiling.then(std::time::Instant::now);
+            let pick = self.scheduler.pick_next(queue, &self.lut, self.now_ns);
+            if let Some(t0) = pick_t0 {
+                self.tracer
+                    .phase_ns(Phase::Pick, t0.elapsed().as_nanos() as u64);
+            }
+            pick
+        };
         assert!(
             pick < self.active.len(),
             "scheduler returned out-of-range index"

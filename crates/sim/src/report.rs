@@ -168,7 +168,9 @@ impl SimReport {
         self.preemptions
     }
 
-    /// Number of scheduling decisions taken (one per executed layer).
+    /// Number of scheduling decisions taken (one per executed quantum),
+    /// including the forced ones the engine took without calling a pure
+    /// scheduler (see [`dysta_core::Scheduler::pick_is_pure`]).
     pub fn scheduler_invocations(&self) -> u64 {
         self.scheduler_invocations
     }
