@@ -732,6 +732,24 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         }
         let nodes = &self.nodes;
         self.live.retain(|&id| !nodes[id].is_drained());
+        // Debug builds check the live set and the completion cursors
+        // against a walk over every node: a node handed work without
+        // `mark_live` would never advance, and a cursor behind its node
+        // would keep finished requests in the live-request table.
+        #[cfg(debug_assertions)]
+        {
+            let busy: Vec<usize> = (0..self.nodes.len())
+                .filter(|&id| !self.nodes[id].is_drained())
+                .collect();
+            assert_eq!(self.live, busy, "live set is not the busy nodes");
+            for (id, node) in self.nodes.iter().enumerate() {
+                assert_eq!(
+                    self.ledger[id].completed_seen,
+                    node.completed_count(),
+                    "node {id}'s completion cursor is stale"
+                );
+            }
+        }
     }
 
     /// Lands `transfer`, withdrawn from `src`, on `dst` at sim-time `t`
