@@ -3,7 +3,7 @@
 //! byte-identical JSON at any thread count.
 //!
 //! `--json <path>` writes the rows as JSON — the CI sweep-smoke step
-//! runs the quick grid at 1 and 4 threads and diffs the two files.
+//! runs the quick grid at 1, 3 and 4 threads and diffs the files.
 //! `DYSTA_QUICK=1` shrinks the grid the same way it shrinks every other
 //! experiment binary.
 

@@ -4,12 +4,15 @@
 //! Every experiment figure in the paper reduces to a grid of
 //! independent cluster runs — the same pool replayed across seeds,
 //! dispatch policies, traffic scenarios, and SLO tightness. Each cell
-//! is one [`crate::simulate_cluster_stream`] run sharing nothing with
-//! its neighbours, so the grid is the natural parallel axis: threads
+//! is one [`crate::simulate_cluster_stream`] run with its own stream
+//! and node engines, so the grid is the natural parallel axis: threads
 //! claim cells from a shared cursor and store each row in the slot of
 //! its cell index, so the output `Vec<SweepRow>` — and therefore
 //! [`SweepGrid::rows_to_json`] — is byte-identical regardless of the
-//! thread count.
+//! thread count. The one thing neighbouring cells share is the trace
+//! library: cells of one seed and scenario read the same
+//! [`StreamSpec::build_store`] output, so each thread builds it once
+//! per run of such cells it claims and keeps it until the key changes.
 //!
 //! # Examples
 //!
@@ -39,6 +42,7 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
+use dysta_trace::TraceStore;
 use dysta_workload::{Scenario, StreamSpec};
 
 use crate::{simulate_cluster_stream, ClusterConfig, DispatchPolicy};
@@ -116,6 +120,19 @@ pub struct SweepGrid {
     pub samples_per_variant: u64,
 }
 
+/// One grid cell as an executor claims it.
+struct Cell {
+    /// Index of the cell's row in canonical grid order.
+    slot: usize,
+    /// (seed index, scenario index): what the cell's trace store
+    /// depends on.
+    store_key: (usize, usize),
+    seed: u64,
+    policy: DispatchPolicy,
+    scenario: SweepScenario,
+    slo: f64,
+}
+
 impl SweepGrid {
     /// A grid over `config` with empty axes and the quick-mode sizing
     /// (100 requests, 4 samples per variant); chain the axis setters.
@@ -172,14 +189,28 @@ impl SweepGrid {
         self.seeds.len() * self.policies.len() * self.scenarios.len() * self.slo_multipliers.len()
     }
 
-    /// The cells in canonical grid order.
-    fn cells(&self) -> Vec<(u64, DispatchPolicy, SweepScenario, f64)> {
+    /// Every cell in claim order — seeds, then scenarios, then
+    /// policies, then SLO multipliers — so the cells of one trace-store
+    /// key are adjacent. Each carries its slot in canonical grid order.
+    fn cells(&self) -> Vec<Cell> {
+        let (policies, scenarios, slos) = (
+            self.policies.len(),
+            self.scenarios.len(),
+            self.slo_multipliers.len(),
+        );
         let mut cells = Vec::with_capacity(self.cell_count());
-        for &seed in &self.seeds {
-            for &policy in &self.policies {
-                for &scenario in &self.scenarios {
-                    for &slo in &self.slo_multipliers {
-                        cells.push((seed, policy, scenario, slo));
+        for (si, &seed) in self.seeds.iter().enumerate() {
+            for (ci, &scenario) in self.scenarios.iter().enumerate() {
+                for (pi, &policy) in self.policies.iter().enumerate() {
+                    for (li, &slo) in self.slo_multipliers.iter().enumerate() {
+                        cells.push(Cell {
+                            slot: ((si * policies + pi) * scenarios + ci) * slos + li,
+                            store_key: (si, ci),
+                            seed,
+                            policy,
+                            scenario,
+                            slo,
+                        });
                     }
                 }
             }
@@ -187,21 +218,28 @@ impl SweepGrid {
         cells
     }
 
-    /// Runs one cell: an independent streaming cluster run.
-    fn run_cell(&self, seed: u64, policy: DispatchPolicy, sc: SweepScenario, slo: f64) -> SweepRow {
-        let spec = StreamSpec::steady_poisson(sc.scenario, sc.rate, slo)
+    /// The cell's stream: steady Poisson at the scenario's rate.
+    fn spec(&self, cell: &Cell) -> StreamSpec {
+        StreamSpec::steady_poisson(cell.scenario.scenario, cell.scenario.rate, cell.slo)
             .num_requests(self.requests)
             .samples_per_variant(self.samples_per_variant)
-            .seed(seed);
-        let store = spec.build_store();
-        let report =
-            simulate_cluster_stream(spec.source(&store), policy.build().as_mut(), &self.config);
+            .seed(cell.seed)
+    }
+
+    /// Runs one cell: a streaming cluster run over `store`, the trace
+    /// library of the cell's store key.
+    fn run_cell(&self, cell: &Cell, store: &TraceStore) -> SweepRow {
+        let report = simulate_cluster_stream(
+            self.spec(cell).source(store),
+            cell.policy.build().as_mut(),
+            &self.config,
+        );
         SweepRow {
-            scenario: sc.name.to_string(),
-            policy: policy.name().to_string(),
-            seed,
-            rate: sc.rate,
-            slo_multiplier: slo,
+            scenario: cell.scenario.name.to_string(),
+            policy: cell.policy.name().to_string(),
+            seed: cell.seed,
+            rate: cell.scenario.rate,
+            slo_multiplier: cell.slo,
             antt: report.antt(),
             violation_rate: report.violation_rate(),
             goodput_rate: report.goodput_rate(),
@@ -214,11 +252,15 @@ impl SweepGrid {
     /// `threads - 1` scoped threads, clamped to `1..=cell_count()`) and
     /// returns the rows in canonical grid order.
     ///
-    /// Each cell is a self-contained run (own trace store, own node
-    /// engines); executors claim cells from a shared cursor and write
-    /// each row into the slot of its cell index, so the returned rows —
-    /// values and order — are identical for any thread count. `0` runs
-    /// sequentially, like `1`.
+    /// Each cell is its own run (own stream, own node engines), but
+    /// cells of one store key — seed and scenario — share their
+    /// executor's trace store: [`StreamSpec::build_store`] reads
+    /// neither the rate nor the SLO, so the library is the same. An
+    /// executor keeps the last store it built and rebuilds only when it
+    /// claims a cell of another key; executors claim cells in key order
+    /// from a shared cursor and write each row into the slot of its
+    /// canonical index, so the returned rows — values and order — are
+    /// identical for any thread count. `0` runs sequentially, like `1`.
     ///
     /// # Panics
     ///
@@ -229,17 +271,27 @@ impl SweepGrid {
         assert!(!cells.is_empty(), "sweep grid needs non-empty axes");
         let slots: Vec<OnceLock<SweepRow>> = cells.iter().map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
-        let execute = || loop {
-            // `Relaxed` suffices: the cursor only hands out distinct
-            // indices; rows are published by the `OnceLock`s and the
-            // scope's join.
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&(seed, policy, scenario, slo)) = cells.get(i) else {
-                break;
-            };
-            slots[i]
-                .set(self.run_cell(seed, policy, scenario, slo))
-                .expect("each cell index is claimed once");
+        let execute = || {
+            // At most one store per executor: the old one is dropped
+            // before the next is built.
+            let mut held: Option<((usize, usize), TraceStore)> = None;
+            loop {
+                // `Relaxed` suffices: the cursor only hands out distinct
+                // indices; rows are published by the `OnceLock`s and the
+                // scope's join.
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = cells.get(i) else {
+                    break;
+                };
+                if held.as_ref().is_none_or(|(key, _)| *key != cell.store_key) {
+                    drop(held.take());
+                    held = Some((cell.store_key, self.spec(cell).build_store()));
+                }
+                let (_, store) = held.as_ref().expect("store built above");
+                slots[cell.slot]
+                    .set(self.run_cell(cell, store))
+                    .expect("each cell index is claimed once");
+            }
         };
         std::thread::scope(|s| {
             for _ in 1..threads.clamp(1, cells.len()) {
