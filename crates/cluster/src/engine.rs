@@ -638,7 +638,9 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                     // id: check once, here, that it names the spec.
                     request.assert_variant_in(self.source.store());
                     if queue.is_empty() && fe.admit_interval_ns > 0 {
-                        timer_deadline = Some(t + fe.admit_interval_ns);
+                        // A deadline past the end of the clock never
+                        // fires: the timer stays unset.
+                        timer_deadline = t.checked_add(fe.admit_interval_ns);
                     }
                     if self.tracer.enabled() {
                         let label = self.label_for(&request);
@@ -663,8 +665,8 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                     self.dispatch_batch(&mut queue, t);
                     timer_deadline = None;
                 }
-                EV_MIGRATE => next_migration = Some(self.rebalance_tick(EV_MIGRATE, t)),
-                EV_STEAL => next_steal = Some(self.rebalance_tick(EV_STEAL, t)),
+                EV_MIGRATE => next_migration = self.rebalance_tick(EV_MIGRATE, t),
+                EV_STEAL => next_steal = self.rebalance_tick(EV_STEAL, t),
                 _ => unreachable!(),
             }
         }
@@ -674,8 +676,10 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     }
 
     /// One migrate or steal tick at sim-time `t`: advance the pool,
-    /// run the pass, and return the tick's re-armed next deadline.
-    fn rebalance_tick(&mut self, kind: u8, t: u64) -> u64 {
+    /// run the pass, and return the tick's re-armed next deadline —
+    /// `None` once it would lie past the end of the clock, so the tick
+    /// stops.
+    fn rebalance_tick(&mut self, kind: u8, t: u64) -> Option<u64> {
         self.sync_nodes(t);
         // Front-end phase timing starts after the node sync, so node
         // execution (its own pick/execute phases) is not double-counted.
@@ -686,10 +690,10 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         let fe = self.config.frontend;
         let next = if kind == EV_MIGRATE {
             self.migration_pass(t, &mut views);
-            t + fe.migration.expect("tick implies config").period_ns
+            t.checked_add(fe.migration.expect("tick implies config").period_ns)
         } else {
             self.steal_pass(t, &mut views);
-            t + fe.steal.expect("tick implies config").period_ns
+            t.checked_add(fe.steal.expect("tick implies config").period_ns)
         };
         self.view_cache = views;
         if let Some(t0) = t0 {
@@ -1525,7 +1529,24 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             }
             let class = self.steal_class(thief);
             let slot = match priced.iter().position(|(c, _)| *c == class) {
-                Some(slot) => slot,
+                Some(slot) => {
+                    // The shared list must be exactly what this thief
+                    // would have priced for itself.
+                    #[cfg(debug_assertions)]
+                    {
+                        let fresh = self.steal_candidates(thief, &victims);
+                        let bits = |c: &StealCandidate| {
+                            [c.est_ns, c.on_victim_ns, c.on_thief_ns].map(f64::to_bits)
+                        };
+                        let shared = &priced[slot].1;
+                        assert!(
+                            *shared == fresh && shared.iter().map(bits).eq(fresh.iter().map(bits)),
+                            "thief {thief} shares a steal list its own pricing does not match: \
+                             shared {shared:?}, priced {fresh:?}"
+                        );
+                    }
+                    slot
+                }
                 None => {
                     priced.push((class, self.steal_candidates(thief, &victims)));
                     priced.len() - 1

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 
 use dysta_cluster::{
-    simulate_cluster, AcceleratorKind, ClusterBuilder, ClusterConfig, DispatchPolicy,
-    FrontendConfig, MigrationConfig, StealConfig,
+    simulate_cluster, AcceleratorKind, ClusterBuilder, ClusterConfig, ClusterReport,
+    DispatchPolicy, FrontendConfig, MigrationConfig, StealConfig,
 };
 use dysta_core::{ModelInfoLut, Policy};
 use dysta_sim::{EngineConfig, NodeEngine};
@@ -171,4 +171,49 @@ proptest! {
             prop_assert_eq!(node.queue_len(), before - 1);
         }
     }
+}
+
+/// 20 MultiCnn requests on a 2-node Eyeriss-V2 pool under `frontend`.
+fn clock_edge_run(frontend: FrontendConfig) -> ClusterReport {
+    let w = workload(Scenario::MultiCnn, 3.0, 20, 7);
+    let config = ClusterBuilder::homogeneous(2, AcceleratorKind::EyerissV2, Policy::Dysta)
+        .frontend(frontend)
+        .build();
+    simulate_cluster(
+        &w,
+        DispatchPolicy::JoinShortestQueue.build().as_mut(),
+        &config,
+    )
+}
+
+#[test]
+fn admission_timer_past_the_clock_end_never_fires() {
+    // `arrival + u64::MAX` lies past the end of the clock: the timer
+    // stays unset, so the final partial batch flushes at its newest
+    // arrival, exactly as with the timer disabled.
+    let batched = |admit_interval_ns| FrontendConfig {
+        admit_batch: 4,
+        admit_interval_ns,
+        ..FrontendConfig::default()
+    };
+    let report = clock_edge_run(batched(u64::MAX));
+    assert_eq!(report.completed_total(), 20);
+    assert_eq!(report, clock_edge_run(batched(0)));
+}
+
+#[test]
+fn tick_past_the_clock_end_stops_rearming() {
+    // The first steal tick lands at `u64::MAX`: it runs every node to
+    // completion, finds nothing to steal, and its re-arm would lie past
+    // the end of the clock, so the tick stops instead of wrapping. The
+    // run is the one without stealing.
+    let report = clock_edge_run(FrontendConfig {
+        steal: Some(StealConfig {
+            period_ns: u64::MAX,
+            ..StealConfig::costed()
+        }),
+        ..FrontendConfig::default()
+    });
+    assert_eq!(report.completed_total(), 20);
+    assert_eq!(report, clock_edge_run(FrontendConfig::default()));
 }
