@@ -18,9 +18,11 @@
 
 use dysta::cluster::{
     balanced_mixed_serving_mix, simulate_cluster, AcceleratorKind, ClusterBuilder, ClusterConfig,
-    DispatchPolicy, FrontendConfig, MigrationConfig, StealConfig, TransferCostConfig,
+    ClusterPolicy, DispatchPolicy, FrontendConfig, MigrationConfig, StealConfig,
+    TransferCostConfig,
 };
 use dysta::core::Policy;
+use dysta::obs::NullTracer;
 use dysta::workload::{Scenario, WorkloadBuilder};
 use dysta_bench::serving::{admission_cells, fault_cells};
 use dysta_bench::{banner, replicate, Scale};
@@ -71,8 +73,13 @@ fn main() {
                 scale.cluster_seeds(),
                 |seed| scale.workload(&builder, seed),
                 &DispatchPolicy::ALL,
-                |dispatch, w| {
-                    let report = simulate_cluster(w, dispatch.build().as_mut(), &config);
+                |&dispatch, w| {
+                    let report = simulate_cluster(
+                        w.source(),
+                        &mut ClusterPolicy::from_dispatch(dispatch),
+                        &config,
+                        NullTracer,
+                    );
                     [
                         report.antt(),
                         report.violation_rate(),
@@ -187,7 +194,12 @@ fn serving_frontend_sweep(scale: &Scale) {
                 .frontend(frontend)
                 .transfer_cost(transfer_cost)
                 .build();
-            let report = simulate_cluster(w, dispatch.build().as_mut(), &pool);
+            let report = simulate_cluster(
+                w.source(),
+                &mut ClusterPolicy::from_dispatch(dispatch),
+                &pool,
+                NullTracer,
+            );
             let serving = report.serving();
             [
                 report.antt(),

@@ -10,8 +10,9 @@
 //! status 1. A flag or a second argument prints one usage line and
 //! exits with status 2.
 
-use dysta::cluster::{simulate_cluster_stream, ClusterConfig, DispatchPolicy};
+use dysta::cluster::{simulate_cluster, ClusterConfig, ClusterPolicy, DispatchPolicy};
 use dysta::core::Policy;
+use dysta::obs::NullTracer;
 use dysta::workload::{load_scenario, RequestSource, StreamSpec};
 
 /// Cap on the streamed prefix per file: enough to cross the shipped
@@ -69,11 +70,8 @@ fn main() {
             fail(&format!("{}: stream yields no requests", path.display()));
         };
         let pool = ClusterConfig::heterogeneous(2, 2, Policy::Dysta);
-        let report = simulate_cluster_stream(
-            source,
-            DispatchPolicy::SparsityAffinity.build().as_mut(),
-            &pool,
-        );
+        let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity);
+        let report = simulate_cluster(source, &mut policy, &pool, NullTracer);
         assert_eq!(
             report.completed_total(),
             streamed,

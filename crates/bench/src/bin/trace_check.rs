@@ -12,9 +12,8 @@
 //! and exits with status 2.
 
 use dysta::cluster::{
-    balanced_mixed_serving_mix, simulate_cluster_traced, ClusterPolicy, DispatchPolicy,
-    FaultConfig, FaultSchedule, FrontendConfig, RecoveryConfig, SlackLoadShedding,
-    TransferCostConfig,
+    balanced_mixed_serving_mix, simulate_cluster, ClusterPolicy, DispatchPolicy, FaultConfig,
+    FaultSchedule, FrontendConfig, RecoveryConfig, SlackLoadShedding, TransferCostConfig,
 };
 use dysta::core::Policy;
 use dysta::obs::{EventKind, RingTracer};
@@ -64,7 +63,7 @@ fn main() {
     let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::EarliestDeadlineFirst)
         .with_admission(Box::new(SlackLoadShedding::new()));
     let tracer = RingTracer::new(1 << 16);
-    let report = simulate_cluster_traced(&workload, &mut policy, &pool, &tracer);
+    let report = simulate_cluster(workload.source(), &mut policy, &pool, &tracer);
 
     if tracer.dropped() > 0 {
         fail("ring overflowed on the smoke scenario; grow the capacity");

@@ -23,7 +23,7 @@ pub mod serving;
 
 use std::path::{Path, PathBuf};
 
-use dysta::cluster::{simulate_cluster_traced, ClusterConfig, ClusterPolicy, DispatchPolicy};
+use dysta::cluster::{simulate_cluster, ClusterConfig, ClusterPolicy, DispatchPolicy};
 use dysta::core::{DystaConfig, Policy};
 use dysta::obs::RingTracer;
 use dysta::sim::{simulate, EngineConfig, Metrics};
@@ -237,7 +237,7 @@ pub fn trace_arg(program: &str) -> Option<PathBuf> {
 pub fn export_trace(path: &Path, workload: &Workload, pool: &ClusterConfig) {
     let tracer = RingTracer::new(1 << 20);
     let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity);
-    simulate_cluster_traced(workload, &mut policy, pool, &tracer);
+    simulate_cluster(workload.source(), &mut policy, pool, &tracer);
     if let Err(e) = tracer.validate() {
         eprintln!("warning: trace validation failed: {e}");
     }
@@ -256,7 +256,8 @@ pub fn export_trace(path: &Path, workload: &Workload, pool: &ClusterConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dysta::cluster::{balanced_mixed_serving_mix, simulate_cluster};
+    use dysta::cluster::balanced_mixed_serving_mix;
+    use dysta::obs::NullTracer;
 
     #[test]
     fn quick_scale_is_smaller() {
@@ -344,7 +345,8 @@ mod tests {
             &mixed,
             &dispatchers,
             |d, w| {
-                let report = simulate_cluster(w, d.build().as_mut(), &pool);
+                let mut policy = ClusterPolicy::from_dispatch(*d);
+                let report = simulate_cluster(w.source(), &mut policy, &pool, NullTracer);
                 let m = report.metrics();
                 [m.antt, m.violation_rate, report.goodput() as f64]
             },

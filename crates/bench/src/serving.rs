@@ -7,11 +7,12 @@
 use serde::Serialize;
 
 use dysta::cluster::{
-    balanced_mixed_serving_mix, simulate_cluster_stream_with, simulate_cluster_with,
-    AdmissionPolicy, AdmitAll, ClusterBuilder, ClusterPolicy, DispatchPolicy, FaultConfig,
-    FaultSchedule, FrontendConfig, InfeasibleEverywhere, RecoveryConfig, SlackLoadShedding,
+    balanced_mixed_serving_mix, simulate_cluster, AdmissionPolicy, AdmitAll, ClusterBuilder,
+    ClusterPolicy, DispatchPolicy, FaultConfig, FaultSchedule, FrontendConfig,
+    InfeasibleEverywhere, RecoveryConfig, SlackLoadShedding,
 };
 use dysta::core::Policy;
+use dysta::obs::NullTracer;
 use dysta::workload::{
     ArrivalProcess, PhaseSpec, Popularity, SloModel, StreamSpec, Workload, WorkloadBuilder,
 };
@@ -86,8 +87,8 @@ pub fn edf_cells(multipliers: &[f64], scale: Scale) -> Vec<EdfClusterCell> {
             &EDF_DISPATCHERS,
             |&dispatch, w| {
                 let pool = capacity_het_pool(Policy::Dysta).build();
-                let report =
-                    simulate_cluster_with(w, &mut ClusterPolicy::from_dispatch(dispatch), &pool);
+                let mut policy = ClusterPolicy::from_dispatch(dispatch);
+                let report = simulate_cluster(w.source(), &mut policy, &pool, NullTracer);
                 [report.antt(), report.violation_rate()]
             },
         );
@@ -147,7 +148,7 @@ pub fn admission_cells(scale: Scale) -> Vec<AdmissionCell> {
         |&(dispatch, admission), w| {
             let pool = capacity_het_pool(Policy::Fcfs).build();
             let mut policy = cluster_policy(dispatch, admission);
-            let report = simulate_cluster_with(w, &mut policy, &pool);
+            let report = simulate_cluster(w.source(), &mut policy, &pool, NullTracer);
             [
                 report.antt(),
                 report.violation_rate(),
@@ -258,7 +259,7 @@ pub fn fault_cells(scale: Scale) -> Vec<FaultCell> {
                 })
                 .build();
             let mut policy = ClusterPolicy::from_dispatch(dispatch);
-            let report = simulate_cluster_with(w, &mut policy, &pool);
+            let report = simulate_cluster(w.source(), &mut policy, &pool, NullTracer);
             assert_eq!(
                 report.admitted_total(),
                 report.completed_total() + report.failed_total() + report.reneged_total(),
@@ -379,7 +380,7 @@ pub struct LoadCurveCell {
 /// The load curve: each of [`SHAPES`] at each of [`LOAD_FACTORS`],
 /// served behind each of [`LOAD_ADMISSIONS`] with EDF dispatch on the
 /// admission experiment's pool. Streams run open-loop through
-/// `simulate_cluster_stream_with`, never materialized as a workload.
+/// `simulate_cluster`, never materialized as a workload.
 pub fn load_curve_cells(scale: Scale) -> Vec<LoadCurveCell> {
     let mut cells = Vec::new();
     for shape in SHAPES {
@@ -397,7 +398,7 @@ pub fn load_curve_cells(scale: Scale) -> Vec<LoadCurveCell> {
                     let mut policy =
                         cluster_policy(DispatchPolicy::EarliestDeadlineFirst, admission);
                     let report =
-                        simulate_cluster_stream_with(spec.source(store), &mut policy, &pool);
+                        simulate_cluster(spec.source(store), &mut policy, &pool, NullTracer);
                     [
                         report.goodput_rate(),
                         report.turnaround_percentile_ns(99.0) as f64,

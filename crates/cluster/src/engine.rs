@@ -21,7 +21,7 @@ use dysta_core::{scale_ns, ModelInfoLut, SparseLatencyPredictor, VariantId};
 use dysta_models::ModelFamily;
 use dysta_obs::{EventKind, NullTracer, Phase, TraceEvent, Tracer, NODE_FRONTEND, REQ_NONE};
 use dysta_sim::{EngineConfig, NodeEngine, TransferableTask};
-use dysta_workload::{Request, RequestSource, Workload, WorkloadSource};
+use dysta_workload::{Request, RequestSource, Workload};
 
 use crate::dispatch::{DispatchContext, Dispatcher, EarliestDeadlineFirst, NodeView};
 use crate::faults::{FaultEvent, FaultKind, FaultSchedule, NodeHealth};
@@ -32,9 +32,26 @@ use crate::policy::{
 use crate::report::{ClusterReport, NodeReport, ServingStats};
 use crate::{AcceleratorKind, ClusterConfig, FrontendConfig};
 
-/// Replays `workload` on a cluster of nodes behind `dispatcher` with the
-/// default admission ([`AdmitAll`]), steal, and migration policies,
-/// honouring the pool's [`FrontendConfig`].
+/// Serves the requests `source` yields on the pool `config` describes,
+/// under the `policy` bundle, honouring the pool's [`FrontendConfig`]:
+/// the one way to run a cluster.
+///
+/// A materialized [`dysta_workload::Workload`] enters as `w.source()`;
+/// an open-loop [`dysta_workload::ArrivalSource`] streams its requests,
+/// so million-request runs never hold the request list. A bare
+/// dispatcher enters as [`ClusterPolicy::from_dispatch`] or
+/// [`ClusterPolicy::new`], which add the default admission
+/// ([`AdmitAll`]), steal and migration policies. With a non-default
+/// [`AdmissionPolicy`] the pool may complete fewer requests than the
+/// source yields: rejected requests never enter any node engine, and no
+/// steal or migration pass can resurrect them.
+///
+/// Pass [`NullTracer`] for an untraced run, or `&RingTracer` to record
+/// arrivals, admission decisions, dispatches, execution segments,
+/// preemptions, steal/migration traffic, per-node slack re-projections
+/// at every rebalance tick, and completions. Tracing observes the run
+/// without perturbing it: the report is the untraced one (pinned by
+/// tests).
 ///
 /// Causality: before any front-end action at sim-time `t` (batch
 /// dispatch, steal check, rebalance pass), every node is advanced up to
@@ -42,167 +59,16 @@ use crate::{AcceleratorKind, ClusterConfig, FrontendConfig};
 /// states a real front-end could have observed at that instant.
 ///
 /// The default front-end dispatches each request the moment it arrives
-/// (admission batch 1, no timer, stealing and migration off) — the
-/// historical `simulate_cluster` behavior, and bit-exact with
-/// [`dysta_sim::simulate`] on a 1-node pool. With batching enabled,
-/// requests queue at the front-end and are dispatched `k` at a time (or
-/// when the admission timer fires); with stealing/migration enabled,
-/// periodic passes move queued, never-started requests between nodes,
-/// each move paying the configured transfer cost on the receiving node.
+/// (admission batch 1, no timer, stealing and migration off), bit-exact
+/// with [`dysta_sim::simulate`] on a 1-node pool. With batching
+/// enabled, requests queue at the front-end and are dispatched `k` at a
+/// time (or when the admission timer fires); with stealing/migration
+/// enabled, periodic passes move queued, never-started requests between
+/// nodes, each move paying the configured transfer cost on the
+/// receiving node.
 ///
-/// Deterministic: identical inputs produce identical reports.
-///
-/// # Panics
-///
-/// Panics if the workload is empty, any config knob is out of range
-/// ([`ClusterConfig::validate`]), or the dispatcher returns an
-/// out-of-range node index.
-///
-/// # Examples
-///
-/// ```
-/// use dysta_cluster::{simulate_cluster, AcceleratorKind, ClusterConfig, DispatchPolicy};
-/// use dysta_core::Policy;
-/// use dysta_workload::{Scenario, WorkloadBuilder};
-///
-/// let w = WorkloadBuilder::new(Scenario::MultiCnn)
-///     .num_requests(40)
-///     .samples_per_variant(4)
-///     .seed(1)
-///     .build();
-/// let pool = ClusterConfig::homogeneous(4, AcceleratorKind::EyerissV2, Policy::Dysta);
-/// let report = simulate_cluster(&w, DispatchPolicy::JoinShortestQueue.build().as_mut(), &pool);
-/// assert_eq!(report.completed_total(), 40);
-/// ```
-pub fn simulate_cluster(
-    workload: &Workload,
-    dispatcher: &mut dyn Dispatcher,
-    config: &ClusterConfig,
-) -> ClusterReport {
-    run_cluster(
-        workload,
-        dispatcher,
-        &AdmitAll::new(),
-        &BacklogGainSteal::new(),
-        &BacklogThresholdMigration::new(),
-        config,
-        NullTracer,
-    )
-}
-
-/// Replays `workload` under a full [`ClusterPolicy`] bundle — custom
-/// admission, steal, and migration policies next to the dispatcher.
-/// Semantics are identical to [`simulate_cluster`], which is this
-/// function applied to the default bundle. With a non-default
-/// [`AdmissionPolicy`] the pool may complete fewer requests than the
-/// workload carries: rejected requests never enter any node engine,
-/// and no steal or migration pass can resurrect them.
-///
-/// # Panics
-///
-/// As [`simulate_cluster`].
-pub fn simulate_cluster_with(
-    workload: &Workload,
-    policy: &mut ClusterPolicy,
-    config: &ClusterConfig,
-) -> ClusterReport {
-    run_cluster(
-        workload,
-        policy.dispatcher.as_mut(),
-        policy.admission.as_ref(),
-        policy.steal.as_ref(),
-        policy.migration.as_ref(),
-        config,
-        NullTracer,
-    )
-}
-
-/// [`simulate_cluster_with`] with observability: every node engine and
-/// the front-end report to `tracer` (pass `&RingTracer` to record) —
-/// arrivals, admission decisions, dispatches, execution segments,
-/// preemptions, steal/migration traffic, per-node slack re-projections
-/// at every rebalance tick, and completions.
-///
-/// With the same inputs the returned report is identical to
-/// [`simulate_cluster_with`]'s — tracing observes the run without
-/// perturbing it (pinned by tests).
-///
-/// # Panics
-///
-/// As [`simulate_cluster`].
-///
-/// # Examples
-///
-/// ```
-/// use dysta_cluster::{simulate_cluster_traced, ClusterConfig, ClusterPolicy};
-/// use dysta_cluster::{AcceleratorKind, DispatchPolicy};
-/// use dysta_core::Policy;
-/// use dysta_obs::RingTracer;
-/// use dysta_workload::{Scenario, WorkloadBuilder};
-///
-/// let w = WorkloadBuilder::new(Scenario::MultiCnn)
-///     .num_requests(20)
-///     .samples_per_variant(4)
-///     .seed(1)
-///     .build();
-/// let pool = ClusterConfig::homogeneous(2, AcceleratorKind::EyerissV2, Policy::Dysta);
-/// let tracer = RingTracer::new(1 << 14);
-/// let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::LeastLoaded);
-/// let report = simulate_cluster_traced(&w, &mut policy, &pool, &tracer);
-/// assert_eq!(report.completed_total(), 20);
-/// assert!(tracer.validate().is_ok());
-/// ```
-pub fn simulate_cluster_traced<T: Tracer + Copy>(
-    workload: &Workload,
-    policy: &mut ClusterPolicy,
-    config: &ClusterConfig,
-    tracer: T,
-) -> ClusterReport {
-    run_cluster(
-        workload,
-        policy.dispatcher.as_mut(),
-        policy.admission.as_ref(),
-        policy.steal.as_ref(),
-        policy.migration.as_ref(),
-        config,
-        tracer,
-    )
-}
-
-fn run_cluster<T: Tracer + Copy>(
-    workload: &Workload,
-    dispatcher: &mut dyn Dispatcher,
-    admission_policy: &dyn AdmissionPolicy,
-    steal_policy: &dyn StealPolicy,
-    migration_policy: &dyn MigrationPolicy,
-    config: &ClusterConfig,
-    tracer: T,
-) -> ClusterReport {
-    let requests = workload.requests();
-    // A streaming source owns its id minting (the RequestSource
-    // contract), but a hand-assembled workload slice does not — reject
-    // non-dense ids here so a workload built with gaps or duplicates
-    // cannot silently mis-account waits and migrations (O(n), once).
-    assert!(
-        requests.iter().enumerate().all(|(i, r)| r.id == i as u64),
-        "cluster front-end requires dense request ids 0..len"
-    );
-    run_cluster_source(
-        WorkloadSource::new(workload),
-        dispatcher,
-        admission_policy,
-        steal_policy,
-        migration_policy,
-        config,
-        tracer,
-    )
-}
-
-/// [`simulate_cluster`] over any [`RequestSource`]: the workload
-/// arrives as a stream instead of a materialized slice, so an
-/// open-loop [`dysta_workload::ArrivalSource`] can drive
-/// million-request runs. Scheduling state is live state only: the
-/// front-end's admission queue and in-flight bookkeeping (see
+/// Scheduling state is live state only: the front-end's admission
+/// queue and in-flight bookkeeping (see
 /// [`ServingStats::peak_live_requests`]), and each node's task arena,
 /// whose slots are reused as requests leave. What still grows with the
 /// stream is the report: a 56 B [`dysta_sim::CompletedRequest`] per
@@ -210,41 +76,78 @@ fn run_cluster<T: Tracer + Copy>(
 /// admitted request, kept because turnaround and wait percentiles are
 /// computed from them.
 ///
-/// Over a [`WorkloadSource`] this is exactly [`simulate_cluster`]
-/// (bit-pinned by the golden fixtures, which now run through this
-/// path).
+/// Deterministic: identical inputs produce identical reports.
 ///
 /// # Panics
 ///
-/// Panics if the stream is empty, any config knob is out of range, or
-/// the dispatcher returns an out-of-range node index.
+/// Panics if the source is empty, any config knob is out of range
+/// ([`ClusterConfig::validate`]), or the dispatcher returns an
+/// out-of-range node index.
 ///
 /// # Examples
 ///
 /// ```
-/// use dysta_cluster::{simulate_cluster_stream, AcceleratorKind, ClusterConfig, DispatchPolicy};
+/// use dysta_cluster::{simulate_cluster, AcceleratorKind, ClusterConfig, ClusterPolicy};
+/// use dysta_cluster::DispatchPolicy;
 /// use dysta_core::Policy;
-/// use dysta_workload::{Scenario, StreamSpec};
+/// use dysta_obs::{NullTracer, RingTracer};
+/// use dysta_workload::{Scenario, StreamSpec, WorkloadBuilder};
 ///
+/// let pool = ClusterConfig::homogeneous(4, AcceleratorKind::EyerissV2, Policy::Dysta);
+/// let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::JoinShortestQueue);
+///
+/// // A materialized workload, traced.
+/// let w = WorkloadBuilder::new(Scenario::MultiCnn)
+///     .num_requests(40)
+///     .samples_per_variant(4)
+///     .seed(1)
+///     .build();
+/// let tracer = RingTracer::new(1 << 14);
+/// let report = simulate_cluster(w.source(), &mut policy, &pool, &tracer);
+/// assert_eq!(report.completed_total(), 40);
+/// assert!(tracer.validate().is_ok());
+///
+/// // An open-loop stream, untraced.
 /// let spec = StreamSpec::steady_poisson(Scenario::MultiCnn, 3.0, 10.0)
 ///     .num_requests(40)
 ///     .samples_per_variant(4)
 ///     .seed(1);
 /// let store = spec.build_store();
-/// let pool = ClusterConfig::homogeneous(4, AcceleratorKind::EyerissV2, Policy::Dysta);
-/// let report = simulate_cluster_stream(
-///     spec.source(&store),
-///     DispatchPolicy::JoinShortestQueue.build().as_mut(),
-///     &pool,
-/// );
+/// let report = simulate_cluster(spec.source(&store), &mut policy, &pool, NullTracer);
 /// assert_eq!(report.completed_total(), 40);
 /// ```
+pub fn simulate_cluster<'w, S, T>(
+    source: S,
+    policy: &mut ClusterPolicy,
+    config: &ClusterConfig,
+    tracer: T,
+) -> ClusterReport
+where
+    S: RequestSource<'w>,
+    T: Tracer + Copy,
+{
+    serve(
+        source,
+        policy.dispatcher.as_mut(),
+        policy.admission.as_ref(),
+        policy.steal.as_ref(),
+        policy.migration.as_ref(),
+        config,
+        tracer,
+    )
+}
+
+/// perfbench's call; ROADMAP item 1's benchmark change deletes it.
+#[doc(hidden)]
 pub fn simulate_cluster_stream<'w, S: RequestSource<'w>>(
     source: S,
     dispatcher: &mut dyn Dispatcher,
     config: &ClusterConfig,
 ) -> ClusterReport {
-    run_cluster_source(
+    // A borrowed dispatcher cannot go into a `ClusterPolicy`, which owns
+    // its members, so this forward calls the body with the default
+    // admission, steal and migration policies `ClusterPolicy::new` adds.
+    serve(
         source,
         dispatcher,
         &AdmitAll::new(),
@@ -255,29 +158,29 @@ pub fn simulate_cluster_stream<'w, S: RequestSource<'w>>(
     )
 }
 
-/// [`simulate_cluster_with`] over any [`RequestSource`] — the full
-/// policy bundle against a streaming workload.
-///
-/// # Panics
-///
-/// As [`simulate_cluster_stream`].
+/// perfbench's call; ROADMAP item 1's benchmark change deletes it.
+#[doc(hidden)]
 pub fn simulate_cluster_stream_with<'w, S: RequestSource<'w>>(
     source: S,
     policy: &mut ClusterPolicy,
     config: &ClusterConfig,
 ) -> ClusterReport {
-    run_cluster_source(
-        source,
-        policy.dispatcher.as_mut(),
-        policy.admission.as_ref(),
-        policy.steal.as_ref(),
-        policy.migration.as_ref(),
-        config,
-        NullTracer,
-    )
+    simulate_cluster(source, policy, config, NullTracer)
 }
 
-fn run_cluster_source<'w, S, T>(
+/// perfbench's call; ROADMAP item 1's benchmark change deletes it.
+#[doc(hidden)]
+pub fn simulate_cluster_traced<T: Tracer + Copy>(
+    workload: &Workload,
+    policy: &mut ClusterPolicy,
+    config: &ClusterConfig,
+    tracer: T,
+) -> ClusterReport {
+    simulate_cluster(workload.source(), policy, config, tracer)
+}
+
+/// The body of [`simulate_cluster`], over the policy bundle's members.
+fn serve<'w, S, T>(
     mut source: S,
     dispatcher: &mut dyn Dispatcher,
     admission_policy: &dyn AdmissionPolicy,

@@ -41,9 +41,12 @@
 //!
 //! The event loop in `engine.rs` only *sequences* — sync nodes,
 //! snapshot, consult, apply — so new routing/steal/migration behaviors
-//! are libraries, not engine patches. [`simulate_cluster`] serves the
-//! common case (a dispatcher plus the default steal/migration
-//! policies); [`simulate_cluster_with`] takes a full [`ClusterPolicy`].
+//! are libraries, not engine patches. [`simulate_cluster`] is the one
+//! run function: it serves any [`dysta_workload::RequestSource`] (a
+//! materialized workload enters as `workload.source()`) under a
+//! [`ClusterPolicy`] bundle (a bare dispatcher enters as
+//! [`ClusterPolicy::from_dispatch`] or [`ClusterPolicy::new`]), and
+//! reports to a tracer ([`dysta_obs::NullTracer`] for none).
 //!
 //! # Configuration
 //!
@@ -97,8 +100,9 @@
 //! # Examples
 //!
 //! ```
-//! use dysta_cluster::{simulate_cluster, ClusterConfig, DispatchPolicy};
+//! use dysta_cluster::{simulate_cluster, ClusterConfig, ClusterPolicy, DispatchPolicy};
 //! use dysta_core::Policy;
+//! use dysta_obs::NullTracer;
 //! use dysta_workload::{Scenario, WorkloadBuilder};
 //!
 //! let workload = WorkloadBuilder::new(Scenario::MultiAttNn)
@@ -107,11 +111,8 @@
 //!     .seed(7)
 //!     .build();
 //! let pool = ClusterConfig::heterogeneous(2, 2, Policy::Dysta);
-//! let report = simulate_cluster(
-//!     &workload,
-//!     DispatchPolicy::SparsityAffinity.build().as_mut(),
-//!     &pool,
-//! );
+//! let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity);
+//! let report = simulate_cluster(workload.source(), &mut policy, &pool, NullTracer);
 //! assert_eq!(report.completed_total(), 60);
 //! assert!(report.antt() >= 1.0);
 //! assert!(report.load_imbalance() >= 1.0);
@@ -122,10 +123,11 @@
 //!
 //! ```
 //! use dysta_cluster::{
-//!     simulate_cluster_with, ClusterBuilder, ClusterPolicy, DispatchPolicy, FrontendConfig,
+//!     simulate_cluster, ClusterBuilder, ClusterPolicy, DispatchPolicy, FrontendConfig,
 //!     TransferCostConfig,
 //! };
 //! use dysta_core::Policy;
+//! use dysta_obs::NullTracer;
 //! use dysta_workload::{Scenario, WorkloadBuilder};
 //!
 //! let workload = WorkloadBuilder::new(Scenario::MultiCnn)
@@ -140,7 +142,7 @@
 //!     .transfer_cost(TransferCostConfig::default_costed())
 //!     .build();
 //! let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::EarliestDeadlineFirst);
-//! let report = simulate_cluster_with(&workload, &mut policy, &pool);
+//! let report = simulate_cluster(workload.source(), &mut policy, &pool, NullTracer);
 //! assert_eq!(report.completed_total(), 60);
 //! assert_eq!(
 //!     report.total_transfer_cost_ns(),
@@ -168,10 +170,9 @@ pub use dispatch::{
     DispatchContext, DispatchPolicy, Dispatcher, EarliestDeadlineFirst, JoinShortestQueue,
     LeastLoaded, NodeView, RoundRobin, SparsityAffinity,
 };
-pub use engine::{
-    simulate_cluster, simulate_cluster_stream, simulate_cluster_stream_with,
-    simulate_cluster_traced, simulate_cluster_with,
-};
+pub use engine::simulate_cluster;
+#[doc(hidden)]
+pub use engine::{simulate_cluster_stream, simulate_cluster_stream_with, simulate_cluster_traced};
 pub use faults::{
     FaultConfig, FaultEvent, FaultKind, FaultSchedule, NodeHealth, RecoveryConfig, RecoveryStats,
 };

@@ -428,11 +428,11 @@ impl AdmissionPolicy for SlackLoadShedding {
 
 /// The full cluster control surface: admission gating and request
 /// routing plus the steal and migration sides, consulted by
-/// [`crate::simulate_cluster_with`].
+/// [`crate::simulate_cluster`].
 ///
-/// [`crate::simulate_cluster`] wraps a bare dispatcher in this bundle
-/// with the default admission/steal/migration policies, which keeps
-/// the four-argument call sites (and their behavior) unchanged.
+/// A bare dispatcher enters through [`ClusterPolicy::new`] (or
+/// [`ClusterPolicy::from_dispatch`]), which adds the default
+/// admission, steal and migration policies.
 pub struct ClusterPolicy {
     /// Gates each request at batch-dispatch time (default:
     /// [`AdmitAll`]).

@@ -4,7 +4,7 @@
 //! Every experiment figure in the paper reduces to a grid of
 //! independent cluster runs — the same pool replayed across seeds,
 //! dispatch policies, traffic scenarios, and SLO tightness. Each cell
-//! is one [`crate::simulate_cluster_stream`] run with its own stream
+//! is one [`crate::simulate_cluster`] run with its own stream
 //! and node engines, so the grid is the natural parallel axis: threads
 //! claim cells from a shared cursor and store each row in the slot of
 //! its cell index, so the output `Vec<SweepRow>` — and therefore
@@ -42,10 +42,11 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
+use dysta_obs::NullTracer;
 use dysta_trace::TraceStore;
 use dysta_workload::{Scenario, StreamSpec};
 
-use crate::{simulate_cluster_stream, ClusterConfig, DispatchPolicy};
+use crate::{simulate_cluster, ClusterConfig, ClusterPolicy, DispatchPolicy};
 
 /// One entry of the grid's scenario axis: a traffic scenario with its
 /// arrival rate and the stable name the result rows carry.
@@ -229,10 +230,11 @@ impl SweepGrid {
     /// Runs one cell: a streaming cluster run over `store`, the trace
     /// library of the cell's store key.
     fn run_cell(&self, cell: &Cell, store: &TraceStore) -> SweepRow {
-        let report = simulate_cluster_stream(
+        let report = simulate_cluster(
             self.spec(cell).source(store),
-            cell.policy.build().as_mut(),
+            &mut ClusterPolicy::from_dispatch(cell.policy),
             &self.config,
+            NullTracer,
         );
         SweepRow {
             scenario: cell.scenario.name.to_string(),

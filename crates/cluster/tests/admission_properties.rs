@@ -11,11 +11,11 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use dysta_cluster::{
-    simulate_cluster, simulate_cluster_with, AcceleratorKind, ClusterBuilder, ClusterConfig,
-    ClusterPolicy, DispatchPolicy, FrontendConfig, InfeasibleEverywhere, JoinShortestQueue,
-    SlackLoadShedding,
+    simulate_cluster, AcceleratorKind, AdmitAll, ClusterBuilder, ClusterConfig, ClusterPolicy,
+    DispatchPolicy, FrontendConfig, InfeasibleEverywhere, JoinShortestQueue, SlackLoadShedding,
 };
 use dysta_core::Policy;
+use dysta_obs::NullTracer;
 use dysta_workload::{Request, Scenario, Workload, WorkloadBuilder};
 
 fn workload(rate: f64, slo: f64, n: usize, seed: u64) -> Workload {
@@ -73,7 +73,7 @@ proptest! {
         } else {
             Box::new(InfeasibleEverywhere::new())
         });
-        let report = simulate_cluster_with(&w, &mut policy, &pool(shape, frontend));
+        let report = simulate_cluster(w.source(), &mut policy, &pool(shape, frontend), NullTracer);
 
         let rejected = report.rejected_total();
         let admitted = report.admitted_total();
@@ -139,9 +139,12 @@ proptest! {
     ) {
         let w = workload(12.0, 5.0, 40, seed);
         let config = pool(1, FrontendConfig::serving());
-        let direct = simulate_cluster(&w, dispatch.build().as_mut(), &config);
-        let mut bundle = ClusterPolicy::from_dispatch(dispatch);
-        let with_policy = simulate_cluster_with(&w, &mut bundle, &config);
+        // An explicit `AdmitAll` is the default bundle's admission.
+        let mut default = ClusterPolicy::from_dispatch(dispatch);
+        let direct = simulate_cluster(w.source(), &mut default, &config, NullTracer);
+        let mut bundle =
+            ClusterPolicy::from_dispatch(dispatch).with_admission(Box::new(AdmitAll::new()));
+        let with_policy = simulate_cluster(w.source(), &mut bundle, &config, NullTracer);
         prop_assert_eq!(direct, with_policy);
     }
 }
@@ -176,9 +179,9 @@ proptest! {
         // Every request deadline-free: the u64::MAX no-deadline sentinel
         // must never read as a missed deadline, on any node.
         let w = with_deadline_free_mix(&workload(18.0, 3.0, 30, seed), 1);
-        let mut jsq = JoinShortestQueue::new();
+        let mut jsq = ClusterPolicy::new(Box::new(JoinShortestQueue::new()));
         let config = pool(0, FrontendConfig::default());
-        let report = simulate_cluster(&w, &mut jsq, &config);
+        let report = simulate_cluster(w.source(), &mut jsq, &config, NullTracer);
         prop_assert_eq!(report.completed_total(), 30);
         prop_assert_eq!(report.violation_rate(), 0.0);
     }
@@ -194,7 +197,7 @@ proptest! {
         let w = with_deadline_free_mix(&workload(24.0, 1.5, 40, seed), stride);
         let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::EarliestDeadlineFirst)
             .with_admission(Box::new(InfeasibleEverywhere::new()));
-        let report = simulate_cluster_with(&w, &mut policy, &pool(2, FrontendConfig::default()));
+        let report = simulate_cluster(w.source(), &mut policy, &pool(2, FrontendConfig::default()), NullTracer);
         let free_ids: HashSet<u64> = w
             .requests()
             .iter()

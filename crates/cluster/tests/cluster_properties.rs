@@ -1,11 +1,16 @@
 //! Cluster-level integration tests: single-node parity, determinism,
 //! and the dispatch-policy orderings the bench sweep reports.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use dysta_cluster::{
     balanced_mixed_serving_mix, simulate_cluster, AcceleratorKind, ClusterBuilder, ClusterConfig,
-    DispatchPolicy, FrontendConfig, MigrationConfig, StealConfig, TransferCostConfig,
+    ClusterPolicy, DispatchPolicy, FrontendConfig, MigrationConfig, StealConfig,
+    TransferCostConfig,
 };
 use dysta_core::Policy;
+use dysta_obs::NullTracer;
 use dysta_sim::{simulate, EngineConfig};
 use dysta_workload::{Scenario, Workload, WorkloadBuilder};
 
@@ -41,7 +46,12 @@ fn one_node_cluster_reproduces_single_node_simulate_exactly() {
             let single = simulate(&w, policy.build().as_mut(), &EngineConfig::default());
             for dispatch in DispatchPolicy::ALL {
                 let pool = ClusterConfig::homogeneous(1, kind, policy);
-                let cluster = simulate_cluster(&w, dispatch.build().as_mut(), &pool);
+                let cluster = simulate_cluster(
+                    w.source(),
+                    &mut ClusterPolicy::from_dispatch(dispatch),
+                    &pool,
+                    NullTracer,
+                );
                 assert_eq!(cluster.num_nodes(), 1);
                 let node = &cluster.nodes()[0];
                 assert_eq!(
@@ -78,7 +88,12 @@ fn one_node_cluster_with_serving_frontend_stays_bit_exact_with_simulate() {
     let pool = ClusterBuilder::homogeneous(1, AcceleratorKind::EyerissV2, Policy::Dysta)
         .frontend(FrontendConfig::serving())
         .build();
-    let cluster = simulate_cluster(&w, DispatchPolicy::RoundRobin.build().as_mut(), &pool);
+    let cluster = simulate_cluster(
+        w.source(),
+        &mut ClusterPolicy::from_dispatch(DispatchPolicy::RoundRobin),
+        &pool,
+        NullTracer,
+    );
     assert_eq!(cluster.nodes()[0].report.completed(), single.completed());
     assert_eq!(cluster.serving().steals, 0);
     assert_eq!(cluster.serving().migrations, 0);
@@ -103,14 +118,16 @@ fn stealing_reduces_imbalance_without_antt_regression() {
         })
         .build();
     let baseline = simulate_cluster(
-        &w,
-        DispatchPolicy::SparsityAffinity.build().as_mut(),
+        w.source(),
+        &mut ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity),
         &baseline_pool,
+        NullTracer,
     );
     let stealing = simulate_cluster(
-        &w,
-        DispatchPolicy::SparsityAffinity.build().as_mut(),
+        w.source(),
+        &mut ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity),
         &steal_pool,
+        NullTracer,
     );
     assert!(
         stealing.serving().steals > 0,
@@ -142,22 +159,17 @@ fn costed_transfers_throttle_movement_but_keep_the_pool_balanced() {
     // themselves — while load imbalance stays well below the no-serving
     // baseline, and every fetch is accounted on the nodes that paid it.
     let w = workload(Scenario::MultiCnn, 12.0, 200, 42);
-    let affinity = || DispatchPolicy::SparsityAffinity.build();
-    let baseline = simulate_cluster(
-        &w,
-        affinity().as_mut(),
-        &ClusterConfig::heterogeneous(2, 2, Policy::Dysta),
-    );
-    let free = simulate_cluster(
-        &w,
-        affinity().as_mut(),
+    let affinity = |pool: &ClusterConfig| {
+        let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity);
+        simulate_cluster(w.source(), &mut policy, pool, NullTracer)
+    };
+    let baseline = affinity(&ClusterConfig::heterogeneous(2, 2, Policy::Dysta));
+    let free = affinity(
         &ClusterBuilder::heterogeneous(2, 2, Policy::Dysta)
             .frontend(FrontendConfig::serving())
             .build(),
     );
-    let costed = simulate_cluster(
-        &w,
-        affinity().as_mut(),
+    let costed = affinity(
         &ClusterBuilder::heterogeneous(2, 2, Policy::Dysta)
             .frontend(FrontendConfig::serving_costed())
             .transfer_cost(TransferCostConfig::default_costed())
@@ -207,9 +219,10 @@ fn admission_batching_records_queue_waits_and_conserves_requests() {
         })
         .build();
     let report = simulate_cluster(
-        &w,
-        DispatchPolicy::JoinShortestQueue.build().as_mut(),
+        w.source(),
+        &mut ClusterPolicy::from_dispatch(DispatchPolicy::JoinShortestQueue),
         &pool,
+        NullTracer,
     );
     assert_eq!(report.completed_total(), 120);
     let waits = &report.serving().admission_wait_ns;
@@ -237,14 +250,16 @@ fn batched_dispatch_delays_execution_to_the_dispatch_instant() {
         })
         .build();
     let immediate = simulate_cluster(
-        &w,
-        DispatchPolicy::RoundRobin.build().as_mut(),
+        w.source(),
+        &mut ClusterPolicy::from_dispatch(DispatchPolicy::RoundRobin),
         &immediate_pool,
+        NullTracer,
     );
     let batched = simulate_cluster(
-        &w,
-        DispatchPolicy::RoundRobin.build().as_mut(),
+        w.source(),
+        &mut ClusterPolicy::from_dispatch(DispatchPolicy::RoundRobin),
         &batched_pool,
+        NullTracer,
     );
     assert!(batched.completed().all(|c| c.completion_ns >= last_arrival));
     assert!(batched.serving().mean_admission_wait_ns() > 0.0);
@@ -264,7 +279,7 @@ fn rejected_migration_candidates_do_not_charge_stateful_dispatchers() {
     // Round-robin that counts how often its mutable state is charged.
     struct CountingRoundRobin {
         inner: RoundRobin,
-        dispatches: u64,
+        dispatches: Rc<Cell<u64>>,
     }
     impl Dispatcher for CountingRoundRobin {
         fn name(&self) -> &str {
@@ -274,7 +289,7 @@ fn rejected_migration_candidates_do_not_charge_stateful_dispatchers() {
             self.inner.peek(request, ctx)
         }
         fn dispatch(&mut self, request: &Request, ctx: &DispatchContext<'_>) -> usize {
-            self.dispatches += 1;
+            self.dispatches.set(self.dispatches.get() + 1);
             self.inner.dispatch(request, ctx)
         }
     }
@@ -294,16 +309,17 @@ fn rejected_migration_candidates_do_not_charge_stateful_dispatchers() {
             ..FrontendConfig::default()
         })
         .build();
-    let mut dispatcher = CountingRoundRobin {
+    let dispatches = Rc::new(Cell::new(0));
+    let mut policy = ClusterPolicy::new(Box::new(CountingRoundRobin {
         inner: RoundRobin::new(),
-        dispatches: 0,
-    };
-    let report = simulate_cluster(&w, &mut dispatcher, &pool);
+        dispatches: Rc::clone(&dispatches),
+    }));
+    let report = simulate_cluster(w.source(), &mut policy, &pool, NullTracer);
     assert!(report.serving().migrations > 0, "pass must move something");
     // State is charged once per admitted request plus once per *applied*
     // migration; rejected re-offers go through the read-only peek path.
     assert_eq!(
-        dispatcher.dispatches,
+        dispatches.get(),
         120 + report.serving().migrations,
         "rejected candidates must not advance the cursor"
     );
@@ -322,9 +338,10 @@ fn admission_timer_bounds_queue_waits() {
         })
         .build();
     let report = simulate_cluster(
-        &w,
-        DispatchPolicy::JoinShortestQueue.build().as_mut(),
+        w.source(),
+        &mut ClusterPolicy::from_dispatch(DispatchPolicy::JoinShortestQueue),
         &pool,
+        NullTracer,
     );
     assert_eq!(report.completed_total(), 120);
     assert!(report
@@ -354,8 +371,18 @@ fn identical_seeds_produce_identical_cluster_reports() {
     ];
     for pool in &pools {
         for dispatch in DispatchPolicy::ALL {
-            let a = simulate_cluster(&w1, dispatch.build().as_mut(), pool);
-            let b = simulate_cluster(&w2, dispatch.build().as_mut(), pool);
+            let a = simulate_cluster(
+                w1.source(),
+                &mut ClusterPolicy::from_dispatch(dispatch),
+                pool,
+                NullTracer,
+            );
+            let b = simulate_cluster(
+                w2.source(),
+                &mut ClusterPolicy::from_dispatch(dispatch),
+                pool,
+                NullTracer,
+            );
             assert_eq!(a, b, "{dispatch}");
         }
     }
@@ -379,7 +406,12 @@ fn every_dispatch_policy_serves_every_pool_shape() {
     ];
     for (pool, w) in &pools {
         for dispatch in DispatchPolicy::ALL {
-            let report = simulate_cluster(w, dispatch.build().as_mut(), pool);
+            let report = simulate_cluster(
+                w.source(),
+                &mut ClusterPolicy::from_dispatch(dispatch),
+                pool,
+                NullTracer,
+            );
             assert_eq!(report.completed_total(), 120, "{dispatch}");
             // Exactly-once completion across the whole pool.
             let mut ids: Vec<u64> = report.completed().map(|c| c.id).collect();
@@ -421,7 +453,13 @@ fn informed_dispatch_beats_round_robin_on_homogeneous_pools() {
                     seed * 7919 + 13,
                 );
                 let pool = ClusterConfig::homogeneous(nodes, kind, Policy::Dysta);
-                total += simulate_cluster(&w, dispatch.build().as_mut(), &pool).antt();
+                total += simulate_cluster(
+                    w.source(),
+                    &mut ClusterPolicy::from_dispatch(dispatch),
+                    &pool,
+                    NullTracer,
+                )
+                .antt();
             }
             total / 5.0
         };
@@ -447,7 +485,13 @@ fn affinity_wins_on_heterogeneous_pools() {
             // The bench sweep's operating point: 10 samples/s per node.
             let w = mixed_workload(40.0, 250, seed * 104_729 + 7);
             let pool = ClusterConfig::heterogeneous(2, 2, Policy::Dysta);
-            total += simulate_cluster(&w, dispatch.build().as_mut(), &pool).antt();
+            total += simulate_cluster(
+                w.source(),
+                &mut ClusterPolicy::from_dispatch(dispatch),
+                &pool,
+                NullTracer,
+            )
+            .antt();
         }
         total / 5.0
     };
@@ -464,14 +508,16 @@ fn mismatched_pool_pays_the_slowdown() {
     let native = ClusterConfig::homogeneous(2, AcceleratorKind::EyerissV2, Policy::Dysta);
     let foreign = ClusterConfig::homogeneous(2, AcceleratorKind::Sanger, Policy::Dysta);
     let native = simulate_cluster(
-        &w,
-        DispatchPolicy::JoinShortestQueue.build().as_mut(),
+        w.source(),
+        &mut ClusterPolicy::from_dispatch(DispatchPolicy::JoinShortestQueue),
         &native,
+        NullTracer,
     );
     let foreign = simulate_cluster(
-        &w,
-        DispatchPolicy::JoinShortestQueue.build().as_mut(),
+        w.source(),
+        &mut ClusterPolicy::from_dispatch(DispatchPolicy::JoinShortestQueue),
         &foreign,
+        NullTracer,
     );
     assert!(
         foreign.antt() > native.antt(),
@@ -487,9 +533,10 @@ fn adding_nodes_improves_turnaround() {
     let antt = |n: usize| {
         let pool = ClusterConfig::homogeneous(n, AcceleratorKind::EyerissV2, Policy::Dysta);
         simulate_cluster(
-            &w,
-            DispatchPolicy::JoinShortestQueue.build().as_mut(),
+            w.source(),
+            &mut ClusterPolicy::from_dispatch(DispatchPolicy::JoinShortestQueue),
             &pool,
+            NullTracer,
         )
         .antt()
     };

@@ -12,11 +12,11 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use dysta_cluster::{
-    simulate_cluster_traced, simulate_cluster_with, AcceleratorKind, ClusterBuilder, ClusterConfig,
-    ClusterPolicy, DispatchPolicy, FaultConfig, FaultSchedule, FrontendConfig, RecoveryConfig,
+    simulate_cluster, AcceleratorKind, ClusterBuilder, ClusterConfig, ClusterPolicy,
+    DispatchPolicy, FaultConfig, FaultSchedule, FrontendConfig, RecoveryConfig,
 };
 use dysta_core::Policy;
-use dysta_obs::{EventKind, RingTracer};
+use dysta_obs::{EventKind, NullTracer, RingTracer};
 use dysta_workload::{Scenario, Workload, WorkloadBuilder};
 
 fn workload(rate: f64, slo: f64, n: usize, seed: u64) -> Workload {
@@ -101,7 +101,7 @@ proptest! {
         };
         let mut policy = ClusterPolicy::from_dispatch(dispatch);
         let report =
-            simulate_cluster_with(&w, &mut policy, &pool(shape, FrontendConfig::serving(), faults));
+            simulate_cluster(w.source(), &mut policy, &pool(shape, FrontendConfig::serving(), faults), NullTracer);
 
         // AdmitAll: everything offered is admitted, and every admitted
         // request resolves exactly one way.
@@ -176,12 +176,7 @@ proptest! {
         };
         let tracer = RingTracer::new(1 << 18);
         let mut policy = ClusterPolicy::from_dispatch(dispatch);
-        let report = simulate_cluster_traced(
-            &w,
-            &mut policy,
-            &pool(0, FrontendConfig::serving(), faults),
-            &tracer,
-        );
+        let report = simulate_cluster(w.source(), &mut policy, &pool(0, FrontendConfig::serving(), faults), &tracer);
         // The stream obeys the health-ordering rules: no dispatch,
         // steal, migration, or retry onto a down node, salvage only
         // after a crash, no completion after a renege or failure.
@@ -222,7 +217,7 @@ proptest! {
         };
         let mut policy = ClusterPolicy::from_dispatch(dispatch);
         let baseline =
-            simulate_cluster_with(&w, &mut policy, &pool(shape, frontend, FaultConfig::default()));
+            simulate_cluster(w.source(), &mut policy, &pool(shape, frontend, FaultConfig::default()), NullTracer);
         // An explicitly-constructed empty schedule with salvage armed
         // takes no code path the fault-free run does not.
         let armed = FaultConfig {
@@ -230,7 +225,7 @@ proptest! {
             recovery: RecoveryConfig { salvage: true, max_retries: 5, reneging: false },
         };
         let mut policy = ClusterPolicy::from_dispatch(dispatch);
-        let with_faults = simulate_cluster_with(&w, &mut policy, &pool(shape, frontend, armed));
+        let with_faults = simulate_cluster(w.source(), &mut policy, &pool(shape, frontend, armed), NullTracer);
         prop_assert_eq!(baseline, with_faults);
     }
 }
@@ -252,7 +247,7 @@ fn traced_two_node_run(schedule: FaultSchedule) -> RingTracer {
         .build();
     let tracer = RingTracer::new(1 << 16);
     let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::RoundRobin);
-    let report = simulate_cluster_traced(&w, &mut policy, &config, &tracer);
+    let report = simulate_cluster(w.source(), &mut policy, &config, &tracer);
     assert!(tracer.validate().is_ok(), "{:?}", tracer.validate());
     assert_eq!(
         report.admitted_total(),

@@ -10,9 +10,11 @@
 use proptest::prelude::*;
 
 use dysta_cluster::{
-    simulate_cluster_stream, ClusterConfig, DispatchPolicy, SweepGrid, SweepRow, SweepScenario,
+    simulate_cluster, ClusterConfig, ClusterPolicy, DispatchPolicy, SweepGrid, SweepRow,
+    SweepScenario,
 };
 use dysta_core::Policy;
+use dysta_obs::NullTracer;
 use dysta_workload::{Scenario, StreamSpec};
 
 fn scenarios() -> Vec<SweepScenario> {
@@ -35,10 +37,11 @@ fn fresh_store_rows(grid: &SweepGrid) -> Vec<SweepRow> {
                         .samples_per_variant(grid.samples_per_variant)
                         .seed(seed);
                     let store = spec.build_store();
-                    let report = simulate_cluster_stream(
+                    let report = simulate_cluster(
                         spec.source(&store),
-                        policy.build().as_mut(),
+                        &mut ClusterPolicy::from_dispatch(policy),
                         &grid.config,
+                        NullTracer,
                     );
                     rows.push(SweepRow {
                         scenario: sc.name.to_string(),

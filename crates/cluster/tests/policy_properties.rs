@@ -12,10 +12,11 @@
 use proptest::prelude::*;
 
 use dysta_cluster::{
-    simulate_cluster, AcceleratorKind, ClusterBuilder, DispatchPolicy, FrontendConfig,
-    MigrationConfig, StealConfig, TransferCostConfig,
+    simulate_cluster, AcceleratorKind, ClusterBuilder, ClusterPolicy, DispatchPolicy,
+    FrontendConfig, MigrationConfig, StealConfig, TransferCostConfig,
 };
 use dysta_core::Policy;
+use dysta_obs::NullTracer;
 use dysta_sim::EngineConfig;
 use dysta_workload::{Scenario, Workload, WorkloadBuilder};
 
@@ -46,12 +47,8 @@ proptest! {
             let pool = ClusterBuilder::homogeneous(3, AcceleratorKind::EyerissV2, Policy::Dysta)
                 .node_capacity(1, 0.6)
                 .build();
-            let rr = simulate_cluster(&w, DispatchPolicy::RoundRobin.build().as_mut(), &pool);
-            let edf = simulate_cluster(
-                &w,
-                DispatchPolicy::EarliestDeadlineFirst.build().as_mut(),
-                &pool,
-            );
+            let rr = simulate_cluster(w.source(), &mut ClusterPolicy::from_dispatch(DispatchPolicy::RoundRobin), &pool, NullTracer);
+            let edf = simulate_cluster(w.source(), &mut ClusterPolicy::from_dispatch(DispatchPolicy::EarliestDeadlineFirst), &pool, NullTracer);
             rr_total += rr.completed().filter(|c| c.violated()).count();
             edf_total += edf.completed().filter(|c| c.violated()).count();
         }
@@ -96,8 +93,8 @@ proptest! {
             .frontend(frontend)
             .transfer_cost(TransferCostConfig::default_costed())
             .build();
-        let rf = simulate_cluster(&w, DispatchPolicy::RoundRobin.build().as_mut(), &free);
-        let rc = simulate_cluster(&w, DispatchPolicy::RoundRobin.build().as_mut(), &costed);
+        let rf = simulate_cluster(w.source(), &mut ClusterPolicy::from_dispatch(DispatchPolicy::RoundRobin), &free, NullTracer);
+        let rc = simulate_cluster(w.source(), &mut ClusterPolicy::from_dispatch(DispatchPolicy::RoundRobin), &costed, NullTracer);
 
         // Conservation still holds with a nonzero transfer cost.
         prop_assert_eq!(rc.completed_total(), 60);
@@ -151,7 +148,7 @@ proptest! {
             let pool = ClusterBuilder::homogeneous(1, AcceleratorKind::EyerissV2, Policy::Fcfs)
                 .node_capacity(0, cap)
                 .build();
-            simulate_cluster(&w, DispatchPolicy::RoundRobin.build().as_mut(), &pool)
+            simulate_cluster(w.source(), &mut ClusterPolicy::from_dispatch(DispatchPolicy::RoundRobin), &pool, NullTracer)
         };
         let full = run(1.0);
         let slow = run(capacity);

@@ -7,10 +7,11 @@
 use proptest::prelude::*;
 
 use dysta_cluster::{
-    simulate_cluster, AcceleratorKind, ClusterBuilder, ClusterConfig, ClusterReport,
+    simulate_cluster, AcceleratorKind, ClusterBuilder, ClusterConfig, ClusterPolicy, ClusterReport,
     DispatchPolicy, FrontendConfig, MigrationConfig, StealConfig,
 };
 use dysta_core::{ModelInfoLut, Policy};
+use dysta_obs::NullTracer;
 use dysta_sim::{EngineConfig, NodeEngine};
 use dysta_workload::{Scenario, Workload, WorkloadBuilder};
 
@@ -69,7 +70,7 @@ proptest! {
             }),
             ..FrontendConfig::default()
         };
-        let report = simulate_cluster(&w, dispatch.build().as_mut(), &pool(shape, frontend));
+        let report = simulate_cluster(w.source(), &mut ClusterPolicy::from_dispatch(dispatch), &pool(shape, frontend), NullTracer);
 
         // Conservation: exactly-once completion across the whole pool,
         // no matter how often requests moved.
@@ -174,15 +175,16 @@ proptest! {
 }
 
 /// 20 MultiCnn requests on a 2-node Eyeriss-V2 pool under `frontend`.
-fn clock_edge_run(frontend: FrontendConfig) -> ClusterReport {
-    let w = workload(Scenario::MultiCnn, 3.0, 20, 7);
+fn clock_edge_run(rate: f64, n: usize, frontend: FrontendConfig) -> ClusterReport {
+    let w = workload(Scenario::MultiCnn, rate, n, 7);
     let config = ClusterBuilder::homogeneous(2, AcceleratorKind::EyerissV2, Policy::Dysta)
         .frontend(frontend)
         .build();
     simulate_cluster(
-        &w,
-        DispatchPolicy::JoinShortestQueue.build().as_mut(),
+        w.source(),
+        &mut ClusterPolicy::from_dispatch(DispatchPolicy::JoinShortestQueue),
         &config,
+        NullTracer,
     )
 }
 
@@ -196,9 +198,9 @@ fn admission_timer_past_the_clock_end_never_fires() {
         admit_interval_ns,
         ..FrontendConfig::default()
     };
-    let report = clock_edge_run(batched(u64::MAX));
+    let report = clock_edge_run(3.0, 20, batched(u64::MAX));
     assert_eq!(report.completed_total(), 20);
-    assert_eq!(report, clock_edge_run(batched(0)));
+    assert_eq!(report, clock_edge_run(3.0, 20, batched(0)));
 }
 
 #[test]
@@ -207,13 +209,40 @@ fn tick_past_the_clock_end_stops_rearming() {
     // completion, finds nothing to steal, and its re-arm would lie past
     // the end of the clock, so the tick stops instead of wrapping. The
     // run is the one without stealing.
-    let report = clock_edge_run(FrontendConfig {
-        steal: Some(StealConfig {
-            period_ns: u64::MAX,
-            ..StealConfig::costed()
-        }),
-        ..FrontendConfig::default()
-    });
+    let report = clock_edge_run(
+        3.0,
+        20,
+        FrontendConfig {
+            steal: Some(StealConfig {
+                period_ns: u64::MAX,
+                ..StealConfig::costed()
+            }),
+            ..FrontendConfig::default()
+        },
+    );
     assert_eq!(report.completed_total(), 20);
-    assert_eq!(report, clock_edge_run(FrontendConfig::default()));
+    assert_eq!(report, clock_edge_run(3.0, 20, FrontendConfig::default()));
+}
+
+#[test]
+fn work_dispatched_at_the_clock_end_saturates_the_node_clock() {
+    // At 1e12 req/s every arrival rounds to t = 0, so the last partial
+    // batch (22 = 5 x 4 + 2) waits for its timer at `0 + u64::MAX`. Its
+    // requests start at the end of the clock: the node clock saturates
+    // there instead of overflowing, and each request completes once.
+    let report = clock_edge_run(
+        1e12,
+        22,
+        FrontendConfig {
+            admit_batch: 4,
+            admit_interval_ns: u64::MAX,
+            ..FrontendConfig::default()
+        },
+    );
+    assert_eq!(report.completed_total(), 22);
+    assert_eq!(
+        report.admitted_total(),
+        report.completed_total() + report.failed_total() + report.reneged_total()
+    );
+    assert!(report.completed().any(|c| c.completion_ns == u64::MAX));
 }

@@ -2,7 +2,7 @@
 //! number of requests served.
 //!
 //! A thread-local counting allocator tracks live heap bytes and their
-//! high-water mark over one `simulate_cluster_stream` call (trace
+//! high-water mark over one streamed `simulate_cluster` call (trace
 //! store included). The same steady stream runs at two lengths; since
 //! peak concurrency is the same, the peak heap may grow only by what
 //! the report keeps per request: a 56 B `CompletedRequest` plus 8 B of
@@ -17,8 +17,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dysta_cluster::{simulate_cluster_stream, AcceleratorKind, ClusterConfig, DispatchPolicy};
+use dysta_cluster::{
+    simulate_cluster, AcceleratorKind, ClusterConfig, ClusterPolicy, DispatchPolicy,
+};
 use dysta_core::Policy;
+use dysta_obs::NullTracer;
 use dysta_workload::{Scenario, StreamSpec};
 
 struct CountingAllocator;
@@ -76,12 +79,12 @@ fn stream_peak_heap(n: u64) -> (i64, usize) {
         .samples_per_variant(4)
         .seed(1);
     let pool = ClusterConfig::homogeneous(8, AcceleratorKind::EyerissV2, Policy::Dysta);
-    let mut dispatcher = DispatchPolicy::JoinShortestQueue.build();
+    let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::JoinShortestQueue);
     let base = LIVE_BYTES.with(Cell::get);
     PEAK_BYTES.with(|p| p.set(base));
     let peak_live = {
         let store = spec.build_store();
-        let report = simulate_cluster_stream(spec.source(&store), dispatcher.as_mut(), &pool);
+        let report = simulate_cluster(spec.source(&store), &mut policy, &pool, NullTracer);
         assert_eq!(
             report.completed_total() as u64,
             n,

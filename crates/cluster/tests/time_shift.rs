@@ -14,12 +14,13 @@
 use proptest::prelude::*;
 
 use dysta_cluster::{
-    balanced_mixed_serving_mix, simulate_cluster_with, AdmissionConfig, ClusterBuilder,
-    ClusterConfig, ClusterPolicy, ClusterReport, DispatchPolicy, FaultConfig, FaultSchedule,
-    FrontendConfig, MigrationConfig, NodeReport, RecoveryConfig, SlackLoadShedding, StealConfig,
+    balanced_mixed_serving_mix, simulate_cluster, AdmissionConfig, ClusterBuilder, ClusterConfig,
+    ClusterPolicy, ClusterReport, DispatchPolicy, FaultConfig, FaultSchedule, FrontendConfig,
+    MigrationConfig, NodeReport, RecoveryConfig, SlackLoadShedding, StealConfig,
     TransferCostConfig,
 };
 use dysta_core::Policy;
+use dysta_obs::NullTracer;
 use dysta_sim::{CompletedRequest, SimReport};
 use dysta_workload::{Request, Workload, WorkloadBuilder};
 
@@ -168,7 +169,7 @@ proptest! {
             let mut cluster_policy = ClusterPolicy::from_dispatch(dispatch)
                 .with_admission(Box::new(SlackLoadShedding::new()));
             let config = pool(policy, frontend, faults.schedule(delta));
-            simulate_cluster_with(w, &mut cluster_policy, &config)
+            simulate_cluster(w.source(), &mut cluster_policy, &config, NullTracer)
         };
         let delta = k * S;
         let base = run(&w, 0);

@@ -4,11 +4,11 @@
 //! and two identical traced runs export byte-identical Perfetto JSON.
 
 use dysta_cluster::{
-    simulate_cluster_traced, simulate_cluster_with, ClusterBuilder, ClusterConfig, ClusterPolicy,
-    DispatchPolicy, FrontendConfig, MigrationConfig, StealConfig, TransferCostConfig,
+    simulate_cluster, ClusterBuilder, ClusterConfig, ClusterPolicy, DispatchPolicy, FrontendConfig,
+    MigrationConfig, StealConfig, TransferCostConfig,
 };
 use dysta_core::Policy;
-use dysta_obs::{EventKind, RingTracer, NODE_FRONTEND};
+use dysta_obs::{EventKind, NullTracer, RingTracer, NODE_FRONTEND};
 use dysta_workload::{Scenario, Workload, WorkloadBuilder};
 
 fn serving_workload(seed: u64) -> Workload {
@@ -47,9 +47,9 @@ fn traced_run_report_is_identical_to_untraced() {
     let pool = serving_pool();
     let mut a = ClusterPolicy::from_dispatch(DispatchPolicy::LeastLoaded);
     let mut b = ClusterPolicy::from_dispatch(DispatchPolicy::LeastLoaded);
-    let untraced = simulate_cluster_with(&w, &mut a, &pool);
+    let untraced = simulate_cluster(w.source(), &mut a, &pool, NullTracer);
     let tracer = RingTracer::new(1 << 16);
-    let traced = simulate_cluster_traced(&w, &mut b, &pool, &tracer);
+    let traced = simulate_cluster(w.source(), &mut b, &pool, &tracer);
     assert_eq!(untraced, traced, "tracing perturbed the run");
     assert!(!tracer.is_empty());
 }
@@ -60,7 +60,7 @@ fn trace_counters_match_report_counters() {
     let pool = serving_pool();
     let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::EarliestDeadlineFirst);
     let tracer = RingTracer::new(1 << 16);
-    let report = simulate_cluster_traced(&w, &mut policy, &pool, &tracer);
+    let report = simulate_cluster(w.source(), &mut policy, &pool, &tracer);
     assert_eq!(tracer.dropped(), 0, "ring too small for this scenario");
 
     // Event counters line up with what the report says happened.
@@ -123,7 +123,7 @@ fn identical_traced_runs_export_byte_identical_perfetto_json() {
     let export = |seed_policy: DispatchPolicy| {
         let mut policy = ClusterPolicy::from_dispatch(seed_policy);
         let tracer = RingTracer::new(1 << 16);
-        simulate_cluster_traced(&w, &mut policy, &pool, &tracer);
+        simulate_cluster(w.source(), &mut policy, &pool, &tracer);
         tracer.perfetto_json()
     };
     let one = export(DispatchPolicy::LeastLoaded);
@@ -141,7 +141,7 @@ fn frontend_events_use_the_frontend_pseudo_node() {
     let pool = serving_pool();
     let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::LeastLoaded);
     let tracer = RingTracer::new(1 << 16);
-    simulate_cluster_traced(&w, &mut policy, &pool, &tracer);
+    simulate_cluster(w.source(), &mut policy, &pool, &tracer);
     for e in tracer.events() {
         match e.kind {
             EventKind::Arrival => assert_eq!(e.node, NODE_FRONTEND),
@@ -151,4 +151,56 @@ fn frontend_events_use_the_frontend_pseudo_node() {
             _ => {}
         }
     }
+}
+
+/// The three `#[doc(hidden)]` forwards the benchmark harness still calls
+/// reproduce `simulate_cluster` bit for bit — report and event stream —
+/// on a costed, faulted pool that steals and migrates.
+#[test]
+fn legacy_forwards_match_simulate_cluster() {
+    use dysta_cluster::{
+        simulate_cluster_stream, simulate_cluster_stream_with, simulate_cluster_traced,
+        FaultConfig, FaultSchedule, RecoveryConfig,
+    };
+
+    let w = serving_workload(11);
+    let mut pool = serving_pool();
+    pool.faults = FaultConfig {
+        schedule: FaultSchedule::new()
+            .transient_crash(0, 1_500_000_000, 2_500_000_000)
+            .brownout(2, 800_000_000, 2_000_000_000, 0.5),
+        recovery: RecoveryConfig {
+            salvage: true,
+            max_retries: 2,
+            reneging: true,
+        },
+    };
+    let dispatch = DispatchPolicy::LeastLoaded;
+    let policy = || ClusterPolicy::from_dispatch(dispatch);
+
+    let expected = simulate_cluster(w.source(), &mut policy(), &pool, NullTracer);
+    let serving = expected.serving();
+    assert!(serving.steals > 0 && serving.migrations > 0);
+    assert!(serving.recovery.crashes > 0 && serving.recovery.salvaged > 0);
+    assert!(expected.total_transfer_cost_ns() > 0);
+
+    let stream = simulate_cluster_stream(w.source(), dispatch.build().as_mut(), &pool);
+    assert_eq!(stream, expected);
+    let stream_with = simulate_cluster_stream_with(w.source(), &mut policy(), &pool);
+    assert_eq!(stream_with, expected);
+
+    let direct = RingTracer::new(1 << 16);
+    let forwarded = RingTracer::new(1 << 16);
+    assert_eq!(
+        simulate_cluster(w.source(), &mut policy(), &pool, &direct),
+        expected
+    );
+    assert_eq!(
+        simulate_cluster_traced(&w, &mut policy(), &pool, &forwarded),
+        expected
+    );
+    assert_eq!(direct.dropped(), 0, "ring too small for this scenario");
+    assert_eq!(forwarded.events(), direct.events());
+    assert_eq!(forwarded.labels(), direct.labels());
+    assert_eq!(forwarded.node_names(), direct.node_names());
 }

@@ -2,8 +2,9 @@
 //! where it enters a cluster run, in release builds too, instead of
 //! running against another variant's traces and LUT entry.
 
-use dysta_cluster::{simulate_cluster_stream, ClusterConfig, DispatchPolicy};
+use dysta_cluster::{simulate_cluster, ClusterConfig, ClusterPolicy, DispatchPolicy};
 use dysta_core::Policy;
+use dysta_obs::NullTracer;
 use dysta_trace::{SampleTrace, TraceStore, VariantId};
 use dysta_workload::{Request, RequestSource, Scenario, WorkloadBuilder, WorkloadSource};
 
@@ -53,14 +54,15 @@ fn run_retagged(retag: Retag) {
         .build();
     assert!(w.store().len() > 1, "need a second profiled variant");
     let source = Retagged {
-        inner: WorkloadSource::new(&w),
+        inner: w.source(),
         retag,
     };
     let pool = ClusterConfig::heterogeneous(1, 1, Policy::Dysta);
-    simulate_cluster_stream(
+    simulate_cluster(
         source,
-        DispatchPolicy::SparsityAffinity.build().as_mut(),
+        &mut ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity),
         &pool,
+        NullTracer,
     );
 }
 

@@ -151,6 +151,8 @@ pub struct NodeEngine<'w, S = Box<dyn Scheduler>, T = NullTracer> {
     /// queue change, executed work); a cluster front-end caches its
     /// per-node dispatch views against this.
     mutation_epoch: u64,
+    /// The node's clock. Every advance saturates, so work dispatched near
+    /// the end of `u64` finishes at `u64::MAX` instead of wrapping.
     now_ns: u64,
     last_ran: Option<u64>,
     preemptions: u64,
@@ -341,7 +343,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         let TransferableTask { mut task, trace } = transfer;
         assert!(!task.started(), "only unstarted tasks can transfer");
         task.true_remaining_ns = scale_ns(trace.isolated_latency_ns(), scale);
-        self.now_ns = self.now_ns.max(at_ns) + fetch_ns;
+        self.now_ns = self.now_ns.max(at_ns).saturating_add(fetch_ns);
         self.busy_ns += fetch_ns;
         self.mutation_epoch += 1;
         self.scheduler.on_arrival(&task, &self.lut, self.now_ns);
@@ -643,7 +645,9 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
                     b: self.config.preemption_overhead_ns as i64,
                 });
             }
-            self.now_ns += self.config.preemption_overhead_ns;
+            self.now_ns = self
+                .now_ns
+                .saturating_add(self.config.preemption_overhead_ns);
             if self.tracer.enabled() {
                 // The incoming task's segment starts once the switch
                 // overhead is paid.
@@ -670,7 +674,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             }
             let layer = trace.layers()[self.tasks[task_idx].next_layer];
             let latency_ns = scale_ns(layer.latency_ns, scale);
-            self.now_ns += latency_ns;
+            self.now_ns = self.now_ns.saturating_add(latency_ns);
             self.busy_ns += latency_ns;
             let task = &mut self.tasks[task_idx];
             task.next_layer += 1;

@@ -2,10 +2,11 @@
 //!
 //! A [`RequestSource`] is a peekable, forward-only stream of
 //! [`Request`]s backed by a Phase-1 trace library. The historical
-//! fully-materialized [`Workload`] adapts to it via [`WorkloadSource`]
-//! (a cursor over the request slice); the open-loop generator
-//! ([`crate::ArrivalSource`]) implements it natively, producing
-//! requests lazily so the request list never resides in memory. A
+//! fully-materialized [`Workload`] adapts to it via [`Workload::source`]
+//! (a [`WorkloadSource`] cursor over the request slice); the open-loop
+//! generator ([`crate::ArrivalSource`]) implements it natively,
+//! producing requests lazily so the request list never resides in
+//! memory. A
 //! serving run still keeps its report, which grows with the stream: a
 //! 56 B completion record plus 8 B of admission wait per request.
 
@@ -58,19 +59,34 @@ pub trait RequestSource<'w> {
 }
 
 /// A [`RequestSource`] over a fully-materialized [`Workload`]: a
-/// cursor walking the request slice. This is the adapter behind the
-/// `simulate_cluster*` entry points that take a materialized workload.
+/// cursor walking the request slice, made by [`Workload::source`]. This
+/// is how a materialized workload enters `dysta_cluster::simulate_cluster`.
 #[derive(Debug, Clone)]
 pub struct WorkloadSource<'w> {
     workload: &'w Workload,
     cursor: usize,
 }
 
-impl<'w> WorkloadSource<'w> {
-    /// Starts a cursor at the beginning of `workload`'s request stream.
-    pub fn new(workload: &'w Workload) -> Self {
+impl Workload {
+    /// A cursor at the beginning of this workload's request stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the request ids are dense, `0..len` in order. A
+    /// streaming source owns its id minting (the [`RequestSource`]
+    /// contract), but a hand-assembled [`Workload::from_parts`] slice
+    /// does not, and the cluster front-end keys waits and migrations by
+    /// id, so gaps or duplicates would mis-account them (O(n), once).
+    pub fn source(&self) -> WorkloadSource<'_> {
+        assert!(
+            self.requests()
+                .iter()
+                .enumerate()
+                .all(|(i, r)| r.id == i as u64),
+            "cluster front-end requires dense request ids 0..len"
+        );
         WorkloadSource {
-            workload,
+            workload: self,
             cursor: 0,
         }
     }
@@ -117,7 +133,7 @@ mod tests {
             .samples_per_variant(4)
             .seed(2)
             .build();
-        let mut source = WorkloadSource::new(&w);
+        let mut source = w.source();
         assert_eq!(source.len_hint(), 25);
         for expected in w.requests() {
             assert_eq!(source.peek_arrival_ns(), Some(expected.arrival_ns));
@@ -132,5 +148,29 @@ mod tests {
         }
         assert_eq!(source.peek_arrival_ns(), None);
         assert_eq!(source.next_request(), None);
+    }
+
+    /// A 6-request workload whose ids `edit` rewrote, reassembled.
+    fn with_ids(edit: fn(&mut [Request])) -> Workload {
+        let w = WorkloadBuilder::new(Scenario::MultiCnn)
+            .num_requests(6)
+            .samples_per_variant(2)
+            .seed(2)
+            .build();
+        let mut requests = w.requests().to_vec();
+        edit(&mut requests);
+        Workload::from_parts(requests, w.store().clone())
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster front-end requires dense request ids")]
+    fn source_rejects_an_id_gap() {
+        with_ids(|r| r[4].id = 9).source();
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster front-end requires dense request ids")]
+    fn source_rejects_a_duplicate_id() {
+        with_ids(|r| r[4].id = 3).source();
     }
 }

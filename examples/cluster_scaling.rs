@@ -9,9 +9,11 @@
 //! trace JSON viewable at <https://ui.perfetto.dev>.
 
 use dysta::cluster::{
-    balanced_mixed_serving_mix, simulate_cluster, AcceleratorKind, ClusterConfig, DispatchPolicy,
+    balanced_mixed_serving_mix, simulate_cluster, AcceleratorKind, ClusterConfig, ClusterPolicy,
+    DispatchPolicy,
 };
 use dysta::core::Policy;
+use dysta::obs::NullTracer;
 use dysta::workload::{Scenario, WorkloadBuilder};
 use dysta_bench::{export_trace, trace_arg};
 
@@ -40,7 +42,12 @@ fn main() {
     for nodes in [1usize, 2, 4, 8] {
         let pool = ClusterConfig::homogeneous(nodes, AcceleratorKind::EyerissV2, Policy::Dysta);
         for dispatch in DispatchPolicy::ALL {
-            let report = simulate_cluster(&workload, dispatch.build().as_mut(), &pool);
+            let report = simulate_cluster(
+                workload.source(),
+                &mut ClusterPolicy::from_dispatch(dispatch),
+                &pool,
+                NullTracer,
+            );
             let util = report.per_node_utilization();
             let mean_util = util.iter().sum::<f64>() / util.len() as f64;
             println!(
@@ -71,7 +78,12 @@ fn main() {
     println!("heterogeneous pool (2x Eyeriss-V2 + 2x Sanger), mixed CNN+AttNN traffic:");
     let pool = ClusterConfig::heterogeneous(2, 2, Policy::Dysta);
     for dispatch in DispatchPolicy::ALL {
-        let report = simulate_cluster(&mixed, dispatch.build().as_mut(), &pool);
+        let report = simulate_cluster(
+            mixed.source(),
+            &mut ClusterPolicy::from_dispatch(dispatch),
+            &pool,
+            NullTracer,
+        );
         println!(
             "  {:<14} ANTT {:>6.3}  viol {:>5.1}%  thr {:>7.1} inf/s  imbalance {:>5.2}",
             dispatch.name(),

@@ -17,10 +17,11 @@
 //! counters.
 
 use dysta::cluster::{
-    simulate_cluster, ClusterBuilder, DispatchPolicy, FrontendConfig, StealConfig,
+    simulate_cluster, ClusterBuilder, ClusterPolicy, DispatchPolicy, FrontendConfig, StealConfig,
     TransferCostConfig,
 };
 use dysta::core::Policy;
+use dysta::obs::NullTracer;
 use dysta::workload::{Scenario, WorkloadBuilder};
 use dysta_bench::{export_trace, trace_arg};
 
@@ -95,9 +96,10 @@ fn main() {
             .transfer_cost(transfer_cost)
             .build();
         let report = simulate_cluster(
-            &workload,
-            DispatchPolicy::SparsityAffinity.build().as_mut(),
+            workload.source(),
+            &mut ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity),
             &pool,
+            NullTracer,
         );
         let p = report.latency_percentiles();
         let s = report.serving();

@@ -34,6 +34,7 @@ use dysta::cluster::{
     MigrationConfig, StealConfig,
 };
 use dysta::core::Policy;
+use dysta::obs::NullTracer;
 use dysta::workload::{Scenario, WorkloadBuilder};
 use dysta_bench::paper::{self, OPERATING_POINTS, SWEEP_POLICIES};
 use dysta_bench::serving;
@@ -236,7 +237,12 @@ fn cell(
     frontend_name: &str,
     workload: &dysta::workload::Workload,
 ) -> ClusterCell {
-    let report = simulate_cluster(workload, dispatch.build().as_mut(), config);
+    let report = simulate_cluster(
+        workload.source(),
+        &mut ClusterPolicy::from_dispatch(dispatch),
+        config,
+        NullTracer,
+    );
     let p = report.latency_percentiles();
     ClusterCell {
         pool: pool_name.to_string(),
@@ -346,7 +352,6 @@ fn golden_cluster_sweep_quick() {
 /// `UPDATE_GOLDEN=1 cargo test --test golden_reports`.
 #[test]
 fn golden_trace_export() {
-    use dysta::cluster::simulate_cluster_traced;
     use dysta::obs::RingTracer;
 
     let w = WorkloadBuilder::new(Scenario::MultiCnn)
@@ -366,7 +371,7 @@ fn golden_trace_export() {
         .build();
     let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity);
     let tracer = RingTracer::new(1 << 14);
-    let report = simulate_cluster_traced(&w, &mut policy, &pool, &tracer);
+    let report = simulate_cluster(w.source(), &mut policy, &pool, &tracer);
     assert_eq!(report.completed_total(), 12);
     assert_eq!(tracer.dropped(), 0, "fixture scenario must fit the ring");
     tracer.validate().expect("well-formed event stream");
@@ -502,7 +507,7 @@ struct StealClassesGolden {
 /// cost) and every node's transfer accounting is pinned.
 #[test]
 fn golden_steal_classes() {
-    use dysta::cluster::{simulate_cluster_traced, FaultConfig, FaultSchedule, TransferCostConfig};
+    use dysta::cluster::{FaultConfig, FaultSchedule, TransferCostConfig};
     use dysta::obs::{EventKind, RingTracer};
 
     // (node, from, until, factor) fault windows.
@@ -537,7 +542,7 @@ fn golden_steal_classes() {
         .build();
     let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity);
     let tracer = RingTracer::new(1 << 16);
-    let report = simulate_cluster_traced(&w, &mut policy, &pool, &tracer);
+    let report = simulate_cluster(w.source(), &mut policy, &pool, &tracer);
     assert_eq!(tracer.dropped(), 0, "fixture scenario must fit the ring");
 
     let steals: Vec<StealRow> = tracer
@@ -836,8 +841,8 @@ fn golden_fig15_rate_sweep_quick() {
 /// with and without slack load shedding. The acceptance criterion: at
 /// 3x and 4x the operating point, shedding engages and goodput degrades
 /// gracefully — no worse than admit-all's. This is also the fixture
-/// that runs entirely through `simulate_cluster_stream_with` (no
-/// materialized workload).
+/// that runs entirely through a streaming source (no materialized
+/// workload).
 #[test]
 fn golden_fig_load_curve_quick() {
     let cells = serving::load_curve_cells(Scale::quick());
