@@ -138,6 +138,36 @@ where
 }
 
 /// perfbench's call; ROADMAP item 1's benchmark change deletes it.
+///
+/// [`simulate_cluster`] with a borrowed dispatcher, the default
+/// admission, steal and migration policies, and no tracer.
+///
+/// # Examples
+///
+/// ```
+/// use dysta_cluster::{simulate_cluster, simulate_cluster_stream, AcceleratorKind};
+/// use dysta_cluster::{ClusterConfig, ClusterPolicy, DispatchPolicy};
+/// use dysta_core::Policy;
+/// use dysta_obs::NullTracer;
+/// use dysta_workload::{Scenario, StreamSpec};
+///
+/// let spec = StreamSpec::steady_poisson(Scenario::MultiCnn, 3.0, 10.0)
+///     .num_requests(40)
+///     .samples_per_variant(4)
+///     .seed(1);
+/// let store = spec.build_store();
+/// let pool = ClusterConfig::homogeneous(4, AcceleratorKind::EyerissV2, Policy::Dysta);
+/// let report = simulate_cluster_stream(
+///     spec.source(&store),
+///     DispatchPolicy::JoinShortestQueue.build().as_mut(),
+///     &pool,
+/// );
+/// assert_eq!(report.completed_total(), 40);
+///
+/// let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::JoinShortestQueue);
+/// let folded = simulate_cluster(spec.source(&store), &mut policy, &pool, NullTracer);
+/// assert_eq!(report, folded);
+/// ```
 #[doc(hidden)]
 pub fn simulate_cluster_stream<'w, S: RequestSource<'w>>(
     source: S,
@@ -169,6 +199,33 @@ pub fn simulate_cluster_stream_with<'w, S: RequestSource<'w>>(
 }
 
 /// perfbench's call; ROADMAP item 1's benchmark change deletes it.
+///
+/// [`simulate_cluster`] over a materialized workload.
+///
+/// # Examples
+///
+/// ```
+/// use dysta_cluster::{simulate_cluster, simulate_cluster_traced, ClusterConfig, ClusterPolicy};
+/// use dysta_cluster::{AcceleratorKind, DispatchPolicy};
+/// use dysta_core::Policy;
+/// use dysta_obs::{NullTracer, RingTracer};
+/// use dysta_workload::{Scenario, WorkloadBuilder};
+///
+/// let w = WorkloadBuilder::new(Scenario::MultiCnn)
+///     .num_requests(20)
+///     .samples_per_variant(4)
+///     .seed(1)
+///     .build();
+/// let pool = ClusterConfig::homogeneous(2, AcceleratorKind::EyerissV2, Policy::Dysta);
+/// let tracer = RingTracer::new(1 << 14);
+/// let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::LeastLoaded);
+/// let report = simulate_cluster_traced(&w, &mut policy, &pool, &tracer);
+/// assert_eq!(report.completed_total(), 20);
+/// assert!(tracer.validate().is_ok());
+///
+/// let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::LeastLoaded);
+/// assert_eq!(report, simulate_cluster(w.source(), &mut policy, &pool, NullTracer));
+/// ```
 #[doc(hidden)]
 pub fn simulate_cluster_traced<T: Tracer + Copy>(
     workload: &Workload,
