@@ -696,10 +696,11 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         }
         let nodes = &self.nodes;
         self.live.retain(|&id| !nodes[id].is_drained());
-        // Debug builds check the live set and the completion cursors
-        // against a walk over every node: a node handed work without
-        // `mark_live` would never advance, and a cursor behind its node
-        // would keep finished requests in the live-request table.
+        // Debug builds check the live set, the completion cursors and
+        // the live-request table against a walk over every node: a node
+        // handed work without `mark_live` would never advance, a cursor
+        // behind its node would keep finished requests in the table,
+        // and a renege or failure that skipped its removal would too.
         #[cfg(debug_assertions)]
         {
             let busy: Vec<usize> = (0..self.nodes.len())
@@ -713,6 +714,21 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                     "node {id}'s completion cursor is stale"
                 );
             }
+            // The live-request table holds exactly the requests some
+            // node queues: dispatched, and not yet completed, failed or
+            // reneged.
+            let mut live: Vec<u64> = self.live_requests.keys().copied().collect();
+            let mut queued: Vec<u64> = self
+                .nodes
+                .iter()
+                .flat_map(|node| node.queued_tasks().map(|(task, _)| task.id))
+                .collect();
+            live.sort_unstable();
+            queued.sort_unstable();
+            assert_eq!(
+                live, queued,
+                "live-request table is not the queued requests"
+            );
         }
     }
 

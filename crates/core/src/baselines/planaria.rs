@@ -35,10 +35,6 @@ impl Scheduler for Planaria {
         "planaria"
     }
 
-    fn pick_is_pure(&self) -> bool {
-        true
-    }
-
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
         // Single pass; each task's LUT estimate (the only non-trivial
         // term) is computed exactly once and reused for both the

@@ -1,15 +1,14 @@
 //! PREMA: predictive token-based preemptive scheduling
 //! (Choi & Rhu, HPCA 2020).
 
-use std::collections::HashMap;
-
 use crate::scheduler::{lut_isolated_ns, lut_remaining_ns, Scheduler, TaskQueue};
-use crate::{ModelInfoLut, TaskState};
+use crate::ModelInfoLut;
 
 /// PREMA combines token-based aging with shortest-estimated-job
-/// dispatch: every waiting task accumulates tokens proportional to its
-/// normalized waiting time (`wait / T_isol`); tasks whose tokens reach
-/// the threshold of 1 become *candidates*, and the candidate with the
+/// dispatch: a task's token is its normalized waiting time
+/// (`wait / T_isol`, with `wait` = [`crate::TaskState::waiting_ns`],
+/// time queued and not executing); tasks whose tokens reach the
+/// threshold of 1 become *candidates*, and the candidate with the
 /// shortest estimated time runs next.
 ///
 /// Following the paper's evaluation setup, the candidate condition uses
@@ -19,104 +18,51 @@ use crate::{ModelInfoLut, TaskState};
 /// token), and when no task reaches the threshold
 /// the whole queue is eligible (pure SJF until aging kicks in).
 ///
-/// Aging happens inside [`Scheduler::pick_next`], which also records the
-/// running task, so a skipped pick would change later tokens: PREMA
-/// keeps the default [`Scheduler::pick_is_pure`] (`false`) and is asked
-/// even when one task is runnable.
-///
 /// # Examples
 ///
 /// ```
 /// use dysta_core::{Prema, Scheduler};
-/// assert_eq!(Prema::default().name(), "prema");
+/// assert_eq!(Prema.name(), "prema");
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Prema {
-    tokens: HashMap<u64, TokenState>,
-    current: Option<u64>,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Prema;
 
 /// Token level at which a waiting task becomes a candidate.
 const THRESHOLD: f64 = 1.0;
-
-#[derive(Debug, Clone, Copy)]
-struct TokenState {
-    token: f64,
-    last_update_ns: u64,
-}
-
-impl Prema {
-    fn age_tokens(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) {
-        for task in queue.iter() {
-            let entry = self.tokens.entry(task.id).or_insert(TokenState {
-                token: 0.0,
-                last_update_ns: task.arrival_ns,
-            });
-            let waited = now_ns.saturating_sub(entry.last_update_ns) as f64;
-            entry.last_update_ns = now_ns;
-            // The running task is receiving service, not waiting.
-            if self.current != Some(task.id) {
-                let isolated = lut_isolated_ns(task, lut).max(1.0);
-                entry.token += waited / isolated;
-            }
-        }
-    }
-}
 
 impl Scheduler for Prema {
     fn name(&self) -> &str {
         "prema"
     }
 
-    fn on_task_complete(&mut self, task: &TaskState, _now_ns: u64) {
-        self.tokens.remove(&task.id);
-        if self.current == Some(task.id) {
-            self.current = None;
-        }
-    }
-
-    fn on_task_removed(&mut self, task: &TaskState, _now_ns: u64) {
-        // A withdrawn task never ran, so it cannot be `current`; only its
-        // aging bookkeeping needs dropping.
-        self.tokens.remove(&task.id);
-    }
-
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
-        self.age_tokens(queue, lut, now_ns);
-        // One pass, one score evaluation per task: track the shortest
-        // candidate (token over threshold) and the shortest task overall;
-        // the overall minimum only decides when no candidate exists.
-        let mut best_candidate: Option<(f64, u64, usize)> = None;
-        let mut best_any: Option<(f64, u64, usize)> = None;
+        // One pass, one evaluation per task. The key orders candidates
+        // (token over threshold) first, then by shortest estimated time
+        // and smaller id, so the shortest task overall decides only when
+        // no candidate exists.
+        let mut best: Option<((bool, f64, u64), usize)> = None;
         for (pos, t) in queue.iter().enumerate() {
-            let remaining = lut_remaining_ns(t, lut);
-            let better = |best: &Option<(f64, u64, usize)>| match best {
-                None => true,
-                Some((bs, bid, _)) => match remaining.total_cmp(bs) {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Equal => t.id < *bid,
-                    std::cmp::Ordering::Greater => false,
-                },
-            };
-            if better(&best_any) {
-                best_any = Some((remaining, t.id, pos));
-            }
-            if self.tokens[&t.id].token >= THRESHOLD && better(&best_candidate) {
-                best_candidate = Some((remaining, t.id, pos));
+            let token = t.waiting_ns(now_ns) as f64 / lut_isolated_ns(t, lut).max(1.0);
+            let key = (token < THRESHOLD, lut_remaining_ns(t, lut), t.id);
+            let better = best.is_none_or(|(b, _)| {
+                key.0
+                    .cmp(&b.0)
+                    .then(key.1.total_cmp(&b.1))
+                    .then(key.2.cmp(&b.2))
+                    .is_lt()
+            });
+            if better {
+                best = Some((key, pos));
             }
         }
-        let idx = best_candidate
-            .or(best_any)
-            .expect("eligible set is never empty")
-            .2;
-        self.current = Some(queue.get(idx).id);
-        idx
+        best.expect("engine never passes an empty queue").1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TaskState;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
     use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
@@ -139,7 +85,7 @@ mod tests {
     fn behaves_like_sjf_before_aging() {
         let (small, big, lut) = setup();
         let queue = [mk(0, big, &lut, 0), mk(1, small, &lut, 0)];
-        let mut p = Prema::default();
+        let mut p = Prema;
         assert_eq!(
             p.pick_next(TaskQueue::dense(&queue), &lut, 0),
             1,
@@ -151,7 +97,7 @@ mod tests {
     fn starved_long_job_eventually_wins() {
         let (small, big, lut) = setup();
         let long_task = mk(0, big, &lut, 0);
-        let mut p = Prema::default();
+        let mut p = Prema;
         // Age the long task far beyond its isolated time while short jobs
         // keep arriving fresh.
         let isolated = lut.expect(&big).avg_latency_ns();
@@ -163,14 +109,25 @@ mod tests {
     }
 
     #[test]
-    fn completion_clears_bookkeeping() {
-        let (small, _, lut) = setup();
-        let t = mk(0, small, &lut, 0);
-        let mut p = Prema::default();
-        let queue = [t.clone()];
-        p.pick_next(TaskQueue::dense(&queue), &lut, 0);
-        p.on_task_complete(&t, 100);
-        assert!(p.tokens.is_empty());
-        assert_eq!(p.current, None);
+    fn token_counts_waiting_not_service() {
+        let (small, big, lut) = setup();
+        let isolated = lut.expect(&big).avg_latency_ns().ceil() as u64;
+        // The long task waited its isolated latency: its token reaches
+        // the threshold and it beats the shorter job.
+        let waited = mk(0, big, &lut, 0);
+        let short = mk(1, small, &lut, isolated);
+        let queue = [waited.clone(), short.clone()];
+        let mut p = Prema;
+        assert_eq!(p.pick_next(TaskQueue::dense(&queue), &lut, isolated), 0);
+        // One nanosecond less and it is no candidate: SJF decides.
+        assert_eq!(p.pick_next(TaskQueue::dense(&queue), &lut, isolated - 1), 1);
+        // Time spent executing is service, not waiting: the same
+        // elapsed time with 1 ns of it executed leaves the token short.
+        let served = TaskState {
+            executed_ns: 1,
+            ..waited
+        };
+        let queue = [served, short];
+        assert_eq!(p.pick_next(TaskQueue::dense(&queue), &lut, isolated), 1);
     }
 }

@@ -58,10 +58,6 @@ impl Scheduler for Sdrm3 {
         "sdrm3"
     }
 
-    fn pick_is_pure(&self) -> bool {
-        true
-    }
-
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
         pick_max_score(queue, |t| self.map_score(t, lut, now_ns))
     }

@@ -29,10 +29,6 @@ impl Scheduler for Sjf {
         "sjf"
     }
 
-    fn pick_is_pure(&self) -> bool {
-        true
-    }
-
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, _now_ns: u64) -> usize {
         pick_min_score(queue, |t| lut_remaining_ns(t, lut))
     }

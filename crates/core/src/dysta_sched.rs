@@ -110,10 +110,6 @@ impl Scheduler for DystaScheduler {
         "dysta"
     }
 
-    fn pick_is_pure(&self) -> bool {
-        true
-    }
-
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
         // Algorithm 2 lines 7-13: refresh every score with the sparse
         // latency predictor — once per task — and dispatch the minimum.
@@ -152,10 +148,6 @@ impl Scheduler for DystaStaticScheduler {
         "dysta-static"
     }
 
-    fn pick_is_pure(&self) -> bool {
-        true
-    }
-
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, _now_ns: u64) -> usize {
         // Algorithm 1: the LUT's average latency and the SLO, both fixed
         // at arrival, so the score needs no per-task state.
@@ -184,10 +176,6 @@ impl OracleScheduler {
 impl Scheduler for OracleScheduler {
     fn name(&self) -> &str {
         "oracle"
-    }
-
-    fn pick_is_pure(&self) -> bool {
-        true
     }
 
     fn pick_next(&mut self, queue: TaskQueue<'_>, _lut: &ModelInfoLut, now_ns: u64) -> usize {

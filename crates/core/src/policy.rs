@@ -80,7 +80,7 @@ impl Policy {
         match self {
             Policy::Fcfs => Box::new(Fcfs::new()),
             Policy::Sjf => Box::new(Sjf::new()),
-            Policy::Prema => Box::new(Prema::default()),
+            Policy::Prema => Box::new(Prema),
             Policy::Planaria => Box::new(Planaria::new()),
             Policy::Sdrm3 => Box::new(Sdrm3::new()),
             Policy::DystaStatic => Box::new(DystaStaticScheduler::new(config)),

@@ -33,10 +33,8 @@ impl<'a> TaskQueue<'a> {
     /// The arena may reuse the slot of a task that left for the next
     /// one admitted, so a slot number says nothing about a task's
     /// identity or history. Queue position `i` is `active[i]`, whatever
-    /// slot that is; a scheduler keys any per-task state it keeps by
-    /// [`TaskState::id`] (PREMA's token map, for example), never by
-    /// position or slot. With `active` listing the same tasks in the
-    /// same order, every pick is the same whichever slots they occupy.
+    /// slot that is. With `active` listing the same tasks in the same
+    /// order, every pick is the same whichever slots they occupy.
     ///
     /// # Panics
     ///
@@ -85,11 +83,10 @@ impl<'a> TaskQueue<'a> {
 /// request arrival while idle, and each layer(-block) completion —
 /// exactly the preemptive layer-granularity model of the paper's
 /// Algorithm 2. It asks the scheduler whenever two or more tasks are
-/// runnable; with one runnable task it skips [`Scheduler::pick_next`]
-/// and takes position 0 if the scheduler declares
-/// [`Scheduler::pick_is_pure`], and asks as usual otherwise. The
-/// engine owns task state; schedulers keep whatever per-task
-/// bookkeeping they need internally (keyed by `TaskState::id`).
+/// runnable and takes position 0 without asking when one is. The
+/// engine owns all task state: [`Scheduler::pick_next`] is a pure
+/// function of (queue, LUT, now), so skipping or repeating a call
+/// changes no later decision.
 ///
 /// Implementations must keep the steady-state `pick_next` path
 /// allocation-free and evaluate each task's score exactly once per
@@ -108,32 +105,12 @@ pub trait Scheduler {
     /// Stable lower-case policy name (used in experiment tables).
     fn name(&self) -> &str;
 
-    /// Notification that `task` has entered the system.
-    fn on_arrival(&mut self, task: &TaskState, lut: &ModelInfoLut, now_ns: u64) {
-        let _ = (task, lut, now_ns);
-    }
-
-    /// Notification that one layer of `task` finished executing (its
-    /// `monitored` stream includes the new record).
-    fn on_layer_complete(&mut self, task: &TaskState, lut: &ModelInfoLut, now_ns: u64) {
-        let _ = (task, lut, now_ns);
-    }
-
-    /// Notification that `task` completed all layers and left the system.
-    fn on_task_complete(&mut self, task: &TaskState, now_ns: u64) {
-        let _ = (task, now_ns);
-    }
-
-    /// Notification that `task` was withdrawn from this node *without*
-    /// executing — a cluster front-end stole or migrated it to a peer.
-    /// Only never-started tasks are ever withdrawn. Stateful schedulers
-    /// drop their per-task bookkeeping here, exactly as on completion.
-    fn on_task_removed(&mut self, task: &TaskState, now_ns: u64) {
-        let _ = (task, now_ns);
-    }
-
     /// Chooses which queued task runs its next layer. Returns a queue
     /// position (`0..queue.len()`).
+    ///
+    /// The answer depends only on `queue`, `lut` and `now_ns`: a call
+    /// leaves nothing behind that a later call reads. `&mut self` lets
+    /// an implementation reuse scratch buffers across calls.
     ///
     /// # Panics
     ///
@@ -141,19 +118,31 @@ pub trait Scheduler {
     /// calls with an empty queue.
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize;
 
-    /// True when [`Scheduler::pick_next`] is side-effect free: a call
-    /// leaves no observable state in `self`, so skipping one changes no
-    /// later decision and nothing the scheduler reports. The answer must
-    /// be constant for the scheduler's lifetime (the engine reads it
-    /// once, at construction).
-    ///
-    /// A pure scheduler is not asked to pick from a single runnable
-    /// task: the engine takes position 0 without calling it. The default
-    /// is `false`, which is always safe; a scheduler whose pick ages,
-    /// caches or counts anything (PREMA's tokens, a hardware model's
-    /// cycle counter) must keep it.
-    fn pick_is_pure(&self) -> bool {
-        false
+    /// Never called by the engine. Kept, with the three hooks below, as
+    /// a no-op default only because perfbench's `TimedScheduler` still
+    /// overrides them; ROADMAP item 1's benchmark change deletes all
+    /// four.
+    #[doc(hidden)]
+    fn on_arrival(&mut self, task: &TaskState, lut: &ModelInfoLut, now_ns: u64) {
+        let _ = (task, lut, now_ns);
+    }
+
+    /// Never called by the engine (see [`Scheduler::on_arrival`]).
+    #[doc(hidden)]
+    fn on_layer_complete(&mut self, task: &TaskState, lut: &ModelInfoLut, now_ns: u64) {
+        let _ = (task, lut, now_ns);
+    }
+
+    /// Never called by the engine (see [`Scheduler::on_arrival`]).
+    #[doc(hidden)]
+    fn on_task_complete(&mut self, task: &TaskState, now_ns: u64) {
+        let _ = (task, now_ns);
+    }
+
+    /// Never called by the engine (see [`Scheduler::on_arrival`]).
+    #[doc(hidden)]
+    fn on_task_removed(&mut self, task: &TaskState, now_ns: u64) {
+        let _ = (task, now_ns);
     }
 }
 
@@ -162,28 +151,8 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
         (**self).name()
     }
 
-    fn on_arrival(&mut self, task: &TaskState, lut: &ModelInfoLut, now_ns: u64) {
-        (**self).on_arrival(task, lut, now_ns);
-    }
-
-    fn on_layer_complete(&mut self, task: &TaskState, lut: &ModelInfoLut, now_ns: u64) {
-        (**self).on_layer_complete(task, lut, now_ns);
-    }
-
-    fn on_task_complete(&mut self, task: &TaskState, now_ns: u64) {
-        (**self).on_task_complete(task, now_ns);
-    }
-
-    fn on_task_removed(&mut self, task: &TaskState, now_ns: u64) {
-        (**self).on_task_removed(task, now_ns);
-    }
-
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
         (**self).pick_next(queue, lut, now_ns)
-    }
-
-    fn pick_is_pure(&self) -> bool {
-        (**self).pick_is_pure()
     }
 }
 
@@ -192,28 +161,8 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
         (**self).name()
     }
 
-    fn on_arrival(&mut self, task: &TaskState, lut: &ModelInfoLut, now_ns: u64) {
-        (**self).on_arrival(task, lut, now_ns);
-    }
-
-    fn on_layer_complete(&mut self, task: &TaskState, lut: &ModelInfoLut, now_ns: u64) {
-        (**self).on_layer_complete(task, lut, now_ns);
-    }
-
-    fn on_task_complete(&mut self, task: &TaskState, now_ns: u64) {
-        (**self).on_task_complete(task, now_ns);
-    }
-
-    fn on_task_removed(&mut self, task: &TaskState, now_ns: u64) {
-        (**self).on_task_removed(task, now_ns);
-    }
-
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
         (**self).pick_next(queue, lut, now_ns)
-    }
-
-    fn pick_is_pure(&self) -> bool {
-        (**self).pick_is_pure()
     }
 }
 

@@ -112,11 +112,7 @@ fn steady_state_pick_next_never_allocates() {
     let queue = TaskQueue::dense(&tasks);
     for policy in Policy::ALL {
         let mut sched = policy.build();
-        for t in &tasks {
-            sched.on_arrival(t, &lut, t.arrival_ns);
-        }
-        // Warm up per-policy lazy state (PREMA token entries, the
-        // hardware FIFO scratch's capacity, ...).
+        // Warm up once, so only the steady state is measured.
         let _ = sched.pick_next(queue, &lut, 500_000);
         let allocs = allocations_in(|| {
             for step in 0..100u64 {

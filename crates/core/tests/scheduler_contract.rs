@@ -91,7 +91,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every policy returns an in-range index, for any queue, and is a
-    /// pure function of (queue, now) for stateless inspection.
+    /// pure function of (queue, now).
     #[test]
     fn pick_next_is_in_range_and_stable(
         params in prop::collection::vec(task_strategy(), 1..12),
@@ -102,21 +102,16 @@ proptest! {
         let queue = TaskQueue::dense(&tasks);
         for policy in Policy::ALL {
             let mut sched = policy.build();
-            for t in &tasks {
-                sched.on_arrival(t, &lut, t.arrival_ns);
-            }
             let a = sched.pick_next(queue, &lut, now);
             prop_assert!(a < queue.len(), "{policy}: index {a}");
             // Immediately repeated decision with unchanged state picks
             // the same task (no hidden nondeterminism).
             let b = sched.pick_next(queue, &lut, now);
             prop_assert_eq!(a, b, "{} unstable", policy);
-            // The Dysta family keeps no per-task state: a scheduler never
-            // shown an arrival picks what one shown every arrival picks.
-            if matches!(policy, Policy::Dysta | Policy::DystaStatic | Policy::Oracle) {
-                let c = policy.build().pick_next(queue, &lut, now);
-                prop_assert_eq!(a, c, "{} depends on on_arrival", policy);
-            }
+            // No policy keeps state across picks: a fresh scheduler picks
+            // what one that has picked before picks.
+            let c = policy.build().pick_next(queue, &lut, now);
+            prop_assert_eq!(a, c, "{} depends on an earlier pick", policy);
         }
     }
 
@@ -130,7 +125,6 @@ proptest! {
         let tasks = materialize(&params, &specs, &lut);
         for policy in Policy::ALL {
             let mut sched = policy.build();
-            sched.on_arrival(&tasks[0], &lut, tasks[0].arrival_ns);
             prop_assert_eq!(sched.pick_next(TaskQueue::dense(&tasks), &lut, now), 0);
         }
     }
@@ -151,10 +145,6 @@ proptest! {
         for policy in Policy::ALL {
             let mut sched_a = policy.build();
             let mut sched_b = policy.build();
-            for t in &subset {
-                sched_a.on_arrival(t, &lut, t.arrival_ns);
-                sched_b.on_arrival(t, &lut, t.arrival_ns);
-            }
             let via_index = sched_a.pick_next(TaskQueue::indexed(&tasks, &active), &lut, now);
             let via_dense = sched_b.pick_next(TaskQueue::dense(&subset), &lut, now);
             prop_assert_eq!(via_index, via_dense, "{} disagrees across representations", policy);
@@ -191,7 +181,7 @@ fn sub_queue((kind, mask): (u64, u64), n: usize) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A scheduler that declares its pick pure may be skipped: extra
+    /// Every pick is pure, so the engine may skip one: extra
     /// `pick_next` calls between decisions, on any sub-queue (single
     /// tasks included, which is what the engine skips), never change a
     /// later decision compared with a twin that made none.
@@ -202,10 +192,10 @@ proptest! {
     ) {
         // Arrivals within 50 ms of the first decision and steps of at
         // most 20 ms, against isolated latencies of 17-74 ms: PREMA's
-        // tokens then cross their threshold during the run, where an
-        // impure pick shows. (With arrivals spread over 1 s every token
-        // is past the threshold at the first decision, and PREMA's
-        // extra picks go unseen.)
+        // tokens then cross their threshold during the run, where a
+        // token kept across picks would show. (With arrivals spread
+        // over 1 s every token is past the threshold at the first
+        // decision.)
         const WINDOW_NS: u64 = 50_000_000;
         let params: Vec<TaskParams> = params
             .iter()
@@ -215,14 +205,7 @@ proptest! {
         let tasks = materialize(&params, &specs, &lut);
         for policy in Policy::ALL {
             let mut probed = policy.build();
-            if !probed.pick_is_pure() {
-                continue;
-            }
             let mut twin = policy.build();
-            for t in &tasks {
-                probed.on_arrival(t, &lut, t.arrival_ns);
-                twin.on_arrival(t, &lut, t.arrival_ns);
-            }
             let mut now = WINDOW_NS;
             for (dt, decide, extras) in &steps {
                 for (k, extra) in extras.iter().enumerate() {
@@ -238,22 +221,6 @@ proptest! {
                 prop_assert_eq!(a, b, "{}: extra picks changed a decision", policy);
             }
         }
-    }
-}
-
-/// Exactly the policies whose pick keeps no state opt in to the forced
-/// pick, and both forwarding impls (`&mut S`, `Box<S>`) pass the flag
-/// through; PREMA, whose pick ages tokens, stays out.
-#[test]
-fn pure_pick_opt_ins_are_pinned() {
-    fn via<S: Scheduler>(sched: S) -> bool {
-        sched.pick_is_pure()
-    }
-    for policy in Policy::ALL {
-        let mut sched = policy.build();
-        let expect = policy != Policy::Prema;
-        assert_eq!(via(&mut sched), expect, "{policy} through &mut");
-        assert_eq!(via(sched), expect, "{policy} through Box");
     }
 }
 

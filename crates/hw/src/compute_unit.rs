@@ -13,106 +13,46 @@
 //!   with the normalised-isolation division likewise folded into a
 //!   precomputed reciprocal multiplication.
 //!
-//! All arithmetic is FP16, matching the `Opt_FP16` design point.
+//! All arithmetic is FP16, matching the `Opt_FP16` design point. The
+//! unit keeps no state between evaluations, so each dataflow is a plain
+//! function.
 
 use crate::F16;
 
-/// Which dataflow the unit is configured for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UnitMode {
-    /// Sparsity-coefficient computation (two multipliers active).
-    Coefficient,
-    /// Score computation (all arithmetic units active).
-    Score,
+/// Computes the sparsity coefficient `γ` from the monitor's raw
+/// zero count (Algorithm 3 line 6 in the Figure 11(a) dataflow).
+///
+/// `num_zeros` and `shape` come from the zero-counting monitor;
+/// `inv_avg_density` is the LUT-cached reciprocal of the layer's
+/// average density.
+pub(crate) fn coefficient(num_zeros: u64, shape: u64, inv_avg_density: F16) -> F16 {
+    // Monitored density = 1 - zeros/shape, with the shape division
+    // folded into a reciprocal multiplication.
+    let inv_shape = F16::from_f64(1.0 / shape.max(1) as f64);
+    let zero_frac = F16::from_f64(num_zeros as f64) * inv_shape;
+    let density = F16::ONE - zero_frac;
+    density * inv_avg_density
 }
 
-/// The shared FP16 datapath with cycle accounting.
+/// Computes the dynamic score (Algorithm 2 line 11 in the Figure
+/// 11(b) dataflow): `γ·lat_avg + η·((ddl − now − γ·lat_avg) + wait·inv_queue)`.
 ///
-/// # Examples
-///
-/// ```
-/// use dysta_hw::{ComputeUnit, F16};
-///
-/// let mut cu = ComputeUnit::new();
-/// let gamma = cu.coefficient(256, 1024, F16::from_f64(1.0 / 0.3));
-/// assert!((gamma.to_f64() - 2.5).abs() < 0.01); // (1-256/1024)/0.3
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ComputeUnit {
-    cycles: u64,
-    reconfigurations: u64,
-    mode: Option<UnitMode>,
-}
-
-/// Pipeline cycles per coefficient evaluation (2 mult stages).
-const COEFF_CYCLES: u64 = 2;
-/// Pipeline cycles per score evaluation (mult + 3 add/sub + mult stages).
-const SCORE_CYCLES: u64 = 5;
-
-impl ComputeUnit {
-    /// A fresh unit with zeroed counters.
-    pub fn new() -> Self {
-        ComputeUnit::default()
-    }
-
-    /// Total arithmetic cycles consumed.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Number of mux reconfigurations performed.
-    pub fn reconfigurations(&self) -> u64 {
-        self.reconfigurations
-    }
-
-    fn enter(&mut self, mode: UnitMode) {
-        if self.mode != Some(mode) {
-            self.reconfigurations += 1;
-            self.mode = Some(mode);
-        }
-    }
-
-    /// Computes the sparsity coefficient `γ` from the monitor's raw
-    /// zero count (Algorithm 3 line 6 in the Figure 11(a) dataflow).
-    ///
-    /// `num_zeros` and `shape` come from the zero-counting monitor;
-    /// `inv_avg_density` is the LUT-cached reciprocal of the layer's
-    /// average density.
-    pub fn coefficient(&mut self, num_zeros: u64, shape: u64, inv_avg_density: F16) -> F16 {
-        self.enter(UnitMode::Coefficient);
-        self.cycles += COEFF_CYCLES;
-        // Monitored density = 1 - zeros/shape, with the shape division
-        // folded into a reciprocal multiplication.
-        let inv_shape = F16::from_f64(1.0 / shape.max(1) as f64);
-        let zero_frac = F16::from_f64(num_zeros as f64) * inv_shape;
-        let density = F16::ONE - zero_frac;
-        density * inv_avg_density
-    }
-
-    /// Computes the dynamic score (Algorithm 2 line 11 in the Figure
-    /// 11(b) dataflow): `γ·lat_avg + η·((ddl − now − γ·lat_avg) + wait·inv_queue)`.
-    ///
-    /// All time inputs are in milliseconds (the FP16 range comfortably
-    /// covers the paper's workloads: SSD's 150× SLO is ~80 s = 8e4 ms,
-    /// near but under the 65504 FP16 max).
-    #[allow(clippy::too_many_arguments)]
-    pub fn score(
-        &mut self,
-        gamma: F16,
-        lat_avg_ms: F16,
-        ddl_ms: F16,
-        now_ms: F16,
-        wait_ms: F16,
-        inv_queue_len: F16,
-        eta: F16,
-    ) -> F16 {
-        self.enter(UnitMode::Score);
-        self.cycles += SCORE_CYCLES;
-        let remain = gamma * lat_avg_ms;
-        let slack = ddl_ms - now_ms - remain;
-        let penalty = wait_ms * inv_queue_len;
-        remain + eta * (slack + penalty)
-    }
+/// All time inputs are in milliseconds (the FP16 range comfortably
+/// covers the paper's workloads: SSD's 150× SLO is ~80 s = 8e4 ms,
+/// near but under the 65504 FP16 max).
+pub(crate) fn score(
+    gamma: F16,
+    lat_avg_ms: F16,
+    ddl_ms: F16,
+    now_ms: F16,
+    wait_ms: F16,
+    inv_queue_len: F16,
+    eta: F16,
+) -> F16 {
+    let remain = gamma * lat_avg_ms;
+    let slack = ddl_ms - now_ms - remain;
+    let penalty = wait_ms * inv_queue_len;
+    remain + eta * (slack + penalty)
 }
 
 #[cfg(test)]
@@ -121,10 +61,9 @@ mod tests {
 
     #[test]
     fn coefficient_matches_reference_within_fp16() {
-        let mut cu = ComputeUnit::new();
         for (zeros, shape, avg_density) in [(100u64, 1000u64, 0.5), (900, 1000, 0.25), (0, 64, 0.9)]
         {
-            let g = cu.coefficient(zeros, shape, F16::from_f64(1.0 / avg_density));
+            let g = coefficient(zeros, shape, F16::from_f64(1.0 / avg_density));
             let reference = (1.0 - zeros as f64 / shape as f64) / avg_density;
             let rel = ((g.to_f64() - reference) / reference.max(1e-9)).abs();
             assert!(rel < 5e-3, "γ={} ref={reference}", g.to_f64());
@@ -133,8 +72,7 @@ mod tests {
 
     #[test]
     fn score_matches_reference_within_fp16() {
-        let mut cu = ComputeUnit::new();
-        let s = cu.score(
+        let s = score(
             F16::from_f64(1.2),
             F16::from_f64(30.0),  // lat_avg 30 ms
             F16::from_f64(400.0), // deadline
@@ -146,43 +84,5 @@ mod tests {
         let remain = 1.2 * 30.0;
         let reference = remain + 0.03 * ((400.0 - 100.0 - remain) + 12.0 * 0.25);
         assert!((s.to_f64() - reference).abs() / reference < 5e-3);
-    }
-
-    #[test]
-    fn cycle_accounting() {
-        let mut cu = ComputeUnit::new();
-        cu.coefficient(1, 2, F16::ONE);
-        cu.coefficient(1, 2, F16::ONE);
-        assert_eq!(cu.cycles(), 4);
-        cu.score(
-            F16::ONE,
-            F16::ONE,
-            F16::ONE,
-            F16::ZERO,
-            F16::ZERO,
-            F16::ONE,
-            F16::ZERO,
-        );
-        assert_eq!(cu.cycles(), 9);
-    }
-
-    #[test]
-    fn reconfiguration_counted_on_mode_switch_only() {
-        let mut cu = ComputeUnit::new();
-        cu.coefficient(1, 2, F16::ONE);
-        cu.coefficient(1, 2, F16::ONE);
-        assert_eq!(cu.reconfigurations(), 1);
-        cu.score(
-            F16::ONE,
-            F16::ONE,
-            F16::ONE,
-            F16::ZERO,
-            F16::ZERO,
-            F16::ONE,
-            F16::ZERO,
-        );
-        assert_eq!(cu.reconfigurations(), 2);
-        cu.coefficient(1, 2, F16::ONE);
-        assert_eq!(cu.reconfigurations(), 3);
     }
 }

@@ -3,7 +3,8 @@
 
 use dysta_core::{DystaConfig, ModelInfoLut, Scheduler, TaskQueue, TaskState};
 
-use crate::{ComputeUnit, F16};
+use crate::compute_unit::{coefficient, score};
+use crate::F16;
 
 /// Fixed-point resolution of the zero-counting monitor interface: the
 /// monitored sparsity is reported as a zero count out of this many
@@ -18,8 +19,8 @@ const MONITOR_SHAPE: u64 = 1024;
 const SLACK_CLAMP_MS: f64 = 60_000.0;
 
 /// A [`Scheduler`] implementation that computes every Dysta dynamic score
-/// in half precision on the shared [`ComputeUnit`], with request capacity
-/// bounded by the tag/score FIFO depth.
+/// in half precision through the compute unit's FP16 dataflows, with
+/// request capacity bounded by the tag/score FIFO depth.
 ///
 /// When more requests are outstanding than the FIFO depth, only the
 /// `depth` earliest-arrived requests are visible to the hardware (the
@@ -29,12 +30,6 @@ const SLACK_CLAMP_MS: f64 = 60_000.0;
 /// Used to verify the paper's claim that the `Opt_FP16` design point
 /// preserves scheduling quality: on the benchmark workloads its decisions
 /// track the f64 software scheduler's.
-///
-/// Every pick advances the datapath's cycle counter, which
-/// [`HardwareDystaScheduler::compute_cycles`] reports for the overhead
-/// analysis. A skipped pick would change that count, so this scheduler
-/// keeps the default [`Scheduler::pick_is_pure`] (`false`) and is asked
-/// even when one task is runnable, as the hardware would be.
 ///
 /// # Examples
 ///
@@ -49,7 +44,6 @@ const SLACK_CLAMP_MS: f64 = 60_000.0;
 pub struct HardwareDystaScheduler {
     config: DystaConfig,
     fifo_depth: usize,
-    compute: ComputeUnit,
     /// Reusable buffer for the FIFO-visible queue positions, so
     /// steady-state picks don't allocate.
     visible: Vec<usize>,
@@ -67,48 +61,38 @@ impl HardwareDystaScheduler {
         HardwareDystaScheduler {
             config,
             fifo_depth,
-            compute: ComputeUnit::new(),
             visible: Vec::new(),
         }
-    }
-
-    /// Total datapath cycles consumed so far (for the overhead analysis).
-    pub fn compute_cycles(&self) -> u64 {
-        self.compute.cycles()
     }
 
     /// The FIFO depth.
     pub fn fifo_depth(&self) -> usize {
         self.fifo_depth
     }
+}
 
-    /// The FP16 sparsity coefficient of a task (last-one strategy through
-    /// the coefficient dataflow).
-    fn gamma(&mut self, task: &TaskState, lut: &ModelInfoLut) -> F16 {
-        let info = lut.info(task.variant);
-        // Walk back to the most recent dynamic layer the monitor saw
-        // (`dynamic_layer_avg_density` owns the epsilon/floor shared
-        // with the software predictor).
-        let last_dynamic = task
-            .monitored
-            .iter()
-            .enumerate()
-            .rev()
-            .find_map(|(j, m)| info.dynamic_layer_avg_density(j).map(|d| (m, d)));
-        match last_dynamic {
-            None => F16::ONE,
-            Some((m, avg_density)) => {
-                let num_zeros = (m.sparsity.clamp(0.0, 1.0) * MONITOR_SHAPE as f64).round() as u64;
-                let ratio = self.compute.coefficient(
-                    num_zeros,
-                    MONITOR_SHAPE,
-                    F16::from_f64(1.0 / avg_density),
-                );
-                // The per-variant hardware-effectiveness exponent is
-                // applied through a small ratio->gamma lookup table in the
-                // RTL design; modelled here as an FP16-quantised pow.
-                F16::from_f64(ratio.to_f64().max(1e-3).powf(info.gamma_exponent()))
-            }
+/// The FP16 sparsity coefficient of a task (last-one strategy through
+/// the coefficient dataflow).
+fn gamma(task: &TaskState, lut: &ModelInfoLut) -> F16 {
+    let info = lut.info(task.variant);
+    // Walk back to the most recent dynamic layer the monitor saw
+    // (`dynamic_layer_avg_density` owns the epsilon/floor shared
+    // with the software predictor).
+    let last_dynamic = task
+        .monitored
+        .iter()
+        .enumerate()
+        .rev()
+        .find_map(|(j, m)| info.dynamic_layer_avg_density(j).map(|d| (m, d)));
+    match last_dynamic {
+        None => F16::ONE,
+        Some((m, avg_density)) => {
+            let num_zeros = (m.sparsity.clamp(0.0, 1.0) * MONITOR_SHAPE as f64).round() as u64;
+            let ratio = coefficient(num_zeros, MONITOR_SHAPE, F16::from_f64(1.0 / avg_density));
+            // The per-variant hardware-effectiveness exponent is
+            // applied through a small ratio->gamma lookup table in the
+            // RTL design; modelled here as an FP16-quantised pow.
+            F16::from_f64(ratio.to_f64().max(1e-3).powf(info.gamma_exponent()))
         }
     }
 }
@@ -137,17 +121,16 @@ impl Scheduler for HardwareDystaScheduler {
         // best-effort behind every feasible one, matching the software
         // scheduler's lost-cause demotion.
         let mut best: Option<(usize, (bool, F16))> = None;
-        for k in 0..self.visible.len() {
-            let i = self.visible[k];
+        for &i in &self.visible {
             let t = queue.get(i);
             let info = lut.info(t.variant);
-            let gamma = self.gamma(t, lut);
+            let gamma = gamma(t, lut);
             let lat_avg_ms = F16::from_f64(info.avg_remaining_ns(t.next_layer) / 1e6);
             let ttd_ms = ((t.deadline_ns() as f64 - now_ns as f64) / 1e6)
                 .clamp(-SLACK_CLAMP_MS, SLACK_CLAMP_MS);
             let wait_ms = (t.waiting_ns(now_ns) as f64 / 1e6).min(SLACK_CLAMP_MS);
             let ttd = F16::from_f64(ttd_ms);
-            let score = self.compute.score(
+            let score = score(
                 gamma,
                 lat_avg_ms,
                 ttd,
@@ -246,24 +229,38 @@ mod tests {
     }
 
     #[test]
-    fn cycles_accumulate_across_decisions() {
+    fn extra_picks_leave_the_next_pick_unchanged() {
         let (spec, lut) = setup();
-        let queue = [mk(0, spec, &lut, 0), mk(1, spec, &lut, 10)];
-        let mut hw = HardwareDystaScheduler::new(DystaConfig::default(), 64);
-        hw.pick_next(TaskQueue::dense(&queue), &lut, 100);
-        let after_one = hw.compute_cycles();
-        assert!(after_one > 0);
-        hw.pick_next(TaskQueue::dense(&queue), &lut, 200);
-        assert!(hw.compute_cycles() > after_one);
-    }
-
-    #[test]
-    fn single_task_picks_cost_cycles_so_the_pick_is_not_pure() {
-        let (spec, lut) = setup();
-        let queue = [mk(0, spec, &lut, 0)];
-        let mut hw = HardwareDystaScheduler::new(DystaConfig::default(), 64);
-        assert!(!hw.pick_is_pure(), "a skipped pick would lose its cycles");
-        assert_eq!(hw.pick_next(TaskQueue::dense(&queue), &lut, 100), 0);
-        assert!(hw.compute_cycles() > 0);
+        // More tasks than the FIFO holds, so the visibility buffer is
+        // refilled and truncated on every pick. Later arrivals have
+        // earlier deadlines, so the earliest arrival is not the pick.
+        let tasks: Vec<TaskState> = (0..6)
+            .map(|i| TaskState {
+                slo_ns: 300_000_000 - i * 45_000_000,
+                ..mk(i, spec, &lut, i * 7_000_000)
+            })
+            .collect();
+        let mut probed = HardwareDystaScheduler::new(DystaConfig::default(), 4);
+        let mut twin = probed.clone();
+        for (step, now) in [50_000_000u64, 90_000_000, 400_000_000]
+            .into_iter()
+            .enumerate()
+        {
+            // Extra picks on a singleton, a reversed sub-queue and the
+            // whole queue, at other instants.
+            for (k, active) in [vec![step], vec![5, 3, 1], (0..6).collect()]
+                .iter()
+                .enumerate()
+            {
+                let t = now - 1_000_000 * (k as u64 + 1);
+                probed.pick_next(TaskQueue::indexed(&tasks, active), &lut, t);
+            }
+            let queue = TaskQueue::dense(&tasks);
+            assert_eq!(
+                probed.pick_next(queue, &lut, now),
+                twin.pick_next(queue, &lut, now),
+                "extra picks changed the decision at {now} ns"
+            );
+        }
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! * [`fp16`] — IEEE 754 binary16 software emulation with round-to-nearest,
 //!   used to verify that FP16 arithmetic preserves scheduling decisions.
-//! * [`ComputeUnit`] — the shared reconfigurable datapath with its two
-//!   configurations (coefficient / score) and cycle accounting.
+//! * the shared reconfigurable compute unit — its two dataflows
+//!   (coefficient / score), each a pure FP16 function that
+//!   [`HardwareDystaScheduler`] evaluates.
 //! * [`HardwareDystaScheduler`] — a [`dysta_core::Scheduler`] that runs
 //!   Dysta's dynamic level through the FP16 datapath, demonstrating
 //!   functional equivalence with the software scheduler. The request
@@ -41,6 +42,5 @@ pub mod fp16;
 mod hw_scheduler;
 pub mod resources;
 
-pub use compute_unit::{ComputeUnit, UnitMode};
 pub use fp16::F16;
 pub use hw_scheduler::HardwareDystaScheduler;

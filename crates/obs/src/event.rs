@@ -257,8 +257,7 @@ impl TraceEvent {
 #[repr(usize)]
 pub enum Phase {
     /// Scheduler `pick_next` calls. A forced decision (one runnable
-    /// task, a side-effect-free scheduler) makes no call and is not
-    /// timed.
+    /// task) makes no call and is not timed.
     Pick = 0,
     /// Quantum execution (layer replay + bookkeeping).
     Execute = 1,

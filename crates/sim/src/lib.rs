@@ -6,11 +6,11 @@
 //! time. At every layer completion — and at arrival when idle — the
 //! engine decides which request runs next, which is exactly the
 //! preemption granularity of the paper's Algorithm 2. The scheduler
-//! makes that decision whenever two or more requests are runnable; with
-//! one, a scheduler whose pick is side-effect free
-//! ([`dysta_core::Scheduler::pick_is_pure`]) is not asked. Layer latencies
-//! are replayed from the Phase-1 traces, so all schedulers see identical
-//! work and differ only in ordering decisions.
+//! makes that decision whenever two or more requests are runnable; a
+//! pick is a pure function of the queue, so with one runnable request
+//! the engine takes it without asking. Layer latencies are replayed
+//! from the Phase-1 traces, so all schedulers see identical work and
+//! differ only in ordering decisions.
 //!
 //! [`SimReport::metrics`] computes the paper's three evaluation metrics: average
 //! normalized turnaround time (ANTT), latency-SLO violation rate, and

@@ -141,8 +141,7 @@ pub struct NodeEngine<'w, S = Box<dyn Scheduler>, T = NullTracer> {
     /// numbers `active` holds, never which tasks it lists or in what
     /// order (admission still pushes, removal still `swap_remove`s).
     /// Schedulers see tasks only as positions in a
-    /// [`TaskQueue::indexed`] over `active` and key any per-task state
-    /// by task id (PREMA's token map, for example); `queued_tasks` and
+    /// [`TaskQueue::indexed`] over `active`; `queued_tasks` and
     /// `unstarted_tasks` walk `active`, so dispatch views sum in the
     /// same order; and an [`OpenSegment`] is flushed before its slot
     /// is freed.
@@ -157,9 +156,6 @@ pub struct NodeEngine<'w, S = Box<dyn Scheduler>, T = NullTracer> {
     last_ran: Option<u64>,
     preemptions: u64,
     invocations: u64,
-    /// The scheduler's [`Scheduler::pick_is_pure`], read once: a pure
-    /// scheduler is not asked to pick from a single runnable task.
-    pure_pick: bool,
     busy_ns: u64,
     completed: Vec<CompletedRequest>,
 }
@@ -191,7 +187,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         tracer: T,
     ) -> Self {
         assert!(config.layers_per_block > 0, "block must contain layers");
-        let pure_pick = scheduler.pick_is_pure();
         NodeEngine {
             id,
             scheduler,
@@ -210,7 +205,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             last_ran: None,
             preemptions: 0,
             invocations: 0,
-            pure_pick,
             busy_ns: 0,
             completed: Vec::new(),
         }
@@ -293,9 +287,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     /// has not executed a single layer. Returns `None` when the request
     /// is unknown here, already started, pending (its arrival is still
     /// in the node's future), or finished — a started task is never
-    /// stealable. On success the node's queue shrinks by exactly one and
-    /// the scheduler is notified via
-    /// [`dysta_core::Scheduler::on_task_removed`].
+    /// stealable. On success the node's queue shrinks by exactly one.
     pub fn take_unstarted(&mut self, id: u64) -> Option<TransferableTask<'w>> {
         let pos = self.active.iter().position(|&i| self.tasks[i].id == id)?;
         let idx = self.active[pos];
@@ -307,7 +299,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         self.active.swap_remove(pos);
         self.mutation_epoch += 1;
         let task = self.vacate(idx);
-        self.scheduler.on_task_removed(&task, self.now_ns);
         Some(TransferableTask {
             task,
             trace: self.traces[idx],
@@ -346,7 +337,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         self.now_ns = self.now_ns.max(at_ns).saturating_add(fetch_ns);
         self.busy_ns += fetch_ns;
         self.mutation_epoch += 1;
-        self.scheduler.on_arrival(&task, &self.lut, self.now_ns);
         self.occupy(task, trace, scale);
     }
 
@@ -371,7 +361,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         for idx in active {
             let task = self.vacate(idx);
             let lost_ns = task.executed_ns;
-            self.scheduler.on_task_removed(&task, self.now_ns);
             let task = if task.started() {
                 // Restart from layer 0: fresh monitor state, no executed
                 // layers. `accept_transfer` recomputes the remaining
@@ -395,8 +384,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
                 lost_ns,
             ));
         }
-        // Pending arrivals were never shown to the scheduler, so there
-        // is nothing to notify; they salvage with zero loss.
+        // Pending arrivals never executed; they salvage with zero loss.
         for p in self.pending.drain(..) {
             salvaged.push((
                 TransferableTask {
@@ -488,14 +476,13 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     }
 
     /// Admits every queued arrival whose time has come, in arrival
-    /// order, notifying the scheduler.
+    /// order.
     fn admit_due(&mut self) {
         while let Some(front) = self.pending.front() {
             if front.task.arrival_ns > self.now_ns {
                 break;
             }
             let PendingTask { task, trace, scale } = self.pending.pop_front().expect("non-empty");
-            self.scheduler.on_arrival(&task, &self.lut, task.arrival_ns);
             self.occupy(task, trace, scale);
         }
     }
@@ -587,12 +574,11 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     /// `layers_per_block` consecutive layers of the choice, and retire
     /// it when it finishes.
     ///
-    /// The decision is forced when one task is runnable and the
-    /// scheduler's pick is pure ([`Scheduler::pick_is_pure`]): the
-    /// engine takes position 0 without calling
-    /// [`Scheduler::pick_next`]. Otherwise the scheduler is asked. Both
-    /// count as one scheduler invocation; [`Phase::Pick`] times only the
-    /// calls.
+    /// The decision is forced when one task is runnable: a pick is a
+    /// pure function of (queue, LUT, now), so the engine takes position
+    /// 0 without calling [`Scheduler::pick_next`]. Otherwise the
+    /// scheduler is asked. Both count as one scheduler invocation;
+    /// [`Phase::Pick`] times only the calls.
     ///
     /// # Panics
     ///
@@ -606,7 +592,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         );
         self.invocations += 1;
         let profiling = self.tracer.profiling();
-        let pick = if self.active.len() == 1 && self.pure_pick {
+        let pick = if self.active.len() == 1 {
             0
         } else {
             // The scheduler reads the task arena through the live
@@ -688,17 +674,12 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             );
             task.true_remaining_ns = scale_ns(trace.remaining_ns(task.next_layer), scale);
         }
-        self.scheduler
-            .on_layer_complete(&self.tasks[task_idx], &self.lut, self.now_ns);
-
         if let Some(t0) = exec_t0 {
             self.tracer
                 .phase_ns(Phase::Execute, t0.elapsed().as_nanos() as u64);
         }
 
         if self.tasks[task_idx].finished() {
-            self.scheduler
-                .on_task_complete(&self.tasks[task_idx], self.now_ns);
             if self.tracer.enabled() {
                 // The finished task's segment is the open one; close it
                 // so its completion event never precedes its last work.

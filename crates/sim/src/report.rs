@@ -169,8 +169,8 @@ impl SimReport {
     }
 
     /// Number of scheduling decisions taken (one per executed quantum),
-    /// including the forced ones the engine took without calling a pure
-    /// scheduler (see [`dysta_core::Scheduler::pick_is_pure`]).
+    /// including the forced single-task ones the engine took without
+    /// calling [`dysta_core::Scheduler::pick_next`].
     pub fn scheduler_invocations(&self) -> u64 {
         self.scheduler_invocations
     }
