@@ -20,6 +20,8 @@
 //! summary adds the field together with its fold in the engine's view
 //! builder, which rebuilds a node's view whenever that node changed.
 
+use std::cell::OnceCell;
+
 use dysta_core::ModelInfoLut;
 use dysta_models::ModelFamily;
 use dysta_workload::Request;
@@ -96,8 +98,12 @@ impl NodeView {
 ///
 /// Shared by all three policy kinds ([`Dispatcher`],
 /// [`crate::StealPolicy`], [`crate::MigrationPolicy`]) so their
-/// decisions are made against the same information surface.
-#[derive(Clone, Copy)]
+/// decisions are made against the same information surface. The engine
+/// builds one context per view refresh and hands it to every decision
+/// that reads that refresh, so per-snapshot facts such as
+/// [`DispatchContext::mean_lut_backlog_ns`] are computed once per
+/// refresh, not once per call.
+#[derive(Clone)]
 pub struct DispatchContext<'a> {
     /// The decision instant (front-end sim-time).
     pub now_ns: u64,
@@ -113,13 +119,51 @@ pub struct DispatchContext<'a> {
     /// policies (e.g. [`EarliestDeadlineFirst`]) must not charge its
     /// service there a second time. `None` on the admission path.
     pub reoffer_src: Option<usize>,
+    /// `nodes`' mean LUT backlog, stored by the first
+    /// [`DispatchContext::mean_lut_backlog_ns`] call.
+    mean_lut_backlog_ns: OnceCell<f64>,
 }
 
-impl DispatchContext<'_> {
+impl<'a> DispatchContext<'a> {
+    /// A context over `nodes` at `now_ns` on the admission path
+    /// (`reoffer_src` is `None`; a re-offer sets it).
+    pub fn new(
+        now_ns: u64,
+        nodes: &'a [NodeView],
+        lut: &'a ModelInfoLut,
+        transfer_cost: &'a TransferCostConfig,
+    ) -> Self {
+        DispatchContext {
+            now_ns,
+            nodes,
+            lut,
+            transfer_cost,
+            reoffer_src: None,
+            mean_lut_backlog_ns: OnceCell::new(),
+        }
+    }
+
     /// Pool-mean LUT-estimated backlog — the reference level the steal
     /// and migration thresholds are expressed against.
+    ///
+    /// The first call sums `nodes` in id order and stores the mean;
+    /// later calls return the stored value, so every decision made on
+    /// one context compares against the same bits and a pass that asks
+    /// many times pays for one sum over the pool. A context nobody asks
+    /// (the admission path) never computes it. The stored value
+    /// belongs to the `nodes` slice the context was built over: build
+    /// a new context for another slice rather than reassigning
+    /// `nodes` (debug builds check the stored value on every call).
     pub fn mean_lut_backlog_ns(&self) -> f64 {
-        self.nodes.iter().map(|n| n.lut_backlog_ns).sum::<f64>() / self.nodes.len() as f64
+        let pool_mean =
+            || self.nodes.iter().map(|n| n.lut_backlog_ns).sum::<f64>() / self.nodes.len() as f64;
+        let mean = *self.mean_lut_backlog_ns.get_or_init(pool_mean);
+        debug_assert_eq!(
+            mean.to_bits(),
+            pool_mean().to_bits(),
+            "stored pool mean is stale: `nodes` changed after it was computed"
+        );
+        mean
     }
 
     /// The request's own unscaled LUT latency estimate, indexed by its
@@ -516,13 +560,7 @@ mod tests {
     }
 
     fn ctx<'a>(nodes: &'a [NodeView], lut: &'a ModelInfoLut) -> DispatchContext<'a> {
-        DispatchContext {
-            now_ns: 0,
-            nodes,
-            lut,
-            transfer_cost: &TransferCostConfig::FREE,
-            reoffer_src: None,
-        }
+        DispatchContext::new(0, nodes, lut, &TransferCostConfig::FREE)
     }
 
     fn cnn_request() -> Request {
@@ -639,10 +677,7 @@ mod tests {
         // the deadline, the foreign node can — EDF spills.
         let mut spill = views;
         spill[1].accelerator = AcceleratorKind::Sanger;
-        let ctx2 = DispatchContext {
-            nodes: &spill,
-            ..ctx
-        };
+        let ctx2 = DispatchContext::new(0, &spill, &lut, &TransferCostConfig::FREE);
         assert_eq!(EarliestDeadlineFirst::new().dispatch(&req, &ctx2), 1);
 
         // Deadline lost everywhere: EDF makes affinity's exact pick (the
@@ -705,7 +740,10 @@ mod tests {
         // With an empty LUT the request's own estimate is 0 and the
         // emptier browned-out node wins instead.
         let empty = ModelInfoLut::default();
-        let blind = DispatchContext { lut: &empty, ..ctx };
+        let blind = DispatchContext {
+            lut: &empty,
+            ..ctx.clone()
+        };
         assert_eq!(blind.request_estimate_ns(&req), 0.0);
         assert_eq!(EarliestDeadlineFirst::new().peek(&req, &blind), 1);
 
@@ -714,7 +752,7 @@ mod tests {
         // and the emptier node 1 holds the deadline again.
         let reoffer = DispatchContext {
             reoffer_src: Some(1),
-            ..ctx
+            ..ctx.clone()
         };
         assert_eq!(
             EarliestDeadlineFirst::projected_slack_ns(&req, est_ns, &views[1], &reoffer),

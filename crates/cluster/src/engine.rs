@@ -934,13 +934,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             // under (relaxed, if admission degraded it).
             let request = self.live_request(id);
             self.refresh_views(&mut views);
-            let ctx = DispatchContext {
-                now_ns: t,
-                nodes: &views,
-                lut: &self.lut,
-                transfer_cost: &self.config.transfer_cost,
-                reoffer_src: None,
-            };
+            let ctx = DispatchContext::new(t, &views, &self.lut, &self.config.transfer_cost);
             let target = self.dispatcher.dispatch(&request, &ctx);
             self.check_target(target);
             if !views[target].health.accepts_work() {
@@ -1119,13 +1113,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             let id = original.id;
             let wait_ns = t - original.arrival_ns;
             self.refresh_views(&mut views);
-            let ctx = DispatchContext {
-                now_ns: t,
-                nodes: &views,
-                lut: &self.lut,
-                transfer_cost: &self.config.transfer_cost,
-                reoffer_src: None,
-            };
+            let ctx = DispatchContext::new(t, &views, &self.lut, &self.config.transfer_cost);
             let decision = self
                 .admission_policy
                 .decide(&original, &ctx, &admission_cfg);
@@ -1250,16 +1238,23 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             self.renege_pass(t, views);
         }
         let cfg = self.config.frontend.migration.expect("pass implies config");
-        // The shared snapshot serves the whole pass: it stays valid
-        // across rejected candidates and across source nodes (peek and
-        // the policy checks are read-only); only an applied move
-        // refreshes it. Only live nodes can hold unstarted work, so
-        // the ascending id cursor walks the live set — a node handed
+        // One context per view refresh serves the whole pass: it stays
+        // valid across rejected candidates and across source nodes
+        // (peek and the policy checks are read-only), so the pool mean
+        // `should_rebalance` compares against is summed once per
+        // refresh. Only an applied move refreshes the views, and the
+        // context with them. Only live nodes can hold unstarted work,
+        // so the ascending id cursor walks the live set — a node handed
         // work mid-pass is visited when the sweep reaches its id,
         // exactly as the historical all-nodes scan did.
+        let mut ctx = DispatchContext::new(t, views, &self.lut, &self.config.transfer_cost);
         let mut cursor: Option<usize> = None;
         while let Some(src) = self.next_live_after(cursor) {
             cursor = Some(src);
+            // The candidates are already queued on `src`, whose backlog
+            // estimates include them — estimate-projecting dispatchers
+            // must not charge them there twice.
+            ctx.reoffer_src = Some(src);
             // Candidates in arrival order (the active list's order is
             // arbitrary), frozen before any movement from this node.
             let mut candidates: Vec<(u64, u64)> = self.nodes[src]
@@ -1268,16 +1263,6 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                 .collect();
             candidates.sort_unstable();
             for (_, id) in candidates {
-                let ctx = DispatchContext {
-                    now_ns: t,
-                    nodes: views,
-                    lut: &self.lut,
-                    transfer_cost: &self.config.transfer_cost,
-                    // The candidate is already queued on `src`, whose
-                    // backlog estimates include it — estimate-projecting
-                    // dispatchers must not charge it there twice.
-                    reoffer_src: Some(src),
-                };
                 if !self.migration_policy.should_rebalance(src, &ctx, &cfg) {
                     break; // src is no longer behind.
                 }
@@ -1347,6 +1332,8 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                     });
                 }
                 self.refresh_views(views);
+                ctx = DispatchContext::new(t, views, &self.lut, &self.config.transfer_cost);
+                ctx.reoffer_src = Some(src);
             }
         }
     }
@@ -1361,7 +1348,9 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
     /// deadline-free request is never infeasible and never reneges.
     fn renege_pass(&mut self, t: u64, views: &mut Vec<NodeView>) {
         // Only live nodes can hold unstarted work; the id cursor is
-        // robust to the removals the pass itself applies.
+        // robust to the removals the pass itself applies. One context
+        // serves every candidate until a renege refreshes the views.
+        let mut ctx = DispatchContext::new(t, views, &self.lut, &self.config.transfer_cost);
         let mut cursor: Option<usize> = None;
         while let Some(src) = self.next_live_after(cursor) {
             cursor = Some(src);
@@ -1374,16 +1363,10 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                 .map(|(task, _)| (task.arrival_ns, task.id, task.slo_ns, task.variant))
                 .collect();
             candidates.sort_unstable();
+            ctx.reoffer_src = Some(src);
             for (arrival_ns, id, slo_ns, variant) in candidates {
                 let mut request = self.live_request(id);
                 request.slo_ns = slo_ns;
-                let ctx = DispatchContext {
-                    now_ns: t,
-                    nodes: views,
-                    lut: &self.lut,
-                    transfer_cost: &self.config.transfer_cost,
-                    reoffer_src: Some(src),
-                };
                 let est_ns = self.lut.info(variant).avg_latency_ns();
                 if !InfeasibleEverywhere::infeasible_everywhere(&request, est_ns, &ctx) {
                     continue;
@@ -1407,6 +1390,8 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                     });
                 }
                 self.refresh_views(views);
+                ctx = DispatchContext::new(t, views, &self.lut, &self.config.transfer_cost);
+                ctx.reoffer_src = Some(src);
             }
         }
     }
@@ -1475,27 +1460,35 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         candidates
     }
 
-    /// The steal pass: each idle (fully drained) node asks the
-    /// [`StealPolicy`] to pick from the pool's stealable requests; an
-    /// applied steal pays the transfer cost on the thief.
+    /// The steal pass: each idle (fully drained) node may pull one
+    /// request from the pool's stealable work, as the [`StealPolicy`]
+    /// picks; an applied steal pays the transfer cost on the thief.
     fn steal_pass(&mut self, t: u64, views: &mut Vec<NodeView>) {
         let cfg = self.config.frontend.steal.expect("pass implies config");
         let n = self.nodes.len();
         // No stealable work anywhere means no thief can act: skip the
         // whole pass. ([`StealPolicy::choose`] is a read-only `&self`
         // call, so not consulting it over an empty candidate list is
-        // unobservable.) With work present, candidates are priced once
-        // per thief class over the victim list only, and every thief of
-        // that class is handed the same list — this is what turns the
-        // historical drained-thieves × all-victims O(N²) sweep into
-        // O(classes × stealable).
+        // unobservable.) With work present, the pass costs per thief
+        // class, not per thief: candidates are priced once per class
+        // over the victim list only, and the policy is asked once per
+        // class, for the class's lowest-id drained thief. Its answer may
+        // depend on the thief only through the class (the
+        // [`StealPolicy::choose`] contract), so a class that declines
+        // declines for every later thief of it. Between two applied
+        // steals this turns the historical drained-thieves × all-victims
+        // O(N²) sweep into O(classes × stealable).
         let mut victims = self.stealable_victims();
         if victims.is_empty() {
             return;
         }
-        // Snapshots and priced lists stay valid across thieves that
-        // steal nothing; only an applied transfer invalidates them.
-        let mut priced: Vec<(StealClass, Vec<StealCandidate>)> = Vec::new();
+        // Per thief class seen since the last applied steal: its priced
+        // list and whether the policy declined it. The lists, the views
+        // and the context (with its pool mean) stay valid across
+        // thieves that steal nothing; only an applied transfer
+        // invalidates them.
+        let mut priced: Vec<(StealClass, Vec<StealCandidate>, bool)> = Vec::new();
+        let mut ctx = DispatchContext::new(t, views, &self.lut, &self.config.transfer_cost);
         for thief in 0..n {
             // A down node is drained (salvage emptied it) and would
             // otherwise look like the perfect thief: skip it at the
@@ -1504,7 +1497,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                 continue;
             }
             let class = self.steal_class(thief);
-            let slot = match priced.iter().position(|(c, _)| *c == class) {
+            let slot = match priced.iter().position(|(c, ..)| *c == class) {
                 Some(slot) => {
                     // The shared list must be exactly what this thief
                     // would have priced for itself.
@@ -1524,19 +1517,25 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                     slot
                 }
                 None => {
-                    priced.push((class, self.steal_candidates(thief, &victims)));
+                    priced.push((class, self.steal_candidates(thief, &victims), false));
                     priced.len() - 1
                 }
             };
-            let candidates = &priced[slot].1;
-            let ctx = DispatchContext {
-                now_ns: t,
-                nodes: views,
-                lut: &self.lut,
-                transfer_cost: &self.config.transfer_cost,
-                reoffer_src: None,
-            };
+            let (_, candidates, declined) = &priced[slot];
+            if *declined {
+                // Debug builds re-ask every thief the class verdict
+                // stands in for.
+                debug_assert!(
+                    self.steal_policy
+                        .choose(thief, candidates, &ctx, &cfg)
+                        .is_none(),
+                    "steal policy `{}` declined thief class {class:?} but picks for its thief {thief}",
+                    self.steal_policy.name()
+                );
+                continue;
+            }
             let Some(pick) = self.steal_policy.choose(thief, candidates, &ctx, &cfg) else {
+                priced[slot].2 = true;
                 continue;
             };
             assert!(
@@ -1572,6 +1571,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             self.refresh_views(views);
             victims = self.stealable_victims();
             priced.clear();
+            ctx = DispatchContext::new(t, views, &self.lut, &self.config.transfer_cost);
         }
     }
 

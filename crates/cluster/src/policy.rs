@@ -22,8 +22,9 @@ use crate::{DispatchPolicy, MigrationConfig, StealConfig};
 /// class: the engine enumerates these (every queued, never-started
 /// request on every peer) and the [`StealPolicy`] ranks them. Thieves
 /// that agree on accelerator, mismatch slowdown, capacity and their open
-/// brown-out and transfer-stall factors get identical prices, so one
-/// list serves them all.
+/// brown-out and transfer-stall factors — one thief class — get
+/// identical prices, so one list, and one policy verdict, serves them
+/// all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StealCandidate {
     /// Node currently holding the request.
@@ -54,11 +55,22 @@ pub trait StealPolicy {
     /// Picks the candidate the idle `thief` should pull, as an index
     /// into `candidates`, or `None` to steal nothing this tick.
     /// `candidates` covers every queued, never-started request on every
-    /// peer; the thief is drained, so its own work never appears. The
-    /// engine may hand the same slice to every drained thief of one
-    /// class (see [`StealCandidate`]) until a steal is applied.
+    /// peer; the thief is drained, so its own work never appears.
     /// Implementations must be pure functions of their arguments (the
     /// engine may re-consult them at any tick).
+    ///
+    /// **Contract: the answer may depend on the thief only through its
+    /// class.** Thieves of one class (see [`StealCandidate`]) are
+    /// handed the same slice and the same `ctx` until a steal is
+    /// applied, and the engine asks once per class, for the class's
+    /// lowest-id drained thief: when that thief gets `None`, every
+    /// other thief of the class is taken to get `None` too, and is not
+    /// asked (debug builds ask it and assert that). So a policy may
+    /// read the thief's accelerator, capacity and open brown-out (its
+    /// `ctx.nodes[thief]` health, which the class fixes for a thief
+    /// that is not down) and may exclude the thief as a victim (a
+    /// drained thief never is one), but must not otherwise tell
+    /// thieves of one class apart, e.g. by id.
     fn choose(
         &self,
         thief: usize,
@@ -82,6 +94,10 @@ pub trait StealPolicy {
 /// extend the tail; ties prefer the bigger victim-side estimate, then
 /// the smaller id. Under [`crate::TransferCostConfig::FREE`] this is
 /// bit-exact with the PR 3 in-engine steal pass.
+///
+/// It meets the [`StealPolicy::choose`] class contract: of the thief it
+/// reads only its health (a down thief steals nothing; every other
+/// health accepts work) and its id, to exclude it as a victim.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BacklogGainSteal;
 
@@ -506,13 +522,7 @@ mod tests {
     fn steal_targets_most_backlogged_victim_and_respects_threshold() {
         let lut = ModelInfoLut::default();
         let views = [view(0, 0.0), view(1, 40.0), view(2, 100.0)];
-        let ctx = DispatchContext {
-            now_ns: 0,
-            nodes: &views,
-            lut: &lut,
-            transfer_cost: &TransferCostConfig::FREE,
-            reoffer_src: None,
-        };
+        let ctx = DispatchContext::new(0, &views, &lut, &TransferCostConfig::FREE);
         let candidates = [candidate(1, 10, 5.0, 0), candidate(2, 20, 5.0, 0)];
         let policy = BacklogGainSteal::new();
         let cfg = StealConfig::default();
@@ -529,13 +539,7 @@ mod tests {
     }
 
     fn steal_ctx<'a>(views: &'a [NodeView], lut: &'a ModelInfoLut) -> DispatchContext<'a> {
-        DispatchContext {
-            now_ns: 0,
-            nodes: views,
-            lut,
-            transfer_cost: &TransferCostConfig::FREE,
-            reoffer_src: None,
-        }
+        DispatchContext::new(0, views, lut, &TransferCostConfig::FREE)
     }
 
     #[test]
@@ -602,13 +606,7 @@ mod tests {
     fn transfer_cost_disqualifies_marginal_steals() {
         let lut = ModelInfoLut::default();
         let views = [view(0, 0.0), view(1, 100.0)];
-        let ctx = DispatchContext {
-            now_ns: 0,
-            nodes: &views,
-            lut: &lut,
-            transfer_cost: &TransferCostConfig::FREE,
-            reoffer_src: None,
-        };
+        let ctx = DispatchContext::new(0, &views, &lut, &TransferCostConfig::FREE);
         let cfg = StealConfig {
             min_imbalance: 1.0,
             ..StealConfig::default()
@@ -643,13 +641,7 @@ mod tests {
     fn admit_all_admits_unconditionally() {
         let lut = ModelInfoLut::default();
         let views = [view(0, 1.0e18)];
-        let ctx = DispatchContext {
-            now_ns: 0,
-            nodes: &views,
-            lut: &lut,
-            transfer_cost: &TransferCostConfig::FREE,
-            reoffer_src: None,
-        };
+        let ctx = DispatchContext::new(0, &views, &lut, &TransferCostConfig::FREE);
         let cfg = crate::AdmissionConfig::default();
         // Even a request whose deadline is hopeless everywhere.
         let doomed = admission_request(0, 1);
@@ -669,21 +661,12 @@ mod tests {
         let req = admission_request(0, 50);
 
         let hopeless = [view(0, 100.0), view(1, 200.0)];
-        let ctx = DispatchContext {
-            now_ns: 0,
-            nodes: &hopeless,
-            lut: &lut,
-            transfer_cost: &TransferCostConfig::FREE,
-            reoffer_src: None,
-        };
+        let ctx = DispatchContext::new(0, &hopeless, &lut, &TransferCostConfig::FREE);
         assert_eq!(policy.decide(&req, &ctx, &cfg), AdmissionDecision::Reject);
 
         // One feasible node is enough to admit.
         let one_open = [view(0, 100.0), view(1, 10.0)];
-        let ctx_open = DispatchContext {
-            nodes: &one_open,
-            ..ctx
-        };
+        let ctx_open = DispatchContext::new(0, &one_open, &lut, &TransferCostConfig::FREE);
         assert_eq!(
             policy.decide(&req, &ctx_open, &cfg),
             AdmissionDecision::Admit
@@ -711,26 +694,14 @@ mod tests {
         let wide = [view(0, 100.0), view(1, 900.0)];
         let thin = [view(0, 800.0), view(1, 900.0)];
         let none = [view(0, 1_200.0), view(1, 1_500.0)];
-        let base = DispatchContext {
-            now_ns: 0,
-            nodes: &wide,
-            lut: &lut,
-            transfer_cost: &TransferCostConfig::FREE,
-            reoffer_src: None,
-        };
+        let base = DispatchContext::new(0, &wide, &lut, &TransferCostConfig::FREE);
         assert_eq!(policy.decide(&req, &base, &cfg), AdmissionDecision::Admit);
-        let thin_ctx = DispatchContext {
-            nodes: &thin,
-            ..base
-        };
+        let thin_ctx = DispatchContext::new(0, &thin, &lut, &TransferCostConfig::FREE);
         assert_eq!(
             policy.decide(&req, &thin_ctx, &cfg),
             AdmissionDecision::Degrade
         );
-        let none_ctx = DispatchContext {
-            nodes: &none,
-            ..base
-        };
+        let none_ctx = DispatchContext::new(0, &none, &lut, &TransferCostConfig::FREE);
         assert_eq!(
             policy.decide(&req, &none_ctx, &cfg),
             AdmissionDecision::Reject
@@ -787,29 +758,20 @@ mod tests {
 
         // Native node overcommitted: nobody holds the deadline.
         let hopeless = pool(1.5 * est);
-        let ctx = DispatchContext {
-            now_ns: 0,
-            nodes: &hopeless,
-            lut: &lut,
-            transfer_cost: &TransferCostConfig::FREE,
-            reoffer_src: None,
-        };
+        let ctx = DispatchContext::new(0, &hopeless, &lut, &TransferCostConfig::FREE);
         assert!(InfeasibleEverywhere::infeasible_everywhere(&req, est, &ctx));
         assert_eq!(doomed.decide(&req, &ctx, &cfg), AdmissionDecision::Reject);
         assert_eq!(shed.decide(&req, &ctx, &cfg), AdmissionDecision::Reject);
         // An empty LUT charges no own estimate, so the empty mismatched
         // and browned-out nodes look feasible: the lookup decides.
         let empty = ModelInfoLut::default();
-        let blind = DispatchContext { lut: &empty, ..ctx };
+        let blind = DispatchContext::new(0, ctx.nodes, &empty, &TransferCostConfig::FREE);
         assert_eq!(doomed.decide(&req, &blind, &cfg), AdmissionDecision::Admit);
         assert_eq!(shed.decide(&req, &blind, &cfg), AdmissionDecision::Admit);
 
         // Native node empty: one estimate of slack (half the SLO).
         let open = pool(0.0);
-        let ctx_open = DispatchContext {
-            nodes: &open,
-            ..ctx
-        };
+        let ctx_open = DispatchContext::new(0, &open, &lut, &TransferCostConfig::FREE);
         assert_eq!(
             doomed.decide(&req, &ctx_open, &cfg),
             AdmissionDecision::Admit
@@ -818,10 +780,7 @@ mod tests {
         // Native node 0.8 estimates behind: slack 0.2 estimates, under
         // a quarter of the SLO.
         let thin = pool(0.8 * est);
-        let ctx_thin = DispatchContext {
-            nodes: &thin,
-            ..ctx
-        };
+        let ctx_thin = DispatchContext::new(0, &thin, &lut, &TransferCostConfig::FREE);
         assert_eq!(
             shed.decide(&req, &ctx_thin, &cfg),
             AdmissionDecision::Degrade
@@ -830,10 +789,8 @@ mod tests {
         // Re-offered from the browned-out node: its backlog already
         // holds the request, so it is not charged the estimate again
         // and holds the deadline.
-        let reoffer = DispatchContext {
-            reoffer_src: Some(1),
-            ..ctx
-        };
+        let mut reoffer = ctx.clone();
+        reoffer.reoffer_src = Some(1);
         assert!(!InfeasibleEverywhere::infeasible_everywhere(
             &req, est, &reoffer
         ));
@@ -855,13 +812,7 @@ mod tests {
         // Node 1 is the obviously-best target for everything — but down.
         let mut views = [view(0, 100.0), view(1, 0.0)];
         views[1].health = crate::NodeHealth::Down { until_ns: None };
-        let ctx = DispatchContext {
-            now_ns: 0,
-            nodes: &views,
-            lut: &lut,
-            transfer_cost: &TransferCostConfig::FREE,
-            reoffer_src: None,
-        };
+        let ctx = DispatchContext::new(0, &views, &lut, &TransferCostConfig::FREE);
         // Migration never lands on a down node.
         let req = admission_request(0, u64::MAX);
         assert!(!BacklogThresholdMigration::new().accept(&req, 0, 1, &ctx, &mcfg));
@@ -885,10 +836,7 @@ mod tests {
         // deadline-free work.
         let mut all_down = views;
         all_down[0].health = crate::NodeHealth::Down { until_ns: Some(9) };
-        let ctx_down = DispatchContext {
-            nodes: &all_down,
-            ..ctx
-        };
+        let ctx_down = DispatchContext::new(0, &all_down, &lut, &TransferCostConfig::FREE);
         assert!(InfeasibleEverywhere::infeasible_everywhere(
             &req, 0.0, &ctx_down
         ));
@@ -914,13 +862,7 @@ mod tests {
 
         let lut = ModelInfoLut::default();
         let views = [view(0, 100.0), view(1, 99.0)];
-        let ctx = DispatchContext {
-            now_ns: 0,
-            nodes: &views,
-            lut: &lut,
-            transfer_cost: &TransferCostConfig::FREE,
-            reoffer_src: None,
-        };
+        let ctx = DispatchContext::new(0, &views, &lut, &TransferCostConfig::FREE);
         let req = Request {
             id: 0,
             spec: SparseModelSpec::new(ModelId::ResNet50, SparsityPattern::Dense, 0.0),
@@ -941,10 +883,7 @@ mod tests {
             base_ns: 10,
             compute_fraction: 0.0,
         };
-        let ctx_costed = DispatchContext {
-            transfer_cost: &costed,
-            ..ctx
-        };
+        let ctx_costed = DispatchContext::new(0, &views, &lut, &costed);
         assert!(!policy.accept(&req, 0, 1, &ctx_costed, &cfg));
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the `ClusterPolicy` redesign: deadline-aware
-//! dispatch quality, costed-transfer accounting, and per-node capacity
-//! semantics.
+//! dispatch quality, costed-transfer accounting, per-node capacity
+//! semantics, and the steal policy's thief-class contract.
 //!
 //! The EDF-vs-round-robin property is aggregated over a window of
 //! consecutive seeds: EDF routes on *estimated* completion, so a single
@@ -12,10 +12,11 @@
 use proptest::prelude::*;
 
 use dysta_cluster::{
-    simulate_cluster, AcceleratorKind, ClusterBuilder, ClusterPolicy, DispatchPolicy,
-    FrontendConfig, MigrationConfig, StealConfig, TransferCostConfig,
+    simulate_cluster, AcceleratorKind, BacklogGainSteal, ClusterBuilder, ClusterPolicy,
+    DispatchContext, DispatchPolicy, FrontendConfig, MigrationConfig, NodeHealth, NodeView,
+    StealCandidate, StealConfig, StealPolicy, TransferCostConfig,
 };
-use dysta_core::Policy;
+use dysta_core::{ModelInfoLut, Policy};
 use dysta_obs::NullTracer;
 use dysta_sim::EngineConfig;
 use dysta_workload::{Scenario, Workload, WorkloadBuilder};
@@ -167,5 +168,84 @@ proptest! {
         // The slowdown lands on turnaround, not on the isolated-time
         // goalposts: ANTT strictly degrades.
         prop_assert!(slow.antt() > full.antt());
+    }
+}
+
+/// The node classes the steal-contract property draws from:
+/// accelerator, capacity and health (up, browned out to half, down).
+fn steal_view(id: usize, (accel, cap, health, backlog): (usize, usize, usize, f64)) -> NodeView {
+    let capacity = [0.5, 1.0][cap];
+    NodeView {
+        id,
+        accelerator: [AcceleratorKind::EyerissV2, AcceleratorKind::Sanger][accel],
+        capacity,
+        now_ns: 0,
+        queue_len: 0,
+        lut_backlog_ns: backlog,
+        predicted_backlog_ns: backlog,
+        health: match health {
+            0 => NodeHealth::Up,
+            1 => NodeHealth::Degraded {
+                capacity: 0.5 * capacity,
+            },
+            _ => NodeHealth::Down { until_ns: None },
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn backlog_gain_steal_answers_every_thief_of_a_class_alike(
+        nodes in prop::collection::vec((0usize..2, 0usize..2, 0usize..3, 0.0f64..4.0e6), 4..14),
+        offers in prop::collection::vec((0usize..64, 1.0e4f64..1.0e6, 0.3f64..3.0, 0.3f64..3.0, 0u64..400_000), 0..24),
+        min_imbalance in 0.5f64..2.5,
+    ) {
+        // The engine asks `choose` once per thief class and takes the
+        // answer for every drained thief of that class. Any two
+        // thieves that are not down, share a class (accelerator,
+        // capacity, health) and hold no candidate get the same list and
+        // context, so they must get the same answer.
+        let views: Vec<NodeView> = nodes.iter().enumerate().map(|(id, &n)| steal_view(id, n)).collect();
+        let candidates: Vec<StealCandidate> = offers
+            .iter()
+            .enumerate()
+            .map(|(i, &(victim, est, victim_scale, thief_scale, cost))| StealCandidate {
+                // The first half of the pool holds the stealable work,
+                // so the second half has idle thieves to compare.
+                victim: victim % (views.len() / 2),
+                task_id: i as u64,
+                arrival_ns: 0,
+                deadline_ns: u64::MAX,
+                est_ns: est,
+                on_victim_ns: est * victim_scale,
+                on_thief_ns: est * thief_scale,
+                transfer_cost_ns: cost,
+            })
+            .collect();
+        let lut = ModelInfoLut::default();
+        let ctx = DispatchContext::new(0, &views, &lut, &TransferCostConfig::FREE);
+        let cfg = StealConfig {
+            min_imbalance,
+            ..StealConfig::default()
+        };
+        let class = |v: &NodeView| (v.accelerator, v.capacity.to_bits(), v.health);
+        let thieves: Vec<&NodeView> = views
+            .iter()
+            .filter(|v| v.health.accepts_work() && candidates.iter().all(|c| c.victim != v.id))
+            .collect();
+        let policy = BacklogGainSteal::new();
+        for (i, a) in thieves.iter().enumerate() {
+            for b in thieves[i + 1..].iter().filter(|b| class(b) == class(a)) {
+                prop_assert_eq!(
+                    policy.choose(a.id, &candidates, &ctx, &cfg),
+                    policy.choose(b.id, &candidates, &ctx, &cfg),
+                    "thieves {} and {} share a class but not an answer",
+                    a.id,
+                    b.id
+                );
+            }
+        }
     }
 }

@@ -30,8 +30,9 @@
 //! and review the diff like any other code change.
 
 use dysta::cluster::{
-    simulate_cluster, ClusterBuilder, ClusterConfig, ClusterPolicy, DispatchPolicy, FrontendConfig,
-    MigrationConfig, StealConfig,
+    simulate_cluster, BacklogGainSteal, ClusterBuilder, ClusterConfig, ClusterPolicy,
+    DispatchContext, DispatchPolicy, FrontendConfig, MigrationConfig, StealCandidate, StealConfig,
+    StealPolicy,
 };
 use dysta::core::Policy;
 use dysta::obs::NullTracer;
@@ -495,27 +496,27 @@ struct StealClassesGolden {
     nodes: Vec<TransferRow>,
 }
 
-/// Pins costed steals onto thieves that differ in what a steal price
-/// reads from the thief: capacity, an open brown-out and an open
-/// transfer stall. On a 3+3 pool whose first node of each family runs
-/// at half capacity, an overdriven CNN stream under affinity dispatch
-/// leaves the Sanger nodes idle, so they steal from the Eyeriss side.
-/// Node 3 browns out to half while it steals. Node 4 browns out to
-/// 0.1% and then stalls its transfers ×10⁴, so it declines candidates
-/// that node 5 takes; the two share a thief class only while node 4's
-/// windows are closed. Every steal (time, request, thief, victim, fetch
-/// cost) and every node's transfer accounting is pinned.
-#[test]
-fn golden_steal_classes() {
+/// The `steal_classes` brown-outs: (node, from, until, factor).
+const STEAL_BROWNOUTS: [(usize, u64, u64, f64); 2] = [
+    (3, 500_000_000, 3_000_000_000, 0.5),
+    (4, 200_000_000, 1_000_000_000, 0.001),
+];
+/// The `steal_classes` transfer stalls: (node, from, until, factor).
+const STEAL_STALLS: [(usize, u64, u64, f64); 1] = [(4, 1_000_000_000, 3_000_000_000, 10_000.0)];
+
+/// Runs the `steal_classes` configuration with `steal` as its steal
+/// policy. On a 3+3 pool whose first node of each family runs at half
+/// capacity, an overdriven CNN stream under affinity dispatch leaves
+/// the Sanger nodes idle, so they steal from the Eyeriss side. Node 3
+/// browns out to half while it steals. Node 4 browns out to 0.1% and
+/// then stalls its transfers ×10⁴, so it declines candidates that node
+/// 5 takes; the two share a thief class only while node 4's windows are
+/// closed. Returns the pool, the report and every applied steal.
+fn run_steal_classes(
+    steal: Box<dyn StealPolicy>,
+) -> (ClusterConfig, dysta::cluster::ClusterReport, Vec<StealRow>) {
     use dysta::cluster::{FaultConfig, FaultSchedule, TransferCostConfig};
     use dysta::obs::{EventKind, RingTracer};
-
-    // (node, from, until, factor) fault windows.
-    const BROWNOUTS: [(usize, u64, u64, f64); 2] = [
-        (3, 500_000_000, 3_000_000_000, 0.5),
-        (4, 200_000_000, 1_000_000_000, 0.001),
-    ];
-    const STALLS: [(usize, u64, u64, f64); 1] = [(4, 1_000_000_000, 3_000_000_000, 10_000.0)];
 
     let w = WorkloadBuilder::new(Scenario::MultiCnn)
         .arrival_rate(60.0)
@@ -524,10 +525,10 @@ fn golden_steal_classes() {
         .seed(31)
         .build();
     let mut schedule = FaultSchedule::new();
-    for (node, from, until, factor) in BROWNOUTS {
+    for (node, from, until, factor) in STEAL_BROWNOUTS {
         schedule = schedule.brownout(node, from, until, factor);
     }
-    for (node, from, until, factor) in STALLS {
+    for (node, from, until, factor) in STEAL_STALLS {
         schedule = schedule.transfer_stall(node, from, until, factor);
     }
     let pool = ClusterBuilder::heterogeneous(3, 3, Policy::Dysta)
@@ -541,6 +542,7 @@ fn golden_steal_classes() {
         })
         .build();
     let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::SparsityAffinity);
+    policy.steal = steal;
     let tracer = RingTracer::new(1 << 16);
     let report = simulate_cluster(w.source(), &mut policy, &pool, &tracer);
     assert_eq!(tracer.dropped(), 0, "fixture scenario must fit the ring");
@@ -558,33 +560,35 @@ fn golden_steal_classes() {
         })
         .collect();
     assert_eq!(steals.len() as u64, report.serving().steals);
+    (pool, report, steals)
+}
 
-    // The fixture must exercise distinct thief classes, including one
-    // priced under an open fault window on the thief.
-    let open = |windows: &[(usize, u64, u64, f64)], thief: usize, t: u64| {
+/// `thief`'s steal-pricing class at `t` in the `steal_classes` pool:
+/// accelerator, capacity bits, and the factor bits of its open
+/// brown-out and transfer stall.
+fn steal_class_at(
+    pool: &ClusterConfig,
+    thief: usize,
+    t: u64,
+) -> (&'static str, u64, Option<u64>, Option<u64>) {
+    let open = |windows: &[(usize, u64, u64, f64)]| {
         windows
             .iter()
             .find(|&&(node, from, until, _)| node == thief && (from..until).contains(&t))
             .map(|w| w.3.to_bits())
     };
-    let classes: std::collections::BTreeSet<_> = steals
-        .iter()
-        .map(|s| {
-            let (thief, nc) = (s.thief as usize, &pool.nodes[s.thief as usize]);
-            (
-                nc.accelerator.name(),
-                nc.capacity.to_bits(),
-                open(&BROWNOUTS, thief, s.t_ns),
-                open(&STALLS, thief, s.t_ns),
-            )
-        })
-        .collect();
-    assert!(classes.len() >= 3, "steals reach only {classes:?}");
-    assert!(
-        classes.iter().any(|c| c.2.is_some() || c.3.is_some()),
-        "no steal lands under an open fault window: {classes:?}"
-    );
+    let nc = &pool.nodes[thief];
+    (
+        nc.accelerator.name(),
+        nc.capacity.to_bits(),
+        open(&STEAL_BROWNOUTS),
+        open(&STEAL_STALLS),
+    )
+}
 
+/// The `steal_classes` fixture: the run's steals and every node's
+/// transfer accounting, serialized.
+fn steal_classes_json(report: &dysta::cluster::ClusterReport, steals: Vec<StealRow>) -> String {
     let nodes = report
         .nodes()
         .iter()
@@ -595,9 +599,106 @@ fn golden_steal_classes() {
             transfer_fetch_ns: n.transfer_fetch_ns,
         })
         .collect();
-    let json =
-        serde_json::to_string(&StealClassesGolden { steals, nodes }).expect("steal rows serialize");
-    check_golden("steal_classes.json", &json);
+    serde_json::to_string(&StealClassesGolden { steals, nodes }).expect("steal rows serialize")
+}
+
+/// Pins costed steals onto thieves that differ in what a steal price
+/// reads from the thief: capacity, an open brown-out and an open
+/// transfer stall (see [`run_steal_classes`]). Every steal (time,
+/// request, thief, victim, fetch cost) and every node's transfer
+/// accounting is pinned.
+#[test]
+fn golden_steal_classes() {
+    let (pool, report, steals) = run_steal_classes(Box::new(BacklogGainSteal::new()));
+
+    // The fixture must exercise distinct thief classes, including one
+    // priced under an open fault window on the thief.
+    let classes: std::collections::BTreeSet<_> = steals
+        .iter()
+        .map(|s| steal_class_at(&pool, s.thief as usize, s.t_ns))
+        .collect();
+    assert!(classes.len() >= 3, "steals reach only {classes:?}");
+    assert!(
+        classes.iter().any(|c| c.2.is_some() || c.3.is_some()),
+        "no steal lands under an open fault window: {classes:?}"
+    );
+    check_golden("steal_classes.json", &steal_classes_json(&report, steals));
+}
+
+/// [`BacklogGainSteal`] that logs every `choose` call as
+/// (decision instant, thief, whether it picked a candidate).
+struct CountingSteal(std::rc::Rc<std::cell::RefCell<Vec<(u64, usize, bool)>>>);
+
+impl StealPolicy for CountingSteal {
+    fn name(&self) -> &str {
+        BacklogGainSteal.name()
+    }
+
+    fn choose(
+        &self,
+        thief: usize,
+        candidates: &[StealCandidate],
+        ctx: &DispatchContext<'_>,
+        cfg: &StealConfig,
+    ) -> Option<usize> {
+        let pick = BacklogGainSteal.choose(thief, candidates, ctx, cfg);
+        self.0
+            .borrow_mut()
+            .push((ctx.now_ns, thief, pick.is_some()));
+        pick
+    }
+}
+
+/// Pins how often the steal pass asks its policy on the
+/// `steal_classes` pool, where several idle thieves share a class
+/// (the full-capacity Eyeriss nodes 1 and 2, and Sanger nodes 4 and 5
+/// while node 4's windows are closed). The pass asks once per thief
+/// class per view snapshot: no class is asked twice within one pass
+/// between two applied steals, except by the debug builds' check,
+/// which re-asks every skipped thief and must get `None`. Counting the
+/// calls changes nothing: the run still matches the fixture.
+#[test]
+fn steal_pass_asks_once_per_thief_class() {
+    let calls = std::rc::Rc::default();
+    let (pool, report, steals) =
+        run_steal_classes(Box::new(CountingSteal(std::rc::Rc::clone(&calls))));
+    check_golden("steal_classes.json", &steal_classes_json(&report, steals));
+
+    // Replay the log: a pass is one decision instant, and an applied
+    // steal starts a new snapshot.
+    let calls = calls.borrow();
+    let (mut asks, mut reasks) = (0, 0);
+    let mut asked = Vec::new();
+    let mut pass = None;
+    for &(t, thief, stole) in calls.iter() {
+        if pass != Some(t) {
+            pass = Some(t);
+            asked.clear();
+        }
+        let class = steal_class_at(&pool, thief, t);
+        if asked.contains(&class) {
+            assert!(
+                !stole,
+                "thief {thief} at {t} stole after its class declined"
+            );
+            reasks += 1;
+            continue;
+        }
+        asks += 1;
+        if stole {
+            asked.clear();
+        } else {
+            asked.push(class);
+        }
+    }
+    // Asking every drained thief, as the pass did before it asked per
+    // class, makes asks + the debug re-asks = 2 142 calls.
+    assert_eq!(asks, 1610, "policy asks, one per class and snapshot");
+    assert_eq!(
+        reasks,
+        if cfg!(debug_assertions) { 532 } else { 0 },
+        "only the debug check re-asks a class that declined"
+    );
 }
 
 // --- fig_admission (quick mode) -------------------------------------------
