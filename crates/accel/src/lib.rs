@@ -84,7 +84,7 @@ impl AcceleratorKind {
     /// The model family this accelerator was designed for; the inverse
     /// of [`AcceleratorKind::for_family`].
     #[inline]
-    pub fn native_family(self) -> ModelFamily {
+    fn native_family(self) -> ModelFamily {
         match self {
             AcceleratorKind::EyerissV2 => ModelFamily::Cnn,
             AcceleratorKind::Sanger => ModelFamily::AttNn,

@@ -6,9 +6,7 @@
 //! rate and pattern: bitmaps cost a fixed bit per element, CSR-style
 //! coordinate lists cost per non-zero, run-length coding exploits
 //! clustered zeros (channel pruning). This module prices each format in
-//! bytes so the memory roofline of the performance models can be studied
-//! per format, and provides the crossover analysis used by the ablation
-//! bench.
+//! bytes, which the storage ablation bench compares per pattern and rate.
 
 use serde::{Deserialize, Serialize};
 
@@ -63,11 +61,6 @@ impl StorageFormat {
         }
     }
 
-    /// Compression ratio versus dense (> 1 means smaller).
-    pub fn compression_ratio(&self, elements: u64, sparsity: f64, mean_zero_run: f64) -> f64 {
-        elements as f64 / self.bytes(elements, sparsity, mean_zero_run)
-    }
-
     /// The format the paper's target accelerators pair with each weight
     /// pattern: bitmap for scattered point-wise zeros, dense(-ish) N:M
     /// metadata modelled as bitmap, run-length for channel pruning where
@@ -94,28 +87,6 @@ impl StorageFormat {
             SparsityPattern::ChannelWise => filter_size.max(1) as f64,
         }
     }
-
-    /// Smallest sparsity at which this format beats dense storage.
-    pub fn breakeven_sparsity(&self, mean_zero_run: f64) -> f64 {
-        // Solve bytes(elements, s) = elements for s on [0, 1].
-        match self {
-            StorageFormat::Dense => 1.0,
-            StorageFormat::Bitmap => 1.0 / 8.0,
-            StorageFormat::Csr { index_bits } => {
-                let per_nnz = 1.0 + *index_bits as f64 / 8.0;
-                1.0 - 1.0 / per_nnz
-            }
-            StorageFormat::RunLength { run_bits } => {
-                let per_run = *run_bits as f64 / 8.0;
-                // nnz + runs*per_run = n  =>  s(per_run/run - 1) = 0.
-                if per_run / mean_zero_run >= 1.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +103,9 @@ mod tests {
         let f = StorageFormat::Bitmap;
         assert!(f.bytes(1000, 0.2, 1.0) < 1000.0);
         assert!(f.bytes(1000, 0.05, 1.0) > 1000.0);
-        assert!((f.breakeven_sparsity(1.0) - 0.125).abs() < 1e-12);
+        // The crossover: one mask bit per element costs exactly the
+        // payload an eighth of zeros saves.
+        assert_eq!(f.bytes(1000, 0.125, 1.0), 1000.0);
     }
 
     #[test]
@@ -176,14 +149,6 @@ mod tests {
         assert!(random < channel);
         assert!(nm < channel);
         assert_eq!(channel, 576.0);
-    }
-
-    #[test]
-    fn compression_ratio_inverts_bytes() {
-        let f = StorageFormat::Bitmap;
-        let r = f.compression_ratio(1000, 0.9, 1.0);
-        assert!((r - 1000.0 / f.bytes(1000, 0.9, 1.0)).abs() < 1e-12);
-        assert!(r > 4.0);
     }
 
     #[test]

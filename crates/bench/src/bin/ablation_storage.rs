@@ -9,6 +9,16 @@ use dysta::models::zoo;
 use dysta::sparsity::SparsityPattern;
 use dysta_bench::banner;
 
+/// The format's variant name, without its parameters.
+fn name(format: &StorageFormat) -> &'static str {
+    match format {
+        StorageFormat::Dense => "Dense",
+        StorageFormat::Bitmap => "Bitmap",
+        StorageFormat::Csr { .. } => "Csr",
+        StorageFormat::RunLength { .. } => "RunLength",
+    }
+}
+
 fn main() {
     banner(
         "Ablation",
@@ -22,10 +32,12 @@ fn main() {
         StorageFormat::Csr { index_bits: 16 },
         StorageFormat::RunLength { run_bits: 16 },
     ];
+    // (row label, smallest format(s)) for the footer.
+    let mut rows = Vec::new();
     println!("compressed size [MB] at pattern-typical zero clustering:");
     print!("{:<22}", "pattern @ rate");
     for f in &formats {
-        print!("{:>12}", format!("{f:?}").split(['{', ' ']).next().unwrap());
+        print!("{:>12}", name(f));
     }
     println!();
     for (pattern, rate) in [
@@ -37,11 +49,26 @@ fn main() {
         (SparsityPattern::ChannelWise, 0.8),
     ] {
         let run = StorageFormat::typical_zero_run(pattern, rate, 576);
-        print!("{:<22}", format!("{pattern} @ {:.0}%", rate * 100.0));
-        for f in &formats {
-            print!("{:>12.2}", f.bytes(params, rate, run) / 1e6);
+        let label = format!("{pattern} @ {:.0}%", rate * 100.0);
+        print!("{label:<22}");
+        // Sizes rounded as printed, so a tie in the table is a tie here.
+        let sizes: Vec<f64> = formats
+            .iter()
+            .map(|f| format!("{:.2}", f.bytes(params, rate, run) / 1e6))
+            .map(|mb| mb.parse().expect("printed size"))
+            .collect();
+        for size in &sizes {
+            print!("{size:>12.2}");
         }
         println!();
+        let min = sizes.iter().copied().fold(f64::INFINITY, f64::min);
+        let smallest: Vec<&str> = formats
+            .iter()
+            .zip(&sizes)
+            .filter(|&(_, &size)| size == min)
+            .map(|(f, _)| name(f))
+            .collect();
+        rows.push((label, smallest.join(", ")));
     }
     println!();
     println!("preferred format per pattern:");
@@ -53,7 +80,8 @@ fn main() {
         );
     }
     println!();
-    println!("expectation: bitmap wins for scattered point-wise zeros at");
-    println!("moderate rates, CSR at extreme sparsity, run-length once");
-    println!("zeros cluster into whole pruned filters");
+    println!("smallest format per row (ties listed together):");
+    for (label, smallest) in rows {
+        println!("  {label:<20} -> {smallest}");
+    }
 }

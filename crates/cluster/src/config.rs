@@ -533,7 +533,7 @@ impl ClusterBuilder {
     }
 
     /// Starts from explicit node configs.
-    pub fn from_nodes(nodes: Vec<NodeConfig>) -> Self {
+    fn from_nodes(nodes: Vec<NodeConfig>) -> Self {
         ClusterBuilder {
             nodes,
             frontend: FrontendConfig::default(),

@@ -203,11 +203,6 @@ impl ClusterReport {
         &self.nodes
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Iterates every completed request across all nodes.
     pub fn completed(&self) -> impl Iterator<Item = &CompletedRequest> {
         self.nodes.iter().flat_map(|n| n.report.completed().iter())
@@ -357,8 +352,8 @@ impl ClusterReport {
     }
 
     /// Load imbalance: the busiest node's service time over the mean —
-    /// 1.0 is a perfectly balanced pool, `num_nodes()` is one node doing
-    /// all the work. Defined as 0.0 for an all-idle pool (zero mean
+    /// 1.0 is a perfectly balanced pool, and the node count means one
+    /// node did all the work. Defined as 0.0 for an all-idle pool (zero mean
     /// busy time would otherwise divide to NaN): no work means no
     /// imbalance, and the 0 is distinguishable from a genuinely
     /// balanced pool's 1.0.

@@ -52,7 +52,7 @@ fn one_node_cluster_reproduces_single_node_simulate_exactly() {
                     &pool,
                     NullTracer,
                 );
-                assert_eq!(cluster.num_nodes(), 1);
+                assert_eq!(cluster.nodes().len(), 1);
                 let node = &cluster.nodes()[0];
                 assert_eq!(
                     node.report.completed(),
@@ -243,7 +243,7 @@ fn batched_dispatch_delays_execution_to_the_dispatch_instant() {
     let w = workload(Scenario::MultiCnn, 12.0, 60, 7);
     let last_arrival = w.requests().last().unwrap().arrival_ns;
     let immediate_pool = ClusterConfig::homogeneous(1, AcceleratorKind::EyerissV2, Policy::Dysta);
-    let batched_pool = ClusterBuilder::from_nodes(immediate_pool.nodes.clone())
+    let batched_pool = ClusterBuilder::homogeneous(1, AcceleratorKind::EyerissV2, Policy::Dysta)
         .frontend(FrontendConfig {
             admit_batch: 60,
             ..FrontendConfig::default()

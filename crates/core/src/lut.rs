@@ -25,7 +25,7 @@ pub struct ModelInfo {
 
 impl ModelInfo {
     /// Derives LUT statistics from Phase-1 traces.
-    pub fn from_traces(traces: &ModelTraces) -> Self {
+    fn from_traces(traces: &ModelTraces) -> Self {
         let avg_layer_latency_ns = traces.avg_layer_latency_ns();
         let n = avg_layer_latency_ns.len();
         let mut suffix = vec![0.0; n + 1];

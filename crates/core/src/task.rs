@@ -163,15 +163,6 @@ impl TaskState {
     pub fn finished(&self) -> bool {
         self.next_layer >= self.num_layers
     }
-
-    /// Fraction of layers completed.
-    pub fn progress(&self) -> f64 {
-        if self.num_layers == 0 {
-            1.0
-        } else {
-            self.next_layer as f64 / self.num_layers as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +221,6 @@ mod tests {
         assert!(!t.started() && !t.finished());
         t.next_layer = 2;
         assert!(t.started() && !t.finished());
-        assert!((t.progress() - 0.5).abs() < 1e-12);
         t.next_layer = 4;
         assert!(t.finished());
     }

@@ -5,7 +5,7 @@
 //!
 //! * [`models`] — DNN layer-graph zoo (SSD, ResNet-50, VGG-16, MobileNet,
 //!   GoogLeNet, Inception-V3, BERT, GPT-2, BART).
-//! * [`sparsity`] — weight-sparsity patterns/masks and dynamic
+//! * [`sparsity`] — weight-sparsity patterns and dynamic
 //!   activation/attention sparsity profiles.
 //! * [`accel`] — Eyeriss-V2 and Sanger performance models.
 //! * [`trace`] — Phase-1 runtime-information traces.

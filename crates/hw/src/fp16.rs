@@ -37,19 +37,9 @@ impl F16 {
     /// Positive infinity.
     pub const INFINITY: F16 = F16(0x7C00);
 
-    /// Creates a value from its raw bit pattern.
-    pub const fn from_bits(bits: u16) -> Self {
-        F16(bits)
-    }
-
-    /// The raw bit pattern.
-    pub const fn to_bits(self) -> u16 {
-        self.0
-    }
-
     /// Converts from f32 with round-to-nearest-even, overflowing to
     /// infinity and flushing tiny values through the subnormal range.
-    pub fn from_f32(value: f32) -> Self {
+    fn from_f32(value: f32) -> Self {
         let bits = value.to_bits();
         let sign = ((bits >> 16) & 0x8000) as u16;
         let exp = ((bits >> 23) & 0xFF) as i32;
@@ -126,16 +116,6 @@ impl F16 {
         self.to_f32() as f64
     }
 
-    /// True for positive or negative infinity.
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7C00
-    }
-
-    /// True for NaN.
-    pub fn is_nan(self) -> bool {
-        (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0
-    }
-
     /// IEEE total-order-ish comparison adequate for score sorting
     /// (NaN sorts last).
     pub fn total_cmp(self, other: F16) -> std::cmp::Ordering {
@@ -171,9 +151,6 @@ impl_op!(Sub, sub, -);
 impl_op!(Mul, mul, *);
 impl_op!(Div, div, /);
 
-/// Worst-case relative rounding error of one FP16 operation (2^-11).
-pub const EPSILON_REL: f64 = 4.8828125e-4;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,8 +169,8 @@ mod tests {
         assert_eq!(F16::from_f64(0.0), F16::ZERO);
         assert_eq!(F16::from_f64(65504.0), F16::MAX);
         assert_eq!(F16::from_f64(1e6), F16::INFINITY);
-        assert_eq!(F16::from_f64(0.5).to_bits(), 0x3800);
-        assert_eq!(F16::from_f64(-2.0).to_bits(), 0xC000);
+        assert_eq!(F16::from_f64(0.5).0, 0x3800);
+        assert_eq!(F16::from_f64(-2.0).0, 0xC000);
     }
 
     #[test]
@@ -202,7 +179,8 @@ mod tests {
         while x < 60000.0 {
             let h = F16::from_f64(x);
             let rel = ((h.to_f64() - x) / x).abs();
-            assert!(rel <= EPSILON_REL, "x={x} rel={rel}");
+            // Half an ULP: 2^-11 relative.
+            assert!(rel <= 2f64.powi(-11), "x={x} rel={rel}");
             x *= 1.37;
         }
     }
@@ -210,20 +188,20 @@ mod tests {
     #[test]
     fn subnormals_roundtrip() {
         // Smallest positive subnormal: 2^-24.
-        let tiny = F16::from_bits(1);
+        let tiny = F16(1);
         assert!((tiny.to_f64() - 2f64.powi(-24)).abs() < 1e-12);
         assert_eq!(F16::from_f32(tiny.to_f32()), tiny);
         // A mid-range subnormal.
-        let sub = F16::from_bits(0x0155);
+        let sub = F16(0x0155);
         assert_eq!(F16::from_f32(sub.to_f32()), sub);
     }
 
     #[test]
     fn all_finite_bit_patterns_roundtrip_through_f32() {
         for bits in 0..=0xFFFFu16 {
-            let h = F16::from_bits(bits);
-            if h.is_nan() {
-                assert!(F16::from_f32(h.to_f32()).is_nan());
+            let h = F16(bits);
+            if h.to_f32().is_nan() {
+                assert!(F16::from_f32(h.to_f32()).to_f32().is_nan());
             } else {
                 assert_eq!(F16::from_f32(h.to_f32()), h, "bits {bits:#06x}");
             }
@@ -251,8 +229,9 @@ mod tests {
     #[test]
     fn nan_detected() {
         let nan = F16::from_f32(f32::NAN);
-        assert!(nan.is_nan());
-        assert!(!nan.is_infinite());
-        assert!(F16::INFINITY.is_infinite());
+        assert!(nan.to_f32().is_nan());
+        assert!(!nan.to_f32().is_infinite());
+        assert!(F16::INFINITY.to_f64().is_infinite());
+        assert!(F16::from_f64(-1e6).to_f64().is_infinite());
     }
 }

@@ -65,12 +65,6 @@ impl Conv2d {
         (self.in_size + 2 * self.padding_w).saturating_sub(self.kernel_w) / self.stride + 1
     }
 
-    /// Output spatial edge length; meaningful when the output stays square
-    /// (which holds for every layer in the benchmark zoo).
-    pub fn out_size(&self) -> u32 {
-        self.out_h()
-    }
-
     /// Dense multiply-accumulate operations.
     pub fn macs(&self) -> u64 {
         self.out_h() as u64
@@ -352,11 +346,11 @@ mod tests {
     #[test]
     fn conv_output_size_standard_cases() {
         // 3x3 stride-1 pad-1 preserves size.
-        assert_eq!(conv(64, 64, 3, 1, 1, 56).out_size(), 56);
+        assert_eq!(conv(64, 64, 3, 1, 1, 56).out_h(), 56);
         // 7x7 stride-2 pad-3 halves 224 -> 112.
-        assert_eq!(conv(3, 64, 7, 2, 3, 224).out_size(), 112);
+        assert_eq!(conv(3, 64, 7, 2, 3, 224).out_h(), 112);
         // 1x1 stride-2 halves.
-        assert_eq!(conv(256, 512, 1, 2, 0, 56).out_size(), 28);
+        assert_eq!(conv(256, 512, 1, 2, 0, 56).out_h(), 28);
     }
 
     #[test]

@@ -128,7 +128,7 @@ mod tests {
         let g = inception_v3();
         let conv5 = g.layers().iter().find(|l| l.name() == "conv5").unwrap();
         match conv5.kind() {
-            crate::LayerKind::Conv2d(c) => assert_eq!(c.out_size(), 71),
+            crate::LayerKind::Conv2d(c) => assert_eq!(c.out_h(), 71),
             _ => panic!("expected conv"),
         }
     }

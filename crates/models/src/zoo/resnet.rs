@@ -134,7 +134,7 @@ mod tests {
         match s2.kind() {
             crate::LayerKind::Conv2d(c) => {
                 assert_eq!(c.stride, 2);
-                assert_eq!(c.out_size(), 28);
+                assert_eq!(c.out_h(), 28);
             }
             _ => panic!("expected conv"),
         }

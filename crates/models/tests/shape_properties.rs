@@ -24,10 +24,10 @@ proptest! {
         prop_assert_eq!(c.params(), out_ch as u64 * per_position);
         // Stride-1 same-padding preserves the spatial size for odd kernels.
         if stride == 1 && kernel % 2 == 1 {
-            prop_assert_eq!(c.out_size(), in_size);
+            prop_assert_eq!(c.out_h(), in_size);
         }
         // Output size never exceeds input size for stride >= 1, pad <= k/2.
-        prop_assert!(c.out_size() <= in_size);
+        prop_assert!(c.out_h() <= in_size);
     }
 
     #[test]

@@ -151,11 +151,6 @@ impl RingTracer {
         }
     }
 
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Number of events currently held (≤ capacity).
     pub fn len(&self) -> usize {
         self.len.get()

@@ -124,24 +124,6 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     -u.ln() / rate
 }
 
-/// Converts a (mean, standard deviation) pair on (0, 1) into Beta
-/// distribution parameters, clamping to a minimum concentration so the
-/// density stays unimodal.
-///
-/// # Panics
-///
-/// Panics unless `0 < mean < 1` and `std_dev > 0`.
-pub fn beta_params_from_moments(mean: f64, std_dev: f64) -> (f64, f64) {
-    assert!(
-        (0.0..1.0).contains(&mean) && mean > 0.0,
-        "mean must be in (0,1)"
-    );
-    assert!(std_dev > 0.0, "std dev must be positive");
-    let var = (std_dev * std_dev).min(mean * (1.0 - mean) * 0.95);
-    let concentration = (mean * (1.0 - mean) / var - 1.0).max(2.0);
-    (mean * concentration, (1.0 - mean) * concentration)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,15 +208,6 @@ mod tests {
         let (mean, _) = moments(&xs);
         assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
         assert!(xs.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn beta_params_reproduce_moments() {
-        let (a, b) = beta_params_from_moments(0.3, 0.1);
-        let mean = a / (a + b);
-        let var = a * b / ((a + b) * (a + b) * (a + b + 1.0));
-        assert!((mean - 0.3).abs() < 1e-9);
-        assert!((var.sqrt() - 0.1).abs() < 0.02);
     }
 
     #[test]

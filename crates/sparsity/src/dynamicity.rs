@@ -124,7 +124,7 @@ impl DatasetProfile {
     }
 
     /// True for language profiles.
-    pub fn is_language(self) -> bool {
+    fn is_language(self) -> bool {
         matches!(self, DatasetProfile::Squad | DatasetProfile::Glue)
     }
 }

@@ -5,7 +5,8 @@
 //!
 //! * **Sparsity pattern** — the mask structure used when pruning weights
 //!   (random point-wise, N:M block-wise, channel-wise). Modelled by
-//!   [`SparsityPattern`] and realised as explicit bitmasks in [`mask`].
+//!   [`SparsityPattern`]; the performance models price a pattern through
+//!   its sparsity rate, so no explicit weight mask is ever built.
 //! * **Sparsity dynamicity** — input-dependent activation and attention
 //!   sparsity that varies per sample. Modelled by per-dataset statistical
 //!   profiles in [`dynamicity`] (the substitution for the real ImageNet /
@@ -26,7 +27,7 @@
 //! let gen = SampleSparsityGenerator::new(&model, DatasetProfile::ImageNet, 42);
 //! let sample = gen.sample(0);
 //! assert_eq!(sample.per_layer().len(), model.num_layers());
-//! assert!(SparsityPattern::ChannelWise.is_structured());
+//! assert_eq!("channel".parse(), Ok(SparsityPattern::ChannelWise));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -34,10 +35,8 @@
 
 pub mod distributions;
 pub mod dynamicity;
-pub mod mask;
 pub mod pattern;
 pub mod stats;
 
 pub use dynamicity::{DatasetProfile, SampleSparsity, SampleSparsityGenerator};
-pub use mask::{MaskGenerationError, WeightMask};
 pub use pattern::{ParsePatternError, SparsityPattern};

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// let p: SparsityPattern = "2:4".parse()?;
 /// assert_eq!(p, SparsityPattern::BlockNm { n: 2, m: 4 });
-/// assert!((p.implied_rate().unwrap() - 0.5).abs() < 1e-12);
+/// assert_eq!(p.to_string(), "2:4");
 /// # Ok::<(), dysta_sparsity::ParsePatternError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -51,28 +51,6 @@ impl SparsityPattern {
         SparsityPattern::ChannelWise,
     ];
 
-    /// Whether the pattern imposes hardware-friendly structure
-    /// (anything coarser than point-wise).
-    pub fn is_structured(self) -> bool {
-        matches!(
-            self,
-            SparsityPattern::BlockNm { .. } | SparsityPattern::ChannelWise
-        )
-    }
-
-    /// The sparsity rate implied by the pattern itself, if fixed.
-    ///
-    /// Only N:M patterns pin the rate (`1 - n/m`); `Dense` is 0 by
-    /// definition; random and channel-wise take the rate as a free
-    /// parameter and return `None`.
-    pub fn implied_rate(self) -> Option<f64> {
-        match self {
-            SparsityPattern::Dense => Some(0.0),
-            SparsityPattern::BlockNm { n, m } => Some(1.0 - n as f64 / m as f64),
-            SparsityPattern::RandomPointwise | SparsityPattern::ChannelWise => None,
-        }
-    }
-
     /// Stable short name for table headers and LUT keys (the `Display`
     /// impl writes the same characters without allocating — hot key
     /// formatting goes through that).
@@ -96,13 +74,6 @@ impl fmt::Display for SparsityPattern {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsePatternError {
     input: String,
-}
-
-impl ParsePatternError {
-    /// The rejected input.
-    pub fn input(&self) -> &str {
-        &self.input
-    }
 }
 
 impl fmt::Display for ParsePatternError {
@@ -159,12 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn nm_rate() {
-        let p = SparsityPattern::BlockNm { n: 1, m: 4 };
-        assert!((p.implied_rate().unwrap() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn rejects_invalid_nm() {
         assert!("4:2".parse::<SparsityPattern>().is_err());
         assert!("0:4".parse::<SparsityPattern>().is_err());
@@ -172,16 +137,8 @@ mod tests {
     }
 
     #[test]
-    fn structured_taxonomy() {
-        assert!(!SparsityPattern::Dense.is_structured());
-        assert!(!SparsityPattern::RandomPointwise.is_structured());
-        assert!(SparsityPattern::BlockNm { n: 2, m: 4 }.is_structured());
-        assert!(SparsityPattern::ChannelWise.is_structured());
-    }
-
-    #[test]
     fn error_reports_input() {
         let err = "blocky".parse::<SparsityPattern>().unwrap_err();
-        assert_eq!(err.input(), "blocky");
+        assert_eq!(err.to_string(), "unknown sparsity pattern `blocky`");
     }
 }

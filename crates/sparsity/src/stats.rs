@@ -18,23 +18,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
-/// Root-mean-square error between paired predictions and targets.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn rmse(predictions: &[f64], targets: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), targets.len(), "length mismatch");
-    assert!(!predictions.is_empty(), "empty input");
-    let sq = predictions
-        .iter()
-        .zip(targets)
-        .map(|(p, t)| (p - t).powi(2))
-        .sum::<f64>()
-        / predictions.len() as f64;
-    sq.sqrt()
-}
-
 /// Pearson product-moment correlation coefficient, as used in the paper's
 /// Figure 9. Returns `None` if either input is degenerate (fewer than two
 /// points or zero variance).
@@ -175,11 +158,6 @@ impl Histogram {
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
-
-    /// Number of observations added.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
 }
 
 #[cfg(test)]
@@ -193,18 +171,6 @@ mod tests {
         assert!((std_dev(&xs) - (1.25f64).sqrt()).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(std_dev(&[1.0]), 0.0);
-    }
-
-    #[test]
-    fn rmse_basic() {
-        assert!((rmse(&[1.0, 2.0], &[1.0, 4.0]) - 2.0f64.sqrt()).abs() < 1e-12);
-        assert_eq!(rmse(&[1.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn rmse_rejects_mismatch() {
-        let _ = rmse(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]
@@ -253,7 +219,7 @@ mod tests {
         let w = 0.1;
         let integral: f64 = h.density().iter().map(|d| d * w).sum();
         assert!((integral - 1.0).abs() < 1e-9);
-        assert_eq!(h.total(), 1000);
+        assert_eq!(h.counts().iter().sum::<u64>(), 1000);
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl Workload {
     ///
     /// Panics if the id is out of range for the store (impossible for
     /// this workload's own requests).
-    pub fn traces_for(&self, request: &Request) -> &ModelTraces {
+    fn traces_for(&self, request: &Request) -> &ModelTraces {
         self.store.by_id(request.variant)
     }
 

@@ -221,7 +221,7 @@ pub enum Popularity {
 
 impl Popularity {
     /// The effective sampling weight of each mix entry, in mix order.
-    pub fn effective_weights(&self, mix: &[(SparseModelSpec, f64)]) -> Vec<f64> {
+    fn effective_weights(&self, mix: &[(SparseModelSpec, f64)]) -> Vec<f64> {
         match *self {
             Popularity::Weighted => mix.iter().map(|&(_, w)| w).collect(),
             Popularity::Uniform => vec![1.0; mix.len()],

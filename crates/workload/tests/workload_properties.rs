@@ -170,7 +170,7 @@ proptest! {
                 prop_assert!(reqs[i - 1].arrival_ns <= r.arrival_ns);
             }
             // SLO formula: profiled average x multiplier.
-            let profiled = w.traces_for(r).avg_latency_ns();
+            let profiled = w.store().by_id(r.variant).avg_latency_ns();
             prop_assert_eq!(r.slo_ns, (profiled * slo).round() as u64);
             // The trace library covers the request.
             prop_assert!(w.trace_for(r).isolated_latency_ns() > 0);

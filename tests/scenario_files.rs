@@ -152,3 +152,105 @@ fn parser_never_panics_on_nesting_around_the_depth_limit() {
         }
     }
 }
+
+/// SplitMix64: a tiny seeded generator, so the fuzz corpora below are
+/// the same on every run and every platform.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..hi` (modulo bias is irrelevant here).
+    fn below(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.next() % (hi - lo) as u64) as usize
+    }
+}
+
+/// JSON's structural and numeric characters plus the letters of its
+/// keywords: random strings over these get past the first token.
+const JSON_ALPHABET: &[u8] = b"0123456789-+eE.[]{}\",: \ntrufalsn";
+
+#[test]
+fn parser_never_panics_on_random_ascii() {
+    // Random byte strings of up to 256 characters: half drawn from all
+    // of ASCII (control characters included), half from JSON's own
+    // alphabet. Any `Ok` or `Err` passes; a panic fails.
+    let mut rng = SplitMix(0x5CE7_A210);
+    for case in 0..4_000 {
+        let len = rng.below(0, 257);
+        let bytes: Vec<u8> = (0..len)
+            .map(|_| {
+                if case % 2 == 0 {
+                    rng.below(0, 128) as u8
+                } else {
+                    JSON_ALPHABET[rng.below(0, JSON_ALPHABET.len())]
+                }
+            })
+            .collect();
+        let text = std::str::from_utf8(&bytes).expect("ASCII is UTF-8");
+        let _ = parse_scenario(text);
+    }
+}
+
+#[test]
+fn parser_never_panics_on_multi_edit_mutations_of_shipped_files() {
+    // Each case applies 2–8 edits at once to a shipped file: a byte
+    // substitution (any ASCII or a JSON character), a deletion of up
+    // to 16 bytes, or a duplication of a span of up to 64 bytes in
+    // place. Single-byte edits leave most files one typo from valid;
+    // several together reach states no single edit does, such as a
+    // duplicated key or phase next to a damaged one.
+    let mut rng = SplitMix(0xED17_5000);
+    let (mut cases, mut past_syntax) = (0usize, 0usize);
+    for path in shipped_scenarios() {
+        let text = std::fs::read_to_string(&path).expect("shipped scenario is readable");
+        assert!(text.is_ascii(), "{} is not ASCII", path.display());
+        for _ in 0..1_000 {
+            let mut bytes = text.clone().into_bytes();
+            for _ in 0..rng.below(2, 9) {
+                if bytes.is_empty() {
+                    break;
+                }
+                let at = rng.below(0, bytes.len());
+                match rng.below(0, 3) {
+                    0 => {
+                        bytes[at] = if rng.below(0, 2) == 0 {
+                            rng.below(0, 128) as u8
+                        } else {
+                            JSON_ALPHABET[rng.below(0, JSON_ALPHABET.len())]
+                        };
+                    }
+                    1 => {
+                        let end = (at + rng.below(1, 17)).min(bytes.len());
+                        bytes.drain(at..end);
+                    }
+                    _ => {
+                        let end = (at + rng.below(1, 65)).min(bytes.len());
+                        let span = bytes[at..end].to_vec();
+                        bytes.splice(end..end, span);
+                    }
+                }
+            }
+            let mutated = std::str::from_utf8(&bytes).expect("ASCII stays UTF-8");
+            // Count the cases that parse, or fail on a missing field or
+            // in validation, rather than on syntax or a field's type.
+            if !matches!(parse_scenario(mutated), Err(ScenarioError::Malformed(_))) {
+                past_syntax += 1;
+            }
+            cases += 1;
+        }
+    }
+    assert!(cases >= 5_000, "only {cases} cases ran");
+    // 87 of the 5 000 do with this seed; a corpus that stops reaching
+    // them no longer tests the checks behind the syntax.
+    assert!(
+        past_syntax >= 50,
+        "only {past_syntax} cases got past `Malformed`"
+    );
+}
