@@ -8,12 +8,10 @@
 //! clustered zeros (channel pruning). This module prices each format in
 //! bytes, which the storage ablation bench compares per pattern and rate.
 
-use serde::{Deserialize, Serialize};
-
 use dysta_sparsity::SparsityPattern;
 
 /// A compressed tensor representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorageFormat {
     /// Uncompressed 8-bit values.
     Dense,

@@ -111,7 +111,7 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("export is not valid JSON: {e}")));
     let events = match parsed
         .field("traceEvents")
-        .unwrap_or_else(|e| fail(&format!("export lacks traceEvents: {e}")))
+        .unwrap_or_else(|| fail("export lacks traceEvents"))
     {
         serde::Value::Array(a) => a,
         _ => fail("traceEvents is not an array"),
@@ -124,9 +124,9 @@ fn main() {
     let (mut starts, mut ends) = (0usize, 0usize);
     for e in events {
         match (e.field("ph"), e.field("pid")) {
-            (Ok(serde::Value::Str(ph)), Ok(_)) if ph == "s" => starts += 1,
-            (Ok(serde::Value::Str(ph)), Ok(_)) if ph == "f" => ends += 1,
-            (Ok(_), Ok(_)) => {}
+            (Some(serde::Value::Str(ph)), Some(_)) if ph == "s" => starts += 1,
+            (Some(serde::Value::Str(ph)), Some(_)) if ph == "f" => ends += 1,
+            (Some(_), Some(_)) => {}
             _ => fail("trace event missing required ph/pid fields"),
         }
     }

@@ -40,7 +40,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dysta_obs::NullTracer;
 use dysta_trace::TraceStore;
@@ -73,7 +73,7 @@ impl SweepScenario {
 
 /// One grid cell's aggregated report — the stable row format the
 /// `fleet_sweep` binary emits and the CI sweep-smoke step diffs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepRow {
     /// [`SweepScenario::name`] of the cell's scenario.
     pub scenario: String,
@@ -379,8 +379,11 @@ mod tests {
         let grid = quick_grid().seeds(vec![1]).slo_multipliers(vec![10.0]);
         let rows = grid.run(2);
         let json = SweepGrid::rows_to_json(&rows);
-        let back: Vec<SweepRow> = serde_json::from_str(json.trim_end()).expect("parse rows");
-        assert_eq!(back, rows);
+        let back = serde_json::from_str(json.trim_end()).expect("parse rows");
+        assert_eq!(back, rows.to_value());
+        // Shortest-roundtrip float text is unique per bit pattern, so
+        // equal text means every float came back bit for bit.
+        assert_eq!(serde_json::to_string(&back).unwrap(), json.trim_end());
     }
 
     #[test]

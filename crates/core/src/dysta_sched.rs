@@ -256,26 +256,25 @@ mod tests {
             .unwrap();
         let avg_s = info.avg_layer_sparsity()[dyn_layer];
 
-        let mut dense_task = mk(0, spec, &lut, 0, u64::MAX / 4);
-        dense_task.next_layer = dyn_layer + 1;
-        dense_task.monitored = vec![
-            MonitoredLayer {
-                sparsity: 0.0,
-                latency_ns: 1
-            };
-            dyn_layer
-        ];
-        dense_task.monitored.push(MonitoredLayer {
-            sparsity: (avg_s - 0.15).max(0.0), // denser than average
-            latency_ns: 1,
-        });
-
-        dense_task.rebuild_sparsity_summary(info);
-
-        let mut sparse_task = dense_task.clone();
-        sparse_task.id = 1;
-        sparse_task.monitored.last_mut().unwrap().sparsity = (avg_s + 0.15).min(0.99);
-        sparse_task.rebuild_sparsity_summary(info);
+        // Layers before `dyn_layer` report zero sparsity; `dyn_layer`
+        // reports `last`.
+        let monitored = |id, last: f64| {
+            let mut task = mk(id, spec, &lut, 0, u64::MAX / 4);
+            task.next_layer = dyn_layer + 1;
+            for layer in 0..=dyn_layer {
+                let sparsity = if layer == dyn_layer { last } else { 0.0 };
+                task.record_layer(
+                    MonitoredLayer {
+                        sparsity,
+                        latency_ns: 1,
+                    },
+                    info,
+                );
+            }
+            task
+        };
+        let dense_task = monitored(0, (avg_s - 0.15).max(0.0)); // denser than average
+        let sparse_task = monitored(1, (avg_s + 0.15).min(0.99));
 
         let queue = [dense_task, sparse_task];
         let mut sched = DystaScheduler::default();

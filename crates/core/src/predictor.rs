@@ -12,12 +12,10 @@
 //! is computed as a ratio of *densities*: `(1 − S_monitor)/(1 − S_avg)`.
 //! A sample sparser than average yields `γ < 1` (it will finish sooner).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ModelInfo, TaskState};
 
 /// How the sparsity coefficient aggregates monitored layers (Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoeffStrategy {
     /// Average the density ratio over every executed dynamic layer.
     AverageAll,
@@ -158,17 +156,16 @@ mod tests {
         let mut task = TaskState {
             next_layer: upto,
             executed_ns: trace.layers()[..upto].iter().map(|l| l.latency_ns).sum(),
-            monitored: trace.layers()[..upto]
-                .iter()
-                .map(|l| MonitoredLayer {
-                    sparsity: l.sparsity,
-                    latency_ns: l.latency_ns,
-                })
-                .collect(),
             true_remaining_ns: trace.remaining_ns(upto),
             ..TaskState::arrived(0, spec, variant, 0, u64::MAX / 2, trace.num_layers())
         };
-        task.rebuild_sparsity_summary(lut.info(variant));
+        for l in &trace.layers()[..upto] {
+            let record = MonitoredLayer {
+                sparsity: l.sparsity,
+                latency_ns: l.latency_ns,
+            };
+            task.record_layer(record, lut.info(variant));
+        }
         task
     }
 

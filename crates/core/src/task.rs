@@ -130,18 +130,6 @@ impl TaskState {
         }
     }
 
-    /// Recomputes the sparsity summary from the monitored stream — for
-    /// task states assembled field-by-field (tests, analysis harnesses)
-    /// rather than grown through [`TaskState::record_layer`].
-    pub fn rebuild_sparsity_summary(&mut self, info: &ModelInfo) {
-        self.sparsity = SparsitySummary::default();
-        for (layer, m) in self.monitored.iter().enumerate() {
-            if let Some(ratio) = info.density_ratio(layer, m.sparsity) {
-                self.sparsity.observe(ratio);
-            }
-        }
-    }
-
     /// Absolute deadline (arrival + SLO).
     pub fn deadline_ns(&self) -> u64 {
         self.arrival_ns.saturating_add(self.slo_ns)

@@ -10,7 +10,8 @@
 use proptest::prelude::*;
 
 use dysta_core::{
-    CoeffStrategy, ModelInfo, ModelInfoLut, MonitoredLayer, SparseLatencyPredictor, TaskState,
+    CoeffStrategy, ModelInfo, ModelInfoLut, MonitoredLayer, SparseLatencyPredictor,
+    SparsitySummary, TaskState,
 };
 use dysta_models::ModelId;
 use dysta_sparsity::SparsityPattern;
@@ -103,10 +104,14 @@ proptest! {
             }
         }
 
-        // A rebuilt summary (the test-construction path) agrees with the
-        // incrementally grown one.
-        let grown = task.sparsity;
-        task.rebuild_sparsity_summary(info);
-        prop_assert_eq!(grown, task.sparsity);
+        // The incrementally grown summary equals a batch fold of the
+        // monitored stream.
+        let mut batch = SparsitySummary::default();
+        for (layer, m) in task.monitored.iter().enumerate() {
+            if let Some(ratio) = info.density_ratio(layer, m.sparsity) {
+                batch.observe(ratio);
+            }
+        }
+        prop_assert_eq!(task.sparsity, batch);
     }
 }

@@ -72,16 +72,16 @@ fn materialize(
                 next_layer,
                 executed_ns: (info.avg_remaining_ns(0) - info.avg_remaining_ns(next_layer)).max(0.0)
                     as u64,
-                monitored: (0..next_layer)
-                    .map(|_| MonitoredLayer {
-                        sparsity: p.sparsity,
-                        latency_ns: 1000,
-                    })
-                    .collect(),
                 true_remaining_ns: info.avg_remaining_ns(next_layer) as u64,
                 ..TaskState::arrived(i as u64, spec, variant, p.arrival_ns, p.slo_ns, num_layers)
             };
-            task.rebuild_sparsity_summary(info);
+            for _ in 0..next_layer {
+                let record = MonitoredLayer {
+                    sparsity: p.sparsity,
+                    latency_ns: 1000,
+                };
+                task.record_layer(record, info);
+            }
             task
         })
         .collect()

@@ -9,8 +9,6 @@
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An IEEE 754 binary16 value (1 sign, 5 exponent, 10 mantissa bits).
 ///
 /// # Examples
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let z = F16::from_f64(0.1);
 /// assert!((z.to_f64() - 0.1).abs() < 1e-4); // rounded
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct F16(u16);
 
 impl F16 {

@@ -188,24 +188,25 @@ mod tests {
         let dyn_layer = info_sparsity.iter().position(|&s| s > 0.1).unwrap();
         let avg_s = info_sparsity[dyn_layer];
 
-        let mut sparse = mk(0, spec, &lut, 0);
-        sparse.next_layer = dyn_layer + 1;
-        sparse.monitored = vec![
-            MonitoredLayer {
-                sparsity: 0.0,
-                latency_ns: 1
-            };
-            dyn_layer
-        ];
-        sparse.monitored.push(MonitoredLayer {
-            sparsity: (avg_s + 0.12).min(0.99),
-            latency_ns: 1,
-        });
-        sparse.rebuild_sparsity_summary(info);
-        let mut dense = sparse.clone();
-        dense.id = 1;
-        dense.monitored.last_mut().unwrap().sparsity = (avg_s - 0.12).max(0.0);
-        dense.rebuild_sparsity_summary(info);
+        // Layers before `dyn_layer` report zero sparsity; `dyn_layer`
+        // reports `last`.
+        let monitored = |id, last: f64| {
+            let mut task = mk(id, spec, &lut, 0);
+            task.next_layer = dyn_layer + 1;
+            for layer in 0..=dyn_layer {
+                let sparsity = if layer == dyn_layer { last } else { 0.0 };
+                task.record_layer(
+                    MonitoredLayer {
+                        sparsity,
+                        latency_ns: 1,
+                    },
+                    info,
+                );
+            }
+            task
+        };
+        let sparse = monitored(0, (avg_s + 0.12).min(0.99));
+        let dense = monitored(1, (avg_s - 0.12).max(0.0));
 
         let queue = [dense, sparse];
         let mut hw = HardwareDystaScheduler::new(DystaConfig::default(), 64);

@@ -10,10 +10,8 @@
 //! RAM) and the relative savings of the two optimizations match
 //! Figure 16.
 
-use serde::{Deserialize, Serialize};
-
 /// Floating-point precision of the datapath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// 32-bit single precision.
     Fp32,
@@ -32,7 +30,7 @@ impl Precision {
 }
 
 /// Resource usage of a design.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceUsage {
     /// Lookup tables.
     pub luts: u32,
@@ -107,7 +105,7 @@ const COEFF_UNIT_MULTS: u32 = 2;
 const SHARED_MUXES: u32 = 6;
 
 /// A point in the scheduler's design space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DesignPoint {
     /// Datapath precision.
     pub precision: Precision,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Layer, ModelFamily, ModelId};
 
 /// An ordered layer graph describing one benchmark model.
@@ -23,7 +21,7 @@ use crate::{Layer, ModelFamily, ModelId};
 /// let attn_layers = bert.layers().iter().filter(|l| l.is_dynamic_attention()).count();
 /// assert_eq!(attn_layers, 24); // 12 blocks x (score + context)
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelGraph {
     id: ModelId,
     layers: Vec<Layer>,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// The nine benchmark architectures used throughout the paper.
 ///
 /// Table 3 lists the scheduling-benchmark models (SSD, ResNet-50, VGG-16,
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!("resnet50".parse::<ModelId>(), Ok(ModelId::ResNet50));
 /// assert_eq!(ModelId::Vgg16.to_string(), "vgg16");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum ModelId {
     Ssd,
@@ -118,7 +116,7 @@ impl FromStr for ModelId {
 /// patterns; attention NNs exhibit input-dependent dynamic attention
 /// sparsity. The two families also target different accelerators
 /// (Eyeriss-V2 vs Sanger).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ModelFamily {
     /// Convolutional neural networks (vision tasks).
     Cnn,

@@ -6,10 +6,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A 2-D convolution (grouped, depthwise and asymmetric kernels supported).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Conv2d {
     /// Input channels.
     pub in_channels: u32,
@@ -95,7 +93,7 @@ impl Conv2d {
 }
 
 /// A fully-connected layer, optionally applied per token of a sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Linear {
     /// Input features.
     pub in_features: u32,
@@ -129,7 +127,7 @@ impl Linear {
 /// sparsity* (the paper's Section 2.3.1): when a fraction of the attention
 /// matrix is pruned, a proportional fraction of the MACs is skipped by
 /// accelerators such as Sanger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Attention {
     /// Number of attention heads.
     pub heads: u32,
@@ -155,7 +153,7 @@ impl Attention {
 }
 
 /// Pooling flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Max pooling.
     Max,
@@ -164,7 +162,7 @@ pub enum PoolKind {
 }
 
 /// A pooling layer. Contributes no MACs but changes the spatial size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Pool {
     /// Max or average.
     pub kind: PoolKind,
@@ -196,7 +194,7 @@ impl Pool {
 }
 
 /// The operation performed by a [`Layer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// 2-D convolution.
     Conv2d(Conv2d),
@@ -267,7 +265,7 @@ impl LayerKind {
 /// assert!(conv.relu());
 /// assert_eq!(conv.macs(), 112 * 112 * 64 * 3 * 7 * 7);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Layer {
     name: String,
     kind: LayerKind,

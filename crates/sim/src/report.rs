@@ -1,11 +1,9 @@
 //! Simulation results and summary metrics.
 
-use serde::{Deserialize, Serialize};
-
 use dysta_trace::SparseModelSpec;
 
 /// The lifecycle record of one completed request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedRequest {
     /// Request id.
     pub id: u64,
@@ -39,7 +37,7 @@ impl CompletedRequest {
 }
 
 /// Aggregate metrics of one run — the paper's evaluation triple.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// Average normalized turnaround time (Eyerman & Eeckhout).
     pub antt: f64,

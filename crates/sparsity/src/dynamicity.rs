@@ -23,14 +23,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use dysta_models::{ModelFamily, ModelGraph, ModelId};
 
 use crate::distributions::standard_normal;
 
 /// Calibrated sparsity-statistics profile standing in for a real dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetProfile {
     /// Well-lit natural images (baseline activation sparsity).
     ImageNet,
@@ -153,7 +152,7 @@ fn model_sensitivity(model: ModelId) -> f64 {
 /// zeros after ReLU); for attention score/context layers it is the
 /// attention-matrix sparsity (fraction of pruned attention weights);
 /// layers without a dynamic-sparsity source report 0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleSparsity {
     per_layer: Vec<f64>,
     seq_scale: f64,

@@ -14,8 +14,8 @@
 //!
 //! The [`stats`] module provides the estimators the paper's profiling
 //! figures use (Pearson correlation, relative range, histograms), and
-//! [`distributions`] implements the needed samplers (Normal, Beta, Gamma,
-//! Poisson) on top of `rand`.
+//! [`distributions`] implements the needed samplers (standard normal,
+//! exponential) on top of `rand`.
 //!
 //! # Examples
 //!

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// The mask structure used when sparsifying a model's weights.
 ///
 /// The paper adopts three pruning methods for CNNs — random point-wise
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.to_string(), "2:4");
 /// # Ok::<(), dysta_sparsity::ParsePatternError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SparsityPattern {
     /// No weight pruning.
     Dense,

@@ -4,28 +4,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dysta_sparsity::distributions::{beta, exponential, gamma, normal, poisson};
+use dysta_sparsity::distributions::{exponential, standard_normal};
 use dysta_sparsity::stats::{correlation_matrix, mean, pearson, relative_range, std_dev};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn beta_always_in_unit_interval(
-        a in 0.2f64..20.0,
-        b in 0.2f64..20.0,
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let x = beta(&mut rng, a, b);
-        prop_assert!((0.0..=1.0).contains(&x));
-    }
-
-    #[test]
-    fn gamma_always_non_negative(shape in 0.1f64..20.0, seed in 0u64..10_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        prop_assert!(gamma(&mut rng, shape) >= 0.0);
-    }
 
     #[test]
     fn exponential_always_non_negative(rate in 0.01f64..100.0, seed in 0u64..10_000) {
@@ -34,16 +17,9 @@ proptest! {
     }
 
     #[test]
-    fn poisson_is_finite_count(lambda in 0.0f64..200.0, seed in 0u64..10_000) {
+    fn normal_is_finite(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let x = poisson(&mut rng, lambda);
-        prop_assert!((x as f64) < lambda * 4.0 + 50.0);
-    }
-
-    #[test]
-    fn normal_is_finite(mean_p in -100.0f64..100.0, sd in 0.0f64..50.0, seed in 0u64..10_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        prop_assert!(normal(&mut rng, mean_p, sd).is_finite());
+        prop_assert!(standard_normal(&mut rng).is_finite());
     }
 
     #[test]

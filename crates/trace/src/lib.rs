@@ -3,8 +3,8 @@
 //! The paper's evaluation methodology (its Figure 7) has two phases. In
 //! *Phase 1: Hardware Simulation*, every (model, input) pair is pushed
 //! through the target accelerator's simulator once, recording per-layer
-//! latency and monitored sparsity; the results are saved as files. In
-//! *Phase 2: Scheduling Evaluation*, the scheduler engine replays this
+//! latency and monitored sparsity; the paper saves the results as files.
+//! In *Phase 2: Scheduling Evaluation*, the scheduler engine replays this
 //! runtime information to simulate multi-tenant execution.
 //!
 //! This crate is Phase 1: [`ModelTraces::generate`] drives the
@@ -12,7 +12,9 @@
 //! [`dysta_sparsity`], producing one [`ModelTraces`] per sparse-model
 //! variant (the in-memory equivalent of the paper's CSV files) with the
 //! derived statistics the Dysta LUTs need (average latency, average
-//! per-layer sparsity). [`TraceStore`] persists the whole set as JSON.
+//! per-layer sparsity). [`TraceStore`] keys the whole set by variant.
+//! Every run regenerates its traces in memory from a seed; nothing is
+//! written to files, since generation is deterministic.
 //!
 //! # Examples
 //!
@@ -35,4 +37,4 @@ mod record;
 mod store;
 
 pub use record::{LayerRecord, ModelTraces, SampleTrace, SparseModelSpec, SpecKey, VariantId};
-pub use store::{TraceStore, TraceStoreError};
+pub use store::TraceStore;

@@ -3,15 +3,13 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 use dysta_models::ModelId;
 use dysta_sparsity::{DatasetProfile, SparsityPattern};
 
 /// Identifies one sparse-model variant: the unit the paper's LUTs key on
 /// ("model-pattern pair") plus the dataset profile driving its dynamic
 /// sparsity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseModelSpec {
     /// Which benchmark architecture.
     pub model: ModelId,
@@ -106,9 +104,7 @@ impl fmt::Write for SpecKey {
 /// minted (a request source or a workload) and carried on every request
 /// from there; the string-keyed lookups survive as slow-path
 /// conveniences for building stores, LUTs, sources and workloads.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct VariantId(u32);
 
 impl VariantId {
@@ -136,7 +132,7 @@ impl fmt::Display for SparseModelSpec {
 }
 
 /// Per-layer runtime record: what the hardware monitor would report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerRecord {
     /// Layer execution latency in nanoseconds.
     pub latency_ns: u64,
@@ -147,7 +143,7 @@ pub struct LayerRecord {
 }
 
 /// The runtime information of one input sample on one sparse model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleTrace {
     layers: Vec<LayerRecord>,
     seq_scale: f64,
@@ -214,7 +210,7 @@ impl SampleTrace {
 /// All sampled traces of one sparse-model variant — the in-memory
 /// equivalent of one Phase-1 CSV file, plus the LUT statistics derived
 /// from it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelTraces {
     spec: SparseModelSpec,
     samples: Vec<SampleTrace>,

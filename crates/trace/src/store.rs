@@ -1,15 +1,8 @@
-//! Persistence for trace sets (the paper's "save as files" step).
-
-use std::fmt;
-use std::fs::File;
-use std::io::{BufReader, BufWriter};
-use std::path::Path;
-
-use serde::{DeError, Deserialize, Serialize, Value};
+//! The keyed set of Phase-1 traces a run replays.
 
 use crate::{ModelTraces, SparseModelSpec, VariantId};
 
-/// A keyed collection of [`ModelTraces`] with JSON save/load.
+/// A keyed collection of [`ModelTraces`].
 ///
 /// Entries are held densely, sorted by spec key; an entry's rank is its
 /// [`VariantId`], shared with the `ModelInfoLut` built from the store so
@@ -102,85 +95,6 @@ impl TraceStore {
     pub fn iter(&self) -> impl Iterator<Item = &ModelTraces> {
         self.traces.iter()
     }
-
-    /// Serializes the store to a JSON file.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the file cannot be created or written.
-    pub fn save(&self, path: &Path) -> Result<(), TraceStoreError> {
-        let file = File::create(path).map_err(TraceStoreError::Io)?;
-        serde_json::to_writer(BufWriter::new(file), self).map_err(TraceStoreError::Json)
-    }
-
-    /// Loads a store from a JSON file written by [`TraceStore::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the file cannot be read or parsed.
-    pub fn load(path: &Path) -> Result<Self, TraceStoreError> {
-        let file = File::open(path).map_err(TraceStoreError::Io)?;
-        serde_json::from_reader(BufReader::new(file)).map_err(TraceStoreError::Json)
-    }
-}
-
-// The on-disk shape is unchanged from the map-backed implementation
-// (`{"traces": {key: ModelTraces}}`); deserialization rebuilds entries
-// through `insert` so key/order invariants hold for any input ordering.
-impl Serialize for TraceStore {
-    fn to_value(&self) -> Value {
-        let entries = self
-            .keys
-            .iter()
-            .zip(&self.traces)
-            .map(|(k, t)| (k.clone(), t.to_value()))
-            .collect();
-        Value::Object(vec![("traces".to_string(), Value::Object(entries))])
-    }
-}
-
-impl Deserialize for TraceStore {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let traces = value.field("traces")?;
-        let Value::Object(entries) = traces else {
-            return Err(DeError::new(format!(
-                "expected trace map, found {}",
-                traces.kind()
-            )));
-        };
-        let mut store = TraceStore::new();
-        for (_, v) in entries {
-            store.insert(ModelTraces::from_value(v)?);
-        }
-        Ok(store)
-    }
-}
-
-/// Error saving or loading a [`TraceStore`].
-#[derive(Debug)]
-pub enum TraceStoreError {
-    /// Underlying filesystem failure.
-    Io(std::io::Error),
-    /// Malformed JSON content.
-    Json(serde_json::Error),
-}
-
-impl fmt::Display for TraceStoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceStoreError::Io(e) => write!(f, "trace store I/O failure: {e}"),
-            TraceStoreError::Json(e) => write!(f, "trace store serialization failure: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceStoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TraceStoreError::Io(e) => Some(e),
-            TraceStoreError::Json(e) => Some(e),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -240,31 +154,5 @@ mod tests {
                 Some(VariantId::from_index(rank))
             );
         }
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let mut store = TraceStore::new();
-        for (model, pattern) in [
-            (ModelId::MobileNet, SparsityPattern::RandomPointwise),
-            (ModelId::Bert, SparsityPattern::Dense),
-        ] {
-            let spec = SparseModelSpec::new(model, pattern, 0.5);
-            store.insert(ModelTraces::generate(&spec, 3, 7));
-        }
-        let dir = std::env::temp_dir().join("dysta-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.json");
-        store.save(&path).unwrap();
-        let loaded = TraceStore::load(&path).unwrap();
-        assert_eq!(store, loaded);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_missing_file_errors() {
-        let err = TraceStore::load(Path::new("/nonexistent/dysta.json")).unwrap_err();
-        assert!(matches!(err, TraceStoreError::Io(_)));
-        assert!(err.to_string().contains("I/O"));
     }
 }

@@ -1,12 +1,10 @@
 //! Inference request type.
 
-use serde::{Deserialize, Serialize};
-
 use dysta_trace::{SparseModelSpec, TraceStore, VariantId};
 
 /// One inference request of a multi-DNN workload — the paper's
 /// `Reqst_n = ⟨Model_n, Pattn_n, input_n, SLO_n⟩` tuple (Algorithm 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Unique, monotonically increasing request id.
     pub id: u64,

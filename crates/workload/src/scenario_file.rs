@@ -464,10 +464,12 @@ fn as_f64(v: &Value) -> Option<f64> {
 /// A required numeric field of `obj`, with `context` naming the spot
 /// for the error message.
 fn req_f64(obj: &Value, field: &'static str, context: &str) -> Result<f64, ScenarioError> {
-    let v = obj.field(field).map_err(|_| ScenarioError::MissingField {
-        context: context.to_owned(),
-        field,
-    })?;
+    let v = obj
+        .field(field)
+        .ok_or_else(|| ScenarioError::MissingField {
+            context: context.to_owned(),
+            field,
+        })?;
     as_f64(v).ok_or_else(|| {
         ScenarioError::Malformed(format!(
             "{context}: `{field}` must be a number, found {}",
@@ -478,7 +480,7 @@ fn req_f64(obj: &Value, field: &'static str, context: &str) -> Result<f64, Scena
 
 fn opt_str<'v>(obj: &'v Value, field: &str) -> Option<&'v str> {
     match obj.field(field) {
-        Ok(Value::Str(s)) => Some(s.as_str()),
+        Some(Value::Str(s)) => Some(s.as_str()),
         _ => None,
     }
 }
@@ -486,7 +488,7 @@ fn opt_str<'v>(obj: &'v Value, field: &str) -> Option<&'v str> {
 fn parse_spec(value: &Value) -> Result<StreamSpec, ScenarioError> {
     let phases_value = value
         .field("phases")
-        .map_err(|_| ScenarioError::MissingField {
+        .ok_or_else(|| ScenarioError::MissingField {
             context: "scenario".to_owned(),
             field: "phases",
         })?;
@@ -505,24 +507,24 @@ fn parse_spec(value: &Value) -> Result<StreamSpec, ScenarioError> {
         });
     }
     let samples_per_variant = match value.field("samples_per_variant") {
-        Ok(v) => as_f64(v)
+        Some(v) => as_f64(v)
             .filter(|s| *s >= 0.0 && s.fract() == 0.0)
             .ok_or_else(|| ScenarioError::InvalidField {
                 phase: None,
                 field: "samples_per_variant",
                 detail: format!("must be a non-negative integer, found {}", v.kind()),
             })? as u64,
-        Err(_) => 64,
+        None => 64,
     };
     let seed = match value.field("seed") {
-        Ok(v) => as_f64(v)
+        Some(v) => as_f64(v)
             .filter(|s| *s >= 0.0 && s.fract() == 0.0)
             .ok_or_else(|| ScenarioError::InvalidField {
                 phase: None,
                 field: "seed",
                 detail: format!("must be a non-negative integer, found {}", v.kind()),
             })? as u64,
-        Err(_) => 0,
+        None => 0,
     };
     let phases = phase_values
         .iter()
@@ -551,7 +553,7 @@ fn parse_phase(i: usize, value: &Value) -> Result<PhaseSpec, ScenarioError> {
         i,
         value
             .field("mix")
-            .map_err(|_| ScenarioError::MissingField {
+            .ok_or_else(|| ScenarioError::MissingField {
                 context: context.clone(),
                 field: "mix",
             })?,
@@ -560,20 +562,20 @@ fn parse_phase(i: usize, value: &Value) -> Result<PhaseSpec, ScenarioError> {
         i,
         value
             .field("process")
-            .map_err(|_| ScenarioError::MissingField {
+            .ok_or_else(|| ScenarioError::MissingField {
                 context: context.clone(),
                 field: "process",
             })?,
     )?;
     let popularity = match value.field("popularity") {
-        Ok(v) => parse_popularity(i, v)?,
-        Err(_) => Popularity::Weighted,
+        Some(v) => parse_popularity(i, v)?,
+        None => Popularity::Weighted,
     };
     let slo = parse_slo(
         i,
         value
             .field("slo_multiplier")
-            .map_err(|_| ScenarioError::MissingField {
+            .ok_or(ScenarioError::MissingField {
                 context,
                 field: "slo_multiplier",
             })?,
@@ -623,13 +625,13 @@ fn parse_mix(i: usize, value: &Value) -> Result<Vec<(SparseModelSpec, f64)>, Sce
                     })?,
                 };
                 let sparsity = match entry.field("sparsity") {
-                    Ok(v) => as_f64(v).ok_or_else(|| {
+                    Some(v) => as_f64(v).ok_or_else(|| {
                         ScenarioError::Malformed(format!(
                             "{context}: `sparsity` must be a number, found {}",
                             v.kind()
                         ))
                     })?,
-                    Err(_) => 0.0,
+                    None => 0.0,
                 };
                 let weight = req_f64(entry, "weight", &context)?;
                 Ok((SparseModelSpec::new(model, pattern, sparsity), weight))

@@ -40,7 +40,7 @@ use dysta::workload::{Scenario, WorkloadBuilder};
 use dysta_bench::paper::{self, OPERATING_POINTS, SWEEP_POLICIES};
 use dysta_bench::serving;
 use dysta_bench::Scale;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -213,7 +213,7 @@ fn golden_fig13_breakdown_quick() {
 
 // --- cluster_sweep + serving front-end (quick mode) -----------------------
 
-#[derive(Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Serialize, PartialEq)]
 struct ClusterCell {
     pool: String,
     nodes: usize,
@@ -380,7 +380,7 @@ fn golden_trace_export() {
     let json = tracer.perfetto_json();
     // The export must survive a JSON round-trip (what ui.perfetto.dev
     // and the CI smoke check will do to it).
-    serde_json::from_str::<serde::Value>(&json).expect("export parses");
+    serde_json::from_str(&json).expect("export parses");
     check_golden("trace_export.json", &json);
 }
 
@@ -465,7 +465,7 @@ fn golden_trace_every_kind() {
     ];
 
     let json = perfetto_json(&events, &labels, &nodes);
-    serde_json::from_str::<serde::Value>(&json).expect("export parses");
+    serde_json::from_str(&json).expect("export parses");
     check_golden("trace_every_kind.json", &json);
 }
 
