@@ -29,12 +29,17 @@ impl Scheduler for Fcfs {
     }
 
     fn pick_next(&mut self, queue: TaskQueue<'_>, _lut: &ModelInfoLut, _now_ns: u64) -> usize {
-        queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| (t.arrival_ns, t.id))
-            .map(|(i, _)| i)
-            .expect("engine never passes an empty queue")
+        // A plain loop, like `pick_min_score`, is inlined whatever
+        // codegen unit it lands in. A `min_by_key` chain's fold can be
+        // left out of line, which doubles the pick's cost.
+        let mut best: Option<((u64, u64), usize)> = None;
+        for (pos, t) in queue.iter().enumerate() {
+            let key = (t.arrival_ns, t.id);
+            if best.is_none_or(|(best_key, _)| key < best_key) {
+                best = Some((key, pos));
+            }
+        }
+        best.expect("engine never passes an empty queue").1
     }
 }
 

@@ -62,8 +62,8 @@ impl SparsitySummary {
 /// * `monitored` / `sparsity` — the runtime sparsity/latency stream and
 ///   its running aggregates, which only sparsity-aware schedulers
 ///   exploit;
-/// * `true_remaining_ns` — ground truth reserved for the Oracle and for
-///   metric computation. Fair schedulers must not read it.
+/// * `true_remaining_ns` — ground truth reserved for the Oracle, its
+///   only scheduler reader. Fair schedulers must not read it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskState {
     /// Request id.
@@ -88,14 +88,19 @@ pub struct TaskState {
     /// Running density-ratio aggregates over the dynamic layers of
     /// `monitored` (kept in lockstep by [`TaskState::record_layer`]).
     pub sparsity: SparsitySummary,
-    /// Ground-truth remaining execution time (ns). Oracle-only.
+    /// Ground-truth remaining execution time (ns), scaled to the node
+    /// serving the task. The Oracle is its only scheduler reader. The
+    /// engine sets it when a node admits the task and keeps it current
+    /// in O(1) per quantum from a running remainder of the task's
+    /// trace.
     pub true_remaining_ns: u64,
 }
 
 impl TaskState {
     /// Fresh, unstarted state for a request entering the system. The
-    /// monitored stream is pre-sized to the full layer count so layer
-    /// recording never reallocates mid-flight.
+    /// monitored stream starts empty and unallocated: a queued request
+    /// holds no buffer until a node admits it and sizes the stream to
+    /// `num_layers`.
     pub fn arrived(
         id: u64,
         spec: SparseModelSpec,
@@ -113,7 +118,7 @@ impl TaskState {
             next_layer: 0,
             num_layers,
             executed_ns: 0,
-            monitored: Vec::with_capacity(num_layers),
+            monitored: Vec::new(),
             sparsity: SparsitySummary::default(),
             true_remaining_ns: 0,
         }

@@ -100,16 +100,6 @@ impl ModelGraph {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Indices of dynamically sparse attention matmuls.
-    pub fn attention_layer_indices(&self) -> Vec<usize> {
-        self.layers
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.is_dynamic_attention())
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 impl fmt::Display for ModelGraph {

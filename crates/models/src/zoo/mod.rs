@@ -119,11 +119,11 @@ mod tests {
             match id.family() {
                 crate::ModelFamily::Cnn => {
                     assert!(!g.relu_layer_indices().is_empty(), "{id} has no ReLUs");
-                    assert!(g.attention_layer_indices().is_empty());
+                    assert!(!g.layers().iter().any(|l| l.is_dynamic_attention()));
                 }
                 crate::ModelFamily::AttNn => {
                     assert!(
-                        !g.attention_layer_indices().is_empty(),
+                        g.layers().iter().any(|l| l.is_dynamic_attention()),
                         "{id} has no attention layers"
                     );
                 }

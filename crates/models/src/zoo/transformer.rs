@@ -84,7 +84,8 @@ fn ffn(layers: &mut Vec<Layer>, prefix: &str, seq: u32) {
 ///
 /// ```
 /// let g = dysta_models::zoo::bert(384);
-/// assert_eq!(g.attention_layer_indices().len(), 24);
+/// let attention = g.layers().iter().filter(|l| l.is_dynamic_attention());
+/// assert_eq!(attention.count(), 24);
 /// ```
 pub fn bert(seq: u32) -> ModelGraph {
     assert!(seq > 0, "sequence length must be positive");
@@ -128,7 +129,8 @@ pub fn gpt2(seq: u32) -> ModelGraph {
 /// ```
 /// let g = dysta_models::zoo::bart(256, 256);
 /// // encoder self-attn (6*2) + decoder self-attn (6*2) + cross-attn (6*2)
-/// assert_eq!(g.attention_layer_indices().len(), 36);
+/// let attention = g.layers().iter().filter(|l| l.is_dynamic_attention());
+/// assert_eq!(attention.count(), 36);
 /// ```
 pub fn bart(src_seq: u32, tgt_seq: u32) -> ModelGraph {
     assert!(

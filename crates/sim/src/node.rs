@@ -127,10 +127,15 @@ pub struct NodeEngine<'w, S = Box<dyn Scheduler>, T = NullTracer> {
     /// [`NodeEngine::take_unstarted`] or is salvaged by
     /// [`NodeEngine::crash_salvage`], so the arena's length is the
     /// high-water mark of `active.len()`, not the number of requests
-    /// served. `traces` and `scales` are parallel to it.
+    /// served. `traces`, `scales` and `remaining` are parallel to it.
     tasks: Vec<TaskState>,
     traces: Vec<&'w SampleTrace>,
     scales: Vec<f64>,
+    /// Unscaled trace latency of each slot's unexecuted layers: set to
+    /// the whole trace on admission, reduced by each executed layer, so
+    /// a quantum refreshes `true_remaining_ns` without re-summing the
+    /// rest of the trace.
+    remaining: Vec<u64>,
     /// Freed arena slots, reused last-in first-out by the next admission.
     free: Vec<usize>,
     /// Indices into `tasks` of admitted, unfinished tasks. Order is
@@ -198,6 +203,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             tasks: Vec::new(),
             traces: Vec::new(),
             scales: Vec::new(),
+            remaining: Vec::new(),
             free: Vec::new(),
             active: Vec::new(),
             mutation_epoch: 0,
@@ -295,7 +301,8 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             return None;
         }
         // `swap_remove` keeps removal O(1); the task moves out of its
-        // slot whole, pre-sized `monitored` buffer included.
+        // slot whole, the `monitored` buffer sized on admission
+        // included.
         self.active.swap_remove(pos);
         self.mutation_epoch += 1;
         let task = self.vacate(idx);
@@ -331,9 +338,8 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             scale >= 1.0 && scale.is_finite(),
             "service-time scale must be >= 1"
         );
-        let TransferableTask { mut task, trace } = transfer;
+        let TransferableTask { task, trace } = transfer;
         assert!(!task.started(), "only unstarted tasks can transfer");
-        task.true_remaining_ns = scale_ns(trace.isolated_latency_ns(), scale);
         self.now_ns = self.now_ns.max(at_ns).saturating_add(fetch_ns);
         self.busy_ns += fetch_ns;
         self.mutation_epoch += 1;
@@ -363,8 +369,8 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             let lost_ns = task.executed_ns;
             let task = if task.started() {
                 // Restart from layer 0: fresh monitor state, no executed
-                // layers. `accept_transfer` recomputes the remaining
-                // time under the new node's scale.
+                // layers. Admission on the new node recomputes the
+                // remaining time under its scale.
                 TaskState::arrived(
                     task.id,
                     task.spec,
@@ -460,17 +466,14 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
                 "requests must be enqueued in arrival order"
             );
         }
-        let task = TaskState {
-            true_remaining_ns: scale_ns(trace.isolated_latency_ns(), scale),
-            ..TaskState::arrived(
-                request.id,
-                request.spec,
-                request.variant,
-                request.arrival_ns,
-                request.slo_ns,
-                trace.num_layers(),
-            )
-        };
+        let task = TaskState::arrived(
+            request.id,
+            request.spec,
+            request.variant,
+            request.arrival_ns,
+            request.slo_ns,
+            trace.num_layers(),
+        );
         self.pending.push_back(PendingTask { task, trace, scale });
         self.mutation_epoch += 1;
     }
@@ -489,19 +492,29 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
 
     /// Places an admitted task in a free arena slot (the most recently
     /// freed one), appending a slot only when none is free, and lists
-    /// it as live.
-    fn occupy(&mut self, task: TaskState, trace: &'w SampleTrace, scale: f64) {
+    /// it as live. Every admitted task is unstarted, so its remainder
+    /// is the whole trace, and its true remaining time is set here
+    /// under this node's scale; its monitor buffer is sized to the
+    /// layer count here, so recording layers never reallocates
+    /// mid-flight.
+    fn occupy(&mut self, mut task: TaskState, trace: &'w SampleTrace, scale: f64) {
+        debug_assert!(!task.started(), "only unstarted tasks are admitted");
+        let remaining = trace.isolated_latency_ns();
+        task.true_remaining_ns = scale_ns(remaining, scale);
+        task.monitored.reserve(task.num_layers);
         let idx = match self.free.pop() {
             Some(idx) => {
                 self.tasks[idx] = task;
                 self.traces[idx] = trace;
                 self.scales[idx] = scale;
+                self.remaining[idx] = remaining;
                 idx
             }
             None => {
                 self.tasks.push(task);
                 self.traces.push(trace);
                 self.scales.push(scale);
+                self.remaining.push(remaining);
                 self.tasks.len() - 1
             }
         };
@@ -511,7 +524,8 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     /// Moves the task out of arena slot `idx` and frees the slot. The
     /// caller has already dropped `idx` from `active`. The slot keeps
     /// an allocation-free stand-in until [`NodeEngine::occupy`]
-    /// overwrites it; its trace and scale entries stay behind, unread.
+    /// overwrites it; its trace, scale and remainder entries stay
+    /// behind, unread.
     fn vacate(&mut self, idx: usize) -> TaskState {
         debug_assert!(
             self.open_seg.as_ref().is_none_or(|s| s.task_idx != idx),
@@ -672,7 +686,14 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
                 },
                 info,
             );
-            task.true_remaining_ns = scale_ns(trace.remaining_ns(task.next_layer), scale);
+            self.remaining[task_idx] -= layer.latency_ns;
+            task.true_remaining_ns = scale_ns(self.remaining[task_idx], scale);
+            debug_assert_eq!(
+                self.remaining[task_idx],
+                trace.remaining_ns(task.next_layer),
+                "request {}: running remainder drifted from the trace",
+                task.id
+            );
         }
         if let Some(t0) = exec_t0 {
             self.tracer
@@ -1103,12 +1124,31 @@ mod tests {
             );
             assert_eq!(node.traces.len(), node.tasks.len());
             assert_eq!(node.scales.len(), node.tasks.len());
+            assert_eq!(node.remaining.len(), node.tasks.len());
             let mut slots: Vec<usize> = node.active.iter().chain(&node.free).copied().collect();
             slots.sort_unstable();
             assert!(
                 slots.iter().copied().eq(0..node.tasks.len()),
                 "live and free slots partition the arena"
             );
+            // The running remainder of every live slot equals the suffix
+            // walk of its trace, so the Oracle's ground truth matches
+            // the trace at any scale and after any slot reuse.
+            for &idx in &node.active {
+                let (task, trace) = (&node.tasks[idx], node.traces[idx]);
+                assert_eq!(
+                    node.remaining[idx],
+                    trace.remaining_ns(task.next_layer),
+                    "request {} carries a stale remainder",
+                    task.id
+                );
+                assert_eq!(
+                    task.true_remaining_ns,
+                    scale_ns(trace.remaining_ns(task.next_layer), node.scales[idx]),
+                    "request {} reports a stale true remaining time",
+                    task.id
+                );
+            }
             // The queue the next pick folds over: a reused slot must show
             // only its new task's own progress.
             for task in TaskQueue::indexed(&node.tasks, &node.active).iter() {
@@ -1146,7 +1186,7 @@ mod tests {
         }
         assert!(src.completed_count() > 0, "completions freed slots");
 
-        // Withdrawals land on the destination.
+        // Withdrawals land on the destination at a mismatch scale.
         for _ in 0..3 {
             let victim = src
                 .unstarted_tasks()
@@ -1155,7 +1195,7 @@ mod tests {
                 .expect("unstarted work exists");
             let transfer = src.take_unstarted(victim).expect("victim is unstarted");
             src_check.check(&src);
-            dst.accept_transfer(transfer, 1.0, src.now_ns(), 0);
+            dst.accept_transfer(transfer, 2.0, src.now_ns(), 0);
             dst_check.check(&dst);
         }
         for _ in 0..40 {
@@ -1165,7 +1205,9 @@ mod tests {
             dst_check.check(&dst);
         }
 
-        // A crash frees every slot; the salvage reuses the destination's.
+        // A crash frees every slot; the salvage, started requests
+        // restarted from layer 0, reuses the destination's at both
+        // scales.
         let salvaged = src.crash_salvage();
         src_check.check(&src);
         assert_eq!(
@@ -1173,8 +1215,13 @@ mod tests {
             src.tasks.len(),
             "a crashed node holds no task"
         );
-        for (transfer, _) in salvaged {
-            dst.accept_transfer(transfer, 1.0, src.now_ns(), 0);
+        assert!(
+            salvaged.iter().any(|(_, lost_ns)| *lost_ns > 0),
+            "the crash salvages a started request"
+        );
+        for (i, (transfer, _)) in salvaged.into_iter().enumerate() {
+            let scale = if i % 2 == 0 { 1.0 } else { 2.0 };
+            dst.accept_transfer(transfer, scale, src.now_ns(), 0);
             dst_check.check(&dst);
         }
         while dst.step() {

@@ -166,8 +166,9 @@ fn layer_execution_allocs(node: &mut NodeEngine<'_>, num_layers: usize) -> u64 {
 #[test]
 fn moved_tasks_keep_their_presized_monitor_buffer() {
     // A transfer moves the task out of its arena slot whole, so the
-    // monitored buffer `TaskState::arrived` pre-sized to the layer count
-    // arrives intact and recording the layers never reallocates. Both
+    // monitored buffer the source node sized to the layer count on
+    // admission arrives intact and recording the layers never
+    // reallocates. Both
     // ways out of a node are covered: a steal/migration withdrawal and
     // a crash salvage of never-started work.
     let w = alloc_workload();

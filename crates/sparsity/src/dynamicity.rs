@@ -377,7 +377,11 @@ mod tests {
     fn attention_sparsity_is_high_for_squad() {
         let m = zoo::bert(384);
         let g = SampleSparsityGenerator::new(&m, DatasetProfile::Squad, 5);
-        let attn_idx = m.attention_layer_indices();
+        let attn_idx: Vec<usize> = m
+            .iter()
+            .filter(|(_, l)| l.is_dynamic_attention())
+            .map(|(i, _)| i)
+            .collect();
         let mean: f64 = g
             .samples(200)
             .iter()
@@ -393,7 +397,11 @@ mod tests {
         // Normalized density (∝ latency on Sanger) should span ~0.6–1.8.
         let m = zoo::bert(384);
         let g = SampleSparsityGenerator::new(&m, DatasetProfile::Squad, 6);
-        let last_attn = *m.attention_layer_indices().last().unwrap();
+        let last_attn = m
+            .layers()
+            .iter()
+            .rposition(|l| l.is_dynamic_attention())
+            .unwrap();
         let densities: Vec<f64> = g
             .samples(2000)
             .iter()
@@ -426,8 +434,15 @@ mod tests {
     fn layers_are_correlated_within_sample() {
         let m = zoo::gpt2(256);
         let g = SampleSparsityGenerator::new(&m, DatasetProfile::Glue, 8);
-        let idx = m.attention_layer_indices();
-        let (a, b) = (idx[0], idx[idx.len() - 1]);
+        let layers = m.layers();
+        let a = layers
+            .iter()
+            .position(|l| l.is_dynamic_attention())
+            .unwrap();
+        let b = layers
+            .iter()
+            .rposition(|l| l.is_dynamic_attention())
+            .unwrap();
         let samples = g.samples(500);
         let xs: Vec<f64> = samples.iter().map(|s| s.layer(a)).collect();
         let ys: Vec<f64> = samples.iter().map(|s| s.layer(b)).collect();
@@ -466,7 +481,11 @@ mod tests {
         // complexity factor, so they correlate positively.
         let nlp = zoo::gpt2(256);
         let g = SampleSparsityGenerator::new(&nlp, DatasetProfile::Glue, 10);
-        let attn = nlp.attention_layer_indices()[0];
+        let attn = nlp
+            .layers()
+            .iter()
+            .position(|l| l.is_dynamic_attention())
+            .unwrap();
         let samples = g.samples(400);
         let seq: Vec<f64> = samples.iter().map(|s| s.seq_scale()).collect();
         let density: Vec<f64> = samples.iter().map(|s| 1.0 - s.layer(attn)).collect();

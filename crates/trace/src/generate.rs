@@ -158,9 +158,8 @@ mod tests {
         let spec = SparseModelSpec::new(ModelId::Gpt2, SparsityPattern::Dense, 0.0);
         let traces = ModelTraces::generate(&spec, 4, 5);
         let model = zoo::gpt2(256);
-        let attn = model.attention_layer_indices();
         let t = traces.sample(0);
-        for &i in &attn {
+        for (i, _) in model.iter().filter(|(_, l)| l.is_dynamic_attention()) {
             assert!(t.layers()[i].sparsity > 0.3, "layer {i}");
         }
     }

@@ -182,6 +182,10 @@ impl SampleTrace {
 
     /// True remaining execution time starting at layer `next_layer`
     /// (0 = nothing executed yet). Layers before `next_layer` are done.
+    ///
+    /// Walks every remaining layer, O(layers) per call: it serves
+    /// offline analysis and checks. The engine keeps each task's
+    /// remainder as a running total instead of calling this per quantum.
     pub fn remaining_ns(&self, next_layer: usize) -> u64 {
         self.layers
             .iter()
