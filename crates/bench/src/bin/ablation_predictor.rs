@@ -40,7 +40,7 @@ fn main() {
     let strategies: [(&str, Option<CoeffStrategy>); 5] = [
         ("disabled (γ=1)", Some(CoeffStrategy::Disabled)),
         ("average-all", Some(CoeffStrategy::AverageAll)),
-        ("last-3", Some(CoeffStrategy::LastN(3))),
+        ("last-3", Some(CoeffStrategy::LastThree)),
         ("last-one", Some(CoeffStrategy::LastOne)),
         ("oracle (exact)", None),
     ];

@@ -1,5 +1,5 @@
 //! Table 4: RMSE of the sparse latency predictor under the average-all,
-//! last-N (N = 3) and last-one coefficient strategies, on BERT and GPT-2.
+//! last-three and last-one coefficient strategies, on BERT and GPT-2.
 //!
 //! At every layer boundary of every sampled trace the predictor estimates
 //! the remaining latency; RMSE is computed against the trace ground truth

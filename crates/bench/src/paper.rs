@@ -7,8 +7,7 @@
 use serde::Serialize;
 
 use dysta::core::{
-    CoeffStrategy, DystaConfig, ModelInfoLut, MonitoredLayer, Policy, SparseLatencyPredictor,
-    TaskState,
+    CoeffStrategy, DystaConfig, ModelInfoLut, Policy, SparseLatencyPredictor, TaskState,
 };
 use dysta::hw::resources::{eyeriss_v2_baseline, overhead_percent, DesignPoint, ResourceUsage};
 use dysta::models::ModelId;
@@ -268,15 +267,8 @@ fn rmse_for(model: ModelId, strategy: CoeffStrategy, samples: u64) -> f64 {
         };
         for (j, layer) in trace.layers().iter().enumerate() {
             task.next_layer = j + 1;
-            // Feed the monitor stream the way the engine does, keeping
-            // the incremental sparsity summary in lockstep.
-            task.record_layer(
-                MonitoredLayer {
-                    sparsity: layer.sparsity,
-                    latency_ns: layer.latency_ns,
-                },
-                info,
-            );
+            // Feed the monitor the way the engine does.
+            task.record_layer(layer.sparsity, info);
             let predicted_s = predictor.remaining_ns(&task, info) / 1e9;
             let truth_s = trace.remaining_ns(j + 1) as f64 / 1e9;
             sq_err += (predicted_s - truth_s).powi(2);
@@ -295,7 +287,7 @@ pub fn table04_rows(scale: Scale) -> Vec<RmseRow> {
         .map(|&model| RmseRow {
             model: model.to_string(),
             average_all: rmse_for(model, CoeffStrategy::AverageAll, samples),
-            last_3: rmse_for(model, CoeffStrategy::LastN(3), samples),
+            last_3: rmse_for(model, CoeffStrategy::LastThree, samples),
             last_one: rmse_for(model, CoeffStrategy::LastOne, samples),
         })
         .collect()

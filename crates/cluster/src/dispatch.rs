@@ -66,7 +66,7 @@ pub struct NodeView {
     /// node capacity).
     pub lut_backlog_ns: f64,
     /// Remaining queued work estimated by the sparse latency predictor
-    /// from each in-flight request's monitored sparsity stream.
+    /// from each in-flight request's running sparsity-monitor state.
     pub predicted_backlog_ns: f64,
     /// Liveness as injected by the pool's [`crate::FaultSchedule`]:
     /// `Up` in a fault-free run, `Down` while crashed (accepts no

@@ -20,7 +20,7 @@ use std::collections::{HashMap, VecDeque};
 use dysta_core::{scale_ns, ModelInfoLut, SparseLatencyPredictor, VariantId};
 use dysta_models::ModelFamily;
 use dysta_obs::{EventKind, NullTracer, Phase, TraceEvent, Tracer, NODE_FRONTEND, REQ_NONE};
-use dysta_sim::{EngineConfig, NodeEngine, TransferableTask};
+use dysta_sim::{EngineConfig, NodeEngine, TransferableTask, VariantLabels};
 use dysta_workload::{Request, RequestSource, Workload};
 
 use crate::dispatch::{DispatchContext, Dispatcher, EarliestDeadlineFirst, NodeView};
@@ -69,12 +69,12 @@ use crate::{AcceleratorKind, ClusterConfig, FrontendConfig};
 ///
 /// Scheduling state is live state only: the front-end's admission
 /// queue and in-flight bookkeeping (see
-/// [`ServingStats::peak_live_requests`]), and each node's task arena,
-/// whose slots are reused as requests leave. What still grows with the
-/// stream is the report: a 56 B [`dysta_sim::CompletedRequest`] per
-/// completion plus 8 B of [`ServingStats::admission_wait_ns`] per
-/// admitted request, kept because turnaround and wait percentiles are
-/// computed from them.
+/// [`ServingStats::peak_live_requests`]), and each node's live-task
+/// list, which requests leave when they finish or move. What still
+/// grows with the stream is the report: a 56 B
+/// [`dysta_sim::CompletedRequest`] per completion plus 8 B of
+/// [`ServingStats::admission_wait_ns`] per admitted request, kept
+/// because turnaround and wait percentiles are computed from them.
 ///
 /// Deterministic: identical inputs produce identical reports.
 ///
@@ -307,8 +307,7 @@ where
         view_cache: Vec::new(),
         view_epoch: vec![u64::MAX; config.nodes.len()],
         tracer,
-        labels: vec![None; lut_len],
-        scratch: String::new(),
+        labels: VariantLabels::new(lut_len),
     };
     frontend.run();
     frontend.into_report()
@@ -488,10 +487,8 @@ struct Frontend<'w, 'c, S, T> {
     /// node health lives on the front-end, outside the node's epoch.
     view_epoch: Vec<u64>,
     tracer: T,
-    /// Interned label id per model variant (lazy; index = variant rank).
-    labels: Vec<Option<u32>>,
-    /// Reusable label-formatting buffer (steady state allocates nothing).
-    scratch: String,
+    /// Interned label id per model variant.
+    labels: VariantLabels,
 }
 
 impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
@@ -503,23 +500,6 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             .get(&id)
             .expect("request is live")
             .request
-    }
-
-    /// Interns (once per variant) and returns the label id for a
-    /// request's model variant.
-    fn label_for(&mut self, request: &Request) -> u32 {
-        let variant = request.variant;
-        match self.labels[variant.index()] {
-            Some(id) => id,
-            None => {
-                use std::fmt::Write as _;
-                self.scratch.clear();
-                write!(self.scratch, "{}", request.spec).expect("write to String");
-                let id = self.tracer.intern(&self.scratch);
-                self.labels[variant.index()] = Some(id);
-                id
-            }
-        }
     }
 
     /// Records one per-node queue/backlog re-projection per rebalance
@@ -603,7 +583,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                         timer_deadline = t.checked_add(fe.admit_interval_ns);
                     }
                     if self.tracer.enabled() {
-                        let label = self.label_for(&request);
+                        let label = self.labels.id(&self.tracer, &request);
                         self.tracer.record(TraceEvent {
                             t_ns: t,
                             request: request.id,

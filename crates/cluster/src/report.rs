@@ -87,7 +87,7 @@ pub struct ServingStats {
     /// admitted but not yet observed retired (completed, failed, or
     /// reneged). Bounded by the pool's in-flight backlog — not by the
     /// trace length — and so are the scheduling state behind it (this
-    /// table and every node's task arena). A streamed run's memory is
+    /// table and every node's live-task list). A streamed run's memory is
     /// therefore this live state plus the per-request report floor:
     /// 56 B of [`CompletedRequest`] per completion and 8 B of
     /// [`ServingStats::admission_wait_ns`] per admitted request.

@@ -6,9 +6,9 @@
 //! store included). The same steady stream runs at two lengths; since
 //! peak concurrency is the same, the peak heap may grow only by what
 //! the report keeps per request: a 56 B `CompletedRequest` plus 8 B of
-//! `admission_wait_ns`, with slack for `Vec` doubling. A node arena
-//! that kept finished tasks (~128 B each plus a per-layer monitor
-//! buffer) measures ~886 B per request here.
+//! `admission_wait_ns`, with slack for `Vec` doubling. A node that
+//! kept finished tasks (then ~128 B each plus a per-layer monitor
+//! buffer) measured ~886 B per request here.
 //!
 //! Counting bytes rather than reading RSS keeps the check exact and
 //! immune to the host: the numbers are deterministic, and each test

@@ -116,7 +116,7 @@ mod tests {
         // the threshold and it beats the shorter job.
         let waited = mk(0, big, &lut, 0);
         let short = mk(1, small, &lut, isolated);
-        let queue = [waited.clone(), short.clone()];
+        let queue = [waited, short];
         let mut p = Prema;
         assert_eq!(p.pick_next(TaskQueue::dense(&queue), &lut, isolated), 0);
         // One nanosecond less and it is no candidate: SJF decides.

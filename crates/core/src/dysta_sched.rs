@@ -195,7 +195,7 @@ impl Scheduler for OracleScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MonitoredLayer, TaskState};
+    use crate::TaskState;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
     use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
@@ -263,13 +263,7 @@ mod tests {
             task.next_layer = dyn_layer + 1;
             for layer in 0..=dyn_layer {
                 let sparsity = if layer == dyn_layer { last } else { 0.0 };
-                task.record_layer(
-                    MonitoredLayer {
-                        sparsity,
-                        latency_ns: 1,
-                    },
-                    info,
-                );
+                task.record_layer(sparsity, info);
             }
             task
         };

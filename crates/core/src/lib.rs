@@ -12,7 +12,7 @@
 //!   predictor.
 //! * [`SparseLatencyPredictor`] — Algorithm 3: a linear model
 //!   `Lat = α·γ·Lat_avg` whose coefficient `γ` is the ratio of monitored
-//!   to LUT-average layer density, with *average-all*, *last-N* and
+//!   to LUT-average layer density, with *average-all*, *last-three* and
 //!   *last-one* estimation strategies (Table 4).
 //! * Baselines — [`Fcfs`], [`Sjf`], [`Prema`], [`Planaria`], [`Sdrm3`]
 //!   and the perfect-knowledge [`OracleScheduler`], the comparison set of
@@ -51,7 +51,7 @@ pub use policy::Policy;
 pub use predictor::{CoeffStrategy, SparseLatencyPredictor};
 pub use rounding::{round_ns, scale_ns};
 pub use scheduler::{pick_max_score, pick_min_score, Scheduler, TaskQueue};
-pub use task::{MonitoredLayer, SparsitySummary, TaskState};
+pub use task::{SparsitySummary, TaskState};
 
 // The interned variant handle travels with `TaskState`, so re-export it
 // for downstream crates that only depend on the scheduler interface.

@@ -97,9 +97,8 @@ impl ModelInfo {
 
     /// The monitored-vs-average density ratio for one executed layer, or
     /// `None` when the layer has no dynamic-sparsity source. The single
-    /// definition the incremental [`crate::SparsitySummary`] and the
-    /// predictor's windowed re-scan both use, so the two stay
-    /// bit-identical.
+    /// definition [`crate::TaskState::record_layer`] folds into the
+    /// task's [`crate::SparsitySummary`].
     pub fn density_ratio(&self, layer: usize, monitored_sparsity: f64) -> Option<f64> {
         let avg_density = self.dynamic_layer_avg_density(layer)?;
         let mon_density = (1.0 - monitored_sparsity).max(DENSITY_FLOOR);

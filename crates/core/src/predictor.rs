@@ -19,8 +19,8 @@ use crate::{ModelInfo, TaskState};
 pub enum CoeffStrategy {
     /// Average the density ratio over every executed dynamic layer.
     AverageAll,
-    /// Average over the last `N` executed dynamic layers.
-    LastN(usize),
+    /// Average over the last three executed dynamic layers.
+    LastThree,
     /// Use only the most recent dynamic layer — the paper's choice, as it
     /// matches average-all accuracy at lower hardware cost.
     LastOne,
@@ -53,14 +53,7 @@ impl Default for SparseLatencyPredictor {
 
 impl SparseLatencyPredictor {
     /// Creates a predictor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `LastN(0)` is requested.
     pub fn new(strategy: CoeffStrategy) -> Self {
-        if let CoeffStrategy::LastN(n) = strategy {
-            assert!(n > 0, "last-N window must be non-empty");
-        }
         SparseLatencyPredictor { strategy }
     }
 
@@ -75,15 +68,14 @@ impl SparseLatencyPredictor {
     /// sparsity) participate; before any such layer has executed, `γ = 1`
     /// (fall back to the LUT average).
     ///
-    /// O(1) for `LastOne` / `AverageAll` (reads the task's running
-    /// [`crate::SparsitySummary`]); `LastN` re-scans only the monitored
-    /// tail covering its window. No allocation on any path.
+    /// O(1) for every strategy: it reads the task's running
+    /// [`crate::SparsitySummary`]. No allocation on any path.
     pub fn coefficient(&self, task: &TaskState, info: &ModelInfo) -> f64 {
         let ratio = match self.strategy {
             CoeffStrategy::Disabled => return 1.0,
             CoeffStrategy::LastOne => task.sparsity.last(),
             CoeffStrategy::AverageAll => task.sparsity.mean(),
-            CoeffStrategy::LastN(n) => last_n_ratio(task, info, n),
+            CoeffStrategy::LastThree => task.sparsity.last_three_mean(),
         };
         match ratio {
             None => 1.0,
@@ -102,38 +94,10 @@ impl SparseLatencyPredictor {
     }
 }
 
-/// Mean density ratio over the last `n` executed dynamic layers, or
-/// `None` before the first one. Two allocation-free passes over the
-/// monitored tail: walk back to the window's start, then sum forward in
-/// execution order (the same order the old collect-into-`Vec` summed,
-/// so results are bit-identical).
-fn last_n_ratio(task: &TaskState, info: &ModelInfo, n: usize) -> Option<f64> {
-    let mut start = task.monitored.len();
-    let mut in_window = 0usize;
-    while start > 0 && in_window < n {
-        start -= 1;
-        if info
-            .density_ratio(start, task.monitored[start].sparsity)
-            .is_some()
-        {
-            in_window += 1;
-        }
-    }
-    if in_window == 0 {
-        return None;
-    }
-    let sum: f64 = task.monitored[start..]
-        .iter()
-        .enumerate()
-        .filter_map(|(off, m)| info.density_ratio(start + off, m.sparsity))
-        .sum();
-    Some(sum / in_window as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ModelInfoLut, MonitoredLayer};
+    use crate::ModelInfoLut;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
     use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
@@ -160,11 +124,7 @@ mod tests {
             ..TaskState::arrived(0, spec, variant, 0, u64::MAX / 2, trace.num_layers())
         };
         for l in &trace.layers()[..upto] {
-            let record = MonitoredLayer {
-                sparsity: l.sparsity,
-                latency_ns: l.latency_ns,
-            };
-            task.record_layer(record, lut.info(variant));
+            task.record_layer(l.sparsity, lut.info(variant));
         }
         task
     }
@@ -225,7 +185,7 @@ mod tests {
             .unwrap();
         let t = task_with_monitored(spec, &lut, trace, first_dyn + 1);
         let g_all = SparseLatencyPredictor::new(CoeffStrategy::AverageAll).coefficient(&t, info);
-        let g_n = SparseLatencyPredictor::new(CoeffStrategy::LastN(3)).coefficient(&t, info);
+        let g_n = SparseLatencyPredictor::new(CoeffStrategy::LastThree).coefficient(&t, info);
         let g_one = SparseLatencyPredictor::new(CoeffStrategy::LastOne).coefficient(&t, info);
         assert!((g_all - g_one).abs() < 1e-12);
         assert!((g_n - g_one).abs() < 1e-12);
@@ -240,11 +200,5 @@ mod tests {
         let p = SparseLatencyPredictor::new(CoeffStrategy::Disabled);
         assert_eq!(p.coefficient(&t, info), 1.0);
         assert!((p.remaining_ns(&t, info) - info.avg_remaining_ns(t.next_layer)).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "last-N window")]
-    fn rejects_empty_window() {
-        let _ = SparseLatencyPredictor::new(CoeffStrategy::LastN(0));
     }
 }

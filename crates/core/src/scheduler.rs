@@ -4,58 +4,28 @@ use std::cmp::Ordering;
 
 use crate::{ModelInfoLut, TaskState};
 
-/// A borrowed view of the runnable queue at one scheduling point.
-///
-/// Either a dense slice of tasks ([`TaskQueue::dense`], what tests and
-/// analysis harnesses build) or the engine's task arena plus the live
-/// indices into it ([`TaskQueue::indexed`]) — so the engine hands its
-/// existing storage straight to the scheduler instead of materialising a
-/// fresh `Vec<&TaskState>` every quantum. Positions (`0..len()`) are
-/// what [`Scheduler::pick_next`] returns.
+/// A borrowed view of the runnable queue at one scheduling point: the
+/// engine's live-task slice, handed to the scheduler as is. Positions
+/// (`0..len()`) are what [`Scheduler::pick_next`] returns.
 #[derive(Debug, Clone, Copy)]
 pub struct TaskQueue<'a> {
     tasks: &'a [TaskState],
-    /// Live positions into `tasks`; `None` means every task is live.
-    active: Option<&'a [usize]>,
 }
 
 impl<'a> TaskQueue<'a> {
     /// A queue over every task in the slice.
     pub fn dense(tasks: &'a [TaskState]) -> Self {
-        TaskQueue {
-            tasks,
-            active: None,
-        }
-    }
-
-    /// A queue over `active` positions into a task arena.
-    ///
-    /// The arena may reuse the slot of a task that left for the next
-    /// one admitted, so a slot number says nothing about a task's
-    /// identity or history. Queue position `i` is `active[i]`, whatever
-    /// slot that is. With `active` listing the same tasks in the same
-    /// order, every pick is the same whichever slots they occupy.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts every index is in range; release builds surface
-    /// out-of-range indices at access time.
-    pub fn indexed(tasks: &'a [TaskState], active: &'a [usize]) -> Self {
-        debug_assert!(active.iter().all(|&i| i < tasks.len()));
-        TaskQueue {
-            tasks,
-            active: Some(active),
-        }
+        TaskQueue { tasks }
     }
 
     /// Number of runnable tasks.
     pub fn len(&self) -> usize {
-        self.active.map_or(self.tasks.len(), <[usize]>::len)
+        self.tasks.len()
     }
 
     /// True when no task is runnable.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.tasks.is_empty()
     }
 
     /// The task at queue position `pos`.
@@ -65,15 +35,12 @@ impl<'a> TaskQueue<'a> {
     /// Panics if `pos >= len()`.
     #[inline]
     pub fn get(&self, pos: usize) -> &'a TaskState {
-        match self.active {
-            Some(active) => &self.tasks[active[pos]],
-            None => &self.tasks[pos],
-        }
+        &self.tasks[pos]
     }
 
     /// Iterates the runnable tasks in queue-position order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a TaskState> + '_ {
-        (0..self.len()).map(|pos| self.get(pos))
+    pub fn iter(&self) -> std::slice::Iter<'a, TaskState> {
+        self.tasks.iter()
     }
 }
 
@@ -278,20 +245,5 @@ mod tests {
             assert!(score(&tasks[min]) <= score(t));
             assert!(score(&tasks[max]) >= score(t));
         }
-    }
-
-    #[test]
-    fn indexed_queue_exposes_only_active_positions() {
-        let tasks = dense_queue_tasks(6);
-        let active = [4usize, 1, 3];
-        let q = TaskQueue::indexed(&tasks, &active);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.get(0).id, tasks[4].id);
-        let ids: Vec<u64> = q.iter().map(|t| t.id).collect();
-        assert_eq!(
-            ids,
-            vec![tasks[4].id, tasks[1].id, tasks[3].id],
-            "iteration follows active order"
-        );
     }
 }

@@ -4,48 +4,72 @@ use dysta_trace::{SparseModelSpec, VariantId};
 
 use crate::ModelInfo;
 
-/// What the hardware monitor reports for one executed layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonitoredLayer {
-    /// Monitored layer sparsity (zero-counting circuit output).
-    pub sparsity: f64,
-    /// Observed layer latency in nanoseconds.
-    pub latency_ns: u64,
-}
-
-/// Running aggregates over the monitored *dynamic* layers of one task:
-/// the density ratios (monitored vs LUT-average density) the sparse
-/// latency predictor folds into its coefficient.
+/// The constant-size running state of one task's hardware monitor:
+/// what the sparse latency predictor and the FP16 coefficient read of
+/// the layers executed so far.
 ///
-/// Maintained incrementally by [`TaskState::record_layer`] so the
-/// predictor's `LastOne` / `AverageAll` strategies read O(1) state
-/// instead of re-scanning the whole monitored stream per decision.
+/// Maintained incrementally by [`TaskState::record_layer`], so every
+/// [`crate::CoeffStrategy`] reads O(1) state instead of re-scanning the
+/// task's executed layers per decision.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SparsitySummary {
+    /// Number of layers recorded so far, dynamic or not.
+    layers: u32,
     /// Number of dynamic layers observed so far.
     pub ratio_count: u32,
     /// Sum of their density ratios, in execution order.
     pub ratio_sum: f64,
-    /// The most recent density ratio.
-    pub last_ratio: f64,
+    /// The latest three density ratios: ratio `k` (counting from 0)
+    /// sits in slot `k % 3`.
+    recent: [f64; 3],
+    /// Index and raw monitored sparsity of the most recent dynamic
+    /// layer.
+    last_dynamic: Option<(u32, f64)>,
 }
 
 impl SparsitySummary {
     /// Folds one observed dynamic-layer density ratio in.
     pub fn observe(&mut self, ratio: f64) {
+        self.recent[(self.ratio_count % 3) as usize] = ratio;
         self.ratio_count += 1;
         self.ratio_sum += ratio;
-        self.last_ratio = ratio;
+    }
+
+    /// Number of layers recorded so far, dynamic or not: the index of
+    /// the next layer [`TaskState::record_layer`] folds in.
+    pub fn layers(&self) -> usize {
+        self.layers as usize
+    }
+
+    /// Index and raw monitored sparsity of the most recent dynamic
+    /// layer, if any has executed.
+    pub fn last_dynamic(&self) -> Option<(usize, f64)> {
+        self.last_dynamic
+            .map(|(layer, sparsity)| (layer as usize, sparsity))
     }
 
     /// The most recent ratio, if any dynamic layer has executed.
     pub fn last(&self) -> Option<f64> {
-        (self.ratio_count > 0).then_some(self.last_ratio)
+        let newest = self.ratio_count.checked_sub(1)?;
+        Some(self.recent[(newest % 3) as usize])
     }
 
     /// Mean ratio over every observed dynamic layer, if any.
     pub fn mean(&self) -> Option<f64> {
         (self.ratio_count > 0).then(|| self.ratio_sum / f64::from(self.ratio_count))
+    }
+
+    /// Mean ratio over the last (up to) three observed dynamic layers,
+    /// if any, summed oldest first.
+    pub fn last_three_mean(&self) -> Option<f64> {
+        let n = self.ratio_count.min(3);
+        if n == 0 {
+            return None;
+        }
+        let sum: f64 = (self.ratio_count - n..self.ratio_count)
+            .map(|k| self.recent[(k % 3) as usize])
+            .sum();
+        Some(sum / f64::from(n))
     }
 }
 
@@ -59,12 +83,11 @@ impl SparsitySummary {
 ///   LUT handle, resolved once at enqueue time;
 /// * progress (`next_layer`, `num_layers`, `executed_ns`) — known to every
 ///   scheduler (layer boundaries are architecturally visible);
-/// * `monitored` / `sparsity` — the runtime sparsity/latency stream and
-///   its running aggregates, which only sparsity-aware schedulers
-///   exploit;
+/// * `sparsity` — the running state of the runtime sparsity monitor,
+///   which only sparsity-aware schedulers exploit;
 /// * `true_remaining_ns` — ground truth reserved for the Oracle, its
 ///   only scheduler reader. Fair schedulers must not read it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskState {
     /// Request id.
     pub id: u64,
@@ -83,10 +106,8 @@ pub struct TaskState {
     pub num_layers: usize,
     /// Accumulated service time (ns).
     pub executed_ns: u64,
-    /// Monitored records of executed layers, in execution order.
-    pub monitored: Vec<MonitoredLayer>,
-    /// Running density-ratio aggregates over the dynamic layers of
-    /// `monitored` (kept in lockstep by [`TaskState::record_layer`]).
+    /// Running monitor state over the executed layers (kept current by
+    /// [`TaskState::record_layer`]).
     pub sparsity: SparsitySummary,
     /// Ground-truth remaining execution time (ns), scaled to the node
     /// serving the task. The Oracle is its only scheduler reader. The
@@ -97,10 +118,8 @@ pub struct TaskState {
 }
 
 impl TaskState {
-    /// Fresh, unstarted state for a request entering the system. The
-    /// monitored stream starts empty and unallocated: a queued request
-    /// holds no buffer until a node admits it and sizes the stream to
-    /// `num_layers`.
+    /// Fresh, unstarted state for a request entering the system, with
+    /// an empty monitor.
     pub fn arrived(
         id: u64,
         spec: SparseModelSpec,
@@ -118,20 +137,22 @@ impl TaskState {
             next_layer: 0,
             num_layers,
             executed_ns: 0,
-            monitored: Vec::new(),
             sparsity: SparsitySummary::default(),
             true_remaining_ns: 0,
         }
     }
 
-    /// Appends one executed-layer record and folds its density ratio into
-    /// the running [`SparsitySummary`] when the layer has a
-    /// dynamic-sparsity source in `info` (the task's own LUT entry).
-    pub fn record_layer(&mut self, record: MonitoredLayer, info: &ModelInfo) {
-        let layer = self.monitored.len();
-        self.monitored.push(record);
-        if let Some(ratio) = info.density_ratio(layer, record.sparsity) {
-            self.sparsity.observe(ratio);
+    /// Folds the monitored `sparsity` of the next executed layer into
+    /// the running [`SparsitySummary`]: its density ratio and raw
+    /// sparsity count when the layer has a dynamic-sparsity source in
+    /// `info` (the task's own LUT entry).
+    pub fn record_layer(&mut self, sparsity: f64, info: &ModelInfo) {
+        let summary = &mut self.sparsity;
+        let layer = summary.layers;
+        summary.layers += 1;
+        if let Some(ratio) = info.density_ratio(layer as usize, sparsity) {
+            summary.observe(ratio);
+            summary.last_dynamic = Some((layer, sparsity));
         }
     }
 
@@ -223,9 +244,17 @@ mod tests {
         let mut s = SparsitySummary::default();
         assert_eq!(s.last(), None);
         assert_eq!(s.mean(), None);
+        assert_eq!(s.last_three_mean(), None);
         s.observe(0.5);
         s.observe(1.5);
         assert_eq!(s.last(), Some(1.5));
         assert_eq!(s.mean(), Some(1.0));
+        assert_eq!(s.last_three_mean(), Some(1.0));
+        // The ring keeps only the latest three, wrapping in place.
+        s.observe(2.5);
+        s.observe(3.5);
+        assert_eq!(s.last(), Some(3.5));
+        assert_eq!(s.mean(), Some(2.0));
+        assert_eq!(s.last_three_mean(), Some(2.5));
     }
 }

@@ -11,8 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dysta_core::{
-    CoeffStrategy, ModelInfoLut, MonitoredLayer, Policy, SparseLatencyPredictor, TaskQueue,
-    TaskState,
+    CoeffStrategy, ModelInfoLut, Policy, SparseLatencyPredictor, TaskQueue, TaskState,
 };
 use dysta_models::ModelId;
 use dysta_sparsity::SparsityPattern;
@@ -57,7 +56,7 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// A mid-execution queue with populated monitored streams and interned
+/// A mid-execution queue with populated monitor state and interned
 /// variants, like the engine maintains.
 fn mid_execution_queue(n: usize) -> (Vec<TaskState>, ModelInfoLut) {
     let specs = [
@@ -92,13 +91,7 @@ fn mid_execution_queue(n: usize) -> (Vec<TaskState>, ModelInfoLut) {
             };
             task.next_layer = upto;
             for layer in &trace.layers()[..upto] {
-                task.record_layer(
-                    MonitoredLayer {
-                        sparsity: layer.sparsity,
-                        latency_ns: layer.latency_ns,
-                    },
-                    info,
-                );
+                task.record_layer(layer.sparsity, info);
             }
             task
         })
@@ -132,7 +125,7 @@ fn predictor_coefficient_never_allocates() {
     let (tasks, lut) = mid_execution_queue(16);
     for strategy in [
         CoeffStrategy::AverageAll,
-        CoeffStrategy::LastN(5),
+        CoeffStrategy::LastThree,
         CoeffStrategy::LastOne,
         CoeffStrategy::Disabled,
     ] {

@@ -6,8 +6,7 @@ use std::cell::Cell;
 use proptest::prelude::*;
 
 use dysta_core::{
-    pick_max_score, pick_min_score, ModelInfoLut, MonitoredLayer, Policy, Scheduler, TaskQueue,
-    TaskState,
+    pick_max_score, pick_min_score, ModelInfoLut, Policy, Scheduler, TaskQueue, TaskState,
 };
 use dysta_models::ModelId;
 use dysta_sparsity::SparsityPattern;
@@ -76,11 +75,7 @@ fn materialize(
                 ..TaskState::arrived(i as u64, spec, variant, p.arrival_ns, p.slo_ns, num_layers)
             };
             for _ in 0..next_layer {
-                let record = MonitoredLayer {
-                    sparsity: p.sparsity,
-                    latency_ns: 1000,
-                };
-                task.record_layer(record, info);
+                task.record_layer(p.sparsity, info);
             }
             task
         })
@@ -128,28 +123,6 @@ proptest! {
             prop_assert_eq!(sched.pick_next(TaskQueue::dense(&tasks), &lut, now), 0);
         }
     }
-
-    /// An indexed queue (the engine's arena + live positions) and the
-    /// equivalent dense queue yield the same decision for every policy —
-    /// pinning that queue *representation* never leaks into scheduling.
-    #[test]
-    fn indexed_and_dense_queues_agree(
-        params in prop::collection::vec(task_strategy(), 2..10),
-        now in 0u64..2_000_000_000,
-    ) {
-        let (specs, lut) = build_lut();
-        let tasks = materialize(&params, &specs, &lut);
-        // Live subset: every other task, in shuffled-ish (reversed) order.
-        let active: Vec<usize> = (0..tasks.len()).rev().step_by(2).collect();
-        let subset: Vec<TaskState> = active.iter().map(|&i| tasks[i].clone()).collect();
-        for policy in Policy::ALL {
-            let mut sched_a = policy.build();
-            let mut sched_b = policy.build();
-            let via_index = sched_a.pick_next(TaskQueue::indexed(&tasks, &active), &lut, now);
-            let via_dense = sched_b.pick_next(TaskQueue::dense(&subset), &lut, now);
-            prop_assert_eq!(via_index, via_dense, "{} disagrees across representations", policy);
-        }
-    }
 }
 
 /// One decision of a purity run: how far the clock moves before it, the
@@ -162,15 +135,18 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     (0u64..20_000_000, sub(), prop::collection::vec(sub(), 0..3))
 }
 
-/// The task positions a `(kind, mask)` pair selects from `n` tasks:
-/// kind 0 is the singleton `mask % n`, any other kind the tasks whose
-/// bit is set in `mask` (the singleton again if none is).
-fn sub_queue((kind, mask): (u64, u64), n: usize) -> Vec<usize> {
-    let single = vec![(mask % n as u64) as usize];
+/// The tasks a `(kind, mask)` pair selects from `tasks`: kind 0 is the
+/// singleton at position `mask % n`, any other kind the tasks whose bit
+/// is set in `mask` (the singleton again if none is).
+fn sub_queue((kind, mask): (u64, u64), tasks: &[TaskState]) -> Vec<TaskState> {
+    let single = vec![tasks[(mask % tasks.len() as u64) as usize]];
     if kind == 0 {
         return single;
     }
-    let set: Vec<usize> = (0..n).filter(|&i| mask >> i & 1 == 1).collect();
+    let set: Vec<TaskState> = (0..tasks.len())
+        .filter(|&i| mask >> i & 1 == 1)
+        .map(|i| tasks[i])
+        .collect();
     if set.is_empty() {
         single
     } else {
@@ -209,13 +185,13 @@ proptest! {
             let mut now = WINDOW_NS;
             for (dt, decide, extras) in &steps {
                 for (k, extra) in extras.iter().enumerate() {
-                    let active = sub_queue(*extra, tasks.len());
+                    let extra = sub_queue(*extra, &tasks);
                     let t = now + dt * (k as u64 + 1) / (extras.len() as u64 + 1);
-                    probed.pick_next(TaskQueue::indexed(&tasks, &active), &lut, t);
+                    probed.pick_next(TaskQueue::dense(&extra), &lut, t);
                 }
                 now += dt;
-                let active = sub_queue(*decide, tasks.len());
-                let queue = TaskQueue::indexed(&tasks, &active);
+                let decide = sub_queue(*decide, &tasks);
+                let queue = TaskQueue::dense(&decide);
                 let a = probed.pick_next(queue, &lut, now);
                 let b = twin.pick_next(queue, &lut, now);
                 prop_assert_eq!(a, b, "{}: extra picks changed a decision", policy);

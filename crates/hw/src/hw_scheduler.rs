@@ -1,7 +1,7 @@
 //! The hardware Dysta scheduler: Algorithm 2 executed through the FP16
 //! datapath, behind a FIFO modelled by its depth.
 
-use dysta_core::{DystaConfig, ModelInfoLut, Scheduler, TaskQueue, TaskState};
+use dysta_core::{DystaConfig, ModelInfo, ModelInfoLut, Scheduler, TaskQueue, TaskState};
 
 use crate::compute_unit::{coefficient, score};
 use crate::F16;
@@ -72,29 +72,31 @@ impl HardwareDystaScheduler {
 }
 
 /// The FP16 sparsity coefficient of a task (last-one strategy through
-/// the coefficient dataflow).
+/// the coefficient dataflow): `1` until the monitor has seen a dynamic
+/// layer, then the coefficient of the most recent one.
 fn gamma(task: &TaskState, lut: &ModelInfoLut) -> F16 {
     let info = lut.info(task.variant);
-    // Walk back to the most recent dynamic layer the monitor saw
-    // (`dynamic_layer_avg_density` owns the epsilon/floor shared
-    // with the software predictor).
-    let last_dynamic = task
-        .monitored
-        .iter()
-        .enumerate()
-        .rev()
-        .find_map(|(j, m)| info.dynamic_layer_avg_density(j).map(|d| (m, d)));
-    match last_dynamic {
-        None => F16::ONE,
-        Some((m, avg_density)) => {
-            let num_zeros = (m.sparsity.clamp(0.0, 1.0) * MONITOR_SHAPE as f64).round() as u64;
-            let ratio = coefficient(num_zeros, MONITOR_SHAPE, F16::from_f64(1.0 / avg_density));
-            // The per-variant hardware-effectiveness exponent is
-            // applied through a small ratio->gamma lookup table in the
-            // RTL design; modelled here as an FP16-quantised pow.
-            F16::from_f64(ratio.to_f64().max(1e-3).powf(info.gamma_exponent()))
-        }
-    }
+    task.sparsity
+        .last_dynamic()
+        .map_or(F16::ONE, |(layer, sparsity)| {
+            layer_gamma(layer, sparsity, info)
+        })
+}
+
+/// The FP16 coefficient of one monitored dynamic layer: its zero count
+/// through the coefficient dataflow, raised to the variant's exponent.
+fn layer_gamma(layer: usize, sparsity: f64, info: &ModelInfo) -> F16 {
+    // `dynamic_layer_avg_density` owns the epsilon/floor shared with
+    // the software predictor.
+    let Some(avg_density) = info.dynamic_layer_avg_density(layer) else {
+        return F16::ONE;
+    };
+    let num_zeros = (sparsity.clamp(0.0, 1.0) * MONITOR_SHAPE as f64).round() as u64;
+    let ratio = coefficient(num_zeros, MONITOR_SHAPE, F16::from_f64(1.0 / avg_density));
+    // The per-variant hardware-effectiveness exponent is applied
+    // through a small ratio->gamma lookup table in the RTL design;
+    // modelled here as an FP16-quantised pow.
+    F16::from_f64(ratio.to_f64().max(1e-3).powf(info.gamma_exponent()))
 }
 
 impl Scheduler for HardwareDystaScheduler {
@@ -160,10 +162,11 @@ impl Scheduler for HardwareDystaScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dysta_core::{DystaScheduler, MonitoredLayer, SparseLatencyPredictor};
+    use dysta_core::{DystaScheduler, SparseLatencyPredictor};
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
     use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
+    use proptest::prelude::*;
 
     fn setup() -> (SparseModelSpec, ModelInfoLut) {
         let spec = SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0);
@@ -195,13 +198,7 @@ mod tests {
             task.next_layer = dyn_layer + 1;
             for layer in 0..=dyn_layer {
                 let sparsity = if layer == dyn_layer { last } else { 0.0 };
-                task.record_layer(
-                    MonitoredLayer {
-                        sparsity,
-                        latency_ns: 1,
-                    },
-                    info,
-                );
+                task.record_layer(sparsity, info);
             }
             task
         };
@@ -249,12 +246,13 @@ mod tests {
         {
             // Extra picks on a singleton, a reversed sub-queue and the
             // whole queue, at other instants.
-            for (k, active) in [vec![step], vec![5, 3, 1], (0..6).collect()]
-                .iter()
+            let reversed = [tasks[5], tasks[3], tasks[1]];
+            for (k, extra) in [&tasks[step..=step], &reversed, &tasks]
+                .into_iter()
                 .enumerate()
             {
                 let t = now - 1_000_000 * (k as u64 + 1);
-                probed.pick_next(TaskQueue::indexed(&tasks, active), &lut, t);
+                probed.pick_next(TaskQueue::dense(extra), &lut, t);
             }
             let queue = TaskQueue::dense(&tasks);
             assert_eq!(
@@ -262,6 +260,52 @@ mod tests {
                 twin.pick_next(queue, &lut, now),
                 "extra picks changed the decision at {now} ns"
             );
+        }
+    }
+
+    /// The walk-back definition the running summary replaced: the
+    /// coefficient of the last layer of `stream` (layer `j` monitored
+    /// at `stream[j]`) that has a dynamic-sparsity source, else `1`.
+    fn walk_back_gamma(stream: &[f64], info: &ModelInfo) -> F16 {
+        stream
+            .iter()
+            .enumerate()
+            .rev()
+            .find(|&(j, _)| info.dynamic_layer_avg_density(j).is_some())
+            .map_or(F16::ONE, |(j, &s)| layer_gamma(j, s, info))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `gamma` reads the task's running summary, and equals the
+        /// walk back over the monitored stream at every prefix, on a
+        /// transformer (every attention layer dynamic) and on a CNN
+        /// (dynamic layers spread out).
+        #[test]
+        fn summary_gamma_matches_walk_back(
+            model_pick in 0usize..2,
+            sparsities in prop::collection::vec(0.0f64..1.0, 1..120),
+        ) {
+            let model = [ModelId::Bert, ModelId::MobileNet][model_pick];
+            let spec = SparseModelSpec::new(model, SparsityPattern::Dense, 0.0);
+            let mut store = TraceStore::new();
+            store.insert(ModelTraces::generate(&spec, 8, 29));
+            let lut = ModelInfoLut::from_store(&store);
+            let info = lut.expect(&spec);
+            let mut task = mk(0, spec, &lut, 0);
+            let stream = &sparsities[..sparsities.len().min(info.num_layers())];
+            for (j, &s) in stream.iter().enumerate() {
+                task.next_layer = j + 1;
+                task.record_layer(s, info);
+                // `F16` equality compares the half-precision bits.
+                prop_assert_eq!(
+                    gamma(&task, &lut),
+                    walk_back_gamma(&stream[..=j], info),
+                    "prefix {}",
+                    j + 1
+                );
+            }
         }
     }
 }

@@ -4,6 +4,7 @@ use dysta_core::{ModelInfoLut, Scheduler};
 use dysta_obs::{EventKind, NullTracer, TraceEvent, Tracer, NODE_FRONTEND};
 use dysta_workload::Workload;
 
+use crate::labels::VariantLabels;
 use crate::node::NodeEngine;
 use crate::report::SimReport;
 
@@ -71,11 +72,7 @@ pub fn simulate_traced<T: Tracer>(
     assert!(!requests.is_empty(), "workload must contain requests");
     let lut = ModelInfoLut::from_store(workload.store());
     tracer.name_node(0, "node0");
-    // Intern one label per model variant (indexed by the request's
-    // variant id); the per-request loop then reuses ids (and one
-    // scratch string) instead of re-formatting.
-    let mut labels: Vec<Option<u32>> = vec![None; lut.len()];
-    let mut scratch = String::new();
+    let mut labels = VariantLabels::new(lut.len());
     let mut node: NodeEngine<'_, &mut dyn Scheduler, &T> =
         NodeEngine::with_tracer(0, scheduler, *config, lut, &tracer);
     for req in requests {
@@ -86,17 +83,7 @@ pub fn simulate_traced<T: Tracer>(
             // A deadline-free request (`slo_ns == u64::MAX`) saturates
             // to `i64::MAX`, the cluster front end's encoding.
             let slo_ns = req.slo_ns.min(i64::MAX as u64) as i64;
-            let label = match labels[req.variant.index()] {
-                Some(id) => id,
-                None => {
-                    use std::fmt::Write as _;
-                    scratch.clear();
-                    write!(scratch, "{}", req.spec).expect("write to String");
-                    let id = tracer.intern(&scratch);
-                    labels[req.variant.index()] = Some(id);
-                    id
-                }
-            };
+            let label = labels.id(&tracer, req);
             tracer.record(TraceEvent {
                 t_ns: req.arrival_ns,
                 request: req.id,

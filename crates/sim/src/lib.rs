@@ -37,10 +37,12 @@
 #![warn(missing_docs)]
 
 mod engine;
+mod labels;
 mod node;
 mod report;
 
 pub use engine::{simulate, simulate_traced, EngineConfig};
+pub use labels::VariantLabels;
 pub use node::{NodeEngine, TransferableTask};
 pub use report::{
     percentile_ns, summarize, CompletedRequest, CompletionSummary, Metrics, SimReport,

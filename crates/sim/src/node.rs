@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 
-use dysta_core::{scale_ns, ModelInfoLut, MonitoredLayer, Scheduler, TaskQueue, TaskState};
+use dysta_core::{scale_ns, ModelInfoLut, Scheduler, TaskQueue, TaskState};
 use dysta_obs::{EventKind, NullTracer, Phase, TraceEvent, Tracer};
 use dysta_trace::SampleTrace;
 use dysta_workload::Request;
@@ -70,11 +70,12 @@ impl TransferableTask<'_> {
 /// which the running segment absorbs — the node is busy fetching then,
 /// not idle.
 struct OpenSegment {
-    /// Index into the task arena. Stable while the segment is open:
-    /// a slot is freed only after its task's segment was flushed
-    /// (completion and [`NodeEngine::crash_salvage`] flush first, and
+    /// Position of the running task in the node's live list. A task
+    /// leaves the list only after its segment was flushed (completion
+    /// and [`NodeEngine::crash_salvage`] flush first, and
     /// [`NodeEngine::take_unstarted`] only takes tasks that never ran,
-    /// so never the open segment's).
+    /// so never the open segment's), but a withdrawal can move the
+    /// running task: [`NodeEngine::remove`] re-points this then.
     task_idx: usize,
     start_ns: u64,
     /// The task's `next_layer` when the segment opened.
@@ -121,36 +122,22 @@ pub struct NodeEngine<'w, S = Box<dyn Scheduler>, T = NullTracer> {
     open_seg: Option<OpenSegment>,
     /// Enqueued-but-not-admitted requests, in arrival order.
     pending: VecDeque<PendingTask<'w>>,
-    /// The task arena: one slot per admitted, unfinished task, plus
-    /// freed slots awaiting reuse (listed in `free`). A task leaves its
-    /// slot when it completes, is withdrawn by
-    /// [`NodeEngine::take_unstarted`] or is salvaged by
-    /// [`NodeEngine::crash_salvage`], so the arena's length is the
-    /// high-water mark of `active.len()`, not the number of requests
-    /// served. `traces`, `scales` and `remaining` are parallel to it.
+    /// The live list: every admitted, unfinished task. Admission
+    /// pushes; completion and [`NodeEngine::take_unstarted`]
+    /// `swap_remove` ([`NodeEngine::remove`]); [`NodeEngine::crash_salvage`]
+    /// empties it. Order is therefore arbitrary: schedulers must not
+    /// read meaning into queue positions, only into task fields. The
+    /// scheduler's [`TaskQueue`] is this slice, and `queued_tasks` and
+    /// `unstarted_tasks` walk it, so dispatch views sum in list order.
+    /// `traces`, `scales` and `remaining` are parallel to it.
     tasks: Vec<TaskState>,
     traces: Vec<&'w SampleTrace>,
     scales: Vec<f64>,
-    /// Unscaled trace latency of each slot's unexecuted layers: set to
-    /// the whole trace on admission, reduced by each executed layer, so
-    /// a quantum refreshes `true_remaining_ns` without re-summing the
-    /// rest of the trace.
+    /// Unscaled trace latency of each live task's unexecuted layers:
+    /// set to the whole trace on admission, reduced by each executed
+    /// layer, so a quantum refreshes `true_remaining_ns` without
+    /// re-summing the rest of the trace.
     remaining: Vec<u64>,
-    /// Freed arena slots, reused last-in first-out by the next admission.
-    free: Vec<usize>,
-    /// Indices into `tasks` of admitted, unfinished tasks. Order is
-    /// arbitrary (completion removal is `swap_remove`); schedulers must
-    /// not read meaning into queue positions, only into task fields.
-    ///
-    /// Slot reuse keeps every run bit-exact: it changes which slot
-    /// numbers `active` holds, never which tasks it lists or in what
-    /// order (admission still pushes, removal still `swap_remove`s).
-    /// Schedulers see tasks only as positions in a
-    /// [`TaskQueue::indexed`] over `active`; `queued_tasks` and
-    /// `unstarted_tasks` walk `active`, so dispatch views sum in the
-    /// same order; and an [`OpenSegment`] is flushed before its slot
-    /// is freed.
-    active: Vec<usize>,
     /// Bumped on every externally observable mutation (clock movement,
     /// queue change, executed work); a cluster front-end caches its
     /// per-node dispatch views against this.
@@ -204,8 +191,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             traces: Vec::new(),
             scales: Vec::new(),
             remaining: Vec::new(),
-            free: Vec::new(),
-            active: Vec::new(),
             mutation_epoch: 0,
             now_ns: 0,
             last_ran: None,
@@ -261,21 +246,21 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
 
     /// Number of admitted-or-queued unfinished requests.
     pub fn queue_len(&self) -> usize {
-        self.active.len() + self.pending.len()
+        self.tasks.len() + self.pending.len()
     }
 
     /// True when no unfinished work remains anywhere on the node.
     pub fn is_drained(&self) -> bool {
-        self.active.is_empty() && self.pending.is_empty()
+        self.tasks.is_empty() && self.pending.is_empty()
     }
 
     /// Iterates over every unfinished request on the node — admitted
     /// tasks first, then not-yet-admitted arrivals — paired with the
     /// node-local service-time scale each would execute under.
     pub fn queued_tasks(&self) -> impl Iterator<Item = (&TaskState, f64)> {
-        self.active
+        self.tasks
             .iter()
-            .map(|&i| (&self.tasks[i], self.scales[i]))
+            .zip(self.scales.iter().copied())
             .chain(self.pending.iter().map(|p| (&p.task, p.scale)))
     }
 
@@ -283,9 +268,9 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     /// ones a cluster front-end may steal or migrate — paired with the
     /// node-local service-time scale each would execute under.
     pub fn unstarted_tasks(&self) -> impl Iterator<Item = (&TaskState, f64)> {
-        self.active
+        self.tasks
             .iter()
-            .map(|&i| (&self.tasks[i], self.scales[i]))
+            .zip(self.scales.iter().copied())
             .filter(|(t, _)| !t.started())
     }
 
@@ -295,21 +280,13 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     /// in the node's future), or finished — a started task is never
     /// stealable. On success the node's queue shrinks by exactly one.
     pub fn take_unstarted(&mut self, id: u64) -> Option<TransferableTask<'w>> {
-        let pos = self.active.iter().position(|&i| self.tasks[i].id == id)?;
-        let idx = self.active[pos];
-        if self.tasks[idx].started() {
+        let pos = self.tasks.iter().position(|t| t.id == id)?;
+        if self.tasks[pos].started() {
             return None;
         }
-        // `swap_remove` keeps removal O(1); the task moves out of its
-        // slot whole, the `monitored` buffer sized on admission
-        // included.
-        self.active.swap_remove(pos);
         self.mutation_epoch += 1;
-        let task = self.vacate(idx);
-        Some(TransferableTask {
-            task,
-            trace: self.traces[idx],
-        })
+        let (task, trace) = self.remove(pos);
+        Some(TransferableTask { task, trace })
     }
 
     /// Admits a request withdrawn from a peer node at transfer time
@@ -363,9 +340,9 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         self.flush_segment();
         self.mutation_epoch += 1;
         let mut salvaged: Vec<(TransferableTask<'w>, u64)> = Vec::new();
-        let active = std::mem::take(&mut self.active);
-        for idx in active {
-            let task = self.vacate(idx);
+        self.scales.clear();
+        self.remaining.clear();
+        for (task, trace) in self.tasks.drain(..).zip(self.traces.drain(..)) {
             let lost_ns = task.executed_ns;
             let task = if task.started() {
                 // Restart from layer 0: fresh monitor state, no executed
@@ -377,18 +354,12 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
                     task.variant,
                     task.arrival_ns,
                     task.slo_ns,
-                    self.traces[idx].num_layers(),
+                    task.num_layers,
                 )
             } else {
                 task
             };
-            salvaged.push((
-                TransferableTask {
-                    task,
-                    trace: self.traces[idx],
-                },
-                lost_ns,
-            ));
+            salvaged.push((TransferableTask { task, trace }, lost_ns));
         }
         // Pending arrivals never executed; they salvage with zero loss.
         for p in self.pending.drain(..) {
@@ -490,51 +461,34 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         }
     }
 
-    /// Places an admitted task in a free arena slot (the most recently
-    /// freed one), appending a slot only when none is free, and lists
-    /// it as live. Every admitted task is unstarted, so its remainder
-    /// is the whole trace, and its true remaining time is set here
-    /// under this node's scale; its monitor buffer is sized to the
-    /// layer count here, so recording layers never reallocates
-    /// mid-flight.
+    /// Appends an admitted task to the live list. Every admitted task
+    /// is unstarted, so its remainder is the whole trace, and its true
+    /// remaining time is set here under this node's scale.
     fn occupy(&mut self, mut task: TaskState, trace: &'w SampleTrace, scale: f64) {
         debug_assert!(!task.started(), "only unstarted tasks are admitted");
         let remaining = trace.isolated_latency_ns();
         task.true_remaining_ns = scale_ns(remaining, scale);
-        task.monitored.reserve(task.num_layers);
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.tasks[idx] = task;
-                self.traces[idx] = trace;
-                self.scales[idx] = scale;
-                self.remaining[idx] = remaining;
-                idx
-            }
-            None => {
-                self.tasks.push(task);
-                self.traces.push(trace);
-                self.scales.push(scale);
-                self.remaining.push(remaining);
-                self.tasks.len() - 1
-            }
-        };
-        self.active.push(idx);
+        self.tasks.push(task);
+        self.traces.push(trace);
+        self.scales.push(scale);
+        self.remaining.push(remaining);
     }
 
-    /// Moves the task out of arena slot `idx` and frees the slot. The
-    /// caller has already dropped `idx` from `active`. The slot keeps
-    /// an allocation-free stand-in until [`NodeEngine::occupy`]
-    /// overwrites it; its trace, scale and remainder entries stay
-    /// behind, unread.
-    fn vacate(&mut self, idx: usize) -> TaskState {
-        debug_assert!(
-            self.open_seg.as_ref().is_none_or(|s| s.task_idx != idx),
-            "a slot is freed only after its segment is flushed"
-        );
-        let t = &self.tasks[idx];
-        let stand_in = TaskState::arrived(t.id, t.spec, t.variant, t.arrival_ns, t.slo_ns, 0);
-        self.free.push(idx);
-        std::mem::replace(&mut self.tasks[idx], stand_in)
+    /// Takes the live task at `pos` out of the list in O(1): the last
+    /// live task moves into its place (`swap_remove`). If that is the
+    /// task the open segment runs, the segment follows it. The caller
+    /// has flushed the segment if it belongs to the removed task.
+    fn remove(&mut self, pos: usize) -> (TaskState, &'w SampleTrace) {
+        let last = self.tasks.len() - 1;
+        if let Some(seg) = &mut self.open_seg {
+            debug_assert_ne!(seg.task_idx, pos, "the running task's segment is open");
+            if seg.task_idx == last {
+                seg.task_idx = pos;
+            }
+        }
+        self.scales.swap_remove(pos);
+        self.remaining.swap_remove(pos);
+        (self.tasks.swap_remove(pos), self.traces.swap_remove(pos))
     }
 
     /// Runs one engine step: admit due arrivals, then either execute one
@@ -542,7 +496,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     /// `false` once the node is drained.
     pub fn step(&mut self) -> bool {
         self.admit_due();
-        if self.active.is_empty() {
+        if self.tasks.is_empty() {
             let Some(arrival) = self.pending.front().map(|p| p.task.arrival_ns) else {
                 return false;
             };
@@ -561,7 +515,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     pub fn run_until(&mut self, t_ns: u64) {
         loop {
             self.admit_due();
-            if !self.active.is_empty() {
+            if !self.tasks.is_empty() {
                 if self.now_ns >= t_ns {
                     return;
                 }
@@ -601,18 +555,17 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     fn execute_quantum(&mut self) {
         self.mutation_epoch += 1;
         debug_assert!(
-            !self.active.is_empty(),
+            !self.tasks.is_empty(),
             "execute_quantum needs a runnable task"
         );
         self.invocations += 1;
         let profiling = self.tracer.profiling();
-        let pick = if self.active.len() == 1 {
+        let task_idx = if self.tasks.len() == 1 {
             0
         } else {
-            // The scheduler reads the task arena through the live
-            // indices directly — no per-quantum `Vec<&TaskState>`
-            // materialisation.
-            let queue = TaskQueue::indexed(&self.tasks, &self.active);
+            // The scheduler reads the live list itself — no per-quantum
+            // `Vec<&TaskState>` materialisation.
+            let queue = TaskQueue::dense(&self.tasks);
             let pick_t0 = profiling.then(std::time::Instant::now);
             let pick = self.scheduler.pick_next(queue, &self.lut, self.now_ns);
             if let Some(t0) = pick_t0 {
@@ -622,10 +575,9 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             pick
         };
         assert!(
-            pick < self.active.len(),
+            task_idx < self.tasks.len(),
             "scheduler returned out-of-range index"
         );
-        let task_idx = self.active[pick];
         let exec_t0 = profiling.then(std::time::Instant::now);
 
         // Pay the context switch when execution moves between requests.
@@ -679,13 +631,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             let task = &mut self.tasks[task_idx];
             task.next_layer += 1;
             task.executed_ns += latency_ns;
-            task.record_layer(
-                MonitoredLayer {
-                    sparsity: layer.sparsity,
-                    latency_ns,
-                },
-                info,
-            );
+            task.record_layer(layer.sparsity, info);
             self.remaining[task_idx] -= layer.latency_ns;
             task.true_remaining_ns = scale_ns(self.remaining[task_idx], scale);
             debug_assert_eq!(
@@ -730,14 +676,13 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
                 isolated_ns: trace.isolated_latency_ns(),
                 slo_ns: task.slo_ns,
             });
-            // O(1) removal. The hole is filled by the last active entry,
-            // so scheduler-visible queue *order* changes — every shipped
+            // O(1) removal. The hole is filled by the last live task, so
+            // scheduler-visible queue *order* changes — every shipped
             // scheduler decides from task fields with id tie-breaks, so
             // decisions are order-independent (pinned by the determinism
             // regression tests in `engine.rs`). The segment was flushed
-            // above, so the slot can go back to the free list.
-            self.active.swap_remove(pick);
-            self.vacate(task_idx);
+            // above.
+            self.remove(task_idx);
         }
     }
 
@@ -1107,56 +1052,44 @@ mod tests {
         node.enqueue_scaled_at(req, w.trace_for(req), 1.0, req.arrival_ns - 1);
     }
 
-    /// Arena invariants, checked after every operation on one node.
+    /// Live-list invariants, checked after every operation on one node.
     #[derive(Default)]
-    struct ArenaCheck {
+    struct LiveCheck {
         /// Most tasks ever live on the node at once.
-        high_water: usize,
+        peak_live: usize,
     }
 
-    impl ArenaCheck {
+    impl LiveCheck {
         fn check(&mut self, node: &NodeEngine<'_>) {
-            self.high_water = self.high_water.max(node.active.len());
-            assert_eq!(
-                node.tasks.len(),
-                self.high_water,
-                "a slot is appended only when none is free"
-            );
+            self.peak_live = self.peak_live.max(node.tasks.len());
             assert_eq!(node.traces.len(), node.tasks.len());
             assert_eq!(node.scales.len(), node.tasks.len());
             assert_eq!(node.remaining.len(), node.tasks.len());
-            let mut slots: Vec<usize> = node.active.iter().chain(&node.free).copied().collect();
-            slots.sort_unstable();
-            assert!(
-                slots.iter().copied().eq(0..node.tasks.len()),
-                "live and free slots partition the arena"
-            );
-            // The running remainder of every live slot equals the suffix
+            // The running remainder of every live task equals the suffix
             // walk of its trace, so the Oracle's ground truth matches
-            // the trace at any scale and after any slot reuse.
-            for &idx in &node.active {
-                let (task, trace) = (&node.tasks[idx], node.traces[idx]);
+            // the trace at any scale and after any move in the list.
+            for (pos, (task, trace)) in node.tasks.iter().zip(&node.traces).enumerate() {
                 assert_eq!(
-                    node.remaining[idx],
+                    node.remaining[pos],
                     trace.remaining_ns(task.next_layer),
                     "request {} carries a stale remainder",
                     task.id
                 );
                 assert_eq!(
                     task.true_remaining_ns,
-                    scale_ns(trace.remaining_ns(task.next_layer), node.scales[idx]),
+                    scale_ns(trace.remaining_ns(task.next_layer), node.scales[pos]),
                     "request {} reports a stale true remaining time",
                     task.id
                 );
             }
-            // The queue the next pick folds over: a reused slot must show
-            // only its new task's own progress.
-            for task in TaskQueue::indexed(&node.tasks, &node.active).iter() {
+            // The queue the next pick folds over: each task shows only
+            // its own progress.
+            for task in &node.tasks {
                 assert!(!task.finished(), "request {} already finished", task.id);
                 assert_eq!(
-                    task.monitored.len(),
+                    task.sparsity.layers(),
                     task.next_layer,
-                    "request {} sees stale monitor records",
+                    "request {} monitored a layer it did not run",
                     task.id
                 );
                 if !task.started() {
@@ -1171,20 +1104,20 @@ mod tests {
     fn arena_slots_track_concurrency_and_reuse_cleanly() {
         // One loaded FCFS source and one Dysta destination (preemptive,
         // so many tasks there hold partial progress at once), driven
-        // through every way a task enters or leaves an arena.
+        // through every way a task enters or leaves a live list.
         let w = tiny(16);
         let lut = ModelInfoLut::from_store(w.store());
         let mut src = engine_for(&w, Policy::Fcfs);
         let mut dst: NodeEngine =
             NodeEngine::new(1, Policy::Dysta.build(), EngineConfig::default(), lut);
-        let (mut src_check, mut dst_check) = (ArenaCheck::default(), ArenaCheck::default());
+        let (mut src_check, mut dst_check) = (LiveCheck::default(), LiveCheck::default());
 
         // Admissions and completions.
         let barrier = w.requests()[20].arrival_ns;
         while src.now_ns() < barrier && src.step() {
             src_check.check(&src);
         }
-        assert!(src.completed_count() > 0, "completions freed slots");
+        assert!(src.completed_count() > 0, "completions left the list");
 
         // Withdrawals land on the destination at a mismatch scale.
         for _ in 0..3 {
@@ -1205,16 +1138,12 @@ mod tests {
             dst_check.check(&dst);
         }
 
-        // A crash frees every slot; the salvage, started requests
-        // restarted from layer 0, reuses the destination's at both
+        // A crash empties the list; the salvage, started requests
+        // restarted from layer 0, joins the destination's at both
         // scales.
         let salvaged = src.crash_salvage();
         src_check.check(&src);
-        assert_eq!(
-            src.free.len(),
-            src.tasks.len(),
-            "a crashed node holds no task"
-        );
+        assert!(src.is_drained(), "a crashed node holds no task");
         assert!(
             salvaged.iter().any(|(_, lost_ns)| *lost_ns > 0),
             "the crash salvages a started request"
@@ -1230,10 +1159,79 @@ mod tests {
 
         let served = src.completed_count() + dst.completed_count();
         assert_eq!(served, 30, "every request completes exactly once");
+        // Each node held several tasks at once, yet never one per
+        // request: the live list tracks concurrency, not the trace.
+        assert!(src_check.peak_live > 1 && dst_check.peak_live > 1);
         assert!(
-            src.tasks.len() + dst.tasks.len() < served,
-            "slots were reused rather than one kept per request"
+            src_check.peak_live + dst_check.peak_live < served,
+            "peak live tasks {} + {} should stay below the {served} served",
+            src_check.peak_live,
+            dst_check.peak_live
         );
+    }
+
+    #[test]
+    fn withdrawal_below_the_running_task_keeps_its_segment() {
+        // FCFS over three requests admitted at once: the first completes
+        // and `swap_remove` moves the third into its place, so the
+        // second runs from the last position. Withdrawing the third
+        // (below it) moves the running task again; its open segment must
+        // follow, or the position it left, refilled by the next
+        // admission, would close as another request's segment.
+        let w = tiny(17);
+        let lut = ModelInfoLut::from_store(w.store());
+        let tracer = dysta_obs::RingTracer::new(1 << 12);
+        let mut node: NodeEngine<'_, Box<dyn Scheduler>, &dysta_obs::RingTracer> =
+            NodeEngine::with_tracer(
+                0,
+                Policy::Fcfs.build(),
+                EngineConfig::default(),
+                lut,
+                &tracer,
+            );
+        let reqs = w.requests();
+        for req in &reqs[..3] {
+            node.enqueue_scaled_at(req, w.trace_for(req), 1.0, reqs[2].arrival_ns);
+        }
+        while node.completed_count() == 0 {
+            assert!(node.step());
+        }
+        assert!(node.step());
+        let running = reqs[1].id;
+        assert_eq!(node.tasks.len(), 2);
+        assert_eq!(node.tasks[1].id, running, "the running task sits last");
+        assert!(node.tasks[1].started());
+        let layers_before = node.tasks[1].next_layer;
+
+        let withdrawn = node.take_unstarted(reqs[2].id).expect("unstarted");
+        assert_eq!(node.tasks[0].id, running, "the withdrawal moved it");
+        let late = &reqs[3];
+        let at_ns = node.now_ns().max(late.arrival_ns);
+        node.enqueue_scaled_at(late, w.trace_for(late), 1.0, at_ns);
+        node.run_to_completion();
+
+        let num_layers = withdrawn.task().num_layers;
+        assert!(num_layers > layers_before);
+        let segments: Vec<TraceEvent> = tracer
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::Segment)
+            .collect();
+        // The running task's segment spans from its first layer to its
+        // completion, uninterrupted by the withdrawal and the admission.
+        let own: Vec<&TraceEvent> = segments.iter().filter(|e| e.request == running).collect();
+        assert_eq!(own.len(), 1, "one segment for request {running}");
+        assert_eq!(own[0].b as usize, w.trace_for(&reqs[1]).num_layers());
+        // Every completed request's segments cover its layers exactly.
+        for req in [&reqs[0], &reqs[1], late] {
+            let layers: i64 = segments
+                .iter()
+                .filter(|e| e.request == req.id)
+                .map(|e| e.b)
+                .sum();
+            assert_eq!(layers as usize, w.trace_for(req).num_layers());
+        }
+        assert!(segments.iter().all(|e| e.request != reqs[2].id));
     }
 
     #[test]

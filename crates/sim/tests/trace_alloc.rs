@@ -2,8 +2,9 @@
 //! path: recording into a [`NullTracer`] is free, recording into a
 //! [`RingTracer`] is allocation-free even across ring wraparound, and a
 //! fully traced engine run allocates exactly as much as an untraced one.
-//! Also pins that a task moved between nodes executes its layers
-//! without allocating, like one admitted in place.
+//! Also pins that admitting into a node whose live list has grown
+//! allocates nothing, and that a task moved between nodes executes its
+//! layers without allocating, like one admitted in place.
 //!
 //! Same counting-global-allocator pattern as `crates/core/tests/
 //! alloc_free.rs`: a thread-local counter measures the exact region
@@ -164,13 +165,47 @@ fn layer_execution_allocs(node: &mut NodeEngine<'_>, num_layers: usize) -> u64 {
 }
 
 #[test]
-fn moved_tasks_keep_their_presized_monitor_buffer() {
-    // A transfer moves the task out of its arena slot whole, so the
-    // monitored buffer the source node sized to the layer count on
-    // admission arrives intact and recording the layers never
-    // reallocates. Both
-    // ways out of a node are covered: a steal/migration withdrawal and
-    // a crash salvage of never-started work.
+fn admitting_into_a_warm_node_allocates_nothing() {
+    // A task's monitor state is a fixed-size part of `TaskState`, so
+    // admission only pushes onto the node's live list: once the list
+    // has grown to hold every request at once, admitting them all again
+    // allocates nothing.
+    let w = alloc_workload();
+    let lut = ModelInfoLut::from_store(w.store());
+    let mut node: NodeEngine<'_> =
+        NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), lut);
+    let requests = w.requests();
+    let dispatch_ns = requests.last().expect("non-empty").arrival_ns;
+    for req in requests {
+        node.enqueue_scaled_at(req, w.trace_for(req), 1.0, dispatch_ns);
+    }
+    node.run_until(dispatch_ns + 1);
+    assert_eq!(
+        node.unstarted_tasks().count() + 1,
+        requests.len(),
+        "one quantum admits every request and starts one"
+    );
+    node.run_to_completion();
+
+    let now_ns = node.now_ns();
+    let allocs = allocations_in(|| {
+        for req in requests {
+            node.enqueue(req, w.trace_for(req));
+        }
+        // Admits every due arrival, then stops before executing.
+        node.run_until(now_ns);
+    });
+    assert_eq!(node.unstarted_tasks().count(), requests.len());
+    assert_eq!(allocs, 0, "admission into a warm node allocated");
+}
+
+#[test]
+fn moved_tasks_execute_their_layers_without_allocating() {
+    // A transfer moves the task out of the node's live list whole, its
+    // fixed-size monitor state included, so executing its layers on
+    // the receiving node never allocates. Both ways out of a node are
+    // covered: a steal/migration withdrawal and a crash salvage of
+    // never-started work.
     let w = alloc_workload();
     let lut = ModelInfoLut::from_store(w.store());
     // Every request is dispatched at the last arrival, so one quantum
@@ -194,7 +229,7 @@ fn moved_tasks_keep_their_presized_monitor_buffer() {
         .expect("unstarted work exists");
     let stolen = src.take_unstarted(victim).expect("victim is unstarted");
     // An admitted task the crash moves out as is (pending arrivals
-    // never held an arena slot, started ones are rebuilt).
+    // were never admitted, started ones are rebuilt).
     let queued = src
         .unstarted_tasks()
         .map(|(t, _)| t.id)
