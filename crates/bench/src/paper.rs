@@ -265,12 +265,11 @@ fn rmse_for(model: ModelId, strategy: CoeffStrategy, samples: u64) -> f64 {
             true_remaining_ns: trace.isolated_latency_ns(),
             ..TaskState::arrived(idx, spec, variant, 0, u64::MAX / 2, trace.num_layers())
         };
-        for (j, layer) in trace.layers().iter().enumerate() {
-            task.next_layer = j + 1;
+        for layer in trace.layers() {
             // Feed the monitor the way the engine does.
             task.record_layer(layer.sparsity, info);
             let predicted_s = predictor.remaining_ns(&task, info) / 1e9;
-            let truth_s = trace.remaining_ns(j + 1) as f64 / 1e9;
+            let truth_s = trace.remaining_ns(task.next_layer) as f64 / 1e9;
             sq_err += (predicted_s - truth_s).powi(2);
             count += 1;
         }

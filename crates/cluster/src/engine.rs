@@ -1173,7 +1173,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             }
             let scale = self.dispatch_scale(target, request.spec.model.family());
             let trace = self.source.trace_for(&request);
-            self.nodes[target].enqueue_scaled_at(&request, trace, scale, t);
+            self.nodes[target].enqueue(&request, trace, scale, t);
             self.mark_live(target);
             self.ledger[target].routed += 1;
             self.serving.admission_wait_ns.push(t - request.arrival_ns);

@@ -142,10 +142,12 @@ proptest! {
         let lut = ModelInfoLut::from_store(w.store());
         let mut node: NodeEngine =
             NodeEngine::new(0, Policy::Dysta.build(), EngineConfig::default(), lut);
-        for req in w.requests() {
-            node.enqueue(req, w.trace_for(req));
+        let barrier = w.requests()[barrier_index].arrival_ns;
+        for req in w.requests().iter().take_while(|r| r.arrival_ns < barrier) {
+            node.run_until(req.arrival_ns);
+            node.enqueue(req, w.trace_for(req), 1.0, req.arrival_ns);
         }
-        node.run_until(w.requests()[barrier_index].arrival_ns);
+        node.run_until(barrier);
 
         let started: Vec<u64> = node
             .queued_tasks()

@@ -260,7 +260,6 @@ mod tests {
         // reports `last`.
         let monitored = |id, last: f64| {
             let mut task = mk(id, spec, &lut, 0, u64::MAX / 4);
-            task.next_layer = dyn_layer + 1;
             for layer in 0..=dyn_layer {
                 let sparsity = if layer == dyn_layer { last } else { 0.0 };
                 task.record_layer(sparsity, info);

@@ -118,7 +118,6 @@ mod tests {
     ) -> TaskState {
         let variant = lut.variant_id(&spec).expect("spec profiled");
         let mut task = TaskState {
-            next_layer: upto,
             executed_ns: trace.layers()[..upto].iter().map(|l| l.latency_ns).sum(),
             true_remaining_ns: trace.remaining_ns(upto),
             ..TaskState::arrived(0, spec, variant, 0, u64::MAX / 2, trace.num_layers())

@@ -13,8 +13,6 @@ use crate::ModelInfo;
 /// task's executed layers per decision.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SparsitySummary {
-    /// Number of layers recorded so far, dynamic or not.
-    layers: u32,
     /// Number of dynamic layers observed so far.
     pub ratio_count: u32,
     /// Sum of their density ratios, in execution order.
@@ -33,12 +31,6 @@ impl SparsitySummary {
         self.recent[(self.ratio_count % 3) as usize] = ratio;
         self.ratio_count += 1;
         self.ratio_sum += ratio;
-    }
-
-    /// Number of layers recorded so far, dynamic or not: the index of
-    /// the next layer [`TaskState::record_layer`] folds in.
-    pub fn layers(&self) -> usize {
-        self.layers as usize
     }
 
     /// Index and raw monitored sparsity of the most recent dynamic
@@ -142,17 +134,17 @@ impl TaskState {
         }
     }
 
-    /// Folds the monitored `sparsity` of the next executed layer into
-    /// the running [`SparsitySummary`]: its density ratio and raw
-    /// sparsity count when the layer has a dynamic-sparsity source in
-    /// `info` (the task's own LUT entry).
+    /// Completes layer `next_layer` and advances it, folding the
+    /// layer's monitored `sparsity` into the running
+    /// [`SparsitySummary`]: its density ratio and raw sparsity count
+    /// when the layer has a dynamic-sparsity source in `info` (the
+    /// task's own LUT entry).
     pub fn record_layer(&mut self, sparsity: f64, info: &ModelInfo) {
-        let summary = &mut self.sparsity;
-        let layer = summary.layers;
-        summary.layers += 1;
-        if let Some(ratio) = info.density_ratio(layer as usize, sparsity) {
-            summary.observe(ratio);
-            summary.last_dynamic = Some((layer, sparsity));
+        let layer = self.next_layer;
+        self.next_layer += 1;
+        if let Some(ratio) = info.density_ratio(layer, sparsity) {
+            self.sparsity.observe(ratio);
+            self.sparsity.last_dynamic = Some((layer as u32, sparsity));
         }
     }
 

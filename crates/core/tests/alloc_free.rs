@@ -89,7 +89,6 @@ fn mid_execution_queue(n: usize) -> (Vec<TaskState>, ModelInfoLut) {
                     trace.num_layers(),
                 )
             };
-            task.next_layer = upto;
             for layer in &trace.layers()[..upto] {
                 task.record_layer(layer.sparsity, info);
             }

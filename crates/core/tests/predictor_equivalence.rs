@@ -84,7 +84,6 @@ proptest! {
         // equivalence at *every* prefix, not just the final state.
         let mut task = TaskState::arrived(0, spec, variant, 0, u64::MAX / 2, num_layers);
         for (j, &s) in stream.iter().enumerate() {
-            task.next_layer = j + 1;
             task.record_layer(s, info);
             for strategy in strategies {
                 let predictor = SparseLatencyPredictor::new(strategy);
@@ -109,6 +108,6 @@ proptest! {
         prop_assert_eq!(task.sparsity.ratio_count, batch.ratio_count);
         prop_assert_eq!(task.sparsity.ratio_sum.to_bits(), batch.ratio_sum.to_bits());
         prop_assert_eq!(task.sparsity.last_three_mean(), batch.last_three_mean());
-        prop_assert_eq!(task.sparsity.layers(), stream.len());
+        prop_assert_eq!(task.next_layer, stream.len());
     }
 }

@@ -68,7 +68,6 @@ fn materialize(
             let num_layers = info.num_layers();
             let next_layer = ((num_layers as f64 * p.progress_frac) as usize).min(num_layers - 1);
             let mut task = TaskState {
-                next_layer,
                 executed_ns: (info.avg_remaining_ns(0) - info.avg_remaining_ns(next_layer)).max(0.0)
                     as u64,
                 true_remaining_ns: info.avg_remaining_ns(next_layer) as u64,

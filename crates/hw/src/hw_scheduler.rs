@@ -195,7 +195,6 @@ mod tests {
         // reports `last`.
         let monitored = |id, last: f64| {
             let mut task = mk(id, spec, &lut, 0);
-            task.next_layer = dyn_layer + 1;
             for layer in 0..=dyn_layer {
                 let sparsity = if layer == dyn_layer { last } else { 0.0 };
                 task.record_layer(sparsity, info);
@@ -296,7 +295,6 @@ mod tests {
             let mut task = mk(0, spec, &lut, 0);
             let stream = &sparsities[..sparsities.len().min(info.num_layers())];
             for (j, &s) in stream.iter().enumerate() {
-                task.next_layer = j + 1;
                 task.record_layer(s, info);
                 // `F16` equality compares the half-precision bits.
                 prop_assert_eq!(

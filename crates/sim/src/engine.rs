@@ -50,11 +50,12 @@ pub fn simulate(
     simulate_traced(workload, scheduler, config, NullTracer)
 }
 
-/// Replays `workload` under `scheduler` on one [`NodeEngine`]: every
-/// request is enqueued up front, and the node runs to completion. The
-/// node reports to `tracer` (pass `&RingTracer` to record), emitting an
-/// arrival and a dispatch event per request up front plus execution
-/// segments, preemptions, and completions as the run unfolds.
+/// Replays `workload` under `scheduler` on one [`NodeEngine`]: the node
+/// runs up to each request's arrival, admits the request there, and
+/// runs to completion after the last one. The node reports to `tracer`
+/// (pass `&RingTracer` to record): an arrival and a dispatch event per
+/// request at its admission, and execution segments, preemptions, and
+/// completions as the run unfolds.
 ///
 /// The returned report does not depend on the tracer — tracing
 /// observes the run without perturbing it (pinned by tests).
@@ -79,6 +80,7 @@ pub fn simulate_traced<T: Tracer>(
         // The node and every lookup below index by the variant id:
         // check once, here, that it names the request's spec.
         req.assert_variant_in(workload.store());
+        node.run_until(req.arrival_ns);
         if tracer.enabled() {
             // A deadline-free request (`slo_ns == u64::MAX`) saturates
             // to `i64::MAX`, the cluster front end's encoding.
@@ -103,7 +105,7 @@ pub fn simulate_traced<T: Tracer>(
                 b: slo_ns,
             });
         }
-        node.enqueue(req, workload.trace_for(req));
+        node.enqueue(req, workload.trace_for(req), 1.0, req.arrival_ns);
     }
     node.run_to_completion();
     node.into_report()

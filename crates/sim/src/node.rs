@@ -1,24 +1,25 @@
 //! The resumable per-accelerator engine.
 //!
 //! [`NodeEngine`] is the paper's single-accelerator event loop broken
-//! into explicit, externally driveable steps — admit due arrivals, pick,
-//! execute one scheduling quantum — so that a pool of nodes can be
-//! co-simulated on a shared global clock (see the `dysta-cluster` crate).
-//! The classic whole-workload [`crate::simulate`] is a thin wrapper that
-//! enqueues every request up front and runs the engine to completion.
+//! into explicit, externally driveable steps — admit, pick, execute one
+//! scheduling quantum — so that a pool of nodes can be co-simulated on a
+//! shared global clock (see the `dysta-cluster` crate). The caller owns
+//! the arrivals: a node holds only admitted work, and
+//! [`NodeEngine::enqueue`] admits a request at once. The classic
+//! whole-workload [`crate::simulate`] is a thin wrapper that feeds each
+//! request at its arrival and runs the engine to completion.
 //!
 //! # Time model
 //!
 //! Each node owns a local clock `now_ns`. Executing a quantum advances
 //! the clock by the quantum's service time (plus a context-switch
-//! penalty when execution moves between requests); when the node is idle
-//! it jumps forward to the next queued arrival. A cluster driver keeps
-//! nodes causally consistent by calling [`NodeEngine::run_until`] with
-//! each request's arrival time before routing it: every quantum that
-//! *starts* before the arrival has then been executed, which is exactly
-//! the information a real dispatcher could have observed.
-
-use std::collections::VecDeque;
+//! penalty when execution moves between requests); an idle node's clock
+//! stands still until the next enqueue or transfer pulls it forward to
+//! that instant. A driver keeps a node causally consistent by calling
+//! [`NodeEngine::run_until`] with each request's arrival (or dispatch)
+//! time before enqueueing it: every quantum that *starts* before that
+//! instant has then been executed, which is exactly the information a
+//! real dispatcher could have observed.
 
 use dysta_core::{scale_ns, ModelInfoLut, Scheduler, TaskQueue, TaskState};
 use dysta_obs::{EventKind, NullTracer, Phase, TraceEvent, Tracer};
@@ -27,16 +28,6 @@ use dysta_workload::Request;
 
 use crate::report::{CompletedRequest, SimReport};
 use crate::EngineConfig;
-
-/// A request queued on a node but not yet visible to the scheduler
-/// (its arrival time is still in the node's future).
-struct PendingTask<'w> {
-    task: TaskState,
-    trace: &'w SampleTrace,
-    /// Service-time multiplier on this node (1.0 = the trace's native
-    /// accelerator; >1 models running on a mismatched accelerator).
-    scale: f64,
-}
 
 /// A queued, never-started request withdrawn from one node so a cluster
 /// front-end can hand it to a peer (work stealing / migration).
@@ -82,7 +73,7 @@ struct OpenSegment {
     start_layer: usize,
 }
 
-/// A single simulated accelerator node: scheduler, task queues, local
+/// A single simulated accelerator node: scheduler, live-task list, local
 /// clock, and completion records.
 ///
 /// Generic over the scheduler storage so the single-node wrapper can
@@ -106,7 +97,8 @@ struct OpenSegment {
 /// let lut = ModelInfoLut::from_store(w.store());
 /// let mut node = NodeEngine::new(0, Policy::Sjf.build(), EngineConfig::default(), lut);
 /// for req in w.requests() {
-///     node.enqueue(req, w.trace_for(req));
+///     node.run_until(req.arrival_ns);
+///     node.enqueue(req, w.trace_for(req), 1.0, req.arrival_ns);
 /// }
 /// node.run_to_completion();
 /// assert_eq!(node.into_report().completed().len(), 10);
@@ -120,9 +112,8 @@ pub struct NodeEngine<'w, S = Box<dyn Scheduler>, T = NullTracer> {
     /// Tracing only: the in-progress execution segment (see
     /// [`OpenSegment`]). Stays `None` under a disabled tracer.
     open_seg: Option<OpenSegment>,
-    /// Enqueued-but-not-admitted requests, in arrival order.
-    pending: VecDeque<PendingTask<'w>>,
     /// The live list: every admitted, unfinished task. Admission
+    /// ([`NodeEngine::enqueue`], [`NodeEngine::accept_transfer`])
     /// pushes; completion and [`NodeEngine::take_unstarted`]
     /// `swap_remove` ([`NodeEngine::remove`]); [`NodeEngine::crash_salvage`]
     /// empties it. Order is therefore arbitrary: schedulers must not
@@ -186,7 +177,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             lut,
             tracer,
             open_seg: None,
-            pending: VecDeque::new(),
             tasks: Vec::new(),
             traces: Vec::new(),
             scales: Vec::new(),
@@ -244,29 +234,26 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         &self.completed[cursor..]
     }
 
-    /// Number of admitted-or-queued unfinished requests.
+    /// Number of unfinished requests on the node.
     pub fn queue_len(&self) -> usize {
-        self.tasks.len() + self.pending.len()
+        self.tasks.len()
     }
 
-    /// True when no unfinished work remains anywhere on the node.
+    /// True when no unfinished work remains on the node.
     pub fn is_drained(&self) -> bool {
-        self.tasks.is_empty() && self.pending.is_empty()
+        self.tasks.is_empty()
     }
 
-    /// Iterates over every unfinished request on the node — admitted
-    /// tasks first, then not-yet-admitted arrivals — paired with the
-    /// node-local service-time scale each would execute under.
+    /// Iterates over every unfinished request on the node, in live-list
+    /// order, paired with the node-local service-time scale each
+    /// executes under.
     pub fn queued_tasks(&self) -> impl Iterator<Item = (&TaskState, f64)> {
-        self.tasks
-            .iter()
-            .zip(self.scales.iter().copied())
-            .chain(self.pending.iter().map(|p| (&p.task, p.scale)))
+        self.tasks.iter().zip(self.scales.iter().copied())
     }
 
-    /// Iterates the *admitted but never started* requests — the only
-    /// ones a cluster front-end may steal or migrate — paired with the
-    /// node-local service-time scale each would execute under.
+    /// Iterates the *never started* requests — the only ones a cluster
+    /// front-end may steal or migrate — paired with the node-local
+    /// service-time scale each would execute under.
     pub fn unstarted_tasks(&self) -> impl Iterator<Item = (&TaskState, f64)> {
         self.tasks
             .iter()
@@ -274,11 +261,11 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             .filter(|(t, _)| !t.started())
     }
 
-    /// Withdraws the admitted request `id` from the node, provided it
-    /// has not executed a single layer. Returns `None` when the request
-    /// is unknown here, already started, pending (its arrival is still
-    /// in the node's future), or finished — a started task is never
-    /// stealable. On success the node's queue shrinks by exactly one.
+    /// Withdraws the request `id` from the node, provided it has not
+    /// executed a single layer. Returns `None` when the request is
+    /// unknown here, already started, or finished — a started task is
+    /// never stealable. On success the node's queue shrinks by exactly
+    /// one.
     pub fn take_unstarted(&mut self, id: u64) -> Option<TransferableTask<'w>> {
         let pos = self.tasks.iter().position(|t| t.id == id)?;
         if self.tasks[pos].started() {
@@ -311,20 +298,13 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         at_ns: u64,
         fetch_ns: u64,
     ) {
-        assert!(
-            scale >= 1.0 && scale.is_finite(),
-            "service-time scale must be >= 1"
-        );
         let TransferableTask { task, trace } = transfer;
         assert!(!task.started(), "only unstarted tasks can transfer");
-        self.now_ns = self.now_ns.max(at_ns).saturating_add(fetch_ns);
-        self.busy_ns += fetch_ns;
-        self.mutation_epoch += 1;
-        self.occupy(task, trace, scale);
+        self.admit(task, trace, scale, at_ns, fetch_ns);
     }
 
-    /// Crashes the node: every unfinished request — queued, pending,
-    /// *and in-flight* — is withdrawn for re-dispatch elsewhere, and the
+    /// Crashes the node: every unfinished request — queued *and
+    /// in-flight* — is withdrawn for re-dispatch elsewhere, and the
     /// node is left drained. Returns the withdrawn requests in
     /// `(arrival, id)` order, each paired with the executed work the
     /// crash destroyed on this node (0 for never-started requests).
@@ -361,22 +341,21 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             };
             salvaged.push((TransferableTask { task, trace }, lost_ns));
         }
-        // Pending arrivals never executed; they salvage with zero loss.
-        for p in self.pending.drain(..) {
-            salvaged.push((
-                TransferableTask {
-                    task: p.task,
-                    trace: p.trace,
-                },
-                0,
-            ));
-        }
         self.last_ran = None;
         salvaged.sort_by_key(|(t, _)| (t.task.arrival_ns, t.task.id));
         salvaged
     }
 
-    /// Queues `request` on the node at its native service time.
+    /// Admits `request` on the node at the front-end dispatch instant
+    /// `at_ns`, with a service-time multiplier `scale` (1.0 = the trace's
+    /// native accelerator; >1 models running on an accelerator the
+    /// model was not profiled on). The request keeps its original
+    /// arrival time (turnaround metrics keep charging any admission
+    /// wait), but the node cannot start it before `at_ns`: an idle
+    /// node's clock is pulled forward to the dispatch instant, the same
+    /// causality guard [`NodeEngine::accept_transfer`] applies to
+    /// transfers. Call [`NodeEngine::run_until`]`(at_ns)` first, so no
+    /// quantum that starts earlier sees the request.
     ///
     /// The node trusts [`Request::variant`] to name the request's spec
     /// in the store its LUT was built from; the run entry points
@@ -385,58 +364,12 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     ///
     /// # Panics
     ///
-    /// Panics if arrivals are enqueued out of order.
-    pub fn enqueue(&mut self, request: &Request, trace: &'w SampleTrace) {
-        self.enqueue_scaled(request, trace, 1.0);
-    }
-
-    /// Queues `request` like [`NodeEngine::enqueue`], but with a
-    /// service-time multiplier `scale` (≥ 1, modelling execution on an
-    /// accelerator the model was not profiled on), flooring execution at
-    /// the front-end dispatch instant `at_ns`. The request keeps its
-    /// original arrival time (turnaround metrics keep charging the
-    /// admission wait), but the node cannot start it before `at_ns`: an
-    /// idle node's clock is pulled forward to the dispatch instant, the
-    /// same causality guard [`NodeEngine::accept_transfer`] applies to
-    /// transfers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale < 1`, `at_ns` precedes the request's arrival, or
-    /// arrivals are enqueued out of order.
-    pub fn enqueue_scaled_at(
-        &mut self,
-        request: &Request,
-        trace: &'w SampleTrace,
-        scale: f64,
-        at_ns: u64,
-    ) {
+    /// Panics if `scale < 1` or `at_ns` precedes the request's arrival.
+    pub fn enqueue(&mut self, request: &Request, trace: &'w SampleTrace, scale: f64, at_ns: u64) {
         assert!(
             at_ns >= request.arrival_ns,
             "dispatch cannot precede arrival"
         );
-        self.enqueue_scaled(request, trace, scale);
-        self.now_ns = self.now_ns.max(at_ns);
-        self.mutation_epoch += 1;
-    }
-
-    /// Queues `request` with a service-time multiplier (≥ 1), modelling
-    /// execution on an accelerator the model was not profiled on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale < 1` or arrivals are enqueued out of order.
-    fn enqueue_scaled(&mut self, request: &Request, trace: &'w SampleTrace, scale: f64) {
-        assert!(
-            scale >= 1.0 && scale.is_finite(),
-            "service-time scale must be >= 1"
-        );
-        if let Some(back) = self.pending.back() {
-            assert!(
-                back.task.arrival_ns <= request.arrival_ns,
-                "requests must be enqueued in arrival order"
-            );
-        }
         let task = TaskState::arrived(
             request.id,
             request.spec,
@@ -445,27 +378,30 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             request.slo_ns,
             trace.num_layers(),
         );
-        self.pending.push_back(PendingTask { task, trace, scale });
-        self.mutation_epoch += 1;
+        self.admit(task, trace, scale, at_ns, 0);
     }
 
-    /// Admits every queued arrival whose time has come, in arrival
-    /// order.
-    fn admit_due(&mut self) {
-        while let Some(front) = self.pending.front() {
-            if front.task.arrival_ns > self.now_ns {
-                break;
-            }
-            let PendingTask { task, trace, scale } = self.pending.pop_front().expect("non-empty");
-            self.occupy(task, trace, scale);
-        }
-    }
-
-    /// Appends an admitted task to the live list. Every admitted task
-    /// is unstarted, so its remainder is the whole trace, and its true
-    /// remaining time is set here under this node's scale.
-    fn occupy(&mut self, mut task: TaskState, trace: &'w SampleTrace, scale: f64) {
+    /// The one way into the live list: floors the clock at `at_ns`, then
+    /// charges `fetch_ns` of busy time for re-homing the request (0 for
+    /// a fresh dispatch), and appends the unstarted task. Its remainder
+    /// is the whole trace, and its true remaining time is set here under
+    /// this node's scale.
+    fn admit(
+        &mut self,
+        mut task: TaskState,
+        trace: &'w SampleTrace,
+        scale: f64,
+        at_ns: u64,
+        fetch_ns: u64,
+    ) {
+        assert!(
+            scale >= 1.0 && scale.is_finite(),
+            "service-time scale must be >= 1"
+        );
         debug_assert!(!task.started(), "only unstarted tasks are admitted");
+        self.now_ns = self.now_ns.max(at_ns).saturating_add(fetch_ns);
+        self.busy_ns += fetch_ns;
+        self.mutation_epoch += 1;
         let remaining = trace.isolated_latency_ns();
         task.true_remaining_ns = scale_ns(remaining, scale);
         self.tasks.push(task);
@@ -491,44 +427,23 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         (self.tasks.swap_remove(pos), self.traces.swap_remove(pos))
     }
 
-    /// Runs one engine step: admit due arrivals, then either execute one
-    /// scheduling quantum or jump the clock to the next arrival. Returns
-    /// `false` once the node is drained.
+    /// Runs one engine step: executes one scheduling quantum. Returns
+    /// `false`, doing nothing, once the node is drained.
     pub fn step(&mut self) -> bool {
-        self.admit_due();
         if self.tasks.is_empty() {
-            let Some(arrival) = self.pending.front().map(|p| p.task.arrival_ns) else {
-                return false;
-            };
-            self.now_ns = self.now_ns.max(arrival);
-            self.mutation_epoch += 1;
-            self.admit_due();
+            return false;
         }
         self.execute_quantum();
         true
     }
 
     /// Advances the node up to (exclusive) `t_ns`: every quantum that
-    /// would *start* before `t_ns` is executed, and idle gaps before
-    /// `t_ns` are skipped. The clock may end beyond `t_ns` when a
-    /// quantum straddles it — a node cannot abandon a layer mid-flight.
+    /// would *start* before `t_ns` is executed. The clock may end beyond
+    /// `t_ns` when a quantum straddles it — a node cannot abandon a
+    /// layer mid-flight — and an idle node's clock stays where it is.
     pub fn run_until(&mut self, t_ns: u64) {
-        loop {
-            self.admit_due();
-            if !self.tasks.is_empty() {
-                if self.now_ns >= t_ns {
-                    return;
-                }
-                self.execute_quantum();
-            } else if let Some(arrival) = self.pending.front().map(|p| p.task.arrival_ns) {
-                if arrival >= t_ns {
-                    return;
-                }
-                self.now_ns = self.now_ns.max(arrival);
-                self.mutation_epoch += 1;
-            } else {
-                return;
-            }
+        while !self.tasks.is_empty() && self.now_ns < t_ns {
+            self.execute_quantum();
         }
     }
 
@@ -550,8 +465,8 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
     ///
     /// # Panics
     ///
-    /// Panics if no task is runnable (callers admit first) or the
-    /// scheduler returns an out-of-range index.
+    /// Panics if no task is runnable or the scheduler returns an
+    /// out-of-range index.
     fn execute_quantum(&mut self) {
         self.mutation_epoch += 1;
         debug_assert!(
@@ -629,7 +544,6 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             self.now_ns = self.now_ns.saturating_add(latency_ns);
             self.busy_ns += latency_ns;
             let task = &mut self.tasks[task_idx];
-            task.next_layer += 1;
             task.executed_ns += latency_ns;
             task.record_layer(layer.sparsity, info);
             self.remaining[task_idx] -= layer.latency_ns;
@@ -738,6 +652,7 @@ mod tests {
     use super::*;
     use dysta_core::Policy;
     use dysta_workload::{Scenario, Workload, WorkloadBuilder};
+    use std::ops::RangeBounds;
 
     fn tiny(seed: u64) -> Workload {
         WorkloadBuilder::new(Scenario::MultiCnn)
@@ -747,41 +662,66 @@ mod tests {
             .build()
     }
 
-    fn engine_for<'w>(w: &'w Workload, policy: Policy) -> NodeEngine<'w> {
+    /// Feeds `node` the requests of `w` arriving in `arrivals` the way
+    /// `simulate` does: run up to each arrival, then admit the request
+    /// there at `scale`.
+    fn feed<'w>(
+        node: &mut NodeEngine<'w>,
+        w: &'w Workload,
+        arrivals: impl RangeBounds<u64>,
+        scale: f64,
+    ) {
+        for req in w.requests() {
+            if arrivals.contains(&req.arrival_ns) {
+                node.run_until(req.arrival_ns);
+                node.enqueue(req, w.trace_for(req), scale, req.arrival_ns);
+            }
+        }
+    }
+
+    /// A node under `policy` fed the requests of `w` arriving in
+    /// `arrivals`.
+    fn engine_for<'w>(
+        w: &'w Workload,
+        policy: Policy,
+        arrivals: impl RangeBounds<u64>,
+    ) -> NodeEngine<'w> {
         let lut = ModelInfoLut::from_store(w.store());
         let mut node = NodeEngine::new(0, policy.build(), EngineConfig::default(), lut);
-        for req in w.requests() {
-            node.enqueue(req, w.trace_for(req));
-        }
+        feed(&mut node, w, arrivals, 1.0);
         node
     }
 
     #[test]
     fn stepping_matches_run_to_completion() {
         let w = tiny(1);
-        let mut stepped = engine_for(&w, Policy::Dysta);
+        let mut stepped = engine_for(&w, Policy::Dysta, ..);
         while stepped.step() {}
-        let mut ran = engine_for(&w, Policy::Dysta);
+        let mut ran = engine_for(&w, Policy::Dysta, ..);
         ran.run_to_completion();
         assert_eq!(stepped.into_report(), ran.into_report());
     }
 
     #[test]
     fn run_until_is_equivalent_to_uninterrupted_execution() {
-        // Driving the engine with arbitrary run_until barriers must not
-        // change any completion: barriers only bound how far the node
-        // may get ahead, never what it executes.
+        // Driving the engine with arbitrary run_until barriers, between
+        // enqueues as well as after the last one, must not change any
+        // completion: barriers only bound how far the node may get
+        // ahead, never what it executes.
         let w = tiny(2);
-        let mut reference = engine_for(&w, Policy::Dysta);
+        let mut reference = engine_for(&w, Policy::Dysta, ..);
         reference.run_to_completion();
         let reference = reference.into_report();
 
-        let mut chunked = engine_for(&w, Policy::Dysta);
+        let lut = ModelInfoLut::from_store(w.store());
+        let mut chunked = NodeEngine::new(0, Policy::Dysta.build(), EngineConfig::default(), lut);
         let horizon = w.requests().last().unwrap().arrival_ns * 2;
         let mut t = 0;
         while t < horizon {
-            chunked.run_until(t);
-            t += horizon / 37 + 1;
+            let next = t + horizon / 37 + 1;
+            feed(&mut chunked, &w, t..next, 1.0);
+            chunked.run_until(next);
+            t = next;
         }
         chunked.run_to_completion();
         assert_eq!(chunked.into_report(), reference);
@@ -790,20 +730,25 @@ mod tests {
     #[test]
     fn run_until_does_not_start_quanta_at_or_past_the_barrier() {
         let w = tiny(3);
-        let mut node = engine_for(&w, Policy::Fcfs);
         let barrier = w.requests()[10].arrival_ns;
+        let mut node = engine_for(&w, Policy::Fcfs, ..barrier);
         node.run_until(barrier);
-        // Pending requests arriving at or after the barrier are untouched.
+        // No request is admitted ahead of the node's clock.
         assert!(node
             .queued_tasks()
             .all(|(t, _)| t.started() || t.arrival_ns <= node.now_ns() || t.arrival_ns >= barrier));
+        // The node stopped at the barrier: asking again starts nothing.
+        assert!(!node.is_drained() && node.now_ns() >= barrier);
+        let epoch = node.mutation_epoch();
+        node.run_until(barrier);
+        assert_eq!(node.mutation_epoch(), epoch);
     }
 
     #[test]
     fn backlog_estimates_shrink_as_work_completes() {
         let w = tiny(4);
         let lut = ModelInfoLut::from_store(w.store());
-        let mut node = engine_for(&w, Policy::Sjf);
+        let mut node = engine_for(&w, Policy::Sjf, ..w.requests()[10].arrival_ns);
         let backlog = |node: &NodeEngine<'_>| -> f64 {
             node.queued_tasks()
                 .map(|(t, scale)| lut.info(t.variant).avg_remaining_ns(t.next_layer) * scale)
@@ -824,14 +769,12 @@ mod tests {
     fn scaled_execution_slows_the_node_but_keeps_native_isolated_times() {
         let w = tiny(5);
         let lut = ModelInfoLut::from_store(w.store());
-        let mut native = engine_for(&w, Policy::Fcfs);
+        let mut native = engine_for(&w, Policy::Fcfs, ..);
         native.run_to_completion();
         let native = native.into_report();
 
         let mut slowed = NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), lut);
-        for req in w.requests() {
-            slowed.enqueue_scaled(req, w.trace_for(req), 2.0);
-        }
+        feed(&mut slowed, &w, .., 2.0);
         slowed.run_to_completion();
         let slowed = slowed.into_report();
 
@@ -846,23 +789,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "arrival order")]
-    fn out_of_order_enqueue_rejected() {
+    fn enqueued_work_is_admitted_at_once() {
+        // A node holds only admitted work: a request enqueued at its
+        // dispatch instant is live, unstarted and withdrawable before
+        // the node runs again.
         let w = tiny(6);
-        let lut = ModelInfoLut::from_store(w.store());
-        let mut node: NodeEngine =
-            NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), lut);
-        let reqs = w.requests();
-        node.enqueue(&reqs[5], w.trace_for(&reqs[5]));
-        node.enqueue(&reqs[0], w.trace_for(&reqs[0]));
+        let barrier = w.requests()[5].arrival_ns;
+        let mut node = engine_for(&w, Policy::Fcfs, ..barrier);
+        node.run_until(barrier);
+        let req = &w.requests()[5];
+        let t = node.now_ns().max(req.arrival_ns);
+        let before = node.queue_len();
+        node.enqueue(req, w.trace_for(req), 1.0, t);
+        assert_eq!(node.queue_len(), before + 1);
+        assert!(node.unstarted_tasks().any(|(task, _)| task.id == req.id));
+        let taken = node.take_unstarted(req.id).expect("admitted at enqueue");
+        assert_eq!(taken.task().id, req.id);
+        assert_eq!(node.queue_len(), before);
     }
 
     #[test]
     fn take_unstarted_refuses_started_and_unknown_tasks() {
         let w = tiny(8);
-        let mut node = engine_for(&w, Policy::Fcfs);
+        let barrier = w.requests()[3].arrival_ns;
+        let mut node = engine_for(&w, Policy::Fcfs, ..barrier);
         // Run a few quanta so the first request has started.
-        node.run_until(w.requests()[3].arrival_ns);
+        node.run_until(barrier);
         let started: Vec<u64> = node
             .queued_tasks()
             .filter(|(t, _)| t.started())
@@ -877,8 +829,9 @@ mod tests {
     #[test]
     fn take_unstarted_shrinks_the_queue_by_exactly_one() {
         let w = tiny(9);
-        let mut node = engine_for(&w, Policy::Fcfs);
-        node.run_until(w.requests()[10].arrival_ns);
+        let barrier = w.requests()[10].arrival_ns;
+        let mut node = engine_for(&w, Policy::Fcfs, ..barrier);
+        node.run_until(barrier);
         let victim = node
             .unstarted_tasks()
             .map(|(t, _)| t.id)
@@ -898,10 +851,10 @@ mod tests {
         // and the moved request keeps its original arrival time.
         let w = tiny(10);
         let lut = ModelInfoLut::from_store(w.store());
-        let mut src = engine_for(&w, Policy::Sjf);
+        let barrier = w.requests()[15].arrival_ns;
+        let mut src = engine_for(&w, Policy::Sjf, ..barrier);
         let mut dst: NodeEngine =
             NodeEngine::new(1, Policy::Sjf.build(), EngineConfig::default(), lut);
-        let barrier = w.requests()[15].arrival_ns;
         src.run_until(barrier);
         let victim = src
             .unstarted_tasks()
@@ -912,6 +865,7 @@ mod tests {
         let transfer = src.take_unstarted(victim).expect("victim is unstarted");
         dst.accept_transfer(transfer, 2.0, barrier, 0);
         assert!(dst.now_ns() >= barrier, "idle thief clock pulled forward");
+        feed(&mut src, &w, barrier.., 1.0);
         src.run_to_completion();
         dst.run_to_completion();
         let src_report = src.into_report();
@@ -926,8 +880,8 @@ mod tests {
     #[test]
     fn crash_salvage_drains_the_node_and_resets_started_work() {
         let w = tiny(14);
-        let mut node = engine_for(&w, Policy::Fcfs);
         let barrier = w.requests()[12].arrival_ns;
+        let mut node = engine_for(&w, Policy::Fcfs, ..barrier);
         node.run_until(barrier);
         let busy_before = node.busy_ns();
         let in_flight: Vec<u64> = node
@@ -967,18 +921,21 @@ mod tests {
     fn salvaged_tasks_redispatch_and_complete_elsewhere() {
         let w = tiny(15);
         let lut = ModelInfoLut::from_store(w.store());
-        let mut src = engine_for(&w, Policy::Sjf);
+        let crash_ns = w.requests()[10].arrival_ns;
+        let mut src = engine_for(&w, Policy::Sjf, ..crash_ns);
         let mut dst: NodeEngine =
             NodeEngine::new(1, Policy::Sjf.build(), EngineConfig::default(), lut);
-        let crash_ns = w.requests()[10].arrival_ns;
         src.run_until(crash_ns);
-        let done_on_src = src.completed_count();
         let salvaged = src.crash_salvage();
         assert!(!salvaged.is_empty());
         let moved = salvaged.len();
         for (t, _) in salvaged {
             dst.accept_transfer(t, 1.0, crash_ns, 0);
         }
+        // The node comes back for the requests arriving after the crash.
+        feed(&mut src, &w, crash_ns.., 1.0);
+        src.run_to_completion();
+        let done_on_src = src.completed_count();
         dst.run_to_completion();
         let dst_report = dst.into_report();
         // Exactly-once across the crash: src's completions plus the
@@ -999,10 +956,10 @@ mod tests {
         // traffic is visible in utilization and load-imbalance metrics.
         let w = tiny(13);
         let lut = ModelInfoLut::from_store(w.store());
-        let mut src = engine_for(&w, Policy::Fcfs);
+        let barrier = w.requests()[10].arrival_ns;
+        let mut src = engine_for(&w, Policy::Fcfs, ..barrier);
         let mut dst: NodeEngine =
             NodeEngine::new(1, Policy::Fcfs.build(), EngineConfig::default(), lut);
-        let barrier = w.requests()[10].arrival_ns;
         src.run_until(barrier);
         let victim = src
             .unstarted_tasks()
@@ -1030,7 +987,7 @@ mod tests {
             NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), lut);
         let dispatch_ns = w.requests().last().unwrap().arrival_ns + 5_000_000;
         for req in w.requests() {
-            node.enqueue_scaled_at(req, w.trace_for(req), 1.0, dispatch_ns);
+            node.enqueue(req, w.trace_for(req), 1.0, dispatch_ns);
         }
         assert!(node.now_ns() >= dispatch_ns, "clock floored at dispatch");
         node.run_to_completion();
@@ -1049,7 +1006,7 @@ mod tests {
         let mut node: NodeEngine =
             NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), lut);
         let req = w.requests().last().unwrap();
-        node.enqueue_scaled_at(req, w.trace_for(req), 1.0, req.arrival_ns - 1);
+        node.enqueue(req, w.trace_for(req), 1.0, req.arrival_ns - 1);
     }
 
     /// Live-list invariants, checked after every operation on one node.
@@ -1086,16 +1043,22 @@ mod tests {
             // its own progress.
             for task in &node.tasks {
                 assert!(!task.finished(), "request {} already finished", task.id);
-                assert_eq!(
-                    task.sparsity.layers(),
-                    task.next_layer,
-                    "request {} monitored a layer it did not run",
-                    task.id
-                );
                 if !task.started() {
                     assert_eq!(task.executed_ns, 0);
                     assert_eq!(task.sparsity, dysta_core::SparsitySummary::default());
                 }
+            }
+        }
+
+        /// Feeds `node` `reqs` the way `feed` does, checking after every
+        /// quantum and every admission.
+        fn feed<'w>(&mut self, node: &mut NodeEngine<'w>, w: &'w Workload, reqs: &[Request]) {
+            for req in reqs {
+                while node.now_ns() < req.arrival_ns && node.step() {
+                    self.check(node);
+                }
+                node.enqueue(req, w.trace_for(req), 1.0, req.arrival_ns);
+                self.check(node);
             }
         }
     }
@@ -1107,16 +1070,19 @@ mod tests {
         // through every way a task enters or leaves a live list.
         let w = tiny(16);
         let lut = ModelInfoLut::from_store(w.store());
-        let mut src = engine_for(&w, Policy::Fcfs);
+        let mut src: NodeEngine = NodeEngine::new(
+            0,
+            Policy::Fcfs.build(),
+            EngineConfig::default(),
+            lut.clone(),
+        );
         let mut dst: NodeEngine =
             NodeEngine::new(1, Policy::Dysta.build(), EngineConfig::default(), lut);
         let (mut src_check, mut dst_check) = (LiveCheck::default(), LiveCheck::default());
 
         // Admissions and completions.
-        let barrier = w.requests()[20].arrival_ns;
-        while src.now_ns() < barrier && src.step() {
-            src_check.check(&src);
-        }
+        let reqs = w.requests();
+        src_check.feed(&mut src, &w, &reqs[..20]);
         assert!(src.completed_count() > 0, "completions left the list");
 
         // Withdrawals land on the destination at a mismatch scale.
@@ -1132,10 +1098,13 @@ mod tests {
             dst_check.check(&dst);
         }
         for _ in 0..40 {
-            src.step();
-            src_check.check(&src);
             dst.step();
             dst_check.check(&dst);
+        }
+        src_check.feed(&mut src, &w, &reqs[20..25]);
+        for _ in 0..3 {
+            src.step();
+            src_check.check(&src);
         }
 
         // A crash empties the list; the salvage, started requests
@@ -1153,6 +1122,8 @@ mod tests {
             dst.accept_transfer(transfer, scale, src.now_ns(), 0);
             dst_check.check(&dst);
         }
+        // The requests arriving after the crash go to the destination.
+        dst_check.feed(&mut dst, &w, &reqs[25..]);
         while dst.step() {
             dst_check.check(&dst);
         }
@@ -1191,7 +1162,7 @@ mod tests {
             );
         let reqs = w.requests();
         for req in &reqs[..3] {
-            node.enqueue_scaled_at(req, w.trace_for(req), 1.0, reqs[2].arrival_ns);
+            node.enqueue(req, w.trace_for(req), 1.0, reqs[2].arrival_ns);
         }
         while node.completed_count() == 0 {
             assert!(node.step());
@@ -1207,7 +1178,7 @@ mod tests {
         assert_eq!(node.tasks[0].id, running, "the withdrawal moved it");
         let late = &reqs[3];
         let at_ns = node.now_ns().max(late.arrival_ns);
-        node.enqueue_scaled_at(late, w.trace_for(late), 1.0, at_ns);
+        node.enqueue(late, w.trace_for(late), 1.0, at_ns);
         node.run_to_completion();
 
         let num_layers = withdrawn.task().num_layers;
@@ -1242,6 +1213,6 @@ mod tests {
         let mut node: NodeEngine =
             NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), lut);
         let req = &w.requests()[0];
-        node.enqueue_scaled(req, w.trace_for(req), 0.5);
+        node.enqueue(req, w.trace_for(req), 0.5, req.arrival_ns);
     }
 }

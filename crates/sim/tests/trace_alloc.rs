@@ -115,6 +115,7 @@ fn engine_run_allocs<T: Tracer + Copy>(w: &Workload, tracer: T) -> u64 {
         let mut node: NodeEngine<'_, &mut dyn dysta_core::Scheduler, T> =
             NodeEngine::with_tracer(0, sched.as_mut(), EngineConfig::default(), lut, tracer);
         for req in w.requests() {
+            node.run_until(req.arrival_ns);
             tracer.record(TraceEvent {
                 t_ns: req.arrival_ns,
                 request: req.id,
@@ -123,7 +124,7 @@ fn engine_run_allocs<T: Tracer + Copy>(w: &Workload, tracer: T) -> u64 {
                 a: 0,
                 b: req.slo_ns as i64,
             });
-            node.enqueue(req, w.trace_for(req));
+            node.enqueue(req, w.trace_for(req), 1.0, req.arrival_ns);
         }
         node.run_to_completion();
         let report = node.into_report();
@@ -177,23 +178,21 @@ fn admitting_into_a_warm_node_allocates_nothing() {
     let requests = w.requests();
     let dispatch_ns = requests.last().expect("non-empty").arrival_ns;
     for req in requests {
-        node.enqueue_scaled_at(req, w.trace_for(req), 1.0, dispatch_ns);
+        node.enqueue(req, w.trace_for(req), 1.0, dispatch_ns);
     }
     node.run_until(dispatch_ns + 1);
     assert_eq!(
         node.unstarted_tasks().count() + 1,
         requests.len(),
-        "one quantum admits every request and starts one"
+        "one quantum starts one of the admitted requests"
     );
     node.run_to_completion();
 
     let now_ns = node.now_ns();
     let allocs = allocations_in(|| {
         for req in requests {
-            node.enqueue(req, w.trace_for(req));
+            node.enqueue(req, w.trace_for(req), 1.0, now_ns);
         }
-        // Admits every due arrival, then stops before executing.
-        node.run_until(now_ns);
     });
     assert_eq!(node.unstarted_tasks().count(), requests.len());
     assert_eq!(allocs, 0, "admission into a warm node allocated");
@@ -208,8 +207,8 @@ fn moved_tasks_execute_their_layers_without_allocating() {
     // never-started work.
     let w = alloc_workload();
     let lut = ModelInfoLut::from_store(w.store());
-    // Every request is dispatched at the last arrival, so one quantum
-    // admits them all and starts just one.
+    // Every request is dispatched at the last arrival, so the node
+    // admits them all before one quantum starts just one.
     let mut src: NodeEngine<'_> = NodeEngine::new(
         0,
         Policy::Fcfs.build(),
@@ -218,7 +217,7 @@ fn moved_tasks_execute_their_layers_without_allocating() {
     );
     let dispatch_ns = w.requests().last().expect("non-empty").arrival_ns;
     for req in w.requests() {
-        src.enqueue_scaled_at(req, w.trace_for(req), 1.0, dispatch_ns);
+        src.enqueue(req, w.trace_for(req), 1.0, dispatch_ns);
     }
     assert!(src.step());
     let moved_at_ns = src.now_ns();
@@ -228,8 +227,8 @@ fn moved_tasks_execute_their_layers_without_allocating() {
         .min()
         .expect("unstarted work exists");
     let stolen = src.take_unstarted(victim).expect("victim is unstarted");
-    // An admitted task the crash moves out as is (pending arrivals
-    // were never admitted, started ones are rebuilt).
+    // An unstarted task the crash moves out as is (started ones are
+    // rebuilt).
     let queued = src
         .unstarted_tasks()
         .map(|(t, _)| t.id)

@@ -10,12 +10,7 @@ use proptest::prelude::*;
 use dysta::workload::{ArrivalProcess, PhaseSpec, Popularity, Scenario, SloModel, StreamSpec};
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(32),
-    })]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Phase-change sequences: deterministic across runs, monotone
     /// arrivals, dense ids, and every arrival inside its phase window.
