@@ -252,11 +252,11 @@ fn rmse_for(model: ModelId, strategy: CoeffStrategy, samples: u64) -> f64 {
     let traces = ModelTraces::generate(&spec, samples, 7);
     let mut store = TraceStore::new();
     store.insert(traces.clone());
+    let variant = store.variant_id(&spec).expect("spec profiled");
     let lut = ModelInfoLut::from_store(&store);
-    let info = lut.expect(&spec);
+    let info = lut.info(variant);
     let predictor = SparseLatencyPredictor::new(strategy);
 
-    let variant = lut.variant_id(&spec).expect("spec profiled");
     let mut sq_err = 0.0;
     let mut count = 0u64;
     for idx in 0..traces.num_samples() as u64 {

@@ -698,8 +698,9 @@ mod tests {
     fn profiled_lut(spec: &SparseModelSpec) -> (ModelInfoLut, f64) {
         let mut store = dysta_trace::TraceStore::new();
         store.insert(dysta_trace::ModelTraces::generate(spec, 4, 0));
+        let variant = store.variant_id(spec).expect("profiled");
         let lut = ModelInfoLut::from_store(&store);
-        let est = lut.get(spec).expect("profiled").avg_latency_ns();
+        let est = lut.info(variant).avg_latency_ns();
         assert!(est > 0.0);
         (lut, est)
     }

@@ -260,8 +260,8 @@ where
     config.validate();
     let len_hint = source.len_hint();
 
+    // The run's one LUT: every node and the front end borrow it.
     let lut = ModelInfoLut::from_store(source.store());
-    let lut_len = lut.len();
     let predictor = SparseLatencyPredictor::default();
     let nodes: Vec<NodeEngine<'_, Box<dyn dysta_core::Scheduler>, T>> = config
         .nodes
@@ -274,13 +274,7 @@ where
                 write!(name, "node{id} {:?}", nc.accelerator).expect("write to String");
                 tracer.name_node(id as u32, &name);
             }
-            NodeEngine::with_tracer(
-                id,
-                nc.policy.build(),
-                EngineConfig::default(),
-                lut.clone(),
-                tracer,
-            )
+            NodeEngine::with_tracer(id, nc.policy.build(), EngineConfig::default(), &lut, tracer)
         })
         .collect();
 
@@ -291,7 +285,7 @@ where
         admission_policy,
         steal_policy,
         migration_policy,
-        lut,
+        lut: &lut,
         predictor,
         nodes,
         ledger: vec![Ledger::default(); config.nodes.len()],
@@ -307,7 +301,7 @@ where
         view_cache: Vec::new(),
         view_epoch: vec![u64::MAX; config.nodes.len()],
         tracer,
-        labels: VariantLabels::new(lut_len),
+        labels: VariantLabels::new(lut.len()),
     };
     frontend.run();
     frontend.into_report()
@@ -445,16 +439,17 @@ struct LiveEntry {
     retries: u32,
 }
 
-struct Frontend<'w, 'c, S, T> {
+struct Frontend<'c, S, T> {
     source: S,
     config: &'c ClusterConfig,
     dispatcher: &'c mut dyn Dispatcher,
     admission_policy: &'c dyn AdmissionPolicy,
     steal_policy: &'c dyn StealPolicy,
     migration_policy: &'c dyn MigrationPolicy,
-    lut: ModelInfoLut,
+    /// The run's one LUT, also lent to every node.
+    lut: &'c ModelInfoLut,
     predictor: SparseLatencyPredictor,
-    nodes: Vec<NodeEngine<'w, Box<dyn dysta_core::Scheduler>, T>>,
+    nodes: Vec<NodeEngine<'c, Box<dyn dysta_core::Scheduler>, T>>,
     /// One entry per node, indexed like `nodes`.
     ledger: Vec<Ledger>,
     /// The run-wide statistics the report carries, filled as the run
@@ -491,7 +486,7 @@ struct Frontend<'w, 'c, S, T> {
     labels: VariantLabels,
 }
 
-impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
+impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
     /// The original (pre-degrade) admitted request for a live id.
     /// `Request` is `Copy`, so this hands out an owned value and leaves
     /// `self` free for further mutation.
@@ -719,7 +714,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         &mut self,
         src: usize,
         dst: usize,
-        transfer: TransferableTask<'w>,
+        transfer: TransferableTask<'c>,
         scale: f64,
         t: u64,
         fetch_ns: u64,
@@ -914,7 +909,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             // under (relaxed, if admission degraded it).
             let request = self.live_request(id);
             self.refresh_views(&mut views);
-            let ctx = DispatchContext::new(t, &views, &self.lut, &self.config.transfer_cost);
+            let ctx = DispatchContext::new(t, &views, self.lut, &self.config.transfer_cost);
             let target = self.dispatcher.dispatch(&request, &ctx);
             self.check_target(target);
             if !views[target].health.accepts_work() {
@@ -1093,7 +1088,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             let id = original.id;
             let wait_ns = t - original.arrival_ns;
             self.refresh_views(&mut views);
-            let ctx = DispatchContext::new(t, &views, &self.lut, &self.config.transfer_cost);
+            let ctx = DispatchContext::new(t, &views, self.lut, &self.config.transfer_cost);
             let decision = self
                 .admission_policy
                 .decide(&original, &ctx, &admission_cfg);
@@ -1115,8 +1110,8 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                 continue;
             }
             // Track the admitted request while it is in flight (inlined
-            // rather than a `&mut self` helper so the `ctx` borrows of
-            // `lut`/`config` stay field-disjoint). Sources mint unique
+            // rather than a `&mut self` helper so the `ctx` borrow of
+            // `config` stays field-disjoint). Sources mint unique
             // ids and completed/failed ids are never re-admitted, so
             // the insert never displaces an entry.
             let prev = self.live_requests.insert(
@@ -1227,7 +1222,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         // so the ascending id cursor walks the live set — a node handed
         // work mid-pass is visited when the sweep reaches its id,
         // exactly as the historical all-nodes scan did.
-        let mut ctx = DispatchContext::new(t, views, &self.lut, &self.config.transfer_cost);
+        let mut ctx = DispatchContext::new(t, views, self.lut, &self.config.transfer_cost);
         let mut cursor: Option<usize> = None;
         while let Some(src) = self.next_live_after(cursor) {
             cursor = Some(src);
@@ -1312,7 +1307,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                     });
                 }
                 self.refresh_views(views);
-                ctx = DispatchContext::new(t, views, &self.lut, &self.config.transfer_cost);
+                ctx = DispatchContext::new(t, views, self.lut, &self.config.transfer_cost);
                 ctx.reoffer_src = Some(src);
             }
         }
@@ -1330,7 +1325,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         // Only live nodes can hold unstarted work; the id cursor is
         // robust to the removals the pass itself applies. One context
         // serves every candidate until a renege refreshes the views.
-        let mut ctx = DispatchContext::new(t, views, &self.lut, &self.config.transfer_cost);
+        let mut ctx = DispatchContext::new(t, views, self.lut, &self.config.transfer_cost);
         let mut cursor: Option<usize> = None;
         while let Some(src) = self.next_live_after(cursor) {
             cursor = Some(src);
@@ -1370,7 +1365,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
                     });
                 }
                 self.refresh_views(views);
-                ctx = DispatchContext::new(t, views, &self.lut, &self.config.transfer_cost);
+                ctx = DispatchContext::new(t, views, self.lut, &self.config.transfer_cost);
                 ctx.reoffer_src = Some(src);
             }
         }
@@ -1468,7 +1463,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
         // thieves that steal nothing; only an applied transfer
         // invalidates them.
         let mut priced: Vec<(StealClass, Vec<StealCandidate>, bool)> = Vec::new();
-        let mut ctx = DispatchContext::new(t, views, &self.lut, &self.config.transfer_cost);
+        let mut ctx = DispatchContext::new(t, views, self.lut, &self.config.transfer_cost);
         for thief in 0..n {
             // A down node is drained (salvage emptied it) and would
             // otherwise look like the perfect thief: skip it at the
@@ -1551,7 +1546,7 @@ impl<'w, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'w, '_, S, T> {
             self.refresh_views(views);
             victims = self.stealable_victims();
             priced.clear();
-            ctx = DispatchContext::new(t, views, &self.lut, &self.config.transfer_cost);
+            ctx = DispatchContext::new(t, views, self.lut, &self.config.transfer_cost);
         }
     }
 

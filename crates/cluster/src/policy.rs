@@ -735,8 +735,9 @@ mod tests {
         let req = admission_request(0, 0);
         let mut store = dysta_trace::TraceStore::new();
         store.insert(dysta_trace::ModelTraces::generate(&req.spec, 4, 0));
+        let variant = store.variant_id(&req.spec).expect("profiled");
         let lut = ModelInfoLut::from_store(&store);
-        let est = lut.get(&req.spec).expect("profiled").avg_latency_ns();
+        let est = lut.info(variant).avg_latency_ns();
         assert!(est > 0.0);
         // SLO of two estimates. Node 0 (mismatched Sanger, 2.5x) and
         // node 1 (browned out to 0.4 capacity) are empty but take 2.5

@@ -141,7 +141,7 @@ proptest! {
         let w = workload(Scenario::MultiCnn, 15.0, 30, seed);
         let lut = ModelInfoLut::from_store(w.store());
         let mut node: NodeEngine =
-            NodeEngine::new(0, Policy::Dysta.build(), EngineConfig::default(), lut);
+            NodeEngine::new(0, Policy::Dysta.build(), EngineConfig::default(), &lut);
         let barrier = w.requests()[barrier_index].arrival_ns;
         for req in w.requests().iter().take_while(|r| r.arrival_ns < barrier) {
             node.run_until(req.arrival_ns);

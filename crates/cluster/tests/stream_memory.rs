@@ -13,6 +13,9 @@
 //! Counting bytes rather than reading RSS keeps the check exact and
 //! immune to the host: the numbers are deterministic, and each test
 //! thread counts only its own allocations.
+//!
+//! A second test pins that a request budget far beyond what the
+//! stream's arrival clock can yield sizes no buffer by itself.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -111,4 +114,22 @@ fn streamed_heap_grows_only_by_the_per_request_report() {
          ({small_peak} B at {small_n}, {large_peak} B at {large_n}); \
          only the per-request report (64 B) should scale with the stream"
     );
+}
+
+#[test]
+fn a_budget_beyond_the_arrival_clock_sizes_no_buffer() {
+    // At 1e-9 requests/s the sim clock runs out after a few dozen
+    // arrivals, so a budget of 10^15 requests is never reached:
+    // pre-sizing the run's per-request report by it would ask for 8 PB
+    // and abort.
+    let spec = StreamSpec::steady_poisson(Scenario::MultiCnn, 1e-9, 10.0)
+        .num_requests(1_000_000_000_000_000);
+    let pool = ClusterConfig::homogeneous(2, AcceleratorKind::EyerissV2, Policy::Dysta);
+    let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::JoinShortestQueue);
+    let store = spec.build_store();
+    let yielded = spec.source(&store).count();
+    assert!(yielded > 0 && yielded < 100, "the clock ends the stream");
+    let report = simulate_cluster(spec.source(&store), &mut policy, &pool, NullTracer);
+    assert_eq!(report.completed_total(), yielded);
+    assert_eq!(report.serving().admission_wait_ns.len(), yielded);
 }

@@ -68,27 +68,27 @@ mod tests {
     use crate::TaskState;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
+    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore, VariantId};
 
-    fn setup() -> (SparseModelSpec, ModelInfoLut) {
+    fn setup() -> (SparseModelSpec, VariantId, ModelInfoLut) {
         let spec = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0);
         let mut store = TraceStore::new();
         store.insert(ModelTraces::generate(&spec, 2, 0));
-        (spec, ModelInfoLut::from_store(&store))
+        let variant = store.variant_id(&spec).expect("spec profiled");
+        (spec, variant, ModelInfoLut::from_store(&store))
     }
 
-    fn mk(id: u64, spec: SparseModelSpec, lut: &ModelInfoLut, arrival: u64, slo: u64) -> TaskState {
-        let variant = lut.variant_id(&spec).expect("spec profiled");
+    fn mk(id: u64, spec: SparseModelSpec, variant: VariantId, arrival: u64, slo: u64) -> TaskState {
         TaskState::arrived(id, spec, variant, arrival, slo, 3)
     }
 
     #[test]
     fn earliest_feasible_deadline_first() {
-        let (spec, lut) = setup();
+        let (spec, variant, lut) = setup();
         // Task 1 arrives later but has a much tighter (yet feasible) SLO.
         let queue = [
-            mk(0, spec, &lut, 0, 10_000_000_000),
-            mk(1, spec, &lut, 100, 1_000_000_000),
+            mk(0, spec, variant, 0, 10_000_000_000),
+            mk(1, spec, variant, 100, 1_000_000_000),
         ];
         assert_eq!(
             Planaria::new().pick_next(TaskQueue::dense(&queue), &lut, 200),
@@ -98,12 +98,12 @@ mod tests {
 
     #[test]
     fn lost_causes_are_served_best_effort() {
-        let (spec, lut) = setup();
+        let (spec, variant, lut) = setup();
         // Task 0's deadline has already passed; the feasible task 1 with a
         // later-but-reachable deadline must run first.
         let queue = [
-            mk(0, spec, &lut, 0, 1),
-            mk(1, spec, &lut, 0, 10_000_000_000),
+            mk(0, spec, variant, 0, 1),
+            mk(1, spec, variant, 0, 10_000_000_000),
         ];
         assert_eq!(
             Planaria::new().pick_next(TaskQueue::dense(&queue), &lut, 1_000_000),

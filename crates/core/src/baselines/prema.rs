@@ -65,26 +65,34 @@ mod tests {
     use crate::TaskState;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
+    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore, VariantId};
 
-    fn setup() -> (SparseModelSpec, SparseModelSpec, ModelInfoLut) {
+    /// A profiled variant: its spec and its id in the store.
+    type Variant = (SparseModelSpec, VariantId);
+
+    /// A short and a long variant, and their LUT.
+    fn setup() -> (Variant, Variant, ModelInfoLut) {
         let small = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0);
         let big = SparseModelSpec::new(ModelId::Vgg16, SparsityPattern::Dense, 0.0);
         let mut store = TraceStore::new();
         store.insert(ModelTraces::generate(&small, 2, 0));
         store.insert(ModelTraces::generate(&big, 2, 0));
-        (small, big, ModelInfoLut::from_store(&store))
+        let id = |spec| store.variant_id(&spec).expect("spec profiled");
+        (
+            (small, id(small)),
+            (big, id(big)),
+            ModelInfoLut::from_store(&store),
+        )
     }
 
-    fn mk(id: u64, spec: SparseModelSpec, lut: &ModelInfoLut, arrival: u64) -> TaskState {
-        let variant = lut.variant_id(&spec).expect("spec profiled");
+    fn mk(id: u64, (spec, variant): Variant, arrival: u64) -> TaskState {
         TaskState::arrived(id, spec, variant, arrival, u64::MAX / 2, 10)
     }
 
     #[test]
     fn behaves_like_sjf_before_aging() {
         let (small, big, lut) = setup();
-        let queue = [mk(0, big, &lut, 0), mk(1, small, &lut, 0)];
+        let queue = [mk(0, big, 0), mk(1, small, 0)];
         let mut p = Prema;
         assert_eq!(
             p.pick_next(TaskQueue::dense(&queue), &lut, 0),
@@ -96,13 +104,13 @@ mod tests {
     #[test]
     fn starved_long_job_eventually_wins() {
         let (small, big, lut) = setup();
-        let long_task = mk(0, big, &lut, 0);
+        let long_task = mk(0, big, 0);
         let mut p = Prema;
         // Age the long task far beyond its isolated time while short jobs
         // keep arriving fresh.
-        let isolated = lut.expect(&big).avg_latency_ns();
+        let isolated = lut.info(big.1).avg_latency_ns();
         let much_later = (isolated * 3.0) as u64;
-        let fresh_short = mk(99, small, &lut, much_later);
+        let fresh_short = mk(99, small, much_later);
         let queue = [long_task, fresh_short];
         let idx = p.pick_next(TaskQueue::dense(&queue), &lut, much_later);
         assert_eq!(idx, 0, "aged long job must win over fresh short job");
@@ -111,11 +119,11 @@ mod tests {
     #[test]
     fn token_counts_waiting_not_service() {
         let (small, big, lut) = setup();
-        let isolated = lut.expect(&big).avg_latency_ns().ceil() as u64;
+        let isolated = lut.info(big.1).avg_latency_ns().ceil() as u64;
         // The long task waited its isolated latency: its token reaches
         // the threshold and it beats the shorter job.
-        let waited = mk(0, big, &lut, 0);
-        let short = mk(1, small, &lut, isolated);
+        let waited = mk(0, big, 0);
+        let short = mk(1, small, isolated);
         let queue = [waited, short];
         let mut p = Prema;
         assert_eq!(p.pick_next(TaskQueue::dense(&queue), &lut, isolated), 0);

@@ -68,26 +68,26 @@ mod tests {
     use super::*;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
+    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore, VariantId};
 
-    fn lut() -> (SparseModelSpec, ModelInfoLut) {
+    fn lut() -> (SparseModelSpec, VariantId, ModelInfoLut) {
         let spec = SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::Dense, 0.0);
         let mut store = TraceStore::new();
         store.insert(ModelTraces::generate(&spec, 2, 0));
-        (spec, ModelInfoLut::from_store(&store))
+        let variant = store.variant_id(&spec).expect("spec profiled");
+        (spec, variant, ModelInfoLut::from_store(&store))
     }
 
-    fn mk(id: u64, spec: SparseModelSpec, lut: &ModelInfoLut, arrival: u64, slo: u64) -> TaskState {
-        let variant = lut.variant_id(&spec).expect("spec profiled");
+    fn mk(id: u64, spec: SparseModelSpec, variant: VariantId, arrival: u64, slo: u64) -> TaskState {
         TaskState::arrived(id, spec, variant, arrival, slo, 3)
     }
 
     #[test]
     fn urgent_task_wins() {
-        let (spec, lut) = lut();
+        let (spec, variant, lut) = lut();
         let queue = [
-            mk(0, spec, &lut, 0, 1_000_000_000),
-            mk(1, spec, &lut, 0, 1_000),
+            mk(0, spec, variant, 0, 1_000_000_000),
+            mk(1, spec, variant, 0, 1_000),
         ];
         assert_eq!(
             Sdrm3::new().pick_next(TaskQueue::dense(&queue), &lut, 500),
@@ -97,10 +97,10 @@ mod tests {
 
     #[test]
     fn long_waiting_task_wins_on_fairness() {
-        let (spec, lut) = lut();
+        let (spec, variant, lut) = lut();
         let queue = [
-            mk(0, spec, &lut, 0, u64::MAX / 2),
-            mk(1, spec, &lut, 900_000_000, u64::MAX / 2),
+            mk(0, spec, variant, 0, u64::MAX / 2),
+            mk(1, spec, variant, 900_000_000, u64::MAX / 2),
         ];
         // Urgency is ~0 against these far-off deadlines, so fairness
         // decides.

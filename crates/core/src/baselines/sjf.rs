@@ -52,7 +52,7 @@ mod tests {
         let lut = ModelInfoLut::from_store(&store);
 
         let mk = |id, spec: SparseModelSpec, layers| {
-            let variant = lut.variant_id(&spec).expect("spec profiled");
+            let variant = store.variant_id(&spec).expect("spec profiled");
             TaskState::arrived(id, spec, variant, 0, u64::MAX / 2, layers)
         };
         let queue = [mk(0, big, 21), mk(1, small, 29)];

@@ -198,17 +198,17 @@ mod tests {
     use crate::TaskState;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
+    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore, VariantId};
 
-    fn setup() -> (SparseModelSpec, ModelInfoLut) {
+    fn setup() -> (SparseModelSpec, VariantId, ModelInfoLut) {
         let spec = SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0);
         let mut store = TraceStore::new();
         store.insert(ModelTraces::generate(&spec, 16, 21));
-        (spec, ModelInfoLut::from_store(&store))
+        let variant = store.variant_id(&spec).expect("spec profiled");
+        (spec, variant, ModelInfoLut::from_store(&store))
     }
 
-    fn mk(id: u64, spec: SparseModelSpec, lut: &ModelInfoLut, arrival: u64, slo: u64) -> TaskState {
-        let variant = lut.variant_id(&spec).expect("spec profiled");
+    fn mk(id: u64, spec: SparseModelSpec, variant: VariantId, arrival: u64, slo: u64) -> TaskState {
         TaskState {
             true_remaining_ns: 30_000_000,
             ..TaskState::arrived(id, spec, variant, arrival, slo, 109)
@@ -247,8 +247,8 @@ mod tests {
     fn sparsity_info_changes_dispatch() {
         // Two identical-looking tasks; one monitored to be much denser
         // than average. Dysta should prefer the sparser (shorter) one.
-        let (spec, lut) = setup();
-        let info = lut.expect(&spec);
+        let (spec, variant, lut) = setup();
+        let info = lut.info(variant);
         let dyn_layer = info
             .avg_layer_sparsity()
             .iter()
@@ -259,7 +259,7 @@ mod tests {
         // Layers before `dyn_layer` report zero sparsity; `dyn_layer`
         // reports `last`.
         let monitored = |id, last: f64| {
-            let mut task = mk(id, spec, &lut, 0, u64::MAX / 4);
+            let mut task = mk(id, spec, variant, 0, u64::MAX / 4);
             for layer in 0..=dyn_layer {
                 let sparsity = if layer == dyn_layer { last } else { 0.0 };
                 task.record_layer(sparsity, info);
@@ -276,10 +276,10 @@ mod tests {
 
     #[test]
     fn oracle_uses_ground_truth() {
-        let (spec, lut) = setup();
-        let mut short = mk(0, spec, &lut, 0, u64::MAX / 4);
+        let (spec, variant, lut) = setup();
+        let mut short = mk(0, spec, variant, 0, u64::MAX / 4);
         short.true_remaining_ns = 1_000_000;
-        let mut long = mk(1, spec, &lut, 0, u64::MAX / 4);
+        let mut long = mk(1, spec, variant, 0, u64::MAX / 4);
         long.true_remaining_ns = 50_000_000;
         let queue = [long, short];
         let mut oracle = OracleScheduler::default();
@@ -288,10 +288,10 @@ mod tests {
 
     #[test]
     fn static_ablation_freezes_order() {
-        let (spec, lut) = setup();
+        let (spec, variant, lut) = setup();
         let mut sched = DystaStaticScheduler::default();
-        let a = mk(0, spec, &lut, 0, 200_000_000);
-        let b = mk(1, spec, &lut, 0, 800_000_000);
+        let a = mk(0, spec, variant, 0, 200_000_000);
+        let b = mk(1, spec, variant, 0, 800_000_000);
         let queue = [a, b];
         // Tighter SLO -> smaller slack -> smaller static score -> first.
         assert_eq!(sched.pick_next(TaskQueue::dense(&queue), &lut, 0), 0);

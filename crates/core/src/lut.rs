@@ -1,7 +1,7 @@
 //! Model-information lookup tables (the paper's latency / sparsity / shape
 //! LUTs, Figure 8 and Algorithm 3).
 
-use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore, VariantId};
+use dysta_trace::{ModelTraces, TraceStore, VariantId};
 
 /// LUT sparsity averages at or below this are "no dynamic-sparsity
 /// source" — the layer is skipped by the predictor's coefficient.
@@ -132,14 +132,12 @@ fn fit_gamma_exponent(traces: &ModelTraces, avg_layer_sparsity: &[f64]) -> f64 {
 }
 
 /// The LUT collection: one [`ModelInfo`] per sparse-model variant, held
-/// densely in [`VariantId`] order (the paper's "model-pattern pair" keys
-/// survive only on the slow path).
+/// densely in [`VariantId`] order.
 ///
-/// Hot paths index with [`ModelInfoLut::info`] — a bounds-checked array
-/// access, no string formatting or hashing. Ids agree with the
-/// [`TraceStore`] the LUT was built from ([`TraceStore::variant_id`]),
-/// and with every clone of the LUT, so a cluster of nodes sharing one
-/// store can exchange ids freely.
+/// Built once per run from the run's [`TraceStore`] and borrowed by every
+/// node and the front end. It holds no keys: a spec resolves to its id
+/// in the store ([`TraceStore::variant_id`]), and every lookup here is
+/// [`ModelInfoLut::info`], a bounds-checked array access.
 ///
 /// # Examples
 ///
@@ -153,14 +151,12 @@ fn fit_gamma_exponent(traces: &ModelTraces, avg_layer_sparsity: &[f64]) -> f64 {
 /// let mut store = TraceStore::new();
 /// store.insert(ModelTraces::generate(&spec, 4, 0));
 /// let lut = ModelInfoLut::from_store(&store);
-/// let id = lut.variant_id(&spec).unwrap();
-/// assert_eq!(lut.get(&spec), Some(lut.info(id)));
+/// let id = store.variant_id(&spec).unwrap();
+/// assert_eq!(lut.info(id).avg_latency_ns(), store.by_id(id).avg_latency_ns());
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ModelInfoLut {
-    /// Spec keys, sorted; rank = `VariantId` (mirrors the source store).
-    keys: Vec<String>,
-    /// LUT entries in key order; index = `VariantId`.
+    /// LUT entries in the store's order; index = `VariantId`.
     entries: Vec<ModelInfo>,
 }
 
@@ -169,7 +165,6 @@ impl ModelInfoLut {
     /// inherited from the store's sorted-key ranks.
     pub fn from_store(store: &TraceStore) -> Self {
         ModelInfoLut {
-            keys: store.iter().map(|t| t.spec().key()).collect(),
             entries: store.iter().map(ModelInfo::from_traces).collect(),
         }
     }
@@ -179,8 +174,8 @@ impl ModelInfoLut {
     ///
     /// # Panics
     ///
-    /// Panics if the id was not minted by this LUT (or the store it was
-    /// built from).
+    /// Panics if the id was not minted by the store this LUT was built
+    /// from.
     #[inline]
     pub fn info(&self, id: VariantId) -> &ModelInfo {
         self.try_info(id)
@@ -192,36 +187,6 @@ impl ModelInfoLut {
     #[inline]
     pub fn try_info(&self, id: VariantId) -> Option<&ModelInfo> {
         self.entries.get(id.index())
-    }
-
-    /// Resolves a spec to its interned id (binary search on a
-    /// stack-formatted key). Only construction code calls it — building
-    /// stores, LUTs, request sources and workloads. Requests carry their
-    /// id from the source that minted them and tasks keep it, so no
-    /// per-request or per-decision path resolves a spec.
-    pub fn variant_id(&self, spec: &SparseModelSpec) -> Option<VariantId> {
-        let probe = spec.spec_key();
-        self.keys
-            .binary_search_by(|k| k.as_str().cmp(probe.as_str()))
-            .ok()
-            .map(VariantId::from_index)
-    }
-
-    /// Looks up the entry for a variant by spec (slow path).
-    pub fn get(&self, spec: &SparseModelSpec) -> Option<&ModelInfo> {
-        self.variant_id(spec).map(|id| &self.entries[id.index()])
-    }
-
-    /// Looks up the entry for a variant by spec, panicking when absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variant was never profiled. Slow-path convenience
-    /// for construction and analysis code; schedulers go through
-    /// [`ModelInfoLut::info`] with the task's interned id.
-    pub fn expect(&self, spec: &SparseModelSpec) -> &ModelInfo {
-        self.get(spec)
-            .unwrap_or_else(|| panic!("no LUT entry for {spec}"))
     }
 
     /// Number of profiled variants.
@@ -240,19 +205,20 @@ mod tests {
     use super::*;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::ModelTraces;
+    use dysta_trace::{ModelTraces, SparseModelSpec};
 
-    fn lut_for(model: ModelId) -> (SparseModelSpec, ModelInfoLut) {
+    /// The LUT entry of `model`'s dense variant, profiled alone.
+    fn info_for(model: ModelId) -> ModelInfo {
         let spec = SparseModelSpec::new(model, SparsityPattern::Dense, 0.0);
         let mut store = TraceStore::new();
         store.insert(ModelTraces::generate(&spec, 8, 3));
-        (spec, ModelInfoLut::from_store(&store))
+        let id = store.variant_id(&spec).expect("profiled");
+        ModelInfoLut::from_store(&store).info(id).clone()
     }
 
     #[test]
     fn suffix_sums_telescope() {
-        let (spec, lut) = lut_for(ModelId::MobileNet);
-        let info = lut.expect(&spec);
+        let info = info_for(ModelId::MobileNet);
         assert!((info.avg_remaining_ns(0) - info.avg_latency_ns()).abs() < 1.0);
         assert_eq!(info.avg_remaining_ns(info.num_layers()), 0.0);
         // Remaining decreases monotonically.
@@ -263,23 +229,13 @@ mod tests {
 
     #[test]
     fn remaining_clamps_past_end() {
-        let (spec, lut) = lut_for(ModelId::MobileNet);
-        let info = lut.expect(&spec);
+        let info = info_for(ModelId::MobileNet);
         assert_eq!(info.avg_remaining_ns(9999), 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "no LUT entry")]
-    fn expect_panics_on_missing() {
-        let (_, lut) = lut_for(ModelId::MobileNet);
-        let other = SparseModelSpec::new(ModelId::Vgg16, SparsityPattern::Dense, 0.0);
-        let _ = lut.expect(&other);
-    }
-
-    #[test]
     fn sparsity_lut_tracks_dynamic_layers() {
-        let (spec, lut) = lut_for(ModelId::Bert);
-        let info = lut.expect(&spec);
+        let info = info_for(ModelId::Bert);
         assert!(info.avg_layer_sparsity().iter().any(|&s| s > 0.5));
     }
 }

@@ -100,23 +100,24 @@ mod tests {
     use crate::ModelInfoLut;
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
+    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore, VariantId};
 
-    fn bert_setup() -> (SparseModelSpec, ModelInfoLut, dysta_trace::ModelTraces) {
+    fn bert_setup() -> (SparseModelSpec, VariantId, ModelInfoLut, ModelTraces) {
         let spec = SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0);
         let traces = ModelTraces::generate(&spec, 32, 11);
         let mut store = TraceStore::new();
         store.insert(traces.clone());
-        (spec, ModelInfoLut::from_store(&store), traces)
+        let variant = store.variant_id(&spec).expect("spec profiled");
+        (spec, variant, ModelInfoLut::from_store(&store), traces)
     }
 
     fn task_with_monitored(
         spec: SparseModelSpec,
+        variant: VariantId,
         lut: &ModelInfoLut,
         trace: &dysta_trace::SampleTrace,
         upto: usize,
     ) -> TaskState {
-        let variant = lut.variant_id(&spec).expect("spec profiled");
         let mut task = TaskState {
             executed_ns: trace.layers()[..upto].iter().map(|l| l.latency_ns).sum(),
             true_remaining_ns: trace.remaining_ns(upto),
@@ -130,37 +131,37 @@ mod tests {
 
     #[test]
     fn coefficient_is_one_before_dynamic_layers() {
-        let (spec, lut, traces) = bert_setup();
-        let t = task_with_monitored(spec, &lut, traces.sample(0), 0);
+        let (spec, variant, lut, traces) = bert_setup();
+        let t = task_with_monitored(spec, variant, &lut, traces.sample(0), 0);
         let p = SparseLatencyPredictor::default();
-        assert_eq!(p.coefficient(&t, lut.expect(&spec)), 1.0);
+        assert_eq!(p.coefficient(&t, lut.info(variant)), 1.0);
     }
 
     #[test]
     fn denser_than_average_sample_has_gamma_above_one() {
-        let (spec, lut, traces) = bert_setup();
-        let info = lut.expect(&spec);
+        let (spec, variant, lut, traces) = bert_setup();
+        let info = lut.info(variant);
         // Find the sample with the highest isolated latency (densest).
         let dense_idx = (0..traces.num_samples() as u64)
             .max_by_key(|&i| traces.sample(i).isolated_latency_ns())
             .unwrap();
         let trace = traces.sample(dense_idx);
-        let t = task_with_monitored(spec, &lut, trace, trace.num_layers() / 2);
+        let t = task_with_monitored(spec, variant, &lut, trace, trace.num_layers() / 2);
         let p = SparseLatencyPredictor::default();
         assert!(p.coefficient(&t, info) > 1.0);
     }
 
     #[test]
     fn prediction_tracks_true_remaining_better_than_lut() {
-        let (spec, lut, traces) = bert_setup();
-        let info = lut.expect(&spec);
+        let (spec, variant, lut, traces) = bert_setup();
+        let info = lut.info(variant);
         let p = SparseLatencyPredictor::default();
         let mut pred_err = 0.0;
         let mut lut_err = 0.0;
         for i in 0..traces.num_samples() as u64 {
             let trace = traces.sample(i);
             let mid = trace.num_layers() / 2;
-            let t = task_with_monitored(spec, &lut, trace, mid);
+            let t = task_with_monitored(spec, variant, &lut, trace, mid);
             let truth = trace.remaining_ns(mid) as f64;
             pred_err += (p.remaining_ns(&t, info) - truth).powi(2);
             lut_err += (info.avg_remaining_ns(mid) - truth).powi(2);
@@ -173,8 +174,8 @@ mod tests {
 
     #[test]
     fn strategies_agree_on_single_observation() {
-        let (spec, lut, traces) = bert_setup();
-        let info = lut.expect(&spec);
+        let (spec, variant, lut, traces) = bert_setup();
+        let info = lut.info(variant);
         let trace = traces.sample(1);
         // Execute exactly up to (and including) the first dynamic layer.
         let first_dyn = trace
@@ -182,7 +183,7 @@ mod tests {
             .iter()
             .position(|l| l.sparsity > 0.0)
             .unwrap();
-        let t = task_with_monitored(spec, &lut, trace, first_dyn + 1);
+        let t = task_with_monitored(spec, variant, &lut, trace, first_dyn + 1);
         let g_all = SparseLatencyPredictor::new(CoeffStrategy::AverageAll).coefficient(&t, info);
         let g_n = SparseLatencyPredictor::new(CoeffStrategy::LastThree).coefficient(&t, info);
         let g_one = SparseLatencyPredictor::new(CoeffStrategy::LastOne).coefficient(&t, info);
@@ -192,10 +193,10 @@ mod tests {
 
     #[test]
     fn disabled_strategy_is_always_one() {
-        let (spec, lut, traces) = bert_setup();
-        let info = lut.expect(&spec);
+        let (spec, variant, lut, traces) = bert_setup();
+        let info = lut.info(variant);
         let trace = traces.sample(3);
-        let t = task_with_monitored(spec, &lut, trace, trace.num_layers() / 2);
+        let t = task_with_monitored(spec, variant, &lut, trace, trace.num_layers() / 2);
         let p = SparseLatencyPredictor::new(CoeffStrategy::Disabled);
         assert_eq!(p.coefficient(&t, info), 1.0);
         assert!((p.remaining_ns(&t, info) - info.avg_remaining_ns(t.next_layer)).abs() < 1e-9);

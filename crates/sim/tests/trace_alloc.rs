@@ -3,8 +3,10 @@
 //! [`RingTracer`] is allocation-free even across ring wraparound, and a
 //! fully traced engine run allocates exactly as much as an untraced one.
 //! Also pins that admitting into a node whose live list has grown
-//! allocates nothing, and that a task moved between nodes executes its
-//! layers without allocating, like one admitted in place.
+//! allocates nothing, that a task moved between nodes executes its
+//! layers without allocating, like one admitted in place, and that
+//! assembling a workload from requests a source stamped formats no
+//! spec key.
 //!
 //! Same counting-global-allocator pattern as `crates/core/tests/
 //! alloc_free.rs`: a thread-local counter measures the exact region
@@ -16,7 +18,7 @@ use std::cell::Cell;
 use dysta_core::{ModelInfoLut, Policy};
 use dysta_obs::{EventKind, NullTracer, RingTracer, TraceEvent, Tracer};
 use dysta_sim::{EngineConfig, NodeEngine};
-use dysta_workload::{Scenario, Workload, WorkloadBuilder};
+use dysta_workload::{Request, Scenario, Workload, WorkloadBuilder};
 
 struct CountingAllocator;
 
@@ -113,7 +115,7 @@ fn engine_run_allocs<T: Tracer + Copy>(w: &Workload, tracer: T) -> u64 {
         let lut = ModelInfoLut::from_store(w.store());
         let mut sched = Policy::Dysta.build();
         let mut node: NodeEngine<'_, &mut dyn dysta_core::Scheduler, T> =
-            NodeEngine::with_tracer(0, sched.as_mut(), EngineConfig::default(), lut, tracer);
+            NodeEngine::with_tracer(0, sched.as_mut(), EngineConfig::default(), &lut, tracer);
         for req in w.requests() {
             node.run_until(req.arrival_ns);
             tracer.record(TraceEvent {
@@ -174,7 +176,7 @@ fn admitting_into_a_warm_node_allocates_nothing() {
     let w = alloc_workload();
     let lut = ModelInfoLut::from_store(w.store());
     let mut node: NodeEngine<'_> =
-        NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), lut);
+        NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), &lut);
     let requests = w.requests();
     let dispatch_ns = requests.last().expect("non-empty").arrival_ns;
     for req in requests {
@@ -209,12 +211,8 @@ fn moved_tasks_execute_their_layers_without_allocating() {
     let lut = ModelInfoLut::from_store(w.store());
     // Every request is dispatched at the last arrival, so the node
     // admits them all before one quantum starts just one.
-    let mut src: NodeEngine<'_> = NodeEngine::new(
-        0,
-        Policy::Fcfs.build(),
-        EngineConfig::default(),
-        lut.clone(),
-    );
+    let mut src: NodeEngine<'_> =
+        NodeEngine::new(0, Policy::Fcfs.build(), EngineConfig::default(), &lut);
     let dispatch_ns = w.requests().last().expect("non-empty").arrival_ns;
     for req in w.requests() {
         src.enqueue(req, w.trace_for(req), 1.0, dispatch_ns);
@@ -244,12 +242,8 @@ fn moved_tasks_execute_their_layers_without_allocating() {
     for transfer in [stolen, salvaged] {
         let num_layers = transfer.task().num_layers;
         assert!(num_layers > 1);
-        let mut dst: NodeEngine<'_> = NodeEngine::new(
-            1,
-            Policy::Dysta.build(),
-            EngineConfig::default(),
-            lut.clone(),
-        );
+        let mut dst: NodeEngine<'_> =
+            NodeEngine::new(1, Policy::Dysta.build(), EngineConfig::default(), &lut);
         dst.accept_transfer(transfer, 1.0, moved_at_ns, 0);
         assert_eq!(
             layer_execution_allocs(&mut dst, num_layers),
@@ -259,4 +253,20 @@ fn moved_tasks_execute_their_layers_without_allocating() {
         dst.run_to_completion();
         assert_eq!(dst.into_report().completed().len(), 1);
     }
+}
+
+#[test]
+fn assembling_a_stamped_workload_formats_no_key() {
+    // Every request a source yields carries its variant id, so workload
+    // assembly checks each id in O(1) and resolves no spec by key: a
+    // key is a heap `String`, so one formatted key would show here.
+    let w = alloc_workload();
+    let requests: Vec<Request> = w.requests().to_vec();
+    let store = w.store().clone();
+    let mut assembled = None;
+    let allocs = allocations_in(|| {
+        assembled = Some(Workload::from_parts(requests, store));
+    });
+    assert_eq!(allocs, 0, "workload assembly allocated");
+    assert_eq!(assembled.as_ref(), Some(&w));
 }

@@ -36,5 +36,5 @@ mod generate;
 mod record;
 mod store;
 
-pub use record::{LayerRecord, ModelTraces, SampleTrace, SparseModelSpec, SpecKey, VariantId};
+pub use record::{LayerRecord, ModelTraces, SampleTrace, SparseModelSpec, VariantId};
 pub use store::TraceStore;

@@ -1,7 +1,6 @@
 //! Trace record types.
 
 use std::fmt;
-use std::fmt::Write as _;
 
 use dysta_models::ModelId;
 use dysta_sparsity::{DatasetProfile, SparsityPattern};
@@ -32,78 +31,29 @@ impl SparseModelSpec {
         }
     }
 
-    /// Stable string key (used by the trace store and LUTs).
+    /// The variant's stable string key, `model|pattern|rate|profile`
+    /// with the rate to four decimals: specs that agree to that
+    /// precision are one variant. [`crate::TraceStore`] sorts its
+    /// entries by it and resolves specs with it, so a key's rank is the
+    /// variant's [`VariantId`]. Formatting one allocates, so only
+    /// construction code builds keys; per-request paths index by the id
+    /// each request carries.
     pub fn key(&self) -> String {
-        self.spec_key().as_str().to_owned()
-    }
-
-    /// The same stable key formatted into a fixed stack buffer — the
-    /// allocation-free probe the store's and LUT's lookup paths use.
-    pub fn spec_key(&self) -> SpecKey {
-        let mut key = SpecKey::default();
-        write!(
-            key,
+        format!(
             "{}|{}|{:.4}|{:?}",
             self.model, self.pattern, self.weight_rate, self.profile
         )
-        .expect("spec key exceeds SpecKey capacity");
-        key
-    }
-}
-
-/// A spec key held in a fixed-capacity stack buffer, so lookups never
-/// heap-allocate. Formatting one still costs a few hundred nanoseconds,
-/// so only construction code (stores, LUTs, sources, workloads) builds
-/// keys; per-request paths index by the [`VariantId`] the request
-/// carries.
-#[derive(Debug, Clone, Copy)]
-pub struct SpecKey {
-    buf: [u8; SpecKey::CAPACITY],
-    len: usize,
-}
-
-impl SpecKey {
-    /// Longest key the buffer holds; ample for every model/pattern/profile
-    /// combination in the zoo (keys run ~30-50 bytes).
-    const CAPACITY: usize = 128;
-
-    /// The formatted key.
-    pub fn as_str(&self) -> &str {
-        std::str::from_utf8(&self.buf[..self.len]).expect("SpecKey only stores UTF-8")
-    }
-}
-
-impl Default for SpecKey {
-    fn default() -> Self {
-        SpecKey {
-            buf: [0; SpecKey::CAPACITY],
-            len: 0,
-        }
-    }
-}
-
-impl fmt::Write for SpecKey {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        let bytes = s.as_bytes();
-        let end = self.len + bytes.len();
-        if end > SpecKey::CAPACITY {
-            return Err(fmt::Error);
-        }
-        self.buf[self.len..end].copy_from_slice(bytes);
-        self.len = end;
-        Ok(())
     }
 }
 
 /// Dense handle of one profiled sparse-model variant.
 ///
-/// Assigned by sorted-key rank when a [`crate::TraceStore`] (and the
-/// `ModelInfoLut` built from it) is constructed, so schedulers index the
-/// LUT with a plain array offset instead of hashing a formatted string
-/// key on every decision. Resolved once per variant where requests are
-/// minted (a request source or a workload) and carried on every request
-/// from there; the string-keyed lookups survive as slow-path
-/// conveniences for building stores, LUTs, sources and workloads.
+/// The variant's sorted-key rank in a [`crate::TraceStore`], the one
+/// place a spec resolves to an id ([`crate::TraceStore::variant_id`]).
+/// The `ModelInfoLut` built from the store holds its entries in the
+/// same order, so schedulers index the LUT with a plain array offset.
+/// Resolved once per variant where requests are minted (a request
+/// source) and carried on every request from there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct VariantId(u32);
 

@@ -4,11 +4,12 @@ use crate::{ModelTraces, SparseModelSpec, VariantId};
 
 /// A keyed collection of [`ModelTraces`].
 ///
-/// Entries are held densely, sorted by spec key; an entry's rank is its
-/// [`VariantId`], shared with the `ModelInfoLut` built from the store so
-/// hot paths can index by id instead of hashing string keys. Lookups by
-/// spec ([`TraceStore::get`], [`TraceStore::variant_id`]) binary-search
-/// with a stack-formatted key and never heap-allocate.
+/// Entries are held densely, sorted by [`SparseModelSpec::key`]; an
+/// entry's rank is its [`VariantId`]. The store is the one place a spec
+/// resolves to an id ([`TraceStore::variant_id`]): request sources
+/// resolve each spec once and stamp the id on every request, and the
+/// run's one `ModelInfoLut`, built from the store, is indexed by the
+/// same ids.
 ///
 /// # Examples
 ///
@@ -59,15 +60,16 @@ impl TraceStore {
 
     /// The dense rank of a spec's entry, used to index the store and any
     /// LUT built from it. Stable until the next [`TraceStore::insert`].
+    /// Formats the spec's key, so it belongs in construction code, not
+    /// on per-request paths.
     pub fn variant_id(&self, spec: &SparseModelSpec) -> Option<VariantId> {
-        let probe = spec.spec_key();
         self.keys
-            .binary_search_by(|k| k.as_str().cmp(probe.as_str()))
+            .binary_search(&spec.key())
             .ok()
             .map(VariantId::from_index)
     }
 
-    /// Looks up the traces for a spec (allocation-free binary search).
+    /// Looks up the traces for a spec (binary search on its key).
     pub fn get(&self, spec: &SparseModelSpec) -> Option<&ModelTraces> {
         self.variant_id(spec).map(|id| &self.traces[id.index()])
     }

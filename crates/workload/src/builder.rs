@@ -146,9 +146,11 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Assembles a workload from pre-built parts, setting every
-    /// request's [`Request::variant`] from its spec in `store` (whatever
-    /// id it arrived with), so later lookups index by id.
+    /// Assembles a workload from pre-built parts, making every request's
+    /// [`Request::variant`] name its spec in `store`, so later lookups
+    /// index by id. A request whose id already names its spec (one a
+    /// source stamped against this store) keeps it after an O(1) check;
+    /// only the others are resolved by key in the store.
     ///
     /// # Panics
     ///
@@ -161,7 +163,10 @@ impl Workload {
                 .all(|p| p[0].arrival_ns <= p[1].arrival_ns),
             "requests must be sorted by arrival"
         );
-        for r in &mut requests {
+        for r in requests
+            .iter_mut()
+            .filter(|r| !r.variant_names_spec_in(&store))
+        {
             r.variant = store
                 .variant_id(&r.spec)
                 .unwrap_or_else(|| panic!("missing traces for {}", r.spec));

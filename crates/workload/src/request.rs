@@ -10,12 +10,13 @@ pub struct Request {
     pub id: u64,
     /// The sparse-model variant (model + pattern + rate + profile).
     pub spec: SparseModelSpec,
-    /// `spec`'s interned id in the trace store of the source that minted
-    /// the request (and in every `ModelInfoLut` built from that store).
-    /// The source resolves each spec once and stamps the id here, so
-    /// per-request paths — trace lookup, enqueue, dispatch estimates —
-    /// index by it and never format a spec key. Run entry points check
-    /// it against `spec` once per request ([`Request::assert_variant_in`]).
+    /// `spec`'s id in the trace store of the source that minted the
+    /// request, which also indexes the run's one `ModelInfoLut`. The
+    /// source resolves each spec once in its store and stamps the id
+    /// here, so per-request paths — trace lookup, enqueue, dispatch
+    /// estimates — index by it and never format a spec key. Run entry
+    /// points check it against `spec` once per request
+    /// ([`Request::assert_variant_in`]).
     pub variant: VariantId,
     /// Which Phase-1 input sample this request carries.
     pub sample_index: u64,
@@ -41,23 +42,29 @@ impl Request {
         slack.clamp(i64::MIN as i128, i64::MAX as i128) as i64
     }
 
-    /// Checks that `variant` names this request's `spec` in `store`, in
-    /// O(1): the stored spec is compared by value, falling back to key
-    /// equality only when the values differ (specs whose rates agree to
-    /// the key's precision share one variant). Run entry points apply it
-    /// to every request before trusting the id — in release builds too.
+    /// True when `variant` names this request's `spec` in `store`. O(1)
+    /// for an id its source stamped: the stored spec is compared by
+    /// value, and only when the values differ are the two
+    /// [`SparseModelSpec::key`]s formatted and compared (specs whose
+    /// rates agree to the key's precision share one variant).
+    pub(crate) fn variant_names_spec_in(&self, store: &TraceStore) -> bool {
+        (self.variant.index() < store.len()) && {
+            let named = store.by_id(self.variant).spec();
+            *named == self.spec || named.key() == self.spec.key()
+        }
+    }
+
+    /// Checks that `variant` names this request's `spec` in `store` (see
+    /// [`Request::variant`]). Run entry points apply it to every request
+    /// before trusting the id — in release builds too.
     ///
     /// # Panics
     ///
     /// Panics naming the request and its spec if `variant` is out of
     /// range for `store` or names another variant.
     pub fn assert_variant_in(&self, store: &TraceStore) {
-        let named = (self.variant.index() < store.len()).then(|| store.by_id(self.variant).spec());
-        let matches = named.is_some_and(|s| {
-            *s == self.spec || s.spec_key().as_str() == self.spec.spec_key().as_str()
-        });
         assert!(
-            matches,
+            self.variant_names_spec_in(store),
             "request {} carries variant {}, which does not name its spec {} in the trace store",
             self.id,
             self.variant.index(),

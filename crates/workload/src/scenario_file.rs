@@ -33,12 +33,12 @@
 //! `mix` is either a [`Scenario`] preset name (`"multi-attnn"`,
 //! `"multi-cnn"`, `"datacenter"`, `"ar-vr-wearable"`,
 //! `"mobile-assistant"`) or an explicit entry list (`model`, `pattern`,
-//! optional `sparsity` rate, `weight`). `process` models: `"poisson"`,
-//! `"on-off"`, `"diurnal"`, `"flash-crowd"`. `popularity` (optional,
-//! default `"weighted"`): `"weighted"`, `"uniform"`, `"zipfian"`.
-//! `slo_multiplier` is a number (fixed) or `{lo, hi}` (per-request
-//! uniform). `samples_per_variant` defaults to 64 and `seed` to 0;
-//! `num_requests` and `phases` are required.
+//! optional `sparsity` rate in [0, 1], `weight`). `process` models:
+//! `"poisson"`, `"on-off"`, `"diurnal"`, `"flash-crowd"`. `popularity`
+//! (optional, default `"weighted"`): `"weighted"`, `"uniform"`,
+//! `"zipfian"`. `slo_multiplier` is a number (fixed) or `{lo, hi}`
+//! (per-request uniform). `samples_per_variant` defaults to 64 and
+//! `seed` to 0; `num_requests` and `phases` are required.
 
 use std::fmt;
 use std::path::Path;
@@ -273,8 +273,9 @@ impl StreamSpec {
     ///
     /// Returns the first violated invariant: empty phase list, zero
     /// request/sample budgets, non-increasing phase starts, empty
-    /// mixes, non-positive rates or weights, out-of-range process
-    /// parameters, and SLO multipliers below 1 (or inverted ranges).
+    /// mixes, non-positive rates or weights, weight-sparsity rates
+    /// outside [0, 1], out-of-range process parameters, and SLO
+    /// multipliers below 1 (or inverted ranges).
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.phases.is_empty() {
             return Err(ScenarioError::EmptyPhases);
@@ -309,6 +310,14 @@ impl StreamSpec {
                         value: w,
                     });
                 }
+                let rate = spec.weight_rate;
+                bounded(
+                    i,
+                    "sparsity",
+                    rate,
+                    (0.0..=1.0).contains(&rate),
+                    "in [0, 1]",
+                )?;
             }
             validate_process(i, &phase.process)?;
             validate_popularity(i, &phase.popularity)?;
@@ -958,6 +967,31 @@ mod tests {
         ));
         let err = err_of("not json at all");
         assert!(matches!(err, ScenarioError::Malformed(_)));
+    }
+
+    #[test]
+    fn rejects_out_of_range_weight_sparsity() {
+        for sparsity in ["1e300", "2.0", "-0.5"] {
+            let err = err_of(&format!(
+                r#"{{"num_requests": 5, "phases": [
+                    {{"start_s": 0,
+                     "mix": [{{"model": "resnet50", "pattern": "random",
+                               "sparsity": {sparsity}, "weight": 1.0}}],
+                     "process": {{"model": "poisson", "rate": 3.0}},
+                     "slo_multiplier": 10.0}}]}}"#
+            ));
+            assert!(
+                matches!(
+                    err,
+                    ScenarioError::InvalidField {
+                        phase: Some(0),
+                        field: "sparsity",
+                        ..
+                    }
+                ),
+                "sparsity {sparsity}: {err}"
+            );
+        }
     }
 
     #[test]

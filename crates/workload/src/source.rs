@@ -53,8 +53,9 @@ pub trait RequestSource<'w> {
     fn store(&self) -> &'w TraceStore;
 
     /// Total number of requests the stream will yield, when known up
-    /// front (both shipped sources know it). Used only for capacity
-    /// hints — a lower bound is safe.
+    /// front. Used only for capacity hints, so a lower bound is safe:
+    /// [`crate::ArrivalSource`] caps its hint at 2^24, since its budget
+    /// can exceed what its arrival clock lets it yield.
     fn len_hint(&self) -> usize;
 }
 

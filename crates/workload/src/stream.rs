@@ -304,6 +304,12 @@ pub struct StreamSpec {
     pub seed: u64,
 }
 
+/// The most requests [`ArrivalSource`]'s `len_hint` reports: the
+/// [`RequestSource::len_hint`] contract allows a lower bound, and a
+/// buffer pre-sized from the hint then costs at most 16 Mi entries
+/// whatever the request budget.
+const LEN_HINT_CAP: u64 = 1 << 24;
+
 /// Per-phase RNG seed: phase 0 uses the stream seed verbatim (so a
 /// [`crate::WorkloadBuilder`] seed is its arrival seed); later phases
 /// decorrelate via a golden-ratio hash of their index.
@@ -362,14 +368,11 @@ impl StreamSpec {
     /// `seed ^ 0xD15A` (independent of the arrival draws).
     pub fn build_store(&self) -> TraceStore {
         let mut store = TraceStore::new();
-        let mut seen: Vec<String> = Vec::new();
         for phase in &self.phases {
             for (spec, _) in &phase.mix {
-                let key = spec.key();
-                if seen.contains(&key) {
+                if store.get(spec).is_some() {
                     continue;
                 }
-                seen.push(key);
                 store.insert(ModelTraces::generate(
                     spec,
                     self.samples_per_variant,
@@ -443,13 +446,12 @@ impl StreamSpec {
     /// [`crate::WorkloadBuilder::build`] returns).
     pub fn materialize(&self) -> Workload {
         let store = self.build_store();
-        let mut requests = Vec::with_capacity(self.num_requests.min(1 << 24) as usize);
-        {
-            let mut source = self.source(&store);
-            while let Some(r) = source.next_request() {
-                requests.push(r);
-            }
-        }
+        let requests = {
+            let source = self.source(&store);
+            let mut requests = Vec::with_capacity(source.len_hint());
+            requests.extend(source);
+            requests
+        };
         Workload::from_parts(requests, store)
     }
 }
@@ -587,10 +589,13 @@ impl<'w> RequestSource<'w> for ArrivalSource<'w> {
         self.store
     }
 
+    /// The requests still to come, capped at `LEN_HINT_CAP`: callers
+    /// pre-size buffers with it, and a budget far beyond what the arrival
+    /// clock lets the stream yield must not become one huge allocation.
     fn len_hint(&self) -> usize {
         self.remaining
             .saturating_add(u64::from(self.lookahead.is_some()))
-            .min(usize::MAX as u64) as usize
+            .min(LEN_HINT_CAP) as usize
     }
 }
 

@@ -40,7 +40,7 @@ fn main() {
     // profiled-average latencies, so the preemption call hinges on which
     // estimate the scheduler trusts. Find the layer boundary where that
     // holds.
-    let res_info = lut.expect(&resnet);
+    let res_info = lut.info(store.variant_id(&resnet).unwrap());
     let target_ms = (avg_ms + true_ms) / 2.0;
     let progress = (0..res_info.num_layers())
         .min_by(|&a, &b| {
