@@ -71,10 +71,11 @@ use crate::{AcceleratorKind, ClusterConfig, FrontendConfig};
 /// queue and in-flight bookkeeping (see
 /// [`ServingStats::peak_live_requests`]), and each node's live-task
 /// list, which requests leave when they finish or move. What still
-/// grows with the stream is the report: a 56 B
-/// [`dysta_sim::CompletedRequest`] per completion plus 8 B of
-/// [`ServingStats::admission_wait_ns`] per admitted request, kept
-/// because turnaround and wait percentiles are computed from them.
+/// grows with the stream is the report's 56 B
+/// [`dysta_sim::CompletedRequest`] per completion, kept because the
+/// turnaround percentiles are computed from it. The report keeps the
+/// summed admission wait and the rejected, failed and reneged counts;
+/// a traced run records each request's wait and outcome.
 ///
 /// Deterministic: identical inputs produce identical reports.
 ///
@@ -258,7 +259,6 @@ where
     // checked once here, so hand-assembled configs cannot reach the
     // engine unvalidated.
     config.validate();
-    let len_hint = source.len_hint();
 
     // The run's one LUT: every node and the front end borrow it.
     let lut = ModelInfoLut::from_store(source.store());
@@ -289,10 +289,7 @@ where
         predictor,
         nodes,
         ledger: vec![Ledger::default(); config.nodes.len()],
-        serving: ServingStats {
-            admission_wait_ns: Vec::with_capacity(len_hint),
-            ..ServingStats::default()
-        },
+        serving: ServingStats::default(),
         live_requests: HashMap::new(),
         last_arrival_ns: 0,
         fault_timeline: fault_timeline(&config.faults.schedule),
@@ -708,22 +705,20 @@ impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
     }
 
     /// Lands `transfer`, withdrawn from `src`, on `dst` at sim-time `t`
-    /// under service `scale`, paying `fetch_ns` of transfer cost there —
-    /// the one move path crash salvage, migration and stealing share.
-    fn move_task(
-        &mut self,
-        src: usize,
-        dst: usize,
-        transfer: TransferableTask<'c>,
-        scale: f64,
-        t: u64,
-        fetch_ns: u64,
-    ) {
+    /// — the one move path crash salvage, migration and stealing share.
+    /// The task runs at `dst`'s [dispatch scale](Frontend::dispatch_scale)
+    /// for its family and pays [`Frontend::fetch_ns`] there, which this
+    /// returns.
+    fn move_task(&mut self, src: usize, dst: usize, transfer: TransferableTask<'c>, t: u64) -> u64 {
+        let task = transfer.task();
+        let fetch_ns = self.fetch_ns(src, dst, task.variant);
+        let scale = self.dispatch_scale(dst, task.spec.model.family());
         self.nodes[dst].accept_transfer(transfer, scale, t, fetch_ns);
         self.mark_live(dst);
         self.ledger[src].transferred_out += 1;
         self.ledger[dst].transferred_in += 1;
         self.ledger[dst].transfer_fetch_ns += fetch_ns;
+        fetch_ns
     }
 
     /// Marks `node` as holding work (idempotent; keeps `live` sorted).
@@ -917,10 +912,7 @@ impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
                 self.fail_request(t, id, crashed);
                 continue;
             }
-            let fetch_ns =
-                self.stalled_fetch(crashed, target, ctx.request_transfer_cost_ns(&request));
-            let scale = self.dispatch_scale(target, request.spec.model.family());
-            self.move_task(crashed, target, transfer, scale, t, fetch_ns);
+            let fetch_ns = self.move_task(crashed, target, transfer, t);
             self.live_requests
                 .get_mut(&id)
                 .expect("request is live")
@@ -946,7 +938,6 @@ impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
     fn fail_request(&mut self, t: u64, id: u64, node: usize) {
         let entry = self.live_requests.remove(&id);
         self.ledger[node].failed += 1;
-        self.serving.recovery.failed_ids.push(id);
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent {
                 t_ns: t,
@@ -975,10 +966,17 @@ impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
         }
     }
 
-    /// `fetch_ns` inflated by any transfer-stall window covering either
-    /// endpoint — the slower side bounds the transfer, so overlapping
-    /// stalls take the larger factor. Identity when no window is open.
-    fn stalled_fetch(&self, src: usize, dst: usize, fetch_ns: u64) -> u64 {
+    /// The re-fetch cost of moving a `variant` task from `src` to `dst`
+    /// right now: the pool's [`crate::TransferCostConfig`] estimate,
+    /// inflated by any transfer-stall window covering either endpoint —
+    /// the slower side bounds the transfer, so overlapping stalls take
+    /// the larger factor. 0 under free transfers.
+    fn fetch_ns(&self, src: usize, dst: usize, variant: VariantId) -> u64 {
+        let cost = &self.config.transfer_cost;
+        if cost.is_free() {
+            return 0;
+        }
+        let fetch_ns = cost.estimate_ns(self.lut.info(variant).avg_latency_ns());
         let factor = |i: usize| self.ledger[i].health.stall.map(|(f, _)| f);
         match (factor(src), factor(dst)) {
             (None, None) => fetch_ns,
@@ -1096,7 +1094,6 @@ impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
                 let would_serve = self.dispatcher.peek(&original, &ctx);
                 self.check_target(would_serve);
                 self.ledger[would_serve].rejected += 1;
-                self.serving.rejected_ids.push(id);
                 if self.tracer.enabled() {
                     self.tracer.record(TraceEvent {
                         t_ns: t,
@@ -1162,7 +1159,7 @@ impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
                 // `routed`) but has nowhere to run — fail it at the
                 // door instead of queueing on a dead engine.
                 self.ledger[target].routed += 1;
-                self.serving.admission_wait_ns.push(t - request.arrival_ns);
+                self.serving.admission_wait_total_ns += u128::from(wait_ns);
                 self.fail_request(t, id, target);
                 continue;
             }
@@ -1171,7 +1168,7 @@ impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
             self.nodes[target].enqueue(&request, trace, scale, t);
             self.mark_live(target);
             self.ledger[target].routed += 1;
-            self.serving.admission_wait_ns.push(t - request.arrival_ns);
+            self.serving.admission_wait_total_ns += u128::from(wait_ns);
             if self.tracer.enabled() {
                 let deadline = request.arrival_ns.saturating_add(request.slo_ns);
                 let slack = if deadline == u64::MAX {
@@ -1283,13 +1280,10 @@ impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
                     "dispatcher `{}` peek/dispatch disagree on one snapshot",
                     self.dispatcher.name()
                 );
-                let fetch_ns =
-                    self.stalled_fetch(src, target, ctx.request_transfer_cost_ns(&request));
-                let dst_scale = self.dispatch_scale(target, request.spec.model.family());
                 let transfer = self.nodes[src]
                     .take_unstarted(id)
                     .expect("candidate is queued and unstarted");
-                self.move_task(src, target, transfer, dst_scale, t, fetch_ns);
+                let fetch_ns = self.move_task(src, target, transfer, t);
                 let entry = self.live_requests.get_mut(&id).expect("request is live");
                 entry.migrations += 1;
                 let stats = &mut self.serving;
@@ -1353,7 +1347,6 @@ impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
                     .expect("candidate is queued and unstarted");
                 self.live_requests.remove(&id);
                 self.ledger[src].reneged += 1;
-                self.serving.recovery.reneged_ids.push(id);
                 if self.tracer.enabled() {
                     self.tracer.record(TraceEvent {
                         t_ns: t,
@@ -1385,7 +1378,7 @@ impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
     /// What a steal price reads from the thief: its accelerator and
     /// capacity (through
     /// [`Frontend::dispatch_scale`]) and its open brown-out and
-    /// transfer-stall factors (through [`Frontend::stalled_fetch`]).
+    /// transfer-stall factors (through [`Frontend::fetch_ns`]).
     /// Thieves with equal classes get bit-identical candidate lists.
     fn steal_class(&self, thief: usize) -> StealClass {
         let nc = &self.config.nodes[thief];
@@ -1420,15 +1413,7 @@ impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
                     est_ns,
                     on_victim_ns: est_ns * victim_scale,
                     on_thief_ns: est_ns * thief_scale,
-                    transfer_cost_ns: if self.config.transfer_cost.is_free() {
-                        0
-                    } else {
-                        self.stalled_fetch(
-                            victim,
-                            thief,
-                            self.config.transfer_cost.estimate_ns(est_ns),
-                        )
-                    },
+                    transfer_cost_ns: self.fetch_ns(victim, thief, task.variant),
                 });
             }
         }
@@ -1519,18 +1504,14 @@ impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
                 self.steal_policy.name()
             );
             let chosen = candidates[pick];
-            let family = self.live_request(chosen.task_id).spec.model.family();
-            let scale = self.dispatch_scale(thief, family);
             let transfer = self.nodes[chosen.victim]
                 .take_unstarted(chosen.task_id)
                 .expect("chosen candidate is queued and unstarted");
-            self.move_task(
-                chosen.victim,
-                thief,
-                transfer,
-                scale,
-                t,
-                chosen.transfer_cost_ns,
+            let fetch_ns = self.move_task(chosen.victim, thief, transfer, t);
+            debug_assert_eq!(
+                fetch_ns, chosen.transfer_cost_ns,
+                "steal of {} paid a fetch its pricing did not quote",
+                chosen.task_id
             );
             self.serving.steals += 1;
             if self.tracer.enabled() {
@@ -1540,7 +1521,7 @@ impl<'w: 'c, 'c, S: RequestSource<'w>, T: Tracer + Copy> Frontend<'c, S, T> {
                     node: thief as u32,
                     kind: EventKind::Steal,
                     a: chosen.victim as u64,
-                    b: chosen.transfer_cost_ns as i64,
+                    b: fetch_ns as i64,
                 });
             }
             self.refresh_views(views);

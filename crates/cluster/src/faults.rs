@@ -327,13 +327,6 @@ pub struct RecoveryStats {
     /// time keeps it; this reports how much of that busy time produced
     /// nothing).
     pub lost_busy_ns: u64,
-    /// Ids of the requests recorded as permanently failed (out of retry
-    /// budget, salvage disabled, or no live node to take them), in
-    /// failure order.
-    pub failed_ids: Vec<u64>,
-    /// Ids of the requests dropped from a queue because their projected
-    /// slack went negative before they started, in drop order.
-    pub reneged_ids: Vec<u64>,
 }
 
 #[cfg(test)]

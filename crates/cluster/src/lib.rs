@@ -76,9 +76,9 @@
 //! salvage-and-redispatch of never-started work off crashed nodes with
 //! a bounded per-request retry budget, and optional queue-time
 //! reneging. Every [`NodeView`] exposes a [`NodeHealth`] so all four
-//! policy traits skip or discount sick nodes, and
-//! [`ServingStats::recovery`] ([`RecoveryStats`]) accounts for every
-//! crashed, salvaged, retried, reneged and failed request: conservation
+//! policy traits skip or discount sick nodes. [`ServingStats::recovery`]
+//! ([`RecoveryStats`]) counts crashes, salvages and retries, and each
+//! [`NodeReport`] counts its failed and reneged requests: conservation
 //! becomes admitted == completed + failed + reneged, exactly once. An
 //! empty schedule is a guaranteed no-op (bit-exact with a fault-free
 //! build).

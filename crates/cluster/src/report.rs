@@ -64,24 +64,22 @@ pub struct ServingStats {
     /// The largest migration count any single request accumulated
     /// (bounded by [`crate::MigrationConfig::max_per_request`]).
     pub max_migrations_single_request: u32,
-    /// Time each *admitted* request spent in the cluster admission
-    /// queue before dispatch, in dispatch order (all zeros under
-    /// immediate dispatch; empty when a report is assembled without a
-    /// front-end). Rejected requests never dispatch, so they
-    /// contribute no sample.
-    pub admission_wait_ns: Vec<u64>,
-    /// Ids of the requests the admission policy rejected, in decision
-    /// order (empty under [`crate::AdmitAll`]).
-    pub rejected_ids: Vec<u64>,
+    /// Summed admission-queue wait of every *admitted* request (ns):
+    /// time from arrival to dispatch, 0 under immediate dispatch.
+    /// Rejected requests never dispatch and add nothing. A traced run
+    /// records each request's wait (the `Admit`/`AdmitDegrade` event's
+    /// `a` field) and outcome; the report keeps only this total.
+    pub admission_wait_total_ns: u128,
     /// For each degraded admission: the request id and its *original*
     /// SLO in nanoseconds, in decision order. The request runs the
     /// pool under the relaxed deadline; [`ClusterReport::goodput`]
     /// judges its completion against the original recorded here.
     pub degraded_slo_ns: Vec<(u64, u64)>,
     /// What fault injection and recovery did during the run: crashes
-    /// seen, requests salvaged off dead nodes, retries applied, reneged
-    /// and failed requests, and the executed work lost to crashes. All
-    /// zero under an empty [`crate::FaultSchedule`] with reneging off.
+    /// seen, requests salvaged off dead nodes, retries applied, and the
+    /// executed work lost to crashes (failed and reneged requests are
+    /// counted per node). All zero under an empty
+    /// [`crate::FaultSchedule`].
     pub recovery: crate::RecoveryStats,
     /// High-water mark of the front-end's live-request table: requests
     /// admitted but not yet observed retired (completed, failed, or
@@ -89,28 +87,9 @@ pub struct ServingStats {
     /// trace length — and so are the scheduling state behind it (this
     /// table and every node's live-task list). A streamed run's memory is
     /// therefore this live state plus the per-request report floor:
-    /// 56 B of [`CompletedRequest`] per completion and 8 B of
-    /// [`ServingStats::admission_wait_ns`] per admitted request.
+    /// 56 B of [`CompletedRequest`] per completion, and 16 B of
+    /// [`ServingStats::degraded_slo_ns`] per degraded admission.
     pub peak_live_requests: usize,
-}
-
-impl ServingStats {
-    /// Mean admission-queue wait in nanoseconds (0 when no waits were
-    /// recorded).
-    ///
-    /// **Population: admitted requests only.** Rejected requests never
-    /// dispatch and contribute no wait sample, so under a shedding
-    /// admission policy this mean describes the survivors, not the
-    /// offered stream. Scale by
-    /// `admitted_total / offered_total` (see
-    /// [`ClusterReport::offered_total`]) if an offered-population view
-    /// is needed.
-    pub fn mean_admission_wait_ns(&self) -> f64 {
-        if self.admission_wait_ns.is_empty() {
-            return 0.0;
-        }
-        self.admission_wait_ns.iter().sum::<u64>() as f64 / self.admission_wait_ns.len() as f64
-    }
 }
 
 /// The p50/p90/p99 turnaround triple — the tail-latency summary the
@@ -269,10 +248,24 @@ impl ClusterReport {
     /// degraded) plus rejected. This is the denominator population for
     /// offered-stream rates such as [`ClusterReport::goodput_rate`];
     /// the latency summaries ([`ClusterReport::turnaround_percentile_ns`],
-    /// [`ServingStats::mean_admission_wait_ns`]) cover only the admitted
+    /// [`ClusterReport::mean_admission_wait_ns`]) cover only the admitted
     /// subset.
     pub fn offered_total(&self) -> usize {
         self.admitted_total() + self.rejected_total()
+    }
+
+    /// Mean admission-queue wait in nanoseconds: the summed wait over
+    /// [`ClusterReport::admitted_total`] (0 when nothing was admitted).
+    ///
+    /// **Population: admitted requests only.** Rejected requests never
+    /// dispatch and contribute no wait, so under a shedding admission
+    /// policy this mean describes the survivors, not the offered
+    /// stream.
+    pub fn mean_admission_wait_ns(&self) -> f64 {
+        match self.admitted_total() {
+            0 => 0.0,
+            admitted => self.serving.admission_wait_total_ns as f64 / admitted as f64,
+        }
     }
 
     /// Cluster ANTT: the mean normalized turnaround over every request
@@ -477,7 +470,7 @@ mod tests {
         assert_eq!(r.goodput(), 0);
         assert_eq!(r.goodput_rate(), 0.0);
         assert_eq!(r.turnaround_percentile_ns(99.0), 0);
-        assert_eq!(r.serving().mean_admission_wait_ns(), 0.0);
+        assert_eq!(r.mean_admission_wait_ns(), 0.0);
     }
 
     #[test]
@@ -545,20 +538,25 @@ mod tests {
         let r = ClusterReport::new(vec![node(0, vec![completion(0, 0, 10, 5)], 10)]);
         assert_eq!(r.serving().steals, 0);
         assert_eq!(r.serving().migrations, 0);
-        assert_eq!(r.serving().mean_admission_wait_ns(), 0.0);
+        assert_eq!(r.mean_admission_wait_ns(), 0.0);
     }
 
     #[test]
     fn admission_wait_summary_edges_are_total() {
-        // Empty sample set (a run that admitted nothing): the mean is 0,
-        // never NaN.
-        let empty = ServingStats::default();
+        // A run that admitted nothing: the mean is 0, never NaN.
+        let empty = ClusterReport::new(vec![node(0, Vec::new(), 0)]);
         assert_eq!(empty.mean_admission_wait_ns(), 0.0);
         assert!(empty.mean_admission_wait_ns().is_finite());
-        let some = ServingStats {
-            admission_wait_ns: vec![30, 10, 20],
-            ..ServingStats::default()
-        };
+        // Three admitted requests waited 60 ns between them.
+        let mut n0 = node(0, Vec::new(), 0);
+        n0.routed = 3;
+        let some = ClusterReport::with_serving(
+            vec![n0],
+            ServingStats {
+                admission_wait_total_ns: 60,
+                ..ServingStats::default()
+            },
+        );
         assert!((some.mean_admission_wait_ns() - 20.0).abs() < 1e-12);
     }
 
@@ -587,8 +585,6 @@ mod tests {
                 crashes: 1,
                 salvaged: 1,
                 lost_busy_ns: 42,
-                failed_ids: vec![1],
-                reneged_ids: vec![2],
                 ..crate::RecoveryStats::default()
             },
             ..ServingStats::default()
@@ -605,7 +601,7 @@ mod tests {
         assert!((r.goodput_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(r.recovery().crashes, 1);
         assert_eq!(r.recovery().lost_busy_ns, 42);
-        assert_eq!(r.recovery().failed_ids, vec![1]);
+        assert_eq!(r.recovery().salvaged, 1);
     }
 
     #[test]
@@ -614,11 +610,13 @@ mod tests {
             steals: 3,
             migrations: 1,
             max_migrations_single_request: 1,
-            admission_wait_ns: vec![0, 10, 20, 30],
+            admission_wait_total_ns: 60,
             ..ServingStats::default()
         };
-        let r =
-            ClusterReport::with_serving(vec![node(0, vec![completion(0, 0, 10, 5)], 10)], serving);
-        assert!((r.serving().mean_admission_wait_ns() - 15.0).abs() < 1e-12);
+        // Four admitted requests waited 0, 10, 20 and 30 ns.
+        let mut n0 = node(0, vec![completion(0, 0, 10, 5)], 10);
+        n0.routed = 4;
+        let r = ClusterReport::with_serving(vec![n0], serving);
+        assert!((r.mean_admission_wait_ns() - 15.0).abs() < 1e-12);
     }
 }

@@ -15,8 +15,19 @@ use dysta_cluster::{
     DispatchPolicy, FrontendConfig, InfeasibleEverywhere, JoinShortestQueue, SlackLoadShedding,
 };
 use dysta_core::Policy;
-use dysta_obs::NullTracer;
+use dysta_obs::{EventKind, NullTracer, RingTracer};
 use dysta_workload::{Request, Scenario, Workload, WorkloadBuilder};
+
+/// The ids of the requests the traced run rejected, ascending.
+fn traced_rejections(tracer: &RingTracer) -> Vec<u64> {
+    assert_eq!(tracer.dropped(), 0, "the ring must hold the whole run");
+    tracer
+        .timelines()
+        .iter()
+        .filter(|t| t.rejected)
+        .map(|t| t.id)
+        .collect()
+}
 
 fn workload(rate: f64, slo: f64, n: usize, seed: u64) -> Workload {
     WorkloadBuilder::new(Scenario::MultiCnn)
@@ -73,7 +84,9 @@ proptest! {
         } else {
             Box::new(InfeasibleEverywhere::new())
         });
-        let report = simulate_cluster(w.source(), &mut policy, &pool(shape, frontend), NullTracer);
+        let tracer = RingTracer::new(1 << 16);
+        let report = simulate_cluster(w.source(), &mut policy, &pool(shape, frontend), &tracer);
+        let rejections = traced_rejections(&tracer);
 
         let rejected = report.rejected_total();
         let admitted = report.admitted_total();
@@ -82,7 +95,8 @@ proptest! {
         // Every offered request is either admitted or rejected, and the
         // serving stats agree with the per-node counters.
         prop_assert_eq!(admitted + rejected, n);
-        prop_assert_eq!(report.serving().rejected_ids.len(), rejected);
+        prop_assert_eq!(rejections.len(), rejected);
+        prop_assert_eq!(tracer.kind_count(EventKind::AdmitReject), rejected as u64);
         prop_assert_eq!(report.serving().degraded_slo_ns.len(), degraded);
         prop_assert!(degraded <= admitted);
 
@@ -93,7 +107,7 @@ proptest! {
         prop_assert_eq!(completed_ids.len(), admitted, "duplicate completion");
 
         // A rejected request appears in no node's completions...
-        for id in &report.serving().rejected_ids {
+        for id in &rejections {
             prop_assert!(
                 !completed_ids.contains(id),
                 "rejected request {} completed",
@@ -124,7 +138,14 @@ proptest! {
 
         // One admission-wait sample per admitted request, none for the
         // rejected ones.
-        prop_assert_eq!(report.serving().admission_wait_ns.len(), admitted);
+        let timelines = tracer.timelines();
+        prop_assert_eq!(
+            timelines.iter().filter(|t| t.admitted_ns.is_some()).count(),
+            admitted
+        );
+        prop_assert!(timelines
+            .iter()
+            .all(|t| !(t.rejected && t.admitted_ns.is_some())));
 
         // Goodput counts a subset of completions and the rate is a
         // well-formed fraction of offered work.
@@ -197,14 +218,17 @@ proptest! {
         let w = with_deadline_free_mix(&workload(24.0, 1.5, 40, seed), stride);
         let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::EarliestDeadlineFirst)
             .with_admission(Box::new(InfeasibleEverywhere::new()));
-        let report = simulate_cluster(w.source(), &mut policy, &pool(2, FrontendConfig::default()), NullTracer);
+        let tracer = RingTracer::new(1 << 16);
+        let report = simulate_cluster(w.source(), &mut policy, &pool(2, FrontendConfig::default()), &tracer);
+        let rejections = traced_rejections(&tracer);
+        prop_assert_eq!(rejections.len(), report.rejected_total());
         let free_ids: HashSet<u64> = w
             .requests()
             .iter()
             .filter(|r| r.slo_ns == u64::MAX)
             .map(|r| r.id)
             .collect();
-        for id in &report.serving().rejected_ids {
+        for id in &rejections {
             prop_assert!(!free_ids.contains(id), "deadline-free request {} rejected", id);
         }
         // Deadline-free completions can never violate.

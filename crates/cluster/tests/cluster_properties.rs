@@ -10,7 +10,7 @@ use dysta_cluster::{
     TransferCostConfig,
 };
 use dysta_core::Policy;
-use dysta_obs::NullTracer;
+use dysta_obs::{NullTracer, RingTracer};
 use dysta_sim::{simulate, EngineConfig};
 use dysta_workload::{Scenario, Workload, WorkloadBuilder};
 
@@ -33,6 +33,17 @@ fn mixed_workload(rate: f64, n: usize, seed: u64) -> Workload {
         .samples_per_variant(8)
         .seed(seed)
         .build()
+}
+
+/// Each admitted request's admission-queue wait, in id order, read from
+/// the trace: admission decision time minus arrival.
+fn admission_waits(tracer: &RingTracer) -> Vec<u64> {
+    assert_eq!(tracer.dropped(), 0, "the ring must hold the whole run");
+    tracer
+        .timelines()
+        .iter()
+        .filter_map(|t| Some(t.admitted_ns? - t.arrival_ns?))
+        .collect()
 }
 
 #[test]
@@ -97,11 +108,7 @@ fn one_node_cluster_with_serving_frontend_stays_bit_exact_with_simulate() {
     assert_eq!(cluster.nodes()[0].report.completed(), single.completed());
     assert_eq!(cluster.serving().steals, 0);
     assert_eq!(cluster.serving().migrations, 0);
-    assert!(cluster
-        .serving()
-        .admission_wait_ns
-        .iter()
-        .all(|&wait| wait == 0));
+    assert_eq!(cluster.serving().admission_wait_total_ns, 0);
 }
 
 #[test]
@@ -218,20 +225,25 @@ fn admission_batching_records_queue_waits_and_conserves_requests() {
             ..FrontendConfig::default()
         })
         .build();
+    let tracer = RingTracer::new(1 << 16);
     let report = simulate_cluster(
         w.source(),
         &mut ClusterPolicy::from_dispatch(DispatchPolicy::JoinShortestQueue),
         &pool,
-        NullTracer,
+        &tracer,
     );
     assert_eq!(report.completed_total(), 120);
-    let waits = &report.serving().admission_wait_ns;
+    let waits = admission_waits(&tracer);
     assert_eq!(waits.len(), 120);
     // Batching makes most requests wait for the batch to fill; the
     // request closing each batch is dispatched instantly.
     assert!(waits.iter().any(|&wait| wait > 0));
     assert!(waits.iter().filter(|&&wait| wait == 0).count() >= 120 / 6);
-    assert!(report.serving().mean_admission_wait_ns() > 0.0);
+    assert_eq!(
+        report.serving().admission_wait_total_ns,
+        waits.iter().map(|&wait| u128::from(wait)).sum::<u128>()
+    );
+    assert!(report.mean_admission_wait_ns() > 0.0);
 }
 
 #[test]
@@ -262,7 +274,7 @@ fn batched_dispatch_delays_execution_to_the_dispatch_instant() {
         NullTracer,
     );
     assert!(batched.completed().all(|c| c.completion_ns >= last_arrival));
-    assert!(batched.serving().mean_admission_wait_ns() > 0.0);
+    assert!(batched.mean_admission_wait_ns() > 0.0);
     assert!(
         batched.antt() > immediate.antt(),
         "admission wait must show up in turnaround: batched {} vs immediate {}",
@@ -337,19 +349,18 @@ fn admission_timer_bounds_queue_waits() {
             ..FrontendConfig::default()
         })
         .build();
+    let tracer = RingTracer::new(1 << 16);
     let report = simulate_cluster(
         w.source(),
         &mut ClusterPolicy::from_dispatch(DispatchPolicy::JoinShortestQueue),
         &pool,
-        NullTracer,
+        &tracer,
     );
     assert_eq!(report.completed_total(), 120);
-    assert!(report
-        .serving()
-        .admission_wait_ns
-        .iter()
-        .all(|&wait| wait <= interval));
-    assert!(report.serving().mean_admission_wait_ns() > 0.0);
+    let waits = admission_waits(&tracer);
+    assert_eq!(waits.len(), 120);
+    assert!(waits.iter().all(|&wait| wait <= interval));
+    assert!(report.mean_admission_wait_ns() > 0.0);
 }
 
 #[test]

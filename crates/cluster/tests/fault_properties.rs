@@ -100,8 +100,10 @@ proptest! {
             recovery: RecoveryConfig { salvage, max_retries, reneging },
         };
         let mut policy = ClusterPolicy::from_dispatch(dispatch);
+        let tracer = RingTracer::new(1 << 18);
         let report =
-            simulate_cluster(w.source(), &mut policy, &pool(shape, FrontendConfig::serving(), faults), NullTracer);
+            simulate_cluster(w.source(), &mut policy, &pool(shape, FrontendConfig::serving(), faults), &tracer);
+        prop_assert_eq!(tracer.dropped(), 0);
 
         // AdmitAll: everything offered is admitted, and every admitted
         // request resolves exactly one way.
@@ -124,21 +126,22 @@ proptest! {
                 node.node_id
             );
         }
-        // The serving-level recovery ledger agrees with the per-node
-        // counters, and the three outcome id sets partition the stream.
+        // The traced outcomes agree with the per-node counters, and the
+        // three outcome id sets partition the stream.
         let recovery = report.recovery();
-        prop_assert_eq!(recovery.failed_ids.len(), report.failed_total());
-        prop_assert_eq!(recovery.reneged_ids.len(), report.reneged_total());
+        prop_assert_eq!(tracer.kind_count(EventKind::Failed), report.failed_total() as u64);
+        prop_assert_eq!(tracer.kind_count(EventKind::Renege), report.reneged_total() as u64);
         prop_assert!(recovery.retries <= recovery.salvaged);
         if !reneging {
             prop_assert_eq!(report.reneged_total(), 0);
         }
+        let timelines = tracer.timelines();
         let completed: HashSet<u64> = report.completed().map(|c| c.id).collect();
-        let failed: HashSet<u64> = recovery.failed_ids.iter().copied().collect();
-        let reneged: HashSet<u64> = recovery.reneged_ids.iter().copied().collect();
+        let failed: HashSet<u64> = timelines.iter().filter(|t| t.failed).map(|t| t.id).collect();
+        let reneged: HashSet<u64> = timelines.iter().filter(|t| t.reneged).map(|t| t.id).collect();
         prop_assert_eq!(completed.len(), report.completed_total(), "duplicate completion");
-        prop_assert_eq!(failed.len(), recovery.failed_ids.len(), "duplicate failure");
-        prop_assert_eq!(reneged.len(), recovery.reneged_ids.len(), "duplicate renege");
+        prop_assert_eq!(failed.len(), report.failed_total(), "duplicate failure");
+        prop_assert_eq!(reneged.len(), report.reneged_total(), "duplicate renege");
         prop_assert!(completed.is_disjoint(&failed));
         prop_assert!(completed.is_disjoint(&reneged));
         prop_assert!(failed.is_disjoint(&reneged));

@@ -11,7 +11,7 @@ use dysta_cluster::{
     DispatchPolicy, FrontendConfig, MigrationConfig, StealConfig,
 };
 use dysta_core::{ModelInfoLut, Policy};
-use dysta_obs::NullTracer;
+use dysta_obs::{NullTracer, RingTracer};
 use dysta_sim::{EngineConfig, NodeEngine};
 use dysta_workload::{Scenario, Workload, WorkloadBuilder};
 
@@ -70,7 +70,9 @@ proptest! {
             }),
             ..FrontendConfig::default()
         };
-        let report = simulate_cluster(w.source(), &mut ClusterPolicy::from_dispatch(dispatch), &pool(shape, frontend), NullTracer);
+        let tracer = RingTracer::new(1 << 16);
+        let report = simulate_cluster(w.source(), &mut ClusterPolicy::from_dispatch(dispatch), &pool(shape, frontend), &tracer);
+        prop_assert_eq!(tracer.dropped(), 0);
 
         // Conservation: exactly-once completion across the whole pool,
         // no matter how often requests moved.
@@ -123,12 +125,13 @@ proptest! {
         }
 
         // Admission waits exist for every request and respect the timer.
-        prop_assert_eq!(report.serving().admission_wait_ns.len(), n);
-        prop_assert!(report
-            .serving()
-            .admission_wait_ns
+        let waits: Vec<u64> = tracer
+            .timelines()
             .iter()
-            .all(|&wait| wait <= 25_000_000));
+            .filter_map(|t| Some(t.admitted_ns? - t.arrival_ns?))
+            .collect();
+        prop_assert_eq!(waits.len(), n);
+        prop_assert!(waits.iter().all(|&wait| wait <= 25_000_000));
     }
 
     #[test]
@@ -247,4 +250,9 @@ fn work_dispatched_at_the_clock_end_saturates_the_node_clock() {
         report.completed_total() + report.failed_total() + report.reneged_total()
     );
     assert!(report.completed().any(|c| c.completion_ns == u64::MAX));
+    // Two requests wait `u64::MAX`: the mean neither overflows nor wraps.
+    assert_eq!(
+        report.mean_admission_wait_ns(),
+        2.0 * u64::MAX as f64 / 22.0
+    );
 }

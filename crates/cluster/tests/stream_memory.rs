@@ -5,17 +5,18 @@
 //! high-water mark over one streamed `simulate_cluster` call (trace
 //! store included). The same steady stream runs at two lengths; since
 //! peak concurrency is the same, the peak heap may grow only by what
-//! the report keeps per request: a 56 B `CompletedRequest` plus 8 B of
-//! `admission_wait_ns`, with slack for `Vec` doubling. A node that
-//! kept finished tasks (then ~128 B each plus a per-layer monitor
-//! buffer) measured ~886 B per request here.
+//! the report keeps per request: a 56 B `CompletedRequest`, with slack
+//! for `Vec` doubling. A node that kept finished tasks (then ~128 B
+//! each plus a per-layer monitor buffer) measured ~886 B per request
+//! here.
 //!
 //! Counting bytes rather than reading RSS keeps the check exact and
 //! immune to the host: the numbers are deterministic, and each test
 //! thread counts only its own allocations.
 //!
 //! A second test pins that a request budget far beyond what the
-//! stream's arrival clock can yield sizes no buffer by itself.
+//! stream's arrival clock can yield sizes no buffer by itself: that
+//! run's peak heap stays under 1 MiB.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,6 +74,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Runs `f` and returns its result with the peak heap it reached above
+/// its starting point, in bytes.
+fn peak_heap_of<R>(f: impl FnOnce() -> R) -> (R, i64) {
+    let base = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|p| p.set(base));
+    let result = f();
+    (result, PEAK_BYTES.with(Cell::get) - base)
+}
+
 /// Streams `n` requests through an 8-node Eyeriss-V2 Dysta pool under
 /// JSQ and returns the run's peak heap above its starting point, in
 /// bytes, with the run's peak live-request count.
@@ -83,9 +93,7 @@ fn stream_peak_heap(n: u64) -> (i64, usize) {
         .seed(1);
     let pool = ClusterConfig::homogeneous(8, AcceleratorKind::EyerissV2, Policy::Dysta);
     let mut policy = ClusterPolicy::from_dispatch(DispatchPolicy::JoinShortestQueue);
-    let base = LIVE_BYTES.with(Cell::get);
-    PEAK_BYTES.with(|p| p.set(base));
-    let peak_live = {
+    let (peak_live, peak) = peak_heap_of(|| {
         let store = spec.build_store();
         let report = simulate_cluster(spec.source(&store), &mut policy, &pool, NullTracer);
         assert_eq!(
@@ -94,8 +102,8 @@ fn stream_peak_heap(n: u64) -> (i64, usize) {
             "every request completes"
         );
         report.serving().peak_live_requests
-    };
-    (PEAK_BYTES.with(Cell::get) - base, peak_live)
+    });
+    (peak, peak_live)
 }
 
 #[test]
@@ -112,7 +120,7 @@ fn streamed_heap_grows_only_by_the_per_request_report() {
         per_request <= 160.0,
         "peak heap grew {per_request:.1} B per extra request \
          ({small_peak} B at {small_n}, {large_peak} B at {large_n}); \
-         only the per-request report (64 B) should scale with the stream"
+         only the per-request report (56 B) should scale with the stream"
     );
 }
 
@@ -120,8 +128,8 @@ fn streamed_heap_grows_only_by_the_per_request_report() {
 fn a_budget_beyond_the_arrival_clock_sizes_no_buffer() {
     // At 1e-9 requests/s the sim clock runs out after a few dozen
     // arrivals, so a budget of 10^15 requests is never reached:
-    // pre-sizing the run's per-request report by it would ask for 8 PB
-    // and abort.
+    // pre-sizing any per-request buffer by it would ask for petabytes
+    // and abort, and a capped reservation would still cost megabytes.
     let spec = StreamSpec::steady_poisson(Scenario::MultiCnn, 1e-9, 10.0)
         .num_requests(1_000_000_000_000_000);
     let pool = ClusterConfig::homogeneous(2, AcceleratorKind::EyerissV2, Policy::Dysta);
@@ -129,7 +137,12 @@ fn a_budget_beyond_the_arrival_clock_sizes_no_buffer() {
     let store = spec.build_store();
     let yielded = spec.source(&store).count();
     assert!(yielded > 0 && yielded < 100, "the clock ends the stream");
-    let report = simulate_cluster(spec.source(&store), &mut policy, &pool, NullTracer);
+    let (report, peak) =
+        peak_heap_of(|| simulate_cluster(spec.source(&store), &mut policy, &pool, NullTracer));
     assert_eq!(report.completed_total(), yielded);
-    assert_eq!(report.serving().admission_wait_ns.len(), yielded);
+    assert_eq!(report.admitted_total(), yielded);
+    assert!(
+        peak < 1 << 20,
+        "serving {yielded} requests peaked at {peak} B of heap"
+    );
 }

@@ -107,13 +107,13 @@ fn trace_counters_match_report_counters() {
         }
     }
 
-    // Admission waits in the trace mirror the report's samples: one
-    // wait per admitted request (rejects never dispatch), as in
-    // ServingStats.
-    assert_eq!(
-        tracer.kind_count(EventKind::Admit) + tracer.kind_count(EventKind::AdmitDegrade),
-        report.serving().admission_wait_ns.len() as u64
-    );
+    // The trace records each admitted request's wait (rejects never
+    // dispatch), and the waits sum to the report's total.
+    let waits: u128 = timelines
+        .iter()
+        .filter_map(|tl| Some(u128::from(tl.admitted_ns? - tl.arrival_ns?)))
+        .sum();
+    assert_eq!(waits, report.serving().admission_wait_total_ns);
 }
 
 #[test]

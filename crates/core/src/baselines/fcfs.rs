@@ -63,19 +63,13 @@ mod tests {
     fn picks_earliest_arrival() {
         let queue = [task(0, 30), task(1, 10), task(2, 20)];
         let mut s = Fcfs::new();
-        assert_eq!(
-            s.pick_next(TaskQueue::dense(&queue), &ModelInfoLut::default(), 100),
-            1
-        );
+        assert_eq!(s.pick_next(&queue, &ModelInfoLut::default(), 100), 1);
     }
 
     #[test]
     fn ties_break_by_id() {
         let queue = [task(7, 10), task(3, 10)];
         let mut s = Fcfs::new();
-        assert_eq!(
-            s.pick_next(TaskQueue::dense(&queue), &ModelInfoLut::default(), 100),
-            1
-        );
+        assert_eq!(s.pick_next(&queue, &ModelInfoLut::default(), 100), 1);
     }
 }

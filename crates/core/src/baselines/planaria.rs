@@ -90,10 +90,7 @@ mod tests {
             mk(0, spec, variant, 0, 10_000_000_000),
             mk(1, spec, variant, 100, 1_000_000_000),
         ];
-        assert_eq!(
-            Planaria::new().pick_next(TaskQueue::dense(&queue), &lut, 200),
-            1
-        );
+        assert_eq!(Planaria::new().pick_next(&queue, &lut, 200), 1);
     }
 
     #[test]
@@ -105,9 +102,6 @@ mod tests {
             mk(0, spec, variant, 0, 1),
             mk(1, spec, variant, 0, 10_000_000_000),
         ];
-        assert_eq!(
-            Planaria::new().pick_next(TaskQueue::dense(&queue), &lut, 1_000_000),
-            1
-        );
+        assert_eq!(Planaria::new().pick_next(&queue, &lut, 1_000_000), 1);
     }
 }

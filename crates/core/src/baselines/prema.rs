@@ -94,11 +94,7 @@ mod tests {
         let (small, big, lut) = setup();
         let queue = [mk(0, big, 0), mk(1, small, 0)];
         let mut p = Prema;
-        assert_eq!(
-            p.pick_next(TaskQueue::dense(&queue), &lut, 0),
-            1,
-            "short job first"
-        );
+        assert_eq!(p.pick_next(&queue, &lut, 0), 1, "short job first");
     }
 
     #[test]
@@ -112,7 +108,7 @@ mod tests {
         let much_later = (isolated * 3.0) as u64;
         let fresh_short = mk(99, small, much_later);
         let queue = [long_task, fresh_short];
-        let idx = p.pick_next(TaskQueue::dense(&queue), &lut, much_later);
+        let idx = p.pick_next(&queue, &lut, much_later);
         assert_eq!(idx, 0, "aged long job must win over fresh short job");
     }
 
@@ -126,9 +122,9 @@ mod tests {
         let short = mk(1, small, isolated);
         let queue = [waited, short];
         let mut p = Prema;
-        assert_eq!(p.pick_next(TaskQueue::dense(&queue), &lut, isolated), 0);
+        assert_eq!(p.pick_next(&queue, &lut, isolated), 0);
         // One nanosecond less and it is no candidate: SJF decides.
-        assert_eq!(p.pick_next(TaskQueue::dense(&queue), &lut, isolated - 1), 1);
+        assert_eq!(p.pick_next(&queue, &lut, isolated - 1), 1);
         // Time spent executing is service, not waiting: the same
         // elapsed time with 1 ns of it executed leaves the token short.
         let served = TaskState {
@@ -136,6 +132,6 @@ mod tests {
             ..waited
         };
         let queue = [served, short];
-        assert_eq!(p.pick_next(TaskQueue::dense(&queue), &lut, isolated), 1);
+        assert_eq!(p.pick_next(&queue, &lut, isolated), 1);
     }
 }

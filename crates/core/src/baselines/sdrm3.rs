@@ -1,6 +1,6 @@
 //! SDRM3's MapScore scheduler (Kim et al., ASPLOS 2024).
 
-use crate::scheduler::{lut_isolated_ns, lut_remaining_ns, pick_max_score, Scheduler, TaskQueue};
+use crate::scheduler::{lut_isolated_ns, lut_remaining_ns, pick_min_score, Scheduler, TaskQueue};
 use crate::{ModelInfoLut, TaskState};
 
 /// SDRM3 scores every (task, accelerator) mapping and dispatches the
@@ -59,7 +59,9 @@ impl Scheduler for Sdrm3 {
     }
 
     fn pick_next(&mut self, queue: TaskQueue<'_>, lut: &ModelInfoLut, now_ns: u64) -> usize {
-        pick_max_score(queue, |t| self.map_score(t, lut, now_ns))
+        // The highest score wins: the argmin of its negation, ties to
+        // the smaller id.
+        pick_min_score(queue, |t| -self.map_score(t, lut, now_ns))
     }
 }
 
@@ -89,10 +91,7 @@ mod tests {
             mk(0, spec, variant, 0, 1_000_000_000),
             mk(1, spec, variant, 0, 1_000),
         ];
-        assert_eq!(
-            Sdrm3::new().pick_next(TaskQueue::dense(&queue), &lut, 500),
-            1
-        );
+        assert_eq!(Sdrm3::new().pick_next(&queue, &lut, 500), 1);
     }
 
     #[test]
@@ -105,9 +104,22 @@ mod tests {
         // Urgency is ~0 against these far-off deadlines, so fairness
         // decides.
         assert_eq!(
-            Sdrm3::new().pick_next(TaskQueue::dense(&queue), &lut, 1_000_000_000),
+            Sdrm3::new().pick_next(&queue, &lut, 1_000_000_000),
             0,
             "fairness favours the older task"
         );
+    }
+
+    #[test]
+    fn equal_scores_pick_the_smaller_id() {
+        let (spec, variant, lut) = lut();
+        // Identical tasks score identically; ids run opposite to queue
+        // position, so the pick is the id, not the position.
+        let queue = [
+            mk(2, spec, variant, 0, 1_000_000),
+            mk(1, spec, variant, 0, 1_000_000),
+            mk(3, spec, variant, 0, 1_000_000),
+        ];
+        assert_eq!(Sdrm3::new().pick_next(&queue, &lut, 500), 1);
     }
 }

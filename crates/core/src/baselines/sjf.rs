@@ -56,6 +56,6 @@ mod tests {
             TaskState::arrived(id, spec, variant, 0, u64::MAX / 2, layers)
         };
         let queue = [mk(0, big, 21), mk(1, small, 29)];
-        assert_eq!(Sjf::new().pick_next(TaskQueue::dense(&queue), &lut, 0), 1);
+        assert_eq!(Sjf::new().pick_next(&queue, &lut, 0), 1);
     }
 }

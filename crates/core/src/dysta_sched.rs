@@ -271,7 +271,7 @@ mod tests {
 
         let queue = [dense_task, sparse_task];
         let mut sched = DystaScheduler::default();
-        assert_eq!(sched.pick_next(TaskQueue::dense(&queue), &lut, 0), 1);
+        assert_eq!(sched.pick_next(&queue, &lut, 0), 1);
     }
 
     #[test]
@@ -283,7 +283,7 @@ mod tests {
         long.true_remaining_ns = 50_000_000;
         let queue = [long, short];
         let mut oracle = OracleScheduler::default();
-        assert_eq!(oracle.pick_next(TaskQueue::dense(&queue), &lut, 0), 1);
+        assert_eq!(oracle.pick_next(&queue, &lut, 0), 1);
     }
 
     #[test]
@@ -294,6 +294,6 @@ mod tests {
         let b = mk(1, spec, variant, 0, 800_000_000);
         let queue = [a, b];
         // Tighter SLO -> smaller slack -> smaller static score -> first.
-        assert_eq!(sched.pick_next(TaskQueue::dense(&queue), &lut, 0), 0);
+        assert_eq!(sched.pick_next(&queue, &lut, 0), 0);
     }
 }

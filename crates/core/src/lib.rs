@@ -50,7 +50,7 @@ pub use lut::{ModelInfo, ModelInfoLut};
 pub use policy::Policy;
 pub use predictor::{CoeffStrategy, SparseLatencyPredictor};
 pub use rounding::{round_ns, scale_ns};
-pub use scheduler::{pick_max_score, pick_min_score, Scheduler, TaskQueue};
+pub use scheduler::{pick_min_score, Scheduler, TaskQueue};
 pub use task::{SparsitySummary, TaskState};
 
 // The interned variant handle travels with `TaskState`, so re-export it

@@ -4,45 +4,10 @@ use std::cmp::Ordering;
 
 use crate::{ModelInfoLut, TaskState};
 
-/// A borrowed view of the runnable queue at one scheduling point: the
-/// engine's live-task slice, handed to the scheduler as is. Positions
-/// (`0..len()`) are what [`Scheduler::pick_next`] returns.
-#[derive(Debug, Clone, Copy)]
-pub struct TaskQueue<'a> {
-    tasks: &'a [TaskState],
-}
-
-impl<'a> TaskQueue<'a> {
-    /// A queue over every task in the slice.
-    pub fn dense(tasks: &'a [TaskState]) -> Self {
-        TaskQueue { tasks }
-    }
-
-    /// Number of runnable tasks.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// True when no task is runnable.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// The task at queue position `pos`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos >= len()`.
-    #[inline]
-    pub fn get(&self, pos: usize) -> &'a TaskState {
-        &self.tasks[pos]
-    }
-
-    /// Iterates the runnable tasks in queue-position order.
-    pub fn iter(&self) -> std::slice::Iter<'a, TaskState> {
-        self.tasks.iter()
-    }
-}
+/// The runnable queue at one scheduling point: the engine's live-task
+/// slice, handed to the scheduler as is. Slice indices are what
+/// [`Scheduler::pick_next`] returns.
+pub type TaskQueue<'a> = &'a [TaskState];
 
 /// A multi-DNN scheduling policy.
 ///
@@ -57,7 +22,7 @@ impl<'a> TaskQueue<'a> {
 ///
 /// Implementations must keep the steady-state `pick_next` path
 /// allocation-free and evaluate each task's score exactly once per
-/// invocation (use [`pick_min_score`] / [`pick_max_score`]); the
+/// invocation (use [`pick_min_score`]); the
 /// score-evaluation-count and allocation regression tests pin this.
 ///
 /// # Examples
@@ -136,7 +101,8 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 /// Single-pass argmin over the queue: evaluates `score` exactly once per
 /// task (the double-evaluation `min_by`-with-closure pattern this
 /// replaces recomputed both sides at every comparison), breaking score
-/// ties towards the smaller task id.
+/// ties towards the smaller task id. An argmax negates its score:
+/// [`f64::total_cmp`] orders negated values in exactly reverse order.
 ///
 /// # Panics
 ///
@@ -151,31 +117,6 @@ pub fn pick_min_score(queue: TaskQueue<'_>, mut score: impl FnMut(&TaskState) ->
                 Ordering::Less => true,
                 Ordering::Equal => task.id < *best_id,
                 Ordering::Greater => false,
-            },
-        };
-        if better {
-            best = Some((s, task.id, pos));
-        }
-    }
-    best.expect("engine never passes an empty queue").2
-}
-
-/// Single-pass argmax counterpart of [`pick_min_score`] (same
-/// evaluate-once guarantee, same smaller-id tie-break).
-///
-/// # Panics
-///
-/// Panics if the queue is empty.
-pub fn pick_max_score(queue: TaskQueue<'_>, mut score: impl FnMut(&TaskState) -> f64) -> usize {
-    let mut best: Option<(f64, u64, usize)> = None;
-    for (pos, task) in queue.iter().enumerate() {
-        let s = score(task);
-        let better = match &best {
-            None => true,
-            Some((best_s, best_id, _)) => match s.total_cmp(best_s) {
-                Ordering::Greater => true,
-                Ordering::Equal => task.id < *best_id,
-                Ordering::Less => false,
             },
         };
         if better {
@@ -209,17 +150,11 @@ mod tests {
         for n in [1usize, 2, 7, 32] {
             let tasks = dense_queue_tasks(n);
             let mut evals = 0usize;
-            let _ = pick_min_score(TaskQueue::dense(&tasks), |_| {
+            let _ = pick_min_score(&tasks, |_| {
                 evals += 1;
                 0.0
             });
-            assert_eq!(evals, n, "min: one evaluation per task");
-            evals = 0;
-            let _ = pick_max_score(TaskQueue::dense(&tasks), |_| {
-                evals += 1;
-                0.0
-            });
-            assert_eq!(evals, n, "max: one evaluation per task");
+            assert_eq!(evals, n, "one evaluation per task");
         }
     }
 
@@ -228,19 +163,17 @@ mod tests {
         let tasks = dense_queue_tasks(5);
         // All-equal scores: position of the smallest id wins. Task ids
         // are assigned in reverse so position != id.
-        let min = pick_min_score(TaskQueue::dense(&tasks), |_| 1.0);
-        let max = pick_max_score(TaskQueue::dense(&tasks), |_| 1.0);
+        let min = pick_min_score(&tasks, |_| 1.0);
         assert_eq!(tasks[min].id, 0);
-        assert_eq!(tasks[max].id, 0);
     }
 
     #[test]
     fn min_and_max_agree_with_reference_scan() {
         let tasks = dense_queue_tasks(9);
         let score = |t: &TaskState| ((t.id * 7919) % 13) as f64;
-        let q = TaskQueue::dense(&tasks);
-        let min = pick_min_score(q, score);
-        let max = pick_max_score(q, score);
+        let min = pick_min_score(&tasks, score);
+        // An argmax is the argmin of the negated score.
+        let max = pick_min_score(&tasks, |t| -score(t));
         for t in &tasks {
             assert!(score(&tasks[min]) <= score(t));
             assert!(score(&tasks[max]) >= score(t));

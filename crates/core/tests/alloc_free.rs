@@ -10,9 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dysta_core::{
-    CoeffStrategy, ModelInfoLut, Policy, SparseLatencyPredictor, TaskQueue, TaskState,
-};
+use dysta_core::{CoeffStrategy, ModelInfoLut, Policy, SparseLatencyPredictor, TaskState};
 use dysta_models::ModelId;
 use dysta_sparsity::SparsityPattern;
 use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore};
@@ -101,7 +99,7 @@ fn mid_execution_queue(n: usize) -> (Vec<TaskState>, ModelInfoLut) {
 #[test]
 fn steady_state_pick_next_never_allocates() {
     let (tasks, lut) = mid_execution_queue(64);
-    let queue = TaskQueue::dense(&tasks);
+    let queue = &tasks;
     for policy in Policy::ALL {
         let mut sched = policy.build();
         // Warm up once, so only the steady state is measured.

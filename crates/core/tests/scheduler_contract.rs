@@ -5,9 +5,7 @@ use std::cell::Cell;
 
 use proptest::prelude::*;
 
-use dysta_core::{
-    pick_max_score, pick_min_score, ModelInfoLut, Policy, Scheduler, TaskQueue, TaskState,
-};
+use dysta_core::{pick_min_score, ModelInfoLut, Policy, Scheduler, TaskState};
 use dysta_models::ModelId;
 use dysta_sparsity::SparsityPattern;
 use dysta_trace::{ModelTraces, SparseModelSpec, TraceStore, VariantId};
@@ -97,7 +95,7 @@ proptest! {
     ) {
         let (specs, lut) = build_lut();
         let tasks = materialize(&params, &specs, &lut);
-        let queue = TaskQueue::dense(&tasks);
+        let queue = &tasks;
         for policy in Policy::ALL {
             let mut sched = policy.build();
             let a = sched.pick_next(queue, &lut, now);
@@ -123,7 +121,7 @@ proptest! {
         let tasks = materialize(&params, &specs, &lut);
         for policy in Policy::ALL {
             let mut sched = policy.build();
-            prop_assert_eq!(sched.pick_next(TaskQueue::dense(&tasks), &lut, now), 0);
+            prop_assert_eq!(sched.pick_next(&tasks, &lut, now), 0);
         }
     }
 }
@@ -190,13 +188,12 @@ proptest! {
                 for (k, extra) in extras.iter().enumerate() {
                     let extra = sub_queue(*extra, &tasks);
                     let t = now + dt * (k as u64 + 1) / (extras.len() as u64 + 1);
-                    probed.pick_next(TaskQueue::dense(&extra), &lut, t);
+                    probed.pick_next(&extra, &lut, t);
                 }
                 now += dt;
                 let decide = sub_queue(*decide, &tasks);
-                let queue = TaskQueue::dense(&decide);
-                let a = probed.pick_next(queue, &lut, now);
-                let b = twin.pick_next(queue, &lut, now);
+                let a = probed.pick_next(&decide, &lut, now);
+                let b = twin.pick_next(&decide, &lut, now);
                 prop_assert_eq!(a, b, "{}: extra picks changed a decision", policy);
             }
         }
@@ -223,22 +220,13 @@ fn counting_scorer_sees_exactly_queue_len_evaluations() {
             })
             .collect();
         let tasks = materialize(&params, &specs, &lut);
-        let queue = TaskQueue::dense(&tasks);
-
         let evals = Cell::new(0usize);
         let scorer = |t: &TaskState| {
             evals.set(evals.get() + 1);
             // A non-trivial score with ties, so tie-break paths run too.
             (t.id % 5) as f64
         };
-        let _ = pick_min_score(queue, scorer);
+        let _ = pick_min_score(&tasks, scorer);
         assert_eq!(evals.get(), n, "pick_min_score at n={n}");
-
-        evals.set(0);
-        let _ = pick_max_score(queue, |t| {
-            evals.set(evals.get() + 1);
-            (t.id % 5) as f64
-        });
-        assert_eq!(evals.get(), n, "pick_max_score at n={n}");
     }
 }

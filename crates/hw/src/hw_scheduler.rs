@@ -111,7 +111,7 @@ impl Scheduler for HardwareDystaScheduler {
         self.visible.extend(0..queue.len());
         if queue.len() > self.fifo_depth {
             self.visible
-                .sort_by_key(|&i| (queue.get(i).arrival_ns, queue.get(i).id));
+                .sort_by_key(|&i| (queue[i].arrival_ns, queue[i].id));
             self.visible.truncate(self.fifo_depth);
         }
 
@@ -124,7 +124,7 @@ impl Scheduler for HardwareDystaScheduler {
         // scheduler's lost-cause demotion.
         let mut best: Option<(usize, (bool, F16))> = None;
         for &i in &self.visible {
-            let t = queue.get(i);
+            let t = &queue[i];
             let info = lut.info(t.variant);
             let gamma = gamma(t, lut);
             let lat_avg_ms = F16::from_f64(info.avg_remaining_ns(t.next_layer) / 1e6);
@@ -148,7 +148,7 @@ impl Scheduler for HardwareDystaScheduler {
                 None => true,
                 Some((bi, (b_inf, b_score))) => {
                     (key.0, key.1.to_f32()) < (b_inf, b_score.to_f32())
-                        || (key.0 == b_inf && key.1 == b_score && t.id < queue.get(bi).id)
+                        || (key.0 == b_inf && key.1 == b_score && t.id < queue[bi].id)
                 }
             };
             if better {
@@ -208,8 +208,8 @@ mod tests {
         let mut hw = HardwareDystaScheduler::new(DystaConfig::default(), 64);
         let mut sw = DystaScheduler::new(DystaConfig::default(), SparseLatencyPredictor::default());
         assert_eq!(
-            hw.pick_next(TaskQueue::dense(&queue), &lut, 0),
-            sw.pick_next(TaskQueue::dense(&queue), &lut, 0),
+            hw.pick_next(&queue, &lut, 0),
+            sw.pick_next(&queue, &lut, 0),
             "FP16 must preserve the decision"
         );
     }
@@ -221,7 +221,7 @@ mod tests {
         // visible even if 9 would score best.
         let tasks: Vec<TaskState> = (0..10).map(|i| mk(i, spec, variant, i * 1000)).collect();
         let mut hw = HardwareDystaScheduler::new(DystaConfig::default(), 2);
-        let picked = hw.pick_next(TaskQueue::dense(&tasks), &lut, 1_000_000);
+        let picked = hw.pick_next(&tasks, &lut, 1_000_000);
         assert!(tasks[picked].id < 2, "picked {}", tasks[picked].id);
     }
 
@@ -251,9 +251,9 @@ mod tests {
                 .enumerate()
             {
                 let t = now - 1_000_000 * (k as u64 + 1);
-                probed.pick_next(TaskQueue::dense(extra), &lut, t);
+                probed.pick_next(extra, &lut, t);
             }
-            let queue = TaskQueue::dense(&tasks);
+            let queue = &tasks;
             assert_eq!(
                 probed.pick_next(queue, &lut, now),
                 twin.pick_next(queue, &lut, now),

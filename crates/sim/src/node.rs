@@ -21,7 +21,7 @@
 //! instant has then been executed, which is exactly the information a
 //! real dispatcher could have observed.
 
-use dysta_core::{scale_ns, ModelInfoLut, Scheduler, TaskQueue, TaskState};
+use dysta_core::{scale_ns, ModelInfoLut, Scheduler, TaskState};
 use dysta_obs::{EventKind, NullTracer, Phase, TraceEvent, Tracer};
 use dysta_trace::SampleTrace;
 use dysta_workload::Request;
@@ -121,8 +121,9 @@ pub struct NodeEngine<'w, S = Box<dyn Scheduler>, T = NullTracer> {
     /// `swap_remove` ([`NodeEngine::remove`]); [`NodeEngine::crash_salvage`]
     /// empties it. Order is therefore arbitrary: schedulers must not
     /// read meaning into queue positions, only into task fields. The
-    /// scheduler's [`TaskQueue`] is this slice, and `queued_tasks` and
-    /// `unstarted_tasks` walk it, so dispatch views sum in list order.
+    /// scheduler's [`TaskQueue`](dysta_core::TaskQueue) is this slice,
+    /// and `queued_tasks` and `unstarted_tasks` walk it, so dispatch
+    /// views sum in list order.
     /// `traces`, `scales` and `remaining` are parallel to it.
     tasks: Vec<TaskState>,
     traces: Vec<&'w SampleTrace>,
@@ -485,8 +486,10 @@ impl<'w, S: Scheduler, T: Tracer> NodeEngine<'w, S, T> {
             0
         } else {
             // The scheduler reads the live list itself — no per-quantum
-            // `Vec<&TaskState>` materialisation.
-            let queue = TaskQueue::dense(&self.tasks);
+            // `Vec<&TaskState>` materialisation. The slice is taken
+            // before the pick clock starts, so the timed region holds
+            // the pick alone.
+            let queue = self.tasks.as_slice();
             let pick_t0 = profiling.then(std::time::Instant::now);
             let pick = self.scheduler.pick_next(queue, self.lut, self.now_ns);
             if let Some(t0) = pick_t0 {

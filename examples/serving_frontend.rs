@@ -114,7 +114,7 @@ fn main() {
             report.load_imbalance(),
             s.steals,
             s.migrations,
-            s.mean_admission_wait_ns() / 1e6,
+            report.mean_admission_wait_ns() / 1e6,
         );
     }
 

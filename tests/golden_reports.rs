@@ -259,7 +259,7 @@ fn cell(
         p99_ns: p.p99_ns,
         steals: report.serving().steals,
         migrations: report.serving().migrations,
-        mean_admission_wait_ns: report.serving().mean_admission_wait_ns(),
+        mean_admission_wait_ns: report.mean_admission_wait_ns(),
     }
 }
 
